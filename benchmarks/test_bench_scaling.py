@@ -1,47 +1,48 @@
-"""Scale-out figure: throughput vs shard count, executor and schedule.
+"""Scale-out figure: throughput vs shard count and executor.
 
 Runs :func:`repro.experiments.figures.figure_scaling` -- the same
 generator behind ``repro profile --figure scaling`` -- over a skewed
 four-scenario composite trace, emits ``BENCH_scaling.json``, and pins
-the claims the scheduler work makes:
+what the one packing policy promises:
 
-* the composite trace really is skewed (two dominant components);
-* cost-aware scheduling (balanced/stealing) beats the static
-  round-robin fold by >= 1.3x aggregate throughput at 4 shards, where
-  round-robin stacks both heavy components onto one slot;
-* the planned makespan of the LPT packing is never worse than the
-  static plan's (LPT is the better packer by construction).
+* six rows (3 shard counts x 2 executors), all over the identical trace;
+* the planned makespan -- ``max(last_shard_sizes)``, an activity count,
+  so it repeats exactly -- at 4 shards is no worse than at 2 shards;
+* sharded == batch ``result_digest`` on the composite, both executors,
+  ``max_shards`` in {None, 1, 2, 4}.
 
 The committed baseline (``benchmarks/baselines/BENCH_scaling_baseline
 .json``) is gated separately in CI via ``repro.experiments.bench
-compare`` on the makespan column.
+compare`` on the ``wall_s`` column.
 """
 
 from conftest import emit_bench, run_once
-from repro.experiments.figures import figure_scaling
+from repro.core.correlator import Correlator
+from repro.experiments.figures import _scaling_trace, figure_scaling
+from repro.pipeline import result_digest
+from repro.stream import ShardedCorrelator
+from repro.stream.sharded import EXECUTOR_KINDS
 
 
 def test_bench_scaling(benchmark, scale):
     result = run_once(benchmark, lambda: figure_scaling(scale))
     emit_bench(result)
 
-    by_case = {row["case"]: row for row in result.rows}
+    assert len(result.rows) == 6
     # Every sweep point correlates the identical trace.
     assert len({row["activities"] for row in result.rows}) == 1
     assert all(row["components"] >= 6 for row in result.rows)
 
-    # The headline claim: at 4 shards the static fold stacks the heavy
-    # components while the cost-aware schedules spread them.
-    for executor in scale.scaling_executors:
-        static = by_case[f"4x-{executor}-static"]
-        stealing = by_case[f"4x-{executor}-stealing"]
-        balanced = by_case[f"4x-{executor}-balanced"]
-        ratio = stealing["throughput_kact_s"] / static["throughput_kact_s"]
-        assert ratio >= 1.3, (
-            f"stealing only {ratio:.2f}x over static on {executor} "
-            f"(static makespan {static['correlation_time_s']}s, "
-            f"stealing {stealing['correlation_time_s']}s)"
-        )
-        assert (
-            balanced["correlation_time_s"] <= static["correlation_time_s"]
-        ), "LPT packing must not be slower than round-robin on the skewed trace"
+    table = _scaling_trace()
+    batch = result_digest(Correlator(window=scale.window).correlate(table.iter_fresh()))
+    planned = {}
+    for executor in EXECUTOR_KINDS:
+        for max_shards in (None, 1, 2, 4):
+            correlator = ShardedCorrelator(
+                window=scale.window, max_shards=max_shards, executor=executor
+            )
+            digest = result_digest(correlator.correlate(table.iter_fresh()))
+            assert digest == batch, (executor, max_shards)
+            planned[max_shards] = max(correlator.last_shard_sizes)
+    # More buckets never make the heaviest bucket heavier.
+    assert planned[4] <= planned[2] <= planned[1]

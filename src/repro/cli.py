@@ -131,7 +131,6 @@ from .pipeline import (
     TraceSession,
 )
 from .core.export import trace_summary
-from .stream.scheduler import SCHEDULE_KINDS
 from .stream.sharded import EXECUTOR_KINDS
 from .services.faults import FaultConfig
 from .services.noise import NoiseConfig
@@ -319,16 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "use the sharded parallel driver with up to N shards "
             "(0 = incremental; --horizon/--skew-bound/--chunk-size do not apply)"
-        ),
-    )
-    stream_parser.add_argument(
-        "--schedule",
-        choices=list(SCHEDULE_KINDS),
-        default="static",
-        help=(
-            "sharded component-to-shard policy: static round-robin, "
-            "cost-balanced LPT packing, or LPT plus run-time work stealing "
-            "(requires --shards)"
         ),
     )
     stream_parser.add_argument(
@@ -903,7 +892,6 @@ def _command_stream(args: argparse.Namespace) -> int:
                 window=args.window,
                 max_shards=args.shards,
                 executor=args.executor,
-                schedule=args.schedule,
                 sampling=sampling,
             )
         else:

@@ -73,8 +73,6 @@ class ExperimentScale:
     scaling_shard_counts: Tuple[int, ...] = (2, 4, 8)
     #: executors swept by the scale-out figure
     scaling_executors: Tuple[str, ...] = ("thread", "process")
-    #: schedules swept by the scale-out figure
-    scaling_schedules: Tuple[str, ...] = ("static", "balanced", "stealing")
 
     @property
     def max_threads_values(self) -> Tuple[int, ...]:

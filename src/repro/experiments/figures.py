@@ -945,7 +945,7 @@ def figure_interning(
 
 
 # ---------------------------------------------------------------------------
-# Scale-out -- throughput vs shard count vs executor vs schedule
+# Scale-out -- throughput vs shard count vs executor
 # ---------------------------------------------------------------------------
 
 def _scaling_trace() -> ActivityTable:
@@ -956,8 +956,8 @@ def _scaling_trace() -> ActivityTable:
     component(s), and the mix is heavy-tailed by construction -- the
     fan-out aggregator and the five-tier chain each collapse into one
     giant component, next to small per-scenario ones.  That skew is
-    exactly what separates the schedules: round-robin can stack the two
-    heavies on one shard while cost-aware packing cannot.
+    exactly what the LPT packing exists for: a cost-blind fold can stack
+    the two heavies on one shard while cost-aware packing cannot.
 
     Scenario defaults (stages, runtime) are used on purpose: scaling the
     runtime or the client counts merges or splinters components and
@@ -981,38 +981,37 @@ def _scaling_trace() -> ActivityTable:
 def figure_scaling(
     scale: Optional[ExperimentScale] = None, cache: Optional[RunCache] = None
 ) -> FigureResult:
-    """Scale-out: aggregate throughput vs shards, executor and schedule.
+    """Scale-out: aggregate throughput vs shards and executor.
 
     Each row correlates the same skewed composite trace through
-    :class:`~repro.stream.ShardedCorrelator` at one (shards, executor,
-    schedule) point.  ``correlation_time_s`` is the *makespan* -- the
-    busiest worker slot's self-measured busy time -- which is what the
-    wall clock converges to with one core per slot; reporting it (rather
-    than this machine's wall clock) keeps the figure meaningful on
-    oversubscribed CI runners.  ``wall_s`` records the actual wall clock
-    alongside.  The ``case`` column is the composite key the CI gate
-    compares against the committed baseline.  ``cache`` is accepted for
-    generator-signature uniformity (the composite trace is built fresh).
+    :class:`~repro.stream.ShardedCorrelator` at one (shards, executor)
+    point.  ``correlation_time_s`` is the *makespan* -- the busiest
+    shard's self-measured busy time -- which is what the wall clock
+    converges to with one core per shard; it shows the packing's quality
+    even on oversubscribed CI runners.  ``wall_s`` records the actual
+    wall clock alongside, and is the column the CI gate compares against
+    the committed baseline (keyed by the composite ``case`` column),
+    because makespan can improve while wall clock regresses.  ``cache``
+    is accepted for generator-signature uniformity (the composite trace
+    is built fresh).
     """
     scale = scale or default_scale()
     result = FigureResult(
         figure_id="scaling",
-        title="Sharded scale-out: throughput vs shards, executor and schedule",
+        title="Sharded scale-out: throughput vs shards and executor",
         columns=[
             "case",
             "shards",
             "executor",
-            "schedule",
             "activities",
             "components",
-            "steals",
             "correlation_time_s",
             "wall_s",
             "throughput_kact_s",
         ],
         notes=(
             "skewed 4-scenario composite trace; correlation_time_s is the "
-            "busiest slot's busy time (makespan), throughput is "
+            "busiest shard's busy time (makespan), throughput is "
             "activities/makespan"
         ),
     )
@@ -1024,33 +1023,27 @@ def figure_scaling(
     components = len(partition_components(table.iter_fresh()))
     for shards in scale.scaling_shard_counts:
         for executor in scale.scaling_executors:
-            for schedule in scale.scaling_schedules:
-                correlator = ShardedCorrelator(
-                    window=scale.window,
-                    max_shards=shards,
-                    executor=executor,
-                    schedule=schedule,
-                )
-                wall_start = _time.perf_counter()
-                outcome = correlator.correlate(table.iter_fresh())
-                wall = _time.perf_counter() - wall_start
-                makespan = max(correlator.last_makespan_s(), 1e-9)
-                result.rows.append(
-                    {
-                        "case": f"{shards}x-{executor}-{schedule}",
-                        "shards": shards,
-                        "executor": executor,
-                        "schedule": schedule,
-                        "activities": outcome.total_activities,
-                        "components": components,
-                        "steals": correlator.last_steals,
-                        "correlation_time_s": round(makespan, 4),
-                        "wall_s": round(wall, 4),
-                        "throughput_kact_s": round(
-                            outcome.total_activities / makespan / 1e3, 1
-                        ),
-                    }
-                )
+            correlator = ShardedCorrelator(
+                window=scale.window, max_shards=shards, executor=executor
+            )
+            wall_start = _time.perf_counter()
+            outcome = correlator.correlate(table.iter_fresh())
+            wall = _time.perf_counter() - wall_start
+            makespan = max(correlator.last_makespan_s(), 1e-9)
+            result.rows.append(
+                {
+                    "case": f"{shards}x-{executor}",
+                    "shards": shards,
+                    "executor": executor,
+                    "activities": outcome.total_activities,
+                    "components": components,
+                    "correlation_time_s": round(makespan, 4),
+                    "wall_s": round(wall, 4),
+                    "throughput_kact_s": round(
+                        outcome.total_activities / makespan / 1e3, 1
+                    ),
+                }
+            )
     return result
 
 

@@ -21,8 +21,7 @@ eviction disabled -- the same finished CAGs (the equivalence asserted by
 ``batch``     ``window`` only
 ``streaming`` ``window``, ``horizon``, ``skew_bound``, ``chunk_size``,
               ``checkpoint_path``, ``checkpoint_every``, ``resume_from``
-``sharded``   ``window``, ``max_shards``, ``max_workers``, ``executor``,
-              ``schedule``
+``sharded``   ``window``, ``max_shards``, ``max_workers``, ``executor``
 ============  =========================================================
 """
 
@@ -38,7 +37,6 @@ from ..core.interning import ActivityTable
 from ..core.tracer import TraceResult
 from ..sampling import SamplingSpec
 from ..stream import ShardedCorrelator, StreamingCorrelator
-from ..stream.scheduler import SCHEDULE_KINDS
 from ..stream.sharded import EXECUTOR_KINDS
 
 #: The three backend kinds, in canonical (equivalence-matrix) order.
@@ -65,15 +63,12 @@ class BackendSpec:
     chunk_size: int = 256
     #: sharded: upper bound on shard count (``None`` = one per component)
     max_shards: Optional[int] = None
-    #: sharded: worker-pool size (``None`` = executor heuristic)
+    #: sharded: worker-pool size (``None`` = ``os.cpu_count()``; never
+    #: more than the shard count)
     max_workers: Optional[int] = None
     #: sharded: ``"thread"`` (GIL-bounded, zero copy) or ``"process"``
     #: (true parallelism, shards pickled across the boundary)
     executor: str = "thread"
-    #: sharded: component-to-shard assignment policy -- ``"static"``
-    #: (historical round-robin), ``"balanced"`` (LPT cost packing) or
-    #: ``"stealing"`` (LPT plus run-time work stealing)
-    schedule: str = "static"
     #: streaming: checkpoint file path (requires ``checkpoint_every``)
     checkpoint_path: Optional[str] = None
     #: streaming: checkpoint cadence in ingested activities
@@ -107,11 +102,6 @@ class BackendSpec:
             raise ValueError(
                 f"unknown executor {self.executor!r}; valid executors: "
                 f"{', '.join(EXECUTOR_KINDS)}"
-            )
-        if self.schedule not in SCHEDULE_KINDS:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; valid schedules: "
-                f"{', '.join(SCHEDULE_KINDS)}"
             )
         if (self.checkpoint_path is None) != (self.checkpoint_every is None):
             raise ValueError(
@@ -177,7 +167,6 @@ class BackendSpec:
         max_shards: Optional[int] = None,
         max_workers: Optional[int] = None,
         executor: str = "thread",
-        schedule: str = "static",
         sampling: Optional[SamplingSpec] = None,
     ) -> "BackendSpec":
         return cls(
@@ -186,7 +175,6 @@ class BackendSpec:
             max_shards=max_shards,
             max_workers=max_workers,
             executor=executor,
-            schedule=schedule,
             sampling=sampling,
         )
 
@@ -216,7 +204,6 @@ class BackendSpec:
             max_workers=self.max_workers,
             max_shards=self.max_shards,
             executor=self.executor,
-            schedule=self.schedule,
             sampling=self.sampling,
         )
 
@@ -281,7 +268,6 @@ class BackendSpec:
             if self.max_workers is not None:
                 parts.append(f"max_workers={self.max_workers}")
             parts.append(f"executor={self.executor}")
-            parts.append(f"schedule={self.schedule}")
         if self.sampling is not None:
             parts.append(f"sampling={self.sampling.describe()}")
         # Which rank-kernel backend the drivers will run on (resolved

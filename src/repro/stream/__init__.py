@@ -14,8 +14,9 @@ builds on:
 :class:`StreamingRanker`    watermark-gated candidate selection over
                             growing per-node sources
 :class:`ShardedCorrelator`  partition a trace into causally-closed shards
-                            (union-find over context/connection keys) and
-                            correlate them in parallel
+                            (union-find over context/connection keys,
+                            LPT-packed by activity count) and correlate
+                            them in parallel
 :class:`FileTailSource`     ``tail -f``-style chunked log file reader
 :class:`IteratorSource`     chunked reader over any line iterable
 :class:`ActivityStream`     raw line -> typed activity classification step
@@ -32,12 +33,6 @@ from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
 from .incremental import IncrementalEngine, StreamingCorrelator
 from .ranker import GrowingSource, StreamingRanker
 from .reader import ActivityStream, FileTailSource, IteratorSource, iter_chunks
-from .scheduler import (
-    SCHEDULE_KINDS,
-    ShardPlan,
-    WorkStealingDispatcher,
-    make_plan,
-)
 from .sharded import (
     MergeTree,
     ShardedCorrelator,
@@ -57,17 +52,13 @@ __all__ = [
     "IncrementalEngine",
     "IteratorSource",
     "MergeTree",
-    "SCHEDULE_KINDS",
-    "ShardPlan",
     "ShardedCorrelator",
     "StreamCheckpoint",
     "StreamingCorrelator",
     "StreamingRanker",
-    "WorkStealingDispatcher",
     "canonical_part",
     "iter_chunks",
     "load_checkpoint",
-    "make_plan",
     "merge_engine_stats",
     "merge_pair",
     "merge_ranker_stats",

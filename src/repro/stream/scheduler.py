@@ -1,228 +1,51 @@
-"""Shard scheduling: cost model, LPT packing and work stealing.
+"""Shard scheduling: the cost model and the one packing rule.
 
 The sharded driver correlates causally-closed components concurrently,
-and for that the *assignment* of components to worker slots is pure
+and for that the *assignment* of components to shard buckets is pure
 policy: any assignment is correct (components never interact), only the
-makespan -- the busiest slot's total work -- differs.  Real deployments
+makespan -- the busiest bucket's total work -- differs.  Real deployments
 produce heavily skewed components (a replica group or a fan-out tier
 collapses thousands of requests into one giant component next to many
-small ones), so the assignment policy is exactly what decides whether
-adding shards buys throughput or just adds idle workers behind one
-straggler.
+small ones), so the assignment decides whether adding shards buys
+throughput or just adds idle workers behind one straggler.
 
-Three schedules, in increasing sophistication:
+There is one policy.  Each component is weighted by its activity count
+(the correlation hot path is linear in delivered candidates, so activity
+count *is* the cost model -- measured at roughly 7-8 us per activity,
+flat across window sizes), then packed with the classic
+Longest-Processing-Time greedy rule: heaviest component first onto the
+currently lightest bucket.  LPT's makespan is provably within 4/3 of
+optimal, which is all a scheduler needs when the weights are estimates
+anyway.
 
-``static``
-    The historical policy: components sorted by their earliest activity
-    and folded round-robin into the shard buckets.  Oblivious to cost --
-    two giant components landing on the same bucket double that shard's
-    work while others idle.
-
-``balanced``
-    Cost-aware up-front packing.  Each component is weighted by its
-    activity count (the correlation hot path is linear in delivered
-    candidates, so activity count *is* the cost model -- measured at
-    roughly 7-8 us per activity, flat across window sizes), then packed
-    with the classic Longest-Processing-Time greedy rule: heaviest
-    component first onto the currently lightest slot.  LPT's makespan is
-    provably within 4/3 of optimal, which is all a scheduler needs when
-    the weights are estimates anyway.
-
-``stealing``
-    LPT packing as the initial plan, plus work stealing at run time: a
-    slot that drains its own queue takes the next component from the
-    *tail* of the most-loaded remaining queue.  Stealing whole
-    components (never splitting one) preserves causal closure, and the
-    tail-of-heaviest victim rule steals the work most likely to still be
-    far from starting.  This recovers from cost-model error -- the one
-    thing up-front packing cannot do -- at the price of a coordination
-    round-trip per component.
-
-The dispatcher is *driver-coordinated*: the driver owns the queues and
-hands one component to a worker per task, so the same protocol drives
-thread pools, process pools, and (eventually) remote workers -- no
-shared memory is assumed.  Per-slot busy time is accounted from the
-workers' own measurements, which makes the reported makespan honest even
-when the pool multiplexes slots onto fewer cores than workers.
+Why only this one: the repo used to carry a round-robin fold and a
+run-time work-stealing dispatcher beside it.  Its own committed 18-cell
+scaling baseline showed LPT halving round-robin's makespan at 2 and 4
+shards (0.086 vs 0.155 s, 0.059 vs 0.120 s) and tying it at 8, while
+stealing fired 2 times in total and beat plain LPT in 1 of 6 cells.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence
-
-#: Schedules accepted by :class:`~repro.stream.sharded.ShardedCorrelator`.
-SCHEDULE_KINDS = ("static", "balanced", "stealing")
+from typing import List, Sequence
 
 
-@dataclass
-class ShardPlan:
-    """An up-front assignment of components to worker slots.
-
-    ``assignments[slot]`` lists component indices in dispatch order; the
-    indices refer to the component list the plan was built from.
-    ``weights[index]`` is that component's cost estimate (its activity
-    count).
-    """
-
-    schedule: str
-    assignments: List[List[int]]
-    weights: List[int]
-
-    def slot_weights(self) -> List[int]:
-        """Planned cost per slot (before any stealing)."""
-        return [
-            sum(self.weights[index] for index in slot) for slot in self.assignments
-        ]
-
-    def makespan(self) -> int:
-        """Planned cost of the busiest slot (the quantity LPT minimises)."""
-        slot_weights = self.slot_weights()
-        return max(slot_weights) if slot_weights else 0
-
-
-def plan_static(
-    weights: Sequence[int], order: Sequence[int], slots: int
-) -> ShardPlan:
-    """The historical round-robin fold as a plan.
-
-    ``order`` is the component indices sorted by each component's
-    earliest activity -- the exact order the original bucket fold used,
-    so a single-task-per-slot run of this plan reproduces the historical
-    shard contents verbatim.
-    """
-    assignments: List[List[int]] = [[] for _ in range(slots)]
-    for position, index in enumerate(order):
-        assignments[position % slots].append(index)
-    return ShardPlan(schedule="static", assignments=assignments, weights=list(weights))
-
-
-def plan_balanced(
-    weights: Sequence[int], order: Sequence[int], slots: int
-) -> ShardPlan:
+def pack_lpt(weights: Sequence[int], slots: int) -> List[List[int]]:
     """LPT greedy packing: heaviest component onto the lightest slot.
 
-    Ties (equal weights, equal loads) break on the time order and the
-    slot index, so the plan is deterministic for a given trace.
+    ``weights[index]`` is component ``index``'s cost estimate (its
+    activity count), listed in the order of each component's earliest
+    activity.  Returns the component indices packed onto each of
+    ``slots`` slots.  Ties break on that time order (equal weights: the
+    sort is stable) and the slot index (equal loads: ``min`` keeps the
+    first), so the packing is deterministic for a given trace.
     """
-    assignments: List[List[int]] = [[] for _ in range(slots)]
-    loads = [0] * slots
-    position = {index: rank for rank, index in enumerate(order)}
-    by_weight = sorted(order, key=lambda index: (-weights[index], position[index]))
-    for index in by_weight:
-        lightest = min(range(slots), key=lambda slot: (loads[slot], slot))
-        assignments[lightest].append(index)
-        loads[lightest] += weights[index]
-    return ShardPlan(
-        schedule="balanced", assignments=assignments, weights=list(weights)
-    )
-
-
-def make_plan(
-    schedule: str, weights: Sequence[int], order: Sequence[int], slots: int
-) -> ShardPlan:
-    """Build the initial plan for any schedule kind.
-
-    ``stealing`` starts from the balanced (LPT) plan -- stealing is a
-    run-time correction, not a different initial placement.
-    """
-    if schedule not in SCHEDULE_KINDS:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; valid schedules: "
-            f"{', '.join(SCHEDULE_KINDS)}"
-        )
     if slots <= 0:
         raise ValueError("slots must be positive")
-    if schedule == "static":
-        return plan_static(weights, order, slots)
-    plan = plan_balanced(weights, order, slots)
-    plan.schedule = schedule
-    return plan
-
-
-@dataclass
-class SlotAccounting:
-    """What one worker slot actually did (filled in as tasks complete)."""
-
-    executed: List[int] = field(default_factory=list)
-    busy_seconds: float = 0.0
-    activities: int = 0
-
-
-class WorkStealingDispatcher:
-    """Driver-side dispatch state for one sharded run.
-
-    The driver calls :meth:`next_component` when a slot becomes idle
-    (initially, and after each task completes) and :meth:`record` with
-    the worker-measured busy time when a task's result arrives.  With
-    ``allow_steal=False`` the dispatcher degrades to plain queue
-    consumption of the initial plan, which lets one driver loop serve
-    the ``balanced`` and ``stealing`` schedules identically.
-    """
-
-    def __init__(self, plan: ShardPlan, allow_steal: bool) -> None:
-        self.plan = plan
-        self.allow_steal = allow_steal
-        self._queues: List[Deque[int]] = [
-            deque(slot) for slot in plan.assignments
-        ]
-        # Remaining planned weight per queue: the steal victim choice is
-        # O(slots) against these counters instead of re-summing queues.
-        self._remaining: List[int] = [
-            sum(plan.weights[index] for index in slot) for slot in plan.assignments
-        ]
-        self.slots: List[SlotAccounting] = [
-            SlotAccounting() for _ in plan.assignments
-        ]
-        self.steals = 0
-
-    def next_component(self, slot: int) -> Optional[int]:
-        """The next component index for an idle slot (``None`` = drained).
-
-        Home queue first (front, preserving the planned order); once the
-        home queue is empty and stealing is enabled, take from the *tail*
-        of the queue with the most remaining planned work.
-        """
-        queue = self._queues[slot]
-        if queue:
-            index = queue.popleft()
-            self._remaining[slot] -= self.plan.weights[index]
-            self.slots[slot].executed.append(index)
-            return index
-        if not self.allow_steal:
-            return None
-        victim = -1
-        victim_remaining = 0
-        for other, remaining in enumerate(self._remaining):
-            if self._queues[other] and remaining > victim_remaining:
-                victim = other
-                victim_remaining = remaining
-        if victim < 0:
-            return None
-        index = self._queues[victim].pop()
-        self._remaining[victim] -= self.plan.weights[index]
-        self.steals += 1
-        self.slots[slot].executed.append(index)
-        return index
-
-    def record(self, slot: int, index: int, busy_seconds: float) -> None:
-        """Account a completed component against its executing slot."""
-        accounting = self.slots[slot]
-        accounting.busy_seconds += busy_seconds
-        accounting.activities += self.plan.weights[index]
-
-    def busy_seconds(self) -> List[float]:
-        """Measured busy time per slot."""
-        return [slot.busy_seconds for slot in self.slots]
-
-    def makespan_seconds(self) -> float:
-        """Measured makespan: the busiest slot's total busy time.
-
-        On a machine with at least as many cores as slots this tracks
-        wall-clock time; on an oversubscribed machine it still measures
-        the schedule's quality (what the wall clock *would* be with real
-        parallelism), which is what the scaling figure reports.
-        """
-        busy = self.busy_seconds()
-        return max(busy) if busy else 0.0
+    assignments: List[List[int]] = [[] for _ in range(slots)]
+    loads = [0] * slots
+    for index in sorted(range(len(weights)), key=lambda index: -weights[index]):
+        lightest = min(range(slots), key=loads.__getitem__)
+        assignments[lightest].append(index)
+        loads[lightest] += weights[index]
+    return assignments

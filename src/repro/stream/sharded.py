@@ -10,24 +10,19 @@ context or message relation can cross a component boundary.  Each
 component can therefore be correlated completely independently, and the
 union of the per-shard results is *identical* to the batch result.
 
-:func:`partition_activities` computes those components with a union-find
-pass; :class:`ShardedCorrelator` schedules them onto a worker pool with
-one of three policies (see :mod:`repro.stream.scheduler`) and gathers
-the per-shard results through an associative **merge tree** back into
-one :class:`~repro.core.correlator.CorrelationResult`:
+:func:`partition_components` computes those components with a
+union-find pass; :func:`partition_activities` packs them cost-aware (LPT
+by activity count, see :mod:`repro.stream.scheduler`) into at most
+``max_shards`` buckets -- any union of components is still causally
+closed; :class:`ShardedCorrelator` runs one correlation task per bucket
+on a worker pool and gathers the per-shard results through an
+associative **merge tree** back into one
+:class:`~repro.core.correlator.CorrelationResult`.
 
-``schedule="static"``
-    The historical behaviour: components folded round-robin into at
-    most ``max_shards`` buckets, one correlation task per bucket.
-``schedule="balanced"``
-    Components weighted by activity count and packed LPT-greedily onto
-    the shard slots, one task per component.
-``schedule="stealing"``
-    The balanced plan plus run-time work stealing: an idle slot takes
-    the next component from the tail of the most-loaded queue, which is
-    what fixes the straggler problem of skewed component distributions
-    (a replica group or fan-out tier routinely produces one giant
-    component next to many small ones).
+That is the only assignment policy: in the 18-cell scaling baseline that
+retired the alternatives, work stealing fired 2 times in total and LPT's
+makespan was half the round-robin fold's at 2 and 4 shards (0.086 vs
+0.155 s, 0.059 vs 0.120 s) -- see :mod:`repro.stream.scheduler`.
 
 Because the gather is associative and every merge step keeps the CAG
 lists canonically ordered (by BEGIN timestamp, then creation sequence),
@@ -57,13 +52,9 @@ Two practical notes:
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import fields, replace
 from heapq import merge as _heap_merge
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -73,12 +64,7 @@ from ..core.correlator import CorrelationResult, Correlator
 from ..core.engine import EngineStats
 from ..core.interning import INTERNER
 from ..core.ranker import RankerStats
-from .scheduler import (
-    SCHEDULE_KINDS,
-    ShardPlan,
-    WorkStealingDispatcher,
-    make_plan,
-)
+from .scheduler import pack_lpt
 
 
 class _UnionFind:
@@ -116,7 +102,8 @@ def partition_components(activities: Iterable[Activity]) -> List[List[Activity]]
     Each activity links its context key and its (undirected) connection
     key in a union-find; activities of one connected component form one
     sub-trace, preserving their original relative order.  This is the
-    finest causally-closed partition -- every schedule packs *these*.
+    finest causally-closed partition -- :func:`partition_activities`
+    packs *these*.
     """
     uf = _UnionFind()
     ordered = list(activities)
@@ -142,26 +129,28 @@ def partition_activities(
     activities: Iterable[Activity],
     max_shards: Optional[int] = None,
 ) -> List[List[Activity]]:
-    """Split a trace into causally-closed shards (the static policy).
+    """Split a trace into at most ``max_shards`` causally-closed shards.
 
-    With ``max_shards`` set, components are folded round-robin (in order
-    of each component's earliest activity) into that many buckets, which
-    balances bucket *counts* -- not costs -- and keeps the causal-closure
-    property (a bucket is a union of components).  Bucket assignment is
-    deterministic for a given trace but not stable across traces --
-    adding or removing a component may shift later components' buckets.
-    Cost-aware packing lives in :mod:`repro.stream.scheduler`.
+    With ``max_shards`` unset (or at least the component count) every
+    component is its own shard.  Above it, components are weighted by
+    activity count and packed LPT-greedily (heaviest first onto the
+    lightest bucket, ties by earliest-activity order then bucket index;
+    :func:`repro.stream.scheduler.pack_lpt`), which balances bucket
+    *costs* and keeps the causal-closure property (a bucket is a union
+    of components).  Bucket assignment is deterministic for a given
+    trace but not stable across traces -- adding or removing a component
+    may shift other components' buckets.
     """
     components = partition_components(activities)
     if max_shards is None or max_shards <= 0 or len(components) <= max_shards:
         return components
 
-    buckets: List[List[Activity]] = [[] for _ in range(max_shards)]
-    for index, component in enumerate(
-        sorted(components, key=lambda c: sort_key(c[0]))
-    ):
-        buckets[index % max_shards].extend(component)
-    return [bucket for bucket in buckets if bucket]
+    components.sort(key=lambda component: sort_key(component[0]))
+    weights = [len(component) for component in components]
+    return [
+        [activity for index in members for activity in components[index]]
+        for members in pack_lpt(weights, max_shards)
+    ]
 
 
 def _sum_stats(cls, parts):
@@ -383,22 +372,19 @@ class ShardedCorrelator:
         Sliding-time-window size in seconds (per shard, identical
         semantics to the batch correlator).
     max_workers:
-        Pool size for shard correlation (default: one worker per shard
-        slot).
+        Pool size for shard correlation.  The pool never exceeds the
+        shard count; unset, it is further capped at ``os.cpu_count()``
+        (``min(shards, max_workers or os.cpu_count())``).
     max_shards:
-        Upper bound on shard count; components are folded together above
-        it.  ``None`` keeps one shard per connected component.
+        Upper bound on shard count; above it components are packed
+        LPT-greedily by activity count into that many buckets (see
+        :func:`partition_activities`).  ``None`` keeps one shard per
+        connected component.
     executor:
         ``"thread"`` (default) correlates shards on a thread pool --
         zero serialisation cost, GIL-bounded; ``"process"`` ships shards
         to worker processes for true CPU parallelism (shards and results
         cross a pickle boundary, so it pays off on large traces).
-    schedule:
-        How components are assigned to shard slots: ``"static"``
-        (historical round-robin fold), ``"balanced"`` (LPT cost-aware
-        packing) or ``"stealing"`` (LPT plus run-time work stealing).
-        See :mod:`repro.stream.scheduler`.  All three produce identical
-        merged output; only the load balance differs.
     sampling:
         Optional :class:`repro.sampling.SamplingSpec`.  The hash and
         budget policies sample the identical request subset the batch
@@ -409,9 +395,8 @@ class ShardedCorrelator:
         run does not have.
 
     After a :meth:`correlate` call the scheduling outcome is exposed for
-    reporting: ``last_shard_sizes`` (activities per slot),
-    ``last_slot_busy_s`` (worker-measured busy seconds per slot),
-    ``last_steals`` and ``last_plan``.
+    reporting: ``last_shard_sizes`` (activities per shard) and
+    ``last_slot_busy_s`` (worker-measured busy seconds per shard).
     """
 
     def __init__(
@@ -420,7 +405,6 @@ class ShardedCorrelator:
         max_workers: Optional[int] = None,
         max_shards: Optional[int] = None,
         executor: str = "thread",
-        schedule: str = "static",
         sampling=None,
     ) -> None:
         if window <= 0:
@@ -429,11 +413,6 @@ class ShardedCorrelator:
             raise ValueError(
                 f"unknown executor {executor!r}; valid executors: "
                 f"{', '.join(EXECUTOR_KINDS)}"
-            )
-        if schedule not in SCHEDULE_KINDS:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; valid schedules: "
-                f"{', '.join(SCHEDULE_KINDS)}"
             )
         if sampling is not None and sampling.kind == "adaptive":
             raise ValueError(
@@ -445,16 +424,11 @@ class ShardedCorrelator:
         self.max_workers = max_workers
         self.max_shards = max_shards
         self.executor = executor
-        self.schedule = schedule
         self.sampling = sampling
-        #: shard-slot activity counts of the last ``correlate`` call
+        #: per-shard activity counts of the last ``correlate`` call
         self.last_shard_sizes: List[int] = []
-        #: worker-measured busy seconds per slot of the last call
+        #: worker-measured busy seconds per shard of the last call
         self.last_slot_busy_s: List[float] = []
-        #: components stolen across slots in the last call
-        self.last_steals: int = 0
-        #: the initial :class:`~repro.stream.scheduler.ShardPlan` used
-        self.last_plan: Optional[ShardPlan] = None
 
     def correlate(self, activities: Iterable[Activity]) -> CorrelationResult:
         """Correlate a flat activity collection shard-parallel."""
@@ -465,163 +439,56 @@ class ShardedCorrelator:
         decisions = (
             self.sampling.freeze(ordered) if self.sampling is not None else None
         )
-        if self.schedule == "static":
-            return self._correlate_static(ordered, decisions, start)
-        return self._correlate_planned(ordered, decisions, start)
-
-    # -- static: the historical bucket fold, one task per bucket -------------
-
-    def _correlate_static(
-        self, ordered: List[Activity], decisions, start: float
-    ) -> CorrelationResult:
         shards = partition_activities(ordered, max_shards=self.max_shards)
         self.last_shard_sizes = [len(shard) for shard in shards]
-        self.last_plan = None
-        self.last_steals = 0
+        self.last_slot_busy_s = []
         if not shards:
-            self.last_slot_busy_s = []
             return Correlator(window=self.window).correlate([])
-        if len(shards) == 1:
-            part, busy = _correlate_shard_timed(
+        tree = MergeTree()
+        for part, busy in self._timed_parts(shards, decisions):
+            self.last_slot_busy_s.append(busy)
+            tree.push(canonical_part(part))
+        elapsed = time.perf_counter() - start
+        return merge_results(
+            [tree.result()], self.window, elapsed, len(ordered),
+            shard_sizes=self.last_shard_sizes,
+        )
+
+    def _timed_parts(self, shards: List[List[Activity]], decisions):
+        """Yield ``(result, busy seconds)`` per shard, in shard order."""
+        count = len(shards)
+        if count == 1:
+            # One shard: nothing to run concurrently, so no pool.
+            yield _correlate_shard_timed(
                 self.window, self.sampling, decisions, shards[0]
             )
-            self.last_slot_busy_s = [busy]
-            elapsed = time.perf_counter() - start
-            return merge_results(
-                [part], self.window, elapsed, len(ordered),
-                shard_sizes=self.last_shard_sizes,
-            )
+            return
         pool_cls = (
             ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
         )
-        count = len(shards)
         # Thread workers share the process interner already; process
         # workers get a snapshot so they rebuild the identical key space
         # (see _correlate_shard).  Taken after partitioning, so every key
         # of every shard is covered.
         snapshot = INTERNER.snapshot() if self.executor == "process" else None
-        tree = MergeTree()
-        busy_s = [0.0] * count
-        with pool_cls(max_workers=self.max_workers) as pool:
-            for index, (part, busy) in enumerate(
-                pool.map(
-                    _correlate_shard_timed,
-                    [self.window] * count,
-                    [self.sampling] * count,
-                    [decisions] * count,
-                    shards,
-                    [snapshot] * count,
-                )
-            ):
-                busy_s[index] = busy
-                tree.push(canonical_part(part))
-        self.last_slot_busy_s = busy_s
-        elapsed = time.perf_counter() - start
-        return merge_results(
-            [tree.result()], self.window, elapsed, len(ordered),
-            shard_sizes=self.last_shard_sizes,
-        )
-
-    # -- balanced / stealing: per-component dispatch -------------------------
-
-    def _correlate_planned(
-        self, ordered: List[Activity], decisions, start: float
-    ) -> CorrelationResult:
-        components = partition_components(ordered)
-        if not components:
-            self.last_shard_sizes = []
-            self.last_slot_busy_s = []
-            self.last_steals = 0
-            self.last_plan = None
-            return Correlator(window=self.window).correlate([])
-        weights = [len(component) for component in components]
-        # Time order of each component's earliest activity: the
-        # deterministic secondary order every plan builds on.
-        order = sorted(
-            range(len(components)), key=lambda index: sort_key(components[index][0])
-        )
-        slots = len(components)
-        if self.max_shards is not None and self.max_shards > 0:
-            slots = min(slots, self.max_shards)
-        plan = make_plan(self.schedule, weights, order, slots)
-        dispatcher = WorkStealingDispatcher(
-            plan, allow_steal=self.schedule == "stealing"
-        )
-        tree = MergeTree()
-
-        if slots == 1:
-            # One slot: no pool, no concurrency -- run the plan inline.
-            while True:
-                index = dispatcher.next_component(0)
-                if index is None:
-                    break
-                part, busy = _correlate_shard_timed(
-                    self.window, self.sampling, decisions, components[index]
-                )
-                dispatcher.record(0, index, busy)
-                tree.push(canonical_part(part))
-        else:
-            snapshot = INTERNER.snapshot() if self.executor == "process" else None
-            pool_cls = (
-                ProcessPoolExecutor
-                if self.executor == "process"
-                else ThreadPoolExecutor
+        workers = min(count, self.max_workers or os.cpu_count() or 1)
+        with pool_cls(max_workers=workers) as pool:
+            yield from pool.map(
+                _correlate_shard_timed,
+                [self.window] * count,
+                [self.sampling] * count,
+                [decisions] * count,
+                shards,
+                [snapshot] * count,
             )
-            pool_workers = (
-                self.max_workers if self.max_workers is not None else slots
-            )
-            with pool_cls(max_workers=min(pool_workers, slots)) as pool:
-
-                def dispatch(slot: int):
-                    index = dispatcher.next_component(slot)
-                    if index is None:
-                        return None
-                    future = pool.submit(
-                        _correlate_shard_timed,
-                        self.window,
-                        self.sampling,
-                        decisions,
-                        components[index],
-                        snapshot,
-                    )
-                    return future, index
-
-                # One outstanding task per slot; a completed slot pulls
-                # its next component (or steals one) immediately, while
-                # other slots keep running -- no barrier between rounds.
-                running = {}
-                for slot in range(slots):
-                    task = dispatch(slot)
-                    if task is not None:
-                        running[task[0]] = (slot, task[1])
-                while running:
-                    done, _pending = wait(running, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        slot, index = running.pop(future)
-                        part, busy = future.result()
-                        dispatcher.record(slot, index, busy)
-                        tree.push(canonical_part(part))
-                        task = dispatch(slot)
-                        if task is not None:
-                            running[task[0]] = (slot, task[1])
-
-        self.last_plan = plan
-        self.last_steals = dispatcher.steals
-        self.last_slot_busy_s = dispatcher.busy_seconds()
-        self.last_shard_sizes = [slot.activities for slot in dispatcher.slots]
-        elapsed = time.perf_counter() - start
-        return merge_results(
-            [tree.result()], self.window, elapsed, len(ordered),
-            shard_sizes=self.last_shard_sizes,
-        )
 
     # -- reporting ------------------------------------------------------------
 
     def last_makespan_s(self) -> float:
-        """Busiest slot's measured busy time of the last ``correlate``.
+        """Busiest shard's measured busy time of the last ``correlate``.
 
-        With one core per slot this tracks the parallel wall-clock time;
-        on an oversubscribed machine it still measures the schedule's
+        With one core per shard this tracks the parallel wall-clock time;
+        on an oversubscribed machine it still measures the packing's
         quality (what the wall clock would be with real parallelism).
         """
         return max(self.last_slot_busy_s) if self.last_slot_busy_s else 0.0

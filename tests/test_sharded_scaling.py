@@ -1,161 +1,96 @@
-"""Tests for the scale-out layer: scheduler, merge tree, schedules.
+"""Tests for the scale-out layer: LPT packing, merge tree, one driver.
 
-Three invariants keep the scheduler/merge rework honest:
+Three invariants keep the scheduler/merge layer honest:
 
-* **Assignment is policy, output is not** -- all three schedules
-  (static round-robin, balanced LPT, work stealing), on either
-  executor, produce output digest-identical to the batch correlator:
-  components are causally closed, so *where* one runs can never change
-  *what* it produces.
+* **Assignment is policy, output is not** -- whatever ``max_shards``
+  packs the components into, on either executor, the output is
+  digest-identical to the batch correlator: components are causally
+  closed, so *where* one runs can never change *what* it produces.
 * **Merge order independence** -- the gather is an associative pairwise
   merge over canonicalised parts, so ``merge_results`` (and the ranked
   latency report computed from its output) gives byte-identical results
-  for any permutation of shard results -- the property that makes
-  completion-order-driven gathering (and work stealing) safe at all.
-* **The scheduler schedules** -- LPT packs no worse than round-robin,
-  stealing drains every queue exactly once, and the cost model's
-  makespan accounting adds up.
+  for any permutation of shard results.
+* **The packing packs** -- LPT spreads the heavy components and stays
+  within Graham's 4/3 bound.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
 
 import pytest
 
+from helpers import SyntheticTrace
 from repro.core.correlator import Correlator
 from repro.core.interning import ActivityTable
-from repro.pipeline import (
-    BackendSpec,
-    ranked_latency_report,
-    result_digest,
-)
+from repro.experiments.figures import _scaling_trace
+from repro.pipeline import ranked_latency_report, result_digest
 from repro.stream import (
     MergeTree,
     ShardedCorrelator,
     canonical_part,
     merge_pair,
     merge_results,
+    partition_activities,
     partition_components,
+    sharded,
 )
-from repro.stream.scheduler import (
-    SCHEDULE_KINDS,
-    WorkStealingDispatcher,
-    make_plan,
-    plan_balanced,
-    plan_static,
-)
+from repro.stream.scheduler import pack_lpt
 from repro.topology.library import run_scenario
 
 
 # ---------------------------------------------------------------------------
-# Scheduler unit tests (pure planning, no correlation)
+# Packing unit tests (pure planning, no correlation)
 # ---------------------------------------------------------------------------
+
+def _makespan(weights, assignments):
+    return max(sum(weights[index] for index in slot) for slot in assignments)
+
 
 class TestPlans:
     WEIGHTS = [100, 700, 120, 130, 50, 650]
-    ORDER = list(range(6))
-
-    def test_static_plan_is_the_round_robin_fold(self):
-        plan = plan_static(self.WEIGHTS, self.ORDER, 4)
-        assert plan.assignments == [[0, 4], [1, 5], [2], [3]]
-        # Round-robin stacks both heavies (1 and 5) on one slot.
-        assert plan.makespan() == 700 + 650
 
     def test_balanced_plan_is_lpt(self):
-        plan = plan_balanced(self.WEIGHTS, self.ORDER, 4)
+        assignments = pack_lpt(self.WEIGHTS, 4)
         # Heaviest first onto the lightest slot: 700 and 650 land on
         # different slots, and no slot exceeds the heaviest component.
         slot_of = {
             index: slot
-            for slot, members in enumerate(plan.assignments)
+            for slot, members in enumerate(assignments)
             for index in members
         }
         assert slot_of[1] != slot_of[5]
-        assert plan.makespan() == 700
+        assert _makespan(self.WEIGHTS, assignments) == 700
+        with pytest.raises(ValueError):
+            pack_lpt([1], 0)
 
     def test_lpt_stays_within_its_approximation_bound(self):
-        # Graham's guarantee: LPT makespan <= (4/3 - 1/(3m)) * OPT, and
-        # OPT >= max(heaviest component, total/m).  (LPT is not pointwise
-        # better than round-robin -- RR can luck into a good packing on a
-        # friendly instance -- but it can never blow the bound, while RR
-        # can stack every heavy on one slot.)
+        # Graham's guarantee: LPT makespan <= (4/3 - 1/(3m)) * OPT, with
+        # OPT brute-forced over every assignment of a small instance.
         rng = random.Random(20260807)
         for _ in range(50):
-            weights = [rng.randint(1, 1000) for _ in range(rng.randint(1, 12))]
-            order = list(range(len(weights)))
-            rng.shuffle(order)
-            for slots in (1, 2, 3, 4):
-                static = plan_static(weights, order, slots)
-                balanced = plan_balanced(weights, order, slots)
-                lower_bound = max(max(weights), sum(weights) / slots)
-                assert balanced.makespan() <= (4 / 3) * lower_bound
-                # Both plans assign every component exactly once.
-                for plan in (static, balanced):
-                    flat = sorted(i for slot in plan.assignments for i in slot)
-                    assert flat == sorted(order)
-
-    def test_make_plan_validates(self):
-        with pytest.raises(ValueError):
-            make_plan("round-robin", [1], [0], 1)
-        with pytest.raises(ValueError):
-            make_plan("static", [1], [0], 0)
-        for schedule in SCHEDULE_KINDS:
-            assert make_plan(schedule, [1, 2], [0, 1], 2).schedule == schedule
-
-
-class TestWorkStealing:
-    def test_idle_slot_steals_from_the_tail_of_the_most_loaded_queue(self):
-        plan = make_plan("stealing", [10, 10, 500, 20, 30], [0, 1, 2, 3, 4], 2)
-        dispatcher = WorkStealingDispatcher(plan, allow_steal=True)
-        # Drain slot 0's home queue, then ask again: the next component
-        # must come from the *tail* of slot 1's remaining queue.
-        drained = []
-        while True:
-            index = dispatcher.next_component(0)
-            if index is None:
-                break
-            drained.append(index)
-            dispatcher.record(0, index, 0.0)
-            if index not in plan.assignments[0]:
-                victim_queue = plan.assignments[1]
-                assert index == [i for i in victim_queue if i in drained][-1]
-                break
-        assert dispatcher.steals >= 1
-
-    def test_every_component_runs_exactly_once_under_stealing(self):
-        rng = random.Random(7)
-        weights = [rng.randint(1, 100) for _ in range(20)]
-        plan = make_plan("stealing", weights, list(range(20)), 4)
-        dispatcher = WorkStealingDispatcher(plan, allow_steal=True)
-        executed = []
-        # Simulate 4 slots taking turns; slot 0 is "fast" and asks twice
-        # as often, which forces steals once its home queue drains.
-        slots = [0, 0, 1, 2, 3]
-        progress = True
-        while progress:
-            progress = False
-            for slot in slots:
-                index = dispatcher.next_component(slot)
-                if index is not None:
-                    executed.append(index)
-                    dispatcher.record(slot, index, weights[index] * 0.001)
-                    progress = True
-        assert sorted(executed) == list(range(20))
-        assert dispatcher.makespan_seconds() == max(dispatcher.busy_seconds())
-        assert sum(slot.activities for slot in dispatcher.slots) == sum(weights)
-
-    def test_no_steals_when_disabled(self):
-        plan = make_plan("balanced", [5, 5, 5, 5], [0, 1, 2, 3], 2)
-        dispatcher = WorkStealingDispatcher(plan, allow_steal=False)
-        while dispatcher.next_component(0) is not None:
-            pass
-        assert dispatcher.next_component(0) is None
-        assert dispatcher.steals == 0
+            weights = [rng.randint(1, 1000) for _ in range(rng.randint(1, 7))]
+            for slots in (1, 2, 3):
+                assignments = pack_lpt(weights, slots)
+                # Every component is assigned exactly once.
+                flat = sorted(i for slot in assignments for i in slot)
+                assert flat == list(range(len(weights)))
+                placements = itertools.product(range(slots), repeat=len(weights))
+                optimum = min(
+                    max(
+                        sum(w for w, s in zip(weights, placement) if s == slot)
+                        for slot in range(slots)
+                    )
+                    for placement in placements
+                )
+                bound = (4 / 3 - 1 / (3 * slots)) * optimum
+                assert _makespan(weights, assignments) <= bound + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Merge-order independence (satellite: merge_results re-ranking)
+# Merge-order independence
 # ---------------------------------------------------------------------------
 
 def _component_parts(window=0.010):
@@ -218,68 +153,89 @@ class TestMergeOrderIndependence:
 
 
 # ---------------------------------------------------------------------------
-# Schedules vs batch: identical output, on both executors
+# Sharded vs batch: identical output, on both executors
 # ---------------------------------------------------------------------------
 
+def _replicated_lb_table(seed=7):
+    return ActivityTable.from_activities(
+        run_scenario("replicated_lb", seed=seed).activities()
+    )
+
+
 class TestSchedulesMatchBatch:
-    def test_all_schedules_match_batch_digest(self):
-        table = ActivityTable.from_activities(
-            run_scenario("replicated_lb", seed=7).activities()
-        )
+    def test_sharded_matches_batch_digest(self):
+        table = _replicated_lb_table()
         batch = result_digest(
             Correlator(window=0.010).correlate(table.iter_fresh())
         )
-        for schedule in SCHEDULE_KINDS:
-            correlator = ShardedCorrelator(
-                window=0.010, max_shards=4, schedule=schedule
-            )
-            digest = result_digest(correlator.correlate(table.iter_fresh()))
-            assert digest == batch, schedule
-            assert sum(correlator.last_shard_sizes) == len(table)
+        for executor in sharded.EXECUTOR_KINDS:
+            for max_shards in (None, 1, 2, 4):
+                correlator = ShardedCorrelator(
+                    window=0.010, max_shards=max_shards, executor=executor
+                )
+                digest = result_digest(correlator.correlate(table.iter_fresh()))
+                assert digest == batch, (executor, max_shards)
+                assert sum(correlator.last_shard_sizes) == len(table)
+                if max_shards is not None:
+                    assert len(correlator.last_shard_sizes) <= max_shards
 
     def test_process_pool_seed_sweep_matches_batch(self):
-        # Completion order on a process pool is scheduler- and load-
-        # dependent; sweeping seeds exercises different component shapes
-        # (and with them different completion interleavings) against the
-        # same merge path.
+        # Sweeping seeds exercises different component shapes (and with
+        # them different bucket contents) against the same merge path.
         for seed in (3, 7, 11):
-            table = ActivityTable.from_activities(
-                run_scenario("replicated_lb", seed=seed).activities()
-            )
+            table = _replicated_lb_table(seed)
             batch = result_digest(
                 Correlator(window=0.010).correlate(table.iter_fresh())
             )
-            stolen = result_digest(
+            pooled = result_digest(
                 ShardedCorrelator(
-                    window=0.010,
-                    max_shards=4,
-                    executor="process",
-                    schedule="stealing",
+                    window=0.010, max_shards=4, executor="process"
                 ).correlate(table.iter_fresh())
             )
-            assert stolen == batch, seed
+            assert pooled == batch, seed
 
-    def test_balanced_spreads_what_static_stacks(self):
-        # Skewed weights: under round-robin at 2 slots, components 0 and
-        # 2 (the heavies) can share a slot; LPT must not let the largest
-        # slot exceed static's.
-        table = ActivityTable.from_activities(
-            run_scenario("replicated_lb", seed=7).activities()
-        )
-        static = ShardedCorrelator(window=0.010, max_shards=2, schedule="static")
-        static.correlate(table.iter_fresh())
-        balanced = ShardedCorrelator(
-            window=0.010, max_shards=2, schedule="balanced"
-        )
-        balanced.correlate(table.iter_fresh())
-        assert max(balanced.last_shard_sizes) <= max(static.last_shard_sizes)
-        assert balanced.last_plan is not None
-        assert balanced.last_plan.makespan() == max(balanced.last_shard_sizes)
+    def test_packing_separates_the_dominant_components(self):
+        # The skewed composite has two dominant components; a cost-blind
+        # fold can stack them on one bucket, LPT by construction cannot.
+        table = _scaling_trace()
+        heavies = sorted(
+            partition_components(table.iter_fresh()), key=len, reverse=True
+        )[:2]
+        buckets = partition_activities(table.iter_fresh(), max_shards=2)
+        assert len(buckets) == 2
+        bucket_of = {
+            activity.seq: index
+            for index, bucket in enumerate(buckets)
+            for activity in bucket
+        }
+        first, second = (bucket_of[heavy[0].seq] for heavy in heavies)
+        assert first != second
 
-    def test_backend_spec_wires_the_schedule_through(self):
-        spec = BackendSpec.sharded(max_shards=4, schedule="stealing")
-        assert "schedule=stealing" in spec.describe()
-        with pytest.raises(ValueError):
-            BackendSpec.sharded(schedule="round-robin")
-        with pytest.raises(ValueError):
-            ShardedCorrelator(schedule="round-robin")
+    def test_unset_max_workers_caps_pool_at_cpu_count(self, monkeypatch):
+        # 12 components, no max_shards, no max_workers: the pool is sized
+        # min(shards, os.cpu_count()), never one worker per component and
+        # never the executor's own default.
+        pool_sizes = []
+
+        class RecordingPool(sharded.ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sharded, "ThreadPoolExecutor", RecordingPool)
+        # Twelve requests on twelve disjoint worker sets: 12 components.
+        trace = SyntheticTrace()
+        for index in range(12):
+            trace.three_tier_request(
+                request_id=index + 1,
+                start=0.5 + index * 0.004,
+                web_pid=100 + index,
+                app_tid=200 + index,
+                db_tid=300 + index,
+            )
+        for max_workers, expected in ((None, min(12, os.cpu_count())), (3, 3)):
+            correlator = ShardedCorrelator(window=0.010, max_workers=max_workers)
+            correlator.correlate([a.clone() for a in trace.activities])
+            assert len(correlator.last_shard_sizes) == 12
+            assert pool_sizes.pop() == expected
+        assert not pool_sizes
