@@ -19,6 +19,7 @@ pattern classification and performance debugging all operate on CAGs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -67,6 +68,27 @@ class Edge:
         return f"Edge({self.parent.type.name}->{self.child.type.name}, {self.kind})"
 
 
+class AnalysisMemo:
+    """What the analysis layer derived from one CAG's current structure.
+
+    Filled lazily by :func:`repro.core.patterns.cag_signature` and
+    :func:`repro.core.latency.breakdown_for_cag` (the CAG only owns the
+    slot and its invalidation), so every consumer of one request --
+    classifier, ranked report, summary, store, export -- shares a single
+    derivation.  ``signature`` is the *interned* pattern signature: one
+    tuple per pattern for the whole process, so a CAG retains a pointer,
+    not its own multi-kilobyte copy.
+    """
+
+    __slots__ = ("signature", "segments")
+
+    def __init__(self) -> None:
+        #: ``repro.core.patterns.Signature``, interned
+        self.signature: Optional[tuple] = None
+        #: per-segment latency of the primary path, label -> seconds
+        self.segments: Optional[Dict[str, float]] = None
+
+
 class CAG:
     """The causal path of one individual request.
 
@@ -89,11 +111,15 @@ class CAG:
         # ``_parents`` doubles as the vertex-membership set: every vertex
         # has an entry (the root's is empty), so no separate id set is
         # kept.  The children adjacency is derived: it is only read by
-        # analysis (topological order, deformity checks), never by the
-        # correlation hot path, so it is rebuilt lazily from ``_edges``
-        # on first use and invalidated by every structural mutation.
+        # ``children_of``, never by the correlation hot path (and
+        # ``topological_order`` builds its own positional one), so it is
+        # rebuilt lazily from ``_edges`` on first use and invalidated by
+        # every structural mutation.
         self._parents: Dict[int, List[Edge]] = {id(root): []}
         self._children_cache: Optional[Dict[int, List[Edge]]] = None
+        # Derived analysis values (signature, breakdown); dropped at the
+        # same mutation sites as the children adjacency, never pickled.
+        self._analysis: Optional[AnalysisMemo] = None
         self.finished: bool = False
         #: Local timestamp of the newest activity attributed to this CAG,
         #: maintained incrementally so streaming eviction never has to
@@ -114,7 +140,7 @@ class CAG:
             raise CAGError("activity already present in CAG")
         self._vertices.append(activity)
         self._parents[vertex_id] = []
-        self._children_cache = None
+        self._children_cache = self._analysis = None
         if activity.timestamp > self.newest_timestamp:
             self.newest_timestamp = activity.timestamp
 
@@ -152,7 +178,7 @@ class CAG:
         edge = Edge(parent=parent, child=child, kind=kind)
         self._edges.append(edge)
         existing.append(edge)
-        self._children_cache = None
+        self._children_cache = self._analysis = None
         return edge
 
     def append(self, activity: Activity, parent: Activity, kind: str) -> Edge:
@@ -186,7 +212,7 @@ class CAG:
         edge = Edge(parent=parent, child=activity, kind=kind)
         parents[vertex_id] = [edge]
         self._edges.append(edge)
-        self._children_cache = None
+        self._children_cache = self._analysis = None
         if activity.timestamp > self.newest_timestamp:
             self.newest_timestamp = activity.timestamp
         return edge
@@ -217,7 +243,7 @@ class CAG:
             raise CAGError("no context edge between the given vertices")
         self._edges.remove(removed)
         self._parents[id(after)].remove(removed)
-        self._children_cache = None
+        self._children_cache = self._analysis = None
         self.add_edge(before, vertex, CONTEXT_EDGE)
         self.add_edge(vertex, after, CONTEXT_EDGE)
 
@@ -243,8 +269,10 @@ class CAG:
         which does not survive a pickle round trip (unpickled vertices get
         new ids).  Serialise it keyed by vertex *position* instead; the
         process-pool sharded correlator ships CAGs across process
-        boundaries and relies on this.  The children adjacency is not
-        serialised at all -- it is derived from ``_edges`` on demand."""
+        boundaries and relies on this.  The children adjacency and the
+        analysis memo are not serialised at all -- both are derived on
+        demand (and the memo's interned signature is only canonical
+        within one process)."""
         index = {id(vertex): i for i, vertex in enumerate(self._vertices)}
         return {
             "cag_id": self.cag_id,
@@ -264,7 +292,7 @@ class CAG:
         self._parents = {
             id(self._vertices[i]): edges for i, edges in state["parents"].items()
         }
-        self._children_cache = None
+        self._children_cache = self._analysis = None
         self.finished = state["finished"]
         self.newest_timestamp = state["newest_timestamp"]
 
@@ -284,9 +312,19 @@ class CAG:
     def edges(self) -> Sequence[Edge]:
         return tuple(self._edges)
 
+    @property
+    def analysis(self) -> AnalysisMemo:
+        """The memo of values derived from the current structure; a fresh
+        (empty) one after any structural mutation."""
+        memo = self._analysis
+        if memo is None:
+            memo = self._analysis = AnalysisMemo()
+        return memo
+
     def _children_map(self) -> Dict[int, List[Edge]]:
         """The derived children adjacency, rebuilt lazily from the edge
-        list (analysis-only; the correlation hot path never reads it)."""
+        list (``children_of`` only; the correlation hot path never reads
+        it)."""
         children = self._children_cache
         if children is None:
             children = {id(vertex): [] for vertex in self._vertices}
@@ -343,12 +381,7 @@ class CAG:
 
     def components(self) -> List[Tuple[str, str]]:
         """Distinct (hostname, program) pairs in first-seen order."""
-        seen: List[Tuple[str, str]] = []
-        for activity in self._vertices:
-            component = activity.component
-            if component not in seen:
-                seen.append(component)
-        return seen
+        return list(dict.fromkeys(activity.component for activity in self._vertices))
 
     def contexts(self) -> List[Tuple[str, str, int, int]]:
         """Distinct execution entities (raw 4-tuples) in first-seen order."""
@@ -386,27 +419,33 @@ class CAG:
         order must be a function of the graph alone.  The insertion
         index stays as the final fallback so the order is always total.
         """
-        indegree: Dict[int, int] = {
-            id(vertex): len(self._parents[id(vertex)]) for vertex in self._vertices
-        }
-        order_index = {id(vertex): i for i, vertex in enumerate(self._vertices)}
+        vertices = self._vertices
+        parents = self._parents
+        position = {id(vertex): i for i, vertex in enumerate(vertices)}
+        # Positional adjacency, local to this call: nothing derived stays
+        # resident on the CAG once the order has been read off.
+        children: List[List[int]] = [[] for _ in vertices]
+        for edge in self._edges:
+            children[position[id(edge.parent)]].append(position[id(edge.child)])
+        indegree = [len(parents[id(vertex)]) for vertex in vertices]
+        # The ready set is a heap of (tie key, insertion index): the pop
+        # order is the total order a full re-sort on every push gave, and
+        # each vertex is keyed once, when it becomes ready.
         if tie_key is None:
-            key = lambda v: order_index[id(v)]  # noqa: E731
+            entry = lambda i: (i,)  # noqa: E731
         else:
-            key = lambda v: (tie_key(v), order_index[id(v)])  # noqa: E731
-        children = self._children_map()
-        ready = [vertex for vertex in self._vertices if indegree[id(vertex)] == 0]
-        ready.sort(key=key)
+            entry = lambda i: (tie_key(vertices[i]), i)  # noqa: E731
+        ready = [entry(i) for i, degree in enumerate(indegree) if degree == 0]
+        heapq.heapify(ready)
         result: List[Activity] = []
         while ready:
-            vertex = ready.pop(0)
-            result.append(vertex)
-            for edge in children[id(vertex)]:
-                indegree[id(edge.child)] -= 1
-                if indegree[id(edge.child)] == 0:
-                    ready.append(edge.child)
-                    ready.sort(key=key)
-        if len(result) != len(self._vertices):
+            index = heapq.heappop(ready)[-1]
+            result.append(vertices[index])
+            for child in children[index]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, entry(child))
+        if len(result) != len(vertices):
             raise CAGError("CAG contains a cycle")
         return result
 
@@ -432,14 +471,20 @@ class CAG:
         return primary_edges
 
     def is_deformed(self) -> bool:
-        """A deformed CAG misses activities (e.g. the END) or has
+        """A deformed CAG misses activities (e.g. the END), has
         disconnected vertices -- the symptom the paper attributes to lost
-        activities under network congestion."""
+        activities under network congestion -- or is not a DAG at all
+        (``add_edge`` checks each edge locally and cannot see a cycle
+        closing), in which case no causal order exists to analyse."""
         if not self.finished:
             return True
         for vertex in self._vertices[1:]:
             if not self._parents[id(vertex)]:
                 return True
+        try:
+            self.topological_order()
+        except CAGError:
+            return True
         return False
 
     # -- validation ---------------------------------------------------------

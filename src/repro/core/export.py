@@ -117,6 +117,7 @@ def trace_summary(result: TraceResult, top_patterns: int = 5) -> Dict[str, Any]:
     return {
         "requests": result.request_count,
         "incomplete_paths": len(result.incomplete_cags),
+        "deformed_paths": result.deformed_paths,
         "correlation_time_s": result.correlation_time,
         "peak_memory_bytes": result.peak_memory_bytes,
         "window_s": result.correlation.window,

@@ -98,17 +98,32 @@ def breakdown_for_cag(cag: CAG) -> LatencyBreakdown:
     the round-trip time observed by an upstream component is decomposed
     into downstream component and interaction times instead of being
     double counted.
+
+    The walk happens once per CAG structure (see :class:`~repro.core.cag.
+    AnalysisMemo`); each call returns its own :class:`LatencyBreakdown`.
     """
-    breakdown = LatencyBreakdown()
-    for edge in cag.primary_path():
-        latency = edge.latency()
-        if latency < 0:
-            # A negative value can only come from clock skew on a message
-            # edge; clamp at zero so a skewed pair cannot produce negative
-            # percentages (the paper accepts this imprecision).
-            latency = 0.0
-        breakdown.add(segment_label(edge), latency)
-    return breakdown
+    return LatencyBreakdown(dict(_segments_for_cag(cag)))
+
+
+def _segments_for_cag(cag: CAG) -> Dict[str, float]:
+    """The memoised label -> seconds map behind :func:`breakdown_for_cag`
+    (shared, so read-only for callers)."""
+    memo = cag.analysis
+    segments = memo.segments
+    if segments is None:
+        segments = {}
+        for edge in cag.primary_path():
+            latency = edge.latency()
+            if latency < 0:
+                # A negative value can only come from clock skew on a
+                # message edge; clamp at zero so a skewed pair cannot
+                # produce negative percentages (the paper accepts this
+                # imprecision).
+                latency = 0.0
+            label = segment_label(edge)
+            segments[label] = segments.get(label, 0.0) + latency
+        memo.segments = segments
+    return segments
 
 
 def average_breakdown(cags: Sequence[CAG]) -> LatencyBreakdown:
@@ -121,13 +136,14 @@ def average_breakdown(cags: Sequence[CAG]) -> LatencyBreakdown:
     if not cags:
         return aggregate
     for cag in cags:
-        aggregate.merge(breakdown_for_cag(cag))
+        for label, value in _segments_for_cag(cag).items():
+            aggregate.add(label, value)
     return aggregate.scaled(1.0 / len(cags))
 
 
 def average_duration(cags: Sequence[CAG]) -> float:
     """Mean end-to-end latency (frontend-observed) of a set of CAGs."""
-    durations = [cag.duration() for cag in cags if cag.duration() is not None]
+    durations = [duration for duration in (cag.duration() for cag in cags) if duration is not None]
     if not durations:
         return 0.0
     return sum(durations) / len(durations)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cag import CAG
+from .cag import CAG, CAGError
 from .latency import LatencyBreakdown, average_breakdown, average_duration
 
 #: Vertex fingerprint: (activity type name, hostname, program).
@@ -54,6 +54,12 @@ def _signature_tie_key(vertex) -> Tuple[str, str, str, float]:
     )
 
 
+#: One shared tuple per distinct pattern (a handful per service, so the
+#: table stays tiny): every CAG of a pattern points at the same object
+#: instead of retaining its own multi-kilobyte copy.
+_INTERNED: Dict[Signature, Signature] = {}
+
+
 def cag_signature(cag: CAG) -> Signature:
     """Canonical isomorphism signature of a CAG.
 
@@ -65,7 +71,20 @@ def cag_signature(cag: CAG) -> Signature:
     streaming and sharded backends; edges are recorded by the positions
     of their endpoints in that order.  Two CAGs with the same signature
     are isomorphic in the paper's sense.
+
+    Derived once per CAG structure (see :class:`~repro.core.cag.
+    AnalysisMemo`) and interned.  A cyclic CAG has no topological order:
+    :class:`~repro.core.cag.CAGError` propagates and nothing is cached.
     """
+    memo = cag.analysis
+    signature = memo.signature
+    if signature is None:
+        derived = _derive_signature(cag)
+        signature = memo.signature = _INTERNED.setdefault(derived, derived)
+    return signature
+
+
+def _derive_signature(cag: CAG) -> Signature:
     order = cag.topological_order(tie_key=_signature_tie_key)
     position = {id(vertex): index for index, vertex in enumerate(order)}
     vertex_sigs: Tuple[VertexSig, ...] = tuple(
@@ -87,6 +106,11 @@ class PathPattern:
 
     signature: Signature
     cags: List[CAG] = field(default_factory=list)
+    #: (len(cags) it was averaged over, segments) -- the report and the
+    #: summary both read the average path of the same finished pattern
+    _average: Optional[Tuple[int, Dict[str, float]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def count(self) -> int:
@@ -99,16 +123,19 @@ class PathPattern:
 
     def components(self) -> List[Tuple[str, str]]:
         """Distinct (hostname, program) components along the pattern."""
-        seen: List[Tuple[str, str]] = []
-        for _type_name, hostname, program in self.signature[0]:
-            key = (hostname, program)
-            if key not in seen:
-                seen.append(key)
-        return seen
+        return list(
+            dict.fromkeys(
+                (hostname, program) for _type_name, hostname, program in self.signature[0]
+            )
+        )
 
     def average_path(self) -> LatencyBreakdown:
-        """The pattern's average causal path, as a latency breakdown."""
-        return average_breakdown(self.cags)
+        """The pattern's average causal path, as a latency breakdown
+        (computed once per pattern size; each call returns its own copy)."""
+        cached = self._average
+        if cached is None or cached[0] != len(self.cags):
+            cached = self._average = (len(self.cags), average_breakdown(self.cags).segments)
+        return LatencyBreakdown(dict(cached[1]))
 
     def average_latency(self) -> float:
         """Mean end-to-end latency of the pattern's requests."""
@@ -126,6 +153,8 @@ class PatternClassifier:
 
     def __init__(self) -> None:
         self._patterns: Dict[Signature, PathPattern] = {}
+        #: CAGs :meth:`add_all` skipped because they contain a cycle
+        self.deformed: int = 0
 
     def add(self, cag: CAG) -> PathPattern:
         signature = cag_signature(cag)
@@ -137,8 +166,14 @@ class PatternClassifier:
         return pattern
 
     def add_all(self, cags: Sequence[CAG]) -> None:
+        """Classify every CAG; one that is not a DAG (no causal order, so
+        no signature) is counted in :attr:`deformed` and left out instead
+        of aborting the whole classification."""
         for cag in cags:
-            self.add(cag)
+            try:
+                self.add(cag)
+            except CAGError:
+                self.deformed += 1
 
     @property
     def patterns(self) -> List[PathPattern]:

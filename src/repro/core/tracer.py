@@ -52,6 +52,7 @@ class TraceResult:
     _patterns: Optional[List[PathPattern]] = field(
         default=None, repr=False, compare=False
     )
+    _deformed_paths: int = field(default=0, repr=False, compare=False)
 
     # -- CAG access ---------------------------------------------------------
 
@@ -87,7 +88,15 @@ class TraceResult:
             classifier = PatternClassifier()
             classifier.add_all(self.cags)
             self._patterns = classifier.patterns
+            self._deformed_paths = classifier.deformed
         return self._patterns
+
+    @property
+    def deformed_paths(self) -> int:
+        """Finished paths left out of :meth:`patterns` because they are
+        not a DAG (a cycle has no causal order to classify)."""
+        self.patterns()
+        return self._deformed_paths
 
     def dominant_pattern(self) -> Optional[PathPattern]:
         patterns = self.patterns()

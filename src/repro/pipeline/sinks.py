@@ -22,9 +22,11 @@ session (``session.artifacts``).
 :class:`StoreSink` is also a *live* sink: it exposes ``on_cag`` and the
 pipeline feeds it every finished CAG as correlation produces it, so a
 streaming run commits request rows incrementally instead of holding the
-whole trace until the end.  Ingest is idempotent, so the final
-``write()`` pass (which also stamps run metadata) re-offering already
-stored CAGs is harmless.
+whole trace until the end.  The final ``write()`` pass (which also
+stamps run metadata) sweeps only what ``on_cag`` did not see -- every
+CAG when the sink runs without the hook, the CAGs a resumed run revived
+from its checkpoint -- and ingest is idempotent, so a swept CAG that an
+earlier, crashed ingest already stored is a no-op.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Set, Union
 
+from ..core.cag import CAGError
 from ..core.export import cag_to_dict, cag_to_dot, trace_summary
 from ..store import TraceStore, default_run_id
 
@@ -132,6 +135,10 @@ class StoreSink(Sink):
         self._store: Optional[TraceStore] = None
         self._run_key: Optional[int] = None
         self._pending = 0
+        # The CAG objects on_cag was offered (the trace keeps them alive
+        # anyway), so write() can sweep exactly the rest.
+        self._offered: Set[object] = set()
+        self._deformed = 0
 
     def _ensure_open(self) -> TraceStore:
         if self._store is None:
@@ -140,9 +147,20 @@ class StoreSink(Sink):
         return self._store
 
     def on_cag(self, cag) -> None:
-        """Live ingest hook: store one finished CAG as it is produced."""
+        """Live ingest hook: store one finished CAG as it is produced.
+
+        A CAG that is not a DAG has no signature to store it under: it
+        is counted (and lands in the run row's ``incomplete``) instead of
+        aborting the run.
+        """
         store = self._ensure_open()
-        if store.ingest_cag(self._run_key, cag):
+        self._offered.add(cag)
+        try:
+            inserted = store.ingest_cag(self._run_key, cag)
+        except CAGError:
+            self._deformed += 1
+            return
+        if inserted:
             self._pending += 1
             if self._pending >= self.commit_every:
                 store.commit()
@@ -150,9 +168,12 @@ class StoreSink(Sink):
 
     def write(self, session) -> List[Path]:
         store = self._ensure_open()
-        # Idempotent sweep: batch/sharded backends deliver everything
-        # here; for streaming this only catches CAGs on_cag missed.
-        store.ingest_cags(self._run_key, session.trace.cags)
+        # Sweep what the live hook never saw: everything when the sink
+        # was driven without it, the CAGs a resumed run revived from its
+        # checkpoint otherwise.
+        for cag in session.trace.cags:
+            if cag not in self._offered:
+                self.on_cag(cag)
         sampling = session.backend.sampling
         store.finalize_run(
             self._run_key,
@@ -161,13 +182,15 @@ class StoreSink(Sink):
             backend=session.backend.describe(),
             sampling=sampling.describe() if sampling is not None else None,
             window_s=session.trace.correlation.window,
-            incomplete=len(session.trace.incomplete_cags),
+            incomplete=len(session.trace.incomplete_cags) + self._deformed,
             correlation_time_s=session.trace.correlation_time,
         )
         store.close()
         self._store = None
         self._run_key = None
         self._pending = 0
+        self._offered = set()
+        self._deformed = 0
         return [self.path]
 
 

@@ -44,6 +44,7 @@ digest-identical stores (see :meth:`TraceStore.run_digest`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -131,12 +132,9 @@ def signature_label(signature: Signature) -> str:
 
 
 def _signature_components(signature: Signature) -> List[str]:
-    seen: List[str] = []
-    for _type_name, hostname, program in signature[0]:
-        name = f"{hostname}/{program}"
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(
+        dict.fromkeys(f"{hostname}/{program}" for _type_name, hostname, program in signature[0])
+    )
 
 
 def cag_root_key(cag: CAG) -> str:
@@ -159,11 +157,13 @@ def cag_root_key(cag: CAG) -> str:
     )
 
 
+@functools.cache
 def git_describe() -> str:
     """``git describe`` of the ingesting checkout, or ``"unknown"``.
 
     Provenance only -- never load-bearing: a store written outside a git
-    checkout (production log ingest) is just as valid.
+    checkout (production log ingest) is just as valid.  Resolved once
+    per process: every ``finalize_run`` would otherwise fork ``git``.
     """
     try:
         proc = subprocess.run(
@@ -207,6 +207,10 @@ class TraceStore:
                 raise ValueError(f"store directory does not exist: {parent}")
         self._conn = sqlite3.connect(self.path)
         self._conn.row_factory = sqlite3.Row
+        # signature -> pattern_key for every pattern this connection has
+        # looked up or inserted; pattern rows are never updated or
+        # deleted, so an entry cannot go stale.
+        self._pattern_keys: Dict[Signature, int] = {}
         if exists:
             self._check_schema()
         else:
@@ -282,6 +286,14 @@ class TraceStore:
         return int(cursor.lastrowid)
 
     def _pattern_key(self, signature: Signature) -> int:
+        key = self._pattern_keys.get(signature)
+        if key is None:
+            key = self._pattern_keys[signature] = self._intern_pattern(signature)
+        return key
+
+    def _intern_pattern(self, signature: Signature) -> int:
+        """The pattern row for ``signature``, inserted if no run stored
+        this request shape before."""
         digest = signature_hash(signature)
         row = self._conn.execute(
             "SELECT pattern_key FROM patterns WHERE signature_hash = ?", (digest,)

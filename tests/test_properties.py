@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from helpers import SyntheticTrace
 from repro.core.accuracy import path_accuracy
+from repro.core.activity import Activity, ActivityType, ContextId, MessageId
+from repro.core.cag import CAG, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.correlator import Correlator
 from repro.core.latency import LatencyBreakdown, breakdown_for_cag
 from repro.core.log_format import RawRecord, format_record, parse_record
-from repro.core.patterns import cag_signature
+from repro.core.patterns import _signature_tie_key, cag_signature
 from repro.sim.network import SegmentationPolicy
 from repro.topology.generator import entity_exclusive_step
 
@@ -169,3 +171,99 @@ class TestCorrelationProperties:
         for cag in result.cags:
             breakdown = breakdown_for_cag(cag)
             assert abs(breakdown.total - cag.duration()) < 1e-9
+
+
+@st.composite
+def fanout_join_cags(draw):
+    """A frontend that fans out to ``width`` workers per stage and joins
+    their replies, with vertices and edges inserted in a drawn order.
+
+    Timestamps and worker programs come from small pools, so concurrent
+    branches tie on the signature key and the insertion index has to
+    break the tie; the insertion order is not topological, so the ready
+    set really is a set.
+    """
+    stamps = st.sampled_from([1.0, 1.5, 2.0])
+    programs = st.sampled_from(["java", "mysqld"])
+
+    def vertex(kind, host, program, tid):
+        return Activity(
+            type=kind,
+            timestamp=draw(stamps),
+            context=ContextId(host, program, 1, tid),
+            message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
+        )
+
+    root = vertex(ActivityType.BEGIN, "web", "httpd", 1)
+    vertices, edges = [], []
+    front = root
+    for stage in range(draw(st.integers(1, 3))):
+        replies = []
+        for branch in range(draw(st.integers(1, 4))):
+            worker = (f"w{branch}", draw(programs), 10 * stage + branch)
+            send = vertex(ActivityType.SEND, "web", "httpd", 1)
+            receive = vertex(ActivityType.RECEIVE, *worker)
+            reply = vertex(ActivityType.SEND, *worker)
+            vertices += [send, receive, reply]
+            edges += [
+                (front, send, CONTEXT_EDGE),
+                (send, receive, MESSAGE_EDGE),
+                (receive, reply, CONTEXT_EDGE),
+            ]
+            front = send
+            replies.append(reply)
+        for reply in replies:
+            join = vertex(ActivityType.RECEIVE, "web", "httpd", 1)
+            vertices.append(join)
+            edges += [(front, join, CONTEXT_EDGE), (reply, join, MESSAGE_EDGE)]
+            front = join
+    end = vertex(ActivityType.END, "web", "httpd", 1)
+    vertices.append(end)
+    edges.append((front, end, CONTEXT_EDGE))
+
+    cag = CAG(root=root)
+    for item in draw(st.permutations(vertices)):
+        cag.add_vertex(item)
+    for parent, child, kind in draw(st.permutations(edges)):
+        cag.add_edge(parent, child, kind)
+    return cag
+
+
+def sort_based_topological_order(cag, tie_key=None):
+    """The reference: Kahn's algorithm with the whole ready list re-sorted
+    (and re-keyed) on every push -- what ``CAG.topological_order`` did
+    before its ready set became a heap."""
+    vertices = list(cag.vertices)
+    order_index = {id(vertex): i for i, vertex in enumerate(vertices)}
+    if tie_key is None:
+        key = lambda v: order_index[id(v)]  # noqa: E731
+    else:
+        key = lambda v: (tie_key(v), order_index[id(v)])  # noqa: E731
+    indegree = {id(vertex): len(cag.parents_of(vertex)) for vertex in vertices}
+    ready = sorted((v for v in vertices if indegree[id(v)] == 0), key=key)
+    result = []
+    while ready:
+        vertex = ready.pop(0)
+        result.append(vertex)
+        for edge in cag.children_of(vertex):
+            indegree[id(edge.child)] -= 1
+            if indegree[id(edge.child)] == 0:
+                ready.append(edge.child)
+                ready.sort(key=key)
+    return result
+
+
+class TestTopologicalOrderProperties:
+    @given(cag=fanout_join_cags())
+    @settings(max_examples=150, **COMMON)
+    def test_heap_ready_set_equals_the_sort_based_order(self, cag):
+        cag.validate()
+        for tie_key in (None, _signature_tie_key):
+            expected = sort_based_topological_order(cag, tie_key)
+            actual = cag.topological_order(tie_key=tie_key)
+            assert [id(v) for v in actual] == [id(v) for v in expected]
+            position = {id(v): i for i, v in enumerate(actual)}
+            assert all(
+                position[id(edge.parent)] < position[id(edge.child)]
+                for edge in cag.edges
+            )

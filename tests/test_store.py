@@ -11,6 +11,7 @@ schema-version mismatches are refused instead of misread.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 
 import pytest
@@ -182,6 +183,133 @@ class TestIncrementalEqualsBatch:
         # Only logged fields: no Activity.seq, no interned per-process ints.
         assert cag.root.timestamp.hex() in key
         assert str(cag.root.context.as_tuple()) in key
+
+
+class TestSinkSweepAndPatternCache:
+    """``StoreSink.write`` ingests only what ``on_cag`` never offered, and
+    the store resolves pattern keys from a per-connection cache; neither
+    may change a stored row."""
+
+    @pytest.fixture()
+    def ingests(self, monkeypatch):
+        offered = []
+        original = TraceStore.ingest_cag
+
+        def ingest_cag(self, run_key, cag):
+            offered.append(cag)
+            return original(self, run_key, cag)
+
+        monkeypatch.setattr(TraceStore, "ingest_cag", ingest_cag)
+        return offered
+
+    def test_sink_without_the_live_hook_sweeps_everything(
+        self, tmp_path, store_sources, ingests
+    ):
+        path = tmp_path / "s.sqlite"
+        source = store_sources["rubis"]
+        session = Pipeline(source=source, backend=BackendSpec.batch()).run()
+        StoreSink(path, run_id="swept", scenario="rubis").write(session)
+        assert ingests == session.cags
+        record_trace(path, session.trace, run_id="oneshot", scenario="rubis")
+        with TraceStore.open(path) as store:
+            assert store.run_row("swept")["requests"] == len(session.cags)
+            assert store.run_digest("swept") == store.run_digest("oneshot")
+
+    def test_live_hook_leaves_nothing_to_sweep(self, tmp_path, store_sources, ingests):
+        path = tmp_path / "s.sqlite"
+        sink = StoreSink(path, run_id="live", scenario="rubis")
+        session = Pipeline(
+            source=store_sources["rubis"], backend=BackendSpec.batch(), sinks=[sink]
+        ).run()
+        assert ingests == session.cags  # each offered once, by on_cag
+        with TraceStore.open(path) as store:
+            assert store.run_row("live")["requests"] == len(session.cags)
+
+    def test_resumed_unfinalized_run_sweeps_the_revived_cags(
+        self, tmp_path, store_sources, ingests
+    ):
+        """A streaming run dies after a checkpoint; the resumed run's live
+        hook only sees what finishes from there on, the final sweep adds
+        the CAGs revived from the checkpoint, and the run ends up equal to
+        a one-shot ingest."""
+        path = tmp_path / "s.sqlite"
+        ckpt = str(tmp_path / "run.ckpt")
+        source = store_sources["rubis"]
+        half = len(source.activities()) // 2
+
+        crashed = StoreSink(path, run_id="r", scenario="rubis", commit_every=1)
+        correlator = BackendSpec.streaming(
+            chunk_size=64, checkpoint_path=ckpt, checkpoint_every=half
+        ).make_correlator()
+        iterator = correlator.correlate_iter(source.activities())
+        for cag in iterator:
+            crashed.on_cag(cag)
+            if os.path.exists(ckpt):
+                break
+        iterator.close()
+        del crashed  # the process died: run "r" stays unfinalized
+        stored_before_the_crash = len(ingests)
+        assert stored_before_the_crash > 0
+        del ingests[:]
+
+        live = []
+        session = Pipeline(
+            source=source,
+            backend=BackendSpec.streaming(chunk_size=64, resume_from=ckpt),
+            sinks=[StoreSink(path, run_id="r", scenario="rubis")],
+        ).run(on_cag=live.append)
+        assert 0 < len(live) < len(session.cags)  # some CAGs were revived
+        # Live ones first, then exactly the rest -- nothing offered twice.
+        assert ingests[: len(live)] == live
+        assert len(ingests) == len(session.cags)
+        assert set(map(id, ingests)) == set(map(id, session.cags))
+
+        batch = BackendSpec.batch().trace(source.activities())
+        record_trace(path, batch, run_id="oneshot", scenario="rubis")
+        with TraceStore.open(path) as store:
+            assert store.run_row("r")["finalized"] == 1
+            assert store.run_row("r")["requests"] == len(batch.cags)
+            assert store.run_digest("r") == store.run_digest("oneshot")
+
+    def test_pattern_rows_are_reused_across_runs_and_reopen(
+        self, tmp_path, store_sources
+    ):
+        path = tmp_path / "s.sqlite"
+        trace = BackendSpec.batch().trace(store_sources["rubis"].activities())
+        other = BackendSpec.batch().trace(store_sources["cache_aside"].activities())
+        classifier = PatternClassifier()
+        classifier.add_all(trace.cags)
+        expected = {signature_hash(p.signature): p.count for p in classifier.patterns}
+
+        with TraceStore(path) as store:
+            for run_id in ("first", "second"):
+                key = store.begin_run(run_id, scenario="rubis")
+                store.ingest_cags(key, trace.cags)
+                store.finalize_run(key)
+            cached = dict(store._pattern_keys)
+            assert len(cached) == len(expected)
+        # A fresh connection starts with an empty cache and must land on
+        # the rows the first connection wrote, while new shapes get new rows.
+        with TraceStore(path) as store:
+            assert store._pattern_keys == {}
+            key = store.begin_run("mixed")
+            store.ingest_cags(key, other.cags)
+            store.finalize_run(key)
+            key = store.begin_run("third", scenario="rubis")
+            store.ingest_cags(key, trace.cags)
+            store.finalize_run(key)
+            for signature, pattern_key in cached.items():
+                assert store._pattern_keys[signature] == pattern_key
+            for run_id in ("first", "second", "third"):
+                mix = {row["pattern"]: row["count"] for row in pattern_mix(store, run_id)}
+                assert mix == expected
+            assert store.run_digest("first") == store.run_digest("third")
+
+        rows = sqlite3.connect(path).execute(
+            "SELECT COUNT(*), COUNT(DISTINCT signature_hash) FROM patterns"
+        ).fetchone()
+        distinct = {cag_signature(cag) for cag in trace.cags + other.cags}
+        assert rows[0] == rows[1] == len(distinct)
 
 
 class TestQueries:
