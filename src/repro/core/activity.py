@@ -64,6 +64,12 @@ RULE2_PRIORITY: Tuple[ActivityType, ...] = (
     ActivityType.MAX,
 )
 
+#: ``Activity.priority`` / ``Activity.send_like`` by type value: a tuple
+#: index costs a fraction of ``int(type)`` plus two identity tests, and
+#: both constructors pay it once per activity.
+_PRIORITY = tuple(int(kind) for kind in ActivityType)
+_SEND_LIKE = tuple(kind.is_send_like for kind in ActivityType)
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class ContextId:
@@ -232,8 +238,48 @@ class Activity:
         )
         nkey = _node_ids.get(context.hostname)
         self.node_key = nkey if nkey is not None else _intern_node(context.hostname)
-        self.priority = int(self.type)
-        self.send_like = self.type is ActivityType.SEND or self.type is ActivityType.END
+        self.priority = _PRIORITY[self.type]
+        self.send_like = _SEND_LIKE[self.type]
+
+    @classmethod
+    def keyed(
+        cls,
+        type: ActivityType,
+        timestamp: float,
+        context: ContextId,
+        message: MessageId,
+        request_id: Optional[int],
+        context_key: int,
+        message_key: int,
+        node_key: int,
+    ) -> "Activity":
+        """Build an activity whose interned keys the caller already holds.
+
+        Slot for slot what ``Activity(type, timestamp, context, message,
+        request_id)`` produces, without re-deriving the three identity
+        tuples and looking each up in the interner: the log front end
+        (:meth:`repro.core.log_format.ActivityClassifier.classify_lines`)
+        resolves the keys once per distinct context and connection and
+        passes them in.  The keys **must** be the interner's ids for
+        ``context`` / ``message.connection_key()`` / ``context.hostname``;
+        nothing here checks that.  ``seq`` is drawn from the same counter
+        as the dataclass constructor, so creation order stays one total
+        order across both.
+        """
+        self = object.__new__(cls)
+        self.type = type
+        self.timestamp = timestamp
+        self.context = context
+        self.message = message
+        self.request_id = request_id
+        self.seq = next(_activity_counter)
+        self.size = message.size
+        self.context_key = context_key
+        self.message_key = message_key
+        self.node_key = node_key
+        self.priority = _PRIORITY[type]
+        self.send_like = _SEND_LIKE[type]
+        return self
 
     # -- identity helpers -------------------------------------------------
 

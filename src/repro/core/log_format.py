@@ -19,15 +19,24 @@ This module provides:
 * :func:`format_record` / :func:`parse_record` -- serialisation round trip,
 * :class:`FrontendSpec` + :class:`ActivityClassifier` -- the raw-to-typed
   transformation, configured only with network-level knowledge (the
-  frontend ip:port and, optionally, which subnets are internal).
+  frontend ip:port and, optionally, which subnets are internal);
+* :meth:`ActivityClassifier.classify_lines` -- the path every text entry
+  point takes from log lines to activities: one loop that splits each
+  line once and remembers, per distinct context and per distinct
+  connection, what the rules above answered.  :func:`parse_record` +
+  :meth:`ActivityClassifier.classify` remain the definition that loop
+  is tested against and falls back to.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Set
+from math import isfinite
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .activity import Activity, ActivityType, ContextId, MessageId
+from .interning import INTERNER
 
 
 class LogFormatError(ValueError):
@@ -106,15 +115,15 @@ def parse_record(line: str) -> RawRecord:
         size = int(size_text)
     except ValueError as exc:
         raise LogFormatError(f"bad numeric field in {line!r}") from exc
+    if not isfinite(timestamp):
+        # float() accepts nan / inf / 1e400; a NaN timestamp breaks the
+        # per-node sort and every bisect downstream without an error.
+        raise LogFormatError(f"non-finite timestamp in {line!r}")
     if size < 0:
         raise LogFormatError(f"negative size in {line!r}")
 
     try:
-        src_text, dst_text = channel.split("-", 1)
-        src_ip, src_port_text = src_text.rsplit(":", 1)
-        dst_ip, dst_port_text = dst_text.rsplit(":", 1)
-        src_port = int(src_port_text)
-        dst_port = int(dst_port_text)
+        src_ip, src_port, dst_ip, dst_port = _split_channel(channel)
     except ValueError as exc:
         raise LogFormatError(f"bad channel {channel!r} in {line!r}") from exc
 
@@ -132,6 +141,17 @@ def parse_record(line: str) -> RawRecord:
         size=size,
         request_id=request_id,
     )
+
+
+def _split_channel(channel: str) -> Tuple[str, int, str, int]:
+    """``ip:port-ip:port`` -> (src_ip, src_port, dst_ip, dst_port).
+
+    Raises :class:`ValueError` when the token has another shape.
+    """
+    src_text, dst_text = channel.split("-", 1)
+    src_ip, src_port_text = src_text.rsplit(":", 1)
+    dst_ip, dst_port_text = dst_text.rsplit(":", 1)
+    return src_ip, int(src_port_text), dst_ip, int(dst_port_text)
 
 
 def parse_log(lines: Iterable[str]) -> Iterator[RawRecord]:
@@ -206,6 +226,14 @@ class FrontendSpec:
         return ip not in self.internal_ips
 
 
+# Memo entries of ActivityClassifier.classify_lines that carry no ids: a
+# context / channel the attribute filter drops, and a context no activity
+# has been built for yet (the interner has not been asked).
+_IGNORED_CONTEXT = (True, None, -1, -1)
+_UNSEEN_CONTEXT = (False, None, -1, -1)
+_IGNORED_CHANNEL = (True, "", 0, "", 0, -1, ActivityType.SEND, ActivityType.RECEIVE)
+
+
 @dataclass
 class ActivityClassifier:
     """Transform raw records into typed activities (Section 3.1).
@@ -228,17 +256,29 @@ class ActivityClassifier:
 
     #: number of records dropped by the attribute filter, for reporting
     filtered_count: int = 0
+    #: lines :meth:`classify_lines` could not parse (tolerant mode only)
+    malformed_count: int = field(default=0, init=False)
+    #: blank and ``#`` comment lines :meth:`classify_lines` passed over
+    skipped_count: int = field(default=0, init=False)
+
+    # What the rules answered, per distinct raw token (classify_lines).
+    _context_memo: Dict[Tuple[str, str, str, str], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _channel_memo: Dict[str, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def classify(self, record: RawRecord) -> Optional[Activity]:
         """Return the typed activity for ``record``, or ``None`` if it is
         filtered out by the attribute-based noise filter."""
-        if self._is_filtered(record):
+        ends = (record.src_ip, record.src_port, record.dst_ip, record.dst_port)
+        if record.program in self.ignore_programs or self._ignored_channel(*ends):
             self.filtered_count += 1
             return None
 
-        activity_type = self._classify_type(record)
         return Activity(
-            type=activity_type,
+            type=self._classify_type(record.direction, *ends),
             timestamp=record.timestamp,
             context=record.context(),
             message=record.message(),
@@ -254,32 +294,232 @@ class ActivityClassifier:
                 activities.append(activity)
         return activities
 
+    def classify_lines(
+        self, lines: Iterable[str], strict: bool = False
+    ) -> List[Activity]:
+        """Log text to typed activities, one pass, in line order.
+
+        Equal, field for field and count for count, to ``parse_record`` +
+        :meth:`classify` on every line (the differential test in
+        ``tests/test_ingest_fused.py`` holds it to that), but a trace of
+        any length has only as many distinct contexts and connections as
+        the deployment has threads and sockets, so the per-line work is:
+        split once; look the four context tokens up in one dict and the
+        raw ``ip:port-ip:port`` token in another; ``float()`` the
+        timestamp and ``int()`` the size; build the activity with the
+        keys the two entries carry (:meth:`Activity.keyed`).  Every
+        activity of one context shares the interner's canonical
+        :class:`ContextId`, every activity of one connection the same ip
+        strings; only :class:`MessageId` is per line, because it carries
+        the size.
+
+        A miss asks the rules of this class once -- ``ignore_programs``
+        for a context, :func:`_split_channel`, :meth:`_ignored_channel`
+        and :meth:`_classify_type` for a channel -- and remembers the
+        answer under the raw token.  A line that is not the plain shape
+        (eight fields, optionally followed by `` #rid=<int>``) or fails
+        any check raises ``ValueError`` inside the loop and is handed to
+        the reference path unchanged: blank and ``#`` lines count as
+        ``skipped_count``, and whatever :func:`parse_record` rejects is
+        re-raised when ``strict`` and counted in ``malformed_count``
+        otherwise.  Validation comes before the filter, so a bad line
+        from an ignored program is malformed, not filtered.
+
+        :data:`~repro.core.interning.INTERNER` hears of a context or a
+        connection only when the first activity of it is built, exactly
+        as on the reference path: lines the filter drops and malformed
+        lines leave it alone.  For kept traffic the two tables therefore
+        grow with what the interner already keeps for the life of the
+        process.  Dropped traffic costs a dict slot per distinct token,
+        so that noise stays on the fast path -- one shared entry when the
+        token itself is what the filter matched -- and a line rejected
+        for its timestamp, direction or size costs nothing.  There is no
+        eviction.  The rule sets (``frontends``, ``ignore_*``) must not
+        change once lines have been classified.
+        """
+        activities: List[Activity] = []
+        append = activities.append
+        context_memo = self._context_memo
+        channel_memo = self._channel_memo
+        keyed = Activity.keyed
+        filtered = 0
+        try:
+            for line in lines:
+                head, marker, tail = line.rpartition(" #rid=")
+                try:
+                    if marker:
+                        request_id = int(tail)
+                        fields = head.split()
+                    else:
+                        request_id = None
+                        fields = tail.split()
+                    (
+                        ts_text,
+                        hostname,
+                        program,
+                        pid_text,
+                        tid_text,
+                        direction,
+                        channel,
+                        size_text,
+                    ) = fields
+                    timestamp = float(ts_text)
+                    size = int(size_text)
+                    if direction == "SEND":
+                        sending = True
+                    elif direction == "RECEIVE":
+                        sending = False
+                    else:
+                        raise ValueError
+                    if size < 0 or not isfinite(timestamp):
+                        raise ValueError
+                    entry = context_memo.get((hostname, program, pid_text, tid_text))
+                    if entry is None:
+                        entry = self._remember_context(
+                            hostname, program, pid_text, tid_text
+                        )
+                    ignored_program, context, context_key, node_key = entry
+                    entry = channel_memo.get(channel)
+                    if entry is None:
+                        entry = self._remember_channel(channel)
+                    (
+                        ignored_channel,
+                        src_ip,
+                        src_port,
+                        dst_ip,
+                        dst_port,
+                        message_key,
+                        send_type,
+                        receive_type,
+                    ) = entry
+                except ValueError:
+                    pass  # not the plain shape: the reference path decides
+                else:
+                    if ignored_program or ignored_channel:
+                        filtered += 1
+                        continue
+                    # The first activity of a context / connection: only
+                    # now does the interner hear of it.
+                    if context_key < 0:
+                        _, context, context_key, node_key = self._remember_context(
+                            hostname, program, pid_text, tid_text, intern=True
+                        )
+                    if message_key < 0:
+                        message_key = self._remember_channel(channel, intern=True)[5]
+                    append(
+                        keyed(
+                            send_type if sending else receive_type,
+                            timestamp,
+                            context,
+                            MessageId(src_ip, src_port, dst_ip, dst_port, size),
+                            request_id,
+                            context_key,
+                            message_key,
+                            node_key,
+                        )
+                    )
+                    continue
+                activity = self._classify_odd_line(line, strict)
+                if activity is not None:
+                    append(activity)
+        finally:
+            self.filtered_count += filtered
+        return activities
+
     # -- internals ---------------------------------------------------------
 
-    def _is_filtered(self, record: RawRecord) -> bool:
-        if record.program in self.ignore_programs:
-            return True
-        if record.src_ip in self.ignore_ips or record.dst_ip in self.ignore_ips:
-            return True
-        if record.src_port in self.ignore_ports or record.dst_port in self.ignore_ports:
-            return True
-        return False
+    def _classify_odd_line(self, line: str, strict: bool) -> Optional[Activity]:
+        """The reference path, for a line the loop did not take."""
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            self.skipped_count += 1
+            return None
+        try:
+            record = parse_record(stripped)
+        except LogFormatError:
+            if strict:
+                raise
+            self.malformed_count += 1
+            return None
+        return self.classify(record)
 
-    def _classify_type(self, record: RawRecord) -> ActivityType:
+    def _remember_context(
+        self,
+        hostname: str,
+        program: str,
+        pid_text: str,
+        tid_text: str,
+        intern: bool = False,
+    ) -> tuple:
+        """Memo entry for a context: (ignored, ContextId, context_key,
+        node_key).  ``ValueError`` on a non-integer pid/tid.
+
+        A context first seen is only validated and put to the program
+        filter; its ids stay ``-1`` until the loop asks again with
+        ``intern`` for the first line of it that yields an activity, so
+        ignored and malformed traffic never reaches the interner."""
+        key = (hostname, program, int(pid_text), int(tid_text))
+        if intern:
+            context_key = INTERNER.intern_context_key(key)
+            entry = (
+                False,
+                INTERNER.resolve_context(context_key),
+                context_key,
+                INTERNER.intern_node(hostname),
+            )
+        elif program in self.ignore_programs:
+            entry = _IGNORED_CONTEXT
+        else:
+            entry = _UNSEEN_CONTEXT
+        self._context_memo[(hostname, program, pid_text, tid_text)] = entry
+        return entry
+
+    def _remember_channel(self, channel: str, intern: bool = False) -> tuple:
+        """Memo entry for a channel token: (ignored, src_ip, src_port,
+        dst_ip, dst_port, message_key, type of a SEND on it, type of a
+        RECEIVE on it).  ``ValueError`` on a malformed token.  As for a
+        context, ``message_key`` is ``-1`` until ``intern``; an ignored
+        channel keeps no fields at all."""
+        ends = _split_channel(channel)
+        if self._ignored_channel(*ends):
+            entry = _IGNORED_CHANNEL
+        else:
+            src_ip, src_port, dst_ip, dst_port = ends
+            ends = (sys.intern(src_ip), src_port, sys.intern(dst_ip), dst_port)
+            entry = (
+                False,
+                *ends,
+                INTERNER.intern_message_key(ends) if intern else -1,
+                self._classify_type("SEND", *ends),
+                self._classify_type("RECEIVE", *ends),
+            )
+        self._channel_memo[channel] = entry
+        return entry
+
+    def _ignored_channel(
+        self, src_ip: str, src_port: int, dst_ip: str, dst_port: int
+    ) -> bool:
+        if src_ip in self.ignore_ips or dst_ip in self.ignore_ips:
+            return True
+        return src_port in self.ignore_ports or dst_port in self.ignore_ports
+
+    def _classify_type(
+        self, direction: str, src_ip: str, src_port: int, dst_ip: str, dst_port: int
+    ) -> ActivityType:
         for frontend in self.frontends:
             if (
-                record.direction == "RECEIVE"
-                and frontend.is_frontend_endpoint(record.dst_ip, record.dst_port)
-                and frontend.is_external(record.src_ip)
+                direction == "RECEIVE"
+                and frontend.is_frontend_endpoint(dst_ip, dst_port)
+                and frontend.is_external(src_ip)
             ):
                 return ActivityType.BEGIN
             if (
-                record.direction == "SEND"
-                and frontend.is_frontend_endpoint(record.src_ip, record.src_port)
-                and frontend.is_external(record.dst_ip)
+                direction == "SEND"
+                and frontend.is_frontend_endpoint(src_ip, src_port)
+                and frontend.is_external(dst_ip)
             ):
                 return ActivityType.END
-        if record.direction == "SEND":
+        if direction == "SEND":
             return ActivityType.SEND
         return ActivityType.RECEIVE
 
@@ -288,5 +528,9 @@ def load_activities(
     lines: Iterable[str],
     classifier: ActivityClassifier,
 ) -> List[Activity]:
-    """Convenience helper: parse raw lines and classify them in one pass."""
-    return classifier.classify_all(parse_log(lines))
+    """Convenience helper: parse raw lines and classify them in one pass.
+
+    Blank and ``#`` lines are skipped; a malformed line raises
+    :class:`LogFormatError`.
+    """
+    return classifier.classify_lines(lines, strict=True)

@@ -35,7 +35,7 @@ from .cag import CAG
 from .correlator import CorrelationResult, Correlator
 from .debugging import LatencyProfile
 from .latency import LatencyBreakdown, average_breakdown
-from .log_format import ActivityClassifier, FrontendSpec, RawRecord, parse_log
+from .log_format import ActivityClassifier, FrontendSpec, RawRecord
 from .patterns import PathPattern, PatternClassifier
 
 
@@ -162,7 +162,7 @@ class PreciseTracer:
 
     def trace_lines(self, lines: Iterable[str]) -> TraceResult:
         """Trace from raw TCP_TRACE text lines (possibly several nodes mixed)."""
-        return self.trace_records(parse_log(lines))
+        return self._trace_text([lines])
 
     def trace_records(self, records: Iterable[RawRecord]) -> TraceResult:
         """Trace from parsed raw records."""
@@ -178,15 +178,19 @@ class PreciseTracer:
 
     def trace_node_logs(self, logs: Mapping[str, Iterable[str]]) -> TraceResult:
         """Trace from per-node log files, the natural shape of gathered logs."""
+        return self._trace_text(logs.values())
+
+    # -- internals ---------------------------------------------------------------
+
+    def _trace_text(self, logs: Iterable[Iterable[str]]) -> TraceResult:
+        """Strict ingest: a malformed line raises ``LogFormatError``."""
         classifier = self._make_classifier()
         activities: List[Activity] = []
-        for _node, lines in logs.items():
-            activities.extend(classifier.classify_all(parse_log(lines)))
+        for lines in logs:
+            activities.extend(classifier.classify_lines(lines, strict=True))
         result = self._correlate(activities)
         result.filtered_records = classifier.filtered_count
         return result
-
-    # -- internals ---------------------------------------------------------------
 
     def _make_classifier(self) -> ActivityClassifier:
         return ActivityClassifier(

@@ -63,8 +63,10 @@ class Source:
     #: records dropped by the attribute-based noise filter in the most
     #: recent ``activities()`` call (0 when the source does not filter)
     filtered_records: int = 0
-    #: unparseable lines skipped in the most recent ``activities()`` call
+    #: unparseable lines dropped in the most recent ``activities()`` call
     malformed_lines: int = 0
+    #: blank and ``#`` comment lines in the most recent ``activities()`` call
+    skipped_lines: int = 0
 
 
 class RunSource(Source):
@@ -136,10 +138,14 @@ class LogSource(Source):
     """TCP_TRACE log files as a pipeline source.
 
     Reads each file once through the chunked tail reader (torn lines are
-    reassembled across chunk boundaries) and classifies the merged lines
-    with the frontend description.  Lines from several per-node files are
-    merged; the backends re-sort into their own processing order, so
-    concatenation order does not matter.
+    reassembled across chunk boundaries) and classifies its lines with
+    the frontend description before the next file is opened, so at most
+    one file's text is held beside the activities.  Several per-node
+    files are concatenated in path order; the backends re-sort into their
+    own processing order, so that order does not matter.
+
+    After ``activities()``, ``lines_read == len(activities) +
+    filtered_records + malformed_lines + skipped_lines``.
     """
 
     def __init__(
@@ -163,15 +169,15 @@ class LogSource(Source):
         stream = ActivityStream(
             frontends=[self.frontend], ignore_programs=set(self.ignore_programs)
         )
-        lines: List[str] = []
+        self.lines_read = 0
+        activities: List[Activity] = []
         for path in self.paths:
-            lines.extend(
-                FileTailSource(path, chunk_bytes=self.chunk_bytes).drain()
-            )
-        self.lines_read = len(lines)
-        activities = stream.classify_lines(lines)
+            lines = FileTailSource(path, chunk_bytes=self.chunk_bytes).drain()
+            self.lines_read += len(lines)
+            activities.extend(stream.classify_lines(lines))
         self.malformed_lines = stream.malformed_lines
         self.filtered_records = stream.filtered_records
+        self.skipped_lines = stream.skipped_lines
         return activities
 
     def describe(self) -> str:

@@ -12,7 +12,7 @@ the ingestion side of that pipeline:
   boundaries (``tail -f`` semantics, without inotify dependencies);
 * :class:`ActivityStream` -- the shared raw-line -> typed-activity step
   (parse + BEGIN/END classification + attribute noise filter), built on
-  :class:`repro.core.log_format.ActivityClassifier`.
+  :meth:`repro.core.log_format.ActivityClassifier.classify_lines`.
 
 Every source yields lists of :class:`~repro.core.activity.Activity` ready
 to be pushed into :class:`repro.stream.IncrementalEngine.ingest`.
@@ -24,13 +24,7 @@ import os
 from typing import Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 from ..core.activity import Activity
-from ..core.log_format import (
-    ActivityClassifier,
-    FrontendSpec,
-    LineAssembler,
-    LogFormatError,
-    parse_record,
-)
+from ..core.log_format import ActivityClassifier, FrontendSpec, LineAssembler
 
 T = TypeVar("T")
 
@@ -52,9 +46,12 @@ def iter_chunks(items: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
 class ActivityStream:
     """Convert raw TCP_TRACE lines into typed activities, incrementally.
 
-    A thin stateful wrapper over :class:`ActivityClassifier` that also
-    tolerates malformed lines (counted, not fatal -- a live log being
-    written while we read it can always hand us a torn or corrupt line).
+    A thin stateful wrapper over :class:`ActivityClassifier` in its
+    tolerant mode: malformed lines are counted, not fatal -- a live log
+    being written while we read it can always hand us a torn or corrupt
+    line.  Every line handed to :meth:`classify_lines` ends up in exactly
+    one place: the returned activities, ``filtered_records``,
+    ``malformed_lines`` or ``skipped_lines``.
     """
 
     def __init__(
@@ -70,29 +67,25 @@ class ActivityStream:
             ignore_ports=set(ignore_ports or ()),
             ignore_ips=set(ignore_ips or ()),
         )
-        self.malformed_lines = 0
 
     @property
     def filtered_records(self) -> int:
         """Records dropped by the attribute-based noise filter."""
         return self.classifier.filtered_count
 
+    @property
+    def malformed_lines(self) -> int:
+        """Lines that could not be parsed."""
+        return self.classifier.malformed_count
+
+    @property
+    def skipped_lines(self) -> int:
+        """Blank and ``#`` comment lines."""
+        return self.classifier.skipped_count
+
     def classify_lines(self, lines: Iterable[str]) -> List[Activity]:
         """Parse and classify a batch of lines into activities."""
-        activities: List[Activity] = []
-        for line in lines:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                record = parse_record(stripped)
-            except LogFormatError:
-                self.malformed_lines += 1
-                continue
-            activity = self.classifier.classify(record)
-            if activity is not None:
-                activities.append(activity)
-        return activities
+        return self.classifier.classify_lines(lines)
 
 
 class IteratorSource:

@@ -10,12 +10,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.services.rubis.deployment import run_rubis
 
 from helpers import TINY_STAGES, tiny_config  # noqa: F401  (re-exported for fixtures)
+
+# `pytest --hypothesis-profile nightly` (the Fuzz workflow): the example
+# budget for property tests that do not pin their own max_examples.
+settings.register_profile("nightly", max_examples=5000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -66,6 +66,13 @@ class TestParseFormat:
         with pytest.raises(LogFormatError):
             parse_record("1.0 www httpd one 1 SEND 1.1.1.1:1-2.2.2.2:2 10")
 
+    @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+    def test_parse_rejects_non_finite_timestamps(self, bad):
+        # float() takes all of these; a NaN timestamp then breaks every
+        # sort and bisect downstream without raising anything.
+        with pytest.raises(LogFormatError, match="non-finite"):
+            parse_record(f"{bad} www httpd 1 1 SEND 1.1.1.1:1-2.2.2.2:2 10")
+
     def test_parse_rejects_negative_size(self):
         with pytest.raises(LogFormatError):
             parse_record("1.0 www httpd 1 1 SEND 1.1.1.1:1-2.2.2.2:2 -5")
