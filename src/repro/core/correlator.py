@@ -1,8 +1,8 @@
 """The Correlator: ranker + engine wired together (Fig. 2).
 
-The Correlator is the offline analysis component of PreciseTracer.  It
-takes the activity logs gathered on every node (already transformed into
-typed activities), performs the three steps of Section 4:
+The Correlator takes the activity logs gathered on every node (already
+transformed into typed activities), performs the three steps of
+Section 4:
 
 1. sort each node's activities by its local timestamps,
 2. let the *ranker* choose candidate activities through the sliding
@@ -13,28 +13,69 @@ and reports the resulting CAGs together with runtime statistics
 (correlation time, memory consumption, noise counters) that the
 evaluation section of the paper measures.
 
-The Correlator is strictly *offline*: it buffers every activity before
-the first CAG comes out, and its working set grows with the trace.  For
-online analysis of live logs -- CAGs emitted as requests finish, memory
-bounded by a watermark horizon, optional shard-parallel execution -- use
-the drop-in counterparts in :mod:`repro.stream`
+There is one ``rank()`` -> ``process()`` loop, in
+:class:`IncrementalEngine`: activities are ingested chunk by chunk, a
+watermark advances, and each finished CAG is emitted the moment its root
+request's END activity is correlated -- which is what makes request
+tracing usable as a *monitoring* tool against a live service rather than
+a post-mortem one.  The offline :class:`Correlator` is the degenerate
+use of it: ingest everything, seal, drain once.  It buffers every
+activity before the first CAG comes out, so its working set grows with
+the trace; the drivers in :mod:`repro.stream`
 (:class:`~repro.stream.StreamingCorrelator`,
-:class:`~repro.stream.IncrementalEngine`,
-:class:`~repro.stream.ShardedCorrelator`).  With eviction disabled the
-streaming path produces byte-identical CAGs to this one.
+:class:`~repro.stream.ShardedCorrelator`) feed the same engine in chunks
+or per shard.
+
+Two knobs control the online memory/latency/accuracy triangle:
+
+``skew_bound``
+    How far node clocks may disagree.  It only delays emission (candidates
+    wait until every node's log has progressed past them by ``window +
+    2 * skew_bound``); it never changes the output.
+
+``horizon`` (seconds, ``None`` = disabled)
+    Watermark-based eviction of stale engine state.  Index-map entries and
+    open CAGs untouched for longer than the horizon are dropped and
+    counted in :class:`repro.core.engine.EngineStats` (fields
+    ``evicted_mmap_entries`` / ``evicted_cmap_entries`` /
+    ``evicted_open_cags``).  This bounds memory under abandoned flows and
+    noise, at an accuracy cost *only* for requests that stay idle longer
+    than the horizon: their state is gone when the late activities
+    finally arrive, so they surface as deformed/incomplete paths instead
+    of completed ones.  With ``horizon=None`` (or any horizon above the
+    service's worst-case response time) the chunked output is
+    *identical* to the offline output -- the equivalence is asserted by
+    ``tests/test_stream.py``.
+
+Typical online use::
+
+    engine = IncrementalEngine(window=0.010, horizon=30.0)
+    for chunk in activity_chunks:                # any iterable of batches
+        for cag in engine.ingest(chunk):         # CAGs finish mid-stream
+            handle_finished_request(cag)
+    for cag in engine.flush():                   # drain the tail
+        handle_finished_request(cag)
+    result = engine.result()                     # CorrelationResult
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .activity import Activity
 from .cag import CAG
 from .engine import CorrelationEngine, EngineStats
 from .ranker import Ranker, RankerStats
+
+#: How often (in delivered candidates) the drain loop samples the engine's
+#: live-entry count for the memory accounting; sampling keeps the
+#: bookkeeping overhead negligible for large traces.
+PEAK_SAMPLE_EVERY = 256
 
 #: Approximate in-memory footprint of one buffered activity, used by the
 #: memory accounting below.  Measured once on CPython for the Activity
@@ -96,21 +137,214 @@ class CorrelationResult:
         }
 
 
-class Correlator:
-    """Offline correlator over a set of per-node activity streams.
+class IncrementalEngine:
+    """The correlation loop behind a push interface.
 
-    Entry points: :meth:`correlate` for a flat activity collection (any
-    order) and :meth:`correlate_streams` for per-node lists -- the shape
-    gathered log files naturally have.  Both return a
-    :class:`CorrelationResult`; the streaming counterpart
-    (:class:`repro.stream.StreamingCorrelator`) returns the same type, so
-    downstream analysis code never needs to know which path produced it.
+    Parameters
+    ----------
+    window:
+        Sliding-time-window size in seconds (any positive value).
+    horizon:
+        Eviction horizon in seconds, or ``None`` to never evict (see the
+        module docstring for the trade-off).
+    skew_bound:
+        Upper bound on absolute node clock skew in seconds; part of the
+        reorder slack that gates candidate delivery.
+    sampling:
+        Optional :class:`repro.sampling.SamplingSpec`: trace only a
+        deterministic subset of the requests.  This is where the
+        *adaptive* policy lives naturally -- its controller observes the
+        engine's open-CAG count (tombstones included) and steers the
+        admission rate toward the configured budget, which is the
+        overhead-control loop a live deployment runs.
+    sampling_decisions:
+        Pre-frozen decision set for the budget policy.  The push
+        interface has no whole-trace pre-pass, so without one the
+        budget is applied in arrival order -- exact when the stream is
+        fed in global timestamp order (as
+        :class:`~repro.stream.StreamingCorrelator` feeds it).
     """
 
     def __init__(
         self,
         window: float = 0.010,
-        sample_interval: int = 256,
+        horizon: Optional[float] = None,
+        skew_bound: float = 0.005,
+        sampling=None,
+        sampling_decisions=None,
+    ) -> None:
+        if window <= 0:
+            raise ValueError("window must be positive")
+        if horizon is not None and horizon <= 0:
+            raise ValueError("horizon must be positive (or None to disable)")
+        self.window = window
+        self.horizon = horizon
+        self.sampling = sampling
+        self.sampler = (
+            sampling.make_sampler(sampling_decisions) if sampling is not None else None
+        )
+        self.engine = CorrelationEngine(sampler=self.sampler)
+        self.ranker = Ranker(
+            None, mmap=self.engine.mmap, window=window, skew_bound=skew_bound
+        )
+        self.total_ingested = 0
+        self.peak_state = 0
+        self.processing_time = 0.0
+        # One countdown for the engine's whole life: the sampling cadence
+        # carries across drains, so the peaks do not depend on chunking.
+        self._until_sample = PEAK_SAMPLE_EVERY
+        self._flushed = False
+        self._last_evict_watermark = -math.inf
+
+    # -- push interface ------------------------------------------------------
+
+    def buffer(self, activities: Iterable[Activity]) -> None:
+        """Accept one chunk of activities without correlating anything yet
+        (``ingest`` is ``buffer`` + drain)."""
+        if self._flushed:
+            raise RuntimeError("cannot ingest after flush()")
+        self.total_ingested += self.ranker.ingest(activities)
+
+    def ingest(self, activities: Iterable[Activity]) -> List[CAG]:
+        """Feed one chunk of activities; return the CAGs finished by it.
+
+        Ordering contract -- both parts matter:
+
+        * within one node, activities must arrive in that node's log
+          order (nondecreasing local timestamps);
+        * across nodes, streams must be interleaved roughly in real time
+          (as a live multi-node feed naturally is).  The watermark is the
+          *slowest seen node's* frontier, so feeding whole per-node logs
+          one after another (``cat web.log app.log``) starves it: the
+          first node's RECEIVEs would be judged before their SENDs from
+          the not-yet-seen node arrive, and get misdiscarded as noise.
+
+        For data at rest, sort globally by timestamp first --
+        :class:`~repro.stream.StreamingCorrelator` and the CLI ``stream``
+        command do exactly that -- or :meth:`buffer` all of it and
+        :meth:`flush` once, as :class:`Correlator` does.
+        """
+        self.buffer(activities)
+        return self._drain()
+
+    def flush(self) -> List[CAG]:
+        """End of stream: deliver everything still gated by the watermark."""
+        self.ranker.seal()
+        finished = self._drain()
+        self._flushed = True
+        return finished
+
+    def pending_state_size(self) -> int:
+        """Live bookkeeping entries: engine maps + ranker buffer."""
+        return self.engine.pending_state_size() + self.ranker.buffered_count()
+
+    def watermark(self) -> float:
+        """Current delivery watermark (local-time ceiling), -inf initially."""
+        return self.ranker.watermark
+
+    def result(self) -> CorrelationResult:
+        """Everything correlated so far, with the aggregate accounting.
+
+        ``incomplete_cags`` includes both the still-open CAGs and any
+        evicted ones.
+        """
+        engine = self.engine
+        return CorrelationResult(
+            cags=list(engine.finished_cags),
+            incomplete_cags=engine.open_cags + engine.evicted_cags,
+            correlation_time=self.processing_time,
+            # The ranker tracks its own exact maximum at every fetch.
+            peak_buffered_activities=self.ranker.stats.max_buffered,
+            peak_state_entries=self.peak_state,
+            ranker_stats=self.ranker.stats,
+            engine_stats=engine.stats,
+            window=self.window,
+            total_activities=self.total_ingested,
+            final_state_entries=self.pending_state_size(),
+            final_open_tombstones=engine.open_tombstone_count,
+        )
+
+    # -- internals ----------------------------------------------------------
+
+    def _drain(self) -> List[CAG]:
+        """Correlate every candidate the ranker can decide right now."""
+        engine = self.engine
+        finished = engine.finished_cags
+        already_finished = len(finished)
+        # Hoist the per-candidate lookups out of the loop: the body runs
+        # once per activity, so even attribute resolution shows up on the
+        # Fig. 9 benchmark.
+        rank = self.ranker.rank
+        process = engine.process
+        until_sample = self._until_sample
+        # The loop runs only internal code and allocates no reference
+        # cycles (activities, CAGs and edges form an acyclic object graph
+        # that plain reference counting reclaims), so the cycle collector
+        # can only add full-heap scan pauses that grow with the trace.
+        # Pause it for the duration of the loop; user code between chunks
+        # still runs with the collector in its original state.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        start = time.perf_counter()
+        try:
+            while True:
+                candidate = rank()
+                if candidate is None:
+                    break
+                process(candidate)
+                until_sample -= 1
+                if not until_sample:
+                    until_sample = PEAK_SAMPLE_EVERY
+                    self.peak_state = max(self.peak_state, engine.pending_state_size())
+            self._maybe_evict()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        self._until_sample = until_sample
+        # Every drain ends on a sample, so ``peak_state`` always covers
+        # the engine's current size.  It sits inside the clock on purpose:
+        # its first allocation gives the re-enabled collector the pass the
+        # loop deferred, and that pass is a cost of this drain.
+        self.peak_state = max(self.peak_state, engine.pending_state_size())
+        self.processing_time += time.perf_counter() - start
+        # ``process`` returns a CAG exactly when it appends one here.
+        return finished[already_finished:]
+
+    def _maybe_evict(self) -> None:
+        """Run watermark eviction when it can pay for itself.
+
+        Eviction scans the live state, so running it on every chunk would
+        make ingestion O(chunks x live entries); instead it fires only
+        once the watermark has advanced by a quarter horizon since the
+        last sweep.  After ``seal()`` the watermark is +inf -- end-of-
+        stream cleanup is *not* eviction (the remaining open CAGs are
+        legitimately in flight and are reported as incomplete), so no
+        sweep runs then.
+        """
+        if self.horizon is None or self.ranker.sealed:
+            return
+        watermark = self.ranker.watermark
+        if math.isinf(watermark):  # nothing ingested yet
+            return
+        if watermark - self._last_evict_watermark < self.horizon / 4.0:
+            return
+        self._last_evict_watermark = watermark
+        self.engine.evict_stale(watermark - self.horizon)
+
+
+class Correlator:
+    """Offline correlator: one sealed :class:`IncrementalEngine` run.
+
+    Entry points: :meth:`correlate` for a flat activity collection (any
+    order) and :meth:`correlate_streams` for per-node lists -- the shape
+    gathered log files naturally have.  Both return a
+    :class:`CorrelationResult`, as every other driver does, so downstream
+    analysis code never needs to know which path produced it.
+    """
+
+    def __init__(
+        self,
+        window: float = 0.010,
         sampling=None,
         sampling_decisions=None,
     ) -> None:
@@ -119,10 +353,6 @@ class Correlator:
         ----------
         window:
             Sliding-time-window size in seconds (any positive value).
-        sample_interval:
-            How often (in delivered candidates) the memory accounting
-            samples the live-object counts.  Sampling keeps the overhead
-            of bookkeeping negligible for large traces.
         sampling:
             Optional :class:`repro.sampling.SamplingSpec`: trace only a
             deterministic subset of the requests, decided at each causal
@@ -137,95 +367,27 @@ class Correlator:
         """
         if window <= 0:
             raise ValueError("window must be positive")
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
         self.window = window
-        self.sample_interval = sample_interval
         self.sampling = sampling
         self.sampling_decisions = sampling_decisions
 
-    def _make_sampler(self, streams: Dict[str, Sequence[Activity]]):
-        if self.sampling is None:
-            return None
-        decisions = self.sampling_decisions
-        if decisions is None:
-            decisions = self.sampling.freeze(
-                a for stream in streams.values() for a in stream
-            )
-        return self.sampling.make_sampler(decisions)
-
-    # -- public API --------------------------------------------------------
-
     def correlate(self, activities: Iterable[Activity]) -> CorrelationResult:
         """Correlate a flat activity collection (any node order)."""
-        by_node: Dict[str, List[Activity]] = {}
-        total = 0
-        for activity in activities:
-            by_node.setdefault(activity.node_key, []).append(activity)
-            total += 1
-        return self.correlate_streams(by_node, total_activities=total)
+        decisions = self.sampling_decisions
+        if self.sampling is not None and decisions is None:
+            activities = list(activities)
+            decisions = self.sampling.freeze(activities)
+        engine = IncrementalEngine(
+            window=self.window, sampling=self.sampling, sampling_decisions=decisions
+        )
+        # Everything first, nothing delivered: the watermark gates no
+        # decision when the ranker is sealed before its first ``rank()``.
+        engine.buffer(activities)
+        engine.flush()
+        return engine.result()
 
     def correlate_streams(
-        self,
-        streams: Dict[str, Sequence[Activity]],
-        total_activities: Optional[int] = None,
+        self, streams: Dict[str, Sequence[Activity]]
     ) -> CorrelationResult:
         """Correlate per-node streams (the natural shape of gathered logs)."""
-        if total_activities is None:
-            total_activities = sum(len(s) for s in streams.values())
-
-        engine = CorrelationEngine(sampler=self._make_sampler(streams))
-        ranker = Ranker(streams, mmap=engine.mmap, window=self.window)
-
-        peak_buffered = 0
-        peak_state = 0
-        processed = 0
-
-        # Hoist the two per-candidate method lookups out of the loop: the
-        # loop body runs once per activity, so even attribute resolution
-        # shows up on the Fig. 9 benchmark.
-        rank = ranker.rank
-        process = engine.process
-        sample_interval = self.sample_interval
-        until_sample = sample_interval
-        # The correlation loop runs only internal code and allocates no
-        # reference cycles (activities, CAGs and edges form an acyclic
-        # object graph that plain reference counting reclaims), so the
-        # cycle collector can only add full-heap scan pauses that grow
-        # with the trace.  Pause it for the duration of the loop.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        start = time.perf_counter()
-        try:
-            while True:
-                current = rank()
-                if current is None:
-                    break
-                process(current)
-                processed += 1
-                until_sample -= 1
-                if not until_sample:
-                    until_sample = sample_interval
-                    peak_buffered = max(peak_buffered, ranker.buffered_count())
-                    peak_state = max(peak_state, engine.pending_state_size())
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        elapsed = time.perf_counter() - start
-
-        peak_buffered = max(peak_buffered, ranker.stats.max_buffered)
-        peak_state = max(peak_state, engine.pending_state_size())
-
-        return CorrelationResult(
-            cags=list(engine.finished_cags),
-            incomplete_cags=list(engine.open_cags),
-            correlation_time=elapsed,
-            peak_buffered_activities=peak_buffered,
-            peak_state_entries=peak_state,
-            ranker_stats=ranker.stats,
-            engine_stats=engine.stats,
-            window=self.window,
-            total_activities=total_activities,
-            final_state_entries=engine.pending_state_size(),
-            final_open_tombstones=engine.open_tombstone_count,
-        )
+        return self.correlate(chain.from_iterable(streams.values()))

@@ -135,16 +135,6 @@ class CorrelationEngine:
         # CAGs dropped by watermark eviction (streaming mode); kept so the
         # final accounting can still report them as incomplete paths.
         self._evicted: List[CAG] = []
-        # Candidate dispatch, indexed by the activity's Rule-2 priority
-        # (== its type value): a list index beats an enum-keyed dict
-        # lookup, and this runs once per candidate.
-        self._dispatch = [
-            self._handle_begin,  # BEGIN = 0
-            self._handle_send,  # SEND = 1
-            self._handle_end,  # END = 2
-            self._handle_receive,  # RECEIVE = 3
-            None,  # MAX is never instantiated
-        ]
         # Direct references into the index maps' backing dicts.  Every
         # candidate performs at least one cmap lookup and update, so the
         # method indirection is measurable on the Fig. 9 benchmark; the
@@ -160,17 +150,18 @@ class CorrelationEngine:
     def __getstate__(self):
         """Picklable engine state (the streaming checkpoint payload).
 
-        Three kinds of attribute cannot cross a pickle boundary as-is
+        Two kinds of attribute cannot cross a pickle boundary as-is
         and are reconstructed in :meth:`__setstate__`:
 
-        * the direct index-map dict references and the bound-method
-          dispatch table (rebuilt from the unpickled maps/handlers);
+        * the direct index-map dict references and the sampler's bound
+          ``tick`` (rebuilt from the unpickled maps and sampler);
         * ``_owner``, keyed by ``id(activity)`` -- object ids do not
           survive unpickling.  It is *derived* state: exactly the
           vertices of the open CAGs, each owned by its CAG (entries are
           added when a vertex joins an open CAG and dropped by
           ``_release_vertices`` when the CAG closes), so it is rebuilt
-          from ``_open`` rather than serialised;
+          from ``_open`` rather than serialised.
+
         ``_recv_backlog`` needs no translation: its entries reference
         their activities (and the head SEND they fed) directly, and the
         pickle memo keeps those references identical to the objects
@@ -178,7 +169,6 @@ class CorrelationEngine:
         """
         state = self.__dict__.copy()
         for derived in (
-            "_dispatch",
             "_cmap_latest",
             "_cmap_recency",
             "_mmap_pending",
@@ -209,13 +199,6 @@ class CorrelationEngine:
         self._sampler_tick = (
             sampler.tick if sampler is not None and sampler.is_adaptive else None
         )
-        self._dispatch = [
-            self._handle_begin,
-            self._handle_send,
-            self._handle_end,
-            self._handle_receive,
-            None,
-        ]
         self._cmap_latest = self.cmap._latest
         self._cmap_recency = self.cmap._recency
         self._mmap_pending = self.mmap._pending
@@ -273,13 +256,10 @@ class CorrelationEngine:
         """
         if self._sampler_tick is not None:
             self._sampler_tick(len(self._open))
-        handler = self._dispatch[current.priority]
-        if handler is None:  # pragma: no cover - MAX is never instantiated
-            return None
         ctx_key = current.context_key
         self._prev_ctx_seq = self._ctx_last_seq.get(ctx_key, -1)
         self._ctx_last_seq[ctx_key] = current.seq
-        return handler(current)
+        return _HANDLERS[current.priority](self, current)
 
     # -- BEGIN / END ---------------------------------------------------------
 
@@ -723,3 +703,17 @@ class CorrelationEngine:
                     del self._cmap_latest[key]
                     self._cmap_recency.pop(key, None)
                     self.stats.purged_cmap_entries += 1
+
+
+#: Candidate dispatch, indexed by the activity's Rule-2 priority (== its
+#: type value; MAX is never instantiated): a tuple index beats an
+#: enum-keyed dict lookup, and this runs once per candidate.  Plain
+#: functions, not bound methods on the instance -- a per-engine table of
+#: bound methods is a reference cycle that keeps the whole run's
+#: activities alive until a gen-2 collection.
+_HANDLERS = (
+    CorrelationEngine._handle_begin,  # BEGIN = 0
+    CorrelationEngine._handle_send,  # SEND = 1
+    CorrelationEngine._handle_end,  # END = 2
+    CorrelationEngine._handle_receive,  # RECEIVE = 3
+)

@@ -49,6 +49,21 @@ of O(sources) or O(buffered activities):
 
 All three are pure indexes: they never change which candidate is
 selected, a property the batch/streaming equivalence tests pin down.
+
+Growing streams and the delivery ceiling
+----------------------------------------
+
+Several decisions peek at the *future* of a stream (``is_noise`` and the
+blocked-RECEIVE test both ask "does a matching SEND exist anywhere later
+in some source?").  Online the future has not arrived yet, so the one
+ranker serves both uses: sources grow by :meth:`Ranker.ingest`, and
+candidates are only delivered below a *ceiling* -- the slowest node's
+ingestion frontier minus the reorder slack (``window + 2 * skew_bound``).
+Below it every SEND that could match an already-seen RECEIVE has provably
+been ingested, so an open ranker takes exactly the decisions it would
+take over the complete streams.  :meth:`Ranker.seal` ends the stream and
+lifts the ceiling to ``+inf``; a ranker constructed over complete streams
+is simply ingested and sealed on the spot.
 """
 
 from __future__ import annotations
@@ -81,7 +96,8 @@ class RankerStats:
 
 
 class ActivitySource:
-    """A per-node stream of activities sorted by the node's local clock.
+    """A per-node stream of activities sorted by the node's local clock,
+    which can be extended while it is being consumed.
 
     ``registry`` is the owning ranker's global future-send counter; the
     source keeps it in sync with its own per-source counter so the ranker
@@ -97,11 +113,11 @@ class ActivitySource:
     def __init__(
         self,
         node,
-        activities: Sequence[Activity],
+        activities: Iterable[Activity] = (),
         registry: Optional[Counter] = None,
     ) -> None:
         self.node = node
-        self._activities: List[Activity] = sorted(activities, key=sort_key)
+        self._activities: List[Activity] = []
         self._position = 0
         self._registry = registry
         # Columnar shadows of the sorted stream.  ``_ts`` is nondecreasing
@@ -109,24 +125,60 @@ class ActivitySource:
         # ``take_until`` bisect.  ``_send_keys`` holds the interned message
         # key for send-like rows and None otherwise, so the counter
         # bookkeeping below never re-reads the activity objects.
-        self._ts: List[float] = [a.timestamp for a in self._activities]
-        self._send_keys: List[Optional[int]] = [
-            a.message_key if a.send_like else None for a in self._activities
-        ]
+        self._ts: List[float] = []
+        self._send_keys: List[Optional[int]] = []
         # Message keys of send-like activities not yet fetched, kept as a
         # counter so the noise test stays O(1) per source instead of
         # rescanning the remaining stream for every RECEIVE head.
-        self._future_send_keys: Counter = Counter(
-            key for key in self._send_keys if key is not None
-        )
-        if registry is not None:
-            registry.update(self._future_send_keys)
+        self._future_send_keys: Counter = Counter()
         #: Local timestamp of the next unfetched activity (None when
         #: exhausted).  A plain attribute so the ranker's refill loop can
         #: read it without a method call.
-        self.next_timestamp: Optional[float] = (
-            self._ts[0] if self._ts else None
-        )
+        self.next_timestamp: Optional[float] = None
+        #: Local timestamp of the newest activity ever added (the node's
+        #: ingestion frontier), None before anything arrived.
+        self.frontier: Optional[float] = None
+        self.extend(activities)
+
+    def extend(self, activities: Iterable[Activity]) -> None:
+        """Add activities (any order) to the unconsumed tail.
+
+        Activities are expected in (approximately) the node's local clock
+        order -- the natural order of a node's own log.  A batch that
+        sorts behind everything still unconsumed is appended to the three
+        columns in bulk; only a genuinely late row is inserted at its
+        sort position, and one older than everything already fetched
+        lands at the consumption point (it cannot be sequenced earlier
+        any more).
+        """
+        batch = sorted(activities, key=sort_key)
+        if not batch:
+            return
+        rows, ts_column, send_keys = self._activities, self._ts, self._send_keys
+        position = self._position
+        if position:
+            # Release what was already fetched: a stream must stay bounded.
+            del rows[:position], ts_column[:position], send_keys[:position]
+            self._position = 0
+        timestamps = [a.timestamp for a in batch]
+        keys = [a.message_key if a.send_like else None for a in batch]
+        if not rows or sort_key(batch[0]) >= sort_key(rows[-1]):
+            rows += batch
+            ts_column += timestamps
+            send_keys += keys
+        else:
+            for activity, timestamp, key in zip(batch, timestamps, keys):
+                index = bisect_right(rows, sort_key(activity), key=sort_key)
+                rows.insert(index, activity)
+                ts_column.insert(index, timestamp)
+                send_keys.insert(index, key)
+        sends = [key for key in keys if key is not None]
+        self._future_send_keys.update(sends)
+        if self._registry is not None:
+            self._registry.update(sends)
+        if self.frontier is None or timestamps[-1] > self.frontier:
+            self.frontier = timestamps[-1]
+        self.next_timestamp = ts_column[0]
 
     def __len__(self) -> int:
         return len(self._activities) - self._position
@@ -257,10 +309,14 @@ class Ranker:
     Parameters
     ----------
     sources:
-        Mapping from node key to the node's activity list (any order; the
-        ranker sorts by local timestamp, which is the paper's step 1).
-        The node key is opaque to the ranker -- any hashable works; the
-        correlator passes the interned ``Activity.node_key`` ints.
+        Mapping from node key to the node's complete activity list (any
+        order; the ranker sorts by local timestamp, which is the paper's
+        step 1): every stream is ingested and the ranker sealed on the
+        spot.  ``None`` builds an *open* ranker instead, which grows by
+        :meth:`ingest` and delivers only below the watermark until
+        :meth:`seal`.  The node key is opaque to the ranker -- any
+        hashable works; :meth:`ingest` uses the interned
+        ``Activity.node_key`` ints.
     mmap:
         The engine's message map, consulted by Rule 1 and ``is_noise``
         (through a direct reference to its pending dict: the probe is the
@@ -270,49 +326,58 @@ class Ranker:
         legal; larger windows buffer more activities (more memory, more
         work per step) but the output is identical -- a property the
         evaluation (Fig. 10/11) explores.
+    skew_bound:
+        Upper bound on the absolute clock skew of any node, in seconds.
+        Together with the window it determines the *reorder slack*: while
+        the ranker is open, a candidate at local time ``t`` is only
+        delivered once every node has ingested past ``t + window + 2 *
+        skew_bound``.  Overestimating the bound only delays emission by
+        the overestimate; it never changes the output.
     """
 
     def __init__(
         self,
-        sources: Dict[str, Sequence[Activity]],
+        sources: Optional[Dict[str, Sequence[Activity]]],
         mmap: MessageMap,
         window: float = 0.010,
+        skew_bound: float = 0.005,
     ) -> None:
         if window <= 0:
             raise ValueError("the sliding time window must be positive")
+        if skew_bound < 0:
+            raise ValueError("skew_bound must be non-negative")
         self._window = window
+        # Strictly greater than window + 2*skew so that activities above
+        # the watermark can never fall inside a refill limit computed from
+        # a delivered candidate.
+        self._slack = window + 2.0 * skew_bound + 1e-9
+        self._sealed = False
         self._mmap = mmap
         # Direct reference to the mmap's pending dict: Rule 1 and the
         # noise test probe it once per RECEIVE head per selection round,
         # so even the bound-method call is worth skipping.  Safe because
         # MessageMap never rebinds ``_pending``.
         self._mmap_pending = mmap._pending
-        # Delivery ceiling (local-timestamp watermark).  The batch ranker
-        # leaves it at +inf, which makes every check below a no-op.  The
-        # streaming ranker (repro.stream) lowers it to the highest local
+        # Delivery ceiling (local-timestamp watermark): the highest local
         # timestamp whose candidate-selection decisions can no longer be
-        # changed by activities that have not been ingested yet; ``rank()``
-        # then returns ``None`` ("stalled") instead of committing a
-        # decision it might have to take back.
-        self.ceiling: float = math.inf
+        # changed by activities that have not been ingested yet.  Above
+        # it ``rank()`` returns ``None`` ("stalled") instead of committing
+        # a decision it might have to take back.  Nothing is deliverable
+        # until data arrives; ``seal()`` lifts it to +inf, which makes
+        # every ceiling check a no-op.
+        self.ceiling: float = -math.inf
         # Global future-send registry: counts, across every source, the
         # send-like message keys still awaiting fetch.  Shared with the
-        # sources, which keep it in sync as they are consumed (and, for
-        # streaming GrowingSources, extended).
+        # sources, which keep it in sync as they are extended and consumed.
         self._future_send_keys: Counter = Counter()
-        self._sources: Dict[str, ActivitySource] = {
-            node: ActivitySource(node, activities, registry=self._future_send_keys)
-            for node, activities in sources.items()
-        }
-        self._queues: Dict[str, Deque[Activity]] = {
-            node: deque() for node in self._sources
-        }
+        self._sources: Dict[str, ActivitySource] = {}
+        self._queues: Dict[str, Deque[Activity]] = {}
         # Kernel head columns: one *slot* per node, in queue-registration
         # order (= the sweep's scan order; tie-breaks depend on it).
         # See repro.core.kernel.reference for the layout contract.  The
         # columns are refreshed incrementally wherever a queue head can
         # change: deliver, refill into an empty queue, noise discard,
-        # head-swap promotion, streaming ingest of a new node.
+        # head-swap promotion, ingest of a new node.
         self._kernel = kernel_info()
         self._slot_of: Dict[str, int] = {}
         self._slot_nodes: List[str] = []
@@ -330,8 +395,6 @@ class Ranker:
         self._blocked_out = self._kernel.int_column()
         self._discard_out = self._kernel.int_column()
         self._select = None
-        for node in self._sources:
-            self._register_slot(node)
         # Buffered-send index: message key -> node -> FIFO of the SENDs
         # with that key currently buffered in the node's queue, in queue
         # order.  Existence answers the noise / blocked-RECEIVE tests in
@@ -354,10 +417,72 @@ class Ranker:
         self._source_low_cache: Optional[float] = None
         self._source_low_dirty = True
         # Incremental count of buffered activities across every queue, so
-        # ``buffered_count()`` (polled by the correlator's peak sampler
-        # and by ``exhausted()`` every EMPTY verdict) is O(1).
+        # ``buffered_count()`` (polled by ``exhausted()`` every EMPTY
+        # verdict) is O(1).
         self._buffered_total = 0
         self.stats = RankerStats()
+        if sources is not None:
+            for node, activities in sources.items():
+                self._extend_source(node, activities)
+            self.seal()
+
+    # -- ingestion ------------------------------------------------------------
+
+    def ingest(self, activities: Iterable[Activity]) -> int:
+        """Route activities to their per-node sources; returns the count.
+
+        Nodes are registered in first-seen order (slot order decides
+        tie-breaks).  Call :meth:`rank` (in a loop, until it returns
+        ``None``) afterwards to drain everything the advanced watermark
+        makes decidable.
+        """
+        per_node: Dict[int, List[Activity]] = {}
+        for activity in activities:
+            per_node.setdefault(activity.node_key, []).append(activity)
+        for node, batch in per_node.items():
+            self._extend_source(node, batch)
+        if not self._sealed:
+            # The watermark is the slowest node's ingestion frontier,
+            # minus the reorder slack.  A node that stops logging holds
+            # it back until seal() -- the standard behaviour of
+            # watermark-based stream processors.
+            frontiers = [
+                source.frontier
+                for source in self._sources.values()
+                if source.frontier is not None
+            ]
+            if frontiers:
+                self.ceiling = min(frontiers) - self._slack
+        return sum(map(len, per_node.values()))
+
+    def _extend_source(self, node: str, batch: Iterable[Activity]) -> None:
+        source = self._sources.get(node)
+        if source is None:
+            source = ActivitySource(node, registry=self._future_send_keys)
+            self._sources[node] = source
+            self._queues[node] = deque()
+            # New node, new sweep slot (appended, so the established
+            # scan order is preserved).
+            self._register_slot(node)
+        source.extend(batch)
+        # Source frontiers moved: both cached minima are stale.
+        self._low_dirty = True
+        self._source_low_dirty = True
+
+    def seal(self) -> None:
+        """Mark the streams as complete: lift the ceiling so the tail
+        drains with full look-ahead (including the noise fallback)."""
+        self._sealed = True
+        self.ceiling = math.inf
+
+    @property
+    def sealed(self) -> bool:
+        return self._sealed
+
+    @property
+    def watermark(self) -> float:
+        """The current delivery ceiling (-inf before any data)."""
+        return self.ceiling
 
     # -- kernel head-state plumbing -----------------------------------------
 
@@ -415,7 +540,7 @@ class Ranker:
 
     def __getstate__(self):
         """Drop the bound selector: closures and the native Selector do
-        not pickle (checkpoint/resume pickles the streaming ranker whole);
+        not pickle (checkpoint/resume pickles an open ranker whole);
         the kernel is re-resolved in the restoring process' environment."""
         state = self.__dict__.copy()
         state["_select"] = None
@@ -565,9 +690,9 @@ class Ranker:
                 if self.exhausted():
                     return None
                 # Window too small to admit any activity: force progress by
-                # admitting the globally earliest unfetched activity.  In
-                # streaming mode the earliest unfetched activity may sit
-                # above the ceiling; then stall instead.
+                # admitting the globally earliest unfetched activity.  While
+                # the ranker is open it may sit above the ceiling; then stall
+                # instead.
                 if not self._force_fetch_one():
                     return None
                 continue
@@ -576,8 +701,8 @@ class Ranker:
 
             # BLOCKED: every selectable head is a RECEIVE blocked on an
             # undelivered SEND; resolve the disturbance and try again.
-            # Only heads below the ceiling are acted on in streaming mode
-            # -- for newer heads the blocking SEND may not be ingested yet.
+            # Only heads below the ceiling are acted on -- for newer heads
+            # the blocking SEND may not be ingested yet.
             count = decision >> 3
             if count:
                 blocked = []
@@ -589,10 +714,10 @@ class Ranker:
                     continue
 
             if ceiling != math.inf:
-                # Streaming: the blocking SENDs have not been ingested
+                # Still open: the blocking SENDs have not been ingested
                 # yet; delivering the RECEIVEs now would misclassify them.
                 # Stall until the sender's stream catches up (or until
-                # flush lifts the ceiling and the batch fallback applies).
+                # seal() lifts the ceiling and the fallback below applies).
                 return None
 
             # Could not make progress (should not happen with well-formed
@@ -640,7 +765,7 @@ class Ranker:
 
         The minimum over the queue heads and source frontiers can only
         move when one of them does, so it is recomputed lazily after a
-        delivery, discard, fetch, promotion or (streaming) ingest rather
+        delivery, discard, fetch, promotion or ingest rather
         than on every ``rank()`` call.
         """
         if not self._low_dirty:
@@ -680,7 +805,7 @@ class Ranker:
         """Admit the earliest unfetched activity when the window admits none.
 
         Returns ``False`` when nothing was admitted -- either every source
-        is drained, or (streaming mode) the earliest unfetched activity is
+        is drained, or (open ranker) the earliest unfetched activity is
         above the delivery ceiling and must wait for the watermark.
         """
         best_node: Optional[str] = None

@@ -1,18 +1,18 @@
 """Streaming correlation subsystem: online, bounded-memory, shardable.
 
 The batch pipeline (``repro.core``) reads a complete trace and correlates
-it once.  This package is its online counterpart, the seam every scaling
-direction (async ingestion, multi-backend storage, distributed sharding)
-builds on:
+it once -- one sealed run of the incremental engine.  This package holds
+the online drivers of that same engine, the seam every scaling direction
+(async ingestion, multi-backend storage, distributed sharding) builds on:
 
 ==========================  ==================================================
-:class:`IncrementalEngine`  push-interface engine: ingest activity chunks,
-                            emit each CAG the moment its END correlates,
-                            evict stale state past a watermark horizon
+:class:`IncrementalEngine`  push-interface engine (defined in
+                            ``repro.core.correlator``): ingest activity
+                            chunks, emit each CAG the moment its END
+                            correlates, evict stale state past a
+                            watermark horizon
 :class:`StreamingCorrelator`  one-shot streaming drive with the same
                             ``correlate()`` shape as the batch Correlator
-:class:`StreamingRanker`    watermark-gated candidate selection over
-                            growing per-node sources
 :class:`ShardedCorrelator`  partition a trace into causally-closed shards
                             (union-find over context/connection keys,
                             LPT-packed by activity count) and correlate
@@ -29,9 +29,9 @@ horizon, only requests idle longer than the horizon can differ.  See
 ``docs/architecture.md`` and ``tests/test_stream.py``.
 """
 
+from ..core.correlator import IncrementalEngine
 from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
-from .incremental import IncrementalEngine, StreamingCorrelator
-from .ranker import GrowingSource, StreamingRanker
+from .incremental import StreamingCorrelator
 from .reader import ActivityStream, FileTailSource, IteratorSource, iter_chunks
 from .sharded import (
     MergeTree,
@@ -48,14 +48,12 @@ from .sharded import (
 __all__ = [
     "ActivityStream",
     "FileTailSource",
-    "GrowingSource",
     "IncrementalEngine",
     "IteratorSource",
     "MergeTree",
     "ShardedCorrelator",
     "StreamCheckpoint",
     "StreamingCorrelator",
-    "StreamingRanker",
     "canonical_part",
     "iter_chunks",
     "load_checkpoint",

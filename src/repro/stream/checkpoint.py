@@ -9,18 +9,22 @@ integer id -- so the whole of it pickles into a compact blob.
 cadence, and ``repro stream --resume <ckpt>`` restarts mid-trace with a
 final output digest-identical to the uninterrupted run.
 
-Checkpoint file format (version 1): a single pickled dict with
+Checkpoint file format (version 2): a single pickled dict with
 
 ``magic`` / ``version``
     Sanity markers; mismatches fail fast with a clear error instead of
-    unpickling garbage.
+    unpickling garbage.  The version is checked *before* the engine
+    blob is touched, so a file from an older layout (version 1 pickled
+    class paths that no longer exist) is refused with the same
+    :class:`ValueError` rather than an import error from inside
+    ``pickle``.
 ``ingested_count``
     How many activities the engine had ingested when the snapshot was
     taken.  On resume the driver skips exactly this prefix of the
     (deterministically re-sorted) trace.
 ``config``
     The streaming knobs the snapshot was taken under (window, horizon,
-    skew bound, chunk size, sample interval).  Resuming with different
+    skew bound, chunk size, sampling).  Resuming with different
     knobs would silently change the output, so the loader exposes the
     dict and the driver refuses mismatches.
 ``interner``
@@ -29,7 +33,7 @@ Checkpoint file format (version 1): a single pickled dict with
     It is installed *before* the engine blob is unpickled so the revived
     keys land in a compatible universe.
 ``engine_blob`` / ``engine_sha256``
-    The pickled :class:`~repro.stream.incremental.IncrementalEngine` and
+    The pickled :class:`~repro.core.correlator.IncrementalEngine` and
     its checksum.  The checksum turns a torn or corrupted file into a
     loud error rather than a subtly wrong correlation.
 
@@ -48,7 +52,7 @@ from typing import Any, Dict
 from ..core.interning import INTERNER
 
 MAGIC = "precisetracer-stream-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass

@@ -1,249 +1,21 @@
-"""Incremental correlation: CAGs emitted as soon as their END arrives.
+"""The streaming driver: one-shot chunked correlation with checkpoints.
 
-This module is the online counterpart of :class:`repro.core.correlator.
-Correlator`.  Instead of slurping the whole trace and correlating once,
-:class:`IncrementalEngine` accepts activities chunk by chunk, advances a
-watermark, and emits each finished CAG the moment its root request's END
-activity is correlated -- which is what makes request tracing usable as a
-*monitoring* tool against a live service rather than a post-mortem one.
-
-Two knobs control the memory/latency/accuracy triangle:
-
-``skew_bound``
-    How far node clocks may disagree.  It only delays emission (candidates
-    wait until every node's log has progressed past them by ``window +
-    2 * skew_bound``); it never changes the output.
-
-``horizon`` (seconds, ``None`` = disabled)
-    Watermark-based eviction of stale engine state.  Index-map entries and
-    open CAGs untouched for longer than the horizon are dropped and
-    counted in :class:`repro.core.engine.EngineStats` (fields
-    ``evicted_mmap_entries`` / ``evicted_cmap_entries`` /
-    ``evicted_open_cags``).  This bounds memory under abandoned flows and
-    noise, at an accuracy cost *only* for requests that stay idle longer
-    than the horizon: their state is gone when the late activities
-    finally arrive, so they surface as deformed/incomplete paths instead
-    of completed ones.  With ``horizon=None`` (or any horizon above the
-    service's worst-case response time) the streaming output is
-    *identical* to the batch output -- the equivalence is asserted by
-    ``tests/test_stream.py``.
-
-Typical use::
-
-    engine = IncrementalEngine(window=0.010, horizon=30.0)
-    for chunk in activity_chunks:                # any iterable of batches
-        for cag in engine.ingest(chunk):         # CAGs finish mid-stream
-            handle_finished_request(cag)
-    for cag in engine.flush():                   # drain the tail
-        handle_finished_request(cag)
-    result = engine.result()                     # CorrelationResult
-
-For one-shot use over an activity iterable, :class:`StreamingCorrelator`
-wraps the chunking loop behind the same ``correlate()`` signature as the
-batch :class:`~repro.core.correlator.Correlator`.
+:class:`~repro.core.correlator.IncrementalEngine` (re-exported here and
+from :mod:`repro.stream`) is the push interface -- ingest chunks, collect
+finished CAGs, flush.  For one-shot use over an activity iterable,
+:class:`StreamingCorrelator` wraps the chunking loop behind the same
+``correlate()`` signature as the batch
+:class:`~repro.core.correlator.Correlator`, and adds checkpoint/resume.
 """
 
 from __future__ import annotations
 
-import gc
-import math
-import time
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.activity import Activity, sort_key
 from ..core.cag import CAG
-from ..core.correlator import CorrelationResult
-from ..core.engine import CorrelationEngine
+from ..core.correlator import CorrelationResult, IncrementalEngine
 from .checkpoint import load_checkpoint, save_checkpoint
-from .ranker import StreamingRanker
-
-
-class IncrementalEngine:
-    """Streaming wrapper around the correlation engine (push interface).
-
-    Parameters
-    ----------
-    window:
-        Sliding-time-window size in seconds, exactly as in the batch path.
-    horizon:
-        Eviction horizon in seconds, or ``None`` to never evict (see the
-        module docstring for the trade-off).
-    skew_bound:
-        Upper bound on absolute node clock skew in seconds; part of the
-        reorder slack that gates candidate delivery.
-    sample_interval:
-        How often (in delivered candidates) the live-object counts are
-        sampled for the memory accounting, as in the batch correlator.
-    sampling:
-        Optional :class:`repro.sampling.SamplingSpec`: trace only a
-        deterministic subset of the requests.  This is where the
-        *adaptive* policy lives naturally -- its controller observes the
-        engine's open-CAG count (tombstones included) and steers the
-        admission rate toward the configured budget, which is the
-        overhead-control loop a live deployment runs.
-    sampling_decisions:
-        Pre-frozen decision set for the budget policy.  The push
-        interface has no whole-trace pre-pass, so without one the
-        budget is applied in arrival order -- exact when the stream is
-        fed in global timestamp order (as :class:`StreamingCorrelator`
-        feeds it).
-    """
-
-    def __init__(
-        self,
-        window: float = 0.010,
-        horizon: Optional[float] = None,
-        skew_bound: float = 0.005,
-        sample_interval: int = 256,
-        sampling=None,
-        sampling_decisions=None,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if horizon is not None and horizon <= 0:
-            raise ValueError("horizon must be positive (or None to disable)")
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        self.window = window
-        self.horizon = horizon
-        self.sampling = sampling
-        self.sampler = (
-            sampling.make_sampler(sampling_decisions) if sampling is not None else None
-        )
-        self.engine = CorrelationEngine(sampler=self.sampler)
-        self.ranker = StreamingRanker(
-            mmap=self.engine.mmap, window=window, skew_bound=skew_bound
-        )
-        self.sample_interval = sample_interval
-        self.total_ingested = 0
-        self.peak_buffered = 0
-        self.peak_state = 0
-        self.processing_time = 0.0
-        self._processed = 0
-        self._flushed = False
-        self._last_evict_watermark = -math.inf
-
-    # -- streaming interface -------------------------------------------------
-
-    def ingest(self, activities: Iterable[Activity]) -> List[CAG]:
-        """Feed one chunk of activities; return the CAGs finished by it.
-
-        Ordering contract -- both parts matter:
-
-        * within one node, activities must arrive in that node's log
-          order (nondecreasing local timestamps);
-        * across nodes, streams must be interleaved roughly in real time
-          (as a live multi-node feed naturally is).  The watermark is the
-          *slowest seen node's* frontier, so feeding whole per-node logs
-          one after another (``cat web.log app.log``) starves it: the
-          first node's RECEIVEs would be judged before their SENDs from
-          the not-yet-seen node arrive, and get misdiscarded as noise.
-
-        For data at rest, sort globally by timestamp first --
-        :class:`StreamingCorrelator` and the CLI ``stream`` command do
-        exactly that.
-        """
-        if self._flushed:
-            raise RuntimeError("cannot ingest after flush()")
-        self.total_ingested += self.ranker.ingest(activities)
-        return self._drain()
-
-    def flush(self) -> List[CAG]:
-        """End of stream: deliver everything still gated by the watermark."""
-        self.ranker.seal()
-        finished = self._drain()
-        self._flushed = True
-        return finished
-
-    def pending_state_size(self) -> int:
-        """Live bookkeeping entries: engine maps + ranker buffer."""
-        return self.engine.pending_state_size() + self.ranker.buffered_count()
-
-    def watermark(self) -> float:
-        """Current delivery watermark (local-time ceiling), -inf initially."""
-        return self.ranker.watermark
-
-    def result(self) -> CorrelationResult:
-        """Aggregate accounting, same shape as the batch correlator's.
-
-        ``incomplete_cags`` includes both the still-open CAGs and any
-        evicted ones, so batch and streaming accounting stay comparable.
-        """
-        return CorrelationResult(
-            cags=list(self.engine.finished_cags),
-            incomplete_cags=list(self.engine.open_cags) + self.engine.evicted_cags,
-            correlation_time=self.processing_time,
-            peak_buffered_activities=max(
-                self.peak_buffered, self.ranker.stats.max_buffered
-            ),
-            peak_state_entries=max(self.peak_state, self.engine.pending_state_size()),
-            ranker_stats=self.ranker.stats,
-            engine_stats=self.engine.stats,
-            window=self.window,
-            total_activities=self.total_ingested,
-            final_state_entries=self.pending_state_size(),
-            final_open_tombstones=self.engine.open_tombstone_count,
-        )
-
-    # -- internals ----------------------------------------------------------
-
-    def _drain(self) -> List[CAG]:
-        finished: List[CAG] = []
-        # Same per-candidate hoisting as the batch correlator: the drain
-        # loop is the streaming hot path.
-        rank = self.ranker.rank
-        process = self.engine.process
-        sample_interval = self.sample_interval
-        # Same rationale as the batch correlator: the drain loop is
-        # internal-only and cycle-free, so the cycle collector's
-        # full-heap scans are pure overhead here.  User code between
-        # chunks still runs with the collector in its original state.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        start = time.perf_counter()
-        try:
-            while True:
-                candidate = rank()
-                if candidate is None:
-                    break
-                cag = process(candidate)
-                if cag is not None:
-                    finished.append(cag)
-                self._processed += 1
-                if self._processed % sample_interval == 0:
-                    self._sample()
-            self._maybe_evict()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        self._sample()
-        self.processing_time += time.perf_counter() - start
-        return finished
-
-    def _maybe_evict(self) -> None:
-        """Run watermark eviction when it can pay for itself.
-
-        Eviction scans the live state, so running it on every chunk would
-        make ingestion O(chunks x live entries); instead it fires only
-        once the watermark has advanced by a quarter horizon since the
-        last sweep.  After ``seal()`` the watermark is +inf -- end-of-
-        stream cleanup is *not* eviction (the remaining open CAGs are
-        legitimately in flight and are reported as incomplete), so no
-        sweep runs then.
-        """
-        if self.horizon is None or self.ranker.sealed:
-            return
-        watermark = self.ranker.watermark
-        if watermark <= -math.inf or math.isinf(watermark):
-            return
-        if watermark - self._last_evict_watermark < self.horizon / 4.0:
-            return
-        self._last_evict_watermark = watermark
-        self.engine.evict_stale(watermark - self.horizon)
-
-    def _sample(self) -> None:
-        self.peak_buffered = max(self.peak_buffered, self.ranker.buffered_count())
-        self.peak_state = max(self.peak_state, self.engine.pending_state_size())
 
 
 class StreamingCorrelator:
@@ -284,7 +56,6 @@ class StreamingCorrelator:
         horizon: Optional[float] = None,
         skew_bound: float = 0.005,
         chunk_size: int = 256,
-        sample_interval: int = 256,
         sampling=None,
         checkpoint_path: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
@@ -302,7 +73,6 @@ class StreamingCorrelator:
         self.horizon = horizon
         self.skew_bound = skew_bound
         self.chunk_size = chunk_size
-        self.sample_interval = sample_interval
         self.sampling = sampling
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
@@ -316,7 +86,6 @@ class StreamingCorrelator:
             window=self.window,
             horizon=self.horizon,
             skew_bound=self.skew_bound,
-            sample_interval=self.sample_interval,
             sampling=self.sampling,
             sampling_decisions=sampling_decisions,
         )
@@ -379,7 +148,6 @@ class StreamingCorrelator:
             "horizon": self.horizon,
             "skew_bound": self.skew_bound,
             "chunk_size": self.chunk_size,
-            "sample_interval": self.sample_interval,
             "sampling": self.sampling,
         }
 

@@ -12,6 +12,7 @@ just a pickle round-trip inside one process).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import signal
@@ -24,7 +25,7 @@ import pytest
 from repro.core.interning import ActivityTable
 from repro.pipeline import result_digest
 from repro.stream import StreamingCorrelator, load_checkpoint, save_checkpoint
-from repro.stream.checkpoint import MAGIC
+from repro.stream.checkpoint import MAGIC, VERSION
 from repro.topology.library import run_scenario, scenario_names
 
 WINDOW = 0.010
@@ -165,6 +166,31 @@ class TestCheckpointFileContract:
         path = tmp_path / "garbage.ckpt"
         path.write_bytes(pickle.dumps({"magic": "something-else"}))
         with pytest.raises(ValueError, match="not a PreciseTracer"):
+            load_checkpoint(str(path))
+
+    def test_version_1_file_fails_typed_before_its_blob_is_unpickled(self, tmp_path):
+        """A version-1 blob names classes that no longer exist; the only
+        way such a file may fail is the version check, not an import
+        error from inside ``pickle.loads``."""
+        assert VERSION == 2
+        blob = b"crepro.stream.ranker\nStreamingRanker\n."
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(blob)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 1,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW, "sample_interval": 256},
+                    "interner": None,
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(str(path))
 
     def test_corrupted_engine_blob_is_rejected(self, tmp_path):

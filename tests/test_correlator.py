@@ -1,9 +1,16 @@
 """Tests for the Correlator (ranker + engine, offline mode)."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from helpers import SyntheticTrace
-from repro.core.correlator import Correlator
+from repro.core import correlator as correlator_module
+from repro.core.activity import sort_key
+from repro.core.correlator import CorrelationResult, Correlator, IncrementalEngine
+from repro.pipeline import canonical_cags, result_digest
 
 
 def build_trace(requests=5, skews=None, seg=None):
@@ -28,8 +35,6 @@ class TestCorrelatorBasics:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             Correlator(window=0.0)
-        with pytest.raises(ValueError):
-            Correlator(window=0.01, sample_interval=0)
 
     def test_every_request_yields_one_finished_cag(self):
         trace = build_trace(requests=6)
@@ -111,3 +116,89 @@ class TestIncompleteTraces:
         result = Correlator(window=0.01).correlate([])
         assert result.completed_requests == 0
         assert result.total_activities == 0
+
+
+class TestBatchIsASealedIncrementalRun:
+    def test_batch_equals_ingest_all_then_flush_field_for_field(self, monkeypatch):
+        # Sample every candidate, so both peaks are exact maxima and
+        # cannot depend on where a drain stopped.
+        monkeypatch.setattr(correlator_module, "PEAK_SAMPLE_EVERY", 1)
+
+        def fresh():
+            skews = {"app": 0.002, "db": -0.002}
+            trace = build_trace(requests=12, skews=skews, seg=700)
+            for index in range(5):
+                trace.noise_receive(0.11 + index * 0.03)
+            # one request loses its END: an incomplete CAG on both sides
+            return [
+                a
+                for a in trace.activities
+                if not (a.request_id == 12 and a.type.name == "END")
+            ]
+
+        batch = Correlator(window=0.01).correlate(fresh())
+        engine = IncrementalEngine(window=0.01)
+        emitted = engine.ingest(sorted(fresh(), key=sort_key))
+        assert emitted  # the watermark let most of the trace through
+        emitted += engine.flush()
+        incremental = engine.result()
+
+        assert [id(cag) for cag in emitted] == [id(cag) for cag in incremental.cags]
+        assert result_digest(incremental) == result_digest(batch)
+        compared = set()
+        for field in dataclasses.fields(CorrelationResult):
+            ours, theirs = getattr(batch, field.name), getattr(incremental, field.name)
+            if field.name == "correlation_time":
+                continue
+            if field.name in ("cags", "incomplete_cags"):
+                ours, theirs = canonical_cags(ours), canonical_cags(theirs)
+                assert ours  # neither list is trivially empty
+            assert ours == theirs, field.name
+            compared.add(field.name)
+        assert batch.ranker_stats.noise_discarded == 5
+        assert len(compared) == len(dataclasses.fields(CorrelationResult)) - 1
+
+
+class TestRunsDieByRefcount:
+    """No reference cycle holds a finished run: with the collector off, a
+    fully driven engine, its ranker and a finished CAG are freed at
+    ``del``, and a collection afterwards finds nothing."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def _drive(driver):
+        trace = build_trace(requests=6, seg=700)
+        engine = IncrementalEngine(window=0.01)
+        if driver == "batch":
+            engine.buffer(trace.activities)
+        else:
+            ordered = sorted(trace.activities, key=sort_key)
+            for start in range(0, len(ordered), 16):
+                engine.ingest(ordered[start : start + 16])
+        engine.flush()
+        return engine
+
+    @pytest.mark.parametrize("driver", ["batch", "streaming"])
+    def test_engine_ranker_and_cag_are_freed_at_del(self, driver):
+        engine = self._drive(driver)
+        digest = result_digest(engine.result())
+        assert len(engine.engine.finished_cags) == 6
+        probes = [
+            weakref.ref(engine),
+            weakref.ref(engine.engine),
+            weakref.ref(engine.ranker),
+            weakref.ref(engine.engine.finished_cags[0]),
+        ]
+        del engine
+        assert [probe() for probe in probes] == [None] * 4
+        assert gc.collect() == 0
+        reference = Correlator(window=0.01).correlate(
+            build_trace(requests=6, seg=700).activities
+        )
+        assert digest == result_digest(reference)

@@ -269,15 +269,59 @@ class TestRankerPlumbing:
         resumed = [(p.node_key, p.seq) for p in prefix] + self._drain(restored)
         assert resumed == uninterrupted
 
+    @pytest.mark.parametrize("mode", ["python", "native"])
+    def test_pickle_roundtrip_of_an_open_ranker_mid_stream(self, mode, monkeypatch):
+        """An *unsealed* ranker pickled between two chunks: head columns
+        re-homed, selector re-bound, and the rest of the stream -- later
+        chunks, seal, tail -- continues exactly as if never interrupted."""
+        if mode == "native" and NATIVE is None:
+            pytest.skip("no C toolchain: compiled kernel unavailable")
+        monkeypatch.setenv(kernel.ENV_VAR, mode)
+        from helpers import SyntheticTrace
+        from repro.core.activity import sort_key
+        from repro.core.index_maps import MessageMap
+        from repro.core.ranker import Ranker
+
+        script = SyntheticTrace()
+        for index in range(6):
+            script.three_tier_request(index + 1, 0.001 + index * 0.030)
+        ordered = sorted(script.activities, key=sort_key)
+        chunks = [ordered[i : i + 12] for i in range(0, len(ordered), 12)]
+        cut = len(chunks) // 2
+
+        def run(interrupt):
+            ranker = Ranker(None, MessageMap(), window=0.010, skew_bound=0.005)
+            out = []
+            for index, chunk in enumerate(chunks):
+                if interrupt and index == cut:
+                    assert not ranker.sealed and ranker._select is not None
+                    ranker = pickle.loads(pickle.dumps(ranker))
+                    assert ranker.kernel_name == kernel_info().name
+                    assert type(ranker._head_ts) is type(kernel_info().float_column())
+                    assert ranker._select is None  # re-bound lazily by rank()
+                ranker.ingest(chunk)
+                out += self._drain(ranker)
+            ranker.seal()
+            out += self._drain(ranker)
+            assert ranker.exhausted()
+            return out, ranker.stats
+
+        straight, straight_stats = run(interrupt=False)
+        resumed, resumed_stats = run(interrupt=True)
+        # no engine feeds the mmap here, so RECEIVEs leave as noise
+        assert len(straight) + straight_stats.noise_discarded == len(ordered)
+        assert resumed == straight
+        assert resumed_stats == straight_stats
+
     def test_streaming_ingest_rebinds_the_selector(self, monkeypatch):
         monkeypatch.setenv(kernel.ENV_VAR, "python")
         from repro.core.index_maps import MessageMap
-        from repro.stream.ranker import StreamingRanker
+        from repro.core.ranker import Ranker
         from helpers import SyntheticTrace
 
         script = SyntheticTrace()
         script.three_tier_request(1, 0.001)
-        ranker = StreamingRanker(MessageMap(), window=0.010, skew_bound=0.005)
+        ranker = Ranker(None, MessageMap(), window=0.010, skew_bound=0.005)
         by_node = script.by_node()
         nodes = list(by_node)
         ranker.ingest(by_node[nodes[0]])
