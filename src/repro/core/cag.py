@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -80,13 +81,17 @@ class AnalysisMemo:
     not its own multi-kilobyte copy.
     """
 
-    __slots__ = ("signature", "segments")
+    __slots__ = ("signature", "segments", "plan")
 
     def __init__(self) -> None:
         #: ``repro.core.patterns.Signature``, interned
         self.signature: Optional[tuple] = None
         #: per-segment latency of the primary path, label -> seconds
         self.segments: Optional[Dict[str, float]] = None
+        #: ``repro.core.shapes.ShapePlan`` shared by every CAG of this
+        #: labelled structure; ``None`` until looked up, and for a CAG
+        #: that met a full shape table
+        self.plan = None
 
 
 class CAG:
@@ -95,6 +100,16 @@ class CAG:
     Vertices are added in the order the correlation engine discovers them,
     which (by construction of the ranker) is a valid topological order of
     the happened-before relation.
+
+    Structure is stored as flat *position columns*, not as one object per
+    edge: a vertex's position is its index in the insertion-ordered vertex
+    list, and the Section 3.2 invariant (at most one context parent and
+    one message parent per vertex) means two ``int`` columns hold every
+    edge.  :class:`Edge` objects are views built on demand by the query
+    methods; a CAG at rest owns a vertex list and three packed arrays
+    whatever the request's size, so its structure costs a few bytes per
+    vertex and the cyclic collector has four objects to visit, not two
+    per vertex.
     """
 
     #: Real CAGs are never sampled out; the engine checks this flag to
@@ -107,18 +122,20 @@ class CAG:
         self.cag_id: int = cag_id if cag_id is not None else next(_cag_counter)
         self.root: Activity = root
         self._vertices: List[Activity] = [root]
-        self._edges: List[Edge] = []
-        # ``_parents`` doubles as the vertex-membership set: every vertex
-        # has an entry (the root's is empty), so no separate id set is
-        # kept.  The children adjacency is derived: it is only read by
-        # ``children_of``, never by the correlation hot path (and
-        # ``topological_order`` builds its own positional one), so it is
-        # rebuilt lazily from ``_edges`` on first use and invalidated by
-        # every structural mutation.
-        self._parents: Dict[int, List[Edge]] = {id(root): []}
-        self._children_cache: Optional[Dict[int, List[Edge]]] = None
-        # Derived analysis values (signature, breakdown); dropped at the
-        # same mutation sites as the children adjacency, never pickled.
+        # ``id(vertex) -> position``: construction-time state only.  It is
+        # dropped at ``finish()`` (and never pickled) and rebuilt by
+        # ``_positions()`` if a finished or revived CAG is asked about a
+        # specific vertex again.
+        self._index: Optional[Dict[int, int]] = {id(root): 0}
+        # Position of each vertex's context / message parent, -1 for none.
+        self._context_parent = array("i", (-1,))
+        self._message_parent = array("i", (-1,))
+        # Edges in insertion order, each ``child position << 1 | is
+        # message`` (the parent is read off the matching column); what
+        # ``edges`` / ``parents_of`` / ``children_of`` order their views by.
+        self._edge_log = array("i")
+        # Derived analysis values (signature, breakdown, shape plan);
+        # dropped at every structural mutation, never pickled.
         self._analysis: Optional[AnalysisMemo] = None
         self.finished: bool = False
         #: Local timestamp of the newest activity attributed to this CAG,
@@ -131,57 +148,71 @@ class CAG:
 
     # -- construction ------------------------------------------------------
 
+    def _positions(self) -> Dict[int, int]:
+        """The ``id(vertex) -> position`` index, rebuilt when absent."""
+        index = self._index
+        if index is None:
+            index = self._index = {
+                id(vertex): position for position, vertex in enumerate(self._vertices)
+            }
+        return index
+
     def add_vertex(self, activity: Activity) -> None:
         """Add an activity vertex without connecting it yet."""
         if self.finished:
             raise CAGError("cannot add vertices to a finished CAG")
+        index = self._positions()
         vertex_id = id(activity)
-        if vertex_id in self._parents:
+        if vertex_id in index:
             raise CAGError("activity already present in CAG")
+        index[vertex_id] = len(self._vertices)
         self._vertices.append(activity)
-        self._parents[vertex_id] = []
-        self._children_cache = self._analysis = None
+        self._context_parent.append(-1)
+        self._message_parent.append(-1)
+        self._analysis = None
         if activity.timestamp > self.newest_timestamp:
             self.newest_timestamp = activity.timestamp
 
-    def add_edge(self, parent: Activity, child: Activity, kind: str) -> Edge:
+    def add_edge(self, parent: Activity, child: Activity, kind: str) -> None:
         """Add a context or message edge.
 
         Both endpoints must already be vertices.  The Section 3.2
         invariant (at most two parents, two only for RECEIVE with one
         context and one message parent) is enforced here so that a buggy
         engine fails loudly instead of producing malformed paths.
+        Nothing is returned: :class:`Edge` views come from the queries.
         """
         if kind not in (CONTEXT_EDGE, MESSAGE_EDGE):
             raise CAGError(f"unknown edge kind {kind!r}")
-        parent_id = id(parent)
-        child_id = id(child)
-        parents = self._parents
-        if parent_id not in parents:
+        index = self._positions()
+        parent_position = index.get(id(parent))
+        if parent_position is None:
             raise CAGError("edge parent is not a vertex of this CAG")
-        if child_id not in parents:
+        position = index.get(id(child))
+        if position is None:
             raise CAGError("edge child is not a vertex of this CAG")
         if parent is child:
             raise CAGError("self edges are not allowed")
 
-        existing = parents[child_id]
-        if existing:
-            if len(existing) >= 2:
+        is_message = kind == MESSAGE_EDGE
+        column, other = self._context_parent, self._message_parent
+        if is_message:
+            column, other = other, column
+        if column[position] >= 0 or other[position] >= 0:
+            if column[position] >= 0 and other[position] >= 0:
                 raise CAGError("a vertex may have at most two parents")
             if child.type is not ActivityType.RECEIVE:
                 raise CAGError("only RECEIVE vertices may have two parents")
-            if existing[0].kind == kind:
+            if column[position] >= 0:
                 raise CAGError(
                     "the two parents of a RECEIVE must use different relations"
                 )
 
-        edge = Edge(parent=parent, child=child, kind=kind)
-        self._edges.append(edge)
-        existing.append(edge)
-        self._children_cache = self._analysis = None
-        return edge
+        column[position] = parent_position
+        self._edge_log.append(position << 1 | is_message)
+        self._analysis = None
 
-    def append(self, activity: Activity, parent: Activity, kind: str) -> Edge:
+    def append(self, activity: Activity, parent: Activity, kind: str) -> None:
         """Add a vertex and connect it to ``parent`` in one step.
 
         This is the engine's per-candidate growth path, so it fuses
@@ -193,29 +224,37 @@ class CAG:
         """
         if self.finished:
             raise CAGError("cannot add vertices to a finished CAG")
-        # The engine always passes the module constants, so the identity
-        # checks are the hot path; the equality fallback keeps equal
-        # strings from other modules working.
-        if (
-            kind is not CONTEXT_EDGE
-            and kind is not MESSAGE_EDGE
-            and kind not in (CONTEXT_EDGE, MESSAGE_EDGE)
-        ):
+        # The engine always passes the module constants, which compare
+        # equal by identity before any character is looked at.
+        if kind == CONTEXT_EDGE:
+            is_message = False
+        elif kind == MESSAGE_EDGE:
+            is_message = True
+        else:
             raise CAGError(f"unknown edge kind {kind!r}")
-        parents = self._parents
+        index = self._index
+        if index is None:
+            index = self._positions()
         vertex_id = id(activity)
-        if vertex_id in parents:
+        if vertex_id in index:
             raise CAGError("activity already present in CAG")
-        if id(parent) not in parents:
+        parent_position = index.get(id(parent))
+        if parent_position is None:
             raise CAGError("edge parent is not a vertex of this CAG")
-        self._vertices.append(activity)
-        edge = Edge(parent=parent, child=activity, kind=kind)
-        parents[vertex_id] = [edge]
-        self._edges.append(edge)
-        self._children_cache = self._analysis = None
+        vertices = self._vertices
+        position = len(vertices)
+        index[vertex_id] = position
+        vertices.append(activity)
+        if is_message:
+            self._context_parent.append(-1)
+            self._message_parent.append(parent_position)
+        else:
+            self._context_parent.append(parent_position)
+            self._message_parent.append(-1)
+        self._edge_log.append(position << 1 | is_message)
+        self._analysis = None
         if activity.timestamp > self.newest_timestamp:
             self.newest_timestamp = activity.timestamp
-        return edge
 
     def splice_context_vertex(
         self, before: Activity, after: Activity, vertex: Activity
@@ -229,27 +268,31 @@ class CAG:
         activity was chained: inserting at the timestamp position keeps
         the context chain independent of the delivery interleaving.
         """
-        if id(vertex) not in self._parents:
+        index = self._positions()
+        position = index.get(id(vertex))
+        if position is None:
             raise CAGError("splice vertex is not a vertex of this CAG")
-        for edge in self._parents.get(id(vertex), []):
-            if edge.kind == CONTEXT_EDGE:
-                raise CAGError("splice vertex already has a context parent")
-        removed = None
-        for edge in self._parents.get(id(after), []):
-            if edge.kind == CONTEXT_EDGE and edge.parent is before:
-                removed = edge
-                break
-        if removed is None:
+        context_parent = self._context_parent
+        if context_parent[position] >= 0:
+            raise CAGError("splice vertex already has a context parent")
+        after_position = index.get(id(after))
+        before_position = index.get(id(before))
+        if (
+            after_position is None
+            or before_position is None
+            or context_parent[after_position] != before_position
+        ):
             raise CAGError("no context edge between the given vertices")
-        self._edges.remove(removed)
-        self._parents[id(after)].remove(removed)
-        self._children_cache = self._analysis = None
+        context_parent[after_position] = -1
+        self._edge_log.remove(after_position << 1)
+        self._analysis = None
         self.add_edge(before, vertex, CONTEXT_EDGE)
         self.add_edge(vertex, after, CONTEXT_EDGE)
 
     def finish(self) -> None:
         """Mark the CAG as complete (an END activity was correlated)."""
         self.finished = True
+        self._index = None
 
     def touch(self, timestamp: float) -> None:
         """Record recent activity that did not add a vertex.
@@ -265,41 +308,39 @@ class CAG:
     # -- serialisation -----------------------------------------------------
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle support: the parents map is keyed by ``id(vertex)``,
-        which does not survive a pickle round trip (unpickled vertices get
-        new ids).  Serialise it keyed by vertex *position* instead; the
-        process-pool sharded correlator ships CAGs across process
-        boundaries and relies on this.  The children adjacency and the
-        analysis memo are not serialised at all -- both are derived on
-        demand (and the memo's interned signature is only canonical
-        within one process)."""
-        index = {id(vertex): i for i, vertex in enumerate(self._vertices)}
+        """Pickle support.  The state is positional already, so it ships
+        as it is held: the vertex list and the three packed columns (the
+        process-pool sharded correlator and the checkpoints both pickle
+        CAGs).  The ``id -> position`` index and the analysis memo are
+        not serialised -- vertex ids do not survive a round trip, and the
+        memo's interned signature and shape plan are only canonical
+        within one process."""
         return {
             "cag_id": self.cag_id,
-            "root": self.root,
             "vertices": self._vertices,
-            "edges": self._edges,
-            "parents": {index[key]: edges for key, edges in self._parents.items()},
+            "context_parent": self._context_parent,
+            "message_parent": self._message_parent,
+            "edge_log": self._edge_log,
             "finished": self.finished,
             "newest_timestamp": self.newest_timestamp,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.cag_id = state["cag_id"]
-        self.root = state["root"]
         self._vertices = state["vertices"]
-        self._edges = state["edges"]
-        self._parents = {
-            id(self._vertices[i]): edges for i, edges in state["parents"].items()
-        }
-        self._children_cache = self._analysis = None
+        self.root = self._vertices[0]
+        self._index = None
+        self._context_parent = state["context_parent"]
+        self._message_parent = state["message_parent"]
+        self._edge_log = state["edge_log"]
+        self._analysis = None
         self.finished = state["finished"]
         self.newest_timestamp = state["newest_timestamp"]
 
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, activity: Activity) -> bool:
-        return id(activity) in self._parents
+        return id(activity) in self._positions()
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -308,9 +349,27 @@ class CAG:
     def vertices(self) -> Sequence[Activity]:
         return tuple(self._vertices)
 
+    def _edge(self, code: int) -> Edge:
+        """The :class:`Edge` view of one edge-log entry."""
+        position = code >> 1
+        if code & 1:
+            parent, kind = self._message_parent[position], MESSAGE_EDGE
+        else:
+            parent, kind = self._context_parent[position], CONTEXT_EDGE
+        vertices = self._vertices
+        return Edge(vertices[parent], vertices[position], kind)
+
     @property
     def edges(self) -> Sequence[Edge]:
-        return tuple(self._edges)
+        """Every edge, in insertion order."""
+        return tuple(map(self._edge, self._edge_log))
+
+    @property
+    def parent_columns(self) -> Tuple[array, array]:
+        """The ``(context parent, message parent)`` position columns: entry
+        ``i`` is the position in :attr:`vertices` of vertex ``i``'s parent
+        under that relation, ``-1`` for none.  Read-only for callers."""
+        return self._context_parent, self._message_parent
 
     @property
     def analysis(self) -> AnalysisMemo:
@@ -321,35 +380,44 @@ class CAG:
             memo = self._analysis = AnalysisMemo()
         return memo
 
-    def _children_map(self) -> Dict[int, List[Edge]]:
-        """The derived children adjacency, rebuilt lazily from the edge
-        list (``children_of`` only; the correlation hot path never reads
-        it)."""
-        children = self._children_cache
-        if children is None:
-            children = {id(vertex): [] for vertex in self._vertices}
-            for edge in self._edges:
-                children[id(edge.parent)].append(edge)
-            self._children_cache = children
-        return children
-
     def parents_of(self, activity: Activity) -> List[Edge]:
-        return list(self._parents.get(id(activity), []))
+        """The edges into ``activity``, in insertion order."""
+        position = self._positions().get(id(activity))
+        if position is None:
+            return []
+        codes = []
+        if self._context_parent[position] >= 0:
+            codes.append(position << 1)
+        if self._message_parent[position] >= 0:
+            codes.append(position << 1 | 1)
+        if len(codes) == 2:
+            codes.sort(key=self._edge_log.index)
+        return [self._edge(code) for code in codes]
 
     def children_of(self, activity: Activity) -> List[Edge]:
-        return list(self._children_map().get(id(activity), []))
+        """The edges out of ``activity``, in insertion order (derived by a
+        scan of the edge log; the correlation hot path never asks)."""
+        position = self._positions().get(id(activity))
+        if position is None:
+            return []
+        columns = self.parent_columns
+        return [
+            self._edge(code)
+            for code in self._edge_log
+            if columns[code & 1][code >> 1] == position
+        ]
+
+    def _parent(self, activity: Activity, column: Sequence[int]) -> Optional[Activity]:
+        position = self._positions().get(id(activity))
+        if position is None or column[position] < 0:
+            return None
+        return self._vertices[column[position]]
 
     def context_parent(self, activity: Activity) -> Optional[Activity]:
-        for edge in self._parents.get(id(activity), []):
-            if edge.kind == CONTEXT_EDGE:
-                return edge.parent
-        return None
+        return self._parent(activity, self._context_parent)
 
     def message_parent(self, activity: Activity) -> Optional[Activity]:
-        for edge in self._parents.get(id(activity), []):
-            if edge.kind == MESSAGE_EDGE:
-                return edge.parent
-        return None
+        return self._parent(activity, self._message_parent)
 
     @property
     def end_activity(self) -> Optional[Activity]:
@@ -408,6 +476,40 @@ class CAG:
 
     # -- causal ordering ---------------------------------------------------
 
+    def topological_positions(self, tie_key=None) -> List[int]:
+        """Vertex positions in a topological order of the happened-before
+        DAG (see :meth:`topological_order`, which maps them to vertices)."""
+        vertices = self._vertices
+        # Positional adjacency, local to this call: nothing derived stays
+        # resident on the CAG once the order has been read off.
+        children: List[List[int]] = [[] for _ in vertices]
+        indegree = [0] * len(vertices)
+        for column in self.parent_columns:
+            for child, parent in enumerate(column):
+                if parent >= 0:
+                    children[parent].append(child)
+                    indegree[child] += 1
+        # The ready set is a heap of (tie key, insertion index): the pop
+        # order is the total order a full re-sort on every push gave, and
+        # each vertex is keyed once, when it becomes ready.
+        if tie_key is None:
+            entry = lambda i: (i,)  # noqa: E731
+        else:
+            entry = lambda i: (tie_key(vertices[i]), i)  # noqa: E731
+        ready = [entry(i) for i, degree in enumerate(indegree) if degree == 0]
+        heapq.heapify(ready)
+        result: List[int] = []
+        while ready:
+            index = heapq.heappop(ready)[-1]
+            result.append(index)
+            for child in children[index]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, entry(child))
+        if len(result) != len(vertices):
+            raise CAGError("CAG contains a cycle")
+        return result
+
     def topological_order(self, tie_key=None) -> List[Activity]:
         """Vertices in a topological order of the happened-before DAG.
 
@@ -420,34 +522,23 @@ class CAG:
         index stays as the final fallback so the order is always total.
         """
         vertices = self._vertices
-        parents = self._parents
-        position = {id(vertex): i for i, vertex in enumerate(vertices)}
-        # Positional adjacency, local to this call: nothing derived stays
-        # resident on the CAG once the order has been read off.
-        children: List[List[int]] = [[] for _ in vertices]
-        for edge in self._edges:
-            children[position[id(edge.parent)]].append(position[id(edge.child)])
-        indegree = [len(parents[id(vertex)]) for vertex in vertices]
-        # The ready set is a heap of (tie key, insertion index): the pop
-        # order is the total order a full re-sort on every push gave, and
-        # each vertex is keyed once, when it becomes ready.
-        if tie_key is None:
-            entry = lambda i: (i,)  # noqa: E731
-        else:
-            entry = lambda i: (tie_key(vertices[i]), i)  # noqa: E731
-        ready = [entry(i) for i, degree in enumerate(indegree) if degree == 0]
-        heapq.heapify(ready)
-        result: List[Activity] = []
-        while ready:
-            index = heapq.heappop(ready)[-1]
-            result.append(vertices[index])
-            for child in children[index]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    heapq.heappush(ready, entry(child))
-        if len(result) != len(vertices):
-            raise CAGError("CAG contains a cycle")
-        return result
+        return [vertices[i] for i in self.topological_positions(tie_key)]
+
+    def primary_positions(self) -> List[Tuple[int, int, str]]:
+        """:meth:`primary_path` as ``(child position, parent position,
+        kind)`` rows, without materialising :class:`Edge` views."""
+        rows: List[Tuple[int, int, str]] = []
+        context_parent = self._context_parent
+        for position, parent in enumerate(self._message_parent):
+            if position == 0:
+                continue
+            if parent >= 0:
+                rows.append((position, parent, MESSAGE_EDGE))
+            elif context_parent[position] >= 0:
+                rows.append((position, context_parent[position], CONTEXT_EDGE))
+            # else: disconnected vertex (should not happen with a correct
+            # engine); skipped rather than crash analysis of a deformed CAG.
+        return rows
 
     def primary_path(self) -> List[Edge]:
         """The causal chain used for latency accounting.
@@ -459,16 +550,11 @@ class CAG:
         and is what Section 3.2 uses to attribute latency to components
         and to interactions.
         """
-        primary_edges: List[Edge] = []
-        for vertex in self._vertices[1:]:
-            parent_edges = self._parents[id(vertex)]
-            if not parent_edges:
-                # Disconnected vertex (should not happen with a correct
-                # engine); skip rather than crash analysis of a deformed CAG.
-                continue
-            message_edges = [e for e in parent_edges if e.kind == MESSAGE_EDGE]
-            primary_edges.append(message_edges[0] if message_edges else parent_edges[0])
-        return primary_edges
+        vertices = self._vertices
+        return [
+            Edge(vertices[parent], vertices[position], kind)
+            for position, parent, kind in self.primary_positions()
+        ]
 
     def is_deformed(self) -> bool:
         """A deformed CAG misses activities (e.g. the END), has
@@ -478,11 +564,11 @@ class CAG:
         closing), in which case no causal order exists to analyse."""
         if not self.finished:
             return True
-        for vertex in self._vertices[1:]:
-            if not self._parents[id(vertex)]:
+        for position in range(1, len(self._vertices)):
+            if self._context_parent[position] < 0 and self._message_parent[position] < 0:
                 return True
         try:
-            self.topological_order()
+            self.topological_positions()
         except CAGError:
             return True
         return False
@@ -491,28 +577,27 @@ class CAG:
 
     def validate(self) -> None:
         """Check all structural invariants; raise :class:`CAGError` if any
-        is violated.  Used heavily by the property-based tests."""
-        for vertex in self._vertices:
-            parent_edges = self._parents[id(vertex)]
-            if len(parent_edges) > 2:
-                raise CAGError("vertex with more than two parents")
-            if len(parent_edges) == 2:
+        is violated.  Used heavily by the property-based tests.
+
+        The columns cannot represent a third parent or two parents under
+        one relation, so what is left to check is what they can hold."""
+        vertices = self._vertices
+        for vertex, context, message in zip(
+            vertices, self._context_parent, self._message_parent
+        ):
+            if context >= 0 and message >= 0:
                 if vertex.type is not ActivityType.RECEIVE:
                     raise CAGError("non-RECEIVE vertex with two parents")
-                kinds = {edge.kind for edge in parent_edges}
-                if kinds != {CONTEXT_EDGE, MESSAGE_EDGE}:
-                    raise CAGError("two parents must be one context + one message")
-            for edge in parent_edges:
-                if edge.kind == MESSAGE_EDGE:
-                    if not edge.parent.type.is_send_like:
-                        raise CAGError("message edge parent must be send-like")
-                    if not vertex.type.is_receive_like:
-                        raise CAGError("message edge child must be receive-like")
-                if edge.kind == CONTEXT_EDGE:
-                    if edge.parent.context_key != vertex.context_key:
-                        raise CAGError("context edge across different contexts")
+            if message >= 0:
+                if not vertices[message].type.is_send_like:
+                    raise CAGError("message edge parent must be send-like")
+                if not vertex.type.is_receive_like:
+                    raise CAGError("message edge child must be receive-like")
+            if context >= 0:
+                if vertices[context].context_key != vertex.context_key:
+                    raise CAGError("context edge across different contexts")
         # acyclicity (raises on cycle)
-        self.topological_order()
+        self.topological_positions()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "finished" if self.finished else "open"

@@ -66,6 +66,8 @@ class KeyInterner:
         "_message_tuples",
         "_node_ids",
         "_nodes",
+        "_component_ids",
+        "_context_components",
     )
 
     def __init__(self) -> None:
@@ -79,6 +81,12 @@ class KeyInterner:
         self._message_tuples: List[MessageTuple] = []
         self._node_ids: Dict[str, int] = {}
         self._nodes: List[str] = []
+        # Component ids: derived lazily from the context tables, so they
+        # are a pure function of ``(hostname, program)`` first-use order,
+        # stay valid across ``install`` (which only appends contexts) and
+        # are never part of a snapshot.
+        self._component_ids: Dict[Tuple[str, str], int] = {}
+        self._context_components: Dict[int, int] = {}
 
     # -- interning ----------------------------------------------------------
 
@@ -127,6 +135,21 @@ class KeyInterner:
                 self._nodes.append(hostname)
                 self._node_ids[hostname] = nid
         return nid
+
+    def component_of(self, cid: int) -> int:
+        """Dense id of the ``(hostname, program)`` component an interned
+        context belongs to -- the identity pattern isomorphism compares
+        (Section 3.2 ignores pid and tid).  Hot callers read
+        ``_context_components`` directly and come here on a miss."""
+        with self._lock:
+            component = self._context_components.get(cid)
+            if component is None:
+                hostname, program, _pid, _tid = self._context_tuples[cid]
+                component = self._component_ids.setdefault(
+                    (hostname, program), len(self._component_ids)
+                )
+                self._context_components[cid] = component
+        return component
 
     # -- resolving ----------------------------------------------------------
 

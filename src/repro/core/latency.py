@@ -16,9 +16,11 @@ accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .activity import Activity
 from .cag import CAG, Edge
+from .shapes import PathRow, plan_for
 
 
 def component_label(program: str) -> str:
@@ -37,8 +39,12 @@ def segment_label(edge: Edge) -> str:
     * context edge inside program P  ->  ``P2P``      (component latency)
     * message edge from P to Q       ->  ``P2Q``      (interaction latency)
     """
-    parent_program = component_label(edge.parent.context.program)
-    child_program = component_label(edge.child.context.program)
+    return _label(edge.parent, edge.child)
+
+
+def _label(parent: Activity, child: Activity) -> str:
+    parent_program = component_label(parent.context.program)
+    child_program = component_label(child.context.program)
     return f"{parent_program}2{child_program}"
 
 
@@ -107,23 +113,42 @@ def breakdown_for_cag(cag: CAG) -> LatencyBreakdown:
 
 def _segments_for_cag(cag: CAG) -> Dict[str, float]:
     """The memoised label -> seconds map behind :func:`breakdown_for_cag`
-    (shared, so read-only for callers)."""
+    (shared, so read-only for callers).
+
+    Which edges form the primary path, and what each is labelled, is the
+    same for every CAG of one shape, so it is read from the shape's plan
+    (:mod:`repro.core.shapes`) and only the timestamps are this CAG's."""
     memo = cag.analysis
     segments = memo.segments
     if segments is None:
+        plan = plan_for(cag)
+        path = plan.path if plan is not None else None
+        if path is None:
+            path = _path_rows(cag)
+            if plan is not None:
+                plan.path = path
+        timestamps = [vertex.timestamp for vertex in cag.vertices]
         segments = {}
-        for edge in cag.primary_path():
-            latency = edge.latency()
+        for child, parent, label in path:
+            latency = timestamps[child] - timestamps[parent]
             if latency < 0:
                 # A negative value can only come from clock skew on a
                 # message edge; clamp at zero so a skewed pair cannot
                 # produce negative percentages (the paper accepts this
                 # imprecision).
                 latency = 0.0
-            label = segment_label(edge)
             segments[label] = segments.get(label, 0.0) + latency
         memo.segments = segments
     return segments
+
+
+def _path_rows(cag: CAG) -> Tuple[PathRow, ...]:
+    """The primary path as positions plus each step's segment label."""
+    vertices = cag.vertices
+    return tuple(
+        (child, parent, _label(vertices[parent], vertices[child]))
+        for child, parent, _kind in cag.primary_positions()
+    )
 
 
 def average_breakdown(cags: Sequence[CAG]) -> LatencyBreakdown:

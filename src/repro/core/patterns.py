@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cag import CAG, CAGError
+from .cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from .latency import LatencyBreakdown, average_breakdown, average_duration
+from .shapes import ShapePlan, plan_for, vertex_codes
 
 #: Vertex fingerprint: (activity type name, hostname, program).
 VertexSig = Tuple[str, str, str]
@@ -28,6 +29,10 @@ VertexSig = Tuple[str, str, str]
 EdgeSig = Tuple[str, int, int]
 #: Full pattern signature.
 Signature = Tuple[Tuple[VertexSig, ...], Tuple[EdgeSig, ...]]
+
+
+def _vertex_sig(vertex) -> VertexSig:
+    return (vertex.type.name, vertex.context.hostname, vertex.context.program)
 
 
 def _signature_tie_key(vertex) -> Tuple[str, str, str, float]:
@@ -46,12 +51,7 @@ def _signature_tie_key(vertex) -> Tuple[str, str, str, float]:
     by arrival, so such CAGs canonicalise per interleaving, not per
     abstract graph shape.
     """
-    return (
-        vertex.type.name,
-        vertex.context.hostname,
-        vertex.context.program,
-        vertex.timestamp,
-    )
+    return (*_vertex_sig(vertex), vertex.timestamp)
 
 
 #: One shared tuple per distinct pattern (a handful per service, so the
@@ -72,32 +72,77 @@ def cag_signature(cag: CAG) -> Signature:
     of their endpoints in that order.  Two CAGs with the same signature
     are isomorphic in the paper's sense.
 
-    Derived once per CAG structure (see :class:`~repro.core.cag.
-    AnalysisMemo`) and interned.  A cyclic CAG has no topological order:
+    Compiled once per *shape* (see :mod:`repro.core.shapes`): the first
+    CAG of a labelled structure derives the signature and, when no
+    timestamp decided its order, leaves it on the shape's plan, where
+    every later CAG of that structure reads it.  A shape whose order a
+    timestamp did decide -- two same-fingerprint vertices ready at once
+    -- is marked on its plan and each of its CAGs is derived on its own,
+    as is a CAG that finds the shape table full.  Either way the result
+    is interned and remembered on the CAG (:class:`~repro.core.cag.
+    AnalysisMemo`).  A cyclic CAG has no topological order:
     :class:`~repro.core.cag.CAGError` propagates and nothing is cached.
     """
     memo = cag.analysis
     signature = memo.signature
     if signature is None:
-        derived = _derive_signature(cag)
-        signature = memo.signature = _INTERNED.setdefault(derived, derived)
+        plan = plan_for(cag)
+        if plan is not None:
+            signature = plan.signature
+        if signature is None:
+            derived, timestamp_decided = _derive_signature(cag)
+            signature = _INTERNED.setdefault(derived, derived)
+            if plan is not None:
+                if timestamp_decided:
+                    plan.timestamp_decided = True
+                else:
+                    plan.signature = signature
+        memo.signature = signature
     return signature
 
 
-def _derive_signature(cag: CAG) -> Signature:
-    order = cag.topological_order(tie_key=_signature_tie_key)
-    position = {id(vertex): index for index, vertex in enumerate(order)}
-    vertex_sigs: Tuple[VertexSig, ...] = tuple(
-        (vertex.type.name, vertex.context.hostname, vertex.context.program)
-        for vertex in order
-    )
-    edge_sigs = tuple(
-        sorted(
-            (edge.kind, position[id(edge.parent)], position[id(edge.child)])
-            for edge in cag.edges
-        )
-    )
-    return (vertex_sigs, edge_sigs)
+def _derive_signature(cag: CAG) -> Tuple[Signature, bool]:
+    """One CAG's signature, and whether a timestamp decided its order."""
+    order = cag.topological_positions(tie_key=_signature_tie_key)
+    rank = [0] * len(order)
+    for index, position in enumerate(order):
+        rank[position] = index
+    vertices = cag.vertices
+    vertex_sigs = tuple(_vertex_sig(vertices[position]) for position in order)
+    edge_sigs: List[EdgeSig] = []
+    for kind, column in zip((CONTEXT_EDGE, MESSAGE_EDGE), cag.parent_columns):
+        for child, parent in enumerate(column):
+            if parent >= 0:
+                edge_sigs.append((kind, rank[parent], rank[child]))
+    edge_sigs.sort()
+    return (vertex_sigs, tuple(edge_sigs)), _timestamp_decided(cag, order, rank)
+
+
+def _timestamp_decided(cag: CAG, order: List[int], rank: List[int]) -> bool:
+    """Whether two same-fingerprint vertices were ever ready at once while
+    ``order`` was read off -- the one case where the tie-break reaches the
+    timestamp, so the order is a property of this CAG, not of its shape.
+
+    A vertex is ready from the pop of its last parent until its own pop.
+    Of the same-fingerprint vertices popped before it, the latest one is
+    the likeliest to have overlapped with it, so comparing each vertex
+    with the previous one of its fingerprint is enough: they were ready
+    together exactly when this one already was at that pop.
+    """
+    codes = vertex_codes(cag.vertices)
+    context_parents, message_parents = cag.parent_columns
+    last_pop: Dict[int, int] = {}
+    for index, position in enumerate(order):
+        previous = last_pop.get(codes[position])
+        if previous is not None:
+            ready_at = -1
+            for parent in (context_parents[position], message_parents[position]):
+                if parent >= 0 and rank[parent] > ready_at:
+                    ready_at = rank[parent]
+            if ready_at < previous:
+                return True
+        last_pop[codes[position]] = index
+    return False
 
 
 @dataclass
@@ -155,9 +200,14 @@ class PatternClassifier:
         self._patterns: Dict[Signature, PathPattern] = {}
         #: CAGs :meth:`add_all` skipped because they contain a cycle
         self.deformed: int = 0
+        # How many classified CAGs resolved to each shape plan (``None``:
+        # the shape table was full).
+        self._plan_uses: Dict[Optional[ShapePlan], int] = {}
 
     def add(self, cag: CAG) -> PathPattern:
         signature = cag_signature(cag)
+        plan = cag.analysis.plan
+        self._plan_uses[plan] = self._plan_uses.get(plan, 0) + 1
         pattern = self._patterns.get(signature)
         if pattern is None:
             pattern = PathPattern(signature=signature)
@@ -194,6 +244,29 @@ class PatternClassifier:
     def most_frequent(self) -> Optional[PathPattern]:
         patterns = self.patterns
         return patterns[0] if patterns else None
+
+    def shape_counts(self) -> Dict[str, int]:
+        """How the classified CAGs got their signature -- "did my workload
+        repeat shapes" without a debugger.
+
+        ``shapes`` counts the distinct shape plans they resolved to: one
+        structural compile each per process.  ``plan_hits`` counts the
+        CAGs that read their signature off a plan instead (every CAG of a
+        cacheable shape but its first), ``timestamp_decided`` the CAGs of
+        shapes whose order a timestamp decided and ``table_full`` the CAGs
+        that found no plan at all -- those two kinds were derived one CAG
+        at a time.
+        """
+        uses = dict(self._plan_uses)
+        table_full = uses.pop(None, 0)
+        decided = sum(count for plan, count in uses.items() if plan.timestamp_decided)
+        cacheable = sum(1 for plan in uses if not plan.timestamp_decided)
+        return {
+            "shapes": len(uses),
+            "plan_hits": sum(uses.values()) - decided - cacheable,
+            "timestamp_decided": decided,
+            "table_full": table_full,
+        }
 
     def __len__(self) -> int:
         return len(self._patterns)

@@ -53,6 +53,7 @@ class TraceResult:
         default=None, repr=False, compare=False
     )
     _deformed_paths: int = field(default=0, repr=False, compare=False)
+    _shape_counts: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     # -- CAG access ---------------------------------------------------------
 
@@ -89,6 +90,7 @@ class TraceResult:
             classifier.add_all(self.cags)
             self._patterns = classifier.patterns
             self._deformed_paths = classifier.deformed
+            self._shape_counts = classifier.shape_counts()
         return self._patterns
 
     @property
@@ -97,6 +99,14 @@ class TraceResult:
         not a DAG (a cycle has no causal order to classify)."""
         self.patterns()
         return self._deformed_paths
+
+    @property
+    def shape_counts(self) -> Dict[str, int]:
+        """How :meth:`patterns` got its signatures: distinct shapes
+        compiled, plan hits and the two per-CAG fallbacks (see
+        :meth:`~repro.core.patterns.PatternClassifier.shape_counts`)."""
+        self.patterns()
+        return dict(self._shape_counts)
 
     def dominant_pattern(self) -> Optional[PathPattern]:
         patterns = self.patterns()

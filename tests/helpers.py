@@ -15,6 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
+from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
+from repro.core.latency import segment_label
 from repro.services.rubis.client import WorkloadStages
 from repro.services.rubis.deployment import RubisConfig
 
@@ -238,3 +240,97 @@ class SyntheticTrace:
     def _next_port(self) -> int:
         self._ports += 1
         return self._ports
+
+
+def cyclic_cag() -> CAG:
+    """A finished three-vertex cycle: every ``add_edge`` check is local,
+    so nothing stops the last edge from closing the loop."""
+
+    def vertex(kind, timestamp, host, program, tid):
+        return Activity(
+            type=kind,
+            timestamp=timestamp,
+            context=ContextId(host, program, tid, tid),
+            message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
+        )
+
+    begin = vertex(ActivityType.BEGIN, 1.0, "web", "httpd", 1)
+    send = vertex(ActivityType.SEND, 1.1, "web", "httpd", 1)
+    receive = vertex(ActivityType.RECEIVE, 1.2, "app", "java", 2)
+    cag = CAG(root=begin)
+    cag.append(send, begin, CONTEXT_EDGE)
+    cag.append(receive, send, MESSAGE_EDGE)
+    cag.add_edge(receive, begin, CONTEXT_EDGE)
+    cag.finish()
+    return cag
+
+
+# -- reference derivations -------------------------------------------------------
+#
+# The per-CAG walks the analysis layer ran before it compiled shapes (and,
+# for the order, before the ready set became a heap), frozen here as what
+# the plan-derived values are compared against.  They read the CAG only
+# through its edge-view API, never through its columns.
+
+
+def sort_based_topological_order(cag, tie_key=None):
+    """Kahn's algorithm with the whole ready list re-sorted (and re-keyed)
+    on every push -- what ``CAG.topological_order`` did before its ready
+    set became a heap."""
+    vertices = list(cag.vertices)
+    order_index = {id(vertex): i for i, vertex in enumerate(vertices)}
+    if tie_key is None:
+        key = lambda v: order_index[id(v)]  # noqa: E731
+    else:
+        key = lambda v: (tie_key(v), order_index[id(v)])  # noqa: E731
+    indegree = {id(vertex): len(cag.parents_of(vertex)) for vertex in vertices}
+    ready = sorted((v for v in vertices if indegree[id(v)] == 0), key=key)
+    result = []
+    while ready:
+        vertex = ready.pop(0)
+        result.append(vertex)
+        for edge in cag.children_of(vertex):
+            indegree[id(edge.child)] -= 1
+            if indegree[id(edge.child)] == 0:
+                ready.append(edge.child)
+                ready.sort(key=key)
+    if len(result) != len(vertices):
+        raise CAGError("CAG contains a cycle")
+    return result
+
+
+def reference_signature(cag):
+    """One CAG's pattern signature, derived on its own: canonical order by
+    (type, hostname, program, timestamp, insertion index), edges by the
+    positions of their endpoints in that order."""
+
+    def tie_key(vertex):
+        context = vertex.context
+        return (vertex.type.name, context.hostname, context.program, vertex.timestamp)
+
+    order = sort_based_topological_order(cag, tie_key)
+    position = {id(vertex): index for index, vertex in enumerate(order)}
+    vertex_sigs = tuple(
+        (vertex.type.name, vertex.context.hostname, vertex.context.program) for vertex in order
+    )
+    edge_sigs = tuple(
+        sorted(
+            (edge.kind, position[id(edge.parent)], position[id(edge.child)])
+            for edge in cag.edges
+        )
+    )
+    return (vertex_sigs, edge_sigs)
+
+
+def reference_segments(cag):
+    """One CAG's label -> seconds map, walked edge by edge along its own
+    primary path (compare with ``list(d.items())``: label order and every
+    float are part of the contract, the store digests hash both)."""
+    segments = {}
+    for edge in cag.primary_path():
+        latency = edge.latency()
+        if latency < 0:
+            latency = 0.0
+        label = segment_label(edge)
+        segments[label] = segments.get(label, 0.0) + latency
+    return segments

@@ -1,9 +1,13 @@
 """Unit tests for the Component Activity Graph abstraction."""
 
+import gc
+import pickle
+
 import pytest
 
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
-from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
+from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, Edge, MESSAGE_EDGE
+from repro.core.correlator import Correlator
 
 
 def activity(activity_type, timestamp, host="web", program="httpd", pid=1, tid=1, rid=None):
@@ -51,8 +55,9 @@ class TestConstruction:
         begin = activity(ActivityType.BEGIN, 1.0)
         send = activity(ActivityType.SEND, 1.1)
         cag = CAG(root=begin)
-        edge = cag.append(send, begin, CONTEXT_EDGE)
+        assert cag.append(send, begin, CONTEXT_EDGE) is None
         assert len(cag) == 2
+        (edge,) = cag.edges
         assert edge.parent is begin and edge.child is send
         assert edge.kind == CONTEXT_EDGE
 
@@ -239,3 +244,92 @@ class TestOrderingAndPaths:
         cag.append(receive, begin, MESSAGE_EDGE)  # BEGIN is receive-like: invalid message parent
         with pytest.raises(CAGError):
             cag.validate()
+
+
+def owned_tracked_objects(cag):
+    """Every collector-tracked object reachable from the CAG that is its
+    own bookkeeping: the walk stops at the member activities (the trace
+    owns those) and at classes."""
+    skip = {id(vertex) for vertex in cag.vertices}
+    owned = []
+    stack = [cag]
+    while stack:
+        for referent in gc.get_referents(stack.pop()):
+            if id(referent) in skip or isinstance(referent, type):
+                continue
+            skip.add(id(referent))
+            stack.append(referent)
+            if gc.is_tracked(referent):
+                owned.append(referent)
+    return owned
+
+
+class TestColumnarStorage:
+    def test_finished_rubis_cag_owns_no_per_vertex_object(self, tiny_run):
+        """The Fig. 11 guard, counted rather than timed: structure is the
+        vertex list plus three packed columns whatever the request's size
+        -- no parents map, no per-vertex list, no ``Edge``."""
+        finished = Correlator(window=0.010).correlate(tiny_run.activities()).cags
+        small, large = min(finished, key=len), max(finished, key=len)
+        assert len(small) < 24 <= len(large)
+        for cag in (small, large):
+            assert cag.finished and len(cag.edges) >= len(cag) - 1
+            owned = owned_tracked_objects(cag)
+            assert len(owned) <= 4, owned
+            assert not any(isinstance(item, (Edge, dict, tuple)) for item in owned)
+            assert sum(isinstance(item, list) for item in owned) == 1
+
+    def test_position_index_is_dropped_at_finish_and_rebuilt_on_demand(self):
+        cag, vertices = simple_chain()
+        assert cag._index is not None
+        cag.finish()
+        assert cag._index is None
+        assert len(cag) == 6 and cag.primary_path() and not cag.is_deformed()
+        assert cag._index is None  # positional reads never need it
+        assert vertices[3] in cag and activity(ActivityType.SEND, 9.9) not in cag
+        assert cag._index is not None
+        assert cag.context_parent(vertices[4]) is vertices[1]
+
+    def test_views_keep_insertion_order_across_a_splice(self):
+        begin = activity(ActivityType.BEGIN, 1.0)
+        send = activity(ActivityType.SEND, 1.3)
+        upstream = activity(ActivityType.SEND, 1.05, host="app", program="java", pid=2, tid=2)
+        late = activity(ActivityType.RECEIVE, 1.1)
+        cag = CAG(root=begin)
+        cag.append(send, begin, CONTEXT_EDGE)
+        cag.append(upstream, begin, MESSAGE_EDGE)
+        cag.append(late, upstream, MESSAGE_EDGE)
+        cag.splice_context_vertex(begin, send, late)
+        assert [(e.parent, e.child, e.kind) for e in cag.edges] == [
+            (begin, upstream, MESSAGE_EDGE),
+            (upstream, late, MESSAGE_EDGE),
+            (begin, late, CONTEXT_EDGE),
+            (late, send, CONTEXT_EDGE),
+        ]
+        assert [e.kind for e in cag.parents_of(late)] == [MESSAGE_EDGE, CONTEXT_EDGE]
+        assert [e.child for e in cag.children_of(begin)] == [upstream, late]
+        assert cag.parents_of(activity(ActivityType.SEND, 9.9)) == []
+        with pytest.raises(CAGError, match="already has a context parent"):
+            cag.splice_context_vertex(begin, send, late)
+        with pytest.raises(CAGError, match="no context edge"):
+            cag.splice_context_vertex(begin, send, upstream)
+
+    @pytest.mark.parametrize("finished", [False, True], ids=["open", "finished"])
+    def test_pickled_state_is_positional_and_revives_whole(self, finished):
+        cag, vertices = simple_chain()
+        if finished:
+            cag.finish()
+        state = cag.__getstate__()
+        assert "root" not in state and "index" not in "".join(state)
+        revived = pickle.loads(pickle.dumps(cag))
+        assert revived.root is revived.vertices[0] and revived.root == cag.root
+        assert revived.cag_id == cag.cag_id and revived.finished is finished
+        assert [(e.parent, e.child, e.kind) for e in revived.edges] == [
+            (e.parent, e.child, e.kind) for e in cag.edges
+        ]
+        revived.validate()
+        if not finished:
+            # An open CAG revived from a checkpoint keeps growing.
+            tail = activity(ActivityType.SEND, 1.6)
+            revived.append(tail, revived.vertices[-1], CONTEXT_EDGE)
+            assert revived.context_parent(tail) == vertices[-1]

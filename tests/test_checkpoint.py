@@ -22,7 +22,9 @@ import textwrap
 
 import pytest
 
-from repro.core.interning import ActivityTable
+from repro.core.activity import Activity, ActivityType, ContextId, MessageId
+from repro.core.cag import CAG
+from repro.core.interning import INTERNER, ActivityTable
 from repro.pipeline import result_digest
 from repro.stream import StreamingCorrelator, load_checkpoint, save_checkpoint
 from repro.stream.checkpoint import MAGIC, VERSION
@@ -172,7 +174,6 @@ class TestCheckpointFileContract:
         """A version-1 blob names classes that no longer exist; the only
         way such a file may fail is the version check, not an import
         error from inside ``pickle.loads``."""
-        assert VERSION == 2
         blob = b"crepro.stream.ranker\nStreamingRanker\n."
         with pytest.raises(ModuleNotFoundError):
             pickle.loads(blob)
@@ -191,6 +192,51 @@ class TestCheckpointFileContract:
             )
         )
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(str(path))
+
+    def test_version_2_file_fails_typed_not_with_a_keyerror_from_setstate(self, tmp_path):
+        """Version 2 pickled each CAG as edge objects and a positional
+        parents map; the columnar ``CAG.__setstate__`` cannot read that
+        state, so the version check has to refuse the file first."""
+        assert VERSION == 3
+        root = Activity(
+            type=ActivityType.BEGIN,
+            timestamp=1.0,
+            context=ContextId("web", "httpd", 1, 1),
+            message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
+        )
+        version_2_state = {
+            "cag_id": 0,
+            "root": root,
+            "vertices": [root],
+            "edges": [],
+            "parents": {0: []},
+            "finished": False,
+            "newest_timestamp": 1.0,
+        }
+
+        class Version2CAG:
+            def __reduce__(self):
+                return (object.__new__, (CAG,), version_2_state)
+
+        blob = pickle.dumps(Version2CAG())
+        with pytest.raises(KeyError):
+            pickle.loads(blob)
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 2,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "interner": INTERNER.snapshot(),
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(str(path))
 
     def test_corrupted_engine_blob_is_rejected(self, tmp_path):

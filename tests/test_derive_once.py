@@ -1,12 +1,15 @@
-"""Each CAG is derived once: one signature, one breakdown, one store row.
+"""Each shape is compiled once, each CAG stored once.
 
 The analysis consumers of a finished request -- the pattern classifier,
 the ranked latency report, the summary JSON, the trace store, the CAG
-export -- all answer from one per-CAG memo.  These tests pin the three
-things that makes safe: the derivations really happen once per request
-through a whole pipeline run, the memo never outlives the structure it
-was derived from (mutation, pickling), and a CAG that cannot be derived
-at all (a cycle) is skipped and counted instead of aborting the run.
+export -- all answer from one per-CAG memo, and the structural work
+behind it (the canonical sort, the primary-path walk) happens once per
+distinct *shape*, on a plan every CAG of that shape shares.  These tests
+pin the three things that makes safe: the walks really happen once per
+shape and the ingest once per request through a whole pipeline run, the
+memo never outlives the structure it was derived from (mutation,
+pickling), and a CAG that cannot be derived at all (a cycle) is skipped
+and counted instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import SyntheticTrace, tiny_config
+from helpers import SyntheticTrace, cyclic_cag, tiny_config
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.correlator import Correlator
@@ -66,20 +69,6 @@ def chain():
     return cag, [begin, send, receive, reply, back, end]
 
 
-def cyclic_cag():
-    """A finished three-vertex cycle: every ``add_edge`` check is local,
-    so nothing stops the last edge from closing the loop."""
-    begin = activity(ActivityType.BEGIN, 1.0)
-    send = activity(ActivityType.SEND, 1.1)
-    receive = activity(ActivityType.RECEIVE, 1.2, host="app", program="java", pid=2, tid=2)
-    cag = CAG(root=begin)
-    cag.append(send, begin, CONTEXT_EDGE)
-    cag.append(receive, send, MESSAGE_EDGE)
-    cag.add_edge(receive, begin, CONTEXT_EDGE)
-    cag.finish()
-    return cag
-
-
 @pytest.fixture()
 def counted(monkeypatch):
     """Call counters around the two graph walks and the store's ingest."""
@@ -94,8 +83,8 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    count(CAG, "topological_order")
-    count(CAG, "primary_path")
+    count(CAG, "topological_positions")
+    count(CAG, "primary_positions")
     count(TraceStore, "ingest_cag")
     return calls
 
@@ -140,21 +129,29 @@ class TestDeriveOnce:
     )
     @pytest.mark.parametrize("source_kind", ["simulation", "logs"])
     def test_one_walk_and_one_ingest_per_finished_cag(
-        self, backend, source_kind, rubis_source, rubis_logs, tmp_path, counted
+        self, backend, source_kind, rubis_source, rubis_logs, tmp_path, counted, fresh_shape_table
     ):
         source = rubis_source if source_kind == "simulation" else rubis_logs
         session = full_pipeline(source, backend, tmp_path).run()
         finished = len(session.cags)
         assert finished > 20
+        shapes = len(fresh_shape_table)
+        assert 0 < shapes < finished / 4
         assert counted == {
-            "topological_order": finished,
-            "primary_path": finished,
+            "topological_positions": shapes,
+            "primary_positions": shapes,
             "ingest_cag": finished,
         }
         with TraceStore.open(tmp_path / "store.sqlite") as store:
             assert store.run_row("r")["requests"] == finished
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["requests"] == finished and summary["deformed_paths"] == 0
+        assert summary["shape_plans"] == {
+            "shapes": shapes,
+            "plan_hits": finished - shapes,
+            "timestamp_decided": 0,
+            "table_full": 0,
+        }
 
     def test_correlate_only_callers_pay_for_no_analysis(self, rubis_source, counted):
         result = BackendSpec.batch().correlate(rubis_source.activities())
@@ -165,9 +162,9 @@ class TestDeriveOnce:
         trace = BackendSpec.batch().trace(rubis_source.activities())
         pattern = trace.patterns()[0]
         first = pattern.average_path()
-        walks = counted["primary_path"]
+        walks = counted["primary_positions"]
         second = pattern.average_path()
-        assert counted["primary_path"] == walks
+        assert counted["primary_positions"] == walks
         assert first is not second and first.segments == second.segments
         # Averaged over the current members: a grown pattern re-averages.
         pattern.cags.append(pattern.cags[0])
@@ -204,6 +201,7 @@ class TestDeriveOnce:
             store_module.git_describe.cache_clear()
 
 
+@pytest.mark.usefixtures("fresh_shape_table")
 class TestMemoSafety:
     def test_signature_is_interned_one_object_per_pattern(self):
         first, _ = chain()
@@ -292,7 +290,7 @@ class TestMemoSafety:
         cag, _ = chain()
         breakdown_for_cag(cag)
         exported = cag_to_dict(cag)
-        assert counted["primary_path"] == 1
+        assert counted["primary_positions"] == 1
         assert exported["segments"] == breakdown_for_cag(cag).as_dict()
 
 

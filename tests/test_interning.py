@@ -145,6 +145,23 @@ class TestSnapshot:
         worker.install(parent.snapshot())  # prefix-extends
         assert worker.snapshot() == parent.snapshot()
 
+    def test_component_ids_ignore_pid_and_tid_and_survive_install(self):
+        interner = KeyInterner()
+        worker_a = interner.intern_context(ContextId("app", "java", 1, 1))
+        database = interner.intern_context(ContextId("db", "mysqld", 2, 2))
+        worker_b = interner.intern_context(ContextId("app", "java", 1, 7))
+        # Asked for out of interning order: ids are first-asked, per component.
+        assert interner.component_of(database) == 0
+        assert interner.component_of(worker_a) == interner.component_of(worker_b) == 1
+        snapshot = interner.snapshot()
+        assert set(snapshot) == {"contexts", "messages", "nodes"}  # never shipped
+        snapshot["contexts"].append(("app", "java", 9, 9))
+        snapshot["contexts"].append(("cache", "memcached", 3, 3))
+        interner.install(snapshot)
+        assert interner.component_of(database) == 0
+        assert interner.component_of(3) == 1
+        assert interner.component_of(4) == 2
+
     def test_install_rejects_conflicting_assignment(self):
         parent = self._populated()
         worker = KeyInterner()

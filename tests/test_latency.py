@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import SyntheticTrace
+from helpers import SyntheticTrace, reference_segments
 from repro.core.correlator import Correlator
 from repro.core.latency import (
     LatencyBreakdown,
@@ -82,6 +82,29 @@ class TestSegmentLabels:
         result = Correlator(window=1.0).correlate(trace.activities)
         breakdown = breakdown_for_cag(result.cags[0])
         assert all(value >= 0 for value in breakdown.segments.values())
+
+    def test_one_plan_serves_a_skewed_and_an_unskewed_request_of_its_shape(
+        self, fresh_shape_table
+    ):
+        """The plan carries positions and labels only; the clamp and the
+        sums are each request's own, float for float and label order too."""
+        cags = []
+        for skews in ({}, {"app": 0.5, "db": -0.5}):
+            trace = SyntheticTrace(skews=skews)
+            trace.three_tier_request(request_id=1, start=1.0, db_queries=1)
+            cags += Correlator(window=1.0).correlate(trace.activities).cags
+        plain, skewed = cags
+        for cag in cags:
+            assert list(breakdown_for_cag(cag).segments.items()) == list(
+                reference_segments(cag).items()
+            )
+        assert len(fresh_shape_table) == 1
+        assert plain.analysis.plan is skewed.analysis.plan
+        assert [label for _child, _parent, label in plain.analysis.plan.path] == [
+            segment_label(edge) for edge in skewed.primary_path()
+        ]
+        assert breakdown_for_cag(skewed).segments["java2httpd"] == 0.0
+        assert breakdown_for_cag(plain).segments["java2httpd"] > 0.0
 
 
 class TestAverages:

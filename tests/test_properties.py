@@ -3,14 +3,19 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import SyntheticTrace
+from helpers import (
+    SyntheticTrace,
+    reference_segments,
+    reference_signature,
+    sort_based_topological_order,
+)
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.correlator import Correlator
 from repro.core.latency import LatencyBreakdown, breakdown_for_cag
 from repro.core.log_format import RawRecord, format_record, parse_record
-from repro.core.patterns import _signature_tie_key, cag_signature
+from repro.core.patterns import _INTERNED, _signature_tie_key, cag_signature
 from repro.sim.network import SegmentationPolicy
 from repro.topology.generator import entity_exclusive_step
 
@@ -178,13 +183,14 @@ def fanout_join_cags(draw):
     """A frontend that fans out to ``width`` workers per stage and joins
     their replies, with vertices and edges inserted in a drawn order.
 
-    Timestamps and worker programs come from small pools, so concurrent
-    branches tie on the signature key and the insertion index has to
-    break the tie; the insertion order is not topological, so the ready
-    set really is a set.
+    Timestamps, worker hosts and worker programs come from small pools,
+    so concurrent branches share fingerprints and tie on the signature
+    key, down to the timestamp and the insertion index; the insertion
+    order is not topological, so the ready set really is a set.
     """
     stamps = st.sampled_from([1.0, 1.5, 2.0])
     programs = st.sampled_from(["java", "mysqld"])
+    hosts = st.sampled_from(["worker0", "worker1"])  # after "web": replies overlap
 
     def vertex(kind, host, program, tid):
         return Activity(
@@ -200,7 +206,7 @@ def fanout_join_cags(draw):
     for stage in range(draw(st.integers(1, 3))):
         replies = []
         for branch in range(draw(st.integers(1, 4))):
-            worker = (f"w{branch}", draw(programs), 10 * stage + branch)
+            worker = (draw(hosts), draw(programs), 10 * stage + branch)
             send = vertex(ActivityType.SEND, "web", "httpd", 1)
             receive = vertex(ActivityType.RECEIVE, *worker)
             reply = vertex(ActivityType.SEND, *worker)
@@ -229,30 +235,6 @@ def fanout_join_cags(draw):
     return cag
 
 
-def sort_based_topological_order(cag, tie_key=None):
-    """The reference: Kahn's algorithm with the whole ready list re-sorted
-    (and re-keyed) on every push -- what ``CAG.topological_order`` did
-    before its ready set became a heap."""
-    vertices = list(cag.vertices)
-    order_index = {id(vertex): i for i, vertex in enumerate(vertices)}
-    if tie_key is None:
-        key = lambda v: order_index[id(v)]  # noqa: E731
-    else:
-        key = lambda v: (tie_key(v), order_index[id(v)])  # noqa: E731
-    indegree = {id(vertex): len(cag.parents_of(vertex)) for vertex in vertices}
-    ready = sorted((v for v in vertices if indegree[id(v)] == 0), key=key)
-    result = []
-    while ready:
-        vertex = ready.pop(0)
-        result.append(vertex)
-        for edge in cag.children_of(vertex):
-            indegree[id(edge.child)] -= 1
-            if indegree[id(edge.child)] == 0:
-                ready.append(edge.child)
-                ready.sort(key=key)
-    return result
-
-
 class TestTopologicalOrderProperties:
     @given(cag=fanout_join_cags())
     @settings(max_examples=150, **COMMON)
@@ -267,3 +249,49 @@ class TestTopologicalOrderProperties:
                 position[id(edge.parent)] < position[id(edge.child)]
                 for edge in cag.edges
             )
+
+
+def retimed_twin(cag, stamps):
+    """The same labelled structure built in the same order -- so the same
+    shape key -- with every timestamp replaced."""
+    originals = cag.vertices
+    clones = [
+        Activity(type=v.type, timestamp=stamp, context=v.context, message=v.message)
+        for v, stamp in zip(originals, stamps)
+    ]
+    position = {id(vertex): index for index, vertex in enumerate(originals)}
+    twin = CAG(root=clones[0])
+    for clone in clones[1:]:
+        twin.add_vertex(clone)
+    for edge in cag.edges:
+        parent, child = clones[position[id(edge.parent)]], clones[position[id(edge.child)]]
+        twin.add_edge(parent, child, edge.kind)
+    return twin
+
+
+class TestShapePlanProperties:
+    @given(cag=fanout_join_cags(), data=st.data())
+    @settings(max_examples=150, **COMMON)
+    def test_plan_derived_values_equal_the_per_cag_reference(self, cag, data):
+        """Same-fingerprint branches with tied timestamps are the common
+        case here, so this is mostly the timestamp-decided guard at work:
+        a twin with other timestamps shares the plan and must still get
+        the signature its own timestamps give it."""
+        stamps = data.draw(
+            st.lists(
+                st.sampled_from([1.0, 1.5, 2.0]), min_size=len(cag), max_size=len(cag)
+            )
+        )
+        twin = retimed_twin(cag, stamps)
+        for graph in (cag, twin):
+            expected = reference_signature(graph)
+            assert cag_signature(graph) == expected
+            assert cag_signature(graph) is _INTERNED[expected]
+            assert list(breakdown_for_cag(graph).segments.items()) == list(
+                reference_segments(graph).items()
+            )
+        assert twin.analysis.plan is cag.analysis.plan
+        plan = cag.analysis.plan
+        if plan is not None and plan.signature is not None:
+            assert not plan.timestamp_decided
+            assert cag_signature(twin) is cag_signature(cag) is plan.signature
