@@ -315,13 +315,23 @@ class Activity:
         )
 
 
-#: Stable sort key for activities observed on one node: within one node
-#: the local clock orders activities; ties (possible when timestamps are
-#: coarse) are broken by type priority and then by the monotone sequence
-#: number assigned at creation, which preserves log order.  Implemented
-#: with :func:`operator.attrgetter` so per-node sorting (the paper's step
-#: 1, run over every activity) extracts the key tuple in C.
-sort_key = operator.attrgetter("timestamp", "priority", "seq")
+#: Sort key for activities observed on one node: the node's local clock,
+#: ties broken by *log position*.  ``seq`` is drawn at creation, and every
+#: ingest path creates a node's activities in the order its log holds
+#: them (``classify_lines`` and ``classify_all`` go line by line,
+#: ``ActivityTable`` rows keep their ``seq``, a row that arrives in a
+#: later chunk is later in the log, and ``MemorySource`` re-draws ``seq``
+#: in the order of the list it was given), so within one node the kernel's
+#: log order -- the program order the whole algorithm assumes -- survives
+#: a coarse or repeated timestamp.  Type priority is deliberately *not*
+#: part of the key: it is Rule 2's choice *between* node queues (Section
+#: 4.1).  Inside one node it inverts program order whenever a freed
+#: worker takes the next request in zero time -- the log then holds, in
+#: one context at one timestamp, the END of one request followed by the
+#: BEGIN of the next, and BEGIN has the lower priority value.
+#: Implemented with :func:`operator.attrgetter` so per-node sorting (the
+#: paper's step 1, run over every activity) extracts the key tuple in C.
+sort_key = operator.attrgetter("timestamp", "seq")
 
 
 # Interned-key plumbing, imported at the bottom to break the module

@@ -118,6 +118,7 @@ def trace_summary(result: TraceResult, top_patterns: int = 5) -> Dict[str, Any]:
         "requests": result.request_count,
         "incomplete_paths": len(result.incomplete_cags),
         "deformed_paths": result.deformed_paths,
+        "fallback_selections": result.correlation.ranker_stats.fallback_selections,
         "shape_plans": result.shape_counts,
         "correlation_time_s": result.correlation_time,
         "peak_memory_bytes": result.peak_memory_bytes,

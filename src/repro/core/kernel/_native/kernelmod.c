@@ -11,9 +11,9 @@
  *
  * A Selector object is bound once per ranker (and re-bound when a
  * streaming ingest grows the columns): it holds buffer views into the
- * four array.array columns plus references to the index dicts, so a
- * call is two flat C loops over machine ints with at most one dict
- * probe per RECEIVE head.
+ * array.array columns plus references to the two dicts, so a call is
+ * two flat C loops over machine ints with at most one dict probe per
+ * RECEIVE head per loop.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -38,8 +38,8 @@ typedef struct {
     Py_buffer discard; /* array('q'): scratch, noise slot list        */
     PyObject *keys;    /* list: boxed message key per RECEIVE head    */
     PyObject *mmap;    /* dict: message key -> pending-SEND deque     */
-    PyObject *buffered;/* dict: message key -> per-node buffered SENDs*/
-    PyObject *future;  /* Counter: message key -> unfetched SEND count*/
+    PyObject *undelivered; /* Counter: message key -> SENDs buffered
+                            * or awaiting fetch, on any node          */
     int bound;         /* buffers acquired (guards dealloc)           */
 } Selector;
 
@@ -55,8 +55,7 @@ Selector_dealloc(Selector *self)
     }
     Py_XDECREF(self->keys);
     Py_XDECREF(self->mmap);
-    Py_XDECREF(self->buffered);
-    Py_XDECREF(self->future);
+    Py_XDECREF(self->undelivered);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -134,20 +133,16 @@ Selector_call(Selector *self, PyObject *args, PyObject *kwargs)
         long long p = pri[slot];
         if (p == 3) {
             PyObject *key = PyList_GET_ITEM(keys, slot);
-            int has = PyDict_Contains(self->buffered, key);
-            if (has < 0)
-                return NULL;
-            if (!has) {
-                PyObject *count = PyDict_GetItemWithError(self->future, key);
-                if (count != NULL) {
-                    long long value = PyLong_AsLongLong(count);
-                    if (value == -1 && PyErr_Occurred())
-                        return NULL;
-                    has = value > 0;
-                }
-                else if (PyErr_Occurred())
+            int has = 0;
+            PyObject *count = PyDict_GetItemWithError(self->undelivered, key);
+            if (count != NULL) {
+                long long value = PyLong_AsLongLong(count);
+                if (value == -1 && PyErr_Occurred())
                     return NULL;
+                has = value > 0;
             }
+            else if (PyErr_Occurred())
+                return NULL;
             if (has) {
                 if (t <= ceiling)
                     blocked[n_blocked++] = (long long)slot;
@@ -210,21 +205,21 @@ static PyObject *
 make_selector(PyObject *module, PyObject *args)
 {
     /* Positional signature is identical to reference.make_selector. */
-    PyObject *ts, *pri, *seq, *keys, *mmap, *buffered, *future;
+    PyObject *ts, *pri, *seq, *keys, *mmap, *undelivered;
     PyObject *blocked, *discard;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOO", &ts, &pri, &seq, &keys, &mmap,
-                          &buffered, &future, &blocked, &discard))
+    if (!PyArg_ParseTuple(args, "OOOOOOOO", &ts, &pri, &seq, &keys, &mmap,
+                          &undelivered, &blocked, &discard))
         return NULL;
     if (!PyList_Check(keys)) {
         PyErr_SetString(PyExc_TypeError, "head_keys must be a list");
         return NULL;
     }
-    /* future is a collections.Counter: a dict subclass whose entries
-     * live in the plain dict storage, so raw dict probes see them. */
-    if (!PyDict_Check(mmap) || !PyDict_Check(buffered)
-        || !PyDict_Check(future)) {
+    /* undelivered is a collections.Counter: a dict subclass whose
+     * entries live in the plain dict storage, so raw dict probes see
+     * them. */
+    if (!PyDict_Check(mmap) || !PyDict_Check(undelivered)) {
         PyErr_SetString(PyExc_TypeError,
-                        "mmap_pending, buffered and future must be dicts");
+                        "mmap_pending and undelivered must be dicts");
         return NULL;
     }
 
@@ -234,8 +229,7 @@ make_selector(PyObject *module, PyObject *args)
     self->bound = 0;
     self->keys = NULL;
     self->mmap = NULL;
-    self->buffered = NULL;
-    self->future = NULL;
+    self->undelivered = NULL;
     memset(&self->ts, 0, sizeof(Py_buffer));
     memset(&self->pri, 0, sizeof(Py_buffer));
     memset(&self->seq, 0, sizeof(Py_buffer));
@@ -269,10 +263,8 @@ make_selector(PyObject *module, PyObject *args)
     self->keys = keys;
     Py_INCREF(mmap);
     self->mmap = mmap;
-    Py_INCREF(buffered);
-    self->buffered = buffered;
-    Py_INCREF(future);
-    self->future = future;
+    Py_INCREF(undelivered);
+    self->undelivered = undelivered;
     return (PyObject *)self;
 
 fail_discard:
@@ -291,7 +283,7 @@ fail_ts:
 static PyMethodDef kernel_methods[] = {
     {"make_selector", make_selector, METH_VARARGS,
      "make_selector(head_ts, head_pri, head_seq, head_keys, mmap_pending,\n"
-     "              buffered, future, blocked_out, discard_out)\n"
+     "              undelivered, blocked_out, discard_out)\n"
      "Bind a compiled selector over the ranker's head columns."},
     {NULL, NULL, 0, NULL},
 };

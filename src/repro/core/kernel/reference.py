@@ -58,12 +58,13 @@ def make_selector(
     head_seq,
     head_keys,
     mmap_pending,
-    buffered,
-    future,
+    undelivered,
     blocked_out,
     discard_out,
 ):
-    """Bind a selector over the ranker's head columns and index dicts.
+    """Bind a selector over the ranker's head columns and its two dicts:
+    the engine's pending sends and the ranker's undelivered-send registry
+    (message key -> sends buffered or awaiting fetch, on any node).
 
     The returned callable ``select(ceiling) -> int`` runs the fused
     two-sweep candidate selection of ``Ranker.rank()`` over every slot.
@@ -74,7 +75,7 @@ def make_selector(
     """
     n = len(head_ts)
     mmap_get = mmap_pending.get
-    future_get = future.get
+    undelivered_get = undelivered.get
 
     def select(ceiling):
         # Sweep 1 -- emptiness, the earliest head (for the streaming
@@ -121,7 +122,7 @@ def make_selector(
             pri = head_pri[slot]
             if pri == 3:
                 key = head_keys[slot]
-                if key in buffered or future_get(key, 0) > 0:
+                if undelivered_get(key, 0) > 0:
                     if ts <= ceiling:
                         blocked_out[n_blocked] = slot
                         n_blocked += 1

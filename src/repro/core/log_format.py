@@ -231,7 +231,13 @@ class FrontendSpec:
 # has been built for yet (the interner has not been asked).
 _IGNORED_CONTEXT = (True, None, -1, -1)
 _UNSEEN_CONTEXT = (False, None, -1, -1)
-_IGNORED_CHANNEL = (True, "", 0, "", 0, -1, ActivityType.SEND, ActivityType.RECEIVE)
+_IGNORED_CHANNEL = (True, "", 0, "", 0, -1, ActivityType.SEND, ActivityType.RECEIVE, {})
+
+#: Most distinct size tokens a connection's memo entry remembers a
+#: :class:`MessageId` for; past it, one is built per line.  What a
+#: connection whose sizes never repeat can waste, in inserts and in
+#: retained entries, is this many.
+_SIZES_PER_CONNECTION = 64
 
 
 @dataclass
@@ -310,8 +316,13 @@ class ActivityClassifier:
         keys the two entries carry (:meth:`Activity.keyed`).  Every
         activity of one context shares the interner's canonical
         :class:`ContextId`, every activity of one connection the same ip
-        strings; only :class:`MessageId` is per line, because it carries
-        the size.
+        strings, and every activity of one connection *and size token*
+        the same frozen :class:`MessageId`: the channel entry carries a
+        ``size token -> MessageId`` table, written only by lines that
+        produced an activity and at most :data:`_SIZES_PER_CONNECTION`
+        entries long (a connection with more distinct sizes builds the
+        rest per line).  ``Activity.size``, which the engine mutates,
+        stays per activity.
 
         A miss asks the rules of this class once -- ``ignore_programs``
         for a context, :func:`_split_channel`, :meth:`_ignored_channel`
@@ -330,10 +341,11 @@ class ActivityClassifier:
         as on the reference path: lines the filter drops and malformed
         lines leave it alone.  For kept traffic the two tables therefore
         grow with what the interner already keeps for the life of the
-        process.  Dropped traffic costs a dict slot per distinct token,
-        so that noise stays on the fast path -- one shared entry when the
-        token itself is what the filter matched -- and a line rejected
-        for its timestamp, direction or size costs nothing.  There is no
+        process (plus each kept connection's bounded size table).
+        Dropped traffic costs a dict slot per distinct token, so that
+        noise stays on the fast path -- one shared entry when the token
+        itself is what the filter matched -- and a line rejected for its
+        timestamp, direction or size costs nothing.  There is no
         eviction.  The rule sets (``frontends``, ``ignore_*``) must not
         change once lines have been classified.
         """
@@ -342,6 +354,7 @@ class ActivityClassifier:
         context_memo = self._context_memo
         channel_memo = self._channel_memo
         keyed = Activity.keyed
+        sizes_limit = _SIZES_PER_CONNECTION
         filtered = 0
         try:
             for line in lines:
@@ -391,6 +404,7 @@ class ActivityClassifier:
                         message_key,
                         send_type,
                         receive_type,
+                        sizes,
                     ) = entry
                 except ValueError:
                     pass  # not the plain shape: the reference path decides
@@ -405,13 +419,19 @@ class ActivityClassifier:
                             hostname, program, pid_text, tid_text, intern=True
                         )
                     if message_key < 0:
-                        message_key = self._remember_channel(channel, intern=True)[5]
+                        entry = self._remember_channel(channel, intern=True)
+                        message_key, sizes = entry[5], entry[8]
+                    message = sizes.get(size_text)
+                    if message is None:
+                        message = MessageId(src_ip, src_port, dst_ip, dst_port, size)
+                        if len(sizes) < sizes_limit:
+                            sizes[size_text] = message
                     append(
                         keyed(
                             send_type if sending else receive_type,
                             timestamp,
                             context,
-                            MessageId(src_ip, src_port, dst_ip, dst_port, size),
+                            message,
                             request_id,
                             context_key,
                             message_key,
@@ -477,9 +497,9 @@ class ActivityClassifier:
     def _remember_channel(self, channel: str, intern: bool = False) -> tuple:
         """Memo entry for a channel token: (ignored, src_ip, src_port,
         dst_ip, dst_port, message_key, type of a SEND on it, type of a
-        RECEIVE on it).  ``ValueError`` on a malformed token.  As for a
-        context, ``message_key`` is ``-1`` until ``intern``; an ignored
-        channel keeps no fields at all."""
+        RECEIVE on it, size token -> MessageId).  ``ValueError`` on a
+        malformed token.  As for a context, ``message_key`` is ``-1``
+        until ``intern``; an ignored channel keeps no fields at all."""
         ends = _split_channel(channel)
         if self._ignored_channel(*ends):
             entry = _IGNORED_CHANNEL
@@ -492,6 +512,7 @@ class ActivityClassifier:
                 INTERNER.intern_message_key(ends) if intern else -1,
                 self._classify_type("SEND", *ends),
                 self._classify_type("RECEIVE", *ends),
+                {},
             )
         self._channel_memo[channel] = entry
         return entry

@@ -30,25 +30,31 @@ Two disturbances are tolerated (Section 4.3):
 Hot-path data structures
 ------------------------
 
-Every selection decision used to rescan the per-source / per-queue state;
-the ranker now keeps three global indexes so each check is O(1) instead
-of O(sources) or O(buffered activities):
+A node's window is not a copy of its stream.  :class:`ActivitySource`
+keeps the node's sorted rows in three parallel columns (activity,
+timestamp, send key) and two cursors into them: rows ``[head, fence)``
+*are* the node's queue, rows from ``fence`` on await fetch.  A window
+fetch is one :func:`bisect.bisect_right` over the timestamp column that
+moves ``fence``; a delivery moves ``head``.  Beside the cursors there is
 
-* a **global future-send registry** (one counter shared by every source)
-  answers "does a matching SEND still await fetch on *any* node?" without
-  touching the sources -- this is the hot half of ``is_noise`` and of the
-  blocked-RECEIVE test;
-* a **buffered-send index** keyed by message key, holding per-node FIFO
-  deques of the buffered SENDs in queue order, answers the other half and
-  gives blockage resolution the (node, position-in-queue-order) of the
-  blocking SEND without walking every queue;
-* the **window low edge** is a cached minimum, recomputed (over the head
-  of each queue and each source frontier) only after a mutation that can
-  move it -- a delivery, a discard, a fetch, a promotion or an ingest --
-  instead of on every ``rank()`` call.
+* one **undelivered-send registry** shared by every source -- message
+  key -> how many send-like rows with that key sit at or behind some
+  ``head``, buffered or awaiting fetch.  It is filled in bulk when a
+  source grows and decremented once per delivered send, and it answers
+  the noise / blocked-RECEIVE question ("does a matching SEND still
+  exist anywhere?") in one probe;
+* per source, a **position index** -- message key -> the absolute row
+  positions of its undelivered sends, ascending.  The last position at
+  or behind ``fence`` means a send awaits fetch, the first one before it
+  is the first buffered send: blockage resolution reads both without
+  walking rows.  Positions count from the first row the source ever
+  held, so releasing delivered rows renumbers nothing.
 
-All three are pure indexes: they never change which candidate is
-selected, a property the batch/streaming equivalence tests pin down.
+The window low edge is derived, not cached: :meth:`Ranker._refill`
+recomputes it in the same pass over the slots that fetches, and runs
+only when a delivery, a discard, a promotion or an ingest may have moved
+it.  None of this changes which candidate is selected, a property the
+batch/streaming equivalence tests pin down.
 
 Growing streams and the delivery ceiling
 ----------------------------------------
@@ -81,6 +87,8 @@ from .kernel import DISCARD, EMPTY, RULE1, STALL, kernel_info
 #: Interned message key (see :mod:`repro.core.interning`).
 MessageKey = int
 
+_INF = math.inf
+
 
 @dataclass
 class RankerStats:
@@ -93,21 +101,28 @@ class RankerStats:
     head_swaps: int = 0
     window_refills: int = 0
     max_buffered: int = 0
+    #: Deliveries taken by the plain-Rule-2 fallback of :meth:`Ranker.rank`
+    #: (every head a blocked RECEIVE and no way to unblock one).  0 on a
+    #: well-formed trace; anything else says the order of some node's log
+    #: contradicts the messages it records.
+    fallback_selections: int = 0
 
 
 class ActivitySource:
     """A per-node stream of activities sorted by the node's local clock,
-    which can be extended while it is being consumed.
+    which can be extended while it is being consumed -- and, between its
+    two cursors, the node's queue.
 
-    ``registry`` is the owning ranker's global future-send counter; the
-    source keeps it in sync with its own per-source counter so the ranker
-    can answer "any source still holds a SEND for this key?" in O(1).
+    Three parallel columns hold the rows: the activities, their
+    timestamps and (send-like rows only) their interned message keys.
+    Rows ``[head, fence)`` have been fetched into the window and not
+    delivered yet; rows ``[fence, len)`` await fetch.  ``_ts`` is
+    nondecreasing from ``fence`` on (the sort key leads with the
+    timestamp), which is what lets a fetch bisect; the queue part can
+    carry a promoted SEND in front of earlier rows (Fig. 6).
 
-    Internally the stream is shadowed by two struct-like parallel lists
-    -- timestamps and (send-like only) interned message keys -- so the
-    per-``rank()`` window fetch is a :func:`bisect.bisect_right` over a
-    flat float list plus one slice, instead of an attribute-chasing loop
-    over activity objects.
+    ``registry`` is the owning ranker's undelivered-send counter, which
+    the source adds its sends to as it grows.
     """
 
     def __init__(
@@ -118,19 +133,19 @@ class ActivitySource:
     ) -> None:
         self.node = node
         self._activities: List[Activity] = []
-        self._position = 0
-        self._registry = registry
-        # Columnar shadows of the sorted stream.  ``_ts`` is nondecreasing
-        # (the sort key leads with the timestamp), which is what lets
-        # ``take_until`` bisect.  ``_send_keys`` holds the interned message
-        # key for send-like rows and None otherwise, so the counter
-        # bookkeeping below never re-reads the activity objects.
         self._ts: List[float] = []
         self._send_keys: List[Optional[int]] = []
-        # Message keys of send-like activities not yet fetched, kept as a
-        # counter so the noise test stays O(1) per source instead of
-        # rescanning the remaining stream for every RECEIVE head.
-        self._future_send_keys: Counter = Counter()
+        #: Queue cursors (row indexes into the columns).
+        self.head = 0
+        self.fence = 0
+        # How many rows were released in front of row 0: a row's absolute
+        # position is ``_base`` + its index, and never changes.
+        self._base = 0
+        # Message key -> ascending absolute positions of the undelivered
+        # send-like rows with that key (buffered ones first, then the
+        # ones awaiting fetch).  No entry for a key without any.
+        self._send_positions: Dict[MessageKey, Deque[int]] = {}
+        self._registry = registry
         #: Local timestamp of the next unfetched activity (None when
         #: exhausted).  A plain attribute so the ranker's refill loop can
         #: read it without a method call.
@@ -141,92 +156,105 @@ class ActivitySource:
         self.extend(activities)
 
     def extend(self, activities: Iterable[Activity]) -> None:
-        """Add activities (any order) to the unconsumed tail.
+        """Add activities (any order) to the unfetched tail.
 
         Activities are expected in (approximately) the node's local clock
         order -- the natural order of a node's own log.  A batch that
-        sorts behind everything still unconsumed is appended to the three
+        sorts behind everything still unfetched is appended to the three
         columns in bulk; only a genuinely late row is inserted at its
         sort position, and one older than everything already fetched
-        lands at the consumption point (it cannot be sequenced earlier
-        any more).
+        lands at the consumption point, ``fence`` (it cannot be sequenced
+        earlier any more).
         """
         batch = sorted(activities, key=sort_key)
         if not batch:
             return
         rows, ts_column, send_keys = self._activities, self._ts, self._send_keys
-        position = self._position
-        if position:
-            # Release what was already fetched: a stream must stay bounded.
-            del rows[:position], ts_column[:position], send_keys[:position]
-            self._position = 0
+        head = self.head
+        if head:
+            # Release what was delivered: a stream must stay bounded.
+            del rows[:head], ts_column[:head], send_keys[:head]
+            self._base += head
+            self.fence -= head
+            self.head = 0
+        fence = self.fence
         timestamps = [a.timestamp for a in batch]
         keys = [a.message_key if a.send_like else None for a in batch]
-        if not rows or sort_key(batch[0]) >= sort_key(rows[-1]):
+        if fence == len(rows) or sort_key(batch[0]) >= sort_key(rows[-1]):
+            position = self._base + len(rows)
             rows += batch
             ts_column += timestamps
             send_keys += keys
+            positions = self._send_positions
+            for key in keys:
+                if key is not None:
+                    entries = positions.get(key)
+                    if entries is None:
+                        positions[key] = deque((position,))
+                    else:
+                        entries.append(position)
+                position += 1
         else:
             for activity, timestamp, key in zip(batch, timestamps, keys):
-                index = bisect_right(rows, sort_key(activity), key=sort_key)
+                index = bisect_right(rows, sort_key(activity), fence, key=sort_key)
                 rows.insert(index, activity)
                 ts_column.insert(index, timestamp)
                 send_keys.insert(index, key)
-        sends = [key for key in keys if key is not None]
-        self._future_send_keys.update(sends)
+            self._reindex_sends()
         if self._registry is not None:
-            self._registry.update(sends)
+            self._registry.update(key for key in keys if key is not None)
         if self.frontier is None or timestamps[-1] > self.frontier:
             self.frontier = timestamps[-1]
-        self.next_timestamp = ts_column[0]
+        self.next_timestamp = ts_column[fence]
 
     def __len__(self) -> int:
-        return len(self._activities) - self._position
+        """How many activities still await fetch."""
+        return len(self._activities) - self.fence
 
     @property
     def exhausted(self) -> bool:
-        return self._position >= len(self._activities)
+        return self.fence >= len(self._activities)
 
     def peek_timestamp(self) -> Optional[float]:
         return self.next_timestamp
 
-    def take_until(self, limit: float) -> List[Activity]:
-        """Pop and return every remaining activity with timestamp <= limit.
+    def buffered(self) -> List[Activity]:
+        """The queue: fetched and not delivered, in queue order."""
+        return self._activities[self.head : self.fence]
 
-        ``_ts`` is nondecreasing, so the scan is one bisect over the flat
-        timestamp column followed by a slice -- the window fetch never
-        touches the activity objects themselves.
-        """
-        position = self._position
-        end = bisect_right(self._ts, limit, position)
-        if end == position:
-            return []
-        taken = self._activities[position:end]
-        self._position = end
-        self._discard_fetched_sends(position, end)
-        self._sync_next_timestamp()
-        return taken
+    # -- fetching (moves ``fence``) -----------------------------------------
+
+    def fetch_until(self, limit: float) -> int:
+        """Admit every unfetched activity with timestamp <= limit to the
+        queue -- one bisect over the flat timestamp column, no row is
+        touched -- and return how many that was."""
+        fence = self.fence
+        end = bisect_right(self._ts, limit, fence)
+        self._move_fence(end)
+        return end - fence
+
+    def take_until(self, limit: float) -> List[Activity]:
+        """:meth:`fetch_until`, returning the admitted activities."""
+        fence = self.fence
+        self.fetch_until(limit)
+        return self._activities[fence : self.fence]
 
     def take_one(self) -> Optional[Activity]:
-        """Pop a single activity regardless of the window (used to make
+        """Admit a single activity regardless of the window (used to make
         progress when the window is smaller than the inter-activity gap)."""
-        position = self._position
-        if position >= len(self._activities):
+        fence = self.fence
+        if fence >= len(self._activities):
             return None
-        activity = self._activities[position]
-        self._position = position + 1
-        key = self._send_keys[position]
-        if key is not None:
-            self._discard_future_send(key)
-        self._sync_next_timestamp()
-        return activity
+        self._move_fence(fence + 1)
+        return self._activities[fence]
 
     def has_future_send(self, key: MessageKey) -> bool:
         """Is a send-like activity with ``key`` still awaiting fetch?"""
-        return self._future_send_keys.get(key, 0) > 0
+        entries = self._send_positions.get(key)
+        return entries is not None and entries[-1] - self._base >= self.fence
 
     def take_through_send(self, key: MessageKey) -> List[Activity]:
-        """Pop activities up to and including the next send-like one with ``key``.
+        """Admit activities up to and including the next send-like one with ``key``.
 
         Used to resolve the case where a RECEIVE surfaced at a queue head
         while, because of clock skew larger than the window, its matching
@@ -235,72 +263,82 @@ class ActivitySource:
         along with it, so the byte balance can complete without waiting for
         the window to catch up.
         """
-        if not self.has_future_send(key):
+        fence = self.fence
+        base = self._base
+        # The first recorded position behind the fence is the matching
+        # send; the consecutive same-key parts sit right behind it.
+        index = next(
+            (
+                position - base
+                for position in self._send_positions.get(key, ())
+                if position - base >= fence
+            ),
+            None,
+        )
+        if index is None:
             return []
-        # Scan the send-key column for the first matching send, then pull
-        # the consecutive same-key parts right behind it.
         send_keys = self._send_keys
         end = len(send_keys)
-        position = self._position
-        idx = position
-        while idx < end and send_keys[idx] != key:
-            idx += 1
-        if idx == end:  # defensive: counter said one exists
-            return []
-        idx += 1
-        while idx < end and send_keys[idx] == key:
-            idx += 1
-        taken = self._activities[position:idx]
-        self._position = idx
-        self._discard_fetched_sends(position, idx)
-        self._sync_next_timestamp()
-        return taken
+        index += 1
+        while index < end and send_keys[index] == key:
+            index += 1
+        self._move_fence(index)
+        return self._activities[fence:index]
 
-    def _sync_next_timestamp(self) -> None:
-        position = self._position
-        if position >= len(self._ts):
-            self.next_timestamp = None
-        else:
-            self.next_timestamp = self._ts[position]
+    def _move_fence(self, end: int) -> None:
+        self.fence = end
+        ts_column = self._ts
+        self.next_timestamp = ts_column[end] if end < len(ts_column) else None
 
-    def _discard_fetched_sends(self, start: int, end: int) -> None:
-        """Counter bookkeeping for every send-like row in ``[start, end)``
-        (the inlined batch form of :meth:`_discard_future_send`, preserving
-        its pop-at-zero behaviour so counters never accumulate dead keys)."""
+    # -- the queue (moves ``head``) ------------------------------------------
+
+    def first_buffered_send(self, key: MessageKey) -> Optional[int]:
+        """Row index of the first send-like activity with ``key`` in the
+        queue, None when the queue holds none."""
+        entries = self._send_positions.get(key)
+        if entries is None:
+            return None
+        index = entries[0] - self._base
+        return index if index < self.fence else None
+
+    def move_to_head(self, index: int) -> None:
+        """Rotate queue row ``index`` to the queue front, in all three
+        columns; the rows it jumps over keep their order one place back.
+
+        The recorded positions of every send involved are repaired: the
+        jumped ones move up by one, the moved one (if it is a send) gets
+        the head's -- the lowest of its key, so it leads its key's
+        entries even past a same-key sibling that was ahead of it.
+        """
+        head = self.head
+        if index == head:
+            return
         send_keys = self._send_keys
-        local = self._future_send_keys
-        registry = self._registry
-        for i in range(start, end):
-            key = send_keys[i]
-            if key is None:
-                continue
-            count = local.get(key, 0)
-            if count <= 1:
-                local.pop(key, None)
-            else:
-                local[key] = count - 1
-            if registry is not None:
-                count = registry.get(key, 0)
-                if count <= 1:
-                    registry.pop(key, None)
-                else:
-                    registry[key] = count - 1
+        touched = {key for key in send_keys[head : index + 1] if key is not None}
+        for column in (self._activities, self._ts, send_keys):
+            column.insert(head, column.pop(index))
+        low, high = self._base + head, self._base + index
 
-    def _discard_future_send(self, key: MessageKey) -> None:
-        """One send-like activity with ``key`` left the unfetched region."""
-        local = self._future_send_keys
-        count = local.get(key, 0)
-        if count <= 1:
-            local.pop(key, None)
-        else:
-            local[key] = count - 1
-        registry = self._registry
-        if registry is not None:
-            count = registry.get(key, 0)
-            if count <= 1:
-                registry.pop(key, None)
-            else:
-                registry[key] = count - 1
+        def moved(position: int) -> int:
+            if position == high:
+                return low
+            return position + 1 if low <= position < high else position
+
+        positions = self._send_positions
+        for key in touched:
+            positions[key] = deque(sorted(map(moved, positions[key])))
+
+    def _reindex_sends(self) -> None:
+        """Rebuild the position index from the send-key column (after a
+        late row was inserted in the middle of it)."""
+        positions: Dict[MessageKey, Deque[int]] = {}
+        base = self._base
+        send_keys = self._send_keys
+        for index in range(self.head, len(send_keys)):
+            key = send_keys[index]
+            if key is not None:
+                positions.setdefault(key, deque()).append(base + index)
+        self._send_positions = positions
 
 
 class Ranker:
@@ -365,26 +403,25 @@ class Ranker:
         # a decision it might have to take back.  Nothing is deliverable
         # until data arrives; ``seal()`` lifts it to +inf, which makes
         # every ceiling check a no-op.
-        self.ceiling: float = -math.inf
-        # Global future-send registry: counts, across every source, the
-        # send-like message keys still awaiting fetch.  Shared with the
-        # sources, which keep it in sync as they are extended and consumed.
-        self._future_send_keys: Counter = Counter()
+        self.ceiling: float = -_INF
+        # Undelivered-send registry: message key -> how many send-like
+        # activities with that key some source still holds, buffered or
+        # awaiting fetch.  The sources add to it as they grow; a delivery
+        # takes one off, and the key with the last one.
+        self._undelivered_sends: Counter = Counter()
         self._sources: Dict[str, ActivitySource] = {}
-        self._queues: Dict[str, Deque[Activity]] = {}
-        # Kernel head columns: one *slot* per node, in queue-registration
-        # order (= the sweep's scan order; tie-breaks depend on it).
-        # See repro.core.kernel.reference for the layout contract.  The
+        # Kernel head columns: one *slot* per node, in registration order
+        # (= the sweep's scan order; tie-breaks depend on it).  See
+        # repro.core.kernel.reference for the layout contract.  The
         # columns are refreshed incrementally wherever a queue head can
-        # change: deliver, refill into an empty queue, noise discard,
-        # head-swap promotion, ingest of a new node.
+        # change: deliver, fetch into an empty queue, noise discard,
+        # head-swap promotion.
         self._kernel = kernel_info()
         self._slot_of: Dict[str, int] = {}
         self._slot_nodes: List[str] = []
-        # Per-slot queue references (queues are created once per node and
-        # never rebound, so the list stays valid): saves the node-keyed
-        # dict lookup on every delivery.
-        self._slot_queues: List[Deque[Activity]] = []
+        # Per-slot source references: saves the node-keyed dict lookup on
+        # every delivery.
+        self._slot_sources: List[ActivitySource] = []
         # Container types come from the backend: the compiled kernel
         # needs buffer-capable ``array`` columns, the reference kernel
         # is faster on plain lists (see KernelInfo.float_column).
@@ -395,27 +432,16 @@ class Ranker:
         self._blocked_out = self._kernel.int_column()
         self._discard_out = self._kernel.int_column()
         self._select = None
-        # Buffered-send index: message key -> node -> FIFO of the SENDs
-        # with that key currently buffered in the node's queue, in queue
-        # order.  Existence answers the noise / blocked-RECEIVE tests in
-        # O(1); the per-node deques give blockage resolution the blocking
-        # SEND (and its queue) without walking every queue.
-        self._buffered_send_index: Dict[MessageKey, Dict[str, Deque[Activity]]] = {}
-        # Cached window low edge; recomputed lazily after any mutation
-        # that can move a queue head or a source frontier.  ``_low_node``
-        # remembers which node supplied the minimum: removing a head from
-        # any *other* node can only raise that node's own contribution, so
-        # the cached minimum stays valid and most deliveries invalidate
-        # nothing.  (Fetching never moves the low edge at all: it turns a
-        # source-frontier contribution into an equal queue-head one.)
-        self._low_cache: Optional[float] = None
-        self._low_node: Optional[str] = None
-        self._low_dirty = True
-        # Cached minimum over the source frontiers, invalidated only by
-        # fetches (deliveries do not move sources): lets _refill skip the
-        # per-source fetch loop when nothing can possibly be in window.
-        self._source_low_cache: Optional[float] = None
-        self._source_low_dirty = True
+        # The window low edge as the last refill derived it, and whether
+        # another refill is due.  After a refill nothing unfetched lies
+        # within ``_low + window``, and that stays true until the low
+        # edge rises -- the head that held it leaves (its timestamp is
+        # then <= ``_low``), or a promotion replaces it -- or a source
+        # grows.  A fetch never moves the edge: it turns a source
+        # frontier into an equal queue head.  ``_low`` is -inf once every
+        # source is drained, so the drain tail asks for no refill at all.
+        self._low = -_INF
+        self._refill_due = False
         # Incremental count of buffered activities across every queue, so
         # ``buffered_count()`` (polled by ``exhausted()`` every EMPTY
         # verdict) is O(1).
@@ -458,22 +484,19 @@ class Ranker:
     def _extend_source(self, node: str, batch: Iterable[Activity]) -> None:
         source = self._sources.get(node)
         if source is None:
-            source = ActivitySource(node, registry=self._future_send_keys)
+            source = ActivitySource(node, registry=self._undelivered_sends)
             self._sources[node] = source
-            self._queues[node] = deque()
             # New node, new sweep slot (appended, so the established
             # scan order is preserved).
-            self._register_slot(node)
+            self._register_slot(node, source)
         source.extend(batch)
-        # Source frontiers moved: both cached minima are stale.
-        self._low_dirty = True
-        self._source_low_dirty = True
+        self._refill_due = True
 
     def seal(self) -> None:
         """Mark the streams as complete: lift the ceiling so the tail
         drains with full look-ahead (including the noise fallback)."""
         self._sealed = True
-        self.ceiling = math.inf
+        self.ceiling = _INF
 
     @property
     def sealed(self) -> bool:
@@ -486,8 +509,8 @@ class Ranker:
 
     # -- kernel head-state plumbing -----------------------------------------
 
-    def _register_slot(self, node: str) -> None:
-        """Grow the head columns by one slot (queue-registration order).
+    def _register_slot(self, node: str, source: ActivitySource) -> None:
+        """Grow the head columns by one slot (registration order).
 
         Growing reallocates the column arrays, so any bound selector is
         dropped first -- the native backend exports buffer views into
@@ -497,8 +520,8 @@ class Ranker:
         self._select = None
         self._slot_of[node] = len(self._slot_nodes)
         self._slot_nodes.append(node)
-        self._slot_queues.append(self._queues[node])
-        self._head_ts.append(math.inf)
+        self._slot_sources.append(source)
+        self._head_ts.append(_INF)
         self._head_pri.append(9)
         self._head_seq.append(0)
         self._head_keys.append(None)
@@ -513,25 +536,25 @@ class Ranker:
             self._head_seq,
             self._head_keys,
             self._mmap_pending,
-            self._buffered_send_index,
-            self._future_send_keys,
+            self._undelivered_sends,
             self._blocked_out,
             self._discard_out,
         )
         self._select = select
         return select
 
-    def _refresh_slot(self, slot: int, queue: Deque[Activity]) -> None:
+    def _refresh_slot(self, slot: int, source: ActivitySource) -> None:
         """Re-derive one slot's head columns after its queue head moved."""
-        if queue:
-            head = queue[0]
-            priority = head.priority
-            self._head_ts[slot] = head.timestamp
+        head = source.head
+        if head < source.fence:
+            activity = source._activities[head]
+            priority = activity.priority
+            self._head_ts[slot] = activity.timestamp
             self._head_pri[slot] = priority
-            self._head_seq[slot] = head.seq
-            self._head_keys[slot] = head.message_key if priority == 3 else None
+            self._head_seq[slot] = activity.seq
+            self._head_keys[slot] = activity.message_key if priority == 3 else None
         else:
-            self._head_ts[slot] = math.inf
+            self._head_ts[slot] = _INF
 
     @property
     def kernel_name(self) -> str:
@@ -571,13 +594,13 @@ class Ranker:
         return self._buffered_total
 
     def buffered_activities(self) -> Iterable[Activity]:
-        for queue in self._queues.values():
-            yield from queue
+        for source in self._slot_sources:
+            yield from source.buffered()
 
     def exhausted(self) -> bool:
         """True once every source and every queue is empty."""
         return self._buffered_total == 0 and all(
-            source.exhausted for source in self._sources.values()
+            source.exhausted for source in self._slot_sources
         )
 
     def rank(self) -> Optional[Activity]:
@@ -595,15 +618,13 @@ class Ranker:
         paper's head swap generalised to arbitrary queue positions.
         """
         ceiling = self.ceiling
-        queues = self._queues
-        nodes = self._slot_nodes
-        slot_queues = self._slot_queues
+        sources = self._slot_sources
         head_ts = self._head_ts
         head_pri = self._head_pri
         head_seq = self._head_seq
         head_keys = self._head_keys
+        undelivered = self._undelivered_sends
         stats = self.stats
-        window = self._window
         # The fused two-sweep selection lives in the kernel (see
         # repro.core.kernel.reference for the decision contract): flat
         # loops over the head columns, no attribute chasing.  This loop
@@ -612,23 +633,8 @@ class Ranker:
         if select is None:
             select = self._rebind_kernel()
         while True:
-            # Refill only when it can do something: either a cached
-            # minimum is stale, or some source frontier actually falls
-            # inside the current window.  Once every source is drained
-            # (clean source cache, no frontier) a refill can never fetch,
-            # so the drain tail skips the gate -- and the low-edge cache
-            # is allowed to stay dirty, since only refills consume it.
-            if self._source_low_dirty:
+            if self._refill_due:
                 self._refill()
-            else:
-                source_low = self._source_low_cache
-                if source_low is not None:
-                    if self._low_dirty:
-                        self._refill()
-                    else:
-                        low = self._low_cache
-                        if low is not None and source_low <= low + window:
-                            self._refill()
 
             decision = select(ceiling)
             code = decision & 7
@@ -637,52 +643,58 @@ class Ranker:
                     stats.rule1_selections += 1
                 else:
                     stats.rule2_selections += 1
-                # Inline fast delivery (the mirror of ``_deliver``, minus
-                # the identity-removal branch: the kernel's winner is by
-                # construction the current head of its slot's queue).
+                # Inline fast delivery (the mirror of ``_pop_head``: the
+                # kernel's winner is by construction the head of its
+                # slot's queue).
                 slot = decision >> 3
-                node = nodes[slot]
-                queue = slot_queues[slot]
-                activity = queue.popleft()
-                if activity.send_like:
-                    self._note_dequeued(node, activity)
-                if node == self._low_node:
-                    self._low_dirty = True
-                if queue:
-                    head = queue[0]
-                    ts = head.timestamp
-                    priority = head.priority
-                    head_ts[slot] = ts
+                source = sources[slot]
+                head = source.head
+                rows = source._activities
+                activity = rows[head]
+                key = source._send_keys[head]
+                if key is not None:
+                    # The head is the first undelivered send of its key.
+                    positions = source._send_positions
+                    entries = positions[key]
+                    entries.popleft()
+                    if not entries:
+                        del positions[key]
+                    count = undelivered[key]
+                    if count > 1:
+                        undelivered[key] = count - 1
+                    else:
+                        del undelivered[key]
+                if activity.timestamp <= self._low:
+                    self._refill_due = True
+                head += 1
+                source.head = head
+                if head < source.fence:
+                    following = rows[head]
+                    priority = following.priority
+                    head_ts[slot] = following.timestamp
                     head_pri[slot] = priority
-                    head_seq[slot] = head.seq
+                    head_seq[slot] = following.seq
                     head_keys[slot] = (
-                        head.message_key if priority == 3 else None
+                        following.message_key if priority == 3 else None
                     )
-                    if not self._low_dirty:
-                        # Delivering from a promoted prefix can expose a
-                        # head *below* the cached minimum even on a
-                        # non-low node (see ``_deliver``).
-                        low = self._low_cache
-                        if low is not None and ts < low:
-                            self._low_dirty = True
                 else:
-                    head_ts[slot] = math.inf
+                    head_ts[slot] = _INF
                 self._buffered_total -= 1
                 stats.delivered += 1
                 return activity
             if code == DISCARD:
                 # Noise heads: no matching SEND pending, buffered or
-                # awaiting fetch anywhere.  Pop them all and reselect.
+                # awaiting fetch anywhere.  Drop them all and reselect.
                 count = decision >> 3
                 discard_out = self._discard_out
+                low = self._low
                 for position in range(count):
                     slot = discard_out[position]
-                    node = nodes[slot]
-                    queue = slot_queues[slot]
-                    queue.popleft()
-                    if node == self._low_node:
-                        self._low_dirty = True
-                    self._refresh_slot(slot, queue)
+                    if head_ts[slot] <= low:
+                        self._refill_due = True
+                    source = sources[slot]
+                    source.head += 1
+                    self._refresh_slot(slot, source)
                 self._buffered_total -= count
                 stats.noise_discarded += count
                 continue
@@ -705,15 +717,12 @@ class Ranker:
             # the blocking SEND may not be ingested yet.
             count = decision >> 3
             if count:
-                blocked = []
                 blocked_out = self._blocked_out
-                for position in range(count):
-                    node = nodes[blocked_out[position]]
-                    blocked.append((node, queues[node][0]))
+                blocked = [head_keys[blocked_out[p]] for p in range(count)]
                 if self._resolve_blockage(blocked):
                     continue
 
-            if ceiling != math.inf:
+            if ceiling != _INF:
                 # Still open: the blocking SENDs have not been ingested
                 # yet; delivering the RECEIVEs now would misclassify them.
                 # Stall until the sender's stream catches up (or until
@@ -723,9 +732,14 @@ class Ranker:
             # Could not make progress (should not happen with well-formed
             # traces); fall back to plain Rule 2 so the ranker never stalls.
             node, choice = self._select_rule2(
-                [(node, queue[0]) for node, queue in queues.items() if queue]
+                [
+                    (source.node, source._activities[source.head])
+                    for source in sources
+                    if source.head < source.fence
+                ]
             )
-            self.stats.rule2_selections += 1
+            stats.fallback_selections += 1
+            stats.rule2_selections += 1
             return self._deliver(node, choice)
 
     # -- window management ----------------------------------------------------
@@ -737,69 +751,49 @@ class Ranker:
         the queue heads and the next unfetched activity of every source
         (Section 4.1: after a candidate is popped "the ranker will update
         the new minimal timestamp ... and fetch new qualified activities").
+        One pass over the slots finds it and the earliest unfetched
+        timestamp, which says whether a second pass has anything to
+        fetch; the sources within the window then move their fence.
         """
-        low = self._window_low()
-        if low is None:
-            return
-        limit = low + self._window
-        source_low = self._source_low()
-        if source_low is None or source_low > limit:
-            return  # no source holds anything inside the window
-        fetched = False
-        for node, source in self._sources.items():
+        self._refill_due = False
+        head_ts = self._head_ts
+        sources = self._slot_sources
+        low = nearest = _INF  # ... and the earliest unfetched timestamp
+        slot = 0
+        for source in sources:
+            ts = head_ts[slot]
             next_ts = source.next_timestamp
-            if next_ts is None or next_ts > limit:
-                continue
-            taken = source.take_until(limit)
-            if taken:
-                fetched = True
-                self._enqueue(node, taken)
-        if fetched:
-            self.stats.window_refills += 1
-            count = self.buffered_count()
-            if count > self.stats.max_buffered:
-                self.stats.max_buffered = count
-
-    def _window_low(self) -> Optional[float]:
-        """The cached low edge of the sliding window.
-
-        The minimum over the queue heads and source frontiers can only
-        move when one of them does, so it is recomputed lazily after a
-        delivery, discard, fetch, promotion or ingest rather
-        than on every ``rank()`` call.
-        """
-        if not self._low_dirty:
-            return self._low_cache
-        low: Optional[float] = None
-        low_node: Optional[str] = None
-        sources = self._sources
-        for node, queue in self._queues.items():
-            if queue:
-                ts = queue[0].timestamp
-            else:
-                ts = sources[node].next_timestamp
-                if ts is None:
-                    continue
-            if low is None or ts < low:
+            if next_ts is not None:
+                if next_ts < nearest:
+                    nearest = next_ts
+                if ts == _INF:
+                    ts = next_ts
+            if ts < low:
                 low = ts
-                low_node = node
-        self._low_cache = low
-        self._low_node = low_node
-        self._low_dirty = False
-        return low
+            slot += 1
+        if nearest == _INF:
+            self._low = -_INF  # every source drained: no more refills
+            return
+        self._low = low
+        limit = low + self._window
+        if nearest > limit:
+            return
+        fetched = 0
+        slot = 0
+        for source in sources:
+            next_ts = source.next_timestamp
+            if next_ts is not None and next_ts <= limit:
+                fetched += source.fetch_until(limit)
+                if head_ts[slot] == _INF:
+                    self._refresh_slot(slot, source)
+            slot += 1
+        self.stats.window_refills += 1
+        self._note_fetched(fetched)
 
-    def _source_low(self) -> Optional[float]:
-        """Cached minimum over the source frontiers (None = all drained)."""
-        if not self._source_low_dirty:
-            return self._source_low_cache
-        low: Optional[float] = None
-        for source in self._sources.values():
-            ts = source.next_timestamp
-            if ts is not None and (low is None or ts < low):
-                low = ts
-        self._source_low_cache = low
-        self._source_low_dirty = False
-        return low
+    def _note_fetched(self, count: int) -> None:
+        total = self._buffered_total = self._buffered_total + count
+        if total > self.stats.max_buffered:
+            self.stats.max_buffered = total
 
     def _force_fetch_one(self) -> bool:
         """Admit the earliest unfetched activity when the window admits none.
@@ -808,44 +802,24 @@ class Ranker:
         is drained, or (open ranker) the earliest unfetched activity is
         above the delivery ceiling and must wait for the watermark.
         """
-        best_node: Optional[str] = None
+        best_slot: Optional[int] = None
         best_ts: Optional[float] = None
-        for node, source in self._sources.items():
+        for slot, source in enumerate(self._slot_sources):
             ts = source.next_timestamp
             if ts is None:
                 continue
             if best_ts is None or ts < best_ts:
                 best_ts = ts
-                best_node = node
-        if best_node is None or best_ts is None or best_ts > self.ceiling:
+                best_slot = slot
+        if best_slot is None or best_ts is None or best_ts > self.ceiling:
             return False
-        activity = self._sources[best_node].take_one()
-        if activity is not None:
-            self._enqueue(best_node, (activity,))
-            count = self.buffered_count()
-            if count > self.stats.max_buffered:
-                self.stats.max_buffered = count
+        source = self._slot_sources[best_slot]
+        source.take_one()
+        self._refresh_slot(best_slot, source)
+        self._note_fetched(1)
+        # The admitted activity is the new low edge; its window is unfetched.
+        self._refill_due = True
         return True
-
-    def _enqueue(self, node: str, taken: Sequence[Activity]) -> None:
-        """Append fetched activities to a queue and index their sends."""
-        queue = self._queues[node]
-        was_empty = not queue
-        queue.extend(taken)
-        self._buffered_total += len(taken)
-        if was_empty:
-            # Appends only change the head of a previously empty queue.
-            self._refresh_slot(self._slot_of[node], queue)
-        index = self._buffered_send_index
-        for activity in taken:
-            if activity.send_like:
-                index.setdefault(activity.message_key, {}).setdefault(
-                    node, deque()
-                ).append(activity)
-        # A fetch advances the source frontier but never moves the window
-        # low edge: it converts a source-frontier contribution into an
-        # equal queue-head one, so only the source minimum goes stale.
-        self._source_low_dirty = True
 
     # -- candidate selection ----------------------------------------------------
 
@@ -871,60 +845,47 @@ class Ranker:
         return best
 
     def _deliver(self, node: str, activity: Activity) -> Activity:
-        queue = self._queues[node]
-        if queue and queue[0] is activity:
-            queue.popleft()
-        else:  # the activity was rotated away from the front by the swap
-            # logic: remove it by identity, never by equality -- a
+        slot = self._slot_of[node]
+        source = self._slot_sources[slot]
+        rows = source._activities
+        head = source.head
+        if head >= source.fence or rows[head] is not activity:
+            # The activity was rotated away from the front by the swap
+            # logic: find it by identity, never by equality -- a
             # value-equal sibling activity must not be dequeued in its
             # place (MessageMap bookkeeping is identity-based too).
-            for position, other in enumerate(queue):
-                if other is activity:
-                    del queue[position]
+            for index in range(head, source.fence):
+                if rows[index] is activity:
+                    source.move_to_head(index)
                     break
             else:
                 raise ValueError("delivered activity is not buffered in its queue")
-        if activity.send_like:
-            self._note_dequeued(node, activity)
-        if node == self._low_node:
-            self._low_dirty = True
-        elif not self._low_dirty and queue:
-            # Queues are timestamp-sorted except for a prefix of promoted
-            # SENDs (the Fig. 6 head swap puts a later SEND in front of an
-            # earlier head).  Delivering from that prefix can expose a head
-            # *below* the cached minimum even on a non-low node, so check
-            # the newly exposed head explicitly.  An emptied queue cannot
-            # lower the minimum: the source frontier is >= every fetched
-            # timestamp of its node.
-            low = self._low_cache
-            if low is not None and queue[0].timestamp < low:
-                self._low_dirty = True
-        self._refresh_slot(self._slot_of[node], queue)
+        return self._pop_head(slot)
+
+    def _pop_head(self, slot: int) -> Activity:
+        """Deliver the head of ``slot``'s queue (``rank()`` inlines this)."""
+        source = self._slot_sources[slot]
+        head = source.head
+        activity = source._activities[head]
+        key = source._send_keys[head]
+        if key is not None:
+            entries = source._send_positions[key]
+            entries.popleft()
+            if not entries:
+                del source._send_positions[key]
+            undelivered = self._undelivered_sends
+            count = undelivered[key]
+            if count > 1:
+                undelivered[key] = count - 1
+            else:
+                del undelivered[key]
+        if self._head_ts[slot] <= self._low:
+            self._refill_due = True
+        source.head = head + 1
+        self._refresh_slot(slot, source)
         self._buffered_total -= 1
         self.stats.delivered += 1
         return activity
-
-    def _note_dequeued(self, node: str, activity: Activity) -> None:
-        """Drop a dequeued send-like activity from the buffered-send index
-        (callers pre-check ``send_like`` to spare the call for receives)."""
-        key = activity.message_key
-        per_node = self._buffered_send_index.get(key)
-        if per_node is None:
-            return
-        entries = per_node.get(node)
-        if entries is None:
-            return
-        if entries[0] is activity:
-            entries.popleft()
-        else:
-            for position, other in enumerate(entries):
-                if other is activity:
-                    del entries[position]
-                    break
-        if not entries:
-            del per_node[node]
-            if not per_node:
-                del self._buffered_send_index[key]
 
     # -- noise handling -----------------------------------------------------------
 
@@ -941,38 +902,26 @@ class Ranker:
         key = activity.message_key
         if self._mmap_pending.get(key):
             return False
-        if key in self._buffered_send_index:
-            return False
-        # A matching SEND may also still be outside the window on its own
-        # node; the global future-send registry covers every source, so a
-        # small window does not misclassify legitimate traffic as noise.
-        return self._future_send_keys.get(key, 0) <= 0
+        # Buffered in a queue or still outside the window on its own
+        # node: the registry covers every source either way, so a small
+        # window does not misclassify legitimate traffic as noise.
+        return self._undelivered_sends.get(key, 0) <= 0
 
     # -- concurrency disturbance -----------------------------------------------------
 
-    def _find_buffered_send(self, key: MessageKey) -> Optional[Tuple[str, Activity]]:
-        """The first buffered SEND with ``key``, via the buffered-send index.
-
-        "First" preserves the pre-index scan order: the earliest in queue
-        order on the first node (in queue-registration order) that holds
-        one -- with a single holding node (the overwhelmingly common case,
-        since a directional connection key identifies the sending host)
-        resolved without touching the queues at all.
-        """
-        per_node = self._buffered_send_index.get(key)
-        if not per_node:
-            return None
-        if len(per_node) == 1:
-            node, entries = next(iter(per_node.items()))
-            return (node, entries[0])
-        for node in self._queues:
-            entries = per_node.get(node)
-            if entries:
-                return (node, entries[0])
+    def _find_buffered_send(self, key: MessageKey) -> Optional[Tuple[int, int]]:
+        """(slot, row index) of the first buffered SEND with ``key``: the
+        earliest in queue order on the first node, in registration order,
+        that holds one."""
+        for slot, source in enumerate(self._slot_sources):
+            index = source.first_buffered_send(key)
+            if index is not None:
+                return slot, index
         return None
 
-    def _resolve_blockage(self, heads: Sequence[Tuple[str, Activity]]) -> bool:
-        """Make progress when every queue head is a blocked RECEIVE.
+    def _resolve_blockage(self, keys: Sequence[MessageKey]) -> bool:
+        """Make progress when every queue head is a blocked RECEIVE
+        (``keys``: the message keys of those heads, in slot order).
 
         Two mechanisms, tried in order for each blocked head:
 
@@ -990,60 +939,40 @@ class Ranker:
         Returns True when any queue changed, so the caller re-runs
         candidate selection.
         """
-        future = self._future_send_keys
-        for _node, head in heads:
-            key = head.message_key
-            if future.get(key, 0) <= 0:
-                continue
-            for source_node, source in self._sources.items():
-                if not source.has_future_send(key):
-                    continue
+        for key in keys:
+            for slot, source in enumerate(self._slot_sources):
                 taken = source.take_through_send(key)
                 if not taken:
                     continue
-                self._enqueue(source_node, taken)
-                count = self.buffered_count()
-                if count > self.stats.max_buffered:
-                    self.stats.max_buffered = count
+                if self._head_ts[slot] == _INF:
+                    self._refresh_slot(slot, source)
+                self._note_fetched(len(taken))
                 return True
 
-        for _node, head in heads:
-            found = self._find_buffered_send(head.message_key)
+        for key in keys:
+            found = self._find_buffered_send(key)
             if found is None:
                 continue
-            queue_node, send = found
-            queue = self._queues[queue_node]
-            if queue[0] is send:
+            slot, index = found
+            source = self._slot_sources[slot]
+            if index == source.head:
                 continue
-            ahead_same_context = False
-            for other in queue:
-                if other is send:
-                    break
-                if other.context_key == send.context_key:
-                    ahead_same_context = True
-                    break
-            if ahead_same_context:
+            rows = source._activities
+            context_key = rows[index].context_key
+            if any(
+                rows[ahead].context_key == context_key
+                for ahead in range(source.head, index)
+            ):
                 continue
-            self._promote_send(queue_node, send)
+            self._promote_send(slot, index)
             return True
         return False
 
-    def _promote_send(self, node: str, send: Activity) -> None:
-        """The head swap of Fig. 6: rotate a blocking SEND to its queue
-        front, keeping the buffered-send index in queue order."""
-        queue = self._queues[node]
-        for position, other in enumerate(queue):
-            if other is send:
-                del queue[position]
-                break
-        queue.appendleft(send)
-        entries = self._buffered_send_index[send.message_key][node]
-        if entries[0] is not send:
-            for position, other in enumerate(entries):
-                if other is send:
-                    del entries[position]
-                    break
-            entries.appendleft(send)
-        self._refresh_slot(self._slot_of[node], queue)
-        self._low_dirty = True
+    def _promote_send(self, slot: int, index: int) -> None:
+        """The head swap of Fig. 6: rotate the blocking SEND at row
+        ``index`` of ``slot``'s queue to the queue front."""
+        source = self._slot_sources[slot]
+        source.move_to_head(index)
+        self._refresh_slot(slot, source)
+        self._refill_due = True
         self.stats.head_swaps += 1

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..core.activity import sort_key
+
 RootKey = Tuple[tuple, tuple, float]
 
 #: ``2 ** 64`` as a float divisor for mapping digests to ``[0, 1)``.
@@ -211,7 +213,7 @@ def iter_roots(activities: Iterable) -> List:
 
     roots: List = []
     for entries in by_context.values():
-        entries.sort(key=lambda a: (a.timestamp, a.priority, a.seq))
+        entries.sort(key=sort_key)
         run_key = None  # message key of the open BEGIN run, if any
         for activity in entries:
             if activity.priority == 0:  # BEGIN

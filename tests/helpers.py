@@ -334,3 +334,74 @@ def reference_segments(cag):
         label = segment_label(edge)
         segments[label] = segments.get(label, 0.0) + latency
     return segments
+
+
+# -- ranker window invariants -------------------------------------------------
+
+
+def assert_source_aligned(source) -> None:
+    """The cursor invariants of one ``ActivitySource``.
+
+    ``head <= fence <= len``; the three columns describe the same rows;
+    the unfetched part is timestamp-sorted (what a fetch bisects); and
+    the position index records exactly the undelivered send-like rows,
+    ascending per key, each position pointing at a row with that key.
+    """
+    rows, ts_column, send_keys = source._activities, source._ts, source._send_keys
+    assert 0 <= source.head <= source.fence <= len(rows)
+    assert len(ts_column) == len(send_keys) == len(rows)
+    assert ts_column == [a.timestamp for a in rows]
+    assert send_keys == [a.message_key if a.send_like else None for a in rows]
+    unfetched = ts_column[source.fence :]
+    assert unfetched == sorted(unfetched)
+    assert source.next_timestamp == (unfetched[0] if unfetched else None)
+    recorded = {}
+    for key, entries in source._send_positions.items():
+        assert entries, "an emptied key must leave the index"
+        assert list(entries) == sorted(set(entries))
+        for position in entries:
+            index = position - source._base
+            assert source.head <= index < len(rows)
+            assert send_keys[index] == key
+            recorded[index] = key
+    assert recorded == {
+        index: send_keys[index]
+        for index in range(source.head, len(rows))
+        if send_keys[index] is not None
+    }
+
+
+def assert_ranker_aligned(ranker) -> None:
+    """Every source aligned, the undelivered-send registry equal to the
+    sum of the per-source position counts, the buffered total equal to
+    the queue lengths, and every kernel head column showing its queue's
+    head."""
+    undelivered = {}
+    buffered = 0
+    for slot, source in enumerate(ranker._slot_sources):
+        assert_source_aligned(source)
+        assert ranker._sources[ranker._slot_nodes[slot]] is source
+        for key, entries in source._send_positions.items():
+            undelivered[key] = undelivered.get(key, 0) + len(entries)
+        buffered += source.fence - source.head
+        if source.head < source.fence:
+            head = source._activities[source.head]
+            assert ranker._head_ts[slot] == head.timestamp
+            assert ranker._head_pri[slot] == head.priority
+            assert ranker._head_seq[slot] == head.seq
+            if head.priority == 3:
+                assert ranker._head_keys[slot] == head.message_key
+        else:
+            assert ranker._head_ts[slot] == float("inf")
+    assert dict(ranker._undelivered_sends) == undelivered
+    assert ranker.buffered_count() == buffered
+
+
+def assert_ranker_drained(ranker) -> None:
+    """After a full drain nothing is left in any index."""
+    assert_ranker_aligned(ranker)
+    assert ranker.exhausted()
+    assert not ranker._undelivered_sends
+    for source in ranker._slot_sources:
+        assert source.head == source.fence == len(source._activities)
+        assert not source._send_positions

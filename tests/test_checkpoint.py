@@ -198,7 +198,6 @@ class TestCheckpointFileContract:
         """Version 2 pickled each CAG as edge objects and a positional
         parents map; the columnar ``CAG.__setstate__`` cannot read that
         state, so the version check has to refuse the file first."""
-        assert VERSION == 3
         root = Activity(
             type=ActivityType.BEGIN,
             timestamp=1.0,
@@ -237,6 +236,72 @@ class TestCheckpointFileContract:
             )
         )
         with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(str(path))
+
+    def test_version_3_file_is_refused_not_revived_into_a_ranker_without_cursors(
+        self, tmp_path
+    ):
+        """Version 3 pickled the ranker's window as per-node deques beside
+        the sources, with a buffered-send index and per-source future
+        counters.  ``Ranker.__setstate__`` takes any dict, so such a blob
+        would revive without complaint and fail at its first ``rank()``;
+        the version check has to refuse the file first."""
+        from collections import Counter, deque
+
+        from repro.core.ranker import Ranker
+
+        assert VERSION == 4
+        version_3_state = {
+            "_window": WINDOW,
+            "_slack": WINDOW + 1e-9,
+            "_sealed": False,
+            "ceiling": float("-inf"),
+            "_future_send_keys": Counter(),
+            "_sources": {},
+            "_queues": {0: deque()},
+            "_slot_of": {0: 0},
+            "_slot_nodes": [0],
+            "_slot_queues": [deque()],
+            "_head_ts": [float("inf")],
+            "_head_pri": [9],
+            "_head_seq": [0],
+            "_head_keys": [None],
+            "_blocked_out": [0],
+            "_discard_out": [0],
+            "_buffered_send_index": {},
+            "_low_cache": None,
+            "_low_node": None,
+            "_low_dirty": True,
+            "_source_low_cache": None,
+            "_source_low_dirty": True,
+            "_buffered_total": 0,
+            "_select": None,
+            "_kernel": None,
+        }
+
+        class Version3Ranker:
+            def __reduce__(self):
+                return (object.__new__, (Ranker,), version_3_state)
+
+        blob = pickle.dumps(Version3Ranker())
+        revived = pickle.loads(blob)  # no error here: that is the problem
+        with pytest.raises(AttributeError):
+            revived.rank()
+        path = tmp_path / "v3.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 3,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "interner": INTERNER.snapshot(),
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
             load_checkpoint(str(path))
 
     def test_corrupted_engine_blob_is_rejected(self, tmp_path):

@@ -8,18 +8,30 @@ from the fixing commits) and asserting that a *generated* seed catches
 the regression.  That is the harness's reason to exist: each of these
 bugs originally needed a hand-written scenario to surface; here a seed
 drawn from the generator finds all three.
+
+A fourth pin is not generator-drawn: the per-node tie-break that put
+type priority before log position only bites when a worker pool is
+smaller than the offered concurrency, which ``GeneratorLimits`` cannot
+produce yet (ROADMAP item 1d), so the saturated RUBiS run that exposed
+it is pinned as it was found.
 """
 
 import json
+import operator
 
 import pytest
 
 from repro.core import patterns as patterns_mod
+from repro.core import ranker as ranker_mod
+from repro.core.accuracy import path_accuracy
 from repro.core.activity import ActivityType
 from repro.core.cag import CONTEXT_EDGE
 from repro.core.engine import CorrelationEngine
 from repro.fuzz import report_payload, run_case, run_fuzz, shrink
+from repro.pipeline import BackendSpec, RunSource
+from repro.services.rubis.deployment import RubisConfig, run_rubis
 from repro.topology import DEFAULT_LIMITS
+from repro.topology.workload import WorkloadStages
 
 #: Small envelope for the smoke tests: full variety, cheap cases.
 SMOKE_LIMITS = DEFAULT_LIMITS.with_overrides(max_tiers=8, runtime=1.0)
@@ -103,7 +115,58 @@ def _legacy_release_vertices(self, cag):
             self.mmap.remove(vertex)
 
 
+#: Pre-fix per-node sort key: same-timestamp ties on one node break by
+#: Rule-2 type priority before log order.
+_legacy_sort_key = operator.attrgetter("timestamp", "priority", "seq")
+
+
+@pytest.fixture(scope="module")
+def saturated_run():
+    """60 clients on a 4-worker frontend pool (3 099 activities): a freed
+    worker takes the next queued request in zero simulated time, so the
+    log holds an END and the next BEGIN in one context at one timestamp
+    (``www httpd 1000`` at t = 2.443250, among others)."""
+    return run_rubis(
+        RubisConfig(
+            clients=60,
+            httpd_workers=4,
+            max_threads=2,
+            stages=WorkloadStages(runtime=10.0),
+            seed=17,
+        )
+    )
+
+
+def _trace_saturated(run):
+    result = BackendSpec.batch().correlate(RunSource.from_run(run).activities())
+    return result, path_accuracy(result.cags, run.ground_truth)
+
+
 class TestPinnedHistoricalBugs:
+    def test_saturated_pool_is_traced_exactly(self, saturated_run):
+        result, report = _trace_saturated(saturated_run)
+        assert report.total_requests == 99
+        assert report.correct_paths == 99
+        assert result.incomplete_cags == []
+        assert result.ranker_stats.fallback_selections == 0
+        assert result.ranker_stats.head_swaps == 0
+        assert result.ranker_stats.max_buffered == 28
+        assert result.engine_stats.unmatched_receives == 0
+
+    def test_priority_tie_break_revert_inverts_program_order(
+        self, saturated_run, monkeypatch
+    ):
+        monkeypatch.setattr(ranker_mod, "sort_key", _legacy_sort_key)
+        result, report = _trace_saturated(saturated_run)
+        # the next request opens inside the previous one's context chain,
+        # RECEIVEs block at queue heads, blockage resolution drags the
+        # sender streams forward, and what it cannot resolve falls through
+        # to plain Rule 2: loud now, one count per failure
+        assert report.correct_paths == 9
+        assert result.ranker_stats.fallback_selections == 1245
+        assert result.engine_stats.unmatched_receives == 1245
+        assert result.ranker_stats.max_buffered == 2781
+
     def test_pinned_seeds_pass_with_the_fixes_in_place(self):
         for seed in (SPLICE_SEED, TIE_KEY_SEED, PURGE_SEED):
             case = run_case(seed)

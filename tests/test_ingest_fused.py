@@ -11,11 +11,13 @@ The nightly workflow runs it with ``--hypothesis-profile nightly``.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import log_format
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.interning import INTERNER
@@ -107,7 +109,9 @@ record_strategy = st.builds(
     tid=st.integers(1, 2),
     direction=st.sampled_from(["SEND", "RECEIVE"]),
     channel=st.sampled_from(CHANNELS),
-    size=st.integers(0, 10**6),
+    # a few sizes over and over (a connection's size table answers), and
+    # the whole range (it does not)
+    size=st.one_of(st.sampled_from([0, 7, 7, 420, 1460]), st.integers(0, 10**6)),
 )
 
 ODD_NUMBERS = [
@@ -125,6 +129,9 @@ RID_TAILS = [
     " #rid=٥", " #rid=²", " #rid=", " #rid= 5", " #rid=-3", " #rid=5 6",
     " # rid=5", " #RID=5",
 ]  # fmt: skip
+#: One size spelled five ways, one of them a different size after all:
+#: the table is keyed by the token, the ``MessageId`` carries the int.
+SIZE_SPELLINGS = ["7", "007", "+7", "0_7", "7_0"]
 NOT_RECORDS = ["", "   ", "\t", "# comment", "  # indented comment", "#rid=5", " #rid=5"]
 NUMERIC_FIELDS = [0, 3, 4, 7]  # timestamp, pid, tid, size
 
@@ -136,7 +143,7 @@ def log_line(draw):
         st.sampled_from(
             ["none", "none", "none", "torn", "duplicate", "drop", "direction",
              "negative-size", "non-finite", "number", "number", "channel", "rid-token",
-             "not-a-record"]
+             "size-spelling", "size-spelling", "not-a-record"]
         )  # fmt: skip
     )
     if mutation == "not-a-record":
@@ -154,6 +161,8 @@ def log_line(draw):
         fields[0] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400"]))
     elif mutation == "number":
         fields[draw(st.sampled_from(NUMERIC_FIELDS))] = draw(st.sampled_from(ODD_NUMBERS))
+    elif mutation == "size-spelling":
+        fields[7] = draw(st.sampled_from(SIZE_SPELLINGS))
     elif mutation == "channel":
         fields[6] = draw(st.sampled_from(ODD_CHANNELS))
     elif mutation == "rid-token":
@@ -187,6 +196,22 @@ class TestFusedLoopEqualsReference:
         assert len(lines) == (
             len(expected) + fused.filtered_count + malformed + skipped
         )
+
+    @given(
+        lines=st.lists(log_line(), min_size=10, max_size=60),
+        bound=st.integers(0, 2),
+    )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_tolerant_mode_with_size_tables_that_fill_up(self, lines, bound):
+        # Past the bound a MessageId is built per line, as before the memo.
+        fused, definition = make_classifier(), make_classifier()
+        expected, malformed, _ = reference(lines, definition, strict=False)
+        with mock.patch.object(log_format, "_SIZES_PER_CONNECTION", bound):
+            assert_same_activities(fused.classify_lines(lines), expected)
+        assert fused.malformed_count == malformed
+        assert fused.filtered_count == definition.filtered_count
+        tables = [entry[8] for entry in fused._channel_memo.values()]
+        assert all(len(table) <= bound for table in tables)
 
     @given(lines=st.lists(log_line(), min_size=1, max_size=12))
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -361,6 +386,56 @@ class TestMemoTables:
         again = make_classifier().classify_lines(lines)
         assert again[0].context is activities[0].context
 
+    def test_one_message_id_per_connection_and_size_token(self):
+        channel, other = "10.0.0.1:5000-10.0.0.2:8080", "10.0.0.1:5001-10.0.0.2:8080"
+        sizes = ["7", "420", "7", "007", "+7", "420", "7_0"]
+        lines = [line("SEND", channel, ts=i, size=size) for i, size in enumerate(sizes)]
+        lines.append(line("SEND", other, ts=9.0, size="7"))
+        classifier = make_classifier()
+        activities = classifier.classify_lines(lines)
+        assert [a.message.size for a in activities] == [7, 420, 7, 7, 7, 420, 70, 7]
+        first, big, again, padded, signed, big_again, seventy, elsewhere = (
+            a.message for a in activities
+        )
+        assert again is first and big_again is big  # the token repeated
+        assert padded is not first and signed is not first  # another token
+        assert padded == first == signed  # ... of the same size
+        assert elsewhere is not first and elsewhere != first  # another connection
+        remembered = classifier._channel_memo[channel][8]
+        assert set(remembered) == {"7", "420", "007", "+7", "7_0"}
+        assert all(a.size == a.message.size for a in activities)
+
+    def test_a_connection_first_seen_filtered_shares_from_its_first_kept_line(self):
+        # The program filter drops the first line, so the connection's
+        # entry exists before the interner hears of it; the entry re-made
+        # at the first kept line is the one whose table is written.
+        channel = "10.0.0.1:5000-10.0.0.2:8080"
+        classifier = make_classifier()
+        assert classifier.classify_lines([line("SEND", channel, program="sshd")]) == []
+        placeholder = classifier._channel_memo[channel]
+        assert placeholder[5] == -1 and placeholder[8] == {}
+        first, second = classifier.classify_lines([line("SEND", channel)] * 2)
+        assert first.message is second.message
+        entry = classifier._channel_memo[channel]
+        assert entry[5] == first.message_key and entry[8] == {"100": first.message}
+        assert placeholder[8] == {}
+        # a dropped line leaves the table as it is
+        classifier.classify_lines([line("SEND", channel, program="sshd", size=5)])
+        assert list(entry[8]) == ["100"]
+
+    def test_a_full_size_table_builds_per_line_and_stays_full(self, monkeypatch):
+        monkeypatch.setattr(log_format, "_SIZES_PER_CONNECTION", 2)
+        channel = "10.0.0.1:5000-10.0.0.2:8080"
+        classifier = make_classifier()
+        sizes = [1, 2, 3, 3, 1]
+        activities = classifier.classify_lines(
+            [line("SEND", channel, ts=i, size=size) for i, size in enumerate(sizes)]
+        )
+        one, two, three, three_again, one_again = (a.message for a in activities)
+        assert one_again is one
+        assert three_again is not three and three_again == three
+        assert list(classifier._channel_memo[channel][8]) == ["1", "2"]
+
     def test_keyed_constructor_equals_the_dataclass_constructor(self):
         context = ContextId("www", "httpd", 3, 4)
         for kind in ActivityType:
@@ -434,6 +509,28 @@ class TestWholeTraces:
         expected, _, _ = reference(lines, definition, strict=True)
         assert_same_activities(activities, expected)
         assert source.filtered_records == definition.filtered_count
+
+    def test_message_ids_are_shared_and_sizes_stay_per_activity(self, rubis_run):
+        lines = [format_record(record) for record in rubis_run.all_records()]
+        stream = ActivityStream(frontends=[rubis_run.frontend_spec()])
+        activities = stream.classify_lines(lines)
+        assert len(activities) == len(lines)
+        tokens = {tuple(text.split(" #rid=")[0].split()[6:8]) for text in lines}
+        objects = {id(activity.message) for activity in activities}
+        # one frozen identity object per (connection, size token) ...
+        assert len(objects) <= len(tokens) < len(activities)
+        logged = [activity.message.size for activity in activities]
+        assert [activity.size for activity in activities] == logged
+        # ... while the byte counter the engine merges into is the activity's
+        result = BackendSpec.batch().correlate(activities)
+        assert len(result.cags) == rubis_run.completed_requests
+        assert [activity.message.size for activity in activities] == logged
+        merged = [a for a in activities if a.size != a.message.size]
+        assert merged, "the engine balances SENDs to 0 and merges parts"
+        sharing = {}
+        for activity in activities:
+            sharing.setdefault(id(activity.message), []).append(activity.size)
+        assert any(len(set(sizes)) > 1 for sizes in sharing.values())
 
     def test_conservation_holds_on_a_mutated_log(self, rubis_run, tmp_path):
         lines = [format_record(r) for r in rubis_run.all_records()]

@@ -120,7 +120,8 @@ class TestDecisionParity:
             assert getattr(NATIVE, name) == getattr(reference, name), name
 
     def _random_state(self, rng, n):
-        """A random-but-plausible head-column state plus index dicts."""
+        """A random-but-plausible head-column state plus the two dicts
+        (pending sends, undelivered-send registry)."""
         from array import array
 
         head_ts = array("d")
@@ -128,8 +129,7 @@ class TestDecisionParity:
         head_seq = array("q")
         head_keys = []
         mmap_pending = {}
-        buffered = {}
-        future = {}
+        undelivered = {}
         for slot in range(n):
             if rng.random() < 0.2:  # empty slot
                 head_ts.append(math.inf)
@@ -148,14 +148,14 @@ class TestDecisionParity:
                 state = rng.random()
                 if state < 0.35:
                     mmap_pending[key] = ["sentinel send"]  # Rule-1 eligible
-                elif state < 0.55:
-                    buffered[key] = {"node": ["sentinel"]}  # blocked
                 elif state < 0.7:
-                    future[key] = rng.choice([0, 1, 2])  # maybe blocked
+                    # blocked while a SEND is buffered or awaits fetch; a
+                    # count of 0 (never stored by the ranker) reads as none
+                    undelivered[key] = rng.choice([0, 1, 1, 2])
                 # else: noise (no matching SEND anywhere)
             else:
                 head_keys.append(None)
-        return head_ts, head_pri, head_seq, head_keys, mmap_pending, buffered, future
+        return head_ts, head_pri, head_seq, head_keys, mmap_pending, undelivered
 
     def test_randomized_battery_matches_the_reference(self):
         from array import array
@@ -189,10 +189,35 @@ class TestDecisionParity:
                 [None, None],
                 {},
                 {},
-                {},
                 array("q", [0, 0]),
                 array("q", [0, 0]),
             )
+
+    def test_both_factories_take_the_one_registry_signature(self):
+        """Eight positional arguments on both sides -- no separate
+        buffered-send index -- and a Counter for the registry."""
+        from array import array
+        from collections import Counter
+
+        def columns(n=2):
+            return (
+                array("d", [1.0, 2.0]),
+                array("q", [3, 3]),
+                array("q", [0, 1]),
+                [7, 8],
+                {},
+                Counter({7: 1}),
+                array("q", [0] * n),
+                array("q", [0] * n),
+            )
+
+        for factory in (reference.make_selector, NATIVE.make_selector):
+            # slot 0 waits on an undelivered SEND, slot 1 is noise
+            assert factory(*columns())(math.inf) == DISCARD | 1 << 3
+            with pytest.raises(TypeError):
+                factory(*columns(), {})
+            with pytest.raises(TypeError):
+                factory(*columns()[:-1])
 
 
 class TestEndToEndParity:

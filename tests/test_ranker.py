@@ -2,11 +2,16 @@
 
 import pytest
 
-from helpers import SyntheticTrace
+from helpers import SyntheticTrace, assert_ranker_aligned, assert_ranker_drained
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
+from repro.core.correlator import Correlator
 from repro.core.engine import CorrelationEngine
 from repro.core.index_maps import MessageMap
+from repro.core.log_format import ActivityClassifier, FrontendSpec
 from repro.core.ranker import ActivitySource, Ranker
+from repro.pipeline import BackendSpec
+from repro.topology import ScenarioConfig, run_scenario, scenario_names
+from repro.topology.workload import WorkloadStages
 
 
 def act(
@@ -286,44 +291,125 @@ class TestIdentityDelivery:
         assert remaining[0] is first  # identity, not mere equality
 
     def test_window_low_cache_invalidated_when_promotion_exposes_earlier_head(self):
-        """Delivering a promoted SEND from a non-low node can expose a
-        queue head *below* the cached window minimum (promotion breaks
-        the queues' timestamp monotonicity); the cache must notice, or
-        the next refill fetches beyond the true window and candidate
-        selection diverges."""
-        # node "m": a RECEIVE at t=2.0; node "n": a RECEIVE at t=1.0
-        # hiding a SEND at t=3.0 that will be promoted over it.
+        """Delivering a promoted SEND can expose a queue head *below* the
+        low edge the last refill derived (promotion breaks the queue's
+        timestamp monotonicity).  A lower edge admits nothing new, so no
+        refill is asked for -- but the next one must derive the edge from
+        the exposed head, or it fetches beyond the true window and
+        candidate selection diverges."""
+        # node "m": a RECEIVE at t=2.0 and SENDs at t=11.5 and t=12.5;
+        # node "n": a RECEIVE at t=1.0 hiding a SEND at t=3.0 that will be
+        # promoted over it.  Window 10: the 11.5 row is in reach of a low
+        # edge of 2.0 but not of 1.0, the 12.5 row only of a stale 3.0.
         recv_m = act(ActivityType.RECEIVE, 2.0, "m", src=("7.7.7.7", 70))
+        far_m = act(ActivityType.SEND, 11.5, "m", src=("6.6.6.6", 60))
+        farther_m = act(ActivityType.SEND, 12.5, "m", src=("6.6.6.6", 61))
         recv_n = act(ActivityType.RECEIVE, 1.0, "n", src=("8.8.8.8", 80))
         send_x = act(ActivityType.SEND, 3.0, "n")
         ranker = Ranker(
-            {"m": [recv_m], "n": [recv_n, send_x]}, MessageMap(), window=10.0
+            {"m": [recv_m, far_m, farther_m], "n": [recv_n, send_x]},
+            MessageMap(),
+            window=10.0,
         )
         ranker._refill()
-        ranker._promote_send("n", send_x)  # queue n: [send(3.0), recv(1.0)]
-        assert ranker._window_low() == 2.0  # heads are 3.0 (n) and 2.0 (m)
+        assert ranker._low == 1.0 and ranker.buffered_count() == 3
+        ranker._promote_send(ranker._slot_of["n"], 1)  # queue n: [send(3.0), recv(1.0)]
+        assert ranker._refill_due  # the head that held the edge was replaced
+        assert_ranker_aligned(ranker)
+        ranker._refill()
+        assert ranker._low == 2.0  # heads are 3.0 (n) and 2.0 (m)
+        assert ranker.buffered_count() == 4  # ... which puts 11.5 in the window
         delivered = ranker._deliver("n", send_x)  # exposes recv(1.0) on n
         assert delivered is send_x
-        assert ranker._window_low() == 1.0  # not the stale cached 2.0
+        assert_ranker_aligned(ranker)
+        ranker._refill()
+        assert ranker._low == 1.0  # not the 2.0 of the refill before
+        assert ranker.buffered_count() == 3
+        assert farther_m not in ranker.buffered_activities()
 
     def test_promoted_send_is_delivered_itself(self):
         """After a Fig. 6 promotion the rotated SEND is the queue head and
-        must be the delivered object, with the buffered-send index kept
-        consistent for its value-equal sibling."""
+        must be the delivered object, with the position index repaired
+        for the value-equal sibling it jumped over."""
         blocker = act(ActivityType.RECEIVE, 1.0, "n", src=("9.9.9.9", 1))
         first = act(ActivityType.SEND, 1.1, "n")
         twin = act(ActivityType.SEND, 1.1, "n")
         twin.seq = first.seq
         ranker = Ranker({"n": [blocker, first, twin]}, MessageMap(), window=10.0)
         ranker._refill()
-        ranker._promote_send("n", twin)
+        slot = ranker._slot_of["n"]
+        source = ranker._slot_sources[slot]
+        assert source.buffered()[2] is twin
+        ranker._promote_send(slot, 2)  # the *second* twin, over its sibling
         assert ranker.stats.head_swaps == 1
+        queue = source.buffered()
+        assert queue[0] is twin and queue[1] is blocker and queue[2] is first
+        # the promoted twin leads its key's positions, the sibling moved up
+        assert list(source._send_positions[twin.message_key]) == [0, 2]
+        assert_ranker_aligned(ranker)
         delivered = ranker._deliver("n", twin)
         assert delivered is twin
+        assert_ranker_aligned(ranker)
         # the sibling SEND is still indexed as buffered under its key
         found = ranker._find_buffered_send(first.message_key)
         assert found is not None
-        assert found[1] is first
+        found_slot, index = found
+        assert found_slot == slot
+        assert ranker._slot_sources[found_slot]._activities[index] is first
+
+    def test_deliver_refuses_an_activity_that_is_not_queued(self):
+        queued = act(ActivityType.SEND, 1.0, "n")
+        unfetched = act(ActivityType.SEND, 50.0, "n")
+        stranger = act(ActivityType.SEND, 1.0, "n")
+        ranker = Ranker({"n": [queued, unfetched]}, MessageMap(), window=10.0)
+        ranker._refill()
+        for activity in (stranger, unfetched):
+            with pytest.raises(ValueError, match="not buffered"):
+                ranker._deliver("n", activity)
+        assert_ranker_aligned(ranker)
+        assert ranker._deliver("n", queued) is queued
+
+
+class TestSameTimestampTies:
+    """Within one node, ties break by log position (``sort_key``)."""
+
+    FRONTEND = FrontendSpec(
+        ip="10.0.0.1", port=80, internal_ips=frozenset({"10.0.0.1", "10.0.0.2"})
+    )
+    # A one-worker frontend pool at saturation: the worker sends request
+    # 9's response and takes request 12 off the accept queue in zero
+    # time, so its log holds the END and the next BEGIN at one timestamp.
+    LOG = """\
+1.000000 www httpd 1000 1000 RECEIVE 10.9.0.1:41000-10.0.0.1:80 300 #rid=9
+1.001000 www httpd 1000 1000 SEND 10.0.0.1:5000-10.0.0.2:8009 200 #rid=9
+1.002000 app java 2000 2001 RECEIVE 10.0.0.1:5000-10.0.0.2:8009 200 #rid=9
+1.003000 app java 2000 2001 SEND 10.0.0.2:8009-10.0.0.1:5000 900 #rid=9
+1.004000 www httpd 1000 1000 RECEIVE 10.0.0.2:8009-10.0.0.1:5000 900 #rid=9
+2.443250 www httpd 1000 1000 SEND 10.0.0.1:80-10.9.0.1:41000 1200 #rid=9
+2.443250 www httpd 1000 1000 RECEIVE 10.9.0.2:42000-10.0.0.1:80 300 #rid=12
+2.444000 www httpd 1000 1000 SEND 10.0.0.1:5000-10.0.0.2:8009 200 #rid=12
+2.445000 app java 2000 2001 RECEIVE 10.0.0.1:5000-10.0.0.2:8009 200 #rid=12
+2.446000 app java 2000 2001 SEND 10.0.0.2:8009-10.0.0.1:5000 900 #rid=12
+2.447000 www httpd 1000 1000 RECEIVE 10.0.0.2:8009-10.0.0.1:5000 900 #rid=12
+2.448000 www httpd 1000 1000 SEND 10.0.0.1:80-10.9.0.2:42000 1200 #rid=12
+"""
+
+    def test_end_and_next_begin_at_one_timestamp_make_two_complete_cags(self):
+        lines = self.LOG.splitlines()
+        activities = ActivityClassifier(frontends=[self.FRONTEND]).classify_lines(lines)
+        end, begin = activities[5], activities[6]
+        assert (end.type, begin.type) == (ActivityType.END, ActivityType.BEGIN)
+        assert end.timestamp == begin.timestamp and end.context is begin.context
+        assert begin.priority < end.priority  # what the old key sorted on
+
+        result = Correlator(window=0.010).correlate(activities)
+        assert result.ranker_stats.fallback_selections == 0
+        assert result.incomplete_cags == []
+        assert len(result.cags) == 2
+        for cag, rid in zip(result.cags, (9, 12)):
+            assert {vertex.request_id for vertex in cag.vertices} == {rid}
+            assert len(cag.vertices) == 6
+            cag.validate()
 
 
 class TestStats:
@@ -336,3 +422,98 @@ class TestStats:
         drain(small)
         drain(large)
         assert large.stats.max_buffered >= small.stats.max_buffered
+
+
+FIELDS = (
+    "delivered",
+    "noise_discarded",
+    "rule1_selections",
+    "rule2_selections",
+    "head_swaps",
+    "window_refills",
+    "max_buffered",
+)
+
+
+def counters(stats):
+    return tuple(getattr(stats, name) for name in FIELDS)
+
+
+class TestStatsIdentity:
+    """The cursor window takes the decisions the deque window took.
+
+    The tuples were read off the ranker that copied rows into per-node
+    deques (commit b7b847f), on the same inputs: a window representation
+    may change what a fetch costs, never what it fetches or when.
+    """
+
+    STAGES = WorkloadStages(up_ramp=0.5, runtime=4.0, down_ramp=0.5)
+    PINNED = {
+        "cache_aside": (3451, 0, 1478, 1973, 0, 997, 46),
+        "fanout_aggregator": (2588, 0, 1156, 1432, 0, 443, 38),
+        "five_tier_chain": (2888, 0, 1367, 1521, 0, 687, 50),
+        "replicated_lb": (2105, 0, 939, 1166, 0, 473, 32),
+        "rubis": (941, 0, 423, 518, 0, 226, 25),
+    }
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_library_scenarios(self, name):
+        overrides = {"clients": 40} if name == "rubis" else {}
+        run = run_scenario(
+            ScenarioConfig(scenario=name, stages=self.STAGES, seed=11, **overrides)
+        )
+        stats = BackendSpec.batch(window=0.010).correlate(run.activities()).ranker_stats
+        assert counters(stats) == self.PINNED[name]
+        assert stats.fallback_selections == 0
+
+    def test_rubis_golden_run_never_falls_back(self):
+        # the run behind tests/golden_store_run.json
+        run = run_scenario(
+            ScenarioConfig(scenario="rubis", clients=40, stages=self.STAGES, seed=17)
+        )
+        stats = BackendSpec.batch(window=0.010).correlate(run.activities()).ranker_stats
+        assert counters(stats) == (1076, 0, 489, 587, 0, 281, 22)
+        assert stats.fallback_selections == 0
+
+    def test_skew_far_beyond_the_window(self):
+        # db's clock half a second behind, a 1 ms window: every db
+        # RECEIVE surfaces before its SEND was fetched (mechanism 1)
+        trace = SyntheticTrace(skews={"db": -0.5, "app": 0.2})
+        for index in range(12):
+            trace.three_tier_request(request_id=index + 1, start=1.0 + index * 0.013)
+        engine = CorrelationEngine()
+        ranker = Ranker(trace.by_node(), engine.mmap, window=0.001)
+        for candidate in iter(ranker.rank, None):
+            engine.process(candidate)
+            assert_ranker_aligned(ranker)
+        assert_ranker_drained(ranker)
+        assert counters(ranker.stats) == (168, 0, 72, 96, 0, 25, 8)
+        assert ranker.stats.fallback_selections == 0
+        assert len(engine.finished_cags) == 12
+
+    def test_head_swaps(self):
+        # five rounds of the Fig. 6 disturbance on one connection pair
+        rows = {"node1": [], "node2": []}
+        for index in range(5):
+            a, b = ("10.0.0.1", 100 + index), ("10.0.0.2", 200 + index)
+            ts = 1.0 + index * 0.01
+            rows["node1"] += [
+                act(ActivityType.RECEIVE, ts, "node1", pid=11, src=b, dst=a),
+                act(ActivityType.SEND, ts + 0.0001, "node1", pid=12, src=a, dst=b),
+            ]
+            rows["node2"] += [
+                act(ActivityType.RECEIVE, ts, "node2", pid=21, src=a, dst=b),
+                act(ActivityType.SEND, ts + 0.0001, "node2", pid=22, src=b, dst=a),
+            ]
+        mmap = MessageMap()
+        ranker = Ranker(rows, mmap, window=1.0)
+        delivered = []
+        for candidate in iter(ranker.rank, None):
+            if candidate.type is ActivityType.SEND:
+                mmap.insert(candidate)  # the engine would do this
+            delivered.append(candidate)
+            assert_ranker_aligned(ranker)
+        assert_ranker_drained(ranker)
+        assert len(delivered) == 20
+        assert ranker.stats.fallback_selections == 0
+        assert counters(ranker.stats) == (20, 0, 10, 10, 5, 1, 20)

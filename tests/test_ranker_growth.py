@@ -1,11 +1,13 @@
 """Growth of the one ranker: late arrivals, the bulk path, chunked ingest.
 
 ``ActivitySource.extend`` takes one of two branches on the *data's*
-order -- a batch sorting behind the unconsumed tail is appended to the
-three columns in bulk, a genuinely late row is inserted at its sort
-position -- and ``Ranker.ingest`` + ``seal`` must hand the selector the
-same streams a ranker built over the complete lists sees.  The nightly
-workflow runs the property with ``--hypothesis-profile nightly``.
+order -- a batch sorting behind the unfetched tail is appended to the
+three columns in bulk (its sends recorded at the positions they land
+on), a genuinely late row is inserted at its sort position, never before
+the fence, and the position index rebuilt -- and ``Ranker.ingest`` +
+``seal`` must hand the selector the same streams a ranker built over the
+complete lists sees.  The nightly workflow runs the property with
+``--hypothesis-profile nightly``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import SyntheticTrace
+from helpers import (
+    SyntheticTrace,
+    assert_ranker_aligned,
+    assert_ranker_drained,
+    assert_source_aligned,
+)
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId, sort_key
 from repro.core.engine import CorrelationEngine
+from repro.core.index_maps import MessageMap
 from repro.core.ranker import ActivitySource, Ranker
 
 
@@ -31,18 +39,22 @@ def row(ts, activity_type=ActivityType.SEND, port=10):
 
 
 def columns(source):
+    """The three columns from the queue head on (queue, then unfetched)."""
     return (
-        source._activities[source._position :],
-        source._ts[source._position :],
-        source._send_keys[source._position :],
+        source._activities[source.head :],
+        source._ts[source.head :],
+        source._send_keys[source.head :],
     )
 
 
-def assert_columns_aligned(source):
-    rows, ts_column, send_keys = columns(source)
-    assert ts_column == [a.timestamp for a in rows]
-    assert ts_column == sorted(ts_column)  # what take_until's bisect needs
-    assert send_keys == [a.message_key if a.send_like else None for a in rows]
+def send_positions(source):
+    """The position index relative to the head, so two sources that
+    released different numbers of rows compare equal."""
+    origin = source._base + source.head
+    return {
+        key: [position - origin for position in entries]
+        for key, entries in source._send_positions.items()
+    }
 
 
 class TestLateArrival:
@@ -52,20 +64,52 @@ class TestLateArrival:
         source.extend([late])
         assert columns(source)[1] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert source._activities[2] is late
-        assert_columns_aligned(source)
+        assert_source_aligned(source)
         assert source.frontier == 5.0
+        # a late *send* renumbers the sends behind it
+        late_send = row(2.5)
+        source.extend([late_send])
+        assert source._activities[2] is late_send
+        assert list(source._send_positions[late_send.message_key]) == [0, 1, 2, 4, 5]
+        assert_source_aligned(source)
 
     def test_row_older_than_everything_fetched_lands_at_the_consumption_point(self):
         source = ActivitySource("n", [row(1.0), row(2.0), row(3.0), row(4.0)])
         assert len(source.take_until(2.5)) == 2
         stale = row(0.5)
         source.extend([stale])
-        # fetched rows were released, the stale one is next in line
-        assert source._position == 0 and len(source) == 3
+        # the two fetched rows are the queue (nothing was delivered, so
+        # nothing is released); the stale one is next in line behind them
+        assert (source.head, source.fence) == (0, 2) and len(source) == 3
+        assert source._activities[2] is stale
         assert source.next_timestamp == 0.5
-        assert_columns_aligned(source)
+        assert_source_aligned(source)
         assert source.take_one() is stale
         assert source.frontier == 4.0
+        assert_source_aligned(source)
+
+    def test_extend_releases_delivered_rows_and_keeps_absolute_positions(self):
+        ranker = Ranker(None, MessageMap(), window=0.5, skew_bound=0.0)
+        rows = [row(float(i), port=10 + i % 2) for i in range(8)]
+        ranker.ingest(rows[:6])
+        ranker.seal()
+        delivered = [ranker.rank() for _ in range(3)]
+        assert delivered == rows[:3]
+        (source,) = ranker._slot_sources
+        assert source._base == 0 and source.head == 3
+        ranker.ingest(rows[6:])
+        # delivered rows are gone, buffered and unfetched ones stay, and
+        # the recorded positions still count from the first row ever held
+        assert (source._base, source.head) == (3, 0)
+        assert source._activities[0] is rows[3]
+        recorded = sorted(p for e in source._send_positions.values() for p in e)
+        assert recorded == [3, 4, 5, 6, 7]
+        assert_ranker_aligned(ranker)
+        while (candidate := ranker.rank()) is not None:
+            delivered.append(candidate)
+            assert_ranker_aligned(ranker)
+        assert delivered == rows
+        assert_ranker_drained(ranker)
 
     def test_columns_stay_sorted_under_shuffled_arrival_and_interleaved_fetches(self):
         rng = random.Random(7)
@@ -77,12 +121,17 @@ class TestLateArrival:
         fetched = []
         for start in range(0, len(rows), 7):
             source.extend(rows[start : start + 7])
-            assert_columns_aligned(source)
+            assert_source_aligned(source)
             if start % 3 == 0 and source.next_timestamp is not None:
                 fetched += source.take_until(source.next_timestamp + 0.05)
+                assert_source_aligned(source)
         fetched += source.take_until(float("inf"))
         assert sorted(map(id, fetched)) == sorted(map(id, rows))
-        assert source.exhausted and not source._future_send_keys
+        # fetch order is queue order
+        assert fetched == source.buffered()
+        assert source.exhausted
+        assert not any(source.has_future_send(key) for key in source._send_positions)
+        assert_source_aligned(source)
 
     def test_future_send_counters_are_empty_after_a_drain(self):
         script = SyntheticTrace()
@@ -95,15 +144,15 @@ class TestLateArrival:
         ranker = Ranker(None, engine.mmap, window=0.010, skew_bound=0.0)
         for start in reversed(range(0, len(arrival), 9)):
             ranker.ingest(reversed(arrival[start : start + 9]))
-        assert sum(ranker._future_send_keys.values()) == sum(
+            assert_ranker_aligned(ranker)
+        assert sum(ranker._undelivered_sends.values()) == sum(
             1 for a in arrival if a.send_like
         )
         ranker.seal()
         while (candidate := ranker.rank()) is not None:
             engine.process(candidate)
-        assert ranker.exhausted()
-        assert not ranker._future_send_keys
-        assert all(not s._future_send_keys for s in ranker._sources.values())
+            assert_ranker_aligned(ranker)
+        assert_ranker_drained(ranker)
         assert len(engine.finished_cags) == 4
 
 
@@ -121,9 +170,10 @@ class TestBulkPath:
         bulk = ActivitySource("n", rows[:25])
         bulk.extend(rows[25:])
         assert columns(bulk) == columns(one_by_one)
-        assert bulk._future_send_keys == one_by_one._future_send_keys
+        assert send_positions(bulk) == send_positions(one_by_one)
         assert bulk.frontier == one_by_one.frontier
         assert bulk.next_timestamp == one_by_one.next_timestamp
+        assert_source_aligned(bulk)
 
 
 class TestChunkedIngestProperty:
@@ -186,3 +236,5 @@ class TestChunkedIngestProperty:
             reference, reference_engine, whole_base
         )
         assert ranker.stats == reference.stats
+        assert_ranker_drained(ranker)
+        assert_ranker_drained(reference)
