@@ -26,8 +26,10 @@ Examples::
     # or cap tracing at 40 requests per second of trace time
     precisetracer trace --clients 300 --sample-budget 40
 
-    # correlate an existing TCP_TRACE log file (read once, incrementally)
-    precisetracer stream --input /var/log/tcp_trace.log --frontend 10.0.0.1:80
+    # correlate gathered per-node TCP_TRACE logs (read once, a block per
+    # file at a time, merged by timestamp as they are read)
+    precisetracer stream --input web.log --input app.log --input db.log \
+        --frontend 10.0.0.1:80
 
     # fuzz the correlation pipeline: 25 generated scenarios through the
     # full invariant stack, shrinking any failing seed to a minimal repro
@@ -64,9 +66,13 @@ Commands
     ``IncrementalEngine.horizon``); ``--shards`` switches to the
     sharded parallel driver instead (batch semantics per shard, so the
     incremental-only knobs ``--horizon``/``--skew-bound``/``--chunk-size``
-    do not apply there).  ``--input`` reads a log file through the
-    chunked tail reader in one pass; to *follow* a file that is still
-    being written, loop :meth:`repro.FileTailSource.poll` from Python.
+    do not apply there).  ``--input`` (repeatable: one log per node)
+    reads the files a block at a time inside the drive, merged by
+    timestamp as they are read, so the first causal paths are out before
+    the logs have been read through; ``wall_clock_s`` therefore covers
+    read + classify + correlate, while ``correlation_time_s`` stays the
+    engine's own clock.  To *follow* a file that is still being written,
+    loop :meth:`repro.FileTailSource.poll` from Python.
 ``diagnose``
     Rerun the Fig. 17 fault scenarios and print the implicated tiers.
 ``fuzz``
@@ -287,9 +293,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--input",
+        action="append",
         default=None,
         metavar="FILE",
-        help="TCP_TRACE log file to ingest (default: simulate a run first)",
+        help=(
+            "TCP_TRACE log file to ingest; repeat for a set of per-node logs, "
+            "which are merged by timestamp as they are read (default: "
+            "simulate a run first).  Reading and classification happen "
+            "inside the drive: wall_clock_s covers them, correlation_time_s "
+            "is the engine's own clock"
+        ),
     )
     stream_parser.add_argument(
         "--frontend",
@@ -634,6 +647,7 @@ def _session_json(session: TraceSession, command: str, **extra) -> str:
     payload["command"] = command
     payload["backend"] = session.backend.describe()
     payload["source"] = session.source.describe()
+    payload.update(session.source_counters())
     sampling = session.backend.sampling
     if sampling is not None:
         stats = session.trace.correlation.engine_stats
@@ -846,8 +860,10 @@ def _command_stream(args: argparse.Namespace) -> int:
                 "--noise/--fault shape a simulated run and cannot be "
                 "combined with --input"
             )
-        if not os.path.exists(args.input):
-            return _fail(f"--input file not found: {args.input}")
+        # Refuse up front: every path is checked before any stage runs.
+        for path in args.input:
+            if not os.path.isfile(path):
+                return _fail(f"--input file not found: {path}")
         source = LogSource(args.input, frontend=frontend)
     else:
         if args.scenario not in scenario_names():
@@ -872,7 +888,8 @@ def _command_stream(args: argparse.Namespace) -> int:
                     f"== simulating scenario {args.scenario} "
                     f"for {args.runtime:.0f} s =="
                 )
-            run = source.run
+        run = source.run  # simulated here, outside the ingestion timer
+        if not args.json:
             print(f"requests completed      : {run.completed_requests}")
             print(f"activities logged       : {run.total_activities}")
 
@@ -908,11 +925,9 @@ def _command_stream(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    # Classification (and the simulation, for run sources) happens inside
-    # source.activities(); keep it outside the timer so "wall-clock
-    # ingestion" measures the correlation drive alone, comparable to the
-    # reported correlation time.
-    activities = source.activities()
+    # Reading and classification happen inside the drive (the streaming
+    # backend pulls the source a chunk at a time), so "wall-clock
+    # ingestion" covers them.
     wall_start = time.perf_counter()
     try:
         # The store sink ingests live, at the cadence CAGs finish -- on
@@ -920,8 +935,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         # long run persists as it goes (and composes with --checkpoint:
         # ingest is idempotent, so re-emitted CAGs after --resume are
         # no-ops).
-        trace = backend.trace(
-            activities,
+        trace = backend.run(
+            source,
             on_cag=store_sink.on_cag if store_sink is not None else None,
         )
     except (ValueError, OSError) as exc:
@@ -929,7 +944,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         # e.g. a finalized duplicate --run-id) surface here.
         return _fail(str(exc))
     wall = time.perf_counter() - wall_start
-    trace.filtered_records = source.filtered_records
     session = TraceSession(source=source, backend=backend, trace=trace)
     if store_sink is not None:
         try:
@@ -971,6 +985,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         print(f"requests sampled out    : {stats.sampled_out_roots}")
     if session.source.malformed_lines:
         print(f"malformed lines         : {session.source.malformed_lines}")
+    if session.source.late_lines:
+        print(f"late lines              : {session.source.late_lines}")
     if sampling is None and session.source.ground_truth is not None:
         report = session.accuracy()
         print(f"path accuracy           : {report.accuracy * 100:.2f} %")

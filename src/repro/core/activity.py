@@ -23,7 +23,7 @@ import enum
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 
 class ActivityType(enum.IntEnum):
@@ -320,8 +320,10 @@ class Activity:
 #: ingest path creates a node's activities in the order its log holds
 #: them (``classify_lines`` and ``classify_all`` go line by line,
 #: ``ActivityTable`` rows keep their ``seq``, a row that arrives in a
-#: later chunk is later in the log, and ``MemorySource`` re-draws ``seq``
-#: in the order of the list it was given), so within one node the kernel's
+#: later chunk is later in the log, ``MemorySource`` re-draws ``seq``
+#: in the order of the list it was given, and ``LogSource.chunks()`` --
+#: which reads its files interleaved -- re-draws it in release order,
+#: :func:`restamp`), so within one node the kernel's
 #: log order -- the program order the whole algorithm assumes -- survives
 #: a coarse or repeated timestamp.  Type priority is deliberately *not*
 #: part of the key: it is Rule 2's choice *between* node queues (Section
@@ -332,6 +334,20 @@ class Activity:
 #: Implemented with :func:`operator.attrgetter` so per-node sorting (the
 #: paper's step 1, run over every activity) extracts the key tuple in C.
 sort_key = operator.attrgetter("timestamp", "seq")
+
+
+def restamp(activities: Iterable["Activity"]) -> None:
+    """Re-draw ``seq`` for ``activities`` in the order given.
+
+    For a source that builds activities in some other order than the one
+    it hands them out in (:meth:`repro.pipeline.LogSource.chunks` reads
+    its files a block at a time, interleaved): ``seq`` must be arrival
+    order, because the rank kernels break equal-priority,
+    equal-timestamp ties *between* node heads on it.
+    """
+    draw = _activity_counter.__next__
+    for activity in activities:
+        activity.seq = draw()
 
 
 # Interned-key plumbing, imported at the bottom to break the module

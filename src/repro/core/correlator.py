@@ -219,10 +219,14 @@ class IncrementalEngine:
           first node's RECEIVEs would be judged before their SENDs from
           the not-yet-seen node arrive, and get misdiscarded as noise.
 
-        For data at rest, sort globally by timestamp first --
+        For data at rest, feed it in global timestamp order.  Per-node
+        log files need no whole-trace sort for that: a time-sliced merge
+        that holds a read block per file produces the same sequence
+        (:meth:`repro.pipeline.LogSource.chunks`, what
         :class:`~repro.stream.StreamingCorrelator` and the CLI ``stream``
-        command do exactly that -- or :meth:`buffer` all of it and
-        :meth:`flush` once, as :class:`Correlator` does.
+        command consume); a trace already in memory is sorted once
+        (:func:`repro.stream.reader.arrival_chunks`).  Or :meth:`buffer`
+        all of it and :meth:`flush` once, as :class:`Correlator` does.
         """
         self.buffer(activities)
         return self._drain()

@@ -9,6 +9,7 @@ carries its knobs, so callers (CLI, experiments, examples, tests) select
 a backend declaratively instead of wiring a correlator by hand::
 
     spec = BackendSpec.streaming(horizon=5.0)
+    trace = spec.run(source)                     # TraceResult, from a Source
     result = spec.correlate(activities)          # CorrelationResult
     trace = spec.trace(activities)               # TraceResult
 
@@ -207,6 +208,28 @@ class BackendSpec:
             sampling=self.sampling,
         )
 
+    def run(
+        self, source, on_cag: Optional[Callable[[CAG], None]] = None
+    ) -> TraceResult:
+        """Read ``source`` (a :class:`~repro.pipeline.sources.Source`) and
+        correlate it -- the one place a source meets a driver.
+
+        The streaming backend consumes ``source.chunks(chunk_size)`` as
+        they are produced, so reading and classification happen inside
+        the drive and nothing is materialised in front of the engine; the
+        batch and sharded backends, which buffer the whole trace anyway,
+        take ``source.activities()``.  ``on_cag`` as in :meth:`correlate`.
+        """
+        if self.kind == "streaming":
+            result = self._drive(on_cag, chunks=source.chunks(self.chunk_size))
+        else:
+            result = self._drive(on_cag, source.activities())
+        # Attribute-filtered record count is a property of classification,
+        # which happens inside the source (and, chunked, during the drive).
+        return TraceResult(
+            correlation=result, filtered_records=source.filtered_records
+        )
+
     def correlate(
         self,
         activities: Iterable[Activity],
@@ -228,12 +251,21 @@ class BackendSpec:
         """
         if isinstance(activities, ActivityTable):
             activities = activities.iter_fresh()
+        return self._drive(on_cag, activities)
+
+    def _drive(
+        self,
+        on_cag: Optional[Callable[[CAG], None]],
+        activities: Iterable[Activity] = (),
+        chunks: Optional[Iterable[List[Activity]]] = None,
+    ) -> CorrelationResult:
         correlator = self.make_correlator()
-        if self.kind == "streaming" and on_cag is not None:
-            # Let correlate_iter own engine construction so the
-            # resume_from/checkpoint plumbing applies to this path too.
-            for cag in correlator.correlate_iter(activities):
-                on_cag(cag)
+        if self.kind == "streaming":
+            # correlate_iter owns engine construction, so the
+            # resume_from/checkpoint plumbing applies with or without a hook.
+            for cag in correlator.correlate_iter(activities, chunks=chunks):
+                if on_cag is not None:
+                    on_cag(cag)
             return correlator.last_engine.result()
         result = correlator.correlate(activities)
         if on_cag is not None:

@@ -202,7 +202,7 @@ def verify_equivalence(
         )
     report = EquivalenceReport(source=resolved.describe())
     for spec in backends:
-        result = spec.correlate(resolved.activities())
+        result = spec.run(resolved).correlation
         report.outcomes.append(
             BackendOutcome(
                 backend=spec,

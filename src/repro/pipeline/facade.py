@@ -80,10 +80,21 @@ class TraceSession:
             )
         return self.trace.accuracy(truth)
 
+    def source_counters(self) -> Dict[str, int]:
+        """What the read in front of the engine saw (``summary()`` and the
+        CLI's ``--json`` both carry these)."""
+        source = self.source
+        return {
+            "malformed_lines": source.malformed_lines,
+            "late_lines": source.late_lines,
+            "peak_buffered": source.peak_buffered,
+        }
+
     def summary(self) -> Dict[str, float]:
         """The trace's compact numeric summary plus source-side counters."""
         data = self.trace.summary()
-        data["malformed_lines"] = float(self.source.malformed_lines)
+        counters = self.source_counters()
+        data.update((name, float(count)) for name, count in counters.items())
         return data
 
 
@@ -154,11 +165,7 @@ class Pipeline:
                 for hook in live_hooks:
                     hook(cag)
 
-        trace = self.backend.trace(self.source.activities(), on_cag=callback)
-        # Attribute-filtered record count is a property of classification,
-        # which happens inside the source; surface it on the trace the
-        # same way PreciseTracer.trace_records does.
-        trace.filtered_records = self.source.filtered_records
+        trace = self.backend.run(self.source, on_cag=callback)
         session = TraceSession(source=self.source, backend=self.backend, trace=trace)
         for stage in self.stages:
             session.analyses[stage.name] = stage.run(session)

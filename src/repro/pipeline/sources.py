@@ -1,7 +1,10 @@
 """Activity sources: where a pipeline's trace comes from.
 
 A *source* hides how raw TCP_TRACE data is obtained and classified; the
-pipeline only ever asks it for **fresh** typed activities.  Fresh matters:
+pipeline only ever asks it for **fresh** typed activities -- all of them
+(:meth:`Source.activities`, what the batch and sharded drivers take) or
+in arrival order a chunk at a time (:meth:`Source.chunks`, what the
+streaming driver takes).  Fresh matters:
 the correlation engine mutates byte counters in place while merging
 segmented messages, so every backend pass (and every arm of an
 equivalence check) must receive its own activity objects.  Three shapes
@@ -16,10 +19,12 @@ cover the repo's call sites:
     already-completed run.  Carries ground truth, so accuracy stages
     work.
 :class:`LogSource`
-    One or more TCP_TRACE log files read through the chunked tail reader
-    (:class:`~repro.stream.FileTailSource`) and classified by an
-    :class:`~repro.stream.ActivityStream` -- the offline shape of a real
-    deployment's gathered logs.
+    One or more TCP_TRACE log files read a block at a time through the
+    tail reader (:class:`~repro.stream.FileTailSource`) and classified by
+    an :class:`~repro.stream.ActivityStream` -- the offline shape of a
+    real deployment's gathered logs.  Its ``chunks()`` is a time-sliced
+    merge of the per-node files that holds about a block per file in
+    front of the engine, not the trace.
 :class:`MemorySource`
     Already-classified activities (cloned on every request).
 
@@ -30,13 +35,18 @@ Pipeline` accepts them all directly.
 
 from __future__ import annotations
 
+import math
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from bisect import bisect_left
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..core.accuracy import GroundTruthRequest
-from ..core.activity import Activity
+from ..core.activity import Activity, restamp
 from ..core.log_format import ActivityClassifier, FrontendSpec
-from ..stream import ActivityStream, FileTailSource
+from ..stream import ActivityStream, FileTailSource, arrival_chunks
+
+_by_timestamp = attrgetter("timestamp")
 
 
 class Source:
@@ -45,6 +55,16 @@ class Source:
     def activities(self) -> List[Activity]:
         """Freshly classified/cloned activities (safe to mutate)."""
         raise NotImplementedError
+
+    def chunks(self, chunk_size: int) -> Iterator[List[Activity]]:
+        """The trace in arrival order, ``chunk_size`` activities at a time.
+
+        What the streaming backend consumes.  Concatenated, the chunks
+        are ``sorted(self.activities(), key=sort_key)``; this default is
+        exactly that, which is right for a source whose trace is in
+        memory anyway.
+        """
+        return arrival_chunks(self.activities(), chunk_size)
 
     def describe(self) -> str:
         """One-line human description (CLI banners, reports)."""
@@ -60,13 +80,20 @@ class Source:
         """The underlying simulation run, when there is one."""
         return None
 
-    #: records dropped by the attribute-based noise filter in the most
-    #: recent ``activities()`` call (0 when the source does not filter)
+    # Counters of the most recent read (``activities()``, or ``chunks()``
+    # once exhausted); 0 on a source they do not apply to.
+    #: records dropped by the attribute-based noise filter
     filtered_records: int = 0
-    #: unparseable lines dropped in the most recent ``activities()`` call
+    #: unparseable lines dropped
     malformed_lines: int = 0
-    #: blank and ``#`` comment lines in the most recent ``activities()`` call
+    #: blank and ``#`` comment lines
     skipped_lines: int = 0
+    #: rows that reached ``chunks()`` with a timestamp below what it had
+    #: already handed out (a node log out of local-clock order); they are
+    #: delivered with the next chunk, never dropped
+    late_lines: int = 0
+    #: most activities ``chunks()`` held in front of the engine at once
+    peak_buffered: int = 0
 
 
 class RunSource(Source):
@@ -137,15 +164,50 @@ class RunSource(Source):
 class LogSource(Source):
     """TCP_TRACE log files as a pipeline source.
 
-    Reads each file once through the chunked tail reader (torn lines are
-    reassembled across chunk boundaries) and classifies its lines with
-    the frontend description before the next file is opened, so at most
-    one file's text is held beside the activities.  Several per-node
-    files are concatenated in path order; the backends re-sort into their
-    own processing order, so that order does not matter.
+    Both feeds read the files through one block reader: a ``chunk_bytes``
+    read of one file, its completed lines (torn lines are reassembled
+    across reads) classified with the frontend description before the
+    next read, so no path holds a whole file's text.
 
-    After ``activities()``, ``lines_read == len(activities) +
-    filtered_records + malformed_lines + skipped_lines``.
+    ``activities()`` -- for the batch and sharded backends, which buffer
+    everything anyway -- drains the files one after another in path
+    order; those backends re-sort into their own processing order, so
+    that order does not matter.
+
+    ``chunks()`` -- for the streaming backend -- is a time-sliced merge
+    of the per-node files, each expected in its node's local-clock order
+    (a kernel log is):
+
+    * buffer one block per file; a file's *frontier* is the timestamp of
+      the last row read from it, at or above which its next rows lie;
+    * the *limit* is the lowest frontier among files that still have
+      data.  Release from every file the rows with timestamp **strictly
+      below** it (everything, once all files are exhausted) -- strictly,
+      because the file that set the limit may hold more rows of exactly
+      that timestamp in its next block, and every row of one timestamp
+      must leave in one slice for the next step to order them;
+    * concatenate the released runs in path order and **stable-sort the
+      slice by timestamp alone**.  ``activities()`` creates rows in path
+      order then line order, so this reproduces ``sorted(activities(),
+      key=sort_key)``, cross-node ties included, without consulting
+      ``seq`` -- which here reflects the interleaved reads, and is
+      re-drawn in release order (the rank kernels break ties between
+      node heads on it);
+    * re-cut the slices to ``chunk_size``, so the engine sees the chunk
+      boundaries (eviction sweeps, checkpoint cadence) it would see over
+      the sorted whole, and refill the file that set the limit.
+
+    The source then holds about a block per file (``peak_buffered``), not
+    the trace.  A row out of its file's order is sorted into place while
+    its neighbours are still buffered; one that arrives below a limit
+    already released cannot be put back: it leaves with the next slice
+    and is counted in ``late_lines``.  (A row far *ahead* of its file's
+    clock that ends a block holds that file back until the others catch
+    up, and what the file delivers then is late.)
+
+    After ``activities()`` returns or ``chunks()`` is exhausted,
+    ``lines_read == activities + filtered_records + malformed_lines +
+    skipped_lines``.
     """
 
     def __init__(
@@ -165,20 +227,85 @@ class LogSource(Source):
         self.chunk_bytes = chunk_bytes
         self.lines_read = 0
 
-    def activities(self) -> List[Activity]:
+    def _block_readers(self) -> List[Iterator[List[Activity]]]:
+        """One iterator of classified blocks per file, in path order, over
+        one shared classifier.  Resets the read counters; the iterators
+        keep them current."""
         stream = ActivityStream(
             frontends=[self.frontend], ignore_programs=set(self.ignore_programs)
         )
-        self.lines_read = 0
+        self.lines_read = self.late_lines = self.peak_buffered = 0
+
+        def blocks(path: str) -> Iterator[List[Activity]]:
+            tail = FileTailSource(path, chunk_bytes=self.chunk_bytes)
+            for lines in tail.blocks(final=True):
+                activities = stream.classify_lines(lines)
+                self.lines_read += len(lines)
+                self.malformed_lines = stream.malformed_lines
+                self.filtered_records = stream.filtered_records
+                self.skipped_lines = stream.skipped_lines
+                if activities:
+                    yield activities
+
+        return [blocks(path) for path in self.paths]
+
+    def activities(self) -> List[Activity]:
         activities: List[Activity] = []
-        for path in self.paths:
-            lines = FileTailSource(path, chunk_bytes=self.chunk_bytes).drain()
-            self.lines_read += len(lines)
-            activities.extend(stream.classify_lines(lines))
-        self.malformed_lines = stream.malformed_lines
-        self.filtered_records = stream.filtered_records
-        self.skipped_lines = stream.skipped_lines
+        for reader in self._block_readers():
+            for block in reader:
+                activities += block
         return activities
+
+    def chunks(self, chunk_size: int) -> Iterator[List[Activity]]:
+        if chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        readers = self._block_readers()
+        files = range(len(readers))
+        rows: List[List[Activity]] = [[] for _ in files]
+        stamps: List[List[float]] = [[] for _ in files]
+        # +inf once a file is exhausted: it no longer bounds the limit.
+        frontier = [-math.inf] * len(readers)
+        released = -math.inf
+        held = 0
+        pending: List[Activity] = []  # released, not yet a whole chunk
+        while released < math.inf:
+            for index in files:
+                if frontier[index] > released:
+                    continue
+                block = next(readers[index], None)
+                if block is None:
+                    frontier[index] = math.inf
+                    continue
+                held += len(block)
+                frontier[index] = block[-1].timestamp
+                buffered = rows[index]
+                buffered += block
+                buffered.sort(key=_by_timestamp)
+                column = stamps[index] = list(map(_by_timestamp, buffered))
+                # What was kept is at or above ``released``, so whatever
+                # is below it arrived just now.
+                self.late_lines += bisect_left(column, released)
+            if held > self.peak_buffered:
+                self.peak_buffered = held
+            # A frontier below ``released`` (a late row ended the block)
+            # bounds nothing that can still be ordered.
+            released = max(released, min(frontier))
+            ready: List[Activity] = []
+            for index in files:
+                cut = bisect_left(stamps[index], released)
+                if cut:
+                    ready += rows[index][:cut]
+                    del rows[index][:cut], stamps[index][:cut]
+            ready.sort(key=_by_timestamp)
+            restamp(ready)
+            pending += ready
+            whole = len(pending) - len(pending) % chunk_size
+            for start in range(0, whole, chunk_size):
+                yield pending[start : start + chunk_size]
+            del pending[:whole]
+            held -= whole
+        if pending:
+            yield pending
 
     def describe(self) -> str:
         names = ", ".join(os.path.basename(path) for path in self.paths)

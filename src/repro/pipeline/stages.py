@@ -202,7 +202,7 @@ class SamplingAccuracyStage(AnalysisStage):
 
     def run(self, session) -> SamplingAccuracy:
         reference_backend = session.backend.with_overrides(sampling=None)
-        full = reference_backend.correlate(session.source.activities())
+        full = reference_backend.run(session.source).correlation
         return compare_sampled_reports(full.cags, session.trace.cags)
 
 

@@ -17,7 +17,8 @@ the online drivers of that same engine, the seam every scaling direction
                             (union-find over context/connection keys,
                             LPT-packed by activity count) and correlate
                             them in parallel
-:class:`FileTailSource`     ``tail -f``-style chunked log file reader
+:class:`FileTailSource`     ``tail -f``-style log file reader, one
+                            ``chunk_bytes`` block at a time
 :class:`IteratorSource`     chunked reader over any line iterable
 :class:`ActivityStream`     raw line -> typed activity classification step
 ==========================  ==================================================
@@ -32,7 +33,13 @@ horizon, only requests idle longer than the horizon can differ.  See
 from ..core.correlator import IncrementalEngine
 from .checkpoint import StreamCheckpoint, load_checkpoint, save_checkpoint
 from .incremental import StreamingCorrelator
-from .reader import ActivityStream, FileTailSource, IteratorSource, iter_chunks
+from .reader import (
+    ActivityStream,
+    FileTailSource,
+    IteratorSource,
+    arrival_chunks,
+    iter_chunks,
+)
 from .sharded import (
     MergeTree,
     ShardedCorrelator,
@@ -54,6 +61,7 @@ __all__ = [
     "ShardedCorrelator",
     "StreamCheckpoint",
     "StreamingCorrelator",
+    "arrival_chunks",
     "canonical_part",
     "iter_chunks",
     "load_checkpoint",

@@ -2,42 +2,60 @@
 
 :class:`~repro.core.correlator.IncrementalEngine` (re-exported here and
 from :mod:`repro.stream`) is the push interface -- ingest chunks, collect
-finished CAGs, flush.  For one-shot use over an activity iterable,
-:class:`StreamingCorrelator` wraps the chunking loop behind the same
+finished CAGs, flush.  For one-shot use over a finite trace,
+:class:`StreamingCorrelator` wraps the chunk loop behind the same
 ``correlate()`` signature as the batch
 :class:`~repro.core.correlator.Correlator`, and adds checkpoint/resume.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional
 
-from ..core.activity import Activity, sort_key
+from ..core.activity import Activity
 from ..core.cag import CAG
 from ..core.correlator import CorrelationResult, IncrementalEngine
 from .checkpoint import load_checkpoint, save_checkpoint
+from .reader import arrival_chunks, iter_chunks
 
 
 class StreamingCorrelator:
     """Drop-in streaming counterpart of the batch ``Correlator``.
 
-    ``correlate()`` accepts the same flat activity iterable, drives an
-    :class:`IncrementalEngine` chunk by chunk in *arrival order* (global
-    timestamp order, the realistic online delivery order) and returns the
-    same :class:`~repro.core.correlator.CorrelationResult`.  Use
-    :meth:`correlate_iter` instead to consume finished CAGs as they are
-    emitted.
+    Drives an :class:`IncrementalEngine` chunk by chunk in *arrival
+    order* (global timestamp order, the realistic online delivery order)
+    and returns the same :class:`~repro.core.correlator.CorrelationResult`
+    as the batch driver.  The trace comes in one of two shapes:
+
+    * ``chunks=`` -- an iterator of activity lists already in arrival
+      order and cut to ``chunk_size``, as
+      :meth:`repro.pipeline.Source.chunks` yields them.  Consumed as it
+      is produced: nothing is materialised or sorted here, so in front of
+      the engine a log source holds a block per file, not the trace;
+    * a flat activity iterable in any order (the batch ``correlate()``
+      signature), put into that shape once, at the entry, by
+      :func:`~repro.stream.reader.arrival_chunks` -- the streaming path's
+      only whole-trace sort, for traces that are whole already.
+
+    One case materialises a chunked feed: a sampling policy with
+    ``needs_prepass`` (the per-second budget) freezes its decisions from
+    the whole trace, exactly as the batch driver does.
+
+    Use :meth:`correlate_iter` instead of :meth:`correlate` to consume
+    finished CAGs as they are emitted.
 
     Checkpoint/resume: with ``checkpoint_path`` + ``checkpoint_every``
     set, the engine state is snapshotted at the first chunk boundary at
     or past every ``checkpoint_every`` ingested activities (see
     :mod:`repro.stream.checkpoint` for the file format).  With
     ``resume_from`` set, correlation revives the saved engine, skips the
-    already-ingested prefix of the (deterministically sorted) trace, and
-    continues -- the final result digest is identical to an
-    uninterrupted run.  The streaming knobs must match the ones the
+    already-ingested prefix of the (deterministic) arrival order while
+    consuming it, and continues -- the final result digest is identical
+    to an uninterrupted run.  The streaming knobs must match the ones the
     checkpoint was taken under; mismatches raise :class:`ValueError`
-    rather than silently producing different output.
+    rather than silently producing different output, and so does a trace
+    that ends before the checkpoint's prefix does.
 
     Composing with a persistent :class:`~repro.store.TraceStore` (the
     ``on_cag`` hook of :class:`~repro.pipeline.StoreSink`): CAGs are
@@ -90,25 +108,24 @@ class StreamingCorrelator:
             sampling_decisions=sampling_decisions,
         )
 
-    def _decisions_for(self, ordered: Sequence[Activity]):
-        """Freeze the budget policy's decisions from the whole trace --
-        the same pre-pass the batch and sharded drivers run, so the
-        admitted subset is backend-independent."""
-        if self.sampling is None:
-            return None
-        return self.sampling.freeze(ordered)
-
-    def correlate(self, activities: Iterable[Activity]) -> CorrelationResult:
-        """Correlate a (finite) activity collection incrementally."""
-        for _cag in self.correlate_iter(activities):
+    def correlate(
+        self,
+        activities: Iterable[Activity] = (),
+        *,
+        chunks: Optional[Iterable[List[Activity]]] = None,
+    ) -> CorrelationResult:
+        """Correlate a (finite) trace incrementally."""
+        for _cag in self.correlate_iter(activities, chunks=chunks):
             pass
         assert self.last_engine is not None
         return self.last_engine.result()
 
     def correlate_iter(
         self,
-        activities: Iterable[Activity],
+        activities: Iterable[Activity] = (),
         engine: Optional[IncrementalEngine] = None,
+        *,
+        chunks: Optional[Iterable[List[Activity]]] = None,
     ) -> Iterator[CAG]:
         """Yield finished CAGs as the stream is consumed.
 
@@ -116,13 +133,23 @@ class StreamingCorrelator:
         ``last_engine.result()`` after the iterator is exhausted (or pass
         your own ``engine``, which disables ``resume_from`` handling).
         """
-        ordered = self._arrival_order(activities)
+        if chunks is None:
+            chunks = arrival_chunks(activities, self.chunk_size)
         skip = 0
         if engine is None:
             if self.resume_from is not None:
-                engine, skip = self._resume_engine(len(ordered))
+                engine, skip = self._resume_engine()
             else:
-                engine = self.make_engine(self._decisions_for(ordered))
+                decisions = None
+                if self.sampling is not None and self.sampling.needs_prepass:
+                    # Freeze the budget policy's decisions from the whole
+                    # trace -- the same pre-pass the batch and sharded
+                    # drivers run, so the admitted subset is
+                    # backend-independent.
+                    ordered = list(chain.from_iterable(chunks))
+                    decisions = self.sampling.freeze(ordered)
+                    chunks = iter_chunks(ordered, self.chunk_size)
+                engine = self.make_engine(decisions)
         self.last_engine = engine
         every = self.checkpoint_every
         # Cadence in *ingested activities*, written at chunk boundaries:
@@ -131,12 +158,24 @@ class StreamingCorrelator:
         next_checkpoint = (
             (engine.total_ingested // every + 1) * every if every else None
         )
-        for start in range(skip, len(ordered), self.chunk_size):
-            chunk = ordered[start : start + self.chunk_size]
+        to_skip = skip
+        for chunk in chunks:
+            if to_skip:
+                # Resuming: the checkpointed engine has seen this prefix.
+                dropped = min(to_skip, len(chunk))
+                to_skip -= dropped
+                chunk = chunk[dropped:]
+                if not chunk:
+                    continue
             yield from engine.ingest(chunk)
             if next_checkpoint is not None and engine.total_ingested >= next_checkpoint:
                 self._write_checkpoint(engine)
                 next_checkpoint = (engine.total_ingested // every + 1) * every
+        if to_skip:
+            raise ValueError(
+                f"checkpoint has ingested {skip} activities "
+                f"but the trace only has {skip - to_skip}"
+            )
         yield from engine.flush()
 
     # -- checkpoint plumbing -------------------------------------------------
@@ -160,7 +199,8 @@ class StreamingCorrelator:
             config=self._config_fingerprint(),
         )
 
-    def _resume_engine(self, trace_length: int):
+    def _resume_engine(self):
+        """The checkpointed engine and how many activities it has seen."""
         assert self.resume_from is not None
         checkpoint = load_checkpoint(self.resume_from)
         expected = self._config_fingerprint()
@@ -178,16 +218,4 @@ class StreamingCorrelator:
                     for key in mismatched
                 )
             )
-        if checkpoint.ingested_count > trace_length:
-            raise ValueError(
-                f"checkpoint has ingested {checkpoint.ingested_count} activities "
-                f"but the trace only has {trace_length}"
-            )
         return checkpoint.engine, checkpoint.ingested_count
-
-    @staticmethod
-    def _arrival_order(activities: Iterable[Activity]) -> Sequence[Activity]:
-        """Globally timestamp-sorted activities: the order a merged online
-        feed would deliver them in (per-node order is preserved, which is
-        all the incremental engine requires)."""
-        return sorted(activities, key=sort_key)

@@ -5,11 +5,15 @@ Online tracing instead consumes logs *as they grow*; this module provides
 the ingestion side of that pipeline:
 
 * :func:`iter_chunks` -- batch any iterable into fixed-size lists;
+* :func:`arrival_chunks` -- an in-memory trace in arrival order, a chunk
+  at a time: the one whole-trace sort on the streaming path, for inputs
+  that are already whole in memory;
 * :class:`IteratorSource` -- adapt an iterable of TCP_TRACE lines (a
   file object, a socket reader, a generator) into activity chunks;
 * :class:`FileTailSource` -- follow a growing log file on disk,
-  remembering the read offset and reassembling lines across chunk
-  boundaries (``tail -f`` semantics, without inotify dependencies);
+  one ``chunk_bytes`` read at a time, remembering the read offset and
+  reassembling lines across read boundaries (``tail -f`` semantics,
+  without inotify dependencies);
 * :class:`ActivityStream` -- the shared raw-line -> typed-activity step
   (parse + BEGIN/END classification + attribute noise filter), built on
   :meth:`repro.core.log_format.ActivityClassifier.classify_lines`.
@@ -21,9 +25,10 @@ to be pushed into :class:`repro.stream.IncrementalEngine.ingest`.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, TypeVar
 
-from ..core.activity import Activity
+from ..core.activity import Activity, sort_key
 from ..core.log_format import ActivityClassifier, FrontendSpec, LineAssembler
 
 T = TypeVar("T")
@@ -33,6 +38,10 @@ def iter_chunks(items: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
     """Yield successive lists of at most ``chunk_size`` items."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
+    if isinstance(items, list):
+        for start in range(0, len(items), chunk_size):
+            yield items[start : start + chunk_size]
+        return
     chunk: List[T] = []
     for item in items:
         chunk.append(item)
@@ -41,6 +50,23 @@ def iter_chunks(items: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
             chunk = []
     if chunk:
         yield chunk
+
+
+def arrival_chunks(
+    activities: Iterable[Activity], chunk_size: int
+) -> Iterator[List[Activity]]:
+    """An in-memory trace in *arrival order*, ``chunk_size`` at a time.
+
+    Arrival order is global timestamp order with ties in creation order
+    (:data:`~repro.core.activity.sort_key`): what a merged online feed of
+    the per-node logs delivers.  Per-node order is preserved, which is
+    all the incremental engine requires.  This sorts the whole trace, so
+    it is for traces that are whole already -- the in-memory pipeline
+    sources and a raw list handed to ``StreamingCorrelator.correlate``;
+    log files produce the same chunks incrementally
+    (:meth:`repro.pipeline.LogSource.chunks`).
+    """
+    return iter_chunks(sorted(activities, key=sort_key), chunk_size)
 
 
 class ActivityStream:
@@ -111,11 +137,12 @@ class IteratorSource:
 class FileTailSource:
     """Incrementally read a (possibly still growing) TCP_TRACE log file.
 
-    ``poll()`` reads whatever bytes were appended since the last call and
-    returns the completed lines; a trailing partial line stays buffered in
-    a :class:`LineAssembler` until its newline arrives.  ``drain()``
-    additionally flushes that final unterminated line -- call it once the
-    writer is known to be done.
+    :meth:`blocks` is the one read loop: it reads whatever bytes were
+    appended since the last call, ``chunk_bytes`` at a time, and yields
+    the lines each read completed; a trailing partial line stays buffered
+    in a :class:`LineAssembler` until its newline arrives.  ``poll()`` is
+    those blocks concatenated; ``drain()`` additionally flushes the final
+    unterminated line -- call it once the writer is known to be done.
 
     The source is deliberately dependency-free (no inotify): the caller
     decides the polling cadence, which keeps it usable inside simulations
@@ -133,20 +160,25 @@ class FileTailSource:
 
     @staticmethod
     def _new_decoder():
-        # Incremental decoder: a poll() that ends mid multi-byte UTF-8
+        # Incremental decoder: a read that ends mid multi-byte UTF-8
         # sequence keeps the partial bytes buffered instead of emitting
         # replacement characters and corrupting the record.
         import codecs
 
         return codecs.getincrementaldecoder("utf-8")("replace")
 
-    def poll(self) -> List[str]:
-        """Read newly-appended data; return the newly-completed lines."""
-        lines: List[str] = []
+    def blocks(self, final: bool = False) -> Iterator[List[str]]:
+        """Read newly-appended data; yield each read's completed lines.
+
+        A consumer that stops between blocks holds one block of text, not
+        the file: ``offset`` has advanced past exactly what was yielded
+        (plus the partial line the assembler keeps).  With ``final``, the
+        buffered partial line is yielded last -- end of stream.
+        """
         try:
             size = os.path.getsize(self.path)
         except OSError:
-            return lines  # not created yet
+            size = self.offset  # no such file (yet): nothing new
         if size < self.offset:
             # The file shrank: it was rotated/truncated under us
             # (copytruncate).  Restart from the top; the partial line and
@@ -155,23 +187,27 @@ class FileTailSource:
             self.offset = 0
             self._assembler = LineAssembler()
             self._decoder = self._new_decoder()
-        if size == self.offset:
-            return lines
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            while True:
-                chunk = handle.read(self.chunk_bytes)
-                if not chunk:
-                    break
-                lines.extend(self._assembler.feed(self._decoder.decode(chunk)))
-            self.offset = handle.tell()
-        return lines
+        if size > self.offset:
+            with open(self.path, "rb") as handle:
+                handle.seek(self.offset)
+                while True:
+                    chunk = handle.read(self.chunk_bytes)
+                    if not chunk:
+                        break
+                    self.offset += len(chunk)
+                    lines = self._assembler.feed(self._decoder.decode(chunk))
+                    if lines:
+                        yield lines
+        if final:
+            lines = self._assembler.feed(self._decoder.decode(b"", final=True))
+            lines.extend(self._assembler.flush())
+            if lines:
+                yield lines
+
+    def poll(self) -> List[str]:
+        """Read newly-appended data; return the newly-completed lines."""
+        return list(chain.from_iterable(self.blocks()))
 
     def drain(self) -> List[str]:
         """Final poll plus the buffered partial line (end of stream)."""
-        lines = self.poll()
-        tail = self._decoder.decode(b"", final=True)
-        if tail:
-            lines.extend(self._assembler.feed(tail))
-        lines.extend(self._assembler.flush())
-        return lines
+        return list(chain.from_iterable(self.blocks(final=True)))

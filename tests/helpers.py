@@ -10,6 +10,7 @@ are sensitive to.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -17,6 +18,7 @@ from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.latency import segment_label
+from repro.core.log_format import format_record
 from repro.services.rubis.client import WorkloadStages
 from repro.services.rubis.deployment import RubisConfig
 
@@ -40,6 +42,39 @@ def tiny_config(**overrides) -> RubisConfig:
         seed=42,
     )
     return base.with_overrides(**overrides) if overrides else base
+
+
+def write_node_logs(run, outdir, coarse=False, mutate=None):
+    """Write ``run``'s records as one TCP_TRACE log per node under
+    ``outdir``; returns the paths in path (= node name) order.
+
+    ``coarse`` rounds every timestamp to 1 ms, which manufactures
+    same-timestamp ties between nodes; ``mutate(node, lines) -> lines``
+    edits a node's lines before they are written.
+    """
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for node, records in sorted(run.records_by_node.items()):
+        if coarse:
+            records = [
+                dataclasses.replace(r, timestamp=round(r.timestamp, 3)) for r in records
+            ]
+        lines = [format_record(record) for record in records]
+        if mutate is not None:
+            lines = mutate(node, lines)
+        paths.append(outdir / f"{node}.log")
+        paths[-1].write_text("".join(line + "\n" for line in lines))
+    return paths
+
+
+def lines_conserved(source, activities) -> bool:
+    """Every line a ``LogSource`` read landed in exactly one counter."""
+    return source.lines_read == (
+        len(activities)
+        + source.filtered_records
+        + source.malformed_lines
+        + source.skipped_lines
+    )
 
 
 WEB = ("web", "10.1.0.1", "httpd")

@@ -35,6 +35,8 @@ from repro.stream import ActivityStream
 from repro.topology.library import ScenarioConfig, run_scenario, scenario_names
 from repro.topology.workload import WorkloadStages
 
+from helpers import lines_conserved, write_node_logs
+
 FRONTEND = FrontendSpec(
     ip="10.0.0.1", port=80, internal_ips=frozenset({"10.0.0.1", "10.0.0.2"})
 )
@@ -468,23 +470,6 @@ def scenario_run(name, **overrides):
     return run_scenario(ScenarioConfig(scenario=name, stages=STAGES, seed=11, **overrides))
 
 
-def write_node_logs(run, outdir):
-    paths = []
-    for node, records in sorted(run.records_by_node.items()):
-        paths.append(outdir / f"{node}.log")
-        paths[-1].write_text("".join(format_record(r) + "\n" for r in records))
-    return paths
-
-
-def conserved(source, activities) -> bool:
-    return source.lines_read == (
-        len(activities)
-        + source.filtered_records
-        + source.malformed_lines
-        + source.skipped_lines
-    )
-
-
 @pytest.fixture(scope="module")
 def rubis_run():
     return scenario_run("rubis")
@@ -500,7 +485,7 @@ class TestWholeTraces:
         activities = source.activities()
         assert source.lines_read == sum(map(len, run.records_by_node.values()))
         assert source.malformed_lines == source.skipped_lines == 0
-        assert conserved(source, activities)
+        assert lines_conserved(source, activities)
         # and the loop is the definition on generator-drawn traces too
         definition = ActivityClassifier(
             frontends=[run.frontend_spec()], ignore_programs=ignored
@@ -547,7 +532,7 @@ class TestWholeTraces:
         assert source.malformed_lines == 4
         assert source.skipped_lines == 3
         assert source.filtered_records > 0
-        assert conserved(source, activities)
+        assert lines_conserved(source, activities)
 
     def test_nan_timestamps_are_counted_and_cost_at_most_their_own_requests(self):
         # A non-finite timestamp used to parse, sort nowhere, break
