@@ -105,7 +105,13 @@ one :class:`repro.pipeline.Pipeline` run -- a source (simulated run or
 log file), a backend (:class:`repro.pipeline.BackendSpec`: batch,
 streaming or sharded) and analysis stages -- differing only in how the
 flags select the source and the backend.  ``--json`` prints the
-pipeline's trace-summary document instead of the human report.
+pipeline's trace-summary document instead of the human report; it says
+where the drive's wall clock went -- ``wall_clock_s`` (reading the trace,
+never simulating it, through the last ``on_cag`` call), ``first_cag_s``
+(drive start to the first finished CAG leaving the driver: CAGs leave a
+batch run while its drain runs, not after it) and ``hook_time_s`` (spent
+inside the store's live-ingest hook) -- beside the engine's own
+``correlation_time_s``.
 """
 
 from __future__ import annotations
@@ -126,6 +132,7 @@ from .experiments import (
 from .pipeline import (
     AccuracyStage,
     BackendSpec,
+    DriveTimings,
     LogSource,
     PatternStage,
     Pipeline,
@@ -648,6 +655,7 @@ def _session_json(session: TraceSession, command: str, **extra) -> str:
     payload["backend"] = session.backend.describe()
     payload["source"] = session.source.describe()
     payload.update(session.source_counters())
+    payload.update(session.drive_timings())
     sampling = session.backend.sampling
     if sampling is not None:
         stats = session.trace.correlation.engine_stats
@@ -830,7 +838,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
 def _command_stream(args: argparse.Namespace) -> int:
     """Drive the online pipeline: source -> streaming/sharded backend."""
     import os
-    import time
 
     if args.chunk_size <= 0:
         return _fail("--chunk-size must be positive")
@@ -928,7 +935,7 @@ def _command_stream(args: argparse.Namespace) -> int:
     # Reading and classification happen inside the drive (the streaming
     # backend pulls the source a chunk at a time), so "wall-clock
     # ingestion" covers them.
-    wall_start = time.perf_counter()
+    timings = DriveTimings()
     try:
         # The store sink ingests live, at the cadence CAGs finish -- on
         # the incremental driver that means chunk-boundary commits, so a
@@ -938,13 +945,15 @@ def _command_stream(args: argparse.Namespace) -> int:
         trace = backend.run(
             source,
             on_cag=store_sink.on_cag if store_sink is not None else None,
+            timings=timings,
         )
     except (ValueError, OSError) as exc:
         # Bad/missing/mismatched checkpoint files (and store refusals,
         # e.g. a finalized duplicate --run-id) surface here.
         return _fail(str(exc))
-    wall = time.perf_counter() - wall_start
-    session = TraceSession(source=source, backend=backend, trace=trace)
+    session = TraceSession(
+        source=source, backend=backend, trace=trace, timings=timings
+    )
     if store_sink is not None:
         try:
             session.artifacts[store_sink.name] = store_sink.write(session)
@@ -953,7 +962,7 @@ def _command_stream(args: argparse.Namespace) -> int:
     result = trace.correlation
 
     if args.json:
-        extra = {"wall_clock_s": wall}
+        extra = {}
         if result.shard_sizes is not None:
             extra["shards"] = len(result.shard_sizes)
         if store_sink is not None:
@@ -972,7 +981,7 @@ def _command_stream(args: argparse.Namespace) -> int:
         print(f"\n== sharded correlation ({len(result.shard_sizes or [])} shards) ==")
     else:
         print("\n== incremental correlation ==")
-        print(f"wall-clock ingestion    : {wall:.3f} s")
+        print(f"wall-clock ingestion    : {timings.wall_clock_s:.3f} s")
     print(f"activities ingested     : {result.total_activities}")
     print(f"finished paths (CAGs)   : {len(result.cags)}")
     print(f"incomplete paths        : {len(result.incomplete_cags)}")

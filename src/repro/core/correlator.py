@@ -19,9 +19,13 @@ watermark advances, and each finished CAG is emitted the moment its root
 request's END activity is correlated -- which is what makes request
 tracing usable as a *monitoring* tool against a live service rather than
 a post-mortem one.  The offline :class:`Correlator` is the degenerate
-use of it: ingest everything, seal, drain once.  It buffers every
-activity before the first CAG comes out, so its working set grows with
-the trace; the drivers in :mod:`repro.stream`
+use of it: buffer everything, seal, drain.  It holds every activity
+before the first CAG comes out, so its working set grows with the
+trace -- but the drain itself runs a slice (``FLUSH_SLICE_SAMPLES``
+sampling periods) at a time and hands each slice's CAGs to the caller
+before the next one starts (:meth:`Correlator.correlate_iter`), so a
+consumer stores the first requests while the later ones are still
+being correlated.  The drivers in :mod:`repro.stream`
 (:class:`~repro.stream.StreamingCorrelator`,
 :class:`~repro.stream.ShardedCorrelator`) feed the same engine in chunks
 or per shard.
@@ -65,7 +69,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .activity import Activity
 from .cag import CAG
@@ -76,6 +80,16 @@ from .ranker import Ranker, RankerStats
 #: live-entry count for the memory accounting; sampling keeps the
 #: bookkeeping overhead negligible for large traces.
 PEAK_SAMPLE_EVERY = 256
+
+#: How many sampling periods one slice of :meth:`IncrementalEngine.flush_slices`
+#: runs before it hands its finished CAGs out.  A slice ends *on* a sample
+#: point, so slicing adds none and moves none.  Chosen by measurement: every
+#: hand-over swaps the loop's working set for the consumer's and back, and
+#: on the 80k-line RUBiS trace with a store sink behind it slices of 1 or
+#: 4 periods cost ~5 % of the job's CPU time over one unsliced drain, of 16
+#: or 32 nothing measurable, for the same median time-to-row (a CAG waits
+#: half a slice, ~10 ms, and the job ends sooner).
+FLUSH_SLICE_SAMPLES = 16
 
 #: Approximate in-memory footprint of one buffered activity, used by the
 #: memory accounting below.  Measured once on CPython for the Activity
@@ -234,9 +248,22 @@ class IncrementalEngine:
     def flush(self) -> List[CAG]:
         """End of stream: deliver everything still gated by the watermark."""
         self.ranker.seal()
-        finished = self._drain()
-        self._flushed = True
-        return finished
+        return self._drain()
+
+    def flush_slices(self) -> Iterator[List[CAG]]:
+        """:meth:`flush` a slice at a time: yield the CAGs each
+        ``FLUSH_SLICE_SAMPLES`` sampling periods finished (possibly none).
+
+        Between two slices the caller's code runs outside the
+        ``correlation_time`` clock and with the cycle collector in its own
+        state, as it does between two :meth:`ingest` calls.  A slice ends
+        *on* a sample point, so the slices together take exactly the
+        decisions, and sample ``peak_state`` at exactly the points, of one
+        :meth:`flush`.
+        """
+        self.ranker.seal()
+        while not self._flushed:
+            yield self._drain(FLUSH_SLICE_SAMPLES)
 
     def pending_state_size(self) -> int:
         """Live bookkeeping entries: engine maps + ranker buffer."""
@@ -270,8 +297,9 @@ class IncrementalEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _drain(self) -> List[CAG]:
-        """Correlate every candidate the ranker can decide right now."""
+    def _drain(self, samples: float = math.inf) -> List[CAG]:
+        """Correlate every candidate the ranker can decide right now -- or
+        stop early, on the ``samples``-th sample point from here."""
         engine = self.engine
         finished = engine.finished_cags
         already_finished = len(finished)
@@ -294,12 +322,18 @@ class IncrementalEngine:
             while True:
                 candidate = rank()
                 if candidate is None:
+                    # A sealed ranker that has nothing left to decide is
+                    # drained for good.
+                    self._flushed = self.ranker.sealed
                     break
                 process(candidate)
                 until_sample -= 1
                 if not until_sample:
                     until_sample = PEAK_SAMPLE_EVERY
                     self.peak_state = max(self.peak_state, engine.pending_state_size())
+                    samples -= 1
+                    if not samples:
+                        break
             self._maybe_evict()
         finally:
             if gc_was_enabled:
@@ -374,9 +408,25 @@ class Correlator:
         self.window = window
         self.sampling = sampling
         self.sampling_decisions = sampling_decisions
+        #: The engine the last ``correlate_iter``/``correlate`` call drove.
+        self.last_engine: Optional[IncrementalEngine] = None
 
     def correlate(self, activities: Iterable[Activity]) -> CorrelationResult:
         """Correlate a flat activity collection (any node order)."""
+        for _cag in self.correlate_iter(activities):
+            pass
+        assert self.last_engine is not None
+        return self.last_engine.result()
+
+    def correlate_iter(self, activities: Iterable[Activity]) -> Iterator[CAG]:
+        """Yield finished CAGs while the sealed engine drains.
+
+        Everything is buffered first (the first CAG still waits for the
+        last activity to be *read*), then the drain runs a slice at a
+        time and each slice's CAGs are handed out before the next one
+        starts.  The engine is left on :attr:`last_engine`; read
+        ``last_engine.result()`` after the iterator is exhausted.
+        """
         decisions = self.sampling_decisions
         if self.sampling is not None and decisions is None:
             activities = list(activities)
@@ -384,11 +434,12 @@ class Correlator:
         engine = IncrementalEngine(
             window=self.window, sampling=self.sampling, sampling_decisions=decisions
         )
+        self.last_engine = engine
         # Everything first, nothing delivered: the watermark gates no
         # decision when the ranker is sealed before its first ``rank()``.
         engine.buffer(activities)
-        engine.flush()
-        return engine.result()
+        for finished in engine.flush_slices():
+            yield from finished
 
     def correlate_streams(
         self, streams: Dict[str, Sequence[Activity]]

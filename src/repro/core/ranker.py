@@ -48,7 +48,10 @@ moves ``fence``; a delivery moves ``head``.  Beside the cursors there is
   or behind ``fence`` means a send awaits fetch, the first one before it
   is the first buffered send: blockage resolution reads both without
   walking rows.  Positions count from the first row the source ever
-  held, so releasing delivered rows renumbers nothing.
+  held, so releasing delivered rows renumbers nothing.  Only blockage
+  resolution reads it, and a well-formed trace never blocks: the index
+  is built by the first read (one scan from ``head``) and maintained
+  from then on; until then growth and delivery skip it.
 
 The window low edge is derived, not cached: :meth:`Ranker._refill`
 recomputes it in the same pass over the slots that fetches, and runs
@@ -143,8 +146,9 @@ class ActivitySource:
         self._base = 0
         # Message key -> ascending absolute positions of the undelivered
         # send-like rows with that key (buffered ones first, then the
-        # ones awaiting fetch).  No entry for a key without any.
-        self._send_positions: Dict[MessageKey, Deque[int]] = {}
+        # ones awaiting fetch).  No entry for a key without any.  None
+        # until blockage resolution first asks (``_positions``).
+        self._send_positions: Optional[Dict[MessageKey, Deque[int]]] = None
         self._registry = registry
         #: Local timestamp of the next unfetched activity (None when
         #: exhausted).  A plain attribute so the ranker's refill loop can
@@ -181,26 +185,27 @@ class ActivitySource:
         timestamps = [a.timestamp for a in batch]
         keys = [a.message_key if a.send_like else None for a in batch]
         if fence == len(rows) or sort_key(batch[0]) >= sort_key(rows[-1]):
-            position = self._base + len(rows)
+            first = self._base + len(rows)
             rows += batch
             ts_column += timestamps
             send_keys += keys
             positions = self._send_positions
-            for key in keys:
-                if key is not None:
-                    entries = positions.get(key)
-                    if entries is None:
-                        positions[key] = deque((position,))
-                    else:
-                        entries.append(position)
-                position += 1
+            if positions is not None:
+                for position, key in enumerate(keys, first):
+                    if key is not None:
+                        entries = positions.get(key)
+                        if entries is None:
+                            positions[key] = deque((position,))
+                        else:
+                            entries.append(position)
         else:
             for activity, timestamp, key in zip(batch, timestamps, keys):
                 index = bisect_right(rows, sort_key(activity), fence, key=sort_key)
                 rows.insert(index, activity)
                 ts_column.insert(index, timestamp)
                 send_keys.insert(index, key)
-            self._reindex_sends()
+            if self._send_positions is not None:
+                self._reindex_sends()
         if self._registry is not None:
             self._registry.update(key for key in keys if key is not None)
         if self.frontier is None or timestamps[-1] > self.frontier:
@@ -250,7 +255,7 @@ class ActivitySource:
 
     def has_future_send(self, key: MessageKey) -> bool:
         """Is a send-like activity with ``key`` still awaiting fetch?"""
-        entries = self._send_positions.get(key)
+        entries = self._positions().get(key)
         return entries is not None and entries[-1] - self._base >= self.fence
 
     def take_through_send(self, key: MessageKey) -> List[Activity]:
@@ -270,7 +275,7 @@ class ActivitySource:
         index = next(
             (
                 position - base
-                for position in self._send_positions.get(key, ())
+                for position in self._positions().get(key, ())
                 if position - base >= fence
             ),
             None,
@@ -295,7 +300,7 @@ class ActivitySource:
     def first_buffered_send(self, key: MessageKey) -> Optional[int]:
         """Row index of the first send-like activity with ``key`` in the
         queue, None when the queue holds none."""
-        entries = self._send_positions.get(key)
+        entries = self._positions().get(key)
         if entries is None:
             return None
         index = entries[0] - self._base
@@ -305,18 +310,23 @@ class ActivitySource:
         """Rotate queue row ``index`` to the queue front, in all three
         columns; the rows it jumps over keep their order one place back.
 
-        The recorded positions of every send involved are repaired: the
-        jumped ones move up by one, the moved one (if it is a send) gets
-        the head's -- the lowest of its key, so it leads its key's
-        entries even past a same-key sibling that was ahead of it.
+        The recorded positions of every send involved are repaired (when
+        the index exists): the jumped ones move up by one, the moved one
+        (if it is a send) gets the head's -- the lowest of its key, so it
+        leads its key's entries even past a same-key sibling that was
+        ahead of it.
         """
         head = self.head
         if index == head:
             return
         send_keys = self._send_keys
-        touched = {key for key in send_keys[head : index + 1] if key is not None}
         for column in (self._activities, self._ts, send_keys):
             column.insert(head, column.pop(index))
+        positions = self._send_positions
+        if positions is None:
+            return
+        # (the rotation permutes rows [head, index]: same keys as before)
+        touched = {key for key in send_keys[head : index + 1] if key is not None}
         low, high = self._base + head, self._base + index
 
         def moved(position: int) -> int:
@@ -324,13 +334,19 @@ class ActivitySource:
                 return low
             return position + 1 if low <= position < high else position
 
-        positions = self._send_positions
         for key in touched:
             positions[key] = deque(sorted(map(moved, positions[key])))
 
+    def _positions(self) -> Dict[MessageKey, Deque[int]]:
+        """The position index, built on first use."""
+        if self._send_positions is None:
+            self._reindex_sends()
+        return self._send_positions
+
     def _reindex_sends(self) -> None:
-        """Rebuild the position index from the send-key column (after a
-        late row was inserted in the middle of it)."""
+        """Build the position index from the send-key column (at its
+        first use, and after a late row was inserted in the middle of
+        it)."""
         positions: Dict[MessageKey, Deque[int]] = {}
         base = self._base
         send_keys = self._send_keys
@@ -653,12 +669,13 @@ class Ranker:
                 activity = rows[head]
                 key = source._send_keys[head]
                 if key is not None:
-                    # The head is the first undelivered send of its key.
                     positions = source._send_positions
-                    entries = positions[key]
-                    entries.popleft()
-                    if not entries:
-                        del positions[key]
+                    if positions is not None:
+                        # The head is the first undelivered send of its key.
+                        entries = positions[key]
+                        entries.popleft()
+                        if not entries:
+                            del positions[key]
                     count = undelivered[key]
                     if count > 1:
                         undelivered[key] = count - 1
@@ -869,10 +886,12 @@ class Ranker:
         activity = source._activities[head]
         key = source._send_keys[head]
         if key is not None:
-            entries = source._send_positions[key]
-            entries.popleft()
-            if not entries:
-                del source._send_positions[key]
+            positions = source._send_positions
+            if positions is not None:
+                entries = positions[key]
+                entries.popleft()
+                if not entries:
+                    del positions[key]
             undelivered = self._undelivered_sends
             count = undelivered[key]
             if count > 1:

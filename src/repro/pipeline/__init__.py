@@ -16,7 +16,8 @@ Entry points
     Compose and execute: ``Pipeline(source, backend, stages, sinks).run()``.
 :class:`BackendSpec`
     Declarative driver selection (``batch`` | ``streaming`` | ``sharded``)
-    carrying window/horizon/skew-bound/chunk-size/shard/executor knobs.
+    carrying window/horizon/skew-bound/chunk-size/shard/executor knobs;
+    :class:`DriveTimings` is what one drive reports about its wall clock.
 :mod:`sources <repro.pipeline.sources>`
     :class:`RunSource` (simulations, memoised), :class:`LogSource`
     (chunked log-file readers), :class:`MemorySource` (raw activities).
@@ -33,7 +34,7 @@ Entry points
 """
 
 from ..sampling import SamplingAccuracy, SamplingSpec
-from .backends import BACKEND_KINDS, BackendSpec, default_backends
+from .backends import BACKEND_KINDS, BackendSpec, DriveTimings, default_backends
 from .equivalence import (
     BackendOutcome,
     EquivalenceError,
@@ -68,6 +69,7 @@ __all__ = [
     "CagJsonlSink",
     "DiagnosisStage",
     "DotSink",
+    "DriveTimings",
     "EquivalenceError",
     "EquivalenceReport",
     "LogSource",

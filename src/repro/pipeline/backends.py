@@ -29,6 +29,7 @@ eviction disabled -- the same finished CAGs (the equivalence asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from time import perf_counter
 from typing import Callable, Iterable, List, Optional
 
 from ..core.activity import Activity
@@ -42,6 +43,24 @@ from ..stream.sharded import EXECUTOR_KINDS
 
 #: The three backend kinds, in canonical (equivalence-matrix) order.
 BACKEND_KINDS = ("batch", "streaming", "sharded")
+
+
+@dataclass
+class DriveTimings:
+    """Where one drive's wall clock went, in seconds.
+
+    Filled in by :meth:`BackendSpec.run`.  Wall-clock readings: they are
+    part of no digest and no golden.
+    """
+
+    #: make-the-driver to result-in-hand: read + classify (streaming),
+    #: buffering, correlation and every ``on_cag`` call
+    wall_clock_s: float = 0.0
+    #: drive start to the first finished CAG leaving the driver (``None``
+    #: when the trace finished no request)
+    first_cag_s: Optional[float] = None
+    #: total spent inside ``on_cag`` (0 without a hook)
+    hook_time_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -209,7 +228,10 @@ class BackendSpec:
         )
 
     def run(
-        self, source, on_cag: Optional[Callable[[CAG], None]] = None
+        self,
+        source,
+        on_cag: Optional[Callable[[CAG], None]] = None,
+        timings: Optional[DriveTimings] = None,
     ) -> TraceResult:
         """Read ``source`` (a :class:`~repro.pipeline.sources.Source`) and
         correlate it -- the one place a source meets a driver.
@@ -218,12 +240,13 @@ class BackendSpec:
         they are produced, so reading and classification happen inside
         the drive and nothing is materialised in front of the engine; the
         batch and sharded backends, which buffer the whole trace anyway,
-        take ``source.activities()``.  ``on_cag`` as in :meth:`correlate`.
+        take ``source.activities()``.  ``on_cag`` as in :meth:`correlate`;
+        a :class:`DriveTimings` passed as ``timings`` is filled in.
         """
-        if self.kind == "streaming":
-            result = self._drive(on_cag, chunks=source.chunks(self.chunk_size))
-        else:
-            result = self._drive(on_cag, source.activities())
+        # A lazily simulated source runs here: the drive's clock covers
+        # reading a trace, not producing one.
+        _ = source.run
+        result = self._drive(on_cag, source=source, timings=timings)
         # Attribute-filtered record count is a property of classification,
         # which happens inside the source (and, chunked, during the drive).
         return TraceResult(
@@ -237,11 +260,18 @@ class BackendSpec:
     ) -> CorrelationResult:
         """Run the configured driver over ``activities``.
 
-        ``on_cag`` is invoked once per finished CAG.  On the streaming
-        backend it fires *as requests finish* (mid-stream, the online
-        monitoring hook); the batch and sharded backends only know their
-        CAGs after the full pass, so there it fires afterwards, in ranked
-        order.
+        ``on_cag`` is invoked once per finished CAG, in ``result.cags``
+        order.  On the streaming and batch backends it fires *while the
+        engine runs*: streaming hands a CAG out at the end of the chunk
+        that finished it (mid-stream, the online monitoring hook); batch
+        buffers the whole trace first and then hands CAGs out between
+        slices of its one drain, so the first one leaves well before the
+        last activity is correlated.  Either way the hook runs outside
+        the ``correlation_time`` clock, and it sees a CAG the moment its
+        END is correlated -- trailing parts of a segmented END may still
+        add to that vertex's byte count afterwards.  The sharded backend
+        only knows its CAGs after the merge, so there the hook fires
+        after the pass.
 
         An :class:`~repro.core.interning.ActivityTable` is accepted
         directly: its rows are rematerialized fresh for the run (the
@@ -257,20 +287,44 @@ class BackendSpec:
         self,
         on_cag: Optional[Callable[[CAG], None]],
         activities: Iterable[Activity] = (),
-        chunks: Optional[Iterable[List[Activity]]] = None,
+        source=None,
+        timings: Optional[DriveTimings] = None,
     ) -> CorrelationResult:
+        if timings is None:
+            timings = DriveTimings()
         correlator = self.make_correlator()
-        if self.kind == "streaming":
-            # correlate_iter owns engine construction, so the
-            # resume_from/checkpoint plumbing applies with or without a hook.
-            for cag in correlator.correlate_iter(activities, chunks=chunks):
+        start = perf_counter()
+        chunks = None
+        if source is not None:
+            if self.kind == "streaming":
+                chunks = source.chunks(self.chunk_size)
+            else:
+                activities = source.activities()
+
+        def hand_out(finished: Iterable[CAG]) -> None:
+            for cag in finished:
+                if timings.first_cag_s is None:
+                    timings.first_cag_s = perf_counter() - start
                 if on_cag is not None:
+                    hook_start = perf_counter()
                     on_cag(cag)
-            return correlator.last_engine.result()
-        result = correlator.correlate(activities)
-        if on_cag is not None:
-            for cag in result.cags:
-                on_cag(cag)
+                    timings.hook_time_s += perf_counter() - hook_start
+
+        if self.kind == "sharded":
+            # The merged CAG list only exists after the pass.
+            result = correlator.correlate(activities)
+            hand_out(result.cags)
+        else:
+            # Batch and streaming are both producers: CAGs leave while the
+            # engine runs (between drain slices, between chunks).
+            # correlate_iter owns engine construction, so the streaming
+            # resume_from/checkpoint plumbing applies with or without a hook.
+            if self.kind == "streaming":
+                hand_out(correlator.correlate_iter(activities, chunks=chunks))
+            else:
+                hand_out(correlator.correlate_iter(activities))
+            result = correlator.last_engine.result()
+        timings.wall_clock_s = perf_counter() - start
         return result
 
     def trace(

@@ -30,12 +30,12 @@ pipeline's own source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.cag import CAG
 from ..core.tracer import TraceResult
-from .backends import BackendSpec
+from .backends import BackendSpec, DriveTimings
 from .equivalence import EquivalenceReport, verify_equivalence
 from .sinks import Sink
 from .sources import Source, as_source
@@ -53,6 +53,9 @@ class TraceSession:
     analyses: Dict[str, object] = field(default_factory=dict)
     #: paths written by sinks, keyed by sink name
     artifacts: Dict[str, List[object]] = field(default_factory=dict)
+    #: where the drive's wall clock went (``None`` on a session assembled
+    #: by hand around a trace)
+    timings: Optional[DriveTimings] = None
 
     # -- shortcuts -----------------------------------------------------------
 
@@ -90,11 +93,18 @@ class TraceSession:
             "peak_buffered": source.peak_buffered,
         }
 
-    def summary(self) -> Dict[str, float]:
-        """The trace's compact numeric summary plus source-side counters."""
+    def drive_timings(self) -> Dict[str, Optional[float]]:
+        """``wall_clock_s`` / ``first_cag_s`` / ``hook_time_s`` of the drive
+        (``summary()`` and ``--json`` carry them); empty without timings."""
+        return asdict(self.timings) if self.timings is not None else {}
+
+    def summary(self) -> Dict[str, Optional[float]]:
+        """The trace's compact numeric summary plus source-side counters
+        and the drive's timings."""
         data = self.trace.summary()
         counters = self.source_counters()
         data.update((name, float(count)) for name, count in counters.items())
+        data.update(self.drive_timings())
         return data
 
 
@@ -148,12 +158,16 @@ class Pipeline:
     def run(self, on_cag: Optional[Callable[[CAG], None]] = None) -> TraceSession:
         """Execute source -> backend -> stages -> sinks.
 
-        ``on_cag`` is forwarded to the backend: on the streaming backend
-        it fires per finished CAG *while the stream is consumed* (the
-        online monitoring hook); batch/sharded backends fire it after
-        correlation.  Sinks that expose an ``on_cag`` hook of their own
-        (live sinks, e.g. :class:`~repro.pipeline.sinks.StoreSink`) are
-        fanned into the same callback so they ingest incrementally.
+        ``on_cag`` is forwarded to the backend and fires per finished
+        CAG *while the engine runs* on the streaming backend (as the
+        stream is consumed: the online monitoring hook) and on the batch
+        backend (between slices of its drain, once the trace is read);
+        only the sharded backend fires it after correlation.  Sinks that
+        expose an ``on_cag`` hook of their own (live sinks, e.g.
+        :class:`~repro.pipeline.sinks.StoreSink`) are fanned into the
+        same callback so they ingest incrementally -- a batch run's first
+        request row is stored long before its last activity is
+        correlated.  ``session.timings`` says where the wall clock went.
         """
         live_hooks = [sink.on_cag for sink in self.sinks if hasattr(sink, "on_cag")]
         if on_cag is not None:
@@ -165,8 +179,11 @@ class Pipeline:
                 for hook in live_hooks:
                     hook(cag)
 
-        trace = self.backend.run(self.source, on_cag=callback)
-        session = TraceSession(source=self.source, backend=self.backend, trace=trace)
+        timings = DriveTimings()
+        trace = self.backend.run(self.source, on_cag=callback, timings=timings)
+        session = TraceSession(
+            source=self.source, backend=self.backend, trace=trace, timings=timings
+        )
         for stage in self.stages:
             session.analyses[stage.name] = stage.run(session)
         for sink in self.sinks:

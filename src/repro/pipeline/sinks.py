@@ -21,7 +21,8 @@ session (``session.artifacts``).
 
 :class:`StoreSink` is also a *live* sink: it exposes ``on_cag`` and the
 pipeline feeds it every finished CAG as correlation produces it, so a
-streaming run commits request rows incrementally instead of holding the
+streaming run -- and a batch run, whose drain hands CAGs out a slice at
+a time -- commits request rows incrementally instead of holding the
 whole trace until the end.  The final ``write()`` pass (which also
 stamps run metadata) sweeps only what ``on_cag`` did not see -- every
 CAG when the sink runs without the hook, the CAGs a resumed run revived

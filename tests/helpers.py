@@ -371,7 +371,40 @@ def reference_segments(cag):
     return segments
 
 
+# -- correlation results, field for field ---------------------------------------
+
+
+def assert_results_equal(ours, theirs) -> int:
+    """Two ``CorrelationResult``s equal in every field but the clock: the
+    CAG lists compared in order by their canonical form, ``RankerStats``,
+    ``EngineStats`` and both peaks by value.  Returns how many fields
+    were compared."""
+    from repro.pipeline import canonical_cags
+
+    compared = 0
+    for spec in dataclasses.fields(ours):
+        if spec.name == "correlation_time":
+            continue
+        left, right = getattr(ours, spec.name), getattr(theirs, spec.name)
+        if spec.name in ("cags", "incomplete_cags"):
+            left, right = canonical_cags(left), canonical_cags(right)
+        assert left == right, spec.name
+        compared += 1
+    return compared
+
+
 # -- ranker window invariants -------------------------------------------------
+
+
+def undelivered_send_rows(source):
+    """Row index -> message key of every send-like row from ``head`` on
+    (what the position index must record once it exists)."""
+    send_keys = source._send_keys
+    return {
+        index: send_keys[index]
+        for index in range(source.head, len(send_keys))
+        if send_keys[index] is not None
+    }
 
 
 def assert_source_aligned(source) -> None:
@@ -379,8 +412,9 @@ def assert_source_aligned(source) -> None:
 
     ``head <= fence <= len``; the three columns describe the same rows;
     the unfetched part is timestamp-sorted (what a fetch bisects); and
-    the position index records exactly the undelivered send-like rows,
-    ascending per key, each position pointing at a row with that key.
+    the position index -- absent until blockage resolution first reads
+    it -- records exactly the undelivered send-like rows, ascending per
+    key, each position pointing at a row with that key.
     """
     rows, ts_column, send_keys = source._activities, source._ts, source._send_keys
     assert 0 <= source.head <= source.fence <= len(rows)
@@ -390,6 +424,8 @@ def assert_source_aligned(source) -> None:
     unfetched = ts_column[source.fence :]
     assert unfetched == sorted(unfetched)
     assert source.next_timestamp == (unfetched[0] if unfetched else None)
+    if source._send_positions is None:
+        return
     recorded = {}
     for key, entries in source._send_positions.items():
         assert entries, "an emptied key must leave the index"
@@ -399,25 +435,21 @@ def assert_source_aligned(source) -> None:
             assert source.head <= index < len(rows)
             assert send_keys[index] == key
             recorded[index] = key
-    assert recorded == {
-        index: send_keys[index]
-        for index in range(source.head, len(rows))
-        if send_keys[index] is not None
-    }
+    assert recorded == undelivered_send_rows(source)
 
 
 def assert_ranker_aligned(ranker) -> None:
     """Every source aligned, the undelivered-send registry equal to the
-    sum of the per-source position counts, the buffered total equal to
-    the queue lengths, and every kernel head column showing its queue's
-    head."""
+    per-source counts of undelivered send rows, the buffered total equal
+    to the queue lengths, and every kernel head column showing its
+    queue's head."""
     undelivered = {}
     buffered = 0
     for slot, source in enumerate(ranker._slot_sources):
         assert_source_aligned(source)
         assert ranker._sources[ranker._slot_nodes[slot]] is source
-        for key, entries in source._send_positions.items():
-            undelivered[key] = undelivered.get(key, 0) + len(entries)
+        for key in undelivered_send_rows(source).values():
+            undelivered[key] = undelivered.get(key, 0) + 1
         buffered += source.fence - source.head
         if source.head < source.fence:
             head = source._activities[source.head]

@@ -234,6 +234,28 @@ class TestCli:
         assert payload["requests"] > 0
         assert payload["backend"].startswith("batch")
         assert payload["patterns"]  # trace_summary's ranked pattern rows
+        # where the drive's wall clock went; no store, so no hook
+        assert 0 < payload["first_cag_s"] < payload["wall_clock_s"]
+        assert payload["correlation_time_s"] < payload["wall_clock_s"]
+        assert payload["hook_time_s"] == 0.0
+
+    def test_batch_store_ingest_starts_before_the_drain_ends(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        # the 941-activity run is shorter than one production slice
+        monkeypatch.setattr("repro.core.correlator.FLUSH_SLICE_SAMPLES", 1)
+        code = main(
+            ["simulate", "--scenario", "rubis", "--clients", "40", "--runtime", "4",
+             "--seed", "17", "--store", str(tmp_path / "t.sqlite"), "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["incomplete_paths"] == 0
+        assert 0 < payload["hook_time_s"] < payload["wall_clock_s"]
+        # the first row is stored while most of the drive is still ahead
+        assert payload["first_cag_s"] < 0.8 * payload["wall_clock_s"]
 
     def test_simulate_json_output(self, capsys):
         import json
@@ -261,6 +283,9 @@ class TestCli:
         assert payload["backend"].startswith("sharded")
         assert payload["shards"] >= 1
         assert payload["accuracy"] == 1.0
+        # the merged CAG list only exists after the pass
+        assert payload["correlation_time_s"] < payload["first_cag_s"]
+        assert payload["first_cag_s"] <= payload["wall_clock_s"]
 
     def test_simulate_json_with_list_exits_2_with_one_line(self, capsys):
         code = main(["simulate", "--list", "--json"])

@@ -2,15 +2,17 @@
 
 import dataclasses
 import gc
+import time
 import weakref
 
 import pytest
 
-from helpers import SyntheticTrace
+from helpers import SyntheticTrace, assert_results_equal
 from repro.core import correlator as correlator_module
 from repro.core.activity import sort_key
 from repro.core.correlator import CorrelationResult, Correlator, IncrementalEngine
-from repro.pipeline import canonical_cags, result_digest
+from repro.pipeline import result_digest
+from repro.sampling import SamplingSpec
 
 
 def build_trace(requests=5, skews=None, seg=None):
@@ -145,18 +147,112 @@ class TestBatchIsASealedIncrementalRun:
 
         assert [id(cag) for cag in emitted] == [id(cag) for cag in incremental.cags]
         assert result_digest(incremental) == result_digest(batch)
-        compared = set()
-        for field in dataclasses.fields(CorrelationResult):
-            ours, theirs = getattr(batch, field.name), getattr(incremental, field.name)
-            if field.name == "correlation_time":
-                continue
-            if field.name in ("cags", "incomplete_cags"):
-                ours, theirs = canonical_cags(ours), canonical_cags(theirs)
-                assert ours  # neither list is trivially empty
-            assert ours == theirs, field.name
-            compared.add(field.name)
+        assert batch.cags and batch.incomplete_cags  # neither list is trivially empty
+        compared = assert_results_equal(batch, incremental)
         assert batch.ranker_stats.noise_discarded == 5
-        assert len(compared) == len(dataclasses.fields(CorrelationResult)) - 1
+        assert compared == len(dataclasses.fields(CorrelationResult)) - 1
+
+
+class TestSlicedDrain:
+    """The batch drain runs a slice (``FLUSH_SLICE_SAMPLES`` sampling
+    periods) at a time and hands each slice's CAGs out before the next
+    one starts.  One period a slice here, so a small trace has several."""
+
+    @pytest.fixture(autouse=True)
+    def one_period_slices(self, monkeypatch):
+        monkeypatch.setattr(correlator_module, "FLUSH_SLICE_SAMPLES", 1)
+
+    @staticmethod
+    def activities(requests=60):
+        # ~18 activities a request: a handful of slices
+        return build_trace(requests=requests, seg=700).activities
+
+    def test_a_slice_is_the_constant_number_of_sampling_periods(self, monkeypatch):
+        monkeypatch.undo()
+        slice_size = (
+            correlator_module.FLUSH_SLICE_SAMPLES * correlator_module.PEAK_SAMPLE_EVERY
+        )
+        activities = self.activities(requests=2 * slice_size // 16)
+        assert len(activities) > 2 * slice_size
+        correlator = Correlator(window=0.01)
+        finished = correlator.correlate_iter(activities)
+        next(finished)
+        assert correlator.last_engine.ranker.stats.delivered == slice_size
+        handed = 1 + sum(1 for _cag in finished)
+        assert handed == correlator.last_engine.result().completed_requests
+
+    def test_cags_leave_mid_drain_in_result_order_once_each(self):
+        correlator = Correlator(window=0.01)
+        finished = correlator.correlate_iter(self.activities())
+        handed = [next(finished)]
+        engine = correlator.last_engine
+        delivered = engine.ranker.stats.delivered
+        assert 0 < delivered < engine.total_ingested
+        assert not engine._flushed
+        # a slice boundary is a sample point
+        assert delivered % correlator_module.PEAK_SAMPLE_EVERY == 0
+        assert engine._until_sample == correlator_module.PEAK_SAMPLE_EVERY
+        handed += finished
+        assert engine._flushed
+        assert engine.ranker.stats.delivered == engine.total_ingested
+        result = engine.result()
+        assert len(handed) == 60
+        assert [id(cag) for cag in handed] == [id(cag) for cag in result.cags]
+
+    def test_slices_equal_one_flush_field_for_field(self):
+        sliced = Correlator(window=0.01).correlate(self.activities())
+        engine = IncrementalEngine(window=0.01)
+        engine.buffer(self.activities())
+        engine.flush()
+        assert sliced.total_activities > 3 * correlator_module.PEAK_SAMPLE_EVERY
+        assert sliced.peak_state_entries > 0
+        assert_results_equal(sliced, engine.result())
+
+    def test_consumer_time_is_outside_the_correlation_clock(self):
+        correlator = Correlator(window=0.01)
+        nap = 0.05
+        handed = 0
+        for _cag in correlator.correlate_iter(self.activities(requests=6)):
+            time.sleep(nap)
+            handed += 1
+        assert handed == 6
+        assert correlator.last_engine.result().correlation_time < handed * nap / 2
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    def test_a_failing_consumer_leaves_the_collector_as_it_was(self, collector_on):
+        was_enabled = gc.isenabled()
+        (gc.enable if collector_on else gc.disable)()
+        try:
+            seen = []
+            with pytest.raises(KeyError):
+                for cag in Correlator(window=0.01).correlate_iter(self.activities()):
+                    seen.append(gc.isenabled())
+                    if len(seen) == 3:
+                        raise KeyError("consumer bug")
+            # between slices, and after the failure, the caller's state
+            assert seen == [collector_on] * 3
+            assert gc.isenabled() is collector_on
+            # nothing of the abandoned run leaks into the next one
+            again = Correlator(window=0.01).correlate(self.activities())
+            reference = Correlator(window=0.01).correlate(self.activities())
+            assert again.completed_requests == 60
+            assert result_digest(again) == result_digest(reference)
+            assert gc.isenabled() is collector_on
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_budget_prepass_decides_before_the_first_slice(self):
+        """The per-second budget freezes its decisions from the whole
+        trace; handing CAGs out mid-drain changes none of them."""
+        sampling = SamplingSpec.budget(20)
+        correlator = Correlator(window=0.01, sampling=sampling)
+        handed = list(correlator.correlate_iter(self.activities()))
+        consumed = correlator.last_engine.result()
+        plain = Correlator(window=0.01, sampling=sampling).correlate(self.activities())
+        assert 0 < len(handed) < 60
+        assert plain.engine_stats.sampled_out_roots == 60 - len(handed)
+        assert [id(cag) for cag in handed] == [id(cag) for cag in consumed.cags]
+        assert_results_equal(consumed, plain)
 
 
 class TestRunsDieByRefcount:

@@ -18,13 +18,18 @@ sharded executor, and the mismatch-reporting path of the equivalence API.
 
 from __future__ import annotations
 
+import gc
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from helpers import SyntheticTrace
+from helpers import SyntheticTrace, assert_results_equal
 from repro.core.activity import ActivityType
+from repro.core.correlator import PEAK_SAMPLE_EVERY, IncrementalEngine
+from repro.core.kernel import ENV_VAR as KERNEL_ENV_VAR
+from repro.core.kernel import KernelUnavailableError, kernel_info
 from repro.core.log_format import format_record
 from repro.pipeline import (
     AccuracyStage,
@@ -33,6 +38,7 @@ from repro.pipeline import (
     CagJsonlSink,
     DiagnosisStage,
     DotSink,
+    DriveTimings,
     EquivalenceError,
     LogSource,
     MemorySource,
@@ -41,7 +47,9 @@ from repro.pipeline import (
     ProfileStage,
     RankedLatencyStage,
     RunSource,
+    SamplingSpec,
     SummaryJsonSink,
+    TraceSession,
     as_source,
     result_digest,
     verify_equivalence,
@@ -108,6 +116,176 @@ class TestEquivalenceMatrix:
         report = pipeline.verify_equivalence()
         assert report.equivalent, report.describe()
         assert all(o.backend.window == 0.005 for o in report.outcomes)
+
+
+# ---------------------------------------------------------------------------
+# the batch driver is a producer: CAGs leave while the drain runs
+# ---------------------------------------------------------------------------
+
+
+def one_flush(activities, window=MATRIX_WINDOW):
+    """The batch run as one unsliced drain: buffer, seal, ``flush()``."""
+    engine = IncrementalEngine(window=window)
+    engine.buffer(activities)
+    engine.flush()
+    return engine.result()
+
+
+class TestBatchHandsCagsOutMidDrain:
+    @pytest.fixture(autouse=True)
+    def one_period_slices(self, monkeypatch):
+        # the matrix traces are smaller than one production slice
+        monkeypatch.setattr("repro.core.correlator.FLUSH_SLICE_SAMPLES", 1)
+
+    @pytest.mark.parametrize("mode", ["python", "native"])
+    @pytest.mark.parametrize("name", scenario_names() + ["rubis_golden_loaded"])
+    def test_hook_or_not_sliced_or_not_the_result_is_the_same(
+        self, matrix_sources, loaded_run, name, mode, monkeypatch
+    ):
+        if mode == "native":
+            try:
+                kernel_info("native")
+            except KernelUnavailableError:
+                pytest.skip("no C toolchain: compiled kernel unavailable")
+        monkeypatch.setenv(KERNEL_ENV_VAR, mode)
+        if name == "rubis_golden_loaded":
+            source = RunSource.from_run(loaded_run)
+        else:
+            source = matrix_sources[name]
+        spec = BackendSpec.batch(window=MATRIX_WINDOW)
+        handed = []
+        hooked = spec.correlate(source.activities(), on_cag=handed.append)
+        plain = spec.correlate(source.activities())
+        assert hooked.cags and [id(cag) for cag in handed] == [
+            id(cag) for cag in hooked.cags
+        ]
+        assert hooked.total_activities > PEAK_SAMPLE_EVERY  # more than one slice
+        assert_results_equal(hooked, plain)
+        assert_results_equal(hooked, one_flush(source.activities()))
+
+    def test_first_hook_call_is_mid_drain(self, matrix_sources, monkeypatch):
+        made = []
+        make_correlator = BackendSpec.make_correlator
+
+        def capturing(spec):
+            made.append(make_correlator(spec))
+            return made[-1]
+
+        monkeypatch.setattr(BackendSpec, "make_correlator", capturing)
+        progress = []
+
+        def hook(_cag):
+            engine = made[0].last_engine
+            progress.append((engine.ranker.stats.delivered, engine._flushed))
+
+        source = matrix_sources["five_tier_chain"]
+        result = BackendSpec.batch(window=MATRIX_WINDOW).correlate(
+            source.activities(), on_cag=hook
+        )
+        assert len(made) == 1 and len(progress) == len(result.cags)
+        delivered, flushed = progress[0]
+        assert 0 < delivered < result.total_activities and not flushed
+        assert delivered % PEAK_SAMPLE_EVERY == 0
+        assert [row[0] for row in progress] == sorted(row[0] for row in progress)
+        assert progress[-1][0] == result.ranker_stats.delivered
+
+    def test_a_sleeping_hook_is_in_hook_time_not_in_correlation_time(self, tiny_run):
+        nap, calls = 0.02, []
+
+        def hook(_cag):
+            if len(calls) < 10:
+                time.sleep(nap)
+            calls.append(None)
+
+        timings = DriveTimings()
+        trace = BackendSpec.batch(window=MATRIX_WINDOW).run(
+            RunSource.from_run(tiny_run), on_cag=hook, timings=timings
+        )
+        assert len(calls) == trace.request_count > 10
+        assert timings.hook_time_s >= 10 * nap
+        assert trace.correlation_time + timings.hook_time_s < timings.wall_clock_s
+        assert 0 < timings.first_cag_s < timings.wall_clock_s - 9 * nap
+
+    def test_a_raising_hook_propagates_and_the_next_run_is_clean(self, tiny_run):
+        collector_was_on = gc.isenabled()
+        pipeline = Pipeline(source=tiny_run, backend=BackendSpec.batch())
+
+        def hook(_cag):
+            raise LookupError("hook bug")
+
+        with pytest.raises(LookupError, match="hook bug"):
+            pipeline.run(on_cag=hook)
+        assert gc.isenabled() is collector_was_on
+        seen = []
+        session = pipeline.run(on_cag=seen.append)
+        assert gc.isenabled() is collector_was_on
+        assert len(seen) == session.request_count > 0
+        assert result_digest(session.trace.correlation) == result_digest(
+            BackendSpec.batch().correlate(tiny_run.activities())
+        )
+
+    def test_budget_sampling_with_a_hook_equals_without(self, tiny_run):
+        spec = BackendSpec.batch(window=MATRIX_WINDOW, sampling=SamplingSpec.budget(5))
+        handed = []
+        hooked = spec.correlate(tiny_run.activities(), on_cag=handed.append)
+        plain = spec.correlate(tiny_run.activities())
+        assert 0 < len(handed) < tiny_run.completed_requests
+        assert [id(cag) for cag in handed] == [id(cag) for cag in hooked.cags]
+        assert_results_equal(hooked, plain)
+
+
+class TestDriveTimings:
+    @pytest.mark.parametrize("kind", ["batch", "streaming", "sharded"])
+    def test_every_backend_kind_reports_them(self, tiny_run, kind):
+        seen = []
+        session = Pipeline(
+            source=tiny_run, backend=BackendSpec(kind=kind, window=MATRIX_WINDOW)
+        ).run(on_cag=seen.append)
+        timings = session.timings
+        assert len(seen) == session.request_count
+        assert 0 < timings.first_cag_s <= timings.wall_clock_s
+        assert 0 < timings.hook_time_s < timings.wall_clock_s
+        assert session.trace.correlation_time < timings.wall_clock_s
+        summary = session.summary()
+        assert summary["wall_clock_s"] == timings.wall_clock_s
+        assert summary["first_cag_s"] == timings.first_cag_s
+        assert summary["hook_time_s"] == timings.hook_time_s
+
+    def test_without_a_hook_the_first_cag_is_still_timed(self, tiny_run):
+        session = Pipeline(source=tiny_run).run()
+        assert session.timings.hook_time_s == 0.0
+        assert 0 < session.timings.first_cag_s < session.timings.wall_clock_s
+
+    def test_a_trace_that_finishes_nothing_has_no_first_cag(self):
+        session = Pipeline(source=MemorySource([])).run()
+        assert session.timings.first_cag_s is None
+        assert session.summary()["first_cag_s"] is None
+
+    def test_a_hand_assembled_session_has_none(self, tiny_run, tiny_trace):
+        session = TraceSession(
+            source=RunSource.from_run(tiny_run), backend=BackendSpec(), trace=tiny_trace
+        )
+        assert session.timings is None and session.drive_timings() == {}
+        assert "wall_clock_s" not in session.summary()
+
+    def test_the_simulation_is_outside_the_drive_clock(self, tiny_run):
+        order = []
+
+        class SlowToSimulate(RunSource):
+            @property
+            def run(self):
+                if not order:
+                    time.sleep(0.5)
+                order.append("run")
+                return super().run
+
+            def activities(self):
+                order.append("activities")
+                return super().activities()
+
+        session = Pipeline(source=SlowToSimulate.from_run(tiny_run)).run()
+        assert order[0] == "run" and "activities" in order
+        assert session.timings.wall_clock_s < 0.5
 
 
 class TestEquivalenceReporting:

@@ -340,6 +340,9 @@ class TestIdentityDelivery:
         slot = ranker._slot_of["n"]
         source = ranker._slot_sources[slot]
         assert source.buffered()[2] is twin
+        # blockage resolution has looked the send up (and so built the
+        # index) by the time it promotes
+        assert ranker._find_buffered_send(twin.message_key) == (slot, 1)
         ranker._promote_send(slot, 2)  # the *second* twin, over its sibling
         assert ranker.stats.head_swaps == 1
         queue = source.buffered()

@@ -6,13 +6,16 @@ three columns in bulk (its sends recorded at the positions they land
 on), a genuinely late row is inserted at its sort position, never before
 the fence, and the position index rebuilt -- and ``Ranker.ingest`` +
 ``seal`` must hand the selector the same streams a ranker built over the
-complete lists sees.  The nightly workflow runs the property with
-``--hypothesis-profile nightly``.
+complete lists sees.  The position index exists only once blockage
+resolution has read it (``ActivitySource._positions``); the tests that
+pin its *maintenance* build it first.  The nightly workflow runs the
+property with ``--hypothesis-profile nightly``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -53,13 +56,14 @@ def send_positions(source):
     origin = source._base + source.head
     return {
         key: [position - origin for position in entries]
-        for key, entries in source._send_positions.items()
+        for key, entries in source._positions().items()
     }
 
 
 class TestLateArrival:
     def test_late_row_is_inserted_at_its_sort_position(self):
         source = ActivitySource("n", [row(1.0), row(2.0), row(4.0), row(5.0)])
+        source._positions()
         late = row(3.0, ActivityType.RECEIVE)
         source.extend([late])
         assert columns(source)[1] == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -93,9 +97,10 @@ class TestLateArrival:
         rows = [row(float(i), port=10 + i % 2) for i in range(8)]
         ranker.ingest(rows[:6])
         ranker.seal()
+        (source,) = ranker._slot_sources
+        source._positions()
         delivered = [ranker.rank() for _ in range(3)]
         assert delivered == rows[:3]
-        (source,) = ranker._slot_sources
         assert source._base == 0 and source.head == 3
         ranker.ingest(rows[6:])
         # delivered rows are gone, buffered and unfetched ones stay, and
@@ -118,6 +123,7 @@ class TestLateArrival:
             for i in range(300)
         ]
         source = ActivitySource("n")
+        source._positions()
         fetched = []
         for start in range(0, len(rows), 7):
             source.extend(rows[start : start + 7])
@@ -130,7 +136,7 @@ class TestLateArrival:
         # fetch order is queue order
         assert fetched == source.buffered()
         assert source.exhausted
-        assert not any(source.has_future_send(key) for key in source._send_positions)
+        assert not any(source.has_future_send(key) for key in source._positions())
         assert_source_aligned(source)
 
     def test_future_send_counters_are_empty_after_a_drain(self):
@@ -156,10 +162,68 @@ class TestLateArrival:
         assert len(engine.finished_cags) == 4
 
 
+class TestIndexOnDemand:
+    def trace(self):
+        script = SyntheticTrace()
+        for index in range(6):
+            script.three_tier_request(index + 1, 0.001 + index * 0.020)
+        return sorted(script.activities, key=sort_key)
+
+    def drain(self, arrival, build_first):
+        engine = CorrelationEngine()
+        ranker = Ranker(None, engine.mmap, window=0.010, skew_bound=0.0)
+        ranker.ingest(arrival[: len(arrival) // 2])
+        if build_first:
+            for source in ranker._slot_sources:
+                source._positions()
+        delivered = []
+        ranker.ingest(arrival[len(arrival) // 2 :])
+        ranker.seal()
+        while (candidate := ranker.rank()) is not None:
+            delivered.append(candidate.seq - arrival[0].seq)
+            engine.process(candidate)
+            assert_ranker_aligned(ranker)
+        assert_ranker_drained(ranker)
+        return ranker, delivered
+
+    def test_a_well_formed_trace_never_builds_it(self):
+        ranker, delivered = self.drain(self.trace(), build_first=False)
+        assert len(delivered) == ranker.stats.delivered > 0
+        assert ranker.stats.head_swaps == ranker.stats.fallback_selections == 0
+        assert all(source._send_positions is None for source in ranker._slot_sources)
+
+    def test_built_early_it_is_maintained_and_changes_nothing(self):
+        absent, plain = self.drain(self.trace(), build_first=False)
+        present, indexed = self.drain(self.trace(), build_first=True)
+        assert indexed == plain
+        assert present.stats == absent.stats
+        # maintained through growth and delivery down to empty, not dropped
+        assert all(source._send_positions == {} for source in present._slot_sources)
+
+    def test_first_read_builds_it_from_the_head(self):
+        rows = [row(float(i), port=10 + i % 2) for i in range(6)]
+        ranker = Ranker(None, MessageMap(), window=0.5, skew_bound=0.0)
+        ranker.ingest(rows)
+        ranker.seal()
+        assert [ranker.rank() for _ in range(2)] == rows[:2]
+        (source,) = ranker._slot_sources
+        assert source._send_positions is None
+        # row 2 is the queue head; the next send of its key awaits fetch
+        assert source.has_future_send(rows[4].message_key)
+        assert source._send_positions == {
+            rows[2].message_key: deque([2, 4]),
+            rows[3].message_key: deque([3, 5]),
+        }
+        assert_ranker_aligned(ranker)
+        assert [ranker.rank() for _ in range(4)] == rows[2:]
+        assert_ranker_drained(ranker)
+
+
 class TestBulkPath:
     def test_in_order_chunk_appends_in_bulk_with_the_same_columns(self, monkeypatch):
         rows = [row(0.1 * i, list(ActivityType)[i % 4], port=i % 5) for i in range(40)]
         one_by_one = ActivitySource("n")
+        one_by_one._positions()
         for activity in rows:
             one_by_one.extend([activity])
 
@@ -168,6 +232,7 @@ class TestBulkPath:
 
         monkeypatch.setattr("repro.core.ranker.bisect_right", no_bisect)
         bulk = ActivitySource("n", rows[:25])
+        bulk._positions()
         bulk.extend(rows[25:])
         assert columns(bulk) == columns(one_by_one)
         assert send_positions(bulk) == send_positions(one_by_one)
