@@ -53,7 +53,6 @@ from .core import (
     percentage_table,
     profile_series,
 )
-from .services import FaultConfig, NoiseConfig
 from .stream import (
     FileTailSource,
     IncrementalEngine,
@@ -79,25 +78,46 @@ from .pipeline import (
     TraceSession,
     verify_equivalence,
 )
-from .services.rubis import (
-    RubisConfig,
-    RubisDeployment,
-    RubisRunResult,
-    WorkloadStages,
-    run_rubis,
-)
-from .topology import (
-    Scenario,
-    ScenarioConfig,
-    TierSpec,
-    TopologyDeployment,
-    TopologyRunResult,
-    TopologySpec,
-    WorkloadSpec,
-    get_scenario,
-    run_scenario,
-    scenario_names,
-)
+
+# The simulation side -- the testbed that *produces* traces -- resolves on
+# first use (PEP 562): a tracer reading gathered logs (``repro.core``,
+# ``.stream``, ``.store``, ``.pipeline``) then never loads the simulator,
+# the topology library or the simulated services.
+_SIMULATION_SIDE = {
+    "FaultConfig": "services",
+    "NoiseConfig": "services",
+    "RubisConfig": "services.rubis",
+    "RubisDeployment": "services.rubis",
+    "RubisRunResult": "services.rubis",
+    "WorkloadStages": "services.rubis",
+    "run_rubis": "services.rubis",
+    "Scenario": "topology",
+    "ScenarioConfig": "topology",
+    "TierSpec": "topology",
+    "TopologyDeployment": "topology",
+    "TopologyRunResult": "topology",
+    "TopologySpec": "topology",
+    "WorkloadSpec": "topology",
+    "get_scenario": "topology",
+    "run_scenario": "topology",
+    "scenario_names": "topology",
+}
+
+
+def __getattr__(name: str):
+    module = _SIMULATION_SIDE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # next time it is an ordinary module attribute
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATION_SIDE))
+
 
 __version__ = "0.1.0"
 

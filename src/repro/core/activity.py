@@ -252,6 +252,7 @@ class Activity:
         context_key: int,
         message_key: int,
         node_key: int,
+        seq: Optional[int] = None,
     ) -> "Activity":
         """Build an activity whose interned keys the caller already holds.
 
@@ -264,7 +265,9 @@ class Activity:
         ``context`` / ``message.connection_key()`` / ``context.hostname``;
         nothing here checks that.  ``seq`` is drawn from the same counter
         as the dataclass constructor, so creation order stays one total
-        order across both.
+        order across both -- unless the caller passes the one it drew
+        when it read the line (a packed :class:`~repro.core.interning.
+        ActivityTable` row becomes an object long after its neighbours).
         """
         self = object.__new__(cls)
         self.type = type
@@ -272,7 +275,7 @@ class Activity:
         self.context = context
         self.message = message
         self.request_id = request_id
-        self.seq = next(_activity_counter)
+        self.seq = next(_activity_counter) if seq is None else seq
         self.size = message.size
         self.context_key = context_key
         self.message_key = message_key
@@ -319,6 +322,7 @@ class Activity:
 #: ties broken by *log position*.  ``seq`` is drawn at creation, and every
 #: ingest path creates a node's activities in the order its log holds
 #: them (``classify_lines`` and ``classify_all`` go line by line,
+#: ``pack_lines`` draws a packed row's ``seq`` in line order too,
 #: ``ActivityTable`` rows keep their ``seq``, a row that arrives in a
 #: later chunk is later in the log, ``MemorySource`` re-draws ``seq``
 #: in the order of the list it was given, and ``LogSource.chunks()`` --
@@ -334,6 +338,13 @@ class Activity:
 #: Implemented with :func:`operator.attrgetter` so per-node sorting (the
 #: paper's step 1, run over every activity) extracts the key tuple in C.
 sort_key = operator.attrgetter("timestamp", "seq")
+
+
+def draw_seqs(count: int) -> Iterable[int]:
+    """The next ``count`` values of the creation counter, in order -- for
+    a reader that packs rows now and builds their objects later
+    (:meth:`repro.core.log_format.ActivityClassifier.pack_lines`)."""
+    return itertools.islice(_activity_counter, count)
 
 
 def restamp(activities: Iterable["Activity"]) -> None:

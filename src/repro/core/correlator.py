@@ -69,11 +69,12 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .activity import Activity
 from .cag import CAG
 from .engine import CorrelationEngine, EngineStats
+from .interning import ActivityTable
 from .ranker import Ranker, RankerStats
 
 #: How often (in delivered candidates) the drain loop samples the engine's
@@ -122,6 +123,13 @@ class CorrelationResult:
     #: run must satisfy ``sampled_out_roots == sampled_out_finished +
     #: final_open_tombstones`` (nothing leaked, nothing double-counted)
     final_open_tombstones: int = 0
+    #: rows that reached the ranker packed (an ``ActivityTable`` row
+    #: without an object) and how many of those were built into an
+    #: ``Activity`` at delivery; both 0 on an object-fed run.  They
+    #: describe the form the input took, not a decision: two runs over
+    #: one trace agree on every other field however each was fed.
+    packed_rows: int = 0
+    materialised_activities: int = 0
 
     @property
     def completed_requests(self) -> int:
@@ -212,9 +220,11 @@ class IncrementalEngine:
 
     # -- push interface ------------------------------------------------------
 
-    def buffer(self, activities: Iterable[Activity]) -> None:
-        """Accept one chunk of activities without correlating anything yet
-        (``ingest`` is ``buffer`` + drain)."""
+    def buffer(self, activities: Union[Iterable[Activity], ActivityTable]) -> None:
+        """Accept one chunk of activities -- objects, or an
+        :class:`~repro.core.interning.ActivityTable` of packed rows --
+        without correlating anything yet (``ingest`` is ``buffer`` +
+        drain)."""
         if self._flushed:
             raise RuntimeError("cannot ingest after flush()")
         self.total_ingested += self.ranker.ingest(activities)
@@ -263,7 +273,12 @@ class IncrementalEngine:
         """
         self.ranker.seal()
         while not self._flushed:
-            yield self._drain(FLUSH_SLICE_SAMPLES)
+            finished = self._drain(FLUSH_SLICE_SAMPLES)
+            # A sealed ranker never grows again, and growing is what lets
+            # go of delivered rows: do it here, or the run ends holding
+            # every row it was ever fed.
+            self.ranker.release()
+            yield finished
 
     def pending_state_size(self) -> int:
         """Live bookkeeping entries: engine maps + ranker buffer."""
@@ -293,6 +308,8 @@ class IncrementalEngine:
             total_activities=self.total_ingested,
             final_state_entries=self.pending_state_size(),
             final_open_tombstones=engine.open_tombstone_count,
+            packed_rows=self.ranker.packed_rows,
+            materialised_activities=self.ranker.materialised,
         )
 
     # -- internals ----------------------------------------------------------
@@ -411,33 +428,65 @@ class Correlator:
         #: The engine the last ``correlate_iter``/``correlate`` call drove.
         self.last_engine: Optional[IncrementalEngine] = None
 
-    def correlate(self, activities: Iterable[Activity]) -> CorrelationResult:
+    def correlate(
+        self,
+        activities: Union[Iterable[Activity], ActivityTable] = (),
+        *,
+        chunks: Optional[Iterable[Union[Iterable[Activity], ActivityTable]]] = None,
+    ) -> CorrelationResult:
         """Correlate a flat activity collection (any node order)."""
-        for _cag in self.correlate_iter(activities):
+        for _cag in self.correlate_iter(activities, chunks=chunks):
             pass
         assert self.last_engine is not None
         return self.last_engine.result()
 
-    def correlate_iter(self, activities: Iterable[Activity]) -> Iterator[CAG]:
+    def correlate_iter(
+        self,
+        activities: Union[Iterable[Activity], ActivityTable] = (),
+        *,
+        chunks: Optional[Iterable[Union[Iterable[Activity], ActivityTable]]] = None,
+    ) -> Iterator[CAG]:
         """Yield finished CAGs while the sealed engine drains.
 
-        Everything is buffered first (the first CAG still waits for the
-        last activity to be *read*), then the drain runs a slice at a
-        time and each slice's CAGs are handed out before the next one
-        starts.  The engine is left on :attr:`last_engine`; read
-        ``last_engine.result()`` after the iterator is exhausted.
+        The trace comes as one flat collection -- activities, or an
+        :class:`~repro.core.interning.ActivityTable` -- or, with
+        ``chunks=``, as an iterator of such pieces in any order, each
+        buffered as it is produced (:meth:`repro.pipeline.Source.blocks`
+        yields a log a read block at a time, packed).  Everything is
+        buffered first (the first CAG still waits for the last activity
+        to be *read*), then the drain runs a slice at a time and each
+        slice's CAGs are handed out before the next one starts.  Nothing
+        here keeps the input once it is buffered, and the ranker lets go
+        of a row once it is delivered, so what the drain holds is the
+        rows still to come and the CAGs built so far.  The engine is
+        left on :attr:`last_engine`; read ``last_engine.result()`` after
+        the iterator is exhausted.
         """
+        if chunks is None:
+            chunks = (activities,)
         decisions = self.sampling_decisions
         if self.sampling is not None and decisions is None:
-            activities = list(activities)
-            decisions = self.sampling.freeze(activities)
+            # The pre-pass reads the whole trace: hold it, and show the
+            # policy objects of its own for the packed pieces.
+            chunks = [
+                chunk if isinstance(chunk, ActivityTable) else list(chunk)
+                for chunk in chunks
+            ]
+            decisions = self.sampling.freeze(
+                chain.from_iterable(
+                    chunk.iter_fresh() if isinstance(chunk, ActivityTable) else chunk
+                    for chunk in chunks
+                )
+            )
         engine = IncrementalEngine(
             window=self.window, sampling=self.sampling, sampling_decisions=decisions
         )
         self.last_engine = engine
         # Everything first, nothing delivered: the watermark gates no
         # decision when the ranker is sealed before its first ``rank()``.
-        engine.buffer(activities)
+        for chunk in chunks:
+            engine.buffer(chunk)
+        chunk = chunks = activities = None
         for finished in engine.flush_slices():
             yield from finished
 

@@ -27,19 +27,24 @@ Two deliberate boundaries keep the refactor byte-identical:
   snapshot` alongside each shard and the worker :meth:`~KeyInterner.
   install`\\ s it before correlating.
 
-:class:`ActivityTable` is the companion columnar store: parallel
-arrays of type / timestamp / interned keys / size, with ``Activity``
-objects materialised lazily (and cached) only where the object API is
-required -- the CAG/export boundary.  The table is iterable, so every
-correlator entry point accepts it wherever a plain activity list is
-accepted today.
+:class:`ActivityTable` is the companion columnar store, and the one
+packed representation of a trace: parallel columns of type / timestamp /
+interned keys / request id / ``seq`` plus a reference to the row's
+shared ``MessageId``.  The log front end writes it
+(``ActivityClassifier.pack_lines``), each ranker source keeps its node's
+rows in one, and an ``Activity`` is built from a row only when something
+needs the object -- the ranker, at the moment it delivers the row.  The
+table is iterable, and every batch entry point accepts it wherever a
+plain activity list is accepted.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from operator import le, lt
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 #: Raw context identity: (hostname, program, pid, tid).
 ContextTuple = Tuple[str, str, int, int]
@@ -244,31 +249,63 @@ class KeyInterner:
 INTERNER = KeyInterner()
 
 
-class ActivityTable:
-    """Columnar activity storage: struct-packed parallel arrays.
+#: What the request-id column holds for ``request_id=None``: the one
+#: int64 no id is allowed to be.  Every other int64 is an id (a log may
+#: annotate ``#rid=-3``); an id outside int64 does not fit the column, and
+#: whoever packs rows keeps such an activity as an object (``keep``).
+NO_REQUEST = -(1 << 63)
+#: First int above the column's range: ``NO_REQUEST < id < REQUEST_LIMIT``.
+REQUEST_LIMIT = 1 << 63
+_NO_REQUEST_BYTES = array("q", [NO_REQUEST]).tobytes()
 
-    One row per activity, held as :mod:`array` columns (about 57 bytes a
-    row against roughly 480 bytes for the ``Activity`` object graph):
+
+class ActivityTable:
+    """Columnar activity storage: struct-packed parallel columns.
+
+    One row per activity, about 57 bytes against roughly 480 for the
+    ``Activity`` object graph:
 
     ========== ===== ==============================================
     column     type  content
     ========== ===== ==============================================
     type       b     :class:`ActivityType` value / Rule 2 priority
     timestamp  d     local timestamp (seconds)
-    ckey       q     interned context key
-    mkey       q     interned message (connection) key
-    nkey       q     interned node key
-    size       q     logged / merged byte count
-    request_id q     ground-truth request id (-1 = ``None``)
+    ckey       list  interned context key
+    mkey       list  interned message (connection) key
+    request_id q     ground-truth request id (:data:`NO_REQUEST` =
+                     ``None``)
     seq        q     global creation sequence number
+    message    list  the row's :class:`MessageId`
+    object     list  the ``Activity`` the row *is*, for a row that
+                     arrived as one (``keep``); else ``None``
     ========== ===== ==============================================
 
-    ``Activity`` objects rematerialise lazily through :meth:`activity`
-    (cached per row), which is the CAG/export boundary: the engine
-    mutates ``size`` in place while merging segmented parts, so each
-    full correlation pass must consume **fresh** rows --
-    :meth:`iter_fresh` materialises without touching the cache, exactly
-    like ``MemorySource`` re-clones per pass.
+    A ``list`` column holds references, 8 bytes a row like a ``q`` one:
+    every row of one context shares that context's one key object, every
+    row of one connection its key, every row of one connection *and
+    size* its ``MessageId`` -- and so do the activities built from them,
+    which an ``array`` (a new ``int`` per read) would not give.  The node
+    key is a function of the context (its hostname) and
+    ``Activity.size`` starts as ``message.size``, so neither has a
+    column.  Nothing per row asks the interner anything: the keys are
+    stored (they are :data:`INTERNER`'s), and a context key indexes its
+    canonical ``ContextId`` list.
+
+    This is the one packed representation of a trace.  The log front end
+    appends a kept line's fields here instead of building an object
+    (:meth:`repro.core.log_format.ActivityClassifier.pack_lines`), every
+    :class:`~repro.core.ranker.ActivitySource` keeps its node's rows in
+    one, and an ``Activity`` is built from a row only when something
+    needs the object: the ranker when it *delivers* the row
+    (``Ranker.rank``), :meth:`activity` for a caller that asks.  The
+    *object* column is what keeps identity honest across that: a row
+    packed from an object the caller still holds (``keep``) is that
+    object wherever the row goes.
+
+    Every run builds its own objects for the rows that have none, and
+    the engine only ever mutates the objects it was given, so one table
+    backs any number of runs; the views :meth:`activity` hands out are
+    the table's own and no run sees them.
     """
 
     __slots__ = (
@@ -276,50 +313,179 @@ class ActivityTable:
         "_timestamps",
         "_ckeys",
         "_mkeys",
-        "_nkeys",
-        "_sizes",
         "_request_ids",
         "_seqs",
+        "_messages",
+        "_objects",
         "_cache",
-        "interner",
     )
 
-    def __init__(self, interner: Optional[KeyInterner] = None) -> None:
-        self.interner = INTERNER if interner is None else interner
+    def __init__(self) -> None:
         self._types = array("b")
         self._timestamps = array("d")
-        self._ckeys = array("q")
-        self._mkeys = array("q")
-        self._nkeys = array("q")
-        self._sizes = array("q")
+        self._ckeys: List[int] = []
+        self._mkeys: List[int] = []
         self._request_ids = array("q")
         self._seqs = array("q")
+        self._messages: List[object] = []
+        self._objects: List[object] = []
+        # Row -> the view ``activity(row)`` built for it.  Views are not
+        # rows: nothing that moves rows carries them along.
         self._cache: Dict[int, object] = {}
+
+    def _columns(self) -> tuple:
+        """Every column, for the operations that move whole rows."""
+        return (
+            self._types,
+            self._timestamps,
+            self._ckeys,
+            self._mkeys,
+            self._request_ids,
+            self._seqs,
+            self._messages,
+            self._objects,
+        )
 
     # -- building -------------------------------------------------------------
 
     @classmethod
-    def from_activities(cls, activities: Iterable, interner=None) -> "ActivityTable":
+    def from_activities(cls, activities: Iterable, keep: bool = False) -> "ActivityTable":
         """Pack an activity iterable into columns (keys already interned)."""
-        table = cls(interner=interner)
-        table.extend(activities)
+        table = cls()
+        table.extend(activities, keep=keep)
         return table
 
-    def append(self, activity) -> None:
-        """Append one activity's row (its interned keys are reused as-is)."""
-        self._types.append(int(activity.type))
-        self._timestamps.append(activity.timestamp)
-        self._ckeys.append(activity.context_key)
-        self._mkeys.append(activity.message_key)
-        self._nkeys.append(activity.node_key)
-        self._sizes.append(activity.size)
-        request_id = activity.request_id
-        self._request_ids.append(-1 if request_id is None else request_id)
-        self._seqs.append(activity.seq)
+    def hold(self, activities: Sequence) -> None:
+        """Append rows that *are* these objects, packed only as far as a
+        row is read without its object: type, timestamp, message key and
+        ``seq``.  What only a build would read (context key, request id,
+        ``MessageId``) stays in the object, and those columns carry
+        ``None`` / :data:`NO_REQUEST` for such a row -- so it cannot be
+        built a second time by mistake, only handed back
+        (:meth:`activity`).  This is how an
+        :class:`~repro.core.ranker.ActivitySource` takes the objects it
+        is fed: a fraction of :meth:`extend`'s work, for rows whose
+        build-only columns nothing would ever read.
+        """
+        self._types.fromlist([a.priority for a in activities])
+        self._timestamps.fromlist([a.timestamp for a in activities])
+        self._mkeys += [a.message_key for a in activities]
+        self._seqs.fromlist([a.seq for a in activities])
+        self._objects += activities
+        nothing = [None] * len(activities)
+        self._ckeys += nothing
+        self._messages += nothing
+        self._request_ids.frombytes(_NO_REQUEST_BYTES * len(activities))
 
-    def extend(self, activities: Iterable) -> None:
-        for activity in activities:
-            self.append(activity)
+    def append(self, activity, keep: bool = False) -> None:
+        """Append one activity's row (its interned keys are reused as-is)."""
+        self.extend((activity,), keep=keep)
+
+    def extend(self, activities: Iterable, keep: bool = False) -> None:
+        """Append a row per activity, a column at a time.
+
+        With ``keep`` the rows *are* these objects (:meth:`activity`
+        returns them, and so does a ranker that delivers the row);
+        without, the table holds their values only -- and refuses
+        (``OverflowError``) a request id no int64 holds, which a kept
+        object simply keeps to itself.  An activity the engine has
+        already worked on packs the byte count it has now.
+        """
+        batch = activities if isinstance(activities, (list, tuple)) else list(activities)
+        request_ids = [a.request_id for a in batch]
+        if keep:
+            request_ids = [
+                rid if rid is not None and NO_REQUEST < rid < REQUEST_LIMIT else NO_REQUEST
+                for rid in request_ids
+            ]
+        elif NO_REQUEST in request_ids:
+            raise OverflowError(f"request id {NO_REQUEST} is the column's None")
+        else:
+            request_ids = [NO_REQUEST if rid is None else rid for rid in request_ids]
+        self._request_ids.fromlist(request_ids)  # OverflowError past int64
+        self._types.fromlist([a.priority for a in batch])
+        self._timestamps.fromlist([a.timestamp for a in batch])
+        self._ckeys += [a.context_key for a in batch]
+        self._mkeys += [a.message_key for a in batch]
+        self._seqs.fromlist([a.seq for a in batch])
+        self._messages += [
+            a.message if a.size == a.message.size else a.message.with_size(a.size)
+            for a in batch
+        ]
+        self._objects += batch if keep else [None] * len(batch)
+
+    def concat(self, other: "ActivityTable") -> None:
+        """Append every row of ``other`` (a block copy per column; a kept
+        object stays the same object)."""
+        for column, addition in zip(self._columns(), other._columns()):
+            column += addition
+
+    def insert_from(self, index: int, other: "ActivityTable", row: int) -> None:
+        """Insert row ``row`` of ``other`` in front of row ``index``, every
+        column moved together."""
+        for column, source in zip(self._columns(), other._columns()):
+            column.insert(index, source[row])
+        self._cache.clear()
+
+    def take(self, rows: Sequence[int]) -> "ActivityTable":
+        """A new table holding ``rows`` of this one, in the order given."""
+        taken = ActivityTable()
+        for column, source in zip(taken._columns(), self._columns()):
+            picked = [source[row] for row in rows]
+            column += array(source.typecode, picked) if isinstance(source, array) else picked
+        return taken
+
+    def release(self, count: int) -> None:
+        """Drop the first ``count`` rows."""
+        for column in self._columns():
+            del column[:count]
+        self._cache.clear()
+
+    def rotate(self, first: int, row: int) -> None:
+        """Move row ``row`` to position ``first`` (<= ``row``); the rows it
+        jumps over keep their order one place back."""
+        for column in self._columns():
+            column.insert(first, column.pop(row))
+        self._cache.clear()
+
+    def ordered(self) -> "ActivityTable":
+        """The rows in per-node sort order (``timestamp``, then ``seq``:
+        :data:`repro.core.activity.sort_key`): this table itself when
+        they already are, which two passes in C decide for a log read in
+        order; a sorted copy otherwise (stable, like the sort it
+        replaces)."""
+        stamps, seqs = self._timestamps, self._seqs
+        if all(map(le, stamps, islice(stamps, 1, None))) and all(
+            map(lt, seqs, islice(seqs, 1, None))
+        ):
+            return self
+        order = sorted(range(len(stamps)), key=lambda row: (stamps[row], seqs[row]))
+        if order == list(range(len(order))):
+            return self
+        return self.take(order)
+
+    def by_node(self) -> Dict[int, "ActivityTable"]:
+        """Interned node key -> that node's rows, in row order; nodes in
+        first-seen order.  A table of one node -- what a per-node log
+        yields -- is returned as it is, not copied."""
+        node_of = {ckey: self._node_of(ckey) for ckey in set(self._ckeys)}
+        if len(set(node_of.values())) <= 1:
+            return {node: self for node in node_of.values()}
+        rows: Dict[int, List[int]] = {}
+        for row, ckey in enumerate(self._ckeys):
+            rows.setdefault(node_of[ckey], []).append(row)
+        return {node: self.take(index) for node, index in rows.items()}
+
+    def send_keys(self) -> List[int]:
+        """The message key of every send-like row (SEND, END), in row
+        order -- what the ranker's undelivered-send registry counts."""
+        return [
+            key for key, kind in zip(self._mkeys, self._types) if kind == 1 or kind == 2
+        ]
+
+    @staticmethod
+    def _node_of(ckey: int) -> int:
+        return INTERNER.intern_node(INTERNER.resolve_context_key(ckey)[0])
 
     # -- row access -----------------------------------------------------------
 
@@ -336,62 +502,63 @@ class ActivityTable:
         return self._mkeys[row]
 
     def node_key(self, row: int) -> int:
-        return self._nkeys[row]
+        return self._node_of(self._ckeys[row])
 
     def activity(self, row: int):
-        """Materialise (and cache) the ``Activity`` view of one row."""
+        """The ``Activity`` view of one row: the object the row is, when
+        it arrived as one; else built on first request and the same
+        object from then on."""
+        kept = self._objects[row]
+        if kept is not None:
+            return kept
         cached = self._cache.get(row)
         if cached is None:
-            cached = self._materialise(row)
-            self._cache[row] = cached
+            cached = self._cache[row] = self._materialise(row)
         return cached
 
     def _materialise(self, row: int):
-        from .activity import Activity, ActivityType, MessageId
-
-        interner = self.interner
-        connection = interner.resolve_message_key(self._mkeys[row])
+        """Build row ``row``'s ``Activity`` (``Ranker.rank`` inlines this
+        for the row it delivers)."""
+        ckey = self._ckeys[row]
         request_id = self._request_ids[row]
-        size = self._sizes[row]
-        return Activity(
-            type=ActivityType(self._types[row]),
-            timestamp=self._timestamps[row],
-            context=interner.resolve_context(self._ckeys[row]),
-            message=MessageId(*connection, size),
-            request_id=None if request_id < 0 else request_id,
-            seq=self._seqs[row],
-            size=size,
+        return Activity.keyed(
+            _TYPES[self._types[row]],
+            self._timestamps[row],
+            INTERNER.resolve_context(ckey),
+            self._messages[row],
+            None if request_id == NO_REQUEST else request_id,
+            ckey,
+            self._mkeys[row],
+            self._node_of(ckey),
+            self._seqs[row],
         )
 
     def __iter__(self) -> Iterator:
-        """Iterate cached ``Activity`` views (object-API boundary)."""
+        """Iterate the rows' ``Activity`` objects (see :meth:`activity`)."""
         for row in range(len(self._types)):
             yield self.activity(row)
 
     def iter_fresh(self) -> Iterator:
-        """Materialise fresh, uncached rows -- one correlation pass's worth.
-
-        The engine mutates ``size`` during n-to-n merging, so feeding a
-        correlator cached rows would poison later passes; sources built
-        on a table hand out fresh rows per pass instead.
-        """
+        """A fresh ``Activity`` per row, not remembered by the table --
+        for a caller that wants objects of its own to consume (a kept
+        row is built from its columns like any other)."""
         for row in range(len(self._types)):
             yield self._materialise(row)
 
     # -- accounting -----------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Byte size of the packed columns (excludes cache and interner)."""
+        """Byte size of the packed columns (8 a row for each reference
+        column; excludes the objects they point to and the interner)."""
         return sum(
-            column.itemsize * len(column)
-            for column in (
-                self._types,
-                self._timestamps,
-                self._ckeys,
-                self._mkeys,
-                self._nkeys,
-                self._sizes,
-                self._request_ids,
-                self._seqs,
-            )
+            column.itemsize * len(column) if isinstance(column, array) else 8 * len(column)
+            for column in self._columns()
         )
+
+
+# Imported at the bottom to break the module cycle: activity.py binds the
+# interner's maps at *its* bottom, so whichever of the two is imported
+# first finds the other's names already defined.
+from .activity import Activity, ActivityType  # noqa: E402
+
+_TYPES = tuple(ActivityType)

@@ -25,7 +25,10 @@ This module provides:
   line once and remembers, per distinct context and per distinct
   connection, what the rules above answered.  :func:`parse_record` +
   :meth:`ActivityClassifier.classify` remain the definition that loop
-  is tested against and falls back to.
+  is tested against and falls back to;
+* :meth:`ActivityClassifier.pack_lines` -- the same loop emitting packed
+  :class:`~repro.core.interning.ActivityTable` rows instead of objects,
+  for a reader whose consumer builds the objects late (the batch drive).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .activity import Activity, ActivityType, ContextId, MessageId
-from .interning import INTERNER
+from .activity import Activity, ActivityType, ContextId, MessageId, draw_seqs
+from .interning import INTERNER, NO_REQUEST, REQUEST_LIMIT, ActivityTable
 
 
 class LogFormatError(ValueError):
@@ -348,14 +351,60 @@ class ActivityClassifier:
         timestamp, direction or size costs nothing.  There is no
         eviction.  The rule sets (``frontends``, ``ignore_*``) must not
         change once lines have been classified.
+
+        :meth:`pack_lines` is the same loop with the other sink.
         """
         activities: List[Activity] = []
-        append = activities.append
+        self._classify(lines, strict, activities.append, None)
+        return activities
+
+    def pack_lines(self, lines: Iterable[str], strict: bool = False) -> ActivityTable:
+        """:meth:`classify_lines` without the objects: each kept line's
+        fields go into the columns of an
+        :class:`~repro.core.interning.ActivityTable`, in line order.
+
+        Same loop, same memo, same counters, same interner discipline;
+        the one difference is the emit site.  A row carries the keys, the
+        connection-and-size-shared :class:`MessageId` and a ``seq`` drawn
+        in line order -- so ``table.activity(row)`` is, slot for slot,
+        the object :meth:`classify_lines` would have built, whenever it
+        is asked for (the ranker asks when it delivers the row; a row it
+        discards as noise never becomes an object).  ``seq`` cannot wait
+        that long: the rank kernels break ties between node heads on it
+        while the rows are still packed.  A line only the reference path
+        can read comes back from it as an object; it takes its row, at
+        its log position, as that object.
+        """
+        table = ActivityTable()
+        self._classify(lines, strict, None, table)
+        return table
+
+    def _classify(self, lines, strict, append, table) -> None:
+        """The loop behind :meth:`classify_lines` (``append`` takes each
+        activity) and :meth:`pack_lines` (``table`` takes each row)."""
         context_memo = self._context_memo
         channel_memo = self._channel_memo
         keyed = Activity.keyed
         sizes_limit = _SIZES_PER_CONNECTION
         filtered = 0
+        packed = table is not None
+        if packed:
+            put_type = table._types.append
+            put_timestamp = table._timestamps.append
+            put_context_key = table._ckeys.append
+            put_message_key = table._mkeys.append
+            put_request_id = table._request_ids.append
+            put_message = table._messages.append
+            no_request, request_limit = NO_REQUEST, REQUEST_LIMIT
+
+            def settle() -> None:
+                # ``seq`` and the (empty) object slot of the rows appended
+                # since the last call, in one go.  Called before anything
+                # else draws from the counter, so seq stays log position.
+                due = len(table._types) - len(table._seqs)
+                table._seqs.fromlist(list(draw_seqs(due)))
+                table._objects += [None] * due
+
         try:
             for line in lines:
                 head, marker, tail = line.rpartition(" #rid=")
@@ -407,7 +456,10 @@ class ActivityClassifier:
                         sizes,
                     ) = entry
                 except ValueError:
-                    pass  # not the plain shape: the reference path decides
+                    # not the plain shape: the reference path decides
+                    if packed:
+                        settle()
+                    activity = self._classify_odd_line(line, strict)
                 else:
                     if ignored_program or ignored_channel:
                         filtered += 1
@@ -426,25 +478,37 @@ class ActivityClassifier:
                         message = MessageId(src_ip, src_port, dst_ip, dst_port, size)
                         if len(sizes) < sizes_limit:
                             sizes[size_text] = message
-                    append(
-                        keyed(
-                            send_type if sending else receive_type,
-                            timestamp,
-                            context,
-                            message,
-                            request_id,
-                            context_key,
-                            message_key,
-                            node_key,
-                        )
+                    if packed and (
+                        request_id is None or no_request < request_id < request_limit
+                    ):
+                        put_type(send_type if sending else receive_type)
+                        put_timestamp(timestamp)
+                        put_context_key(context_key)
+                        put_message_key(message_key)
+                        put_request_id(no_request if request_id is None else request_id)
+                        put_message(message)
+                        continue
+                    if packed:  # an id no column holds: this line is an object
+                        settle()
+                    activity = keyed(
+                        send_type if sending else receive_type,
+                        timestamp,
+                        context,
+                        message,
+                        request_id,
+                        context_key,
+                        message_key,
+                        node_key,
                     )
-                    continue
-                activity = self._classify_odd_line(line, strict)
                 if activity is not None:
-                    append(activity)
+                    if packed:
+                        table.append(activity, keep=True)
+                    else:
+                        append(activity)
         finally:
             self.filtered_count += filtered
-        return activities
+            if packed:
+                settle()
 
     # -- internals ---------------------------------------------------------
 

@@ -30,12 +30,21 @@ Two disturbances are tolerated (Section 4.3):
 Hot-path data structures
 ------------------------
 
-A node's window is not a copy of its stream.  :class:`ActivitySource`
-keeps the node's sorted rows in three parallel columns (activity,
-timestamp, send key) and two cursors into them: rows ``[head, fence)``
-*are* the node's queue, rows from ``fence`` on await fetch.  A window
-fetch is one :func:`bisect.bisect_right` over the timestamp column that
-moves ``fence``; a delivery moves ``head``.  Beside the cursors there is
+A node's window is not a copy of its stream, and its stream is not a
+list of objects.  :class:`ActivitySource` keeps the node's sorted rows in
+one :class:`~repro.core.interning.ActivityTable` -- the same packed
+columns the log front end writes -- and two cursors into it: rows
+``[head, fence)`` *are* the node's queue, rows from ``fence`` on await
+fetch.  A window fetch is one :func:`bisect.bisect_right` over the
+timestamp column that moves ``fence``; a delivery moves ``head``.  The
+kernel head columns are refreshed from the type / timestamp / ``seq`` /
+message-key columns, so deciding needs no object; the ``Activity`` of a
+row is built by :meth:`Ranker.rank` at the moment it delivers the row
+(a noise discard, a late insert or a Fig. 6 rotation never builds one),
+unless the row arrived as an object, which is then the object delivered.
+Delivered rows are let go when the source next grows, and between the
+slices of a sealed drain (:meth:`Ranker.release`).  Beside the cursors
+there is
 
 * one **undelivered-send registry** shared by every source -- message
   key -> how many send-like rows with that key sit at or behind some
@@ -81,14 +90,22 @@ import math
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .activity import Activity, ActivityType, sort_key
 from .index_maps import MessageMap
+from .interning import _TYPES, INTERNER, NO_REQUEST, ActivityTable
 from .kernel import DISCARD, EMPTY, RULE1, STALL, kernel_info
 
 #: Interned message key (see :mod:`repro.core.interning`).
 MessageKey = int
+
+# The interner's canonical ContextId per context key: what ``rank()``
+# indexes when it builds a packed row's object.  The list is only ever
+# appended to; an entry is None until someone resolves the key (a key
+# space installed from a snapshot), so a miss goes to ``resolve_context``.
+_CONTEXTS = INTERNER._contexts
+_new_activity = object.__new__
 
 _INF = math.inf
 
@@ -116,13 +133,18 @@ class ActivitySource:
     which can be extended while it is being consumed -- and, between its
     two cursors, the node's queue.
 
-    Three parallel columns hold the rows: the activities, their
-    timestamps and (send-like rows only) their interned message keys.
-    Rows ``[head, fence)`` have been fetched into the window and not
-    delivered yet; rows ``[fence, len)`` await fetch.  ``_ts`` is
-    nondecreasing from ``fence`` on (the sort key leads with the
-    timestamp), which is what lets a fetch bisect; the queue part can
-    carry a promoted SEND in front of earlier rows (Fig. 6).
+    The rows live in one :class:`~repro.core.interning.ActivityTable`
+    (no shadow copies beside it): the ranker reads the type, timestamp,
+    message-key and ``seq`` columns, and a row becomes an ``Activity``
+    only when it is delivered -- unless it arrived as one, in which case
+    the table's object column holds it and that object is what is
+    delivered.  Rows ``[head, fence)`` have been fetched into the window
+    and not delivered yet; rows ``[fence, len)`` await fetch.  The
+    timestamp column is nondecreasing from ``fence`` on (the sort key
+    leads with the timestamp), which is what lets a fetch bisect; the
+    queue part can carry a promoted SEND in front of earlier rows
+    (Fig. 6).  A send-like row is one whose type is SEND or END; its
+    message key is its *send key*.
 
     ``registry`` is the owning ranker's undelivered-send counter, which
     the source adds its sends to as it grows.
@@ -131,13 +153,21 @@ class ActivitySource:
     def __init__(
         self,
         node,
-        activities: Iterable[Activity] = (),
+        activities: Union[Iterable[Activity], ActivityTable] = (),
         registry: Optional[Counter] = None,
     ) -> None:
         self.node = node
-        self._activities: List[Activity] = []
-        self._ts: List[float] = []
-        self._send_keys: List[Optional[int]] = []
+        table = self._table = ActivityTable()
+        # The table's columns under the names the hot path reads them
+        # by; they are only ever mutated in place, never rebound.
+        self._types = table._types
+        self._ts = table._timestamps
+        self._mkeys = table._mkeys
+        self._seqs = table._seqs
+        self._objects = table._objects
+        # Interned node key of the rows (``Activity.node_key``), learnt
+        # from the first row: ``node`` is whatever the owner keys by.
+        self._node_key = -1
         #: Queue cursors (row indexes into the columns).
         self.head = 0
         self.fence = 0
@@ -159,73 +189,124 @@ class ActivitySource:
         self.frontier: Optional[float] = None
         self.extend(activities)
 
-    def extend(self, activities: Iterable[Activity]) -> None:
-        """Add activities (any order) to the unfetched tail.
+    def extend(self, activities: Union[Iterable[Activity], ActivityTable]) -> None:
+        """Add rows (any order) to the unfetched tail: activities, which
+        stay the objects that are delivered, or packed rows.
 
-        Activities are expected in (approximately) the node's local clock
+        Rows are expected in (approximately) the node's local clock
         order -- the natural order of a node's own log.  A batch that
-        sorts behind everything still unfetched is appended to the three
-        columns in bulk; only a genuinely late row is inserted at its
-        sort position, and one older than everything already fetched
-        lands at the consumption point, ``fence`` (it cannot be sequenced
-        earlier any more).
+        sorts behind everything still unfetched is appended a column at a
+        time; only a genuinely late row is inserted at its sort position,
+        every column moved together, and one older than everything
+        already fetched lands at the consumption point, ``fence`` (it
+        cannot be sequenced earlier any more).
         """
-        batch = sorted(activities, key=sort_key)
-        if not batch:
-            return
-        rows, ts_column, send_keys = self._activities, self._ts, self._send_keys
+        if isinstance(activities, ActivityTable):
+            batch = activities.ordered()
+            if not len(batch):
+                return
+            objects = None
+            first = batch._objects[0]
+            lowest = (batch._timestamps[0], batch._seqs[0])
+            newest = batch._timestamps[-1]
+            send_keys = batch.send_keys()
+        else:
+            batch = None
+            objects = sorted(activities, key=sort_key)
+            if not objects:
+                return
+            first = objects[0]
+            lowest = (first.timestamp, first.seq)
+            newest = objects[-1].timestamp
+            send_keys = [a.message_key for a in objects if a.send_like]
+        if self._node_key < 0:
+            self._node_key = batch.node_key(0) if first is None else first.node_key
+        # Release what was delivered: a stream must stay bounded.
+        self.release()
+        table = self._table
+        stamps, seqs = self._ts, self._seqs
+        fence = self.fence
+        size = len(stamps)
+        positions = self._send_positions
+        if fence == size or lowest >= (stamps[-1], seqs[-1]):
+            if batch is None:
+                table.hold(objects)
+            else:
+                table.concat(batch)
+            if positions is not None:
+                for index in range(size, len(stamps)):
+                    key = self.send_key(index)
+                    if key is not None:
+                        positions.setdefault(key, deque()).append(self._base + index)
+        else:
+            if batch is None:
+                batch = ActivityTable()
+                batch.hold(objects)
+            new_stamps, new_seqs = batch._timestamps, batch._seqs
+            for row in range(len(batch)):
+                # bisect_right by (timestamp, seq) over the unfetched rows
+                stamp, seq = new_stamps[row], new_seqs[row]
+                index = bisect_right(stamps, stamp, fence)
+                while index > fence and stamps[index - 1] == stamp and seqs[index - 1] > seq:
+                    index -= 1
+                table.insert_from(index, batch, row)
+            if positions is not None:
+                self._reindex_sends()
+        if self._registry is not None:
+            self._registry.update(send_keys)
+        if self.frontier is None or newest > self.frontier:
+            self.frontier = newest
+        self.next_timestamp = stamps[fence]
+
+    def release(self) -> None:
+        """Drop the delivered rows (those in front of ``head``).  Absolute
+        positions count from the first row ever held, so nothing is
+        renumbered."""
         head = self.head
         if head:
-            # Release what was delivered: a stream must stay bounded.
-            del rows[:head], ts_column[:head], send_keys[:head]
+            self._table.release(head)
             self._base += head
             self.fence -= head
             self.head = 0
-        fence = self.fence
-        timestamps = [a.timestamp for a in batch]
-        keys = [a.message_key if a.send_like else None for a in batch]
-        if fence == len(rows) or sort_key(batch[0]) >= sort_key(rows[-1]):
-            first = self._base + len(rows)
-            rows += batch
-            ts_column += timestamps
-            send_keys += keys
-            positions = self._send_positions
-            if positions is not None:
-                for position, key in enumerate(keys, first):
-                    if key is not None:
-                        entries = positions.get(key)
-                        if entries is None:
-                            positions[key] = deque((position,))
-                        else:
-                            entries.append(position)
-        else:
-            for activity, timestamp, key in zip(batch, timestamps, keys):
-                index = bisect_right(rows, sort_key(activity), fence, key=sort_key)
-                rows.insert(index, activity)
-                ts_column.insert(index, timestamp)
-                send_keys.insert(index, key)
-            if self._send_positions is not None:
-                self._reindex_sends()
-        if self._registry is not None:
-            self._registry.update(key for key in keys if key is not None)
-        if self.frontier is None or timestamps[-1] > self.frontier:
-            self.frontier = timestamps[-1]
-        self.next_timestamp = ts_column[fence]
 
     def __len__(self) -> int:
         """How many activities still await fetch."""
-        return len(self._activities) - self.fence
+        return len(self._ts) - self.fence
 
     @property
     def exhausted(self) -> bool:
-        return self.fence >= len(self._activities)
+        return self.fence >= len(self._ts)
 
     def peek_timestamp(self) -> Optional[float]:
         return self.next_timestamp
 
+    def activity(self, index: int) -> Activity:
+        """Row ``index`` as an ``Activity``: the object it arrived as, or
+        one built now and from now on *the* row's object, so the row is
+        delivered as it."""
+        activity = self._objects[index]
+        if activity is None:
+            activity = self._objects[index] = self._table._materialise(index)
+        return activity
+
+    def activities(self, start: int, end: int) -> List[Activity]:
+        """Rows ``[start, end)`` as activities (see :meth:`activity`)."""
+        return [self.activity(index) for index in range(start, end)]
+
     def buffered(self) -> List[Activity]:
         """The queue: fetched and not delivered, in queue order."""
-        return self._activities[self.head : self.fence]
+        return self.activities(self.head, self.fence)
+
+    def context_key(self, index: int) -> int:
+        """Row ``index``'s interned context key (in the object, for a row
+        that has one: see :meth:`ActivityTable.hold`)."""
+        activity = self._objects[index]
+        return self._table._ckeys[index] if activity is None else activity.context_key
+
+    def send_key(self, index: int) -> Optional[MessageKey]:
+        """Row ``index``'s message key when it is send-like, else None."""
+        kind = self._types[index]
+        return self._mkeys[index] if kind == 1 or kind == 2 else None
 
     # -- fetching (moves ``fence``) -----------------------------------------
 
@@ -242,24 +323,33 @@ class ActivitySource:
         """:meth:`fetch_until`, returning the admitted activities."""
         fence = self.fence
         self.fetch_until(limit)
-        return self._activities[fence : self.fence]
+        return self.activities(fence, self.fence)
 
     def take_one(self) -> Optional[Activity]:
         """Admit a single activity regardless of the window (used to make
         progress when the window is smaller than the inter-activity gap)."""
         fence = self.fence
-        if fence >= len(self._activities):
+        if not self.fetch_one():
             return None
+        return self.activity(fence)
+
+    def fetch_one(self) -> bool:
+        """:meth:`take_one` without looking at the row: whether a row was
+        admitted (none awaited fetch otherwise)."""
+        fence = self.fence
+        if fence >= len(self._ts):
+            return False
         self._move_fence(fence + 1)
-        return self._activities[fence]
+        return True
 
     def has_future_send(self, key: MessageKey) -> bool:
         """Is a send-like activity with ``key`` still awaiting fetch?"""
         entries = self._positions().get(key)
         return entries is not None and entries[-1] - self._base >= self.fence
 
-    def take_through_send(self, key: MessageKey) -> List[Activity]:
-        """Admit activities up to and including the next send-like one with ``key``.
+    def fetch_through_send(self, key: MessageKey) -> int:
+        """Admit activities up to and including the next send-like one
+        with ``key``; returns how many (0: no such send awaits fetch).
 
         Used to resolve the case where a RECEIVE surfaced at a queue head
         while, because of clock skew larger than the window, its matching
@@ -281,14 +371,19 @@ class ActivitySource:
             None,
         )
         if index is None:
-            return []
-        send_keys = self._send_keys
-        end = len(send_keys)
+            return 0
+        end = len(self._ts)
         index += 1
-        while index < end and send_keys[index] == key:
+        while index < end and self.send_key(index) == key:
             index += 1
         self._move_fence(index)
-        return self._activities[fence:index]
+        return index - fence
+
+    def take_through_send(self, key: MessageKey) -> List[Activity]:
+        """:meth:`fetch_through_send`, returning the admitted activities."""
+        fence = self.fence
+        self.fetch_through_send(key)
+        return self.activities(fence, self.fence)
 
     def _move_fence(self, end: int) -> None:
         self.fence = end
@@ -307,8 +402,8 @@ class ActivitySource:
         return index if index < self.fence else None
 
     def move_to_head(self, index: int) -> None:
-        """Rotate queue row ``index`` to the queue front, in all three
-        columns; the rows it jumps over keep their order one place back.
+        """Rotate queue row ``index`` to the queue front, in every
+        column; the rows it jumps over keep their order one place back.
 
         The recorded positions of every send involved are repaired (when
         the index exists): the jumped ones move up by one, the moved one
@@ -319,14 +414,12 @@ class ActivitySource:
         head = self.head
         if index == head:
             return
-        send_keys = self._send_keys
-        for column in (self._activities, self._ts, send_keys):
-            column.insert(head, column.pop(index))
+        self._table.rotate(head, index)
         positions = self._send_positions
         if positions is None:
             return
         # (the rotation permutes rows [head, index]: same keys as before)
-        touched = {key for key in send_keys[head : index + 1] if key is not None}
+        touched = {self.send_key(row) for row in range(head, index + 1)} - {None}
         low, high = self._base + head, self._base + index
 
         def moved(position: int) -> int:
@@ -344,14 +437,13 @@ class ActivitySource:
         return self._send_positions
 
     def _reindex_sends(self) -> None:
-        """Build the position index from the send-key column (at its
-        first use, and after a late row was inserted in the middle of
-        it)."""
+        """Build the position index from the type and message-key columns
+        (at its first use, and after a late row was inserted in the middle
+        of it)."""
         positions: Dict[MessageKey, Deque[int]] = {}
         base = self._base
-        send_keys = self._send_keys
-        for index in range(self.head, len(send_keys)):
-            key = send_keys[index]
+        for index in range(self.head, len(self._ts)):
+            key = self.send_key(index)
             if key is not None:
                 positions.setdefault(key, deque()).append(base + index)
         self._send_positions = positions
@@ -463,6 +555,13 @@ class Ranker:
         # verdict) is O(1).
         self._buffered_total = 0
         self.stats = RankerStats()
+        #: Rows that arrived packed (without an object), and how many of
+        #: them were built into an ``Activity`` at delivery.  The rest
+        #: were discarded as noise unbuilt, or are still held.  Accounting
+        #: of the input's form, not of a decision: kept out of ``stats``,
+        #: which is equal for equal traces however they were fed.
+        self.packed_rows = 0
+        self.materialised = 0
         if sources is not None:
             for node, activities in sources.items():
                 self._extend_source(node, activities)
@@ -470,17 +569,25 @@ class Ranker:
 
     # -- ingestion ------------------------------------------------------------
 
-    def ingest(self, activities: Iterable[Activity]) -> int:
-        """Route activities to their per-node sources; returns the count.
+    def ingest(self, activities: Union[Iterable[Activity], ActivityTable]) -> int:
+        """Route activities -- objects, or the packed rows of an
+        :class:`~repro.core.interning.ActivityTable` -- to their per-node
+        sources; returns the count.
 
         Nodes are registered in first-seen order (slot order decides
         tie-breaks).  Call :meth:`rank` (in a loop, until it returns
         ``None``) afterwards to drain everything the advanced watermark
-        makes decidable.
+        makes decidable.  An object handed in is the object :meth:`rank`
+        hands back; a packed row becomes an object when it is delivered.
         """
-        per_node: Dict[int, List[Activity]] = {}
-        for activity in activities:
-            per_node.setdefault(activity.node_key, []).append(activity)
+        per_node: Dict[int, Union[List[Activity], ActivityTable]]
+        if isinstance(activities, ActivityTable):
+            per_node = activities.by_node()
+            self.packed_rows += activities._objects.count(None)
+        else:
+            per_node = {}
+            for activity in activities:
+                per_node.setdefault(activity.node_key, []).append(activity)
         for node, batch in per_node.items():
             self._extend_source(node, batch)
         if not self._sealed:
@@ -497,7 +604,9 @@ class Ranker:
                 self.ceiling = min(frontiers) - self._slack
         return sum(map(len, per_node.values()))
 
-    def _extend_source(self, node: str, batch: Iterable[Activity]) -> None:
+    def _extend_source(
+        self, node: str, batch: Union[Iterable[Activity], ActivityTable]
+    ) -> None:
         source = self._sources.get(node)
         if source is None:
             source = ActivitySource(node, registry=self._undelivered_sends)
@@ -513,6 +622,19 @@ class Ranker:
         drains with full look-ahead (including the noise fallback)."""
         self._sealed = True
         self.ceiling = _INF
+
+    def release(self) -> None:
+        """Let go of delivered rows.  Growth does this on its own
+        (:meth:`ActivitySource.extend`); a sealed ranker no longer grows,
+        so whoever drains it calls this between slices -- or the run ends
+        still holding every row it ever delivered or discarded.  A source
+        is cut once at least half of what it holds has been delivered:
+        what stays is at most twice what is still to come, and the rows
+        moved up over a whole drain add up to the stream once over, not
+        once per slice."""
+        for source in self._slot_sources:
+            if source.head * 2 >= len(source._ts):
+                source.release()
 
     @property
     def sealed(self) -> bool:
@@ -563,12 +685,13 @@ class Ranker:
         """Re-derive one slot's head columns after its queue head moved."""
         head = source.head
         if head < source.fence:
-            activity = source._activities[head]
-            priority = activity.priority
-            self._head_ts[slot] = activity.timestamp
+            # (the columns say the same for a row that has its object;
+            # ``rank()`` reads the object there to save boxing numbers)
+            priority = source._types[head]
+            self._head_ts[slot] = source._ts[head]
             self._head_pri[slot] = priority
-            self._head_seq[slot] = activity.seq
-            self._head_keys[slot] = activity.message_key if priority == 3 else None
+            self._head_seq[slot] = source._seqs[head]
+            self._head_keys[slot] = source._mkeys[head] if priority == 3 else None
         else:
             self._head_ts[slot] = _INF
 
@@ -665,10 +788,46 @@ class Ranker:
                 slot = decision >> 3
                 source = sources[slot]
                 head = source.head
-                rows = source._activities
-                activity = rows[head]
-                key = source._send_keys[head]
-                if key is not None:
+                activity = source._objects[head]
+                if activity is None:
+                    # A packed row: its object is born here (the mirror
+                    # of ``ActivityTable._materialise``), so a row that
+                    # is discarded, rotated or inserted never has one.
+                    table = source._table
+                    kind = source._types[head]
+                    timestamp = source._ts[head]
+                    key = source._mkeys[head]
+                    context_key = table._ckeys[head]
+                    message = table._messages[head]
+                    request_id = table._request_ids[head]
+                    activity = _new_activity(Activity)
+                    activity.type = _TYPES[kind]
+                    activity.timestamp = timestamp
+                    activity.context = _CONTEXTS[context_key] or INTERNER.resolve_context(
+                        context_key
+                    )
+                    activity.message = message
+                    activity.request_id = (
+                        None if request_id == NO_REQUEST else request_id
+                    )
+                    activity.seq = source._seqs[head]
+                    activity.size = message.size
+                    activity.context_key = context_key
+                    activity.message_key = key
+                    activity.node_key = source._node_key
+                    activity.priority = kind
+                    if kind == 1 or kind == 2:
+                        activity.send_like = True
+                    else:
+                        activity.send_like = False
+                        key = None
+                    self.materialised += 1
+                else:
+                    # The row arrived as this object: read it rather than
+                    # the columns (an ``array`` read boxes a new number).
+                    timestamp = activity.timestamp
+                    key = activity.message_key if activity.send_like else None
+                if key is not None:  # send-like: one undelivered send fewer
                     positions = source._send_positions
                     if positions is not None:
                         # The head is the first undelivered send of its key.
@@ -681,19 +840,25 @@ class Ranker:
                         undelivered[key] = count - 1
                     else:
                         del undelivered[key]
-                if activity.timestamp <= self._low:
+                if timestamp <= self._low:
                     self._refill_due = True
                 head += 1
                 source.head = head
                 if head < source.fence:
-                    following = rows[head]
-                    priority = following.priority
-                    head_ts[slot] = following.timestamp
+                    following = source._objects[head]
+                    if following is None:
+                        priority = source._types[head]
+                        head_ts[slot] = source._ts[head]
+                        head_seq[slot] = source._seqs[head]
+                        head_keys[slot] = source._mkeys[head] if priority == 3 else None
+                    else:
+                        priority = following.priority
+                        head_ts[slot] = following.timestamp
+                        head_seq[slot] = following.seq
+                        head_keys[slot] = (
+                            following.message_key if priority == 3 else None
+                        )
                     head_pri[slot] = priority
-                    head_seq[slot] = following.seq
-                    head_keys[slot] = (
-                        following.message_key if priority == 3 else None
-                    )
                 else:
                     head_ts[slot] = _INF
                 self._buffered_total -= 1
@@ -748,16 +913,9 @@ class Ranker:
 
             # Could not make progress (should not happen with well-formed
             # traces); fall back to plain Rule 2 so the ranker never stalls.
-            node, choice = self._select_rule2(
-                [
-                    (source.node, source._activities[source.head])
-                    for source in sources
-                    if source.head < source.fence
-                ]
-            )
             stats.fallback_selections += 1
             stats.rule2_selections += 1
-            return self._deliver(node, choice)
+            return self._pop_head(self._select_rule2())
 
     # -- window management ----------------------------------------------------
 
@@ -831,7 +989,7 @@ class Ranker:
         if best_slot is None or best_ts is None or best_ts > self.ceiling:
             return False
         source = self._slot_sources[best_slot]
-        source.take_one()
+        source.fetch_one()
         self._refresh_slot(best_slot, source)
         self._note_fetched(1)
         # The admitted activity is the new low edge; its window is unfetched.
@@ -840,31 +998,25 @@ class Ranker:
 
     # -- candidate selection ----------------------------------------------------
 
-    def _select_rule2(
-        self, heads: Sequence[Tuple[str, Activity]]
-    ) -> Tuple[str, Activity]:
-        """Rule 2: the head with the lowest type priority.
+    def _select_rule2(self) -> int:
+        """Rule 2 over every non-empty queue: the slot whose head has the
+        lowest type priority.
 
-        Ties are broken by the local timestamp so the output is
-        deterministic; with correct priorities the result does not depend
-        on how ties break (any order of causally-unrelated activities is
-        acceptable to the engine).
+        Ties are broken by the local timestamp, then ``seq``, then slot
+        order, so the output is deterministic; with correct priorities
+        the result does not depend on how ties break (any order of
+        causally-unrelated activities is acceptable to the engine).
         """
-        best = heads[0]
-        head = best[1]
-        best_key = (head.priority, head.timestamp, head.seq)
-        for item in heads[1:]:
-            head = item[1]
-            key = (head.priority, head.timestamp, head.seq)
-            if key < best_key:
-                best_key = key
-                best = item
-        return best
+        head_ts, head_pri, head_seq = self._head_ts, self._head_pri, self._head_seq
+        return min(
+            (slot for slot in range(len(head_ts)) if head_ts[slot] != _INF),
+            key=lambda slot: (head_pri[slot], head_ts[slot], head_seq[slot]),
+        )
 
     def _deliver(self, node: str, activity: Activity) -> Activity:
         slot = self._slot_of[node]
         source = self._slot_sources[slot]
-        rows = source._activities
+        rows = source._objects
         head = source.head
         if head >= source.fence or rows[head] is not activity:
             # The activity was rotated away from the front by the swap
@@ -883,8 +1035,10 @@ class Ranker:
         """Deliver the head of ``slot``'s queue (``rank()`` inlines this)."""
         source = self._slot_sources[slot]
         head = source.head
-        activity = source._activities[head]
-        key = source._send_keys[head]
+        if source._objects[head] is None:
+            self.materialised += 1
+        activity = source.activity(head)
+        key = source.send_key(head)
         if key is not None:
             positions = source._send_positions
             if positions is not None:
@@ -960,12 +1114,12 @@ class Ranker:
         """
         for key in keys:
             for slot, source in enumerate(self._slot_sources):
-                taken = source.take_through_send(key)
+                taken = source.fetch_through_send(key)
                 if not taken:
                     continue
                 if self._head_ts[slot] == _INF:
                     self._refresh_slot(slot, source)
-                self._note_fetched(len(taken))
+                self._note_fetched(taken)
                 return True
 
         for key in keys:
@@ -976,10 +1130,9 @@ class Ranker:
             source = self._slot_sources[slot]
             if index == source.head:
                 continue
-            rows = source._activities
-            context_key = rows[index].context_key
+            context_key = source.context_key(index)
             if any(
-                rows[ahead].context_key == context_key
+                source.context_key(ahead) == context_key
                 for ahead in range(source.head, index)
             ):
                 continue

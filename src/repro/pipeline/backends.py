@@ -238,10 +238,17 @@ class BackendSpec:
 
         The streaming backend consumes ``source.chunks(chunk_size)`` as
         they are produced, so reading and classification happen inside
-        the drive and nothing is materialised in front of the engine; the
-        batch and sharded backends, which buffer the whole trace anyway,
-        take ``source.activities()``.  ``on_cag`` as in :meth:`correlate`;
-        a :class:`DriveTimings` passed as ``timings`` is filled in.
+        the drive and nothing is materialised in front of the engine.
+        The batch backend, which buffers the whole trace before its first
+        decision, consumes ``source.blocks()``: a source that reads text
+        (:class:`~repro.pipeline.sources.LogSource`) yields packed
+        :class:`~repro.core.interning.ActivityTable` rows there, and an
+        ``Activity`` is built only for a row the ranker delivers; any
+        other source yields its objects, which are then the objects in
+        the CAGs.  Which of the two happens follows from the source, never
+        from an option.  The sharded backend partitions
+        ``source.activities()``.  ``on_cag`` as in :meth:`correlate`; a
+        :class:`DriveTimings` passed as ``timings`` is filled in.
         """
         # A lazily simulated source runs here: the drive's clock covers
         # reading a trace, not producing one.
@@ -274,12 +281,12 @@ class BackendSpec:
         after the pass.
 
         An :class:`~repro.core.interning.ActivityTable` is accepted
-        directly: its rows are rematerialized fresh for the run (the
-        engine consumes ``Activity.size`` in place while matching, so a
-        table's cached row view must never be what a correlator mutates
-        -- the same table can then back any number of runs).
+        directly.  The batch and streaming backends build an object of
+        their own for each row they deliver and never touch the table's;
+        the sharded backend partitions fresh objects.  Either way the
+        same table can back any number of runs.
         """
-        if isinstance(activities, ActivityTable):
+        if isinstance(activities, ActivityTable) and self.kind != "batch":
             activities = activities.iter_fresh()
         return self._drive(on_cag, activities)
 
@@ -294,12 +301,6 @@ class BackendSpec:
             timings = DriveTimings()
         correlator = self.make_correlator()
         start = perf_counter()
-        chunks = None
-        if source is not None:
-            if self.kind == "streaming":
-                chunks = source.chunks(self.chunk_size)
-            else:
-                activities = source.activities()
 
         def hand_out(finished: Iterable[CAG]) -> None:
             for cag in finished:
@@ -312,6 +313,8 @@ class BackendSpec:
 
         if self.kind == "sharded":
             # The merged CAG list only exists after the pass.
+            if source is not None:
+                activities = source.activities()
             result = correlator.correlate(activities)
             hand_out(result.cags)
         else:
@@ -319,10 +322,16 @@ class BackendSpec:
             # engine runs (between drain slices, between chunks).
             # correlate_iter owns engine construction, so the streaming
             # resume_from/checkpoint plumbing applies with or without a hook.
-            if self.kind == "streaming":
-                hand_out(correlator.correlate_iter(activities, chunks=chunks))
-            else:
-                hand_out(correlator.correlate_iter(activities))
+            # Neither holds what it reads: chunks are consumed as they are
+            # produced, and nothing here names the trace as a whole.
+            chunks = None
+            if source is not None:
+                chunks = (
+                    source.chunks(self.chunk_size)
+                    if self.kind == "streaming"
+                    else source.blocks()
+                )
+            hand_out(correlator.correlate_iter(activities, chunks=chunks))
             result = correlator.last_engine.result()
         timings.wall_clock_s = perf_counter() - start
         return result

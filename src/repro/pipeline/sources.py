@@ -43,6 +43,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..core.accuracy import GroundTruthRequest
 from ..core.activity import Activity, restamp
+from ..core.interning import ActivityTable
 from ..core.log_format import ActivityClassifier, FrontendSpec
 from ..stream import ActivityStream, FileTailSource, arrival_chunks
 
@@ -65,6 +66,19 @@ class Source:
         memory anyway.
         """
         return arrival_chunks(self.activities(), chunk_size)
+
+    def blocks(self) -> Iterator[Union[List[Activity], ActivityTable]]:
+        """The trace in pieces of any order, for a driver that buffers all
+        of it before correlating (the batch backend).
+
+        A piece is whatever :meth:`repro.core.correlator.IncrementalEngine.
+        buffer` accepts: an activity list or an
+        :class:`~repro.core.interning.ActivityTable` of packed rows, which
+        a source that reads text can yield without building an object
+        per line (:class:`LogSource` does).  This default is the one
+        piece ``activities()``.
+        """
+        yield self.activities()
 
     def describe(self) -> str:
         """One-line human description (CLI banners, reports)."""
@@ -169,10 +183,19 @@ class LogSource(Source):
     across reads) classified with the frontend description before the
     next read, so no path holds a whole file's text.
 
-    ``activities()`` -- for the batch and sharded backends, which buffer
-    everything anyway -- drains the files one after another in path
-    order; those backends re-sort into their own processing order, so
-    that order does not matter.
+    ``activities()`` -- for the sharded backend, which partitions the
+    whole trace, and for anyone who wants the objects -- drains the files
+    one after another in path order; what consumes it re-sorts into its
+    own processing order, so that order does not matter.
+
+    ``blocks()`` -- for the batch backend, which buffers everything
+    before it correlates anything -- is the same drain a read block at a
+    time, each block's kept lines as packed
+    :class:`~repro.core.interning.ActivityTable` rows
+    (:meth:`~repro.core.log_format.ActivityClassifier.pack_lines`): no
+    ``Activity`` exists until the ranker delivers a row, and a line it
+    discards as noise never becomes one.  Row for row (``seq`` included)
+    it is ``activities()``.
 
     ``chunks()`` -- for the streaming backend -- is a time-sliced merge
     of the per-node files, each expected in its node's local-clock order
@@ -205,9 +228,9 @@ class LogSource(Source):
     clock that ends a block holds that file back until the others catch
     up, and what the file delivers then is late.)
 
-    After ``activities()`` returns or ``chunks()`` is exhausted,
-    ``lines_read == activities + filtered_records + malformed_lines +
-    skipped_lines``.
+    After ``activities()`` returns or ``blocks()`` / ``chunks()`` is
+    exhausted, ``lines_read == activities + filtered_records +
+    malformed_lines + skipped_lines``.
     """
 
     def __init__(
@@ -227,24 +250,27 @@ class LogSource(Source):
         self.chunk_bytes = chunk_bytes
         self.lines_read = 0
 
-    def _block_readers(self) -> List[Iterator[List[Activity]]]:
+    def _block_readers(
+        self, packed: bool = False
+    ) -> List[Iterator[Union[List[Activity], ActivityTable]]]:
         """One iterator of classified blocks per file, in path order, over
-        one shared classifier.  Resets the read counters; the iterators
-        keep them current."""
+        one shared classifier: activity lists, or ``packed`` tables.
+        Resets the read counters; the iterators keep them current."""
         stream = ActivityStream(
             frontends=[self.frontend], ignore_programs=set(self.ignore_programs)
         )
         self.lines_read = self.late_lines = self.peak_buffered = 0
+        classify = stream.pack_lines if packed else stream.classify_lines
 
-        def blocks(path: str) -> Iterator[List[Activity]]:
+        def blocks(path: str) -> Iterator[Union[List[Activity], ActivityTable]]:
             tail = FileTailSource(path, chunk_bytes=self.chunk_bytes)
             for lines in tail.blocks(final=True):
-                activities = stream.classify_lines(lines)
+                activities = classify(lines)
                 self.lines_read += len(lines)
                 self.malformed_lines = stream.malformed_lines
                 self.filtered_records = stream.filtered_records
                 self.skipped_lines = stream.skipped_lines
-                if activities:
+                if len(activities):
                     yield activities
 
         return [blocks(path) for path in self.paths]
@@ -255,6 +281,10 @@ class LogSource(Source):
             for block in reader:
                 activities += block
         return activities
+
+    def blocks(self) -> Iterator[ActivityTable]:
+        for reader in self._block_readers(packed=True):
+            yield from reader
 
     def chunks(self, chunk_size: int) -> Iterator[List[Activity]]:
         if chunk_size <= 0:

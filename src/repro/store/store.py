@@ -171,6 +171,9 @@ def git_describe() -> str:
             capture_output=True,
             text=True,
             timeout=5,
+            # The checkout this code runs from, not whatever repository
+            # the user happens to be standing in.
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"

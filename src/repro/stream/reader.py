@@ -29,6 +29,7 @@ from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 from ..core.activity import Activity, sort_key
+from ..core.interning import ActivityTable
 from ..core.log_format import ActivityClassifier, FrontendSpec, LineAssembler
 
 T = TypeVar("T")
@@ -112,6 +113,12 @@ class ActivityStream:
     def classify_lines(self, lines: Iterable[str]) -> List[Activity]:
         """Parse and classify a batch of lines into activities."""
         return self.classifier.classify_lines(lines)
+
+    def pack_lines(self, lines: Iterable[str]) -> ActivityTable:
+        """:meth:`classify_lines` into packed rows instead of objects, for
+        a consumer that builds each object when it needs it (see
+        :meth:`repro.core.log_format.ActivityClassifier.pack_lines`)."""
+        return self.classifier.pack_lines(lines)
 
 
 class IteratorSource:

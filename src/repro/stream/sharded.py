@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import fields, replace
 from heapq import merge as _heap_merge
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -463,6 +462,10 @@ class ShardedCorrelator:
                 self.window, self.sampling, decisions, shards[0]
             )
             return
+        # Imported where a pool is built: a tracer that never shards does
+        # not load the executors (about 20 modules) at all.
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
         pool_cls = (
             ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
         )

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
+from repro.core.interning import NO_REQUEST
 from repro.core.latency import segment_label
 from repro.core.log_format import format_record
 from repro.services.rubis.client import WorkloadStages
@@ -374,16 +375,21 @@ def reference_segments(cag):
 # -- correlation results, field for field ---------------------------------------
 
 
-def assert_results_equal(ours, theirs) -> int:
-    """Two ``CorrelationResult``s equal in every field but the clock: the
-    CAG lists compared in order by their canonical form, ``RankerStats``,
-    ``EngineStats`` and both peaks by value.  Returns how many fields
-    were compared."""
+#: ``CorrelationResult`` fields that say what form the input took, not what
+#: was decided: a packed run and an object-fed run of one trace differ here.
+INPUT_FORM_FIELDS = ("packed_rows", "materialised_activities")
+
+
+def assert_results_equal(ours, theirs, but=()) -> int:
+    """Two ``CorrelationResult``s equal in every field but the clock (and
+    the fields named in ``but``): the CAG lists compared in order by
+    their canonical form, ``RankerStats``, ``EngineStats`` and both
+    peaks by value.  Returns how many fields were compared."""
     from repro.pipeline import canonical_cags
 
     compared = 0
     for spec in dataclasses.fields(ours):
-        if spec.name == "correlation_time":
+        if spec.name == "correlation_time" or spec.name in but:
             continue
         left, right = getattr(ours, spec.name), getattr(theirs, spec.name)
         if spec.name in ("cags", "incomplete_cags"):
@@ -399,31 +405,57 @@ def assert_results_equal(ours, theirs) -> int:
 def undelivered_send_rows(source):
     """Row index -> message key of every send-like row from ``head`` on
     (what the position index must record once it exists)."""
-    send_keys = source._send_keys
     return {
-        index: send_keys[index]
-        for index in range(source.head, len(send_keys))
-        if send_keys[index] is not None
+        index: source.send_key(index)
+        for index in range(source.head, len(source._ts))
+        if source.send_key(index) is not None
     }
 
 
 def assert_source_aligned(source) -> None:
     """The cursor invariants of one ``ActivitySource``.
 
-    ``head <= fence <= len``; the three columns describe the same rows;
-    the unfetched part is timestamp-sorted (what a fetch bisects); and
-    the position index -- absent until blockage resolution first reads
-    it -- records exactly the undelivered send-like rows, ascending per
-    key, each position pointing at a row with that key.
+    ``head <= fence <= len``; the source reads its table's own columns
+    (no copies), all of one length; a row that has its object agrees
+    with it in every column that is read without building (type,
+    timestamp, message key, seq), carries either the object's value or
+    nothing in the build-only ones, and its table hands that object
+    back; a row without one has everything a build needs; the unfetched
+    part is sorted by (timestamp, seq) (what a fetch bisects and a late
+    row is inserted by); and the position index -- absent until
+    blockage resolution first reads it -- records exactly the
+    undelivered send-like rows, ascending per key, each position
+    pointing at a row with that key.
     """
-    rows, ts_column, send_keys = source._activities, source._ts, source._send_keys
+    table = source._table
+    rows, ts_column = source._objects, source._ts
     assert 0 <= source.head <= source.fence <= len(rows)
-    assert len(ts_column) == len(send_keys) == len(rows)
-    assert ts_column == [a.timestamp for a in rows]
-    assert send_keys == [a.message_key if a.send_like else None for a in rows]
-    unfetched = ts_column[source.fence :]
+    assert source._types is table._types and ts_column is table._timestamps
+    assert source._mkeys is table._mkeys and source._seqs is table._seqs
+    assert rows is table._objects
+    assert {len(column) for column in table._columns()} == {len(rows)}
+    for index, activity in enumerate(rows):
+        if activity is None:
+            built = table._materialise(index)  # every build-only column is there
+            assert built.node_key == source._node_key
+            assert source.context_key(index) == built.context_key
+            continue
+        assert source.activity(index) is table.activity(index) is activity
+        assert ts_column[index] == activity.timestamp
+        assert table._types[index] == activity.priority == int(activity.type)
+        assert table._mkeys[index] == activity.message_key
+        assert table._seqs[index] == activity.seq
+        assert table._ckeys[index] in (None, activity.context_key)
+        assert table._messages[index] in (None, activity.message)
+        assert table._request_ids[index] in (NO_REQUEST, activity.request_id)
+        assert source.context_key(index) == activity.context_key
+        assert source.send_key(index) == (
+            activity.message_key if activity.send_like else None
+        )
+        assert source._node_key == activity.node_key
+    unfetched = list(zip(ts_column[source.fence :], source._seqs[source.fence :]))
     assert unfetched == sorted(unfetched)
-    assert source.next_timestamp == (unfetched[0] if unfetched else None)
+    assert source.next_timestamp == (unfetched[0][0] if unfetched else None)
     if source._send_positions is None:
         return
     recorded = {}
@@ -433,7 +465,7 @@ def assert_source_aligned(source) -> None:
         for position in entries:
             index = position - source._base
             assert source.head <= index < len(rows)
-            assert send_keys[index] == key
+            assert source.send_key(index) == key
             recorded[index] = key
     assert recorded == undelivered_send_rows(source)
 
@@ -452,7 +484,7 @@ def assert_ranker_aligned(ranker) -> None:
             undelivered[key] = undelivered.get(key, 0) + 1
         buffered += source.fence - source.head
         if source.head < source.fence:
-            head = source._activities[source.head]
+            head = source._objects[source.head] or source._table._materialise(source.head)
             assert ranker._head_ts[slot] == head.timestamp
             assert ranker._head_pri[slot] == head.priority
             assert ranker._head_seq[slot] == head.seq
@@ -470,5 +502,5 @@ def assert_ranker_drained(ranker) -> None:
     assert ranker.exhausted()
     assert not ranker._undelivered_sends
     for source in ranker._slot_sources:
-        assert source.head == source.fence == len(source._activities)
+        assert source.head == source.fence == len(source._objects)
         assert not source._send_positions

@@ -250,7 +250,7 @@ class TestCheckpointFileContract:
 
         from repro.core.ranker import Ranker
 
-        assert VERSION == 4
+        assert VERSION > 3
         version_3_state = {
             "_window": WINDOW,
             "_slack": WINDOW + 1e-9,
@@ -302,6 +302,63 @@ class TestCheckpointFileContract:
             )
         )
         with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+            load_checkpoint(str(path))
+
+    def test_version_4_file_is_refused_not_revived_into_a_source_without_a_table(
+        self, tmp_path
+    ):
+        """Version 4 pickled each source's rows as an activity list with a
+        timestamp list and a send-key list beside it.  A source is
+        revived by plain attribute assignment, so such a blob comes back
+        without complaint and fails at its first fetch (there is no
+        table to read); the version check has to refuse the file first."""
+        from repro.core.ranker import ActivitySource
+
+        assert VERSION == 5
+        row = Activity(
+            type=ActivityType.SEND,
+            timestamp=1.0,
+            context=ContextId("web", "httpd", 1, 1),
+            message=MessageId("10.0.0.1", 999, "10.0.0.2", 80, 100),
+        )
+        version_4_state = {
+            "node": row.node_key,
+            "_activities": [row],
+            "_ts": [1.0],
+            "_send_keys": [row.message_key],
+            "head": 0,
+            "fence": 0,
+            "_base": 0,
+            "_send_positions": None,
+            "_registry": None,
+            "next_timestamp": 1.0,
+            "frontier": 1.0,
+        }
+
+        class Version4Source:
+            def __reduce__(self):
+                return (object.__new__, (ActivitySource,), version_4_state)
+
+        blob = pickle.dumps(Version4Source())
+        revived = pickle.loads(blob)  # no error here: that is the problem
+        assert revived.fetch_until(2.0) == 1  # the bisect still finds its list ...
+        with pytest.raises(AttributeError):
+            revived.buffered()  # ... and nothing can say what was fetched
+        path = tmp_path / "v4.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 4,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "interner": INTERNER.snapshot(),
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint version 4"):
             load_checkpoint(str(path))
 
     def test_corrupted_engine_blob_is_rejected(self, tmp_path):

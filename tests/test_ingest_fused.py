@@ -2,9 +2,11 @@
 
 ``parse_record`` + ``ActivityClassifier.classify`` define what a TCP_TRACE
 line means; ``classify_lines`` is the memoised loop every text entry point
-runs instead.  The differential test draws well-formed lines, mutates them
-the way a live log gets mutated (and a few ways only an adversary would),
-and holds the loop to the definition field for field and count for count.
+runs instead, and ``pack_lines`` the same loop emitting packed
+``ActivityTable`` rows.  The differential test draws well-formed lines,
+mutates them the way a live log gets mutated (and a few ways only an
+adversary would), and holds the loop -- with either sink -- to the
+definition field for field and count for count.
 The nightly workflow runs it with ``--hypothesis-profile nightly``.
 """
 
@@ -79,6 +81,19 @@ def slots(activity, first_seq):
     return values
 
 
+#: The loop's two emit sites: ``classify_lines`` builds objects,
+#: ``pack_lines`` packs rows (read back here as the objects they become).
+SINKS = ["objects", "packed"]
+
+
+def run_loop(classifier, lines, sink, strict=False):
+    if sink == "objects":
+        return classifier.classify_lines(lines, strict=strict)
+    table = classifier.pack_lines(lines, strict=strict)
+    assert {len(column) for column in table._columns()} == {len(table)}
+    return list(table)
+
+
 def assert_same_activities(fused, expected):
     assert len(fused) == len(expected)
     if fused:
@@ -127,6 +142,9 @@ ODD_CHANNELS = [
 ]  # fmt: skip
 RID_TAILS = [
     "", "", " #rid=7", " #rid=7", "  #rid=7", "\t#rid=7", "\t#rid=12", " #rid=7 #rid=8",
+    # ids at and past the edges of the packed int64 column
+    " #rid=-1", " #rid=9223372036854775807", " #rid=9223372036854775808",
+    " #rid=-9223372036854775808", " #rid=-9223372036854775809",
     " #rid=7\t#rid=8", " #rid=abc", " #rid=#rid=5", " #rid=+5", " #rid=5_0",
     " #rid=٥", " #rid=²", " #rid=", " #rid= 5", " #rid=-3", " #rid=5 6",
     " # rid=5", " #RID=5",
@@ -183,13 +201,14 @@ def log_line(draw):
 
 
 class TestFusedLoopEqualsReference:
+    @pytest.mark.parametrize("sink", SINKS)
     @given(lines=st.lists(log_line(), min_size=10, max_size=60))
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_tolerant_mode(self, lines):
+    def test_tolerant_mode(self, sink, lines):
         fused, definition = make_classifier(), make_classifier()
         expected, malformed, skipped = reference(lines, definition, strict=False)
         interned = INTERNER.sizes()
-        assert_same_activities(fused.classify_lines(lines), expected)
+        assert_same_activities(run_loop(fused, lines, sink), expected)
         # The definition ran first: the loop interns nothing it did not.
         assert INTERNER.sizes() == interned
         assert fused.filtered_count == definition.filtered_count
@@ -199,35 +218,38 @@ class TestFusedLoopEqualsReference:
             len(expected) + fused.filtered_count + malformed + skipped
         )
 
+    @pytest.mark.parametrize("sink", SINKS)
     @given(
         lines=st.lists(log_line(), min_size=10, max_size=60),
         bound=st.integers(0, 2),
     )
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_tolerant_mode_with_size_tables_that_fill_up(self, lines, bound):
-        # Past the bound a MessageId is built per line, as before the memo.
+    def test_tolerant_mode_with_size_tables_that_fill_up(self, sink, lines, bound):
+        # Past the bound a MessageId is built per line, as before the memo
+        # (and a packed row carries that line's own).
         fused, definition = make_classifier(), make_classifier()
         expected, malformed, _ = reference(lines, definition, strict=False)
         with mock.patch.object(log_format, "_SIZES_PER_CONNECTION", bound):
-            assert_same_activities(fused.classify_lines(lines), expected)
+            assert_same_activities(run_loop(fused, lines, sink), expected)
         assert fused.malformed_count == malformed
         assert fused.filtered_count == definition.filtered_count
         tables = [entry[8] for entry in fused._channel_memo.values()]
         assert all(len(table) <= bound for table in tables)
 
+    @pytest.mark.parametrize("sink", SINKS)
     @given(lines=st.lists(log_line(), min_size=1, max_size=12))
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_strict_mode(self, lines):
+    def test_strict_mode(self, sink, lines):
         fused, definition = make_classifier(), make_classifier()
         try:
             expected, _, skipped = reference(lines, definition, strict=True)
         except LogFormatError as error:
             with pytest.raises(LogFormatError) as raised:
-                fused.classify_lines(lines, strict=True)
+                run_loop(fused, lines, sink, strict=True)
             assert str(raised.value) == str(error)
             assert fused.malformed_count == 0
         else:
-            assert_same_activities(fused.classify_lines(lines, strict=True), expected)
+            assert_same_activities(run_loop(fused, lines, sink, strict=True), expected)
             assert fused.skipped_count == skipped
         assert fused.filtered_count == definition.filtered_count
 
@@ -437,6 +459,57 @@ class TestMemoTables:
         assert one_again is one
         assert three_again is not three and three_again == three
         assert list(classifier._channel_memo[channel][8]) == ["1", "2"]
+
+    def test_a_full_size_table_still_packs_each_lines_own_message(self, monkeypatch):
+        monkeypatch.setattr(log_format, "_SIZES_PER_CONNECTION", 2)
+        channel = "10.0.0.1:5000-10.0.0.2:8080"
+        sizes = [1, 2, 3, 3, 1, 4]
+        table = make_classifier().pack_lines(
+            [line("SEND", channel, ts=i, size=size) for i, size in enumerate(sizes)]
+        )
+        one, two, three, three_again, one_again, four = table._messages
+        assert one_again is one  # remembered
+        assert three_again is not three and three_again == three  # built per line
+        assert [message.size for message in table._messages] == sizes
+        built = list(table.iter_fresh())
+        assert [a.message for a in built] == table._messages
+        assert [a.size for a in built] == sizes
+        assert len({a.message_key for a in built}) == 1
+
+    def test_a_line_only_the_reference_path_reads_keeps_its_log_position(self, monkeypatch):
+        """Whatever ``_classify_odd_line`` returns an activity for takes
+        its row where its line stood, as that object, with the ``seq`` of
+        its position -- the packed rows in front of it draw theirs first."""
+        reference_path = ActivityClassifier._classify_odd_line
+
+        def odd_line(self, text, strict):
+            if text.startswith("!"):  # a shape only the reference path reads
+                return self.classify(parse_record(text[1:]))
+            return reference_path(self, text, strict)
+
+        monkeypatch.setattr(ActivityClassifier, "_classify_odd_line", odd_line)
+        channel = "10.0.0.1:5000-10.0.0.2:8080"
+        plain = [line("SEND", channel, ts=i, size=10 + i) for i in range(7)]
+        lines = list(plain)
+        for index in (0, 3, 6):
+            lines[index] = "!" + lines[index]
+        lines[5:5] = ["", "torn li"]
+        objects = make_classifier().classify_lines(lines)
+        classifier = make_classifier()
+        table = classifier.pack_lines(lines)
+        assert (classifier.skipped_count, classifier.malformed_count) == (1, 1)
+        assert [kept is not None for kept in table._objects] == [
+            True, False, False, True, False, False, True,
+        ]  # fmt: skip
+        rows = list(table)
+        assert_same_activities(rows, objects)
+        assert_same_activities(rows, make_classifier().classify_lines(plain))
+        for row, kept in enumerate(table._objects):
+            if kept is not None:
+                assert rows[row] is kept and table.activity(row) is kept
+                assert slots(kept, 0) == slots(table._materialise(row), 0)
+        seqs = list(table._seqs)
+        assert seqs == list(range(seqs[0], seqs[0] + 7))
 
     def test_keyed_constructor_equals_the_dataclass_constructor(self):
         context = ContextId("www", "httpd", 3, 4)

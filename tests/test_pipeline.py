@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import gc
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from helpers import SyntheticTrace, assert_results_equal
-from repro.core.activity import ActivityType
+import repro
+from helpers import SyntheticTrace, assert_results_equal, write_node_logs
+from repro.core.activity import Activity, ActivityType
 from repro.core.correlator import PEAK_SAMPLE_EVERY, IncrementalEngine
 from repro.core.kernel import ENV_VAR as KERNEL_ENV_VAR
 from repro.core.kernel import KernelUnavailableError, kernel_info
@@ -54,7 +57,8 @@ from repro.pipeline import (
     result_digest,
     verify_equivalence,
 )
-from repro.topology.library import ScenarioConfig, scenario_names
+from repro.services.noise import NoiseConfig
+from repro.topology.library import ScenarioConfig, run_scenario, scenario_names
 from repro.topology.workload import WorkloadStages
 
 #: Shared matrix run parameters -- the golden digests are pinned for
@@ -413,6 +417,111 @@ class TestSources:
         activities = source.activities()
         assert len(activities) == 10
         assert source.malformed_lines == 1
+
+
+# ---------------------------------------------------------------------------
+# the batch drive over log files: columns in, objects out late
+# ---------------------------------------------------------------------------
+
+
+def _live_activities() -> int:
+    gc.collect()
+    return sum(type(obj) is Activity for obj in gc.get_objects())
+
+
+class TestObjectsAreBornLate:
+    @pytest.fixture(scope="class")
+    def noisy_logs(self, tmp_path_factory):
+        """RUBiS under ten times the paper's noise, as per-node logs."""
+        run = run_scenario(
+            ScenarioConfig(
+                scenario="rubis",
+                clients=30,
+                stages=MATRIX_STAGES,
+                seed=MATRIX_SEED,
+                noise=NoiseConfig.paper_noise(10),
+            )
+        )
+        return run, write_node_logs(run, tmp_path_factory.mktemp("noisy"))
+
+    def _source(self, noisy_logs):
+        run, paths = noisy_logs
+        return LogSource(
+            paths, run.frontend_spec(), ignore_programs=run.topology.ignore_programs
+        )
+
+    def test_few_activities_exist_when_the_first_cag_is_handed_out(
+        self, noisy_logs, monkeypatch
+    ):
+        """Pins the memory: a later change cannot silently build the
+        whole trace as objects again in front of the batch engine."""
+        # a slice per sampling period: the first hand-over comes early
+        monkeypatch.setattr("repro.core.correlator.FLUSH_SLICE_SAMPLES", 1)
+        alive = []
+
+        def count_activities(_cag):
+            if not alive:
+                alive.append(_live_activities())
+
+        baseline = _live_activities()
+        session = Pipeline(self._source(noisy_logs), BackendSpec.batch()).run(
+            on_cag=count_activities
+        )
+        total = session.trace.correlation.total_activities
+        assert total > 10 * PEAK_SAMPLE_EVERY
+        # the first slice's deliveries, not the trace
+        assert alive and alive[0] - baseline < total / 10
+        # the same trace object-fed holds every activity at that point
+        del alive[:]
+        BackendSpec.batch().correlate(
+            self._source(noisy_logs).activities(), on_cag=count_activities
+        )
+        assert alive[0] - baseline >= total
+
+    def test_summary_counts_packed_rows_and_the_objects_built_from_them(self, noisy_logs):
+        session = Pipeline(self._source(noisy_logs), BackendSpec.batch()).run()
+        summary = session.summary()
+        stats = session.trace.correlation.ranker_stats
+        assert summary["packed_rows"] == session.trace.correlation.total_activities
+        assert summary["materialised_activities"] == stats.delivered
+        assert stats.noise_discarded > 0.1 * summary["packed_rows"]
+        assert (
+            summary["packed_rows"] - summary["materialised_activities"]
+            == stats.noise_discarded
+        )
+        # the other backends, and any object-fed entry, pack nothing
+        for backend in (BackendSpec.streaming(), BackendSpec.sharded()):
+            counters = Pipeline(self._source(noisy_logs), backend).run().source_counters()
+            assert (counters["packed_rows"], counters["materialised_activities"]) == (0, 0)
+
+
+class TestATracerDoesNotLoadASimulator:
+    def test_the_tracer_side_imports_no_simulation_side(self):
+        program = (
+            "import sys\n"
+            "import repro.core, repro.stream, repro.store, repro.pipeline\n"
+            "loaded = [name for name in ('repro.sim', 'repro.topology', 'repro.services',"
+            " 'repro.experiments', 'concurrent.futures') if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from repro import run_rubis, ScenarioConfig, FaultConfig\n"
+            "assert 'repro.topology' in sys.modules\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_every_public_name_still_resolves(self):
+        missing = [name for name in repro.__all__ if not hasattr(repro, name)]
+        assert not missing
+        assert set(repro._SIMULATION_SIDE) <= set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError):
+            repro.no_such_name
 
 
 # ---------------------------------------------------------------------------

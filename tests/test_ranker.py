@@ -358,7 +358,7 @@ class TestIdentityDelivery:
         assert found is not None
         found_slot, index = found
         assert found_slot == slot
-        assert ranker._slot_sources[found_slot]._activities[index] is first
+        assert ranker._slot_sources[found_slot]._objects[index] is first
 
     def test_deliver_refuses_an_activity_that_is_not_queued(self):
         queued = act(ActivityType.SEND, 1.0, "n")

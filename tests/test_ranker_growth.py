@@ -42,11 +42,13 @@ def row(ts, activity_type=ActivityType.SEND, port=10):
 
 
 def columns(source):
-    """The three columns from the queue head on (queue, then unfetched)."""
+    """The rows from the queue head on (queue, then unfetched): their
+    objects, timestamps and send keys."""
+    rows = range(source.head, len(source._ts))
     return (
-        source._activities[source.head :],
-        source._ts[source.head :],
-        source._send_keys[source.head :],
+        source._objects[source.head :],
+        list(source._ts[source.head :]),
+        [source.send_key(row) for row in rows],
     )
 
 
@@ -67,13 +69,13 @@ class TestLateArrival:
         late = row(3.0, ActivityType.RECEIVE)
         source.extend([late])
         assert columns(source)[1] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert source._activities[2] is late
+        assert source._objects[2] is late
         assert_source_aligned(source)
         assert source.frontier == 5.0
         # a late *send* renumbers the sends behind it
         late_send = row(2.5)
         source.extend([late_send])
-        assert source._activities[2] is late_send
+        assert source._objects[2] is late_send
         assert list(source._send_positions[late_send.message_key]) == [0, 1, 2, 4, 5]
         assert_source_aligned(source)
 
@@ -85,7 +87,7 @@ class TestLateArrival:
         # the two fetched rows are the queue (nothing was delivered, so
         # nothing is released); the stale one is next in line behind them
         assert (source.head, source.fence) == (0, 2) and len(source) == 3
-        assert source._activities[2] is stale
+        assert source._objects[2] is stale
         assert source.next_timestamp == 0.5
         assert_source_aligned(source)
         assert source.take_one() is stale
@@ -106,7 +108,7 @@ class TestLateArrival:
         # delivered rows are gone, buffered and unfetched ones stay, and
         # the recorded positions still count from the first row ever held
         assert (source._base, source.head) == (3, 0)
-        assert source._activities[0] is rows[3]
+        assert source._objects[0] is rows[3]
         recorded = sorted(p for e in source._send_positions.values() for p in e)
         assert recorded == [3, 4, 5, 6, 7]
         assert_ranker_aligned(ranker)

@@ -16,6 +16,7 @@ Three invariants keep the scheduler/merge layer honest:
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import os
 import random
@@ -217,12 +218,13 @@ class TestSchedulesMatchBatch:
         # never the executor's own default.
         pool_sizes = []
 
-        class RecordingPool(sharded.ThreadPoolExecutor):
+        # the driver imports the executors where it builds a pool
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None):
                 pool_sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(sharded, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         # Twelve requests on twelve disjoint worker sets: 12 components.
         trace = SyntheticTrace()
         for index in range(12):

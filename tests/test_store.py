@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sqlite3
+import subprocess
 
 import pytest
 
+import repro.store.store as store_module
 from repro.core.patterns import PatternClassifier, cag_signature
 from repro.pipeline import BackendSpec, Pipeline, RunSource, StoreSink
 from repro.store import (
@@ -507,3 +510,36 @@ class TestHelpers:
         hops = label.split(">")
         assert all(a != b for a, b in zip(hops, hops[1:]))
         assert hops[0] == "httpd"
+
+    def test_git_describe_describes_the_ingesting_checkout_not_the_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        """The ``git_describe`` column is provenance of the *code* that
+        ingested: standing in some other repository must not change it."""
+        if shutil.which("git") is None:
+            pytest.skip("no git")
+
+        def git(*args, cwd):
+            return subprocess.run(
+                ["git", *args], cwd=cwd, capture_output=True, text=True, timeout=30
+            )
+
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        identity = ["-c", "user.name=t", "-c", "user.email=t@example.org"]
+        for command in (
+            ["init", "-q"],
+            [*identity, "commit", "-q", "--allow-empty", "-m", "x"],
+            [*identity, "tag", "-a", "not-this-checkout", "-m", "x"],
+        ):
+            assert git(*command, cwd=elsewhere).returncode == 0, command
+        assert git("describe", cwd=elsewhere).stdout.strip() == "not-this-checkout"
+        package = os.path.dirname(os.path.abspath(store_module.__file__))
+        here = git("describe", "--always", "--dirty", cwd=package)
+        expected = (here.stdout.strip() if here.returncode == 0 else "") or "unknown"
+        monkeypatch.chdir(elsewhere)
+        store_module.git_describe.cache_clear()
+        try:
+            assert store_module.git_describe() == expected != "not-this-checkout"
+        finally:
+            store_module.git_describe.cache_clear()
