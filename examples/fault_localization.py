@@ -26,9 +26,10 @@ from repro import (
     FaultConfig,
     Pipeline,
     ProfileStage,
-    RubisConfig,
+    ScenarioConfig,
     WorkloadStages,
 )
+from repro.topology.requests import mix_by_name
 
 STAGES = WorkloadStages(up_ramp=1.5, runtime=8.0, down_ramp=0.5)
 
@@ -48,9 +49,10 @@ EXPECTED_SUSPECTS = {
 
 
 def scenario_pipeline(name: str, faults: FaultConfig) -> Pipeline:
-    config = RubisConfig(
+    config = ScenarioConfig(
+        "rubis",
         clients=300,
-        workload="default",
+        mix=mix_by_name("default"),  # the read-write mix
         faults=faults,
         stages=STAGES,
         clock_skew=0.001,

@@ -27,7 +27,7 @@ from repro import (
     DiagnosisStage,
     Pipeline,
     ProfileStage,
-    RubisConfig,
+    ScenarioConfig,
     WorkloadStages,
 )
 
@@ -37,9 +37,10 @@ HEAVY_LOAD = 900
 
 
 def run_pipeline(clients: int, max_threads: int, label: str):
-    config = RubisConfig(
+    config = ScenarioConfig(
+        "rubis",
         clients=clients,
-        max_threads=max_threads,
+        workers=(("app", max_threads),),  # the JBoss tier's MaxThreads
         stages=STAGES,
         clock_skew=0.001,
         seed=23,

@@ -37,10 +37,10 @@ from repro import (
     NoiseConfig,
     Pipeline,
     RankedLatencyStage,
-    RubisConfig,
+    ScenarioConfig,
     SummaryJsonSink,
     WorkloadStages,
-    run_rubis,
+    run_scenario,
 )
 from repro.core.log_format import format_record
 
@@ -61,7 +61,8 @@ def write_log_files(run, directory: Path) -> list:
 
 def main() -> None:
     print("== step 1: run the deployment and gather per-node logs ==")
-    config = RubisConfig(
+    config = ScenarioConfig(
+        "rubis",
         clients=120,
         stages=WorkloadStages(up_ramp=1.0, runtime=6.0, down_ramp=0.5),
         noise=NoiseConfig.paper_noise(scale=0.5),
@@ -70,7 +71,7 @@ def main() -> None:
         clock_skew=0.002,
         seed=47,
     )
-    run = run_rubis(config)
+    run = run_scenario(config)
     workdir = Path(tempfile.mkdtemp(prefix="precisetracer_logs_"))
     log_files = write_log_files(run, workdir)
 

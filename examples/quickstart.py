@@ -7,7 +7,7 @@ repo (CLI, experiments, examples) routes through:
 
 1. **source**: run a RUBiS-like three-tier deployment under an emulated
    client load with the TCP_TRACE probes installed on every service node
-   (a ``RubisConfig`` passed to the pipeline is simulated on demand);
+   (a ``ScenarioConfig`` passed to the pipeline is simulated on demand);
 2. **backend**: correlate the gathered activity logs into one Component
    Activity Graph (CAG) per request -- here the offline batch driver;
    swapping in ``BackendSpec.streaming(...)`` or ``.sharded(...)``
@@ -29,15 +29,15 @@ from repro import (
     Pipeline,
     ProfileStage,
     RankedLatencyStage,
-    RubisConfig,
+    ScenarioConfig,
     WorkloadStages,
 )
 
 
 def main() -> None:
-    config = RubisConfig(
+    config = ScenarioConfig(
+        "rubis",                # httpd -> JBoss -> MySQL, Browse_Only mix
         clients=150,
-        workload="browse_only",
         stages=WorkloadStages(up_ramp=1.5, runtime=8.0, down_ramp=0.5),
         clock_skew=0.005,       # 5 ms of clock skew across the service nodes
         seed=11,

@@ -38,23 +38,24 @@ from repro import (
     BackendSpec,
     LogSource,
     Pipeline,
-    RubisConfig,
+    ScenarioConfig,
     WorkloadStages,
-    run_rubis,
+    run_scenario,
 )
 from repro.core.log_format import format_record
 
 
 def main() -> None:
     # -- 1. simulate and persist the logs ------------------------------------
-    config = RubisConfig(
+    config = ScenarioConfig(
+        "rubis",
         clients=80,
         stages=WorkloadStages(up_ramp=1.0, runtime=6.0, down_ramp=0.5),
         clock_skew=0.002,
         seed=23,
     )
     print("== running the simulated three-tier deployment ==")
-    run = run_rubis(config)
+    run = run_scenario(config)
     print(f"  requests completed : {run.completed_requests}")
     print(f"  activities logged  : {run.total_activities}")
 

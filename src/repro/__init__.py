@@ -9,9 +9,9 @@ testbed used to reproduce the paper's evaluation.
 
 Quick start::
 
-    from repro import RubisConfig, run_rubis
+    from repro import ScenarioConfig, run_scenario
 
-    result = run_rubis(RubisConfig(clients=100))
+    result = run_scenario(ScenarioConfig("rubis", clients=100))
     trace = result.trace(window=0.010)
     print(trace.request_count, "causal paths reconstructed")
     print(trace.accuracy(result.ground_truth).accuracy)
@@ -86,11 +86,7 @@ from .pipeline import (
 _SIMULATION_SIDE = {
     "FaultConfig": "services",
     "NoiseConfig": "services",
-    "RubisConfig": "services.rubis",
-    "RubisDeployment": "services.rubis",
-    "RubisRunResult": "services.rubis",
-    "WorkloadStages": "services.rubis",
-    "run_rubis": "services.rubis",
+    "WorkloadStages": "topology",
     "Scenario": "topology",
     "ScenarioConfig": "topology",
     "TierSpec": "topology",
@@ -159,9 +155,6 @@ __all__ = [
     "RankedLatencyStage",
     "Ranker",
     "RawRecord",
-    "RubisConfig",
-    "RubisDeployment",
-    "RubisRunResult",
     "RunSource",
     "SamplingAccuracyStage",
     "SamplingSpec",
@@ -191,7 +184,6 @@ __all__ = [
     "percentage_table",
     "profile_series",
     "get_scenario",
-    "run_rubis",
     "run_scenario",
     "scenario_names",
     "verify_equivalence",

@@ -147,9 +147,9 @@ from .core.export import trace_summary
 from .stream.sharded import EXECUTOR_KINDS
 from .services.faults import FaultConfig
 from .services.noise import NoiseConfig
-from .services.rubis.client import WorkloadStages
-from .services.rubis.deployment import RubisConfig
 from .topology.library import ScenarioConfig, get_scenario, scenario_names
+from .topology.requests import mix_by_name
+from .topology.workload import WorkloadStages
 
 #: Fault scenario names accepted by ``--fault``.
 FAULT_CHOICES = ["none", "ejb_delay", "database_lock", "ejb_network"]
@@ -636,8 +636,7 @@ def _shared_run_fields(args: argparse.Namespace, up_ramp: float = 1.5) -> dict:
 
     One helper instead of three copy-pasted blocks: stage durations from
     ``--runtime``, noise from ``--noise``, faults from ``--fault``, seed
-    from ``--seed``.  Works for :class:`RubisConfig` and
-    :class:`ScenarioConfig` alike (both embed the same field names).
+    from ``--seed`` (all :class:`ScenarioConfig` fields).
     """
     return {
         "stages": WorkloadStages(up_ramp=up_ramp, runtime=args.runtime, down_ramp=0.5),
@@ -706,17 +705,18 @@ def _print_sampling_report(session: TraceSession) -> None:
 
 def _command_trace(args: argparse.Namespace) -> int:
     try:
+        config = ScenarioConfig(
+            "rubis",
+            clients=args.clients,
+            mix=mix_by_name(args.workload),
+            workers=(("app", args.max_threads),),
+            clock_skew=args.clock_skew,
+            **_shared_run_fields(args),
+        )
         sampling = _sampling_from_args(args)
         store_sink = _store_sink_from_args(args, scenario="rubis")
     except ValueError as exc:
         return _fail(str(exc))
-    config = RubisConfig(
-        clients=args.clients,
-        workload=args.workload,
-        max_threads=args.max_threads,
-        clock_skew=args.clock_skew,
-        **_shared_run_fields(args),
-    )
     # A sampled trace is *supposed* to miss requests, so ground-truth
     # path accuracy is replaced by sampled-vs-full report fidelity.
     analysis = SamplingAccuracyStage() if sampling is not None else AccuracyStage()
@@ -768,24 +768,19 @@ def _command_simulate(args: argparse.Namespace) -> int:
         for name in scenario_names():
             print(f"{name:20s} {get_scenario(name).description}")
         return 0
-    if args.scenario not in scenario_names():
-        return _fail(
-            f"unknown scenario {args.scenario!r}; available scenarios: "
-            f"{', '.join(scenario_names())}"
-        )
     try:
+        config = ScenarioConfig(
+            scenario=args.scenario,
+            clients=args.clients,
+            arrival_rate=args.arrival_rate,
+            workload_kind=args.workload_kind,
+            **_shared_run_fields(args),
+        )
         sampling = _sampling_from_args(args)
         store_sink = _store_sink_from_args(args, scenario=args.scenario)
     except ValueError as exc:
         return _fail(str(exc))
     scenario = get_scenario(args.scenario)
-    config = ScenarioConfig(
-        scenario=args.scenario,
-        clients=args.clients,
-        arrival_rate=args.arrival_rate,
-        workload_kind=args.workload_kind,
-        **_shared_run_fields(args),
-    )
     analysis = SamplingAccuracyStage() if sampling is not None else AccuracyStage()
     pipeline = Pipeline(
         source=config,
@@ -873,19 +868,17 @@ def _command_stream(args: argparse.Namespace) -> int:
                 return _fail(f"--input file not found: {path}")
         source = LogSource(args.input, frontend=frontend)
     else:
-        if args.scenario not in scenario_names():
-            return _fail(
-                f"unknown scenario {args.scenario!r}; available scenarios: "
-                f"{', '.join(scenario_names())}"
-            )
         clients = args.clients
         if clients is None and args.scenario == "rubis":
             clients = 100
-        config = ScenarioConfig(
-            scenario=args.scenario,
-            clients=clients,
-            **_shared_run_fields(args, up_ramp=1.0),
-        )
+        try:
+            config = ScenarioConfig(
+                scenario=args.scenario,
+                clients=clients,
+                **_shared_run_fields(args, up_ramp=1.0),
+            )
+        except ValueError as exc:
+            return _fail(str(exc))
         source = RunSource(config=config)
         if not args.json:
             if args.scenario == "rubis":

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..services.rubis.client import WorkloadStages
+from ..topology.workload import WorkloadStages
 
 #: Environment variable selecting the experiment scale.
 SCALE_ENV = "REPRO_SCALE"

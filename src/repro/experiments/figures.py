@@ -31,8 +31,8 @@ from ..pipeline import (
     RunSource,
 )
 from ..sampling import SamplingSpec, compare_sampled_reports
-from ..services.rubis.deployment import RubisConfig
 from ..topology.library import ScenarioConfig, get_scenario, scenario_names
+from ..topology.requests import DEFAULT_MIX, mix_by_name
 from .config import ExperimentScale, default_scale
 from .runner import RunCache, get_run, stream_trace
 
@@ -55,14 +55,15 @@ class FigureResult:
         return {row[key_column]: row[value_column] for row in self.rows}
 
 
-def _base_config(scale: ExperimentScale, **overrides) -> RubisConfig:
-    config = RubisConfig(
+def _base_config(scale: ExperimentScale, **overrides) -> ScenarioConfig:
+    """A RUBiS run at ``scale``: the paper's deployment and Browse_Only mix."""
+    config = ScenarioConfig(
+        "rubis",
         stages=scale.stages,
         clock_skew=scale.clock_skew,
         seed=scale.seed,
     )
     return config.with_overrides(**overrides) if overrides else config
-
 
 # ---------------------------------------------------------------------------
 # Section 5.2 -- accuracy
@@ -100,7 +101,7 @@ def accuracy_table(
                     noise = NoiseConfig.paper_noise(scale=0.3) if noisy else NoiseConfig.quiet()
                     config = _base_config(
                         scale,
-                        workload=workload,
+                        mix=mix_by_name(workload),
                         clients=clients,
                         clock_skew=skew,
                         noise=noise,
@@ -391,7 +392,7 @@ def figure15(
         columns=["clients"] + segments,
     )
     for clients in scale.fig15_clients:
-        run = get_run(_base_config(scale, clients=clients, max_threads=40), cache)
+        run = get_run(_base_config(scale, clients=clients, workers=(("app", 40),)), cache)
         trace = run.trace(window=scale.window)
         profile = trace.profile(f"clients={clients}")
         percentages = profile.percentages
@@ -416,8 +417,8 @@ def figure16(
         columns=["clients", "tp_mt40_rps", "tp_mt250_rps", "rt_mt40_ms", "rt_mt250_ms"],
     )
     for clients in scale.client_series:
-        run40 = get_run(_base_config(scale, clients=clients, max_threads=40), cache)
-        run250 = get_run(_base_config(scale, clients=clients, max_threads=250), cache)
+        run40 = get_run(_base_config(scale, clients=clients, workers=(("app", 40),)), cache)
+        run250 = get_run(_base_config(scale, clients=clients, workers=(("app", 250),)), cache)
         result.rows.append(
             {
                 "clients": clients,
@@ -465,7 +466,7 @@ def figure17(
         config = _base_config(
             scale,
             clients=scale.fault_clients,
-            workload="default",
+            mix=DEFAULT_MIX,
             faults=faults,
         )
         run = get_run(config, cache)
@@ -497,7 +498,7 @@ def figure17_diagnosis(
     sessions = {}
     for name, faults in FAULT_SCENARIOS.items():
         config = _base_config(
-            scale, clients=scale.fault_clients, workload="default", faults=faults
+            scale, clients=scale.fault_clients, mix=DEFAULT_MIX, faults=faults
         )
         pipeline = Pipeline(
             source=RunSource(config=config, cache=cache),

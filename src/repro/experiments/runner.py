@@ -7,7 +7,7 @@ their configuration so a full figure suite performs each distinct
 simulation exactly once per process.
 
 :func:`stream_trace` / :func:`sharded_trace` are the streaming and
-sharded counterparts of :meth:`RubisRunResult.trace`; since the pipeline
+sharded counterparts of :meth:`TopologyRunResult.trace`; since the pipeline
 refactor they are thin wrappers over
 :class:`~repro.pipeline.BackendSpec` -- kept because the figure
 generators read naturally with run-centric helpers, but every knob and
@@ -21,44 +21,39 @@ from typing import Dict, Optional
 
 from ..core.tracer import TraceResult
 from ..pipeline import BackendSpec
-from ..services.rubis.deployment import RubisRunResult, run_rubis
+from ..topology.deployment import TopologyRunResult
 from ..topology.library import ScenarioConfig, run_scenario
 
 
-def config_key(config) -> str:
+def config_key(config: ScenarioConfig) -> str:
     """A stable identity for a run configuration.
 
-    ``RubisConfig`` and ``ScenarioConfig`` are trees of frozen/simple
-    dataclasses, so their reprs are deterministic and complete (and the
-    class name disambiguates the two); using the repr as the cache key
-    avoids writing a bespoke hash for every nested field.
+    The repr of what the run is built from (``config.run_inputs()``:
+    trees of frozen/simple dataclasses, so the repr is deterministic and
+    complete), not of the config itself: two configs that describe one
+    run share a key, so a pool size spelled out at its default (Fig. 16's
+    ``MaxThreads = 40`` series) or the scenario's own mix passed
+    explicitly reuses the plain run.
     """
-    return f"{type(config).__name__}:{config!r}"
-
-
-def execute_config(config) -> RubisRunResult:
-    """Run whichever simulation the config describes (RUBiS or scenario)."""
-    if isinstance(config, ScenarioConfig):
-        return run_scenario(config)
-    return run_rubis(config)
+    return repr(config.run_inputs())
 
 
 @dataclass
 class RunCache:
     """Memoises simulation runs by configuration."""
 
-    runs: Dict[str, RubisRunResult] = field(default_factory=dict)
+    runs: Dict[str, TopologyRunResult] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
-    def get(self, config) -> RubisRunResult:
+    def get(self, config: ScenarioConfig) -> TopologyRunResult:
         key = config_key(config)
         cached = self.runs.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        result = execute_config(config)
+        result = run_scenario(config)
         self.runs[key] = result
         return result
 
@@ -76,19 +71,14 @@ class RunCache:
 SHARED_CACHE = RunCache()
 
 
-def get_run(config, cache: Optional[RunCache] = None) -> RubisRunResult:
-    """Fetch (or execute) the run for ``config`` using the shared cache.
-
-    Accepts a :class:`~repro.services.rubis.deployment.RubisConfig` or a
-    :class:`~repro.topology.library.ScenarioConfig`; both cache under
-    their repr.
-    """
+def get_run(config: ScenarioConfig, cache: Optional[RunCache] = None) -> TopologyRunResult:
+    """Fetch (or execute) the run for ``config`` using the shared cache."""
     target = cache if cache is not None else SHARED_CACHE
     return target.get(config)
 
 
 def trace_run(
-    run: RubisRunResult,
+    run: TopologyRunResult,
     backend: BackendSpec,
     store=None,
     store_run_id: Optional[str] = None,
@@ -99,7 +89,7 @@ def trace_run(
     The run's logs are re-classified into fresh activities (the engine
     mutates byte counters in place, so two passes must never share
     ``Activity`` objects).  Returns the same
-    :class:`~repro.core.tracer.TraceResult` as :meth:`RubisRunResult.trace`,
+    :class:`~repro.core.tracer.TraceResult` as :meth:`TopologyRunResult.trace`,
     so every analysis helper (patterns, profiles, accuracy) applies
     unchanged regardless of the driver.
 
@@ -124,7 +114,7 @@ def trace_run(
 
 
 def stream_trace(
-    run: RubisRunResult,
+    run: TopologyRunResult,
     window: float = 0.010,
     horizon: Optional[float] = None,
     chunk_size: int = 256,
@@ -149,7 +139,7 @@ def stream_trace(
 
 
 def sharded_trace(
-    run: RubisRunResult,
+    run: TopologyRunResult,
     window: float = 0.010,
     max_workers: Optional[int] = None,
     max_shards: Optional[int] = None,

@@ -8,10 +8,10 @@ every call site (CLI commands, figure generators, examples).
     from repro.pipeline import (
         AccuracyStage, BackendSpec, Pipeline, RankedLatencyStage,
     )
-    from repro import RubisConfig
+    from repro import ScenarioConfig
 
     pipe = Pipeline(
-        source=RubisConfig(clients=150),         # or a run, log files, ...
+        source=ScenarioConfig("rubis", clients=150),  # or a run, log files, ...
         backend=BackendSpec.streaming(horizon=5.0),
         stages=[RankedLatencyStage(top=5), AccuracyStage()],
     )
@@ -123,7 +123,7 @@ class Pipeline:
     ----------
     source:
         Anything :func:`~repro.pipeline.sources.as_source` accepts: a
-        ``RubisConfig`` / ``ScenarioConfig`` (simulated lazily, memoised),
+        ``ScenarioConfig`` (simulated lazily, memoised),
         a completed run result, an activity list, or a
         :class:`~repro.pipeline.sources.Source` instance
         (:class:`~repro.pipeline.sources.LogSource` for log files).

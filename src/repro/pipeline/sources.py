@@ -12,7 +12,6 @@ cover the repo's call sites:
 
 :class:`RunSource`
     A simulated experiment -- built from a
-    :class:`~repro.services.rubis.deployment.RubisConfig` or
     :class:`~repro.topology.library.ScenarioConfig` (executed lazily and
     memoised through the shared
     :class:`~repro.experiments.runner.RunCache`) or wrapped around an
@@ -113,8 +112,8 @@ class Source:
 class RunSource(Source):
     """A simulated experiment as a pipeline source.
 
-    Built either from a run *config* (``RubisConfig`` / ``ScenarioConfig``
-    -- executed lazily on first use, memoised through the experiments run
+    Built either from a run *config* (a ``ScenarioConfig`` -- executed
+    lazily on first use, memoised through the experiments run
     cache so figure suites and pipelines share simulations) or from a
     completed :class:`~repro.topology.deployment.TopologyRunResult`.
     """
@@ -167,7 +166,7 @@ class RunSource(Source):
     def describe(self) -> str:
         run = self._run
         if run is None:
-            return f"simulation of {type(self._config).__name__}"
+            return f"simulation of scenario {self._config.scenario}"
         return (
             f"simulated {run.topology.name} run "
             f"({run.completed_requests} requests, "
@@ -372,21 +371,19 @@ class MemorySource(Source):
 def as_source(obj, **kwargs) -> Source:
     """Adapt ``obj`` into a :class:`Source`.
 
-    Accepts an existing source (returned unchanged), a run config
-    (anything with a ``seed`` field and a matching ``run_*`` entry point:
-    ``RubisConfig`` or ``ScenarioConfig``), a completed run result, or an
-    iterable of activities.  Log files need a frontend description, so
+    Accepts an existing source (returned unchanged), a run config (a
+    ``ScenarioConfig``), a completed run result, or an iterable of
+    activities.  Log files need a frontend description, so
     pass a :class:`LogSource` explicitly for those.
     """
     if isinstance(obj, Source):
         return obj
     # Local imports keep this module independent of the simulation layers
     # unless the adaptation actually needs them.
-    from ..services.rubis.deployment import RubisConfig
     from ..topology.deployment import TopologyRunResult
     from ..topology.library import ScenarioConfig
 
-    if isinstance(obj, (RubisConfig, ScenarioConfig)):
+    if isinstance(obj, ScenarioConfig):
         return RunSource(config=obj, **kwargs)
     if isinstance(obj, TopologyRunResult):
         return RunSource(run=obj, **kwargs)
@@ -394,6 +391,6 @@ def as_source(obj, **kwargs) -> Source:
         return MemorySource(obj, **kwargs)
     raise TypeError(
         f"cannot build a pipeline source from {type(obj).__name__}; "
-        "pass a RubisConfig/ScenarioConfig, a run result, an activity "
+        "pass a ScenarioConfig, a run result, an activity "
         "list, or a Source instance (LogSource for log files)"
     )

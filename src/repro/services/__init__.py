@@ -1,5 +1,6 @@
-"""Simulated services: the RUBiS-like target application, fault injection
-and noise traffic generators."""
+"""Simulated environment around the services: fault injection and noise
+traffic generators (the services themselves are
+:mod:`repro.topology` specs)."""
 
 from .faults import DatabaseLockFault, EjbDelayFault, EjbNetworkFault, FaultConfig
 from .noise import MysqlClientNoiseGenerator, NoiseConfig, SshNoiseGenerator

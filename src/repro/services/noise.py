@@ -17,12 +17,15 @@ Two kinds of noise coexist with the traced service on its nodes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..sim.kernel import Environment, Event
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.randomness import RandomStreams
+
+if TYPE_CHECKING:  # the topology layer builds on this module
+    from ..topology.operations import QuerySpec
 
 
 @dataclass
@@ -59,21 +62,6 @@ class NoiseConfig:
         ~10-minute run (~300/s) plus interactive ssh/rlogin traffic.
         """
         return cls(ssh_rate=4.0 * scale, mysql_client_rate=150.0 * scale)
-
-    def noise_query(self):
-        """The (cheap) query the external MySQL client keeps issuing."""
-        # Imported lazily to avoid a circular import with the rubis package,
-        # whose deployment module in turn imports this module.
-        from .rubis.requests import QuerySpec
-
-        return QuerySpec(
-            name="noise_select",
-            db_cpu=self.mysql_db_cpu,
-            dispatch_delay=0.0005,
-            engine_delay=self.mysql_engine_delay,
-            reply_bytes=self.mysql_reply_bytes,
-            query_bytes=self.mysql_query_bytes,
-        )
 
 
 class SshNoiseGenerator:
@@ -142,7 +130,9 @@ class MysqlClientNoiseGenerator:
 
     The client host is untraced, so only the database side of the traffic
     appears in the logs -- under the ``mysqld`` program name and the
-    database's own address, which defeats attribute filtering.
+    database's own address, which defeats attribute filtering.  ``query``
+    is the backend work item every noise query carries (the deployment
+    sizes it from ``config``).
     """
 
     def __init__(
@@ -154,6 +144,7 @@ class MysqlClientNoiseGenerator:
         db_port: int,
         config: NoiseConfig,
         rng: RandomStreams,
+        query: QuerySpec,
         stop_at: Optional[float] = None,
         sessions: int = 4,
     ) -> None:
@@ -164,6 +155,7 @@ class MysqlClientNoiseGenerator:
         self.db_port = db_port
         self.config = config
         self.rng = rng
+        self.query = query
         self.stop_at = stop_at
         self.sessions = max(1, sessions)
         self.queries_issued = 0
@@ -180,7 +172,7 @@ class MysqlClientNoiseGenerator:
         per_session_rate = self.config.mysql_client_rate / self.sessions
         mean_gap = 1.0 / per_session_rate
         stream = f"noise.mysql.{index}"
-        query = self.config.noise_query()
+        query = self.query
         while self.stop_at is None or self.env.now < self.stop_at:
             yield self.env.timeout(self.rng.exponential(stream, mean_gap))
             if self.stop_at is not None and self.env.now >= self.stop_at:

@@ -1,15 +1,17 @@
 """Declarative topology & workload subsystem.
 
-Where :mod:`repro.services.rubis` used to hard-code the paper's one
-three-tier deployment (Fig. 7), this package turns service emulation into
-data: a :class:`TopologySpec` describes the tiers (roles, ports, worker
-pools, replicas, downstream call patterns), a :class:`WorkloadSpec`
-describes how clients drive the frontend (closed-loop sessions, open-loop
-Poisson arrivals or bursty on/off phases), and one generic tier engine
-(:mod:`repro.topology.engine`) interprets any such spec on the simulated
-cluster.  The RUBiS deployment itself is just one spec in the scenario
-library (:mod:`repro.topology.library`) and produces byte-identical
-traces to the original hand-written tiers.
+Service emulation as data: a :class:`TopologySpec` describes the tiers
+(roles, ports, worker pools, replicas, downstream call patterns), a
+:class:`WorkloadSpec` describes how clients drive the frontend
+(closed-loop sessions, open-loop Poisson arrivals or bursty on/off
+phases), and one generic tier engine (:mod:`repro.topology.engine`)
+interprets any such spec on the simulated cluster.  The paper's RUBiS
+deployment (Fig. 7) is just one spec in the scenario library
+(:mod:`repro.topology.library`, catalogue in
+:mod:`repro.topology.requests`) and produces byte-identical traces to the
+original hand-written tiers.  A :class:`ScenarioConfig` names a scenario
+plus per-run patches (client count, pool sizes, request mix, noise,
+faults, ...); :func:`run_scenario` runs it.
 """
 
 from .deployment import (

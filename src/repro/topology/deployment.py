@@ -1,7 +1,8 @@
 """Build, run and trace one experiment on any declarative topology.
 
-:class:`TopologyDeployment` is the generic counterpart of the original
-hand-written RUBiS harness: it instantiates the simulated cluster a
+:class:`TopologyDeployment` (built from a
+:class:`~repro.topology.library.ScenarioConfig` by its ``deployment()``)
+instantiates the simulated cluster a
 :class:`~repro.topology.spec.TopologySpec` describes (nodes with skewed
 clocks, network fabric, TCP_TRACE probes, tier engines, workload
 emulator, noise generators), runs it to completion and gathers a
@@ -31,6 +32,7 @@ from ..sim.randomness import RandomStreams
 from ..sim.tcp_trace import DEFAULT_PROBE_OVERHEAD, TraceCollector
 from .engine import ROLE_ENGINES, ReplicaRouter, TierGroup
 from .groundtruth import GroundTruthRecorder
+from .operations import QuerySpec
 from .spec import TopologySpec, WorkloadSpec
 from .workload import ClientMetrics, make_emulator
 
@@ -51,18 +53,15 @@ class RunSettings:
     cpus_per_node: int = 2
 
 
-def settings_from(config) -> RunSettings:
-    """Build :class:`RunSettings` from any config carrying its fields.
-
-    ``RubisConfig`` and ``ScenarioConfig`` both embed the environment
-    knobs under the same names; enumerating the fields here keeps the
-    mapping in one place (a new ``RunSettings`` field is forwarded from
-    both configs automatically).
-    """
-    from dataclasses import fields as dataclass_fields
-
-    return RunSettings(
-        **{f.name: getattr(config, f.name) for f in dataclass_fields(RunSettings)}
+def noise_query(noise: NoiseConfig) -> QuerySpec:
+    """The (cheap) query the external MySQL client keeps issuing."""
+    return QuerySpec(
+        name="noise_select",
+        db_cpu=noise.mysql_db_cpu,
+        dispatch_delay=0.0005,
+        engine_delay=noise.mysql_engine_delay,
+        reply_bytes=noise.mysql_reply_bytes,
+        query_bytes=noise.mysql_query_bytes,
     )
 
 
@@ -270,6 +269,7 @@ class TopologyDeployment:
                         db_port=noise_tier.port,
                         config=settings.noise,
                         rng=self.rng,
+                        query=noise_query(settings.noise),
                         stop_at=stop_at,
                     )
                 )

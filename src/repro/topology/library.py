@@ -27,22 +27,26 @@ Scenarios beyond the paper's RUBiS deployment:
     The application tier replicated three ways behind a round-robin load
     balancer, driven with bursty on/off load.
 
-``rubis`` is the paper's own Fig. 7 deployment expressed as a spec; the
-:mod:`repro.services.rubis` harness interprets the same spec and
-produces byte-identical traces to the original hand-written tiers.
+``rubis`` is the paper's own Fig. 7 deployment expressed as a spec (its
+catalogue is :mod:`repro.topology.requests`); it produces byte-identical
+traces to the original hand-written tiers.  The paper's knobs are
+:class:`ScenarioConfig` fields: ``workers=(("app", 250),)`` is
+``MaxThreads = 250`` (Fig. 16) and ``mix=mix_by_name("default")`` the
+read-write mix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..services.faults import FaultConfig
 from ..services.noise import NoiseConfig
 from ..sim.network import SegmentationPolicy
 from ..sim.tcp_trace import DEFAULT_PROBE_OVERHEAD
-from .deployment import RunSettings, TopologyDeployment, TopologyRunResult, settings_from
+from .deployment import RunSettings, TopologyDeployment, TopologyRunResult
 from .operations import QuerySpec, RequestType
+from .requests import BROWSE_ONLY_MIX
 from .spec import TierSpec, TopologySpec, WorkloadSpec
 from .workload import WorkloadStages
 
@@ -72,27 +76,27 @@ RUBIS_APP_PORT = 8080
 RUBIS_DB_PORT = 3306
 
 
-def rubis_topology(
-    httpd_workers: int = 256,
-    max_threads: int = 40,
-    db_engine_slots: int = 18,
-) -> TopologySpec:
-    """The three-tier RUBiS deployment of Fig. 7 as a topology spec."""
+def rubis_topology() -> TopologySpec:
+    """The three-tier RUBiS deployment of Fig. 7 as a topology spec.
+
+    Pool sizes are the paper's defaults: 256 Apache prefork workers,
+    ``MaxThreads = 40`` JBoss threads, 18 MySQL engine slots.
+    """
     return TopologySpec(
         name="rubis",
         tiers=(
             TierSpec(
                 name="db", ip=RUBIS_DB_IP, port=RUBIS_DB_PORT, program="mysqld",
-                role="backend", stream_prefix="db", workers=db_engine_slots,
+                role="backend", stream_prefix="db", workers=18,
             ),
             TierSpec(
                 name="app", ip=RUBIS_APP_IP, port=RUBIS_APP_PORT, program="java",
-                role="worker", stream_prefix="app", workers=max_threads,
+                role="worker", stream_prefix="app", workers=40,
                 downstream=("db",), delay_fault_target=True,
             ),
             TierSpec(
                 name="www", ip=RUBIS_WEB_IP, port=RUBIS_WEB_PORT, program="httpd",
-                role="frontend", stream_prefix="httpd", workers=httpd_workers,
+                role="frontend", stream_prefix="httpd", workers=256,
                 downstream=("app",),
             ),
         ),
@@ -105,11 +109,6 @@ def rubis_topology(
 
 
 def _rubis() -> Scenario:
-    # Imported lazily: the RUBiS catalogue module re-exports the
-    # operation dataclasses from this package, so a module-level import
-    # would be circular during package initialisation.
-    from ..services.rubis.requests import BROWSE_ONLY_MIX
-
     return Scenario(
         name="rubis",
         description="The paper's three-tier auction site (httpd -> JBoss -> MySQL)",
@@ -394,8 +393,8 @@ def _replicated_lb() -> Scenario:
     )
 
 
-#: Scenario builders by name.  Builders (not instances) so the RUBiS
-#: entry can import its catalogue lazily; :func:`get_scenario` memoises.
+#: Scenario builders by name.  Builders (not instances): a scenario is
+#: built on first use and :func:`get_scenario` memoises it.
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "rubis": _rubis,
     "five_tier_chain": _five_tier_chain,
@@ -429,12 +428,15 @@ def get_scenario(name: str) -> Scenario:
 
 @dataclass
 class ScenarioConfig:
-    """Everything that defines one scenario run (generic counterpart of
-    :class:`~repro.services.rubis.deployment.RubisConfig`).
+    """Everything that defines one scenario run.
 
     ``None`` workload fields keep the scenario's own defaults; setting
     ``clients``/``arrival_rate``/... patches the scenario's
-    :class:`~repro.topology.spec.WorkloadSpec` for this run.
+    :class:`~repro.topology.spec.WorkloadSpec` for this run.  ``workers``
+    patches pool sizes (``TierSpec.workers``, on every replica of the
+    named tier) and ``mix`` replaces the scenario's request mix, so the
+    paper's RUBiS runs read ``ScenarioConfig("rubis", workers=(("app",
+    250),), mix=mix_by_name("default"))``.
     """
 
     scenario: str = "rubis"
@@ -443,6 +445,10 @@ class ScenarioConfig:
     think_time: Optional[float] = None
     workload_kind: Optional[str] = None
     stages: Optional[WorkloadStages] = None
+    #: (tier name, pool size) pairs overriding the scenario's pool sizes
+    workers: Tuple[Tuple[str, int], ...] = ()
+    #: (request type, weight) pairs replacing the scenario's mix
+    mix: Optional[Tuple[Tuple[RequestType, float], ...]] = None
     seed: int = 1
     clock_skew: float = 0.001
     tracing_enabled: bool = True
@@ -455,12 +461,10 @@ class ScenarioConfig:
     cpus_per_node: int = 2
 
     def __post_init__(self) -> None:
-        # Fail at construction, not deep inside the run.
-        if self.scenario not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {self.scenario!r}; available scenarios: "
-                f"{', '.join(scenario_names())}"
-            )
+        # Fail at construction, not deep inside the run: an unknown
+        # scenario raises ValueError, an invalid workload patch or pool
+        # size TopologyError (a ValueError), each listing the valid names.
+        self.run_inputs()
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         """A copy of this config with some fields replaced."""
@@ -481,8 +485,39 @@ class ScenarioConfig:
             patches["stages"] = self.stages
         return replace(default, **patches) if patches else default
 
+    def resolved_topology(self, default: TopologySpec) -> TopologySpec:
+        """The scenario's topology with this config's pool sizes applied."""
+        if not self.workers:
+            return default
+        sizes = dict(self.workers)
+        for name in sizes:
+            default.tier(name)  # an unknown name raises, listing the tiers
+        tiers = tuple(
+            replace(tier, workers=sizes.get(tier.name, tier.workers))
+            for tier in default.tiers
+        )
+        return replace(default, tiers=tiers)  # re-validated: sizes must be > 0
+
     def run_settings(self) -> RunSettings:
-        return settings_from(self)
+        """The environment knobs, copied field by field (a new
+        ``RunSettings`` field is forwarded automatically)."""
+        return RunSettings(**{f.name: getattr(self, f.name) for f in fields(RunSettings)})
+
+    def run_inputs(self) -> Tuple[TopologySpec, WorkloadSpec, tuple, RunSettings]:
+        """What the run is built from: the scenario's topology, workload
+        and mix with this config's patches applied, and the run settings."""
+        scenario = get_scenario(self.scenario)
+        return (
+            self.resolved_topology(scenario.topology),
+            self.resolved_workload(scenario.workload),
+            self.mix if self.mix is not None else scenario.mix,
+            self.run_settings(),
+        )
+
+    def deployment(self) -> TopologyDeployment:
+        """The simulated cluster this config describes, built but not run."""
+        topology, workload, mix, settings = self.run_inputs()
+        return TopologyDeployment(topology, workload, mix, settings, config=self)
 
 
 def run_scenario(
@@ -498,12 +533,4 @@ def run_scenario(
     base = config or ScenarioConfig()
     if overrides:
         base = base.with_overrides(**overrides)
-    scenario = get_scenario(base.scenario)
-    deployment = TopologyDeployment(
-        topology=scenario.topology,
-        workload=base.resolved_workload(scenario.workload),
-        mix=scenario.mix,
-        settings=base.run_settings(),
-        config=base,
-    )
-    return deployment.run()
+    return base.deployment().run()

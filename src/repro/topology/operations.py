@@ -4,10 +4,10 @@ A :class:`RequestType` describes one interaction of an emulated service:
 CPU demands at the entry tier and the worker tiers, the database queries
 it issues, and the message sizes on every hop.  A :class:`QuerySpec`
 describes one unit of backend work.  Historically these dataclasses were
-defined by the RUBiS catalogue (:mod:`repro.services.rubis.requests`,
-which still re-exports them); the generic tier engine reads them through
-role-neutral aliases (``frontend_cpu``, ``worker_cpu``, ...) so any
-scenario catalogue can reuse the same cost vocabulary.
+defined by the RUBiS catalogue (:mod:`repro.topology.requests`); the
+generic tier engine reads them through role-neutral aliases
+(``frontend_cpu``, ``worker_cpu``, ...) so any scenario catalogue can
+reuse the same cost vocabulary.
 
 The legacy field names (``httpd_cpu``, ``app_cpu``) are kept because the
 RUBiS catalogue and its tests use them; they map onto the tier roles as

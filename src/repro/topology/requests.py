@@ -29,9 +29,8 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 # The operation dataclasses are topology-neutral cost models shared by
-# every scenario catalogue; they live in the topology subsystem and are
-# re-exported here for compatibility.
-from ...topology.operations import QuerySpec, RequestType
+# every scenario catalogue.
+from .operations import QuerySpec, RequestType
 
 
 def _query(

@@ -14,7 +14,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.services.rubis.deployment import run_rubis
+from repro.topology import run_scenario
 
 from helpers import TINY_STAGES, tiny_config  # noqa: F401  (re-exported for fixtures)
 
@@ -26,7 +26,7 @@ settings.register_profile("nightly", max_examples=5000, deadline=None)
 @pytest.fixture(scope="session")
 def tiny_run():
     """One shared small Browse_Only run (traced)."""
-    return run_rubis(tiny_config())
+    return run_scenario(tiny_config())
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +38,7 @@ def tiny_trace(tiny_run):
 @pytest.fixture(scope="session")
 def loaded_run():
     """A run with enough concurrency to exercise queueing and thread reuse."""
-    return run_rubis(tiny_config(clients=120, think_time=2.0))
+    return run_scenario(tiny_config(clients=120, think_time=2.0))
 
 
 @pytest.fixture()

@@ -20,22 +20,22 @@ from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.interning import NO_REQUEST
 from repro.core.latency import segment_label
 from repro.core.log_format import format_record
-from repro.services.rubis.client import WorkloadStages
-from repro.services.rubis.deployment import RubisConfig
+from repro.topology import ScenarioConfig, WorkloadStages
 
 #: Stage durations shared by the fast integration fixtures.
 TINY_STAGES = WorkloadStages(up_ramp=0.5, runtime=4.0, down_ramp=0.5)
 
 
-def tiny_config(**overrides) -> RubisConfig:
-    """A small, fast experiment configuration for integration tests.
+def tiny_config(**overrides) -> ScenarioConfig:
+    """A small, fast RUBiS configuration for integration tests.
 
     Lives here (not in ``conftest.py``) so test modules can import it
     explicitly with ``from helpers import tiny_config``: importing from
     ``conftest`` is ambiguous when pytest's rootdir puts another
     ``conftest.py`` (e.g. ``benchmarks/``) on ``sys.path`` first.
     """
-    base = RubisConfig(
+    base = ScenarioConfig(
+        "rubis",
         clients=30,
         stages=TINY_STAGES,
         clock_skew=0.001,

@@ -41,29 +41,16 @@ for entry in (str(TESTS_DIR), str(TESTS_DIR.parent / "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from helpers import tiny_config  # noqa: E402
-from repro.services.faults import FaultConfig  # noqa: E402
-from repro.services.noise import NoiseConfig  # noqa: E402
-from repro.services.rubis.deployment import run_rubis  # noqa: E402
+from repro.topology import run_scenario  # noqa: E402
 
 
 def regen_rubis() -> None:
     """The six byte-identity digests of ``test_rubis_identity.py``."""
-    from test_rubis_identity import run_digest
+    from test_rubis_identity import GOLDEN_CONFIGS, run_digest
 
-    configs = {
-        "tiny": tiny_config(),
-        "tiny_default_mix": tiny_config(workload="default", clients=20),
-        "tiny_noise": tiny_config(clients=20, noise=NoiseConfig.paper_noise(scale=0.3)),
-        "tiny_fault": tiny_config(
-            clients=20, faults=FaultConfig.ejb_delay_case(), workload="default"
-        ),
-        "tiny_untraced": tiny_config(clients=10, tracing_enabled=False),
-        "loaded": tiny_config(clients=120, think_time=2.0),
-    }
     digests = {}
-    for key, config in configs.items():
-        digests[key] = run_digest(run_rubis(config))
+    for key, config in GOLDEN_CONFIGS.items():
+        digests[key] = run_digest(run_scenario(config))
         print(f"{key:20s} records={digests[key]['records'][:16]}...")
     path = TESTS_DIR / "golden_rubis_digests.json"
     path.write_text(json.dumps(digests, indent=1), encoding="utf-8")

@@ -4,56 +4,61 @@ import pytest
 
 from helpers import tiny_config
 from repro.core.log_format import format_record, parse_record
-from repro.services.rubis.deployment import (
-    APP_IP,
-    DB_IP,
-    RubisConfig,
-    RubisDeployment,
-    WEB_IP,
+from repro.topology import ScenarioConfig
+from repro.topology.library import (
+    RUBIS_APP_IP as APP_IP,
+    RUBIS_DB_IP as DB_IP,
+    RUBIS_WEB_IP as WEB_IP,
+    get_scenario,
 )
+from repro.topology.requests import BROWSE_ONLY_MIX
 
 
-class TestRubisConfig:
+class TestRubisScenarioConfig:
     def test_defaults_match_the_paper_setup(self):
-        config = RubisConfig()
-        assert config.max_threads == 40        # the misconfigured default
-        assert config.workload == "browse_only"
+        config = ScenarioConfig()
+        scenario = get_scenario(config.scenario)
+        assert config.scenario == "rubis"
+        assert scenario.topology.tier("app").workers == 40  # the misconfigured default
+        assert scenario.mix is BROWSE_ONLY_MIX
+        assert config.workers == () and config.mix is None  # the scenario's own
         assert config.tracing_enabled is True
         assert config.cpus_per_node == 2       # 2-way SMP nodes
 
     def test_with_overrides_returns_a_copy(self):
-        base = RubisConfig()
-        changed = base.with_overrides(clients=777, max_threads=250)
+        base = ScenarioConfig()
+        changed = base.with_overrides(clients=777, workers=(("app", 250),))
         assert changed.clients == 777
-        assert changed.max_threads == 250
+        assert changed.workers == (("app", 250),)
         assert base.clients != 777
-        assert base.max_threads == 40
+        assert base.workers == ()
 
     def test_unknown_override_is_rejected(self):
         with pytest.raises(TypeError):
-            RubisConfig().with_overrides(not_a_field=1)
+            ScenarioConfig().with_overrides(not_a_field=1)
 
 
 class TestDeploymentWiring:
     def test_deployment_builds_three_traced_service_nodes(self):
-        deployment = RubisDeployment(tiny_config(clients=5))
-        assert deployment.web_node.traced
-        assert deployment.app_node.traced
-        assert deployment.db_node.traced
+        deployment = tiny_config(clients=5).deployment()
+        nodes = deployment.service_nodes
+        assert all(node.traced for node in nodes.values())
         assert all(not node.traced for node in deployment.client_nodes)
-        assert deployment.web_node.ip == WEB_IP
-        assert deployment.app_node.ip == APP_IP
-        assert deployment.db_node.ip == DB_IP
+        ips = {name: node.ip for name, node in nodes.items()}
+        assert ips == {"www": WEB_IP, "app": APP_IP, "db": DB_IP}
 
     def test_tracing_disabled_means_no_probes(self):
-        deployment = RubisDeployment(tiny_config(clients=5, tracing_enabled=False))
-        assert deployment.web_node.probe is None
+        deployment = tiny_config(clients=5, tracing_enabled=False).deployment()
+        assert deployment.service_nodes["www"].probe is None
         assert not deployment.collector.probes
 
     def test_app_thread_pool_size_follows_max_threads(self):
-        deployment = RubisDeployment(tiny_config(clients=5, max_threads=7))
-        assert deployment.appserver.thread_pool.capacity == 7
-        assert len(deployment.appserver._idle_threads) == 7
+        deployment = tiny_config(clients=5, workers=(("app", 7),)).deployment()
+        appserver = deployment.tier_groups["app"].primary
+        assert appserver.thread_pool.capacity == 7
+        assert len(appserver._idle_threads) == 7
+        # the other tiers keep the scenario's pool sizes
+        assert deployment.topology.tier("www").workers == 256
 
 
 class TestRunResultHelpers:
@@ -87,7 +92,7 @@ class TestRunResultHelpers:
         assert len(activities) == tiny_run.total_activities
 
     def test_ground_truth_request_types_match_the_catalog(self, tiny_run):
-        from repro.services.rubis.requests import CATALOG
+        from repro.topology.requests import CATALOG
 
         for truth in tiny_run.ground_truth.values():
             assert truth.request_type in CATALOG

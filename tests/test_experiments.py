@@ -16,8 +16,8 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import format_value, render_report, render_table, write_report
 from repro.experiments.runner import RunCache, config_key, get_run
-from repro.services.rubis.client import WorkloadStages
-from repro.services.rubis.deployment import RubisConfig
+from repro.topology import ScenarioConfig, WorkloadStages
+from repro.topology.requests import BROWSE_ONLY_MIX
 
 
 #: A deliberately tiny scale so harness tests stay fast.
@@ -65,23 +65,32 @@ class TestScales:
 
 class TestRunCache:
     def test_identical_configs_hit_the_cache(self, cache):
-        config = RubisConfig(clients=10, stages=TINY.stages, seed=TINY.seed)
+        config = ScenarioConfig("rubis", clients=10, stages=TINY.stages, seed=TINY.seed)
         first = get_run(config, cache)
         second = get_run(config, cache)
         assert first is second
         assert cache.hits >= 1
 
     def test_different_configs_miss(self, cache):
-        a = get_run(RubisConfig(clients=10, stages=TINY.stages, seed=TINY.seed), cache)
-        b = get_run(RubisConfig(clients=12, stages=TINY.stages, seed=TINY.seed), cache)
+        a = get_run(ScenarioConfig("rubis", clients=10, stages=TINY.stages, seed=TINY.seed), cache)
+        b = get_run(ScenarioConfig("rubis", clients=12, stages=TINY.stages, seed=TINY.seed), cache)
         assert a is not b
 
     def test_config_key_is_stable_and_distinct(self):
-        a = RubisConfig(clients=10)
-        b = RubisConfig(clients=10)
-        c = RubisConfig(clients=11)
+        a = ScenarioConfig("rubis", clients=10)
+        b = ScenarioConfig("rubis", clients=10)
+        c = ScenarioConfig("rubis", clients=11)
         assert config_key(a) == config_key(b)
         assert config_key(a) != config_key(c)
+        assert config_key(a) != config_key(a.with_overrides(workers=(("app", 250),)))
+
+    def test_config_key_names_the_run_not_the_spelling(self):
+        # a pool size at its default and the scenario's own mix spelled
+        # out describe the plain run: Fig. 16's MaxThreads=40 series
+        # reuses the runs of Fig. 8
+        plain = ScenarioConfig("rubis", clients=10)
+        spelled = plain.with_overrides(workers=(("app", 40),), mix=BROWSE_ONLY_MIX)
+        assert config_key(spelled) == config_key(plain)
 
 
 class TestFigureGenerators:

@@ -13,7 +13,8 @@ A fourth pin is not generator-drawn: the per-node tie-break that put
 type priority before log position only bites when a worker pool is
 smaller than the offered concurrency, which ``GeneratorLimits`` cannot
 produce yet (ROADMAP item 1d), so the saturated RUBiS run that exposed
-it is pinned as it was found.
+it is pinned as it was found (every library scenario is run saturated
+in ``tests/test_scenarios.py``).
 """
 
 import json
@@ -29,7 +30,7 @@ from repro.core.cag import CONTEXT_EDGE
 from repro.core.engine import CorrelationEngine
 from repro.fuzz import report_payload, run_case, run_fuzz, shrink
 from repro.pipeline import BackendSpec, RunSource
-from repro.services.rubis.deployment import RubisConfig, run_rubis
+from repro.topology import ScenarioConfig, run_scenario
 from repro.topology import DEFAULT_LIMITS
 from repro.topology.workload import WorkloadStages
 
@@ -126,11 +127,11 @@ def saturated_run():
     worker takes the next queued request in zero simulated time, so the
     log holds an END and the next BEGIN in one context at one timestamp
     (``www httpd 1000`` at t = 2.443250, among others)."""
-    return run_rubis(
-        RubisConfig(
+    return run_scenario(
+        ScenarioConfig(
+            "rubis",
             clients=60,
-            httpd_workers=4,
-            max_threads=2,
+            workers=(("www", 4), ("app", 2)),
             stages=WorkloadStages(runtime=10.0),
             seed=17,
         )

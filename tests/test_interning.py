@@ -29,7 +29,7 @@ from repro.core.interning import INTERNER, ActivityTable, KeyInterner
 from repro.pipeline import BackendSpec, result_digest
 from repro.sampling import SamplingSpec
 from repro.sampling.sampler import precompute_decisions
-from repro.services.rubis.deployment import RubisConfig, run_rubis
+from repro.topology import ScenarioConfig, run_scenario
 
 names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -281,7 +281,7 @@ class TestSamplerInvariance:
     }
 
     def test_sampled_subsets_match_pre_refactor_pins(self):
-        activities = run_rubis(RubisConfig(clients=40, seed=1234)).activities()
+        activities = run_scenario(ScenarioConfig("rubis", clients=40, seed=1234)).activities()
         assert len(activities) == 2645
         specs = [SamplingSpec.uniform(rate=0.4, salt=3), SamplingSpec.budget(per_second=5)]
         for spec in specs:

@@ -223,9 +223,9 @@ class TestDecisionParity:
 class TestEndToEndParity:
     @pytest.fixture(scope="class")
     def tiny_deployment(self):
-        from repro.services.rubis.deployment import run_rubis
+        from repro.topology import run_scenario
 
-        return run_rubis(tiny_config())
+        return run_scenario(tiny_config())
 
     def _digest(self, activities):
         from repro.pipeline.backends import BackendSpec

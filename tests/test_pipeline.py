@@ -503,7 +503,7 @@ class TestATracerDoesNotLoadASimulator:
             "loaded = [name for name in ('repro.sim', 'repro.topology', 'repro.services',"
             " 'repro.experiments', 'concurrent.futures') if name in sys.modules]\n"
             "assert not loaded, loaded\n"
-            "from repro import run_rubis, ScenarioConfig, FaultConfig\n"
+            "from repro import run_scenario, ScenarioConfig, FaultConfig, WorkloadStages\n"
             "assert 'repro.topology' in sys.modules\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.services.rubis.requests import (
+from repro.topology.requests import (
     BROWSE_ONLY_MIX,
     CATALOG,
     DEFAULT_MIX,

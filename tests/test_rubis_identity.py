@@ -9,7 +9,10 @@ lines in the same order, the same ground truth, the same client metrics
 (``tests/golden_rubis_digests.json``).  Identical records imply identical
 traces and figures, so this is also a determinism pin for future
 refactors (any change to RNG stream names, draw order, tier construction
-order or event scheduling shows up here first).
+order or event scheduling shows up here first).  The runs are plain
+``ScenarioConfig("rubis", ...)`` configs: pool sizes and the request mix
+are config fields, so no RUBiS-specific harness stands between the
+golden file and the spec.
 """
 
 import hashlib
@@ -20,11 +23,25 @@ from helpers import tiny_config
 from repro.core.log_format import format_record
 from repro.services.faults import FaultConfig
 from repro.services.noise import NoiseConfig
-from repro.services.rubis.deployment import run_rubis
+from repro.topology import run_scenario
+from repro.topology.requests import DEFAULT_MIX
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden_rubis_digests.json").read_text("utf-8")
 )
+
+#: The pinned configurations by golden key (``python -m
+#: tests.regen_goldens rubis`` regenerates the file from these).
+GOLDEN_CONFIGS = {
+    "tiny": tiny_config(),
+    "tiny_default_mix": tiny_config(mix=DEFAULT_MIX, clients=20),
+    "tiny_noise": tiny_config(clients=20, noise=NoiseConfig.paper_noise(scale=0.3)),
+    "tiny_fault": tiny_config(
+        clients=20, faults=FaultConfig.ejb_delay_case(), mix=DEFAULT_MIX
+    ),
+    "tiny_untraced": tiny_config(clients=10, tracing_enabled=False),
+    "loaded": tiny_config(clients=120, think_time=2.0),
+}
 
 
 def run_digest(run) -> dict:
@@ -75,22 +92,24 @@ class TestByteIdentity:
         assert_matches_golden(loaded_run, "loaded")
 
     def test_default_mix(self):
-        run = run_rubis(tiny_config(workload="default", clients=20))
+        run = run_scenario(GOLDEN_CONFIGS["tiny_default_mix"])
         assert_matches_golden(run, "tiny_default_mix")
 
     def test_with_noise(self):
-        run = run_rubis(tiny_config(clients=20, noise=NoiseConfig.paper_noise(scale=0.3)))
+        run = run_scenario(GOLDEN_CONFIGS["tiny_noise"])
         assert_matches_golden(run, "tiny_noise")
 
     def test_with_ejb_delay_fault(self):
-        run = run_rubis(
-            tiny_config(clients=20, faults=FaultConfig.ejb_delay_case(), workload="default")
-        )
+        run = run_scenario(GOLDEN_CONFIGS["tiny_fault"])
         assert_matches_golden(run, "tiny_fault")
 
     def test_tracing_disabled(self):
-        run = run_rubis(tiny_config(clients=10, tracing_enabled=False))
+        run = run_scenario(GOLDEN_CONFIGS["tiny_untraced"])
         assert_matches_golden(run, "tiny_untraced")
+
+    def test_fixtures_are_the_pinned_configs(self, tiny_run, loaded_run):
+        assert tiny_run.config == GOLDEN_CONFIGS["tiny"]
+        assert loaded_run.config == GOLDEN_CONFIGS["loaded"]
 
 
 class TestEngineNeutrality:

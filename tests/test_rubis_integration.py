@@ -6,7 +6,8 @@ from helpers import tiny_config
 from repro.core.activity import ActivityType
 from repro.services.faults import FaultConfig
 from repro.services.noise import NoiseConfig
-from repro.services.rubis.deployment import WEB_IP, run_rubis
+from repro.topology import run_scenario
+from repro.topology.library import RUBIS_WEB_IP as WEB_IP
 
 
 class TestRunMechanics:
@@ -27,19 +28,19 @@ class TestRunMechanics:
         assert all(records for records in tiny_run.records_by_node.values())
 
     def test_determinism_same_seed_same_trace(self):
-        first = run_rubis(tiny_config(clients=10))
-        second = run_rubis(tiny_config(clients=10))
+        first = run_scenario(tiny_config(clients=10))
+        second = run_scenario(tiny_config(clients=10))
         assert first.completed_requests == second.completed_requests
         assert first.total_activities == second.total_activities
         assert first.throughput == pytest.approx(second.throughput)
 
     def test_different_seed_changes_the_workload(self):
-        first = run_rubis(tiny_config(clients=10))
-        second = run_rubis(tiny_config(clients=10, seed=99))
+        first = run_scenario(tiny_config(clients=10))
+        second = run_scenario(tiny_config(clients=10, seed=99))
         assert first.total_activities != second.total_activities
 
     def test_tracing_disabled_produces_no_records(self):
-        result = run_rubis(tiny_config(clients=10, tracing_enabled=False))
+        result = run_scenario(tiny_config(clients=10, tracing_enabled=False))
         assert result.total_activities == 0
         assert result.completed_requests > 0
 
@@ -88,7 +89,7 @@ class TestTracingTheDeployment:
         assert large.accuracy(tiny_run.ground_truth).accuracy == 1.0
 
     def test_accuracy_robust_to_large_clock_skew(self):
-        run = run_rubis(tiny_config(clients=20, clock_skew=0.5))
+        run = run_scenario(tiny_config(clients=20, clock_skew=0.5))
         trace = run.trace(window=0.010)
         assert trace.accuracy(run.ground_truth).accuracy == 1.0
 
@@ -108,32 +109,32 @@ class TestTracingTheDeployment:
 
 class TestNoiseAndFaults:
     def test_noise_does_not_hurt_accuracy(self):
-        run = run_rubis(tiny_config(clients=15, noise=NoiseConfig.paper_noise(scale=0.3)))
+        run = run_scenario(tiny_config(clients=15, noise=NoiseConfig.paper_noise(scale=0.3)))
         assert run.noise_activities > 0
         trace = run.trace(window=0.002)
         assert trace.accuracy(run.ground_truth).accuracy == 1.0
 
     def test_noise_activities_are_discarded_not_correlated(self):
-        run = run_rubis(tiny_config(clients=15, noise=NoiseConfig.paper_noise(scale=0.3)))
+        run = run_scenario(tiny_config(clients=15, noise=NoiseConfig.paper_noise(scale=0.3)))
         trace = run.trace(window=0.002)
         stats = trace.correlation.ranker_stats
         assert stats.noise_discarded > 0
         assert trace.request_count == run.completed_requests
 
     def test_ssh_noise_filtered_by_program_name(self):
-        run = run_rubis(tiny_config(clients=10, noise=NoiseConfig(ssh_rate=5.0)))
+        run = run_scenario(tiny_config(clients=10, noise=NoiseConfig(ssh_rate=5.0)))
         trace = run.trace(window=0.010)
         assert trace.filtered_records > 0
         assert trace.accuracy(run.ground_truth).accuracy == 1.0
 
     def test_ejb_delay_fault_shifts_latency_to_java2java(self, tiny_trace):
-        faulty_run = run_rubis(tiny_config(clients=30, faults=FaultConfig.ejb_delay_case()))
+        faulty_run = run_scenario(tiny_config(clients=30, faults=FaultConfig.ejb_delay_case()))
         faulty = faulty_run.trace(window=0.010).profile("faulty")
         normal = tiny_trace.profile("normal")
         assert faulty.percentages.get("java2java", 0) > normal.percentages.get("java2java", 0) + 20
 
     def test_database_lock_fault_shifts_latency_to_mysqld(self, tiny_trace):
-        faulty_run = run_rubis(tiny_config(clients=30, faults=FaultConfig.database_lock_case()))
+        faulty_run = run_scenario(tiny_config(clients=30, faults=FaultConfig.database_lock_case()))
         faulty = faulty_run.trace(window=0.010).profile("faulty")
         normal = tiny_trace.profile("normal")
         assert (
@@ -142,7 +143,7 @@ class TestNoiseAndFaults:
         )
 
     def test_ejb_network_fault_inflates_interactions_with_java(self, tiny_run, tiny_trace):
-        faulty_run = run_rubis(tiny_config(clients=30, faults=FaultConfig.ejb_network_case()))
+        faulty_run = run_scenario(tiny_config(clients=30, faults=FaultConfig.ejb_network_case()))
         faulty_trace = faulty_run.trace(window=0.010)
         assert faulty_trace.accuracy(faulty_run.ground_truth).accuracy == 1.0
         faulty = faulty_trace.profile("faulty").percentages
@@ -163,14 +164,19 @@ class TestNoiseAndFaults:
         assert "EJB_Network" in FaultConfig.ejb_network_case().describe()
 
 
+def loaded_pool(max_threads):
+    """150 busy clients against an app tier of ``max_threads`` threads."""
+    return tiny_config(clients=150, think_time=1.0, workers=(("app", max_threads),))
+
+
 class TestMaxThreadsBehaviour:
     def test_small_pool_saturates_under_load(self):
-        congested = run_rubis(tiny_config(clients=150, think_time=1.0, max_threads=8))
-        roomy = run_rubis(tiny_config(clients=150, think_time=1.0, max_threads=200))
+        congested = run_scenario(loaded_pool(8))
+        roomy = run_scenario(loaded_pool(200))
         assert roomy.throughput > congested.throughput
         assert roomy.mean_response_time < congested.mean_response_time
 
     def test_thread_pool_wait_shows_up_as_httpd2java(self):
-        congested = run_rubis(tiny_config(clients=150, think_time=1.0, max_threads=8))
+        congested = run_scenario(loaded_pool(8))
         profile = congested.trace(window=0.010).profile("congested")
         assert profile.percentages.get("httpd2java", 0) > 20

@@ -11,12 +11,14 @@ engine's delivery-order independence.
 
 import pytest
 
+from repro.core.accuracy import path_accuracy
+from repro.core.activity import ActivityType
 from repro.core.correlator import Correlator
 from repro.experiments.runner import sharded_trace, stream_trace
-from repro.pipeline import canonical_cags
+from repro.pipeline import BackendSpec, RunSource, canonical_cags, verify_equivalence
 from repro.services.faults import FaultConfig
 from repro.services.noise import NoiseConfig
-from repro.topology import ScenarioConfig, run_scenario, scenario_names
+from repro.topology import ScenarioConfig, get_scenario, run_scenario, scenario_names
 from repro.topology.workload import WorkloadStages
 
 #: Short stages shared by every scenario test run.
@@ -192,6 +194,37 @@ class TestNoiseAndFaultsCompose:
             faulty.metrics.mean_response_time() > normal.metrics.mean_response_time()
         )
         del normal_profile, faulty_profile
+
+
+def end_begin_handoffs(activities) -> int:
+    """BEGINs logged in the context and at the timestamp of an END: a freed
+    worker took the next queued request in zero simulated time."""
+    ends = {(a.context_key, a.timestamp) for a in activities if a.type is ActivityType.END}
+    return sum(
+        (a.context_key, a.timestamp) in ends for a in activities if a.type is ActivityType.BEGIN
+    )
+
+
+class TestSaturatedPools:
+    """Every library scenario with a two-worker frontend pool: the regime
+    of the per-node tie-break bug, until now only ever reached on RUBiS."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_saturated_frontend_pool_is_traced_exactly(self, name):
+        frontend = get_scenario(name).topology.frontend
+        run = run_scenario(
+            ScenarioConfig(
+                name,
+                seed=17,
+                workers=((frontend, 2),),
+                stages=WorkloadStages(runtime=6.0),
+            )
+        )
+        assert end_begin_handoffs(run.activities()) >= 100  # the regime is reached
+        result = BackendSpec.batch().correlate(RunSource.from_run(run).activities())
+        assert path_accuracy(result.cags, run.ground_truth).accuracy == 1.0
+        assert result.ranker_stats.fallback_selections == 0
+        verify_equivalence(run).require()
 
 
 class TestScenarioRunnerIntegration:

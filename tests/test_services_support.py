@@ -5,9 +5,10 @@ import pytest
 
 from repro.services.faults import DatabaseLockFault, EjbDelayFault, EjbNetworkFault, FaultConfig
 from repro.services.noise import NoiseConfig
-from repro.services.rubis.client import ClientMetrics, CompletedRequest, WorkloadStages
-from repro.services.rubis.groundtruth import GroundTruthRecorder
-from repro.services.rubis.requests import VIEW_ITEM
+from repro.topology.deployment import noise_query
+from repro.topology.groundtruth import GroundTruthRecorder
+from repro.topology.requests import VIEW_ITEM
+from repro.topology.workload import ClientMetrics, CompletedRequest, WorkloadStages
 from repro.sim.network import NetworkFabric
 from repro.sim.kernel import Environment
 from repro.sim.node import ExecutionEntity, Node
@@ -100,7 +101,7 @@ class TestNoiseConfig:
         assert half.mysql_client_rate == pytest.approx(full.mysql_client_rate / 2)
 
     def test_noise_query_is_cheap(self):
-        query = NoiseConfig.paper_noise().noise_query()
+        query = noise_query(NoiseConfig.paper_noise())
         assert query.engine_delay < 0.01
         assert query.reply_bytes > 0
 

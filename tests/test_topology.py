@@ -3,10 +3,10 @@ replica router, workload drivers and the eager config validation."""
 
 import pytest
 
-from repro.services.rubis.deployment import RubisConfig
 from repro.topology import ScenarioConfig, TierSpec, TopologyError, TopologySpec, WorkloadSpec
 from repro.topology.engine import ReplicaRouter
-from repro.topology.library import rubis_topology, scenario_names
+from repro.topology.library import get_scenario, rubis_topology, scenario_names
+from repro.topology.requests import mix_by_name
 from repro.topology.spec import replica_hostname, replica_ip
 
 
@@ -181,12 +181,36 @@ class TestWorkloadSpecValidation:
 
 class TestEagerConfigValidation:
     def test_rubis_config_rejects_unknown_workload_at_construction(self):
-        with pytest.raises(ValueError, match="browse_only, default"):
-            RubisConfig(workload="brose_only")
+        with pytest.raises(KeyError, match="browse_only, default"):
+            ScenarioConfig("rubis", mix=mix_by_name("brose_only"))
 
     def test_rubis_config_rejects_unknown_workload_via_overrides(self):
-        with pytest.raises(ValueError, match="valid workloads"):
-            RubisConfig().with_overrides(workload="bogus")
+        with pytest.raises(TopologyError, match="valid kinds"):
+            ScenarioConfig("rubis").with_overrides(workload_kind="bogus")
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"workload_kind": "nonsense"}, "closed, open, bursty"),
+            ({"clients": 0}, "clients > 0"),
+            ({"clients": -5}, "clients > 0"),
+            ({"think_time": -1.0}, "think_time must be non-negative"),
+            ({"workload_kind": "open", "arrival_rate": -1.0}, "arrival_rate > 0"),
+        ],
+        ids=["kind", "zero_clients", "negative_clients", "think_time", "arrival_rate"],
+    )
+    def test_invalid_workload_patch_fails_at_construction(self, patch, message):
+        with pytest.raises(TopologyError, match=message):
+            ScenarioConfig("rubis", **patch)
+
+    def test_workers_naming_an_unknown_tier_lists_the_tiers(self):
+        with pytest.raises(TopologyError, match="unknown tier 'web'; tiers: db, app, www"):
+            ScenarioConfig("rubis", workers=(("web", 4),))
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_workers_pool_size_must_be_positive(self, size):
+        with pytest.raises(TopologyError, match="tier 'app': workers must be positive"):
+            ScenarioConfig("rubis", workers=(("app", size),))
 
     def test_scenario_config_rejects_unknown_scenario(self):
         with pytest.raises(ValueError, match="available scenarios"):
@@ -210,7 +234,18 @@ class TestRubisSpec:
         assert spec.service_hostnames() == ["www", "app", "db"]
 
     def test_rubis_topology_is_parameterised_by_the_config_knobs(self):
-        spec = rubis_topology(httpd_workers=8, max_threads=7, db_engine_slots=3)
+        config = ScenarioConfig("rubis", workers=(("www", 8), ("app", 7), ("db", 3)))
+        spec = config.resolved_topology(rubis_topology())
         assert spec.tier("www").workers == 8
         assert spec.tier("app").workers == 7
         assert spec.tier("db").workers == 3
+        assert ScenarioConfig().resolved_topology(rubis_topology()) == rubis_topology()
+
+    def test_workers_apply_to_every_replica(self):
+        config = ScenarioConfig("replicated_lb", workers=(("app", 2),))
+        deployment = config.deployment()
+        replicas = deployment.tier_groups["app"].replicas
+        assert len(replicas) == 3
+        assert [engine.thread_pool.capacity for engine in replicas] == [2, 2, 2]
+        default_db = get_scenario("replicated_lb").topology.tier("db").workers
+        assert deployment.topology.tier("db").workers == default_db
