@@ -34,14 +34,14 @@ def test_bench_scaling(benchmark, scale):
     assert all(row["components"] >= 6 for row in result.rows)
 
     table = _scaling_trace()
-    batch = result_digest(Correlator(window=scale.window).correlate(table.iter_fresh()))
+    batch = result_digest(Correlator(window=scale.window).correlate(table))
     planned = {}
     for executor in EXECUTOR_KINDS:
         for max_shards in (None, 1, 2, 4):
             correlator = ShardedCorrelator(
                 window=scale.window, max_shards=max_shards, executor=executor
             )
-            digest = result_digest(correlator.correlate(table.iter_fresh()))
+            digest = result_digest(correlator.correlate(table))
             assert digest == batch, (executor, max_shards)
             planned[max_shards] = max(correlator.last_shard_sizes)
     # More buckets never make the heaviest bucket heavier.

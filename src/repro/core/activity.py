@@ -300,17 +300,6 @@ class Activity:
         """
         return self.type is ActivityType.RECEIVE
 
-    def clone(self) -> "Activity":
-        """Deep-ish copy used by tests and the baselines."""
-        return Activity(
-            type=self.type,
-            timestamp=self.timestamp,
-            context=self.context,
-            message=self.message,
-            request_id=self.request_id,
-            size=self.size,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Activity({self.type.name}, t={self.timestamp:.6f}, "
@@ -324,10 +313,9 @@ class Activity:
 #: them (``classify_lines`` and ``classify_all`` go line by line,
 #: ``pack_lines`` draws a packed row's ``seq`` in line order too,
 #: ``ActivityTable`` rows keep their ``seq``, a row that arrives in a
-#: later chunk is later in the log, ``MemorySource`` re-draws ``seq``
-#: in the order of the list it was given, and ``LogSource.chunks()`` --
-#: which reads its files interleaved -- re-draws it in release order,
-#: :func:`restamp`), so within one node the kernel's
+#: later chunk is later in the log, and ``LogSource.chunks()`` -- which
+#: reads its files interleaved -- re-draws it in release order,
+#: ``ActivityTable.restamp``), so within one node the kernel's
 #: log order -- the program order the whole algorithm assumes -- survives
 #: a coarse or repeated timestamp.  Type priority is deliberately *not*
 #: part of the key: it is Rule 2's choice *between* node queues (Section
@@ -345,20 +333,6 @@ def draw_seqs(count: int) -> Iterable[int]:
     a reader that packs rows now and builds their objects later
     (:meth:`repro.core.log_format.ActivityClassifier.pack_lines`)."""
     return itertools.islice(_activity_counter, count)
-
-
-def restamp(activities: Iterable["Activity"]) -> None:
-    """Re-draw ``seq`` for ``activities`` in the order given.
-
-    For a source that builds activities in some other order than the one
-    it hands them out in (:meth:`repro.pipeline.LogSource.chunks` reads
-    its files a block at a time, interleaved): ``seq`` must be arrival
-    order, because the rank kernels break equal-priority,
-    equal-timestamp ties *between* node heads on it.
-    """
-    draw = _activity_counter.__next__
-    for activity in activities:
-        activity.seq = draw()
 
 
 # Interned-key plumbing, imported at the bottom to break the module

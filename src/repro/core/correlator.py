@@ -74,7 +74,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 from .activity import Activity
 from .cag import CAG
 from .engine import CorrelationEngine, EngineStats
-from .interning import ActivityTable
+from .interning import ActivityTable, as_table
 from .ranker import Ranker, RankerStats
 
 #: How often (in delivered candidates) the drain loop samples the engine's
@@ -123,12 +123,8 @@ class CorrelationResult:
     #: run must satisfy ``sampled_out_roots == sampled_out_finished +
     #: final_open_tombstones`` (nothing leaked, nothing double-counted)
     final_open_tombstones: int = 0
-    #: rows that reached the ranker packed (an ``ActivityTable`` row
-    #: without an object) and how many of those were built into an
-    #: ``Activity`` at delivery; both 0 on an object-fed run.  They
-    #: describe the form the input took, not a decision: two runs over
-    #: one trace agree on every other field however each was fed.
-    packed_rows: int = 0
+    #: ``Activity`` objects the run built from its rows: one per delivered
+    #: row, none for a row discarded as noise
     materialised_activities: int = 0
 
     @property
@@ -220,17 +216,16 @@ class IncrementalEngine:
 
     # -- push interface ------------------------------------------------------
 
-    def buffer(self, activities: Union[Iterable[Activity], ActivityTable]) -> None:
-        """Accept one chunk of activities -- objects, or an
-        :class:`~repro.core.interning.ActivityTable` of packed rows --
-        without correlating anything yet (``ingest`` is ``buffer`` +
-        drain)."""
+    def buffer(self, rows: ActivityTable) -> None:
+        """Accept one chunk of packed rows (an
+        :class:`~repro.core.interning.ActivityTable`) without correlating
+        anything yet (``ingest`` is ``buffer`` + drain)."""
         if self._flushed:
             raise RuntimeError("cannot ingest after flush()")
-        self.total_ingested += self.ranker.ingest(activities)
+        self.total_ingested += self.ranker.ingest(rows)
 
-    def ingest(self, activities: Iterable[Activity]) -> List[CAG]:
-        """Feed one chunk of activities; return the CAGs finished by it.
+    def ingest(self, rows: ActivityTable) -> List[CAG]:
+        """Feed one chunk of packed rows; return the CAGs finished by it.
 
         Ordering contract -- both parts matter:
 
@@ -252,7 +247,7 @@ class IncrementalEngine:
         (:func:`repro.stream.reader.arrival_chunks`).  Or :meth:`buffer`
         all of it and :meth:`flush` once, as :class:`Correlator` does.
         """
-        self.buffer(activities)
+        self.buffer(rows)
         return self._drain()
 
     def flush(self) -> List[CAG]:
@@ -308,8 +303,8 @@ class IncrementalEngine:
             total_activities=self.total_ingested,
             final_state_entries=self.pending_state_size(),
             final_open_tombstones=engine.open_tombstone_count,
-            packed_rows=self.ranker.packed_rows,
-            materialised_activities=self.ranker.materialised,
+            # rank() builds a row's object exactly when it delivers it
+            materialised_activities=self.ranker.stats.delivered,
         )
 
     # -- internals ----------------------------------------------------------
@@ -391,7 +386,8 @@ class Correlator:
     """Offline correlator: one sealed :class:`IncrementalEngine` run.
 
     Entry points: :meth:`correlate` for a flat activity collection (any
-    order) and :meth:`correlate_streams` for per-node lists -- the shape
+    order: packed rows, or objects, which are packed once on the way in)
+    and :meth:`correlate_streams` for per-node lists -- the shape
     gathered log files naturally have.  Both return a
     :class:`CorrelationResult`, as every other driver does, so downstream
     analysis code never needs to know which path produced it.
@@ -432,7 +428,7 @@ class Correlator:
         self,
         activities: Union[Iterable[Activity], ActivityTable] = (),
         *,
-        chunks: Optional[Iterable[Union[Iterable[Activity], ActivityTable]]] = None,
+        chunks: Optional[Iterable[ActivityTable]] = None,
     ) -> CorrelationResult:
         """Correlate a flat activity collection (any node order)."""
         for _cag in self.correlate_iter(activities, chunks=chunks):
@@ -444,17 +440,17 @@ class Correlator:
         self,
         activities: Union[Iterable[Activity], ActivityTable] = (),
         *,
-        chunks: Optional[Iterable[Union[Iterable[Activity], ActivityTable]]] = None,
+        chunks: Optional[Iterable[ActivityTable]] = None,
     ) -> Iterator[CAG]:
         """Yield finished CAGs while the sealed engine drains.
 
-        The trace comes as one flat collection -- activities, or an
-        :class:`~repro.core.interning.ActivityTable` -- or, with
-        ``chunks=``, as an iterator of such pieces in any order, each
-        buffered as it is produced (:meth:`repro.pipeline.Source.blocks`
-        yields a log a read block at a time, packed).  Everything is
-        buffered first (the first CAG still waits for the last activity
-        to be *read*), then the drain runs a slice at a time and each
+        The trace comes as one flat collection -- an
+        :class:`~repro.core.interning.ActivityTable`, or activities,
+        which are packed into one here -- or, with ``chunks=``, as an
+        iterator of tables in any order, each buffered as it is produced
+        (:meth:`repro.pipeline.Source.blocks` yields a log a read block
+        at a time).  Everything is buffered first (the first CAG still
+        waits for the last activity to be *read*), then the drain runs a slice at a time and each
         slice's CAGs are handed out before the next one starts.  Nothing
         here keeps the input once it is buffered, and the ranker lets go
         of a row once it is delivered, so what the drain holds is the
@@ -463,21 +459,13 @@ class Correlator:
         the iterator is exhausted.
         """
         if chunks is None:
-            chunks = (activities,)
+            chunks = (as_table(activities),)
         decisions = self.sampling_decisions
         if self.sampling is not None and decisions is None:
             # The pre-pass reads the whole trace: hold it, and show the
-            # policy objects of its own for the packed pieces.
-            chunks = [
-                chunk if isinstance(chunk, ActivityTable) else list(chunk)
-                for chunk in chunks
-            ]
-            decisions = self.sampling.freeze(
-                chain.from_iterable(
-                    chunk.iter_fresh() if isinstance(chunk, ActivityTable) else chunk
-                    for chunk in chunks
-                )
-            )
+            # policy objects built from the rows.
+            chunks = list(chunks)
+            decisions = self.sampling.freeze(chain.from_iterable(chunks))
         engine = IncrementalEngine(
             window=self.window, sampling=self.sampling, sampling_decisions=decisions
         )

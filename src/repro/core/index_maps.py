@@ -48,8 +48,9 @@ class MessageMap:
     Keys are interned directional connection keys (``Activity.
     message_key`` ints); values are FIFO queues of
     SEND activities whose bytes have not all been matched by RECEIVEs yet.
-    The engine mutates ``Activity.size`` in place while matching, and pops
-    the entry once the byte count reaches zero.
+    The engine counts ``Activity.size`` down in place while matching (on
+    objects the run built from its rows, never a caller's), and pops the
+    entry once the byte count reaches zero.
     """
 
     def __init__(self) -> None:

@@ -21,21 +21,20 @@ Two deliberate boundaries keep the refactor byte-identical:
   ``repro.sampling.sampler.root_key`` and
   ``repro.pipeline.equivalence._fingerprint``.
 * **Process-pool workers rebuild the identical key space.**  A worker
-  that receives pickled activities receives their interned ints
-  verbatim (slots dataclasses do not re-run ``__post_init__`` on
-  unpickle), so the parent ships an interner :meth:`~KeyInterner.
+  that receives a pickled shard table receives its interned key columns
+  verbatim, so the parent ships an interner :meth:`~KeyInterner.
   snapshot` alongside each shard and the worker :meth:`~KeyInterner.
   install`\\ s it before correlating.
 
 :class:`ActivityTable` is the companion columnar store, and the one
-packed representation of a trace: parallel columns of type / timestamp /
-interned keys / request id / ``seq`` plus a reference to the row's
-shared ``MessageId``.  The log front end writes it
-(``ActivityClassifier.pack_lines``), each ranker source keeps its node's
-rows in one, and an ``Activity`` is built from a row only when something
-needs the object -- the ranker, at the moment it delivers the row.  The
-table is iterable, and every batch entry point accepts it wherever a
-plain activity list is accepted.
+form a trace takes on its way to the ranker: parallel columns of type /
+timestamp / interned keys / request id / ``seq`` plus a reference to the
+row's shared ``MessageId``.  The log front end writes it
+(``ActivityClassifier.pack_lines``), an entry point handed objects packs
+them once (``ActivityTable.from_activities``), each ranker source keeps
+its node's rows in one, and an ``Activity`` is built from a row only
+when something needs the object -- the ranker, at the moment it
+delivers the row.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import threading
 from array import array
 from itertools import islice
-from operator import le, lt
+from operator import itemgetter, le, lt
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 #: Raw context identity: (hostname, program, pid, tid).
@@ -251,18 +250,22 @@ INTERNER = KeyInterner()
 
 #: What the request-id column holds for ``request_id=None``: the one
 #: int64 no id is allowed to be.  Every other int64 is an id (a log may
-#: annotate ``#rid=-3``); an id outside int64 does not fit the column, and
-#: whoever packs rows keeps such an activity as an object (``keep``).
+#: annotate ``#rid=-3``); an id outside int64 does not fit the column, so
+#: a log line carrying one is malformed (``parse_record``) and an object
+#: carrying one cannot be packed (``OverflowError``).
 NO_REQUEST = -(1 << 63)
 #: First int above the column's range: ``NO_REQUEST < id < REQUEST_LIMIT``.
 REQUEST_LIMIT = 1 << 63
-_NO_REQUEST_BYTES = array("q", [NO_REQUEST]).tobytes()
+
+# Context key -> interned node key, filled on first use.  The interner is
+# append-only, so an entry never goes stale.
+_NODE_OF: Dict[int, int] = {}
 
 
 class ActivityTable:
     """Columnar activity storage: struct-packed parallel columns.
 
-    One row per activity, about 57 bytes against roughly 480 for the
+    One row per activity, about 49 bytes against roughly 480 for the
     ``Activity`` object graph:
 
     ========== ===== ==============================================
@@ -276,8 +279,6 @@ class ActivityTable:
                      ``None``)
     seq        q     global creation sequence number
     message    list  the row's :class:`MessageId`
-    object     list  the ``Activity`` the row *is*, for a row that
-                     arrived as one (``keep``); else ``None``
     ========== ===== ==============================================
 
     A ``list`` column holds references, 8 bytes a row like a ``q`` one:
@@ -291,21 +292,19 @@ class ActivityTable:
     stored (they are :data:`INTERNER`'s), and a context key indexes its
     canonical ``ContextId`` list.
 
-    This is the one packed representation of a trace.  The log front end
-    appends a kept line's fields here instead of building an object
-    (:meth:`repro.core.log_format.ActivityClassifier.pack_lines`), every
+    This is the one form in which a trace reaches the ranker.  The log
+    front end appends a kept line's fields here instead of building an
+    object (:meth:`repro.core.log_format.ActivityClassifier.pack_lines`),
+    an entry point handed objects packs their values once
+    (:meth:`from_activities`), every
     :class:`~repro.core.ranker.ActivitySource` keeps its node's rows in
     one, and an ``Activity`` is built from a row only when something
     needs the object: the ranker when it *delivers* the row
-    (``Ranker.rank``), :meth:`activity` for a caller that asks.  The
-    *object* column is what keeps identity honest across that: a row
-    packed from an object the caller still holds (``keep``) is that
-    object wherever the row goes.
-
-    Every run builds its own objects for the rows that have none, and
-    the engine only ever mutates the objects it was given, so one table
-    backs any number of runs; the views :meth:`activity` hands out are
-    the table's own and no run sees them.
+    (``Ranker.rank``), :meth:`activity` and iteration for a caller that
+    asks.  Every build is a new object the table does not remember, so
+    the engine -- which mutates the byte counter of the objects it is
+    handed -- never reaches a row, and one table backs any number of
+    runs.
     """
 
     __slots__ = (
@@ -316,8 +315,6 @@ class ActivityTable:
         "_request_ids",
         "_seqs",
         "_messages",
-        "_objects",
-        "_cache",
     )
 
     def __init__(self) -> None:
@@ -328,10 +325,6 @@ class ActivityTable:
         self._request_ids = array("q")
         self._seqs = array("q")
         self._messages: List[object] = []
-        self._objects: List[object] = []
-        # Row -> the view ``activity(row)`` built for it.  Views are not
-        # rows: nothing that moves rows carries them along.
-        self._cache: Dict[int, object] = {}
 
     def _columns(self) -> tuple:
         """Every column, for the operations that move whole rows."""
@@ -343,80 +336,45 @@ class ActivityTable:
             self._request_ids,
             self._seqs,
             self._messages,
-            self._objects,
         )
 
     # -- building -------------------------------------------------------------
 
     @classmethod
-    def from_activities(cls, activities: Iterable, keep: bool = False) -> "ActivityTable":
+    def from_activities(cls, activities: Iterable) -> "ActivityTable":
         """Pack an activity iterable into columns (keys already interned)."""
         table = cls()
-        table.extend(activities, keep=keep)
+        table.extend(activities)
         return table
 
-    def hold(self, activities: Sequence) -> None:
-        """Append rows that *are* these objects, packed only as far as a
-        row is read without its object: type, timestamp, message key and
-        ``seq``.  What only a build would read (context key, request id,
-        ``MessageId``) stays in the object, and those columns carry
-        ``None`` / :data:`NO_REQUEST` for such a row -- so it cannot be
-        built a second time by mistake, only handed back
-        (:meth:`activity`).  This is how an
-        :class:`~repro.core.ranker.ActivitySource` takes the objects it
-        is fed: a fraction of :meth:`extend`'s work, for rows whose
-        build-only columns nothing would ever read.
-        """
-        self._types.fromlist([a.priority for a in activities])
-        self._timestamps.fromlist([a.timestamp for a in activities])
-        self._mkeys += [a.message_key for a in activities]
-        self._seqs.fromlist([a.seq for a in activities])
-        self._objects += activities
-        nothing = [None] * len(activities)
-        self._ckeys += nothing
-        self._messages += nothing
-        self._request_ids.frombytes(_NO_REQUEST_BYTES * len(activities))
-
-    def append(self, activity, keep: bool = False) -> None:
+    def append(self, activity) -> None:
         """Append one activity's row (its interned keys are reused as-is)."""
-        self.extend((activity,), keep=keep)
+        self.extend((activity,))
 
-    def extend(self, activities: Iterable, keep: bool = False) -> None:
+    def extend(self, activities: Iterable) -> None:
         """Append a row per activity, a column at a time.
 
-        With ``keep`` the rows *are* these objects (:meth:`activity`
-        returns them, and so does a ranker that delivers the row);
-        without, the table holds their values only -- and refuses
-        (``OverflowError``) a request id no int64 holds, which a kept
-        object simply keeps to itself.  An activity the engine has
-        already worked on packs the byte count it has now.
+        The table holds the values, never the object, so it refuses
+        (``OverflowError``) a request id no int64 holds, and
+        :data:`NO_REQUEST`.  A row's byte count is its ``MessageId``'s:
+        what the engine does to an object's ``size`` is not the trace.
         """
         batch = activities if isinstance(activities, (list, tuple)) else list(activities)
         request_ids = [a.request_id for a in batch]
-        if keep:
-            request_ids = [
-                rid if rid is not None and NO_REQUEST < rid < REQUEST_LIMIT else NO_REQUEST
-                for rid in request_ids
-            ]
-        elif NO_REQUEST in request_ids:
+        if NO_REQUEST in request_ids:
             raise OverflowError(f"request id {NO_REQUEST} is the column's None")
-        else:
-            request_ids = [NO_REQUEST if rid is None else rid for rid in request_ids]
-        self._request_ids.fromlist(request_ids)  # OverflowError past int64
+        self._request_ids.fromlist(  # OverflowError past int64
+            [NO_REQUEST if rid is None else rid for rid in request_ids]
+        )
         self._types.fromlist([a.priority for a in batch])
         self._timestamps.fromlist([a.timestamp for a in batch])
         self._ckeys += [a.context_key for a in batch]
         self._mkeys += [a.message_key for a in batch]
         self._seqs.fromlist([a.seq for a in batch])
-        self._messages += [
-            a.message if a.size == a.message.size else a.message.with_size(a.size)
-            for a in batch
-        ]
-        self._objects += batch if keep else [None] * len(batch)
+        self._messages += [a.message for a in batch]
 
     def concat(self, other: "ActivityTable") -> None:
-        """Append every row of ``other`` (a block copy per column; a kept
-        object stays the same object)."""
+        """Append every row of ``other`` (a block copy per column)."""
         for column, addition in zip(self._columns(), other._columns()):
             column += addition
 
@@ -425,41 +383,79 @@ class ActivityTable:
         column moved together."""
         for column, source in zip(self._columns(), other._columns()):
             column.insert(index, source[row])
-        self._cache.clear()
 
     def take(self, rows: Sequence[int]) -> "ActivityTable":
         """A new table holding ``rows`` of this one, in the order given."""
+        if not rows:
+            return ActivityTable()
+        # One C call per column: a streaming chunk is split per node like
+        # this on every ingest.  (``itemgetter`` of one index is no tuple.)
+        if len(rows) == 1:
+            row = rows[0]
+
+            def pick(column):
+                return (column[row],)
+
+        else:
+            pick = itemgetter(*rows)
+        taken = ActivityTable.__new__(ActivityTable)
+        taken._types = array("b", pick(self._types))
+        taken._timestamps = array("d", pick(self._timestamps))
+        taken._ckeys = list(pick(self._ckeys))
+        taken._mkeys = list(pick(self._mkeys))
+        taken._request_ids = array("q", pick(self._request_ids))
+        taken._seqs = array("q", pick(self._seqs))
+        taken._messages = list(pick(self._messages))
+        return taken
+
+    def __getitem__(self, rows: slice) -> "ActivityTable":
+        """A new table holding a slice of the rows (a slice per column)."""
+        if not isinstance(rows, slice):
+            raise TypeError("an ActivityTable is sliced, not indexed: use activity(row)")
         taken = ActivityTable()
         for column, source in zip(taken._columns(), self._columns()):
-            picked = [source[row] for row in rows]
-            column += array(source.typecode, picked) if isinstance(source, array) else picked
+            column += source[rows]
         return taken
 
     def release(self, count: int) -> None:
         """Drop the first ``count`` rows."""
         for column in self._columns():
             del column[:count]
-        self._cache.clear()
 
     def rotate(self, first: int, row: int) -> None:
         """Move row ``row`` to position ``first`` (<= ``row``); the rows it
         jumps over keep their order one place back."""
         for column in self._columns():
             column.insert(first, column.pop(row))
-        self._cache.clear()
 
-    def ordered(self) -> "ActivityTable":
+    def restamp(self) -> None:
+        """Re-draw ``seq`` for every row, in row order.
+
+        For a reader that packs rows in some other order than the one it
+        hands them out in (:meth:`repro.pipeline.LogSource.chunks` reads
+        its files a block at a time, interleaved): ``seq`` must be arrival
+        order, because the rank kernels break equal-priority,
+        equal-timestamp ties *between* node heads on it.
+        """
+        self._seqs[:] = array("q", draw_seqs(len(self._seqs)))
+
+    def ordered(self, by_seq: bool = True) -> "ActivityTable":
         """The rows in per-node sort order (``timestamp``, then ``seq``:
-        :data:`repro.core.activity.sort_key`): this table itself when
-        they already are, which two passes in C decide for a log read in
-        order; a sorted copy otherwise (stable, like the sort it
-        replaces)."""
+        :data:`repro.core.activity.sort_key`) -- or, without ``by_seq``,
+        stable-sorted by timestamp alone.  This table itself when they
+        already are, which one or two passes in C decide for a log read
+        in order; a sorted copy otherwise."""
         stamps, seqs = self._timestamps, self._seqs
-        if all(map(le, stamps, islice(stamps, 1, None))) and all(
-            map(lt, seqs, islice(seqs, 1, None))
+        if len(stamps) < 2:
+            return self
+        if all(map(le, stamps, islice(stamps, 1, None))) and (
+            not by_seq or all(map(lt, seqs, islice(seqs, 1, None)))
         ):
             return self
-        order = sorted(range(len(stamps)), key=lambda row: (stamps[row], seqs[row]))
+        if by_seq:
+            order = sorted(range(len(stamps)), key=lambda row: (stamps[row], seqs[row]))
+        else:
+            order = sorted(range(len(stamps)), key=stamps.__getitem__)
         if order == list(range(len(order))):
             return self
         return self.take(order)
@@ -468,12 +464,15 @@ class ActivityTable:
         """Interned node key -> that node's rows, in row order; nodes in
         first-seen order.  A table of one node -- what a per-node log
         yields -- is returned as it is, not copied."""
-        node_of = {ckey: self._node_of(ckey) for ckey in set(self._ckeys)}
-        if len(set(node_of.values())) <= 1:
-            return {node: self for node in node_of.values()}
+        ckeys = self._ckeys
+        for ckey in set(ckeys).difference(_NODE_OF):
+            _node_of(ckey)
+        nodes = list(map(_NODE_OF.__getitem__, ckeys))
+        if not nodes or nodes.count(nodes[0]) == len(nodes):
+            return {node: self for node in nodes[:1]}
         rows: Dict[int, List[int]] = {}
-        for row, ckey in enumerate(self._ckeys):
-            rows.setdefault(node_of[ckey], []).append(row)
+        for row, node in enumerate(nodes):
+            rows.setdefault(node, []).append(row)
         return {node: self.take(index) for node, index in rows.items()}
 
     def send_keys(self) -> List[int]:
@@ -482,10 +481,6 @@ class ActivityTable:
         return [
             key for key, kind in zip(self._mkeys, self._types) if kind == 1 or kind == 2
         ]
-
-    @staticmethod
-    def _node_of(ckey: int) -> int:
-        return INTERNER.intern_node(INTERNER.resolve_context_key(ckey)[0])
 
     # -- row access -----------------------------------------------------------
 
@@ -502,48 +497,28 @@ class ActivityTable:
         return self._mkeys[row]
 
     def node_key(self, row: int) -> int:
-        return self._node_of(self._ckeys[row])
+        return _node_of(self._ckeys[row])
 
     def activity(self, row: int):
-        """The ``Activity`` view of one row: the object the row is, when
-        it arrived as one; else built on first request and the same
-        object from then on."""
-        kept = self._objects[row]
-        if kept is not None:
-            return kept
-        cached = self._cache.get(row)
-        if cached is None:
-            cached = self._cache[row] = self._materialise(row)
-        return cached
-
-    def _materialise(self, row: int):
-        """Build row ``row``'s ``Activity`` (``Ranker.rank`` inlines this
-        for the row it delivers)."""
+        """Build row ``row``'s ``Activity``: a new object on every call
+        (``Ranker.rank`` inlines this for the row it delivers)."""
         ckey = self._ckeys[row]
         request_id = self._request_ids[row]
         return Activity.keyed(
             _TYPES[self._types[row]],
             self._timestamps[row],
-            INTERNER.resolve_context(ckey),
+            _CONTEXTS[ckey] or INTERNER.resolve_context(ckey),
             self._messages[row],
             None if request_id == NO_REQUEST else request_id,
             ckey,
             self._mkeys[row],
-            self._node_of(ckey),
+            _node_of(ckey),
             self._seqs[row],
         )
 
     def __iter__(self) -> Iterator:
-        """Iterate the rows' ``Activity`` objects (see :meth:`activity`)."""
-        for row in range(len(self._types)):
-            yield self.activity(row)
-
-    def iter_fresh(self) -> Iterator:
-        """A fresh ``Activity`` per row, not remembered by the table --
-        for a caller that wants objects of its own to consume (a kept
-        row is built from its columns like any other)."""
-        for row in range(len(self._types)):
-            yield self._materialise(row)
+        """A new ``Activity`` per row, in row order (see :meth:`activity`)."""
+        return map(self.activity, range(len(self._types)))
 
     # -- accounting -----------------------------------------------------------
 
@@ -556,9 +531,29 @@ class ActivityTable:
         )
 
 
+def as_table(activities: Iterable) -> ActivityTable:
+    """``activities`` as packed rows: a table as it is, anything else
+    packed once (:meth:`ActivityTable.from_activities`) -- what every
+    entry point that accepts objects does at its boundary."""
+    if isinstance(activities, ActivityTable):
+        return activities
+    return ActivityTable.from_activities(activities)
+
+
+def _node_of(ckey: int) -> int:
+    """The interned node key of an interned context key."""
+    node = _NODE_OF.get(ckey)
+    if node is None:
+        node = _NODE_OF[ckey] = INTERNER.intern_node(INTERNER.resolve_context_key(ckey)[0])
+    return node
+
+
 # Imported at the bottom to break the module cycle: activity.py binds the
 # interner's maps at *its* bottom, so whichever of the two is imported
 # first finds the other's names already defined.
-from .activity import Activity, ActivityType  # noqa: E402
+from .activity import Activity, ActivityType, draw_seqs  # noqa: E402
 
 _TYPES = tuple(ActivityType)
+# The interner's canonical ContextId per context key (None until someone
+# resolves the key: a key space installed from a snapshot).
+_CONTEXTS = INTERNER._contexts

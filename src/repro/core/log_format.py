@@ -20,15 +20,15 @@ This module provides:
 * :class:`FrontendSpec` + :class:`ActivityClassifier` -- the raw-to-typed
   transformation, configured only with network-level knowledge (the
   frontend ip:port and, optionally, which subnets are internal);
-* :meth:`ActivityClassifier.classify_lines` -- the path every text entry
-  point takes from log lines to activities: one loop that splits each
-  line once and remembers, per distinct context and per distinct
-  connection, what the rules above answered.  :func:`parse_record` +
-  :meth:`ActivityClassifier.classify` remain the definition that loop
-  is tested against and falls back to;
-* :meth:`ActivityClassifier.pack_lines` -- the same loop emitting packed
-  :class:`~repro.core.interning.ActivityTable` rows instead of objects,
-  for a reader whose consumer builds the objects late (the batch drive).
+* :meth:`ActivityClassifier.pack_lines` -- the path every text entry
+  point takes from log lines to the packed
+  :class:`~repro.core.interning.ActivityTable` rows the ranker consumes:
+  one loop that splits each line once and remembers, per distinct
+  context and per distinct connection, what the rules above answered.
+  :func:`parse_record` + :meth:`ActivityClassifier.classify` remain the
+  definition that loop is tested against and falls back to;
+  :meth:`ActivityClassifier.classify_lines` is the same loop for a
+  caller that wants the rows as objects.
 """
 
 from __future__ import annotations
@@ -101,6 +101,9 @@ def parse_record(line: str) -> RawRecord:
             request_id = int(rid_text)
         except ValueError as exc:
             raise LogFormatError(f"bad request id in {line!r}") from exc
+        if not NO_REQUEST < request_id < REQUEST_LIMIT:
+            # the request-id column is int64, and NO_REQUEST its None
+            raise LogFormatError(f"request id outside int64 in {line!r}")
 
     parts = text.split()
     if len(parts) != 8:
@@ -229,11 +232,11 @@ class FrontendSpec:
         return ip not in self.internal_ips
 
 
-# Memo entries of ActivityClassifier.classify_lines that carry no ids: a
-# context / channel the attribute filter drops, and a context no activity
-# has been built for yet (the interner has not been asked).
-_IGNORED_CONTEXT = (True, None, -1, -1)
-_UNSEEN_CONTEXT = (False, None, -1, -1)
+# Memo entries of ActivityClassifier.pack_lines that carry no ids: a
+# context / channel the attribute filter drops, and a context no row has
+# been packed for yet (the interner has not been asked).
+_IGNORED_CONTEXT = (True, -1)
+_UNSEEN_CONTEXT = (False, -1)
 _IGNORED_CHANNEL = (True, "", 0, "", 0, -1, ActivityType.SEND, ActivityType.RECEIVE, {})
 
 #: Most distinct size tokens a connection's memo entry remembers a
@@ -270,7 +273,7 @@ class ActivityClassifier:
     #: blank and ``#`` comment lines :meth:`classify_lines` passed over
     skipped_count: int = field(default=0, init=False)
 
-    # What the rules answered, per distinct raw token (classify_lines).
+    # What the rules answered, per distinct raw token (pack_lines).
     _context_memo: Dict[Tuple[str, str, str, str], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -306,42 +309,58 @@ class ActivityClassifier:
     def classify_lines(
         self, lines: Iterable[str], strict: bool = False
     ) -> List[Activity]:
-        """Log text to typed activities, one pass, in line order.
+        """Log text to typed activities, in line order: :meth:`pack_lines`
+        with every row built into its object."""
+        return list(self.pack_lines(lines, strict))
+
+    def pack_lines(self, lines: Iterable[str], strict: bool = False) -> ActivityTable:
+        """Log text to the packed rows of an
+        :class:`~repro.core.interning.ActivityTable`, one pass, in line
+        order.
 
         Equal, field for field and count for count, to ``parse_record`` +
         :meth:`classify` on every line (the differential test in
-        ``tests/test_ingest_fused.py`` holds it to that), but a trace of
-        any length has only as many distinct contexts and connections as
-        the deployment has threads and sockets, so the per-line work is:
-        split once; look the four context tokens up in one dict and the
-        raw ``ip:port-ip:port`` token in another; ``float()`` the
-        timestamp and ``int()`` the size; build the activity with the
-        keys the two entries carry (:meth:`Activity.keyed`).  Every
-        activity of one context shares the interner's canonical
-        :class:`ContextId`, every activity of one connection the same ip
-        strings, and every activity of one connection *and size token*
-        the same frozen :class:`MessageId`: the channel entry carries a
-        ``size token -> MessageId`` table, written only by lines that
-        produced an activity and at most :data:`_SIZES_PER_CONNECTION`
-        entries long (a connection with more distinct sizes builds the
-        rest per line).  ``Activity.size``, which the engine mutates,
-        stays per activity.
+        ``tests/test_ingest_fused.py`` holds it to that, reading each row
+        back as the object it becomes), but a trace of any length has
+        only as many distinct contexts and connections as the deployment
+        has threads and sockets, so the per-line work is: split once;
+        look the four context tokens up in one dict and the raw
+        ``ip:port-ip:port`` token in another; ``float()`` the timestamp
+        and ``int()`` the size; append the values and the keys the two
+        entries carry to the columns.  The objects built from the rows of
+        one context share the interner's canonical :class:`ContextId`,
+        every row of one connection the same ip strings, and every row of
+        one connection *and size token* the same frozen
+        :class:`MessageId`: the channel
+        entry carries a ``size token -> MessageId`` table, written only by
+        lines that produced a row and at most
+        :data:`_SIZES_PER_CONNECTION` entries long (a connection with
+        more distinct sizes builds the rest per line).  A row's ``seq`` is
+        drawn in line order, so ``table.activity(row)`` is, slot for
+        slot, the object :meth:`classify` would have built -- whenever it
+        is asked for (the ranker asks when it delivers the row; a row it
+        discards as noise never becomes an object).  ``seq`` cannot wait
+        that long: the rank kernels break ties between node heads on it
+        while the rows are still packed.
 
         A miss asks the rules of this class once -- ``ignore_programs``
         for a context, :func:`_split_channel`, :meth:`_ignored_channel`
         and :meth:`_classify_type` for a channel -- and remembers the
         answer under the raw token.  A line that is not the plain shape
         (eight fields, optionally followed by `` #rid=<int>``) or fails
-        any check raises ``ValueError`` inside the loop and is handed to
-        the reference path unchanged: blank and ``#`` lines count as
-        ``skipped_count``, and whatever :func:`parse_record` rejects is
-        re-raised when ``strict`` and counted in ``malformed_count``
-        otherwise.  Validation comes before the filter, so a bad line
-        from an ignored program is malformed, not filtered.
+        any check (a ``#rid`` outside int64 included: the request-id
+        column cannot hold it) raises ``ValueError`` inside the loop and
+        is handed to the reference path unchanged: blank and ``#`` lines
+        count as ``skipped_count``, whatever :func:`parse_record` rejects
+        is re-raised when ``strict`` and counted in ``malformed_count``
+        otherwise, and the activity a line it accepts makes packs its
+        values at its log position like any other row.  Validation comes
+        before the filter, so a bad line from an ignored program is
+        malformed, not filtered.
 
         :data:`~repro.core.interning.INTERNER` hears of a context or a
-        connection only when the first activity of it is built, exactly
-        as on the reference path: lines the filter drops and malformed
+        connection only when the first row of it is packed, exactly as
+        on the reference path: lines the filter drops and malformed
         lines leave it alone.  For kept traffic the two tables therefore
         grow with what the interner already keeps for the life of the
         process (plus each kept connection's bounded size table).
@@ -351,59 +370,26 @@ class ActivityClassifier:
         timestamp, direction or size costs nothing.  There is no
         eviction.  The rule sets (``frontends``, ``ignore_*``) must not
         change once lines have been classified.
-
-        :meth:`pack_lines` is the same loop with the other sink.
-        """
-        activities: List[Activity] = []
-        self._classify(lines, strict, activities.append, None)
-        return activities
-
-    def pack_lines(self, lines: Iterable[str], strict: bool = False) -> ActivityTable:
-        """:meth:`classify_lines` without the objects: each kept line's
-        fields go into the columns of an
-        :class:`~repro.core.interning.ActivityTable`, in line order.
-
-        Same loop, same memo, same counters, same interner discipline;
-        the one difference is the emit site.  A row carries the keys, the
-        connection-and-size-shared :class:`MessageId` and a ``seq`` drawn
-        in line order -- so ``table.activity(row)`` is, slot for slot,
-        the object :meth:`classify_lines` would have built, whenever it
-        is asked for (the ranker asks when it delivers the row; a row it
-        discards as noise never becomes an object).  ``seq`` cannot wait
-        that long: the rank kernels break ties between node heads on it
-        while the rows are still packed.  A line only the reference path
-        can read comes back from it as an object; it takes its row, at
-        its log position, as that object.
         """
         table = ActivityTable()
-        self._classify(lines, strict, None, table)
-        return table
-
-    def _classify(self, lines, strict, append, table) -> None:
-        """The loop behind :meth:`classify_lines` (``append`` takes each
-        activity) and :meth:`pack_lines` (``table`` takes each row)."""
         context_memo = self._context_memo
         channel_memo = self._channel_memo
-        keyed = Activity.keyed
         sizes_limit = _SIZES_PER_CONNECTION
         filtered = 0
-        packed = table is not None
-        if packed:
-            put_type = table._types.append
-            put_timestamp = table._timestamps.append
-            put_context_key = table._ckeys.append
-            put_message_key = table._mkeys.append
-            put_request_id = table._request_ids.append
-            put_message = table._messages.append
-            no_request, request_limit = NO_REQUEST, REQUEST_LIMIT
+        put_type = table._types.append
+        put_timestamp = table._timestamps.append
+        put_context_key = table._ckeys.append
+        put_message_key = table._mkeys.append
+        put_request_id = table._request_ids.append
+        put_message = table._messages.append
+        no_request, request_limit = NO_REQUEST, REQUEST_LIMIT
 
-            def settle() -> None:
-                # ``seq`` and the (empty) object slot of the rows appended
-                # since the last call, in one go.  Called before anything
-                # else draws from the counter, so seq stays log position.
-                due = len(table._types) - len(table._seqs)
-                table._seqs.fromlist(list(draw_seqs(due)))
-                table._objects += [None] * due
+        def settle() -> None:
+            # ``seq`` of the rows appended since the last call, in one go.
+            # Called before anything else draws from the counter, so seq
+            # stays log position.
+            due = len(table._types) - len(table._seqs)
+            table._seqs.fromlist(list(draw_seqs(due)))
 
         try:
             for line in lines:
@@ -411,6 +397,8 @@ class ActivityClassifier:
                 try:
                     if marker:
                         request_id = int(tail)
+                        if not no_request < request_id < request_limit:
+                            raise ValueError
                         fields = head.split()
                     else:
                         request_id = None
@@ -440,7 +428,7 @@ class ActivityClassifier:
                         entry = self._remember_context(
                             hostname, program, pid_text, tid_text
                         )
-                    ignored_program, context, context_key, node_key = entry
+                    ignored_program, context_key = entry
                     entry = channel_memo.get(channel)
                     if entry is None:
                         entry = self._remember_channel(channel)
@@ -457,9 +445,10 @@ class ActivityClassifier:
                     ) = entry
                 except ValueError:
                     # not the plain shape: the reference path decides
-                    if packed:
-                        settle()
+                    settle()
                     activity = self._classify_odd_line(line, strict)
+                    if activity is not None:
+                        table.append(activity)
                 else:
                     if ignored_program or ignored_channel:
                         filtered += 1
@@ -467,9 +456,9 @@ class ActivityClassifier:
                     # The first activity of a context / connection: only
                     # now does the interner hear of it.
                     if context_key < 0:
-                        _, context, context_key, node_key = self._remember_context(
+                        context_key = self._remember_context(
                             hostname, program, pid_text, tid_text, intern=True
-                        )
+                        )[1]
                     if message_key < 0:
                         entry = self._remember_channel(channel, intern=True)
                         message_key, sizes = entry[5], entry[8]
@@ -478,37 +467,16 @@ class ActivityClassifier:
                         message = MessageId(src_ip, src_port, dst_ip, dst_port, size)
                         if len(sizes) < sizes_limit:
                             sizes[size_text] = message
-                    if packed and (
-                        request_id is None or no_request < request_id < request_limit
-                    ):
-                        put_type(send_type if sending else receive_type)
-                        put_timestamp(timestamp)
-                        put_context_key(context_key)
-                        put_message_key(message_key)
-                        put_request_id(no_request if request_id is None else request_id)
-                        put_message(message)
-                        continue
-                    if packed:  # an id no column holds: this line is an object
-                        settle()
-                    activity = keyed(
-                        send_type if sending else receive_type,
-                        timestamp,
-                        context,
-                        message,
-                        request_id,
-                        context_key,
-                        message_key,
-                        node_key,
-                    )
-                if activity is not None:
-                    if packed:
-                        table.append(activity, keep=True)
-                    else:
-                        append(activity)
+                    put_type(send_type if sending else receive_type)
+                    put_timestamp(timestamp)
+                    put_context_key(context_key)
+                    put_message_key(message_key)
+                    put_request_id(no_request if request_id is None else request_id)
+                    put_message(message)
         finally:
             self.filtered_count += filtered
-            if packed:
-                settle()
+            settle()
+        return table
 
     # -- internals ---------------------------------------------------------
 
@@ -535,22 +503,16 @@ class ActivityClassifier:
         tid_text: str,
         intern: bool = False,
     ) -> tuple:
-        """Memo entry for a context: (ignored, ContextId, context_key,
-        node_key).  ``ValueError`` on a non-integer pid/tid.
+        """Memo entry for a context: (ignored, context_key).
+        ``ValueError`` on a non-integer pid/tid.
 
         A context first seen is only validated and put to the program
-        filter; its ids stay ``-1`` until the loop asks again with
-        ``intern`` for the first line of it that yields an activity, so
-        ignored and malformed traffic never reaches the interner."""
+        filter; its key stays ``-1`` until the loop asks again with
+        ``intern`` for the first line of it that yields a row, so ignored
+        and malformed traffic never reaches the interner."""
         key = (hostname, program, int(pid_text), int(tid_text))
         if intern:
-            context_key = INTERNER.intern_context_key(key)
-            entry = (
-                False,
-                INTERNER.resolve_context(context_key),
-                context_key,
-                INTERNER.intern_node(hostname),
-            )
+            entry = (False, INTERNER.intern_context_key(key))
         elif program in self.ignore_programs:
             entry = _IGNORED_CONTEXT
         else:

@@ -33,15 +33,14 @@ Hot-path data structures
 A node's window is not a copy of its stream, and its stream is not a
 list of objects.  :class:`ActivitySource` keeps the node's sorted rows in
 one :class:`~repro.core.interning.ActivityTable` -- the same packed
-columns the log front end writes -- and two cursors into it: rows
+columns every feed hands the ranker -- and two cursors into it: rows
 ``[head, fence)`` *are* the node's queue, rows from ``fence`` on await
 fetch.  A window fetch is one :func:`bisect.bisect_right` over the
 timestamp column that moves ``fence``; a delivery moves ``head``.  The
 kernel head columns are refreshed from the type / timestamp / ``seq`` /
 message-key columns, so deciding needs no object; the ``Activity`` of a
 row is built by :meth:`Ranker.rank` at the moment it delivers the row
-(a noise discard, a late insert or a Fig. 6 rotation never builds one),
-unless the row arrived as an object, which is then the object delivered.
+(a noise discard, a late insert or a Fig. 6 rotation never builds one).
 Delivered rows are let go when the source next grows, and between the
 slices of a sealed drain (:meth:`Ranker.release`).  Beside the cursors
 there is
@@ -90,9 +89,9 @@ import math
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .activity import Activity, ActivityType, sort_key
+from .activity import Activity, ActivityType
 from .index_maps import MessageMap
 from .interning import _TYPES, INTERNER, NO_REQUEST, ActivityTable
 from .kernel import DISCARD, EMPTY, RULE1, STALL, kernel_info
@@ -136,10 +135,9 @@ class ActivitySource:
     The rows live in one :class:`~repro.core.interning.ActivityTable`
     (no shadow copies beside it): the ranker reads the type, timestamp,
     message-key and ``seq`` columns, and a row becomes an ``Activity``
-    only when it is delivered -- unless it arrived as one, in which case
-    the table's object column holds it and that object is what is
-    delivered.  Rows ``[head, fence)`` have been fetched into the window
-    and not delivered yet; rows ``[fence, len)`` await fetch.  The
+    only when it is delivered.  Rows ``[head, fence)`` have been fetched
+    into the window and not delivered yet; rows ``[fence, len)`` await
+    fetch.  The
     timestamp column is nondecreasing from ``fence`` on (the sort key
     leads with the timestamp), which is what lets a fetch bisect; the
     queue part can carry a promoted SEND in front of earlier rows
@@ -153,7 +151,7 @@ class ActivitySource:
     def __init__(
         self,
         node,
-        activities: Union[Iterable[Activity], ActivityTable] = (),
+        rows: Optional[ActivityTable] = None,
         registry: Optional[Counter] = None,
     ) -> None:
         self.node = node
@@ -164,7 +162,7 @@ class ActivitySource:
         self._ts = table._timestamps
         self._mkeys = table._mkeys
         self._seqs = table._seqs
-        self._objects = table._objects
+        self._ckeys = table._ckeys
         # Interned node key of the rows (``Activity.node_key``), learnt
         # from the first row: ``node`` is whatever the owner keys by.
         self._node_key = -1
@@ -187,11 +185,11 @@ class ActivitySource:
         #: Local timestamp of the newest activity ever added (the node's
         #: ingestion frontier), None before anything arrived.
         self.frontier: Optional[float] = None
-        self.extend(activities)
+        if rows is not None:
+            self.extend(rows)
 
-    def extend(self, activities: Union[Iterable[Activity], ActivityTable]) -> None:
-        """Add rows (any order) to the unfetched tail: activities, which
-        stay the objects that are delivered, or packed rows.
+    def extend(self, rows: ActivityTable) -> None:
+        """Add rows (any order) to the unfetched tail.
 
         Rows are expected in (approximately) the node's local clock
         order -- the natural order of a node's own log.  A batch that
@@ -201,26 +199,11 @@ class ActivitySource:
         already fetched lands at the consumption point, ``fence`` (it
         cannot be sequenced earlier any more).
         """
-        if isinstance(activities, ActivityTable):
-            batch = activities.ordered()
-            if not len(batch):
-                return
-            objects = None
-            first = batch._objects[0]
-            lowest = (batch._timestamps[0], batch._seqs[0])
-            newest = batch._timestamps[-1]
-            send_keys = batch.send_keys()
-        else:
-            batch = None
-            objects = sorted(activities, key=sort_key)
-            if not objects:
-                return
-            first = objects[0]
-            lowest = (first.timestamp, first.seq)
-            newest = objects[-1].timestamp
-            send_keys = [a.message_key for a in objects if a.send_like]
+        batch = rows.ordered()
+        if not len(batch):
+            return
         if self._node_key < 0:
-            self._node_key = batch.node_key(0) if first is None else first.node_key
+            self._node_key = batch.node_key(0)
         # Release what was delivered: a stream must stay bounded.
         self.release()
         table = self._table
@@ -228,20 +211,17 @@ class ActivitySource:
         fence = self.fence
         size = len(stamps)
         positions = self._send_positions
-        if fence == size or lowest >= (stamps[-1], seqs[-1]):
-            if batch is None:
-                table.hold(objects)
-            else:
-                table.concat(batch)
+        if fence == size or (batch._timestamps[0], batch._seqs[0]) >= (
+            stamps[-1],
+            seqs[-1],
+        ):
+            table.concat(batch)
             if positions is not None:
                 for index in range(size, len(stamps)):
                     key = self.send_key(index)
                     if key is not None:
                         positions.setdefault(key, deque()).append(self._base + index)
         else:
-            if batch is None:
-                batch = ActivityTable()
-                batch.hold(objects)
             new_stamps, new_seqs = batch._timestamps, batch._seqs
             for row in range(len(batch)):
                 # bisect_right by (timestamp, seq) over the unfetched rows
@@ -253,7 +233,8 @@ class ActivitySource:
             if positions is not None:
                 self._reindex_sends()
         if self._registry is not None:
-            self._registry.update(send_keys)
+            self._registry.update(batch.send_keys())
+        newest = batch._timestamps[-1]
         if self.frontier is None or newest > self.frontier:
             self.frontier = newest
         self.next_timestamp = stamps[fence]
@@ -281,13 +262,8 @@ class ActivitySource:
         return self.next_timestamp
 
     def activity(self, index: int) -> Activity:
-        """Row ``index`` as an ``Activity``: the object it arrived as, or
-        one built now and from now on *the* row's object, so the row is
-        delivered as it."""
-        activity = self._objects[index]
-        if activity is None:
-            activity = self._objects[index] = self._table._materialise(index)
-        return activity
+        """Row ``index`` built into a new ``Activity``."""
+        return self._table.activity(index)
 
     def activities(self, start: int, end: int) -> List[Activity]:
         """Rows ``[start, end)`` as activities (see :meth:`activity`)."""
@@ -298,10 +274,8 @@ class ActivitySource:
         return self.activities(self.head, self.fence)
 
     def context_key(self, index: int) -> int:
-        """Row ``index``'s interned context key (in the object, for a row
-        that has one: see :meth:`ActivityTable.hold`)."""
-        activity = self._objects[index]
-        return self._table._ckeys[index] if activity is None else activity.context_key
+        """Row ``index``'s interned context key."""
+        return self._ckeys[index]
 
     def send_key(self, index: int) -> Optional[MessageKey]:
         """Row ``index``'s message key when it is send-like, else None."""
@@ -454,15 +428,13 @@ class Ranker:
 
     Parameters
     ----------
-    sources:
-        Mapping from node key to the node's complete activity list (any
-        order; the ranker sorts by local timestamp, which is the paper's
-        step 1): every stream is ingested and the ranker sealed on the
-        spot.  ``None`` builds an *open* ranker instead, which grows by
-        :meth:`ingest` and delivers only below the watermark until
-        :meth:`seal`.  The node key is opaque to the ranker -- any
-        hashable works; :meth:`ingest` uses the interned
-        ``Activity.node_key`` ints.
+    trace:
+        A complete trace, as packed rows (any order; the ranker groups
+        them per node and sorts each node's rows by local timestamp,
+        which is the paper's step 1): it is ingested and the ranker
+        sealed on the spot.  ``None`` builds an *open* ranker instead,
+        which grows by :meth:`ingest` and delivers only below the
+        watermark until :meth:`seal`.
     mmap:
         The engine's message map, consulted by Rule 1 and ``is_noise``
         (through a direct reference to its pending dict: the probe is the
@@ -483,7 +455,7 @@ class Ranker:
 
     def __init__(
         self,
-        sources: Optional[Dict[str, Sequence[Activity]]],
+        trace: Optional[ActivityTable],
         mmap: MessageMap,
         window: float = 0.010,
         skew_bound: float = 0.005,
@@ -517,7 +489,7 @@ class Ranker:
         # awaiting fetch.  The sources add to it as they grow; a delivery
         # takes one off, and the key with the last one.
         self._undelivered_sends: Counter = Counter()
-        self._sources: Dict[str, ActivitySource] = {}
+        self._sources: Dict[int, ActivitySource] = {}
         # Kernel head columns: one *slot* per node, in registration order
         # (= the sweep's scan order; tie-breaks depend on it).  See
         # repro.core.kernel.reference for the layout contract.  The
@@ -525,8 +497,8 @@ class Ranker:
         # change: deliver, fetch into an empty queue, noise discard,
         # head-swap promotion.
         self._kernel = kernel_info()
-        self._slot_of: Dict[str, int] = {}
-        self._slot_nodes: List[str] = []
+        self._slot_of: Dict[int, int] = {}
+        self._slot_nodes: List[int] = []
         # Per-slot source references: saves the node-keyed dict lookup on
         # every delivery.
         self._slot_sources: List[ActivitySource] = []
@@ -555,40 +527,30 @@ class Ranker:
         # verdict) is O(1).
         self._buffered_total = 0
         self.stats = RankerStats()
-        #: Rows that arrived packed (without an object), and how many of
-        #: them were built into an ``Activity`` at delivery.  The rest
-        #: were discarded as noise unbuilt, or are still held.  Accounting
-        #: of the input's form, not of a decision: kept out of ``stats``,
-        #: which is equal for equal traces however they were fed.
-        self.packed_rows = 0
-        self.materialised = 0
-        if sources is not None:
-            for node, activities in sources.items():
-                self._extend_source(node, activities)
+        if trace is not None:
+            self.ingest(trace)
             self.seal()
 
     # -- ingestion ------------------------------------------------------------
 
-    def ingest(self, activities: Union[Iterable[Activity], ActivityTable]) -> int:
-        """Route activities -- objects, or the packed rows of an
-        :class:`~repro.core.interning.ActivityTable` -- to their per-node
-        sources; returns the count.
+    def ingest(self, rows: ActivityTable) -> int:
+        """Route the packed rows of an
+        :class:`~repro.core.interning.ActivityTable` to their per-node
+        sources (keyed by interned node key); returns the count.
 
         Nodes are registered in first-seen order (slot order decides
         tie-breaks).  Call :meth:`rank` (in a loop, until it returns
         ``None``) afterwards to drain everything the advanced watermark
-        makes decidable.  An object handed in is the object :meth:`rank`
-        hands back; a packed row becomes an object when it is delivered.
+        makes decidable.  A row becomes an ``Activity`` when it is
+        delivered; an entry point holding objects packs them first
+        (:meth:`ActivityTable.from_activities`).
         """
-        per_node: Dict[int, Union[List[Activity], ActivityTable]]
-        if isinstance(activities, ActivityTable):
-            per_node = activities.by_node()
-            self.packed_rows += activities._objects.count(None)
-        else:
-            per_node = {}
-            for activity in activities:
-                per_node.setdefault(activity.node_key, []).append(activity)
-        for node, batch in per_node.items():
+        if not isinstance(rows, ActivityTable):
+            raise TypeError(
+                f"the ranker takes an ActivityTable, not {type(rows).__name__}; "
+                "pack objects with ActivityTable.from_activities"
+            )
+        for node, batch in rows.by_node().items():
             self._extend_source(node, batch)
         if not self._sealed:
             # The watermark is the slowest node's ingestion frontier,
@@ -602,11 +564,9 @@ class Ranker:
             ]
             if frontiers:
                 self.ceiling = min(frontiers) - self._slack
-        return sum(map(len, per_node.values()))
+        return len(rows)
 
-    def _extend_source(
-        self, node: str, batch: Union[Iterable[Activity], ActivityTable]
-    ) -> None:
+    def _extend_source(self, node: int, batch: ActivityTable) -> None:
         source = self._sources.get(node)
         if source is None:
             source = ActivitySource(node, registry=self._undelivered_sends)
@@ -647,7 +607,7 @@ class Ranker:
 
     # -- kernel head-state plumbing -----------------------------------------
 
-    def _register_slot(self, node: str, source: ActivitySource) -> None:
+    def _register_slot(self, node: int, source: ActivitySource) -> None:
         """Grow the head columns by one slot (registration order).
 
         Growing reallocates the column arrays, so any bound selector is
@@ -685,8 +645,6 @@ class Ranker:
         """Re-derive one slot's head columns after its queue head moved."""
         head = source.head
         if head < source.fence:
-            # (the columns say the same for a row that has its object;
-            # ``rank()`` reads the object there to save boxing numbers)
             priority = source._types[head]
             self._head_ts[slot] = source._ts[head]
             self._head_pri[slot] = priority
@@ -788,45 +746,33 @@ class Ranker:
                 slot = decision >> 3
                 source = sources[slot]
                 head = source.head
-                activity = source._objects[head]
-                if activity is None:
-                    # A packed row: its object is born here (the mirror
-                    # of ``ActivityTable._materialise``), so a row that
-                    # is discarded, rotated or inserted never has one.
-                    table = source._table
-                    kind = source._types[head]
-                    timestamp = source._ts[head]
-                    key = source._mkeys[head]
-                    context_key = table._ckeys[head]
-                    message = table._messages[head]
-                    request_id = table._request_ids[head]
-                    activity = _new_activity(Activity)
-                    activity.type = _TYPES[kind]
-                    activity.timestamp = timestamp
-                    activity.context = _CONTEXTS[context_key] or INTERNER.resolve_context(
-                        context_key
-                    )
-                    activity.message = message
-                    activity.request_id = (
-                        None if request_id == NO_REQUEST else request_id
-                    )
-                    activity.seq = source._seqs[head]
-                    activity.size = message.size
-                    activity.context_key = context_key
-                    activity.message_key = key
-                    activity.node_key = source._node_key
-                    activity.priority = kind
-                    if kind == 1 or kind == 2:
-                        activity.send_like = True
-                    else:
-                        activity.send_like = False
-                        key = None
-                    self.materialised += 1
+                # The row's object is born here (the mirror of
+                # ``ActivityTable.activity``), so a row that is discarded,
+                # rotated or inserted never has one.
+                table = source._table
+                kind = source._types[head]
+                timestamp = source._ts[head]
+                key = source._mkeys[head]
+                context_key = table._ckeys[head]
+                message = table._messages[head]
+                request_id = table._request_ids[head]
+                activity = _new_activity(Activity)
+                activity.type = _TYPES[kind]
+                activity.timestamp = timestamp
+                activity.context = _CONTEXTS[context_key] or INTERNER.resolve_context(context_key)
+                activity.message = message
+                activity.request_id = None if request_id == NO_REQUEST else request_id
+                activity.seq = source._seqs[head]
+                activity.size = message.size
+                activity.context_key = context_key
+                activity.message_key = key
+                activity.node_key = source._node_key
+                activity.priority = kind
+                if kind == 1 or kind == 2:
+                    activity.send_like = True
                 else:
-                    # The row arrived as this object: read it rather than
-                    # the columns (an ``array`` read boxes a new number).
-                    timestamp = activity.timestamp
-                    key = activity.message_key if activity.send_like else None
+                    activity.send_like = False
+                    key = None
                 if key is not None:  # send-like: one undelivered send fewer
                     positions = source._send_positions
                     if positions is not None:
@@ -845,19 +791,10 @@ class Ranker:
                 head += 1
                 source.head = head
                 if head < source.fence:
-                    following = source._objects[head]
-                    if following is None:
-                        priority = source._types[head]
-                        head_ts[slot] = source._ts[head]
-                        head_seq[slot] = source._seqs[head]
-                        head_keys[slot] = source._mkeys[head] if priority == 3 else None
-                    else:
-                        priority = following.priority
-                        head_ts[slot] = following.timestamp
-                        head_seq[slot] = following.seq
-                        head_keys[slot] = (
-                            following.message_key if priority == 3 else None
-                        )
+                    priority = source._types[head]
+                    head_ts[slot] = source._ts[head]
+                    head_seq[slot] = source._seqs[head]
+                    head_keys[slot] = source._mkeys[head] if priority == 3 else None
                     head_pri[slot] = priority
                 else:
                     head_ts[slot] = _INF
@@ -1013,30 +950,10 @@ class Ranker:
             key=lambda slot: (head_pri[slot], head_ts[slot], head_seq[slot]),
         )
 
-    def _deliver(self, node: str, activity: Activity) -> Activity:
-        slot = self._slot_of[node]
-        source = self._slot_sources[slot]
-        rows = source._objects
-        head = source.head
-        if head >= source.fence or rows[head] is not activity:
-            # The activity was rotated away from the front by the swap
-            # logic: find it by identity, never by equality -- a
-            # value-equal sibling activity must not be dequeued in its
-            # place (MessageMap bookkeeping is identity-based too).
-            for index in range(head, source.fence):
-                if rows[index] is activity:
-                    source.move_to_head(index)
-                    break
-            else:
-                raise ValueError("delivered activity is not buffered in its queue")
-        return self._pop_head(slot)
-
     def _pop_head(self, slot: int) -> Activity:
         """Deliver the head of ``slot``'s queue (``rank()`` inlines this)."""
         source = self._slot_sources[slot]
         head = source.head
-        if source._objects[head] is None:
-            self.materialised += 1
         activity = source.activity(head)
         key = source.send_key(head)
         if key is not None:

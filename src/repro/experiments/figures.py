@@ -1021,14 +1021,14 @@ def figure_scaling(
     from ..stream import ShardedCorrelator, partition_components
 
     table = _scaling_trace()
-    components = len(partition_components(table.iter_fresh()))
+    components = len(partition_components(table))
     for shards in scale.scaling_shard_counts:
         for executor in scale.scaling_executors:
             correlator = ShardedCorrelator(
                 window=scale.window, max_shards=shards, executor=executor
             )
             wall_start = _time.perf_counter()
-            outcome = correlator.correlate(table.iter_fresh())
+            outcome = correlator.correlate(table)
             wall = _time.perf_counter() - wall_start
             makespan = max(correlator.last_makespan_s(), 1e-9)
             result.rows.append(

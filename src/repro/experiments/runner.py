@@ -86,9 +86,8 @@ def trace_run(
 ) -> TraceResult:
     """Trace a completed run through any pipeline backend.
 
-    The run's logs are re-classified into fresh activities (the engine
-    mutates byte counters in place, so two passes must never share
-    ``Activity`` objects).  Returns the same
+    The run's logs are classified and packed into rows, from which the
+    backend builds the objects it correlates.  Returns the same
     :class:`~repro.core.tracer.TraceResult` as :meth:`TopologyRunResult.trace`,
     so every analysis helper (patterns, profiles, accuracy) applies
     unchanged regardless of the driver.

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Union
 
 from ..core.activity import Activity
 from ..core.cag import CAG
 from ..core.correlator import CorrelationResult, Correlator
-from ..core.interning import ActivityTable
+from ..core.interning import ActivityTable, as_table
 from ..core.tracer import TraceResult
 from ..sampling import SamplingSpec
 from ..stream import ShardedCorrelator, StreamingCorrelator
@@ -240,15 +240,12 @@ class BackendSpec:
         they are produced, so reading and classification happen inside
         the drive and nothing is materialised in front of the engine.
         The batch backend, which buffers the whole trace before its first
-        decision, consumes ``source.blocks()``: a source that reads text
-        (:class:`~repro.pipeline.sources.LogSource`) yields packed
-        :class:`~repro.core.interning.ActivityTable` rows there, and an
-        ``Activity`` is built only for a row the ranker delivers; any
-        other source yields its objects, which are then the objects in
-        the CAGs.  Which of the two happens follows from the source, never
-        from an option.  The sharded backend partitions
-        ``source.activities()``.  ``on_cag`` as in :meth:`correlate`; a
-        :class:`DriveTimings` passed as ``timings`` is filled in.
+        decision, consumes ``source.blocks()``, and the sharded backend
+        partitions ``source.table()``.  Every feed is packed
+        :class:`~repro.core.interning.ActivityTable` rows, and an
+        ``Activity`` is built only for a row the ranker delivers.
+        ``on_cag`` as in :meth:`correlate`; a :class:`DriveTimings` passed
+        as ``timings`` is filled in.
         """
         # A lazily simulated source runs here: the drive's clock covers
         # reading a trace, not producing one.
@@ -262,7 +259,7 @@ class BackendSpec:
 
     def correlate(
         self,
-        activities: Iterable[Activity],
+        activities: Union[Iterable[Activity], ActivityTable],
         on_cag: Optional[Callable[[CAG], None]] = None,
     ) -> CorrelationResult:
         """Run the configured driver over ``activities``.
@@ -280,20 +277,18 @@ class BackendSpec:
         only knows its CAGs after the merge, so there the hook fires
         after the pass.
 
-        An :class:`~repro.core.interning.ActivityTable` is accepted
-        directly.  The batch and streaming backends build an object of
-        their own for each row they deliver and never touch the table's;
-        the sharded backend partitions fresh objects.  Either way the
-        same table can back any number of runs.
+        ``activities`` is an :class:`~repro.core.interning.ActivityTable`
+        or objects, which are packed once here.  Every backend builds an
+        object of its own for each row it delivers, so the caller's
+        objects are never touched and the same input can back any number
+        of runs.
         """
-        if isinstance(activities, ActivityTable) and self.kind != "batch":
-            activities = activities.iter_fresh()
-        return self._drive(on_cag, activities)
+        return self._drive(on_cag, as_table(activities))
 
     def _drive(
         self,
         on_cag: Optional[Callable[[CAG], None]],
-        activities: Iterable[Activity] = (),
+        activities: Optional[ActivityTable] = None,
         source=None,
         timings: Optional[DriveTimings] = None,
     ) -> CorrelationResult:
@@ -314,7 +309,7 @@ class BackendSpec:
         if self.kind == "sharded":
             # The merged CAG list only exists after the pass.
             if source is not None:
-                activities = source.activities()
+                activities = source.table()
             result = correlator.correlate(activities)
             hand_out(result.cags)
         else:

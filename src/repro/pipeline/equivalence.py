@@ -179,9 +179,9 @@ def verify_equivalence(
     """Run one source through several backends and compare the results.
 
     ``source`` is anything :func:`~repro.pipeline.sources.as_source`
-    accepts; each backend receives its own fresh activities (the engine
-    mutates byte counters in place).  ``backends`` defaults to one spec
-    per kind -- batch, streaming (eviction disabled, so equivalence is
+    accepts; every backend reads the source's packed rows and builds
+    the objects it correlates, so no pass sees another's.  ``backends``
+    defaults to one spec per kind -- batch, streaming (eviction disabled, so equivalence is
     exact by construction), sharded -- at the shared ``window``.
     ``sampling`` (a :class:`~repro.sampling.SamplingSpec`) extends the
     default matrix to sampled runs: the sampler decides at the causal

@@ -84,20 +84,17 @@ class TraceSession:
         return self.trace.accuracy(truth)
 
     def source_counters(self) -> Dict[str, int]:
-        """What the read in front of the engine saw, and in what form the
-        engine got it (``summary()`` and the CLI's ``--json`` both carry
-        these): ``packed_rows`` reached the ranker as table rows, not
-        objects, and ``materialised_activities`` of them were built into
-        an ``Activity`` when delivered -- the rest were discarded as
-        noise without ever being one.  Both 0 on an object-fed drive;
-        part of no digest."""
+        """What the read in front of the engine saw, and how many of its
+        rows became objects (``summary()`` and the CLI's ``--json`` both
+        carry these): ``materialised_activities`` rows were built into an
+        ``Activity`` when delivered -- the rest were discarded as noise
+        without ever being one.  Part of no digest."""
         source = self.source
         correlation = self.trace.correlation
         return {
             "malformed_lines": source.malformed_lines,
             "late_lines": source.late_lines,
             "peak_buffered": source.peak_buffered,
-            "packed_rows": correlation.packed_rows,
             "materialised_activities": correlation.materialised_activities,
         }
 

@@ -1,14 +1,15 @@
 """Activity sources: where a pipeline's trace comes from.
 
-A *source* hides how raw TCP_TRACE data is obtained and classified; the
-pipeline only ever asks it for **fresh** typed activities -- all of them
-(:meth:`Source.activities`, what the batch and sharded drivers take) or
-in arrival order a chunk at a time (:meth:`Source.chunks`, what the
-streaming driver takes).  Fresh matters:
-the correlation engine mutates byte counters in place while merging
-segmented messages, so every backend pass (and every arm of an
-equivalence check) must receive its own activity objects.  Three shapes
-cover the repo's call sites:
+A *source* hides how raw TCP_TRACE data is obtained and classified; a
+driver asks it for the trace as packed
+:class:`~repro.core.interning.ActivityTable` rows -- in pieces of any
+order (:meth:`Source.blocks`, what the batch and sharded drivers take)
+or in arrival order a chunk at a time (:meth:`Source.chunks`, what the
+streaming driver takes).  A run builds the ``Activity`` of a row when it
+delivers it, so one source backs any number of passes (every arm of an
+equivalence check) without a copy; :meth:`Source.activities` hands the
+trace out as objects for a caller that wants them.  Three shapes cover
+the repo's call sites:
 
 :class:`RunSource`
     A simulated experiment -- built from a
@@ -25,7 +26,7 @@ cover the repo's call sites:
     merge of the per-node files that holds about a block per file in
     front of the engine, not the trace.
 :class:`MemorySource`
-    Already-classified activities (cloned on every request).
+    Already-classified activities, packed once when the source is built.
 
 :func:`as_source` adapts any of the accepted inputs (config, run result,
 path, activity list, or an existing source) so :class:`repro.pipeline.
@@ -37,47 +38,43 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..core.accuracy import GroundTruthRequest
-from ..core.activity import Activity, restamp
-from ..core.interning import ActivityTable
+from ..core.activity import Activity
+from ..core.interning import ActivityTable, as_table
 from ..core.log_format import ActivityClassifier, FrontendSpec
 from ..stream import ActivityStream, FileTailSource, arrival_chunks
-
-_by_timestamp = attrgetter("timestamp")
 
 
 class Source:
     """Interface every pipeline source implements."""
 
     def activities(self) -> List[Activity]:
-        """Freshly classified/cloned activities (safe to mutate)."""
+        """The trace as ``Activity`` objects."""
         raise NotImplementedError
 
-    def chunks(self, chunk_size: int) -> Iterator[List[Activity]]:
-        """The trace in arrival order, ``chunk_size`` activities at a time.
+    def chunks(self, chunk_size: int) -> Iterator[ActivityTable]:
+        """The trace in arrival order, ``chunk_size`` rows at a time.
 
         What the streaming backend consumes.  Concatenated, the chunks
-        are ``sorted(self.activities(), key=sort_key)``; this default is
-        exactly that, which is right for a source whose trace is in
-        memory anyway.
+        are ``sorted(self.activities(), key=sort_key)``, packed; this
+        default is exactly that, which is right for a source whose trace
+        is in memory anyway.
         """
-        return arrival_chunks(self.activities(), chunk_size)
+        return arrival_chunks(self.table(), chunk_size)
 
-    def blocks(self) -> Iterator[Union[List[Activity], ActivityTable]]:
-        """The trace in pieces of any order, for a driver that buffers all
-        of it before correlating (the batch backend).
-
-        A piece is whatever :meth:`repro.core.correlator.IncrementalEngine.
-        buffer` accepts: an activity list or an
-        :class:`~repro.core.interning.ActivityTable` of packed rows, which
-        a source that reads text can yield without building an object
-        per line (:class:`LogSource` does).  This default is the one
-        piece ``activities()``.
+    def blocks(self) -> Iterator[ActivityTable]:
+        """The trace as packed rows in pieces of any order, for a driver
+        that takes all of it before correlating (the batch and sharded
+        backends): what :meth:`repro.core.correlator.IncrementalEngine.
+        buffer` accepts.  This default is the one piece :meth:`table`.
         """
-        yield self.activities()
+        yield self.table()
+
+    def table(self) -> ActivityTable:
+        """The whole trace as one table: :meth:`activities`, packed."""
+        return ActivityTable.from_activities(self.activities())
 
     def describe(self) -> str:
         """One-line human description (CLI banners, reports)."""
@@ -151,8 +148,7 @@ class RunSource(Source):
         return self.run.frontend_spec()
 
     def activities(self) -> List[Activity]:
-        # Re-classify the raw records on every call so each invocation
-        # hands out fresh objects; going through our own classifier also
+        # Classify the raw records through our own classifier: that
         # surfaces the attribute-filter count for the trace summary.
         run = self.run
         classifier = ActivityClassifier(
@@ -182,19 +178,16 @@ class LogSource(Source):
     across reads) classified with the frontend description before the
     next read, so no path holds a whole file's text.
 
-    ``activities()`` -- for the sharded backend, which partitions the
-    whole trace, and for anyone who wants the objects -- drains the files
-    one after another in path order; what consumes it re-sorts into its
-    own processing order, so that order does not matter.
-
-    ``blocks()`` -- for the batch backend, which buffers everything
-    before it correlates anything -- is the same drain a read block at a
-    time, each block's kept lines as packed
-    :class:`~repro.core.interning.ActivityTable` rows
-    (:meth:`~repro.core.log_format.ActivityClassifier.pack_lines`): no
-    ``Activity`` exists until the ranker delivers a row, and a line it
-    discards as noise never becomes one.  Row for row (``seq`` included)
-    it is ``activities()``.
+    ``blocks()`` -- for the batch and sharded backends, which take
+    everything before they correlate anything -- drains the files one
+    after another in path order, a read block at a time, each block's
+    kept lines as packed :class:`~repro.core.interning.ActivityTable`
+    rows (:meth:`~repro.core.log_format.ActivityClassifier.pack_lines`):
+    no ``Activity`` exists until the ranker delivers a row, and a line it
+    discards as noise never becomes one.  What consumes it re-sorts into
+    its own processing order, so the path order does not matter.
+    ``activities()`` is the same drain with every row built into its
+    object (``seq`` included), for a caller that wants the objects.
 
     ``chunks()`` -- for the streaming backend -- is a time-sliced merge
     of the per-node files, each expected in its node's local-clock order
@@ -209,12 +202,12 @@ class LogSource(Source):
       that timestamp in its next block, and every row of one timestamp
       must leave in one slice for the next step to order them;
     * concatenate the released runs in path order and **stable-sort the
-      slice by timestamp alone**.  ``activities()`` creates rows in path
+      slice by timestamp alone**.  ``blocks()`` creates rows in path
       order then line order, so this reproduces ``sorted(activities(),
       key=sort_key)``, cross-node ties included, without consulting
       ``seq`` -- which here reflects the interleaved reads, and is
-      re-drawn in release order (the rank kernels break ties between
-      node heads on it);
+      re-drawn in release order (:meth:`ActivityTable.restamp`: the rank
+      kernels break ties between node heads on it);
     * re-cut the slices to ``chunk_size``, so the engine sees the chunk
       boundaries (eviction sweeps, checkpoint cadence) it would see over
       the sorted whole, and refill the file that set the limit.
@@ -249,54 +242,55 @@ class LogSource(Source):
         self.chunk_bytes = chunk_bytes
         self.lines_read = 0
 
-    def _block_readers(
-        self, packed: bool = False
-    ) -> List[Iterator[Union[List[Activity], ActivityTable]]]:
-        """One iterator of classified blocks per file, in path order, over
-        one shared classifier: activity lists, or ``packed`` tables.
-        Resets the read counters; the iterators keep them current."""
+    def _block_readers(self) -> List[Iterator[ActivityTable]]:
+        """One iterator of packed blocks per file, in path order, over
+        one shared classifier.  Resets the read counters; the iterators
+        keep them current."""
         stream = ActivityStream(
             frontends=[self.frontend], ignore_programs=set(self.ignore_programs)
         )
         self.lines_read = self.late_lines = self.peak_buffered = 0
-        classify = stream.pack_lines if packed else stream.classify_lines
 
-        def blocks(path: str) -> Iterator[Union[List[Activity], ActivityTable]]:
+        def blocks(path: str) -> Iterator[ActivityTable]:
             tail = FileTailSource(path, chunk_bytes=self.chunk_bytes)
             for lines in tail.blocks(final=True):
-                activities = classify(lines)
+                rows = stream.classify_lines(lines)
                 self.lines_read += len(lines)
                 self.malformed_lines = stream.malformed_lines
                 self.filtered_records = stream.filtered_records
                 self.skipped_lines = stream.skipped_lines
-                if len(activities):
-                    yield activities
+                if len(rows):
+                    yield rows
 
         return [blocks(path) for path in self.paths]
 
     def activities(self) -> List[Activity]:
         activities: List[Activity] = []
-        for reader in self._block_readers():
-            for block in reader:
-                activities += block
+        for block in self.blocks():
+            activities += block
         return activities
 
     def blocks(self) -> Iterator[ActivityTable]:
-        for reader in self._block_readers(packed=True):
+        for reader in self._block_readers():
             yield from reader
 
-    def chunks(self, chunk_size: int) -> Iterator[List[Activity]]:
+    def table(self) -> ActivityTable:
+        table = ActivityTable()
+        for block in self.blocks():
+            table.concat(block)
+        return table
+
+    def chunks(self, chunk_size: int) -> Iterator[ActivityTable]:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         readers = self._block_readers()
         files = range(len(readers))
-        rows: List[List[Activity]] = [[] for _ in files]
-        stamps: List[List[float]] = [[] for _ in files]
+        rows = [ActivityTable() for _ in files]
         # +inf once a file is exhausted: it no longer bounds the limit.
         frontier = [-math.inf] * len(readers)
         released = -math.inf
         held = 0
-        pending: List[Activity] = []  # released, not yet a whole chunk
+        pending = ActivityTable()  # released, not yet a whole chunk
         while released < math.inf:
             for index in files:
                 if frontier[index] > released:
@@ -306,34 +300,32 @@ class LogSource(Source):
                     frontier[index] = math.inf
                     continue
                 held += len(block)
-                frontier[index] = block[-1].timestamp
-                buffered = rows[index]
-                buffered += block
-                buffered.sort(key=_by_timestamp)
-                column = stamps[index] = list(map(_by_timestamp, buffered))
+                frontier[index] = block.timestamp(len(block) - 1)
+                rows[index].concat(block)
+                rows[index] = rows[index].ordered(by_seq=False)
                 # What was kept is at or above ``released``, so whatever
                 # is below it arrived just now.
-                self.late_lines += bisect_left(column, released)
+                self.late_lines += bisect_left(rows[index]._timestamps, released)
             if held > self.peak_buffered:
                 self.peak_buffered = held
             # A frontier below ``released`` (a late row ended the block)
             # bounds nothing that can still be ordered.
             released = max(released, min(frontier))
-            ready: List[Activity] = []
+            ready = ActivityTable()
             for index in files:
-                cut = bisect_left(stamps[index], released)
+                cut = bisect_left(rows[index]._timestamps, released)
                 if cut:
-                    ready += rows[index][:cut]
-                    del rows[index][:cut], stamps[index][:cut]
-            ready.sort(key=_by_timestamp)
-            restamp(ready)
-            pending += ready
+                    ready.concat(rows[index][:cut])
+                    rows[index].release(cut)
+            ready = ready.ordered(by_seq=False)
+            ready.restamp()
+            pending.concat(ready)
             whole = len(pending) - len(pending) % chunk_size
             for start in range(0, whole, chunk_size):
                 yield pending[start : start + chunk_size]
-            del pending[:whole]
+            pending.release(whole)
             held -= whole
-        if pending:
+        if len(pending):
             yield pending
 
     def describe(self) -> str:
@@ -344,17 +336,19 @@ class LogSource(Source):
 class MemorySource(Source):
     """Already-classified activities as a pipeline source.
 
-    The held activities are treated as immutable originals: every
-    ``activities()`` call returns clones, so repeated backend passes (the
-    equivalence matrix) never share mutable state.
+    The activities are packed once, here
+    (:meth:`ActivityTable.from_activities`); every pass reads that table
+    and builds objects of its own, so repeated backend passes (the
+    equivalence matrix) share nothing mutable and the caller's objects
+    are never touched.
     """
 
     def __init__(
         self,
-        activities: Iterable[Activity],
+        activities: Union[Iterable[Activity], ActivityTable],
         ground_truth: Optional[Dict[int, GroundTruthRequest]] = None,
     ) -> None:
-        self._activities = list(activities)
+        self._table = as_table(activities)
         self._ground_truth = ground_truth
 
     @property
@@ -362,19 +356,23 @@ class MemorySource(Source):
         return self._ground_truth
 
     def activities(self) -> List[Activity]:
-        return [activity.clone() for activity in self._activities]
+        return list(self._table)
+
+    def table(self) -> ActivityTable:
+        return self._table
 
     def describe(self) -> str:
-        return f"{len(self._activities)} in-memory activities"
+        return f"{len(self._table)} in-memory activities"
 
 
 def as_source(obj, **kwargs) -> Source:
     """Adapt ``obj`` into a :class:`Source`.
 
     Accepts an existing source (returned unchanged), a run config (a
-    ``ScenarioConfig``), a completed run result, or an iterable of
-    activities.  Log files need a frontend description, so
-    pass a :class:`LogSource` explicitly for those.
+    ``ScenarioConfig``), a completed run result, an activity list or an
+    :class:`~repro.core.interning.ActivityTable`.  Log files need a
+    frontend description, so pass a :class:`LogSource` explicitly for
+    those.
     """
     if isinstance(obj, Source):
         return obj
@@ -387,7 +385,9 @@ def as_source(obj, **kwargs) -> Source:
         return RunSource(config=obj, **kwargs)
     if isinstance(obj, TopologyRunResult):
         return RunSource(run=obj, **kwargs)
-    if isinstance(obj, (list, tuple)) and (not obj or isinstance(obj[0], Activity)):
+    if isinstance(obj, ActivityTable) or (
+        isinstance(obj, (list, tuple)) and (not obj or isinstance(obj[0], Activity))
+    ):
         return MemorySource(obj, **kwargs)
     raise TypeError(
         f"cannot build a pipeline source from {type(obj).__name__}; "

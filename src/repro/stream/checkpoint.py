@@ -9,7 +9,7 @@ integer id -- so the whole of it pickles into a compact blob.
 cadence, and ``repro stream --resume <ckpt>`` restarts mid-trace with a
 final output digest-identical to the uninterrupted run.
 
-Checkpoint file format (version 5): a single pickled dict with
+Checkpoint file format (version 6): a single pickled dict with
 
 ``magic`` / ``version``
     Sanity markers; mismatches fail fast with a clear error instead of
@@ -19,11 +19,13 @@ Checkpoint file format (version 5): a single pickled dict with
     objects rather than position columns, version 3 pickled the ranker's
     window as per-node deques rather than cursors into its sources,
     version 4 pickled each source's rows as an activity list with two
-    shadow columns rather than one ``ActivityTable``) is refused with
-    the same :class:`ValueError` rather than an import error or a
-    ``KeyError`` from inside ``pickle`` -- or, for versions 3 and 4, a
-    ranker that revives without complaint and fails at its first
-    ``rank()``.
+    shadow columns rather than one ``ActivityTable``, version 5 pickled
+    that table with an object column beside the packed ones) is refused
+    with the same :class:`ValueError` rather than an import error, a
+    ``KeyError`` or (version 5: the table has no object slot any more)
+    an ``AttributeError`` from inside ``pickle`` -- or, for versions 3
+    and 4, a ranker that revives without complaint and fails at its
+    first ``rank()``.
 ``ingested_count``
     How many activities the engine had ingested when the snapshot was
     taken.  On resume the driver skips exactly this prefix of the
@@ -58,7 +60,7 @@ from typing import Any, Dict
 from ..core.interning import INTERNER
 
 MAGIC = "precisetracer-stream-checkpoint"
-VERSION = 5
+VERSION = 6
 
 
 @dataclass

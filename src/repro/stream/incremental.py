@@ -10,12 +10,12 @@ finished CAGs, flush.  For one-shot use over a finite trace,
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from ..core.activity import Activity
 from ..core.cag import CAG
 from ..core.correlator import CorrelationResult, IncrementalEngine
+from ..core.interning import ActivityTable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .reader import arrival_chunks, iter_chunks
 
@@ -28,15 +28,17 @@ class StreamingCorrelator:
     and returns the same :class:`~repro.core.correlator.CorrelationResult`
     as the batch driver.  The trace comes in one of two shapes:
 
-    * ``chunks=`` -- an iterator of activity lists already in arrival
-      order and cut to ``chunk_size``, as
+    * ``chunks=`` -- an iterator of
+      :class:`~repro.core.interning.ActivityTable` chunks already in
+      arrival order and cut to ``chunk_size``, as
       :meth:`repro.pipeline.Source.chunks` yields them.  Consumed as it
       is produced: nothing is materialised or sorted here, so in front of
       the engine a log source holds a block per file, not the trace;
-    * a flat activity iterable in any order (the batch ``correlate()``
-      signature), put into that shape once, at the entry, by
-      :func:`~repro.stream.reader.arrival_chunks` -- the streaming path's
-      only whole-trace sort, for traces that are whole already.
+    * a flat trace in any order (the batch ``correlate()`` signature: a
+      table, or activities, packed on the way in), put into that shape
+      once, at the entry, by :func:`~repro.stream.reader.arrival_chunks`
+      -- the streaming path's only whole-trace sort, for traces that are
+      whole already.
 
     One case materialises a chunked feed: a sampling policy with
     ``needs_prepass`` (the per-second budget) freezes its decisions from
@@ -110,9 +112,9 @@ class StreamingCorrelator:
 
     def correlate(
         self,
-        activities: Iterable[Activity] = (),
+        activities: Union[Iterable[Activity], ActivityTable] = (),
         *,
-        chunks: Optional[Iterable[List[Activity]]] = None,
+        chunks: Optional[Iterable[ActivityTable]] = None,
     ) -> CorrelationResult:
         """Correlate a (finite) trace incrementally."""
         for _cag in self.correlate_iter(activities, chunks=chunks):
@@ -122,10 +124,10 @@ class StreamingCorrelator:
 
     def correlate_iter(
         self,
-        activities: Iterable[Activity] = (),
+        activities: Union[Iterable[Activity], ActivityTable] = (),
         engine: Optional[IncrementalEngine] = None,
         *,
-        chunks: Optional[Iterable[List[Activity]]] = None,
+        chunks: Optional[Iterable[ActivityTable]] = None,
     ) -> Iterator[CAG]:
         """Yield finished CAGs as the stream is consumed.
 
@@ -146,7 +148,9 @@ class StreamingCorrelator:
                     # trace -- the same pre-pass the batch and sharded
                     # drivers run, so the admitted subset is
                     # backend-independent.
-                    ordered = list(chain.from_iterable(chunks))
+                    ordered = ActivityTable()
+                    for chunk in chunks:
+                        ordered.concat(chunk)
                     decisions = self.sampling.freeze(ordered)
                     chunks = iter_chunks(ordered, self.chunk_size)
                 engine = self.make_engine(decisions)

@@ -4,42 +4,44 @@ The batch path reads whole log files into memory before correlating.
 Online tracing instead consumes logs *as they grow*; this module provides
 the ingestion side of that pipeline:
 
-* :func:`iter_chunks` -- batch any iterable into fixed-size lists;
+* :func:`iter_chunks` -- batch any iterable into fixed-size lists (a
+  list or an ``ActivityTable`` into slices of itself);
 * :func:`arrival_chunks` -- an in-memory trace in arrival order, a chunk
   at a time: the one whole-trace sort on the streaming path, for inputs
   that are already whole in memory;
 * :class:`IteratorSource` -- adapt an iterable of TCP_TRACE lines (a
-  file object, a socket reader, a generator) into activity chunks;
+  file object, a socket reader, a generator) into packed chunks;
 * :class:`FileTailSource` -- follow a growing log file on disk,
   one ``chunk_bytes`` read at a time, remembering the read offset and
   reassembling lines across read boundaries (``tail -f`` semantics,
   without inotify dependencies);
-* :class:`ActivityStream` -- the shared raw-line -> typed-activity step
+* :class:`ActivityStream` -- the shared raw-line -> packed-row step
   (parse + BEGIN/END classification + attribute noise filter), built on
-  :meth:`repro.core.log_format.ActivityClassifier.classify_lines`.
+  :meth:`repro.core.log_format.ActivityClassifier.pack_lines`.
 
-Every source yields lists of :class:`~repro.core.activity.Activity` ready
-to be pushed into :class:`repro.stream.IncrementalEngine.ingest`.
+Every source yields :class:`~repro.core.interning.ActivityTable` chunks
+ready to be pushed into :class:`repro.stream.IncrementalEngine.ingest`.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, List, Optional, Sequence, TypeVar, Union
 
-from ..core.activity import Activity, sort_key
-from ..core.interning import ActivityTable
+from ..core.activity import Activity
+from ..core.interning import ActivityTable, as_table
 from ..core.log_format import ActivityClassifier, FrontendSpec, LineAssembler
 
 T = TypeVar("T")
 
 
 def iter_chunks(items: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
-    """Yield successive lists of at most ``chunk_size`` items."""
+    """Yield successive lists of at most ``chunk_size`` items -- slices,
+    when ``items`` is a list or an ``ActivityTable``."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    if isinstance(items, list):
+    if isinstance(items, (list, ActivityTable)):
         for start in range(0, len(items), chunk_size):
             yield items[start : start + chunk_size]
         return
@@ -54,9 +56,10 @@ def iter_chunks(items: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
 
 
 def arrival_chunks(
-    activities: Iterable[Activity], chunk_size: int
-) -> Iterator[List[Activity]]:
-    """An in-memory trace in *arrival order*, ``chunk_size`` at a time.
+    activities: Union[Iterable[Activity], ActivityTable], chunk_size: int
+) -> Iterator[ActivityTable]:
+    """An in-memory trace (packed rows, or objects packed here) in
+    *arrival order*, ``chunk_size`` rows at a time.
 
     Arrival order is global timestamp order with ties in creation order
     (:data:`~repro.core.activity.sort_key`): what a merged online feed of
@@ -67,7 +70,7 @@ def arrival_chunks(
     log files produce the same chunks incrementally
     (:meth:`repro.pipeline.LogSource.chunks`).
     """
-    return iter_chunks(sorted(activities, key=sort_key), chunk_size)
+    return iter_chunks(as_table(activities).ordered(), chunk_size)
 
 
 class ActivityStream:
@@ -77,7 +80,7 @@ class ActivityStream:
     tolerant mode: malformed lines are counted, not fatal -- a live log
     being written while we read it can always hand us a torn or corrupt
     line.  Every line handed to :meth:`classify_lines` ends up in exactly
-    one place: the returned activities, ``filtered_records``,
+    one place: the returned rows, ``filtered_records``,
     ``malformed_lines`` or ``skipped_lines``.
     """
 
@@ -110,13 +113,8 @@ class ActivityStream:
         """Blank and ``#`` comment lines."""
         return self.classifier.skipped_count
 
-    def classify_lines(self, lines: Iterable[str]) -> List[Activity]:
-        """Parse and classify a batch of lines into activities."""
-        return self.classifier.classify_lines(lines)
-
-    def pack_lines(self, lines: Iterable[str]) -> ActivityTable:
-        """:meth:`classify_lines` into packed rows instead of objects, for
-        a consumer that builds each object when it needs it (see
+    def classify_lines(self, lines: Iterable[str]) -> ActivityTable:
+        """Parse and classify a batch of lines into packed rows (see
         :meth:`repro.core.log_format.ActivityClassifier.pack_lines`)."""
         return self.classifier.pack_lines(lines)
 
@@ -134,11 +132,11 @@ class IteratorSource:
         self._stream = stream
         self._chunk_size = chunk_size
 
-    def __iter__(self) -> Iterator[List[Activity]]:
+    def __iter__(self) -> Iterator[ActivityTable]:
         for chunk in iter_chunks(self._lines, self._chunk_size):
-            activities = self._stream.classify_lines(chunk)
-            if activities:
-                yield activities
+            rows = self._stream.classify_lines(chunk)
+            if len(rows):
+                yield rows
 
 
 class FileTailSource:

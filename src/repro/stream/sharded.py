@@ -41,12 +41,13 @@ Two practical notes:
 * Two executors are available (``executor="thread"`` is the default).
   Threads share the Python runtime, so the speed-up on CPython is bounded
   by the GIL for pure-Python work; ``executor="process"`` ships each
-  shard to a worker process (activities and results are pickled across
-  the boundary), buying true CPU parallelism at a serialisation cost
-  that pays off on large shards.  Either way the partitioning itself is
-  the architectural seam a distributed driver would use to place shards
-  on different machines.  Process workers correlate *copies*, so the
-  caller's activity objects are left unmutated; the returned CAGs are
+  shard to a worker process (a shard's packed table and its result are
+  pickled across the boundary), buying true CPU parallelism at a
+  serialisation cost that pays off on large shards.  Either way the
+  partitioning itself is the architectural seam a distributed driver
+  would use to place shards on different machines.  A shard is a table
+  of rows, and each worker builds the objects it delivers, so a
+  caller's activity objects are never touched; the returned CAGs are
   byte-identical either way.
 """
 
@@ -56,12 +57,12 @@ import os
 import time
 from dataclasses import fields, replace
 from heapq import merge as _heap_merge
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.activity import Activity, sort_key
+from ..core.activity import Activity
 from ..core.correlator import CorrelationResult, Correlator
 from ..core.engine import EngineStats
-from ..core.interning import INTERNER
+from ..core.interning import INTERNER, ActivityTable, as_table
 from ..core.ranker import RankerStats
 from .scheduler import pack_lpt
 
@@ -95,40 +96,47 @@ class _UnionFind:
             self._rank[ra] += 1
 
 
-def partition_components(activities: Iterable[Activity]) -> List[List[Activity]]:
-    """The causally-closed components of a trace, in first-seen order.
+Trace = Union[Iterable[Activity], ActivityTable]
 
-    Each activity links its context key and its (undirected) connection
-    key in a union-find; activities of one connected component form one
-    sub-trace, preserving their original relative order.  This is the
-    finest causally-closed partition -- :func:`partition_activities`
-    packs *these*.
+
+def _component_rows(table: ActivityTable) -> List[List[int]]:
+    """Row indices of each causally-closed component, in first-seen order.
+
+    Each row links its context key and its (undirected) connection key
+    in a union-find; the rows of one connected component keep their
+    relative order.
     """
     uf = _UnionFind()
-    ordered = list(activities)
-    # Build each activity's graph keys once and reuse them for the find
-    # pass -- tuple construction is the dominant cost of partitioning a
-    # large trace, and ``context_key`` is the interned int already cached
-    # on the activity.
-    ctx_keys: List[Tuple[str, int]] = []
-    for activity in ordered:
-        ctx = ("ctx", activity.context_key)
-        ctx_keys.append(ctx)
-        uf.union(ctx, ("conn", activity.message.undirected_key()))
+    # Build each row's graph keys once and reuse them for the find pass
+    # -- tuple construction is the dominant cost of partitioning a large
+    # trace.
+    ctx_keys = [("ctx", ckey) for ckey in table._ckeys]
+    for ctx, message in zip(ctx_keys, table._messages):
+        uf.union(ctx, ("conn", message.undirected_key()))
 
-    by_component: Dict[Hashable, List[Activity]] = {}
-    for activity, ctx in zip(ordered, ctx_keys):
-        root = uf.find(ctx)
-        by_component.setdefault(root, []).append(activity)
-
+    by_component: Dict[Hashable, List[int]] = {}
+    for row, ctx in enumerate(ctx_keys):
+        by_component.setdefault(uf.find(ctx), []).append(row)
     return list(by_component.values())
 
 
+def partition_components(activities: Trace) -> List[ActivityTable]:
+    """The causally-closed components of a trace (packed rows, or
+    objects packed here), in first-seen order, one table each.
+
+    This is the finest causally-closed partition --
+    :func:`partition_activities` packs *these*.
+    """
+    table = as_table(activities)
+    return [table.take(rows) for rows in _component_rows(table)]
+
+
 def partition_activities(
-    activities: Iterable[Activity],
+    activities: Trace,
     max_shards: Optional[int] = None,
-) -> List[List[Activity]]:
-    """Split a trace into at most ``max_shards`` causally-closed shards.
+) -> List[ActivityTable]:
+    """Split a trace into at most ``max_shards`` causally-closed shards,
+    each a :meth:`~repro.core.interning.ActivityTable.take` of its rows.
 
     With ``max_shards`` unset (or at least the component count) every
     component is its own shard.  Above it, components are weighted by
@@ -140,16 +148,17 @@ def partition_activities(
     trace but not stable across traces -- adding or removing a component
     may shift other components' buckets.
     """
-    components = partition_components(activities)
-    if max_shards is None or max_shards <= 0 or len(components) <= max_shards:
-        return components
-
-    components.sort(key=lambda component: sort_key(component[0]))
-    weights = [len(component) for component in components]
-    return [
-        [activity for index in members for activity in components[index]]
-        for members in pack_lpt(weights, max_shards)
-    ]
+    table = as_table(activities)
+    components = _component_rows(table)
+    if max_shards is not None and 0 < max_shards < len(components):
+        stamps, seqs = table._timestamps, table._seqs
+        components.sort(key=lambda rows: (stamps[rows[0]], seqs[rows[0]]))
+        weights = [len(rows) for rows in components]
+        components = [
+            [row for index in members for row in components[index]]
+            for members in pack_lpt(weights, max_shards)
+        ]
+    return [table.take(rows) for rows in components]
 
 
 def _sum_stats(cls, parts):
@@ -220,6 +229,8 @@ def merge_pair(a: CorrelationResult, b: CorrelationResult) -> CorrelationResult:
         total_activities=a.total_activities + b.total_activities,
         final_state_entries=a.final_state_entries + b.final_state_entries,
         final_open_tombstones=a.final_open_tombstones + b.final_open_tombstones,
+        materialised_activities=a.materialised_activities
+        + b.materialised_activities,
     )
 
 
@@ -308,7 +319,7 @@ def _correlate_shard(
     window: float,
     sampling,
     decisions,
-    shard: Sequence[Activity],
+    shard: ActivityTable,
     interner_snapshot=None,
 ) -> CorrelationResult:
     """Correlate one shard (module-level so process pools can pickle it).
@@ -319,14 +330,13 @@ def _correlate_shard(
     pickle boundary to process-pool workers unchanged.
 
     ``interner_snapshot`` rebuilds the parent's key space in a worker
-    process before the shard is touched: unpickled activities carry the
-    parent's interned ``context_key``/``message_key``/``node_key`` ints
-    verbatim (slots dataclasses do not re-run ``__post_init__``), so the
-    worker's interner must assign the identical ids -- otherwise any
-    activity *constructed* in the worker (none today, but nothing should
-    rely on that) would live in a conflicting key space.  With the fork
-    start method the child inherits the parent's interner and the
-    install degenerates to a no-op; spawn starts need it.
+    process before the shard is touched: an unpickled shard table carries
+    the parent's interned context and message keys verbatim, so the
+    worker's interner must assign the identical ids -- the objects the
+    worker builds from the rows resolve their contexts and nodes through
+    it.  With the fork start method the child inherits the parent's
+    interner and the install degenerates to a no-op; spawn starts need
+    it.
     """
     if interner_snapshot is not None:
         INTERNER.install(interner_snapshot)
@@ -339,7 +349,7 @@ def _correlate_shard_timed(
     window: float,
     sampling,
     decisions,
-    shard: Sequence[Activity],
+    shard: ActivityTable,
     interner_snapshot=None,
 ) -> Tuple[CorrelationResult, float]:
     """:func:`_correlate_shard` plus the worker's own busy-time measurement.
@@ -429,31 +439,30 @@ class ShardedCorrelator:
         #: worker-measured busy seconds per shard of the last call
         self.last_slot_busy_s: List[float] = []
 
-    def correlate(self, activities: Iterable[Activity]) -> CorrelationResult:
-        """Correlate a flat activity collection shard-parallel."""
-        ordered = list(activities)
+    def correlate(self, activities: Trace) -> CorrelationResult:
+        """Correlate a flat trace shard-parallel: packed rows, or objects,
+        which are packed once here."""
+        table = as_table(activities)
         start = time.perf_counter()
         # Budget decisions depend on whole-trace root order, which no
         # single shard can see: freeze them before partitioning.
-        decisions = (
-            self.sampling.freeze(ordered) if self.sampling is not None else None
-        )
-        shards = partition_activities(ordered, max_shards=self.max_shards)
+        decisions = self.sampling.freeze(table) if self.sampling is not None else None
+        shards = partition_activities(table, max_shards=self.max_shards)
         self.last_shard_sizes = [len(shard) for shard in shards]
         self.last_slot_busy_s = []
         if not shards:
-            return Correlator(window=self.window).correlate([])
+            return Correlator(window=self.window).correlate(ActivityTable())
         tree = MergeTree()
         for part, busy in self._timed_parts(shards, decisions):
             self.last_slot_busy_s.append(busy)
             tree.push(canonical_part(part))
         elapsed = time.perf_counter() - start
         return merge_results(
-            [tree.result()], self.window, elapsed, len(ordered),
+            [tree.result()], self.window, elapsed, len(table),
             shard_sizes=self.last_shard_sizes,
         )
 
-    def _timed_parts(self, shards: List[List[Activity]], decisions):
+    def _timed_parts(self, shards: List[ActivityTable], decisions):
         """Yield ``(result, busy seconds)`` per shard, in shard order."""
         count = len(shards)
         if count == 1:

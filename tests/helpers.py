@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
-from repro.core.interning import NO_REQUEST
+from repro.core.interning import ActivityTable
 from repro.core.latency import segment_label
 from repro.core.log_format import format_record
 from repro.topology import ScenarioConfig, WorkloadStages
@@ -372,12 +372,18 @@ def reference_segments(cag):
     return segments
 
 
+# -- ranker input ---------------------------------------------------------------
+
+
+def packed(streams) -> ActivityTable:
+    """Activities -- a list, or a node -> list mapping -- as the packed
+    rows the ranker takes, nodes in mapping order."""
+    if isinstance(streams, dict):
+        streams = [activity for stream in streams.values() for activity in stream]
+    return ActivityTable.from_activities(streams)
+
+
 # -- correlation results, field for field ---------------------------------------
-
-
-#: ``CorrelationResult`` fields that say what form the input took, not what
-#: was decided: a packed run and an object-fed run of one trace differ here.
-INPUT_FORM_FIELDS = ("packed_rows", "materialised_activities")
 
 
 def assert_results_equal(ours, theirs, but=()) -> int:
@@ -416,11 +422,9 @@ def assert_source_aligned(source) -> None:
     """The cursor invariants of one ``ActivitySource``.
 
     ``head <= fence <= len``; the source reads its table's own columns
-    (no copies), all of one length; a row that has its object agrees
-    with it in every column that is read without building (type,
-    timestamp, message key, seq), carries either the object's value or
-    nothing in the build-only ones, and its table hands that object
-    back; a row without one has everything a build needs; the unfetched
+    (no copies), all of one length; every row builds into an object that
+    agrees with the columns the ranker reads without building (type,
+    timestamp, message key, seq, context key, node key); the unfetched
     part is sorted by (timestamp, seq) (what a fetch bisects and a late
     row is inserted by); and the position index -- absent until
     blockage resolution first reads it -- records exactly the
@@ -428,31 +432,22 @@ def assert_source_aligned(source) -> None:
     pointing at a row with that key.
     """
     table = source._table
-    rows, ts_column = source._objects, source._ts
-    assert 0 <= source.head <= source.fence <= len(rows)
+    ts_column = source._ts
+    assert 0 <= source.head <= source.fence <= len(table)
     assert source._types is table._types and ts_column is table._timestamps
     assert source._mkeys is table._mkeys and source._seqs is table._seqs
-    assert rows is table._objects
-    assert {len(column) for column in table._columns()} == {len(rows)}
-    for index, activity in enumerate(rows):
-        if activity is None:
-            built = table._materialise(index)  # every build-only column is there
-            assert built.node_key == source._node_key
-            assert source.context_key(index) == built.context_key
-            continue
-        assert source.activity(index) is table.activity(index) is activity
-        assert ts_column[index] == activity.timestamp
-        assert table._types[index] == activity.priority == int(activity.type)
-        assert table._mkeys[index] == activity.message_key
-        assert table._seqs[index] == activity.seq
-        assert table._ckeys[index] in (None, activity.context_key)
-        assert table._messages[index] in (None, activity.message)
-        assert table._request_ids[index] in (NO_REQUEST, activity.request_id)
-        assert source.context_key(index) == activity.context_key
-        assert source.send_key(index) == (
-            activity.message_key if activity.send_like else None
-        )
-        assert source._node_key == activity.node_key
+    assert source._ckeys is table._ckeys
+    assert {len(column) for column in table._columns()} == {len(table)}
+    for index in range(len(table)):
+        built = source.activity(index)
+        assert built is not source.activity(index)  # a new object per build
+        assert ts_column[index] == built.timestamp
+        assert table._types[index] == built.priority == int(built.type)
+        assert table._mkeys[index] == built.message_key
+        assert table._seqs[index] == built.seq
+        assert source.context_key(index) == built.context_key
+        assert source.send_key(index) == (built.message_key if built.send_like else None)
+        assert source._node_key == built.node_key
     unfetched = list(zip(ts_column[source.fence :], source._seqs[source.fence :]))
     assert unfetched == sorted(unfetched)
     assert source.next_timestamp == (unfetched[0][0] if unfetched else None)
@@ -464,7 +459,7 @@ def assert_source_aligned(source) -> None:
         assert list(entries) == sorted(set(entries))
         for position in entries:
             index = position - source._base
-            assert source.head <= index < len(rows)
+            assert source.head <= index < len(table)
             assert source.send_key(index) == key
             recorded[index] = key
     assert recorded == undelivered_send_rows(source)
@@ -484,7 +479,7 @@ def assert_ranker_aligned(ranker) -> None:
             undelivered[key] = undelivered.get(key, 0) + 1
         buffered += source.fence - source.head
         if source.head < source.fence:
-            head = source._objects[source.head] or source._table._materialise(source.head)
+            head = source.activity(source.head)
             assert ranker._head_ts[slot] == head.timestamp
             assert ranker._head_pri[slot] == head.priority
             assert ranker._head_seq[slot] == head.seq
@@ -502,5 +497,5 @@ def assert_ranker_drained(ranker) -> None:
     assert ranker.exhausted()
     assert not ranker._undelivered_sends
     for source in ranker._slot_sources:
-        assert source.head == source.fence == len(source._objects)
+        assert source.head == source.fence == len(source._table)
         assert not source._send_positions

@@ -8,7 +8,7 @@ from repro.core.activity import (
     RULE2_PRIORITY,
     sort_key,
 )
-from repro.core.interning import INTERNER
+from repro.core.interning import INTERNER, ActivityTable
 
 
 def make_activity(activity_type=ActivityType.SEND, timestamp=1.0, size=100, port=5000):
@@ -143,12 +143,12 @@ class TestActivity:
         assert not make_activity(ActivityType.BEGIN).is_noise_candidate()
         assert not make_activity(ActivityType.SEND).is_noise_candidate()
 
-    def test_clone_is_independent(self):
-        original = make_activity()
-        copy = original.clone()
-        copy.size = 1
-        assert original.size != 1
-        assert copy.context == original.context
+    def test_each_build_of_a_row_is_independent(self):
+        table = ActivityTable.from_activities([make_activity()])
+        first, second = table.activity(0), table.activity(0)
+        first.size = 1
+        assert second.size != 1 and table.activity(0).size != 1
+        assert first is not second and first.context is second.context
 
     def test_sequence_numbers_increase(self):
         first = make_activity()

@@ -43,7 +43,7 @@ def _run_until_checkpoint(correlator: StreamingCorrelator, table: ActivityTable)
     a *yield* suspends the generator mid-chunk, exactly like a process
     dying between two chunk boundaries.)"""
     path = correlator.checkpoint_path
-    iterator = correlator.correlate_iter(table.iter_fresh())
+    iterator = correlator.correlate_iter(table)
     for _cag in iterator:
         if os.path.exists(path):
             break
@@ -55,9 +55,7 @@ class TestKillAndResumeAllScenarios:
     def test_resume_digest_equals_uninterrupted(self, scenario, tmp_path):
         table = _scenario_table(scenario)
         total = len(table)
-        uninterrupted = result_digest(
-            StreamingCorrelator(window=WINDOW).correlate(table.iter_fresh())
-        )
+        uninterrupted = result_digest(StreamingCorrelator(window=WINDOW).correlate(table))
         for fraction in (0.25, 0.50, 0.75):
             target = max(1, int(total * fraction))
             ckpt = str(tmp_path / f"{scenario}-{fraction}.ckpt")
@@ -67,7 +65,7 @@ class TestKillAndResumeAllScenarios:
             _run_until_checkpoint(crashed, table)
             assert os.path.exists(ckpt), (scenario, fraction)
             resumed = StreamingCorrelator(window=WINDOW, resume_from=ckpt)
-            digest = result_digest(resumed.correlate(table.iter_fresh()))
+            digest = result_digest(resumed.correlate(table))
             assert digest == uninterrupted, (scenario, fraction)
             # The resumed engine really skipped a prefix: it still saw
             # every activity exactly once in total.
@@ -98,7 +96,7 @@ class TestCrashKillSubprocess:
                 window={WINDOW}, checkpoint_path={ckpt!r},
                 checkpoint_every=len(table) // 2,
             )
-            for _cag in correlator.correlate_iter(table.iter_fresh()):
+            for _cag in correlator.correlate_iter(table):
                 if os.path.exists({ckpt!r}):
                     os.kill(os.getpid(), signal.SIGKILL)
             raise SystemExit("run finished without checkpointing")
@@ -123,7 +121,7 @@ class TestCrashKillSubprocess:
             )
             resume_from = sys.argv[1] if len(sys.argv) > 1 else None
             correlator = StreamingCorrelator(window={WINDOW}, resume_from=resume_from)
-            print(result_digest(correlator.correlate(table.iter_fresh())))
+            print(result_digest(correlator.correlate(table)))
             """
         )
 
@@ -162,7 +160,7 @@ class TestCheckpointFileContract:
         _run_until_checkpoint(correlator, table)
         resumed = StreamingCorrelator(window=0.002, resume_from=ckpt)
         with pytest.raises(ValueError, match="window"):
-            resumed.correlate(table.iter_fresh())
+            resumed.correlate(table)
 
     def test_not_a_checkpoint_is_rejected(self, tmp_path):
         path = tmp_path / "garbage.ckpt"
@@ -314,7 +312,7 @@ class TestCheckpointFileContract:
         table to read); the version check has to refuse the file first."""
         from repro.core.ranker import ActivitySource
 
-        assert VERSION == 5
+        assert VERSION > 4
         row = Activity(
             type=ActivityType.SEND,
             timestamp=1.0,
@@ -361,6 +359,58 @@ class TestCheckpointFileContract:
         with pytest.raises(ValueError, match="unsupported checkpoint version 4"):
             load_checkpoint(str(path))
 
+    def test_version_5_file_is_refused_before_its_object_column_is_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        """Version 5 pickled each source's table with an object column
+        (and a view cache) beside the packed ones.  The table has no slot
+        for either any more, so unpickling such a blob fails inside
+        ``pickle``; the version check has to refuse the file before the
+        blob is touched at all."""
+        import repro.stream.checkpoint as checkpoint
+
+        version_5_state = (
+            None,
+            {
+                "_types": ActivityTable()._types,
+                "_objects": [],
+                "_cache": {},
+            },
+        )
+
+        class Version5Table:
+            def __reduce__(self):
+                return (object.__new__, (ActivityTable,), version_5_state)
+
+        blob = pickle.dumps(Version5Table())
+        with pytest.raises(AttributeError):
+            pickle.loads(blob)
+        path = tmp_path / "v5.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 5,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "interner": INTERNER.snapshot(),
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        unpickled = []
+        real_loads = pickle.loads
+
+        def watching_loads(data, *args, **kwargs):
+            unpickled.append(data)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint.pickle, "loads", watching_loads)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 5"):
+            load_checkpoint(str(path))
+        assert blob not in unpickled
+
     def test_corrupted_engine_blob_is_rejected(self, tmp_path):
         table = _scenario_table("cache_aside")
         ckpt = tmp_path / "corrupt.ckpt"
@@ -384,7 +434,7 @@ class TestCheckpointFileContract:
             window=WINDOW, checkpoint_path=ckpt, checkpoint_every=len(table) // 2
         )
         _run_until_checkpoint(correlator, table)
-        short = list(table.iter_fresh())[: len(table) // 4]
+        short = table[: len(table) // 4]
         resumed = StreamingCorrelator(window=WINDOW, resume_from=ckpt)
         with pytest.raises(ValueError, match="only has"):
             resumed.correlate(short)
@@ -419,7 +469,7 @@ class TestEngineStateSurvivesPickling:
         )
         _run_until_checkpoint(crashed, table)
         resumed = StreamingCorrelator(window=WINDOW, resume_from=ckpt)
-        result = resumed.correlate(table.iter_fresh())
+        result = resumed.correlate(table)
         ids = [cag.cag_id for cag in result.cags] + [
             cag.cag_id for cag in result.incomplete_cags
         ]

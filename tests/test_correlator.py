@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from helpers import SyntheticTrace, assert_results_equal
+from helpers import SyntheticTrace, assert_results_equal, packed
 from repro.core import correlator as correlator_module
 from repro.core.activity import sort_key
 from repro.core.correlator import CorrelationResult, Correlator, IncrementalEngine
@@ -140,7 +140,7 @@ class TestBatchIsASealedIncrementalRun:
 
         batch = Correlator(window=0.01).correlate(fresh())
         engine = IncrementalEngine(window=0.01)
-        emitted = engine.ingest(sorted(fresh(), key=sort_key))
+        emitted = engine.ingest(packed(sorted(fresh(), key=sort_key)))
         assert emitted  # the watermark let most of the trace through
         emitted += engine.flush()
         incremental = engine.result()
@@ -202,7 +202,7 @@ class TestSlicedDrain:
     def test_slices_equal_one_flush_field_for_field(self):
         sliced = Correlator(window=0.01).correlate(self.activities())
         engine = IncrementalEngine(window=0.01)
-        engine.buffer(self.activities())
+        engine.buffer(packed(self.activities()))
         engine.flush()
         assert sliced.total_activities > 3 * correlator_module.PEAK_SAMPLE_EVERY
         assert sliced.peak_state_entries > 0
@@ -272,11 +272,11 @@ class TestRunsDieByRefcount:
         trace = build_trace(requests=6, seg=700)
         engine = IncrementalEngine(window=0.01)
         if driver == "batch":
-            engine.buffer(trace.activities)
+            engine.buffer(packed(trace.activities))
         else:
             ordered = sorted(trace.activities, key=sort_key)
             for start in range(0, len(ordered), 16):
-                engine.ingest(ordered[start : start + 16])
+                engine.ingest(packed(ordered[start : start + 16]))
         engine.flush()
         return engine
 

@@ -18,16 +18,15 @@ in ``tests/test_scenarios.py``).
 """
 
 import json
-import operator
 
 import pytest
 
 from repro.core import patterns as patterns_mod
-from repro.core import ranker as ranker_mod
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import ActivityType
 from repro.core.cag import CONTEXT_EDGE
 from repro.core.engine import CorrelationEngine
+from repro.core.interning import ActivityTable
 from repro.fuzz import report_payload, run_case, run_fuzz, shrink
 from repro.pipeline import BackendSpec, RunSource
 from repro.topology import ScenarioConfig, run_scenario
@@ -118,7 +117,13 @@ def _legacy_release_vertices(self, cag):
 
 #: Pre-fix per-node sort key: same-timestamp ties on one node break by
 #: Rule-2 type priority before log order.
-_legacy_sort_key = operator.attrgetter("timestamp", "priority", "seq")
+def _legacy_ordered(table, by_seq=True):
+    """``ActivityTable.ordered`` as it was before ties went to log
+    position: timestamp, then Rule 2 priority, then ``seq``."""
+    stamps, types, seqs = table._timestamps, table._types, table._seqs
+    return table.take(
+        sorted(range(len(table)), key=lambda row: (stamps[row], types[row], seqs[row]))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +162,7 @@ class TestPinnedHistoricalBugs:
     def test_priority_tie_break_revert_inverts_program_order(
         self, saturated_run, monkeypatch
     ):
-        monkeypatch.setattr(ranker_mod, "sort_key", _legacy_sort_key)
+        monkeypatch.setattr(ActivityTable, "ordered", _legacy_ordered)
         result, report = _trace_saturated(saturated_run)
         # the next request opens inside the previous one's context chain,
         # RECEIVEs block at queue heads, blockage resolution drags the

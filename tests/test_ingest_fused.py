@@ -273,6 +273,36 @@ class TestFusedLoopEqualsReference:
         assert_same_activities(first, make_classifier().classify_all(records))
 
 
+#: Request ids the int64 column cannot carry: past either end, and the
+#: one int64 that is the column's ``None``.
+OUTSIDE_INT64 = [1 << 63, -(1 << 63), -(1 << 63) - 1, 10**30]
+
+
+class TestRequestIdsOutsideInt64AreMalformed:
+    @pytest.mark.parametrize("rid", OUTSIDE_INT64)
+    def test_reference_path_rejects_the_line(self, rid):
+        text = line("SEND", "10.0.0.1:80-10.9.0.1:41000") + f" #rid={rid}"
+        with pytest.raises(LogFormatError, match="outside int64"):
+            parse_record(text)
+        edge = (1 << 63) - 1 if rid > 0 else -(1 << 63) + 1
+        assert parse_record(text.replace(str(rid), str(edge))).request_id == edge
+
+    @pytest.mark.parametrize("rid", OUTSIDE_INT64)
+    def test_fused_loop_counts_the_line_and_packs_the_rest(self, rid):
+        channel = "10.0.0.1:80-10.9.0.1:41000"
+        lines = [
+            line("SEND", channel, ts=1.0) + " #rid=5",
+            line("SEND", channel, ts=2.0) + f" #rid={rid}",
+            line("SEND", channel, ts=3.0),
+        ]
+        classifier = make_classifier()
+        table = classifier.pack_lines(lines)
+        assert classifier.malformed_count == 1
+        assert [a.request_id for a in table] == [5, None]
+        with pytest.raises(LogFormatError, match="outside int64"):
+            make_classifier().pack_lines(lines, strict=True)
+
+
 # -- units ---------------------------------------------------------------------
 
 
@@ -471,15 +501,16 @@ class TestMemoTables:
         assert one_again is one  # remembered
         assert three_again is not three and three_again == three  # built per line
         assert [message.size for message in table._messages] == sizes
-        built = list(table.iter_fresh())
+        built = list(table)
         assert [a.message for a in built] == table._messages
         assert [a.size for a in built] == sizes
         assert len({a.message_key for a in built}) == 1
 
     def test_a_line_only_the_reference_path_reads_keeps_its_log_position(self, monkeypatch):
-        """Whatever ``_classify_odd_line`` returns an activity for takes
-        its row where its line stood, as that object, with the ``seq`` of
-        its position -- the packed rows in front of it draw theirs first."""
+        """Whatever ``_classify_odd_line`` returns an activity for packs
+        its values where its line stood, like any other row, with the
+        ``seq`` of its position -- the rows in front of it draw theirs
+        first."""
         reference_path = ActivityClassifier._classify_odd_line
 
         def odd_line(self, text, strict):
@@ -498,16 +529,12 @@ class TestMemoTables:
         classifier = make_classifier()
         table = classifier.pack_lines(lines)
         assert (classifier.skipped_count, classifier.malformed_count) == (1, 1)
-        assert [kept is not None for kept in table._objects] == [
-            True, False, False, True, False, False, True,
-        ]  # fmt: skip
         rows = list(table)
         assert_same_activities(rows, objects)
         assert_same_activities(rows, make_classifier().classify_lines(plain))
-        for row, kept in enumerate(table._objects):
-            if kept is not None:
-                assert rows[row] is kept and table.activity(row) is kept
-                assert slots(kept, 0) == slots(table._materialise(row), 0)
+        for row in (0, 3, 6):  # the odd lines' rows are plain rows
+            assert table.activity(row) is not table.activity(row)
+            assert slots(rows[row], 0) == slots(table.activity(row), 0)
         seqs = list(table._seqs)
         assert seqs == list(range(seqs[0], seqs[0] + 7))
 
@@ -571,7 +598,7 @@ class TestWholeTraces:
     def test_message_ids_are_shared_and_sizes_stay_per_activity(self, rubis_run):
         lines = [format_record(record) for record in rubis_run.all_records()]
         stream = ActivityStream(frontends=[rubis_run.frontend_spec()])
-        activities = stream.classify_lines(lines)
+        activities = list(stream.classify_lines(lines))
         assert len(activities) == len(lines)
         tokens = {tuple(text.split(" #rid=")[0].split()[6:8]) for text in lines}
         objects = {id(activity.message) for activity in activities}
@@ -579,15 +606,17 @@ class TestWholeTraces:
         assert len(objects) <= len(tokens) < len(activities)
         logged = [activity.message.size for activity in activities]
         assert [activity.size for activity in activities] == logged
-        # ... while the byte counter the engine merges into is the activity's
+        # ... while the byte counter the engine merges into is the one of
+        # the object the run built, never the caller's
         result = BackendSpec.batch().correlate(activities)
         assert len(result.cags) == rubis_run.completed_requests
-        assert [activity.message.size for activity in activities] == logged
-        merged = [a for a in activities if a.size != a.message.size]
+        assert [activity.size for activity in activities] == logged
+        vertices = [v for cag in result.cags for v in cag.vertices]
+        merged = [v for v in vertices if v.size != v.message.size]
         assert merged, "the engine balances SENDs to 0 and merges parts"
         sharing = {}
-        for activity in activities:
-            sharing.setdefault(id(activity.message), []).append(activity.size)
+        for vertex in vertices:
+            sharing.setdefault(id(vertex.message), []).append(vertex.size)
         assert any(len(set(sizes)) > 1 for sizes in sharing.values())
 
     def test_conservation_holds_on_a_mutated_log(self, rubis_run, tmp_path):
@@ -623,7 +652,7 @@ class TestWholeTraces:
         assert stream.malformed_lines == len(hit)
         assert len(activities) == len(lines) - len(hit)
         for backend in (BackendSpec.batch(), BackendSpec.streaming(horizon=5.0)):
-            cags = backend.correlate([a.clone() for a in activities]).cags
+            cags = backend.correlate(activities).cags
             report = path_accuracy(cags, run.ground_truth, time_tolerance=1e-5)
             assert report.total_requests - report.correct_paths <= len(hit)
 

@@ -26,6 +26,7 @@ import pytest
 
 from helpers import tiny_config
 import repro.core.kernel as kernel
+from repro.core.interning import ActivityTable
 from repro.core.kernel import (
     BLOCKED,
     DISCARD,
@@ -260,10 +261,11 @@ class TestEndToEndParity:
 
 class TestRankerPlumbing:
     def _ranker(self, mode, activities_by_node):
+        from helpers import packed
         from repro.core.index_maps import MessageMap
         from repro.core.ranker import Ranker
 
-        return Ranker(activities_by_node, MessageMap(), window=0.010)
+        return Ranker(packed(activities_by_node), MessageMap(), window=0.010)
 
     def _drain(self, ranker):
         out = []
@@ -324,7 +326,7 @@ class TestRankerPlumbing:
                     assert ranker.kernel_name == kernel_info().name
                     assert type(ranker._head_ts) is type(kernel_info().float_column())
                     assert ranker._select is None  # re-bound lazily by rank()
-                ranker.ingest(chunk)
+                ranker.ingest(ActivityTable.from_activities(chunk))
                 out += self._drain(ranker)
             ranker.seal()
             out += self._drain(ranker)
@@ -349,12 +351,12 @@ class TestRankerPlumbing:
         ranker = Ranker(None, MessageMap(), window=0.010, skew_bound=0.005)
         by_node = script.by_node()
         nodes = list(by_node)
-        ranker.ingest(by_node[nodes[0]])
+        ranker.ingest(ActivityTable.from_activities(by_node[nodes[0]]))
         ranker.rank()  # binds a selector over the current slot count
         bound = ranker._select
         assert bound is not None
         for node in nodes[1:]:
-            ranker.ingest(by_node[node])
+            ranker.ingest(ActivityTable.from_activities(by_node[node]))
         # growing the head columns must invalidate the bound selector
         assert ranker._select is None
         ranker.seal()

@@ -4,14 +4,14 @@
 ``ActivityTable`` columns (``LogSource.blocks()`` ->
 ``ActivityClassifier.pack_lines``) and the ranker builds an ``Activity``
 only for a row it delivers; ``BackendSpec.batch().correlate(
-LogSource.activities())`` builds every object up front, as every other
-entry still does.  Nothing downstream may be able to tell: these tests
+LogSource.activities())`` builds every object up front and packs them
+again at the entry.  Nothing downstream may be able to tell: these tests
 hold the two to each other field for field, on every library scenario,
 the RUBiS golden run and a noise-heavy trace, on both rank kernels and
 across read block sizes -- and pin the identity contract (an object
-handed in is the object in the CAG; a packed row's object is built
-once) and the out-of-order path, where every column has to move
-together.
+handed in is never an object in a CAG, so one object list backs any
+number of runs on any backend; a packed row's object is built once) and
+the out-of-order path, where every column has to move together.
 """
 
 from __future__ import annotations
@@ -32,16 +32,17 @@ from repro.core.ranker import ActivitySource, Ranker
 from repro.pipeline import (
     BackendSpec,
     LogSource,
+    MemorySource,
     SamplingSpec,
     canonical_cags,
     result_digest,
+    verify_equivalence,
 )
 from repro.services.noise import NoiseConfig
 from repro.topology.library import ScenarioConfig, run_scenario, scenario_names
 from repro.topology.workload import WorkloadStages
 
 from helpers import (
-    INPUT_FORM_FIELDS,
     assert_ranker_aligned,
     assert_ranker_drained,
     assert_results_equal,
@@ -121,14 +122,11 @@ class TestPackedRunEqualsObjectFedRun:
         assert packed.peak_buffered_activities == fed.peak_buffered_activities
         assert canonical_cags(packed.cags) == canonical_cags(fed.cags)  # in order
         assert result_digest(packed) == result_digest(fed)
-        assert_results_equal(packed, fed, but=INPUT_FORM_FIELDS)
-        # ... and the two differ where they should: every kept line came
-        # packed, an object exists for exactly the rows that were delivered
-        assert (fed.packed_rows, fed.materialised_activities) == (0, 0)
-        assert packed.packed_rows == packed.total_activities == fed.total_activities
+        assert_results_equal(packed, fed)
+        # an object exists for exactly the rows that were delivered
         assert packed.materialised_activities == packed.ranker_stats.delivered
         assert (
-            packed.packed_rows - packed.materialised_activities
+            packed.total_activities - packed.materialised_activities
             == packed.ranker_stats.noise_discarded
         )
         assert source.lines_read == lines_read
@@ -136,14 +134,14 @@ class TestPackedRunEqualsObjectFedRun:
     def test_the_noise_trace_really_discards(self, log_sets):
         run, paths = log_sets["rubis-noise-x10"]
         packed = BackendSpec.batch().run(log_source(run, paths)).correlation
-        assert packed.ranker_stats.noise_discarded > packed.packed_rows / 10
+        assert packed.ranker_stats.noise_discarded > packed.total_activities / 10
         assert len(packed.cags) == run.completed_requests
 
     def test_blocks_are_the_activities_row_for_row(self, log_sets):
         run, paths = log_sets["fanout_aggregator"]
         source = log_source(run, paths, chunk_bytes=1024)
         objects = source.activities()
-        rows = [activity for block in source.blocks() for activity in block.iter_fresh()]
+        rows = [activity for block in source.blocks() for activity in block]
         assert len(rows) == len(objects) > 0
         first = objects[0].seq, rows[0].seq
         for built, original in zip(rows, objects):
@@ -158,10 +156,10 @@ class TestPackedRunEqualsObjectFedRun:
     def test_a_table_backs_any_number_of_runs(self, log_sets):
         run, paths = log_sets["cache_aside"]
         table = ActivityTable.from_activities(log_source(run, paths).activities())
-        views = list(table)  # the table's own objects: no run may see them
+        views = list(table)  # objects built from the rows: no run may see them
         first = BackendSpec.batch().correlate(table)
         second = BackendSpec.batch().correlate(table)
-        assert first.packed_rows == second.packed_rows == len(table)
+        assert first.total_activities == second.total_activities == len(table)
         assert result_digest(first) == result_digest(second) == result_digest(
             BackendSpec.batch().correlate(log_source(run, paths).activities())
         )
@@ -171,7 +169,7 @@ class TestPackedRunEqualsObjectFedRun:
         mine = {id(view) for view in views}
         assert not any(id(vertex) in mine for cag in first.cags for vertex in cag.vertices)
         assert [view.size for view in views] == [view.message.size for view in views]
-        assert list(table) == views and table.activity(0) is views[0]
+        assert list(table) == views and table.activity(0) is not views[0]
 
 
 # -- (c) an out-of-order node log: every column moves together ---------------------
@@ -203,8 +201,7 @@ class TestOutOfOrderPackedRows:
         source = log_source(run, shuffled, chunk_bytes=2048)
         fed = BackendSpec.batch().correlate(source.activities())
         packed = BackendSpec.batch().run(source).correlation
-        assert_results_equal(packed, fed, but=INPUT_FORM_FIELDS)
-        assert packed.packed_rows == packed.total_activities
+        assert_results_equal(packed, fed)
 
     def test_late_packed_rows_are_inserted_with_all_their_columns(self, log_sets):
         run, source, tables = self._packed_rows(log_sets)
@@ -220,9 +217,8 @@ class TestOutOfOrderPackedRows:
         interleaved.extend(late)  # every row sorts in front of something held
         assert_source_aligned(interleaved)
         assert_source_aligned(ordered)
-        for ours, theirs in zip(interleaved._table._columns()[:-1], ordered._table._columns()[:-1]):
+        for ours, theirs in zip(interleaved._table._columns(), ordered._table._columns()):
             assert list(ours) == list(theirs)
-        assert interleaved._objects.count(None) == len(node_rows)
         # a fetch, then a late row older than everything fetched: it lands
         # at the fence, columns and all
         fetched = ordered.fetch_until(ordered._ts[len(node_rows) // 2])
@@ -230,7 +226,7 @@ class TestOutOfOrderPackedRows:
         ordered.extend(stale)
         assert ordered.fence == fetched and ordered.next_timestamp == node_rows.timestamp(0)
         assert_source_aligned(ordered)
-        assert slots(ordered.activity(ordered.fence)) == slots(node_rows._materialise(0))
+        assert slots(ordered.activity(ordered.fence)) == slots(node_rows.activity(0))
 
     def test_a_rotation_moves_every_column_and_builds_nothing(self, log_sets):
         run, source, tables = self._packed_rows(log_sets)
@@ -241,15 +237,15 @@ class TestOutOfOrderPackedRows:
         ranker._refill()
         slot, source = max(enumerate(ranker._slot_sources), key=lambda item: len(item[1]._ts))
         sends = [i for i in range(source.head + 1, source.fence) if source.send_key(i) is not None]
-        before = [slots(source._table._materialise(i)) for i in range(source.fence)]
+        before = [slots(source.activity(i)) for i in range(source.fence)]
         source._positions()
         ranker._promote_send(slot, sends[3])
         assert_ranker_aligned(ranker)
-        after = [slots(source._table._materialise(i)) for i in range(source.fence)]
+        after = [slots(source.activity(i)) for i in range(source.fence)]
         assert after == [before[sends[3]]] + before[: sends[3]] + before[sends[3] + 1 :]
-        assert ranker.materialised == 0 and source._objects.count(None) == len(source._ts)
+        assert ranker.stats.delivered == 0
         delivered = ranker.rank()
-        assert delivered is not None and ranker.materialised == 1
+        assert delivered is not None and ranker.stats.delivered == 1
 
 
 # -- (d) the budget pre-pass reads packed input as it reads objects ----------------
@@ -261,30 +257,52 @@ class TestBudgetPrepassOverPackedInput:
         sampling = SamplingSpec.budget(per_second=5)
         source = log_source(run, paths, chunk_bytes=4096)
         from_objects = sampling.freeze(source.activities())
-        from_rows = sampling.freeze(
-            activity for block in source.blocks() for activity in block.iter_fresh()
-        )
+        from_rows = sampling.freeze(activity for block in source.blocks() for activity in block)
         assert from_rows == from_objects and from_objects
         fed = BackendSpec.batch(sampling=sampling).correlate(source.activities())
         packed = BackendSpec.batch(sampling=sampling).run(source).correlation
         full = BackendSpec.batch().run(source).correlation
         assert 0 < len(packed.cags) < len(full.cags)
-        assert_results_equal(packed, fed, but=INPUT_FORM_FIELDS)
-        assert packed.packed_rows == packed.total_activities
+        assert_results_equal(packed, fed)
 
 
 # -- (e) the identity contract ------------------------------------------------------
 
 
 class TestIdentity:
-    def test_an_object_handed_in_is_the_object_in_the_cag(self, log_sets):
+    def test_an_object_handed_in_is_never_a_vertex(self, log_sets):
         run, paths = log_sets["replicated_lb"]
         activities = log_source(run, paths).activities()
         mine = {id(activity) for activity in activities}
         result = BackendSpec.batch().correlate(activities)
         vertices = [vertex for cag in result.cags for vertex in cag.vertices]
-        assert vertices and all(id(vertex) in mine for vertex in vertices)
-        assert (result.packed_rows, result.materialised_activities) == (0, 0)
+        assert vertices and not any(id(vertex) in mine for vertex in vertices)
+        assert result.materialised_activities == result.ranker_stats.delivered
+
+    def test_one_object_list_backs_every_backend_twice(self, log_sets):
+        """What ``Activity.clone()`` used to be for: each entry packs the
+        caller's objects and every run builds objects of its own, so one
+        list goes through every backend twice with nothing copied."""
+        run, paths = log_sets["replicated_lb"]
+        objects = log_source(run, paths).activities()
+        mine = {id(activity) for activity in objects}
+        backends = [
+            BackendSpec.batch(),
+            BackendSpec.streaming(),
+            BackendSpec.sharded(max_workers=2, executor="thread"),
+            BackendSpec.sharded(max_workers=2, max_shards=2, executor="process"),
+        ]
+        digests = set()
+        for backend in backends:
+            for _pass in range(2):
+                result = backend.correlate(objects)
+                digests.add(result_digest(result))
+                assert result.cags and not any(
+                    id(vertex) in mine for cag in result.cags for vertex in cag.vertices
+                )
+        assert len(digests) == 1
+        assert all(activity.size == activity.message.size for activity in objects)
+        assert verify_equivalence(MemorySource(objects)).equivalent
 
     def test_a_packed_rows_object_is_built_exactly_once(self, log_sets, monkeypatch):
         run, paths = log_sets["replicated_lb"]
@@ -299,16 +317,12 @@ class TestIdentity:
         assert_ranker_drained(engine.ranker)
         # one object per delivered row, none for a discarded one, no two alike
         assert len({id(activity) for activity in delivered}) == len(delivered)
-        assert len(delivered) == engine.ranker.materialised == engine.ranker.stats.delivered
+        assert len(delivered) == engine.ranker.stats.delivered
         seqs = [activity.seq for activity in delivered]
         assert len(set(seqs)) == len(seqs)
-        assert engine.ranker.packed_rows == engine.total_ingested
-        assert (
-            engine.ranker.packed_rows - engine.ranker.materialised
-            == engine.ranker.stats.noise_discarded
-        )
+        assert engine.total_ingested - len(delivered) == engine.ranker.stats.noise_discarded
 
-    def test_a_row_looked_at_early_is_delivered_as_that_object(self, log_sets):
+    def test_a_row_looked_at_early_is_built_again_at_delivery(self, log_sets):
         run, paths = log_sets["cache_aside"]
         ranker = Ranker(None, MessageMap(), window=0.01)
         for block in log_source(run, paths).blocks():
@@ -320,33 +334,13 @@ class TestIdentity:
         delivered = []
         while len(delivered) < len(peeked) and (candidate := ranker.rank()) is not None:
             delivered.append(candidate)
-        # ... and what it built is what is delivered, not a second copy
-        assert {id(a) for a in delivered} & {id(a) for a in peeked}
-        for activity in delivered:
-            twins = [p for p in peeked if p.seq == activity.seq]
-            assert all(twin is activity for twin in twins)
-
-    def test_mixed_feeds_keep_objects_and_pack_the_rest(self, log_sets):
-        """An odd line's object inside a packed block is delivered as that
-        object; the rows around it are built at delivery."""
-        run, paths = log_sets["cache_aside"]
-        source = log_source(run, paths)
-        kept = {}
-        tables = []
-        for block in source.blocks():
-            rows = list(block.iter_fresh())
-            middle = len(rows) // 2
-            kept[id(rows[middle])] = rows[middle]
-            table = ActivityTable.from_activities(rows[:middle])
-            table.append(rows[middle], keep=True)  # what an odd line leaves behind
-            table.extend(rows[middle + 1 :])
-            tables.append(table)
-        result = Correlator().correlate(chunks=tables)
-        vertices = {id(vertex) for cag in result.cags for vertex in cag.vertices}
-        assert vertices & set(kept)
-        assert result.packed_rows == result.total_activities - len(kept)
-        fed = BackendSpec.batch().correlate(source.activities())
-        assert_results_equal(result, fed, but=INPUT_FORM_FIELDS)
+        # ... objects of its own: the delivered ones are new, and equal
+        assert not {id(a) for a in delivered} & {id(a) for a in peeked}
+        by_seq = {activity.seq: activity for activity in peeked}
+        shared = [a for a in delivered if a.seq in by_seq]
+        assert shared
+        for activity in shared:
+            assert slots(activity) == slots(by_seq[activity.seq])
 
 
 # -- the ranker lets go of what it delivered ----------------------------------------

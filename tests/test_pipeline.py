@@ -127,10 +127,10 @@ class TestEquivalenceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def one_flush(activities, window=MATRIX_WINDOW):
+def one_flush(rows, window=MATRIX_WINDOW):
     """The batch run as one unsliced drain: buffer, seal, ``flush()``."""
     engine = IncrementalEngine(window=window)
-    engine.buffer(activities)
+    engine.buffer(rows)
     engine.flush()
     return engine.result()
 
@@ -165,7 +165,7 @@ class TestBatchHandsCagsOutMidDrain:
         ]
         assert hooked.total_activities > PEAK_SAMPLE_EVERY  # more than one slice
         assert_results_equal(hooked, plain)
-        assert_results_equal(hooked, one_flush(source.activities()))
+        assert_results_equal(hooked, one_flush(source.table()))
 
     def test_first_hook_call_is_mid_drain(self, matrix_sources, monkeypatch):
         made = []
@@ -478,21 +478,24 @@ class TestObjectsAreBornLate:
         )
         assert alive[0] - baseline >= total
 
-    def test_summary_counts_packed_rows_and_the_objects_built_from_them(self, noisy_logs):
+    def test_summary_counts_the_objects_built_from_the_rows(self, noisy_logs):
         session = Pipeline(self._source(noisy_logs), BackendSpec.batch()).run()
         summary = session.summary()
-        stats = session.trace.correlation.ranker_stats
-        assert summary["packed_rows"] == session.trace.correlation.total_activities
+        correlation = session.trace.correlation
+        stats = correlation.ranker_stats
+        assert "packed_rows" not in summary
         assert summary["materialised_activities"] == stats.delivered
-        assert stats.noise_discarded > 0.1 * summary["packed_rows"]
+        assert stats.noise_discarded > 0.1 * correlation.total_activities
         assert (
-            summary["packed_rows"] - summary["materialised_activities"]
+            correlation.total_activities - summary["materialised_activities"]
             == stats.noise_discarded
         )
-        # the other backends, and any object-fed entry, pack nothing
+        # every backend is fed rows, and builds only what it delivers
         for backend in (BackendSpec.streaming(), BackendSpec.sharded()):
-            counters = Pipeline(self._source(noisy_logs), backend).run().source_counters()
-            assert (counters["packed_rows"], counters["materialised_activities"]) == (0, 0)
+            result = Pipeline(self._source(noisy_logs), backend).run()
+            counters = result.source_counters()
+            delivered = result.trace.correlation.ranker_stats.delivered
+            assert counters["materialised_activities"] == delivered == stats.delivered
 
 
 class TestATracerDoesNotLoadASimulator:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import SyntheticTrace, assert_ranker_aligned, assert_ranker_drained
+from helpers import SyntheticTrace, assert_ranker_aligned, assert_ranker_drained, packed
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.correlator import Correlator
 from repro.core.engine import CorrelationEngine
@@ -50,26 +50,26 @@ def drain(ranker, engine=None):
 class TestActivitySource:
     def test_sorts_by_local_timestamp(self):
         activities = [act(ActivityType.SEND, 2.0, "n"), act(ActivityType.SEND, 1.0, "n")]
-        source = ActivitySource("n", activities)
+        source = ActivitySource("n", packed(activities))
         assert source.peek_timestamp() == 1.0
         assert len(source) == 2
 
     def test_take_until_respects_limit(self):
         activities = [act(ActivityType.SEND, t, "n") for t in (1.0, 2.0, 3.0)]
-        source = ActivitySource("n", activities)
+        source = ActivitySource("n", packed(activities))
         taken = source.take_until(2.0)
         assert [a.timestamp for a in taken] == [1.0, 2.0]
         assert not source.exhausted
 
     def test_take_one_forces_progress(self):
-        source = ActivitySource("n", [act(ActivityType.SEND, 5.0, "n")])
+        source = ActivitySource("n", packed([act(ActivityType.SEND, 5.0, "n")]))
         assert source.take_one().timestamp == 5.0
         assert source.take_one() is None
         assert source.exhausted
 
     def test_future_send_index_tracks_fetches(self):
         send = act(ActivityType.SEND, 1.0, "n")
-        source = ActivitySource("n", [send])
+        source = ActivitySource("n", packed([send]))
         assert source.has_future_send(send.message_key)
         source.take_until(10.0)
         assert not source.has_future_send(send.message_key)
@@ -78,9 +78,9 @@ class TestActivitySource:
         first = act(ActivityType.RECEIVE, 1.0, "n", src=("9.9.9.9", 1), dst=("1.1.1.1", 2))
         target = act(ActivityType.SEND, 2.0, "n")
         later = act(ActivityType.SEND, 3.0, "n", src=("3.3.3.3", 5))
-        source = ActivitySource("n", [first, target, later])
+        source = ActivitySource("n", packed([first, target, later]))
         taken = source.take_through_send(target.message_key)
-        assert taken[-1] is target
+        assert taken[-1] == target
         assert len(taken) == 2
         assert not source.exhausted
 
@@ -88,10 +88,16 @@ class TestActivitySource:
 class TestRankerBasics:
     def test_rejects_non_positive_window(self):
         with pytest.raises(ValueError):
-            Ranker({}, MessageMap(), window=0.0)
+            Ranker(packed({}), MessageMap(), window=0.0)
+
+    def test_ingest_refuses_anything_but_a_table(self):
+        ranker = Ranker(None, MessageMap(), window=0.01)
+        with pytest.raises(TypeError, match="from_activities"):
+            ranker.ingest([act(ActivityType.SEND, 1.0, "n")])
+        assert ranker.ingest(packed([act(ActivityType.SEND, 1.0, "n")])) == 1
 
     def test_empty_sources_yield_no_candidates(self):
-        ranker = Ranker({}, MessageMap(), window=0.01)
+        ranker = Ranker(packed({}), MessageMap(), window=0.01)
         assert ranker.rank() is None
         assert ranker.exhausted()
 
@@ -100,7 +106,7 @@ class TestRankerBasics:
             act(ActivityType.SEND, t, "n", src=("1.1.1.1", t_i))
             for t_i, t in enumerate((3.0, 1.0, 2.0))
         ]
-        ranker = Ranker({"n": activities}, MessageMap(), window=0.01)
+        ranker = Ranker(packed({"n": activities}), MessageMap(), window=0.01)
         delivered = drain(ranker)
         assert [a.timestamp for a in delivered] == [1.0, 2.0, 3.0]
         assert ranker.stats.delivered == 3
@@ -109,7 +115,7 @@ class TestRankerBasics:
         activities = [
             act(ActivityType.SEND, t, "n", src=("1.1.1.1", int(t))) for t in (0.0, 10.0, 20.0)
         ]
-        ranker = Ranker({"n": activities}, MessageMap(), window=0.001)
+        ranker = Ranker(packed({"n": activities}), MessageMap(), window=0.001)
         assert len(drain(ranker)) == 3
 
     def test_rule2_priority_send_before_receive_across_nodes(self):
@@ -117,30 +123,30 @@ class TestRankerBasics:
         send = act(ActivityType.SEND, 1.0, "a")
         receive = act(ActivityType.RECEIVE, 1.0, "b")
         engine = CorrelationEngine()
-        ranker = Ranker({"a": [send], "b": [receive]}, engine.mmap, window=1.0)
+        ranker = Ranker(packed({"a": [send], "b": [receive]}), engine.mmap, window=1.0)
         first = ranker.rank()
-        assert first is send
+        assert first == send
         assert ranker.stats.rule2_selections >= 1
 
     def test_rule1_selects_receive_once_send_is_in_mmap(self):
         send = act(ActivityType.SEND, 1.0, "a")
         receive = act(ActivityType.RECEIVE, 1.1, "b")
         mmap = MessageMap()
-        ranker = Ranker({"a": [send], "b": [receive]}, mmap, window=1.0)
-        assert ranker.rank() is send
+        ranker = Ranker(packed({"a": [send], "b": [receive]}), mmap, window=1.0)
+        assert ranker.rank() == send
         mmap.insert(send)  # the engine would do this
-        assert ranker.rank() is receive
+        assert ranker.rank() == receive
         assert ranker.stats.rule1_selections == 1
 
     def test_begin_has_highest_urgency(self):
         begin = act(ActivityType.BEGIN, 1.0, "a")
         send = act(ActivityType.SEND, 1.0, "b")
-        ranker = Ranker({"a": [begin], "b": [send]}, MessageMap(), window=1.0)
-        assert ranker.rank() is begin
+        ranker = Ranker(packed({"a": [begin], "b": [send]}), MessageMap(), window=1.0)
+        assert ranker.rank() == begin
 
     def test_buffered_count_and_exhausted(self):
         activities = [act(ActivityType.SEND, 1.0, "n")]
-        ranker = Ranker({"n": activities}, MessageMap(), window=1.0)
+        ranker = Ranker(packed({"n": activities}), MessageMap(), window=1.0)
         assert not ranker.exhausted()
         drain(ranker)
         assert ranker.exhausted()
@@ -151,7 +157,7 @@ class TestNoiseHandling:
     def test_receive_without_any_matching_send_is_discarded(self):
         noise = act(ActivityType.RECEIVE, 1.0, "db", src=("8.8.8.8", 77))
         legit = act(ActivityType.SEND, 1.1, "db", src=("2.2.2.2", 5))
-        ranker = Ranker({"db": [noise, legit]}, MessageMap(), window=1.0)
+        ranker = Ranker(packed({"db": [noise, legit]}), MessageMap(), window=1.0)
         delivered = drain(ranker)
         assert noise not in delivered
         assert legit in delivered
@@ -161,7 +167,7 @@ class TestNoiseHandling:
         send = act(ActivityType.SEND, 5.0, "a")
         receive = act(ActivityType.RECEIVE, 1.0, "b")  # appears early (skewed clock)
         mmap = MessageMap()
-        ranker = Ranker({"a": [send], "b": [receive]}, mmap, window=0.5)
+        ranker = Ranker(packed({"a": [send], "b": [receive]}), mmap, window=0.5)
         delivered = []
         while True:
             candidate = ranker.rank()
@@ -175,7 +181,7 @@ class TestNoiseHandling:
 
     def test_begin_is_never_noise(self):
         begin = act(ActivityType.BEGIN, 1.0, "web")
-        ranker = Ranker({"web": [begin]}, MessageMap(), window=1.0)
+        ranker = Ranker(packed({"web": [begin]}), MessageMap(), window=1.0)
         assert not ranker.is_noise(begin)
         assert drain(ranker) == [begin]
 
@@ -184,7 +190,7 @@ class TestNoiseHandling:
         send = act(ActivityType.SEND, 0.5, "a")
         mmap.insert(send)
         receive = act(ActivityType.RECEIVE, 1.0, "b")
-        ranker = Ranker({"b": [receive]}, mmap, window=1.0)
+        ranker = Ranker(packed({"b": [receive]}), mmap, window=1.0)
         assert not ranker.is_noise(receive)
 
 
@@ -207,7 +213,7 @@ class TestDisturbances:
         )
         engine = CorrelationEngine()
         ranker = Ranker(
-            {"node1": [r_from_2, s_to_2], "node2": [r_from_1, s_to_1]},
+            packed({"node1": [r_from_2, s_to_2], "node2": [r_from_1, s_to_1]}),
             engine.mmap,
             window=1.0,
         )
@@ -220,9 +226,9 @@ class TestDisturbances:
             if candidate.type is ActivityType.SEND:
                 engine.mmap.insert(candidate)
             delivered.append(candidate)
-        order = {id(a): i for i, a in enumerate(delivered)}
-        assert order[id(s_to_2)] < order[id(r_from_1)]
-        assert order[id(s_to_1)] < order[id(r_from_2)]
+        order = {a.seq: i for i, a in enumerate(delivered)}
+        assert order[s_to_2.seq] < order[r_from_1.seq]
+        assert order[s_to_1.seq] < order[r_from_2.seq]
         assert len(delivered) == 4
 
     def test_clock_skew_beyond_window_pulls_sender_stream(self):
@@ -231,7 +237,7 @@ class TestDisturbances:
         send = act(ActivityType.SEND, 10.0, "fast")
         receive = act(ActivityType.RECEIVE, 9.0, "slow")
         engine = CorrelationEngine()
-        ranker = Ranker({"fast": [send], "slow": [receive]}, engine.mmap, window=0.001)
+        ranker = Ranker(packed({"fast": [send], "slow": [receive]}), engine.mmap, window=0.001)
         delivered = []
         while True:
             candidate = ranker.rank()
@@ -240,8 +246,8 @@ class TestDisturbances:
             if candidate.type is ActivityType.SEND:
                 engine.mmap.insert(candidate)
             delivered.append(candidate)
-        assert delivered[0] is send
-        assert delivered[1] is receive
+        assert delivered[0] == send
+        assert delivered[1] == receive
 
     def test_promotion_never_reorders_same_context(self):
         """A blocking SEND is not promoted over an earlier activity of its
@@ -250,7 +256,7 @@ class TestDisturbances:
         trace.three_tier_request(request_id=1, start=1.0)
         trace.three_tier_request(request_id=2, start=1.05)
         engine = CorrelationEngine()
-        ranker = Ranker(trace.by_node(), engine.mmap, window=0.001)
+        ranker = Ranker(packed(trace.by_node()), engine.mmap, window=0.001)
         seen_positions = {}
         index = 0
         while True:
@@ -268,28 +274,6 @@ class TestDisturbances:
 
 
 class TestIdentityDelivery:
-    def test_deliver_removes_by_identity_not_equality(self):
-        """A value-equal sibling (same fields, even a forced-equal seq)
-        must never be dequeued in place of the selected activity -- the
-        head-swap path removes from mid-queue, where equality-based
-        ``deque.remove`` would silently take the first equal twin."""
-        first = act(ActivityType.SEND, 1.0, "n")
-        twin = act(ActivityType.SEND, 1.0, "n")
-        twin.seq = first.seq  # force full value equality
-        assert first == twin and first is not twin
-
-        ranker = Ranker({"n": [first, twin]}, MessageMap(), window=10.0)
-        ranker._refill()
-        assert ranker.buffered_count() == 2
-
-        # deliver the *second* twin while the first sits at the head, as
-        # the swap logic can after promoting a blocking SEND
-        delivered = ranker._deliver("n", twin)
-        assert delivered is twin
-        remaining = list(ranker.buffered_activities())
-        assert len(remaining) == 1
-        assert remaining[0] is first  # identity, not mere equality
-
     def test_window_low_cache_invalidated_when_promotion_exposes_earlier_head(self):
         """Delivering a promoted SEND can expose a queue head *below* the
         low edge the last refill derived (promotion breaks the queue's
@@ -307,20 +291,20 @@ class TestIdentityDelivery:
         recv_n = act(ActivityType.RECEIVE, 1.0, "n", src=("8.8.8.8", 80))
         send_x = act(ActivityType.SEND, 3.0, "n")
         ranker = Ranker(
-            {"m": [recv_m, far_m, farther_m], "n": [recv_n, send_x]},
+            packed({"m": [recv_m, far_m, farther_m], "n": [recv_n, send_x]}),
             MessageMap(),
             window=10.0,
         )
         ranker._refill()
         assert ranker._low == 1.0 and ranker.buffered_count() == 3
-        ranker._promote_send(ranker._slot_of["n"], 1)  # queue n: [send(3.0), recv(1.0)]
+        ranker._promote_send(ranker._slot_of[recv_n.node_key], 1)  # queue n: [send(3.0), recv(1.0)]
         assert ranker._refill_due  # the head that held the edge was replaced
         assert_ranker_aligned(ranker)
         ranker._refill()
         assert ranker._low == 2.0  # heads are 3.0 (n) and 2.0 (m)
         assert ranker.buffered_count() == 4  # ... which puts 11.5 in the window
-        delivered = ranker._deliver("n", send_x)  # exposes recv(1.0) on n
-        assert delivered is send_x
+        delivered = ranker._pop_head(ranker._slot_of[send_x.node_key])
+        assert delivered == send_x  # ... which exposes recv(1.0) on n
         assert_ranker_aligned(ranker)
         ranker._refill()
         assert ranker._low == 1.0  # not the 2.0 of the refill before
@@ -329,48 +313,33 @@ class TestIdentityDelivery:
 
     def test_promoted_send_is_delivered_itself(self):
         """After a Fig. 6 promotion the rotated SEND is the queue head and
-        must be the delivered object, with the position index repaired
-        for the value-equal sibling it jumped over."""
+        is what is delivered, with the position index repaired for the
+        sibling on its connection it jumped over."""
         blocker = act(ActivityType.RECEIVE, 1.0, "n", src=("9.9.9.9", 1))
-        first = act(ActivityType.SEND, 1.1, "n")
-        twin = act(ActivityType.SEND, 1.1, "n")
-        twin.seq = first.seq
-        ranker = Ranker({"n": [blocker, first, twin]}, MessageMap(), window=10.0)
+        first = act(ActivityType.SEND, 1.1, "n", rid=1)
+        twin = act(ActivityType.SEND, 1.1, "n", rid=2)
+        ranker = Ranker(packed({"n": [blocker, first, twin]}), MessageMap(), window=10.0)
         ranker._refill()
-        slot = ranker._slot_of["n"]
+        slot = ranker._slot_of[blocker.node_key]
         source = ranker._slot_sources[slot]
-        assert source.buffered()[2] is twin
+        assert source.buffered()[2] == twin
         # blockage resolution has looked the send up (and so built the
         # index) by the time it promotes
         assert ranker._find_buffered_send(twin.message_key) == (slot, 1)
-        ranker._promote_send(slot, 2)  # the *second* twin, over its sibling
+        ranker._promote_send(slot, 2)  # the *second* send, over its sibling
         assert ranker.stats.head_swaps == 1
-        queue = source.buffered()
-        assert queue[0] is twin and queue[1] is blocker and queue[2] is first
-        # the promoted twin leads its key's positions, the sibling moved up
+        assert source.buffered() == [twin, blocker, first]
+        # the promoted send leads its key's positions, the sibling moved up
         assert list(source._send_positions[twin.message_key]) == [0, 2]
         assert_ranker_aligned(ranker)
-        delivered = ranker._deliver("n", twin)
-        assert delivered is twin
+        assert ranker._pop_head(slot) == twin
         assert_ranker_aligned(ranker)
         # the sibling SEND is still indexed as buffered under its key
         found = ranker._find_buffered_send(first.message_key)
         assert found is not None
         found_slot, index = found
         assert found_slot == slot
-        assert ranker._slot_sources[found_slot]._objects[index] is first
-
-    def test_deliver_refuses_an_activity_that_is_not_queued(self):
-        queued = act(ActivityType.SEND, 1.0, "n")
-        unfetched = act(ActivityType.SEND, 50.0, "n")
-        stranger = act(ActivityType.SEND, 1.0, "n")
-        ranker = Ranker({"n": [queued, unfetched]}, MessageMap(), window=10.0)
-        ranker._refill()
-        for activity in (stranger, unfetched):
-            with pytest.raises(ValueError, match="not buffered"):
-                ranker._deliver("n", activity)
-        assert_ranker_aligned(ranker)
-        assert ranker._deliver("n", queued) is queued
+        assert ranker._slot_sources[found_slot].activity(index) == first
 
 
 class TestSameTimestampTies:
@@ -420,8 +389,8 @@ class TestStats:
         trace = SyntheticTrace()
         for i in range(5):
             trace.three_tier_request(request_id=i + 1, start=float(i) * 0.01)
-        small = Ranker(trace.by_node(), MessageMap(), window=0.0005)
-        large = Ranker(trace.by_node(), MessageMap(), window=10.0)
+        small = Ranker(packed(trace.by_node()), MessageMap(), window=0.0005)
+        large = Ranker(packed(trace.by_node()), MessageMap(), window=10.0)
         drain(small)
         drain(large)
         assert large.stats.max_buffered >= small.stats.max_buffered
@@ -485,7 +454,7 @@ class TestStatsIdentity:
         for index in range(12):
             trace.three_tier_request(request_id=index + 1, start=1.0 + index * 0.013)
         engine = CorrelationEngine()
-        ranker = Ranker(trace.by_node(), engine.mmap, window=0.001)
+        ranker = Ranker(packed(trace.by_node()), engine.mmap, window=0.001)
         for candidate in iter(ranker.rank, None):
             engine.process(candidate)
             assert_ranker_aligned(ranker)
@@ -509,7 +478,7 @@ class TestStatsIdentity:
                 act(ActivityType.SEND, ts + 0.0001, "node2", pid=22, src=b, dst=a),
             ]
         mmap = MessageMap()
-        ranker = Ranker(rows, mmap, window=1.0)
+        ranker = Ranker(packed(rows), mmap, window=1.0)
         delivered = []
         for candidate in iter(ranker.rank, None):
             if candidate.type is ActivityType.SEND:

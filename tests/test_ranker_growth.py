@@ -25,6 +25,7 @@ from helpers import (
     assert_ranker_aligned,
     assert_ranker_drained,
     assert_source_aligned,
+    packed,
 )
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId, sort_key
 from repro.core.engine import CorrelationEngine
@@ -46,7 +47,7 @@ def columns(source):
     objects, timestamps and send keys."""
     rows = range(source.head, len(source._ts))
     return (
-        source._objects[source.head :],
+        source.activities(source.head, len(source._ts)),
         list(source._ts[source.head :]),
         [source.send_key(row) for row in rows],
     )
@@ -64,51 +65,51 @@ def send_positions(source):
 
 class TestLateArrival:
     def test_late_row_is_inserted_at_its_sort_position(self):
-        source = ActivitySource("n", [row(1.0), row(2.0), row(4.0), row(5.0)])
+        source = ActivitySource("n", packed([row(1.0), row(2.0), row(4.0), row(5.0)]))
         source._positions()
         late = row(3.0, ActivityType.RECEIVE)
-        source.extend([late])
+        source.extend(packed([late]))
         assert columns(source)[1] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert source._objects[2] is late
+        assert source.activity(2) == late
         assert_source_aligned(source)
         assert source.frontier == 5.0
         # a late *send* renumbers the sends behind it
         late_send = row(2.5)
-        source.extend([late_send])
-        assert source._objects[2] is late_send
+        source.extend(packed([late_send]))
+        assert source.activity(2) == late_send
         assert list(source._send_positions[late_send.message_key]) == [0, 1, 2, 4, 5]
         assert_source_aligned(source)
 
     def test_row_older_than_everything_fetched_lands_at_the_consumption_point(self):
-        source = ActivitySource("n", [row(1.0), row(2.0), row(3.0), row(4.0)])
+        source = ActivitySource("n", packed([row(1.0), row(2.0), row(3.0), row(4.0)]))
         assert len(source.take_until(2.5)) == 2
         stale = row(0.5)
-        source.extend([stale])
+        source.extend(packed([stale]))
         # the two fetched rows are the queue (nothing was delivered, so
         # nothing is released); the stale one is next in line behind them
         assert (source.head, source.fence) == (0, 2) and len(source) == 3
-        assert source._objects[2] is stale
+        assert source.activity(2) == stale
         assert source.next_timestamp == 0.5
         assert_source_aligned(source)
-        assert source.take_one() is stale
+        assert source.take_one() == stale
         assert source.frontier == 4.0
         assert_source_aligned(source)
 
     def test_extend_releases_delivered_rows_and_keeps_absolute_positions(self):
         ranker = Ranker(None, MessageMap(), window=0.5, skew_bound=0.0)
         rows = [row(float(i), port=10 + i % 2) for i in range(8)]
-        ranker.ingest(rows[:6])
+        ranker.ingest(packed(rows[:6]))
         ranker.seal()
         (source,) = ranker._slot_sources
         source._positions()
         delivered = [ranker.rank() for _ in range(3)]
         assert delivered == rows[:3]
         assert source._base == 0 and source.head == 3
-        ranker.ingest(rows[6:])
+        ranker.ingest(packed(rows[6:]))
         # delivered rows are gone, buffered and unfetched ones stay, and
         # the recorded positions still count from the first row ever held
         assert (source._base, source.head) == (3, 0)
-        assert source._objects[0] is rows[3]
+        assert source.activity(0) == rows[3]
         recorded = sorted(p for e in source._send_positions.values() for p in e)
         assert recorded == [3, 4, 5, 6, 7]
         assert_ranker_aligned(ranker)
@@ -128,13 +129,13 @@ class TestLateArrival:
         source._positions()
         fetched = []
         for start in range(0, len(rows), 7):
-            source.extend(rows[start : start + 7])
+            source.extend(packed(rows[start : start + 7]))
             assert_source_aligned(source)
             if start % 3 == 0 and source.next_timestamp is not None:
                 fetched += source.take_until(source.next_timestamp + 0.05)
                 assert_source_aligned(source)
         fetched += source.take_until(float("inf"))
-        assert sorted(map(id, fetched)) == sorted(map(id, rows))
+        assert sorted(a.seq for a in fetched) == sorted(a.seq for a in rows)
         # fetch order is queue order
         assert fetched == source.buffered()
         assert source.exhausted
@@ -151,7 +152,7 @@ class TestLateArrival:
         engine = CorrelationEngine()
         ranker = Ranker(None, engine.mmap, window=0.010, skew_bound=0.0)
         for start in reversed(range(0, len(arrival), 9)):
-            ranker.ingest(reversed(arrival[start : start + 9]))
+            ranker.ingest(packed(arrival[start : start + 9][::-1]))
             assert_ranker_aligned(ranker)
         assert sum(ranker._undelivered_sends.values()) == sum(
             1 for a in arrival if a.send_like
@@ -174,12 +175,12 @@ class TestIndexOnDemand:
     def drain(self, arrival, build_first):
         engine = CorrelationEngine()
         ranker = Ranker(None, engine.mmap, window=0.010, skew_bound=0.0)
-        ranker.ingest(arrival[: len(arrival) // 2])
+        ranker.ingest(packed(arrival[: len(arrival) // 2]))
         if build_first:
             for source in ranker._slot_sources:
                 source._positions()
         delivered = []
-        ranker.ingest(arrival[len(arrival) // 2 :])
+        ranker.ingest(packed(arrival[len(arrival) // 2 :]))
         ranker.seal()
         while (candidate := ranker.rank()) is not None:
             delivered.append(candidate.seq - arrival[0].seq)
@@ -205,7 +206,7 @@ class TestIndexOnDemand:
     def test_first_read_builds_it_from_the_head(self):
         rows = [row(float(i), port=10 + i % 2) for i in range(6)]
         ranker = Ranker(None, MessageMap(), window=0.5, skew_bound=0.0)
-        ranker.ingest(rows)
+        ranker.ingest(packed(rows))
         ranker.seal()
         assert [ranker.rank() for _ in range(2)] == rows[:2]
         (source,) = ranker._slot_sources
@@ -227,15 +228,15 @@ class TestBulkPath:
         one_by_one = ActivitySource("n")
         one_by_one._positions()
         for activity in rows:
-            one_by_one.extend([activity])
+            one_by_one.extend(packed([activity]))
 
         def no_bisect(*_args, **_kwargs):
             raise AssertionError("an in-order chunk must not take the insort path")
 
         monkeypatch.setattr("repro.core.ranker.bisect_right", no_bisect)
-        bulk = ActivitySource("n", rows[:25])
+        bulk = ActivitySource("n", packed(rows[:25]))
         bulk._positions()
-        bulk.extend(rows[25:])
+        bulk.extend(packed(rows[25:]))
         assert columns(bulk) == columns(one_by_one)
         assert send_positions(bulk) == send_positions(one_by_one)
         assert bulk.frontier == one_by_one.frontier
@@ -288,14 +289,14 @@ class TestChunkedIngestProperty:
         for index in order:
             by_node.setdefault(whole[index].node_key, []).append(whole[index])
         reference_engine = CorrelationEngine()
-        reference = Ranker(by_node, reference_engine.mmap, window=window)
+        reference = Ranker(packed(by_node), reference_engine.mmap, window=window)
 
         engine = CorrelationEngine()
         ranker = Ranker(None, engine.mmap, window=window, skew_bound=abs(skew))
         start = turn = 0
         while start < len(order):
             size = sizes[turn % len(sizes)]
-            ranker.ingest(chunked[i] for i in order[start : start + size])
+            ranker.ingest(packed([chunked[i] for i in order[start : start + size]]))
             start, turn = start + size, turn + 1
         ranker.seal()
 

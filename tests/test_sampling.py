@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.correlator import Correlator
 from repro.core.engine import CorrelationEngine
+from repro.core.interning import ActivityTable
 from repro.pipeline import (
     BackendSpec,
     Pipeline,
@@ -44,6 +45,7 @@ from repro.sampling import (
 from repro.sampling.sampler import iter_roots
 from repro.stream import ShardedCorrelator, StreamingCorrelator
 from repro.topology.library import scenario_names
+from helpers import packed
 from test_pipeline import MATRIX_WINDOW, matrix_config
 
 #: The pinned matrix policy -- change only together with --regenerate.
@@ -194,7 +196,8 @@ class TestRootHash:
             position = root_position(root)
             assert 0.0 <= position < 1.0
             assert root_position(root) == position
-            assert root_position(root.clone()) == position
+            rebuilt = ActivityTable.from_activities([root]).activity(0)
+            assert rebuilt is not root and root_position(rebuilt) == position
 
     def test_salt_rotates_the_subset(self, tiny_run):
         roots = iter_roots(tiny_run.activities())
@@ -323,7 +326,7 @@ class TestEngineTombstones:
         engine = CorrelationEngine(sampler=_RejectAll())
         from repro.core.ranker import Ranker
 
-        ranker = Ranker(trace_builder.by_node(), mmap=engine.mmap, window=0.01)
+        ranker = Ranker(packed(trace_builder.by_node()), mmap=engine.mmap, window=0.01)
         while True:
             candidate = ranker.rank()
             if candidate is None:

@@ -166,15 +166,13 @@ def _replicated_lb_table(seed=7):
 class TestSchedulesMatchBatch:
     def test_sharded_matches_batch_digest(self):
         table = _replicated_lb_table()
-        batch = result_digest(
-            Correlator(window=0.010).correlate(table.iter_fresh())
-        )
+        batch = result_digest(Correlator(window=0.010).correlate(table))
         for executor in sharded.EXECUTOR_KINDS:
             for max_shards in (None, 1, 2, 4):
                 correlator = ShardedCorrelator(
                     window=0.010, max_shards=max_shards, executor=executor
                 )
-                digest = result_digest(correlator.correlate(table.iter_fresh()))
+                digest = result_digest(correlator.correlate(table))
                 assert digest == batch, (executor, max_shards)
                 assert sum(correlator.last_shard_sizes) == len(table)
                 if max_shards is not None:
@@ -185,13 +183,11 @@ class TestSchedulesMatchBatch:
         # them different bucket contents) against the same merge path.
         for seed in (3, 7, 11):
             table = _replicated_lb_table(seed)
-            batch = result_digest(
-                Correlator(window=0.010).correlate(table.iter_fresh())
-            )
+            batch = result_digest(Correlator(window=0.010).correlate(table))
             pooled = result_digest(
                 ShardedCorrelator(
                     window=0.010, max_shards=4, executor="process"
-                ).correlate(table.iter_fresh())
+                ).correlate(table)
             )
             assert pooled == batch, seed
 
@@ -199,17 +195,15 @@ class TestSchedulesMatchBatch:
         # The skewed composite has two dominant components; a cost-blind
         # fold can stack them on one bucket, LPT by construction cannot.
         table = _scaling_trace()
-        heavies = sorted(
-            partition_components(table.iter_fresh()), key=len, reverse=True
-        )[:2]
-        buckets = partition_activities(table.iter_fresh(), max_shards=2)
+        heavies = sorted(partition_components(table), key=len, reverse=True)[:2]
+        buckets = partition_activities(table, max_shards=2)
         assert len(buckets) == 2
         bucket_of = {
             activity.seq: index
             for index, bucket in enumerate(buckets)
             for activity in bucket
         }
-        first, second = (bucket_of[heavy[0].seq] for heavy in heavies)
+        first, second = (bucket_of[heavy.activity(0).seq] for heavy in heavies)
         assert first != second
 
     def test_unset_max_workers_caps_pool_at_cpu_count(self, monkeypatch):
@@ -237,7 +231,7 @@ class TestSchedulesMatchBatch:
             )
         for max_workers, expected in ((None, min(12, os.cpu_count())), (3, 3)):
             correlator = ShardedCorrelator(window=0.010, max_workers=max_workers)
-            correlator.correlate([a.clone() for a in trace.activities])
+            correlator.correlate(trace.activities)
             assert len(correlator.last_shard_sizes) == 12
             assert pool_sizes.pop() == expected
         assert not pool_sizes

@@ -27,6 +27,7 @@ from repro.stream import (
     IteratorSource,
     ShardedCorrelator,
     StreamingCorrelator,
+    arrival_chunks,
     iter_chunks,
     merge_engine_stats,
     merge_ranker_stats,
@@ -57,12 +58,6 @@ def synthetic_workload(requests=12, skew=0.003, queries=2, noise=2):
     return trace
 
 
-def fresh(activities):
-    """Clone activities: the engine mutates byte counters in place, so
-    batch and streaming passes must never share objects."""
-    return [activity.clone() for activity in activities]
-
-
 # ---------------------------------------------------------------------------
 # equivalence: streaming == batch == sharded
 # ---------------------------------------------------------------------------
@@ -71,20 +66,18 @@ def fresh(activities):
 class TestStreamingEquivalence:
     def test_synthetic_trace_identical_cags_across_chunk_sizes(self):
         trace = synthetic_workload()
-        batch = Correlator(window=0.010).correlate(fresh(trace.activities))
+        batch = Correlator(window=0.010).correlate(trace.activities)
         expected = canonical_cags(batch.cags)
         for chunk_size in (1, 7, 64, 10_000):
             stream = StreamingCorrelator(
                 window=0.010, skew_bound=0.004, chunk_size=chunk_size
-            ).correlate(fresh(trace.activities))
+            ).correlate(trace.activities)
             assert canonical_cags(stream.cags) == expected, chunk_size
 
     def test_noise_counters_match_batch(self):
         trace = synthetic_workload(noise=3)
-        batch = Correlator(window=0.010).correlate(fresh(trace.activities))
-        stream = StreamingCorrelator(window=0.010, skew_bound=0.004).correlate(
-            fresh(trace.activities)
-        )
+        batch = Correlator(window=0.010).correlate(trace.activities)
+        stream = StreamingCorrelator(window=0.010, skew_bound=0.004).correlate(trace.activities)
         assert stream.ranker_stats.noise_discarded == batch.ranker_stats.noise_discarded
         assert stream.engine_stats.finished_cags == batch.engine_stats.finished_cags
 
@@ -120,9 +113,8 @@ class TestStreamingEquivalence:
     def test_cags_are_emitted_before_the_stream_ends(self):
         trace = synthetic_workload(requests=10)
         engine = IncrementalEngine(window=0.010, skew_bound=0.004)
-        ordered = sorted(fresh(trace.activities), key=sort_key)
         early = 0
-        for chunk in iter_chunks(ordered, 40):
+        for chunk in arrival_chunks(trace.activities, 40):
             early += len(engine.ingest(chunk))
         tail = len(engine.flush())
         assert early > 0, "no CAG was emitted before flush()"
@@ -165,7 +157,7 @@ class TestWatermarkEviction:
         # A BEGIN whose request never progresses: stays open forever in
         # batch mode, evicted (and counted) once the watermark passes it.
         trace_builder.three_tier_request(request_id=1, start=5.0)
-        abandoned = trace_builder.activities[0].clone()  # the BEGIN
+        abandoned = trace_builder.activities[0]  # the BEGIN
         engine = CorrelationEngine()
         engine.process(abandoned)
         assert len(engine.open_cags) == 1
@@ -195,7 +187,7 @@ class TestWatermarkEviction:
         cap = 5 * densest
         peak = 0
         finished = 0
-        for chunk in iter_chunks(ordered, 128):
+        for chunk in arrival_chunks(ordered, 128):
             finished += len(engine.ingest(chunk))
             peak = max(peak, engine.pending_state_size())
             assert engine.pending_state_size() <= cap
@@ -250,7 +242,7 @@ class TestWatermarkEviction:
         ]
         engine = IncrementalEngine(window=0.010, horizon=horizon, skew_bound=0.001)
         finished = []
-        for chunk in iter_chunks(sorted(activities, key=sort_key), 1):
+        for chunk in arrival_chunks(activities, 1):
             finished.extend(engine.ingest(chunk))
         finished.extend(engine.flush())
 
@@ -268,7 +260,7 @@ class TestWatermarkEviction:
         trace.three_tier_request(request_id=2, start=11.0)
         engine = IncrementalEngine(window=0.010, horizon=0.5, skew_bound=0.001)
         finished = []
-        for chunk in iter_chunks(sorted(trace.activities, key=sort_key), 5):
+        for chunk in arrival_chunks(trace.activities, 5):
             finished.extend(engine.ingest(chunk))
         finished.extend(engine.flush())
         assert len(finished) == 2
@@ -350,7 +342,7 @@ class TestReaders:
 class TestSharding:
     def test_partition_is_causally_closed(self):
         trace = synthetic_workload(requests=9, noise=0)
-        shards = partition_activities(fresh(trace.activities))
+        shards = partition_activities(trace.activities)
         assert len(shards) > 1
         # No context or connection key may span two shards.
         seen_ctx = {}
@@ -364,7 +356,7 @@ class TestSharding:
 
     def test_max_shards_folds_components(self):
         trace = synthetic_workload(requests=9, noise=0)
-        shards = partition_activities(fresh(trace.activities), max_shards=2)
+        shards = partition_activities(trace.activities, max_shards=2)
         assert len(shards) == 2
 
     def test_merge_stats_sums_counters(self):
@@ -381,20 +373,18 @@ class TestSharding:
 
     def test_sharded_correlator_matches_batch_on_synthetic_trace(self):
         trace = synthetic_workload()
-        batch = Correlator(window=0.010).correlate(fresh(trace.activities))
+        batch = Correlator(window=0.010).correlate(trace.activities)
         for max_shards in (None, 3, 1):
             sharded = ShardedCorrelator(
                 window=0.010, max_shards=max_shards, max_workers=4
-            ).correlate(fresh(trace.activities))
+            ).correlate(trace.activities)
             assert canonical_cags(sharded.cags) == canonical_cags(batch.cags)
             assert sharded.engine_stats.finished_cags == batch.engine_stats.finished_cags
 
     def test_merged_report_is_deterministic(self):
         trace = synthetic_workload(requests=6, noise=0)
-        first = ShardedCorrelator(window=0.010).correlate(fresh(trace.activities))
-        second = ShardedCorrelator(window=0.010, max_workers=1).correlate(
-            fresh(trace.activities)
-        )
+        first = ShardedCorrelator(window=0.010).correlate(trace.activities)
+        second = ShardedCorrelator(window=0.010, max_workers=1).correlate(trace.activities)
         assert [cag.begin_timestamp for cag in first.cags] == [
             cag.begin_timestamp for cag in second.cags
         ]
