@@ -64,7 +64,7 @@ Commands
     local time; state idle for longer is evicted -- pick a value above
     the service's worst-case response time, see
     ``IncrementalEngine.horizon``); ``--shards`` switches to the
-    sharded parallel driver instead (batch semantics per shard, so the
+    sharded driver instead (batch semantics per shard, so the
     incremental-only knobs ``--horizon``/``--skew-bound``/``--chunk-size``
     do not apply there).  ``--input`` (repeatable: one log per node)
     reads the files a block at a time inside the drive, merged by
@@ -144,7 +144,6 @@ from .pipeline import (
     TraceSession,
 )
 from .core.export import trace_summary
-from .stream.sharded import EXECUTOR_KINDS
 from .services.faults import FaultConfig
 from .services.noise import NoiseConfig
 from .topology.library import ScenarioConfig, get_scenario, scenario_names
@@ -336,15 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "use the sharded parallel driver with up to N shards "
-            "(0 = incremental; --horizon/--skew-bound/--chunk-size do not apply)"
+            "use the sharded driver with up to N shards: causally-closed "
+            "components, each correlated alone on a thread pool and merged, "
+            "output identical to batch (0 = incremental; "
+            "--horizon/--skew-bound/--chunk-size do not apply)"
         ),
-    )
-    stream_parser.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_KINDS),
-        default="thread",
-        help="sharded worker pool kind (requires --shards; default: thread)",
     )
     stream_parser.add_argument(
         "--checkpoint",
@@ -393,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument(
         "--figure",
-        choices=["fig9", "fig11s", "sampling", "interning", "scaling"],
+        choices=["fig9", "fig11s", "sampling", "interning"],
         default="fig9",
         help="which performance figure to regenerate (default: fig9)",
     )
@@ -893,7 +888,7 @@ def _command_stream(args: argparse.Namespace) -> int:
             print(f"requests completed      : {run.completed_requests}")
             print(f"activities logged       : {run.total_activities}")
 
-    # -- backend: incremental, or sharded parallel ---------------------------
+    # -- backend: incremental, or sharded ------------------------------------
     # BackendSpec validation raises ValueError on incompatible knob
     # combinations (adaptive sampling on the sharded driver, checkpoint
     # flags without --checkpoint-every, ...); surface those as the usual
@@ -908,7 +903,6 @@ def _command_stream(args: argparse.Namespace) -> int:
             backend = BackendSpec.sharded(
                 window=args.window,
                 max_shards=args.shards,
-                executor=args.executor,
                 sampling=sampling,
             )
         else:
@@ -1180,7 +1174,6 @@ def _command_profile(args: argparse.Namespace, scale) -> int:
         figure11_streaming,
         figure_interning,
         figure_sampling,
-        figure_scaling,
     )
 
     generators = {
@@ -1188,7 +1181,6 @@ def _command_profile(args: argparse.Namespace, scale) -> int:
         "fig11s": figure11_streaming,
         "sampling": figure_sampling,
         "interning": figure_interning,
-        "scaling": figure_scaling,
     }
     provenance = kernel_provenance()
     print(

@@ -308,10 +308,11 @@ class CAG:
     # -- serialisation -----------------------------------------------------
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle support.  The state is positional already, so it ships
-        as it is held: the vertex list and the three packed columns (the
-        process-pool sharded correlator and the checkpoints both pickle
-        CAGs).  The ``id -> position`` index and the analysis memo are
+        """Pickle support.  The state is positional already, so it is
+        written as it is held: the vertex list and the three packed
+        columns (a streaming checkpoint pickles the engine's open CAGs,
+        and a resume may unpickle them in a new process).  The
+        ``id -> position`` index and the analysis memo are
         not serialised -- vertex ids do not survive a round trip, and the
         memo's interned signature and shape plan are only canonical
         within one process."""

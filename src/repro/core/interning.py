@@ -20,11 +20,11 @@ Two deliberate boundaries keep the refactor byte-identical:
   resolve back to the string/tuple identity first.  See
   ``repro.sampling.sampler.root_key`` and
   ``repro.pipeline.equivalence._fingerprint``.
-* **Process-pool workers rebuild the identical key space.**  A worker
-  that receives a pickled shard table receives its interned key columns
-  verbatim, so the parent ships an interner :meth:`~KeyInterner.
-  snapshot` alongside each shard and the worker :meth:`~KeyInterner.
-  install`\\ s it before correlating.
+* **A resumed checkpoint rebuilds the identical key space.**  A
+  checkpoint pickles engine state whose activities carry interned keys
+  verbatim, so it stores an interner :meth:`~KeyInterner.snapshot`
+  beside the engine, and a resume -- possibly in a new process --
+  :meth:`~KeyInterner.install`\\ s it before the engine is unpickled.
 
 :class:`ActivityTable` is the companion columnar store, and the one
 form a trace takes on its way to the ranker: parallel columns of type /
@@ -194,9 +194,9 @@ class KeyInterner:
     def snapshot(self) -> Dict[str, list]:
         """Picklable copy of the id assignment (raw tuples only).
 
-        Ship this to process-pool workers alongside their shard so
-        :meth:`install` can rebuild the identical key space before any
-        interned activity is touched.
+        A streaming checkpoint stores this beside the engine so that a
+        resume can :meth:`install` the identical key space before any
+        interned activity is unpickled.
         """
         with self._lock:
             return {
@@ -208,11 +208,11 @@ class KeyInterner:
     def install(self, snapshot: Dict[str, list]) -> None:
         """Adopt a snapshot's id assignment, in place and append-only.
 
-        The existing assignment must be a prefix of the snapshot's (the
-        fork-start case, where the child inherits the parent's interner
-        wholesale, degenerates to a no-op).  The maps are extended in
-        place -- never rebound -- because hot-path modules hold direct
-        references to them.
+        The existing assignment must be a prefix of the snapshot's (a
+        resume in the process that wrote the checkpoint degenerates to a
+        no-op; a fresh process starts from an empty one).  The maps are
+        extended in place -- never rebound -- because hot-path modules
+        hold direct references to them.
         """
         with self._lock:
             self._install_keys(

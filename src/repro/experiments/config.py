@@ -69,10 +69,6 @@ class ExperimentScale:
     fuzz_sampling_rate: float = 0.5
     #: scenario-library scenarios swept by the overhead-control figure
     sampling_scenarios: Tuple[str, ...] = ("rubis", "fanout_aggregator", "cache_aside")
-    #: shard counts swept by the scale-out figure
-    scaling_shard_counts: Tuple[int, ...] = (2, 4, 8)
-    #: executors swept by the scale-out figure
-    scaling_executors: Tuple[str, ...] = ("thread", "process")
 
     @property
     def max_threads_values(self) -> Tuple[int, ...]:

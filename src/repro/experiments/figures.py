@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from ..baselines.project5 import nesting_algorithm
 from ..baselines.wap5 import Wap5Tracer
-from ..core.activity import Activity, sort_key
+from ..core.activity import Activity
 from ..core.debugging import LatencyProfile
 from ..core.interning import ActivityTable
 from ..services.faults import FaultConfig
@@ -945,109 +945,6 @@ def figure_interning(
     return result
 
 
-# ---------------------------------------------------------------------------
-# Scale-out -- throughput vs shard count vs executor
-# ---------------------------------------------------------------------------
-
-def _scaling_trace() -> ActivityTable:
-    """A deliberately skewed composite trace for the scale-out figure.
-
-    Four library scenarios at distinct seeds, concatenated: their node
-    names never overlap, so each contributes its own causally-closed
-    component(s), and the mix is heavy-tailed by construction -- the
-    fan-out aggregator and the five-tier chain each collapse into one
-    giant component, next to small per-scenario ones.  That skew is
-    exactly what the LPT packing exists for: a cost-blind fold can stack
-    the two heavies on one shard while cost-aware packing cannot.
-
-    Scenario defaults (stages, runtime) are used on purpose: scaling the
-    runtime or the client counts merges or splinters components and
-    destroys the pinned skew shape.
-    """
-    from ..topology.library import run_scenario
-
-    parts = [
-        run_scenario("fanout_aggregator", seed=11, clients=60),
-        run_scenario("replicated_lb", seed=7, clients=40),
-        run_scenario("five_tier_chain", seed=3, clients=50),
-        run_scenario("rubis", seed=6, clients=30),
-    ]
-    activities: List[Activity] = []
-    for part in parts:
-        activities.extend(part.activities())
-    activities.sort(key=sort_key)
-    return ActivityTable.from_activities(activities)
-
-
-def figure_scaling(
-    scale: Optional[ExperimentScale] = None, cache: Optional[RunCache] = None
-) -> FigureResult:
-    """Scale-out: aggregate throughput vs shards and executor.
-
-    Each row correlates the same skewed composite trace through
-    :class:`~repro.stream.ShardedCorrelator` at one (shards, executor)
-    point.  ``correlation_time_s`` is the *makespan* -- the busiest
-    shard's self-measured busy time -- which is what the wall clock
-    converges to with one core per shard; it shows the packing's quality
-    even on oversubscribed CI runners.  ``wall_s`` records the actual
-    wall clock alongside, and is the column the CI gate compares against
-    the committed baseline (keyed by the composite ``case`` column),
-    because makespan can improve while wall clock regresses.  ``cache``
-    is accepted for generator-signature uniformity (the composite trace
-    is built fresh).
-    """
-    scale = scale or default_scale()
-    result = FigureResult(
-        figure_id="scaling",
-        title="Sharded scale-out: throughput vs shards and executor",
-        columns=[
-            "case",
-            "shards",
-            "executor",
-            "activities",
-            "components",
-            "correlation_time_s",
-            "wall_s",
-            "throughput_kact_s",
-        ],
-        notes=(
-            "skewed 4-scenario composite trace; correlation_time_s is the "
-            "busiest shard's busy time (makespan), throughput is "
-            "activities/makespan"
-        ),
-    )
-    import time as _time
-
-    from ..stream import ShardedCorrelator, partition_components
-
-    table = _scaling_trace()
-    components = len(partition_components(table))
-    for shards in scale.scaling_shard_counts:
-        for executor in scale.scaling_executors:
-            correlator = ShardedCorrelator(
-                window=scale.window, max_shards=shards, executor=executor
-            )
-            wall_start = _time.perf_counter()
-            outcome = correlator.correlate(table)
-            wall = _time.perf_counter() - wall_start
-            makespan = max(correlator.last_makespan_s(), 1e-9)
-            result.rows.append(
-                {
-                    "case": f"{shards}x-{executor}",
-                    "shards": shards,
-                    "executor": executor,
-                    "activities": outcome.total_activities,
-                    "components": components,
-                    "correlation_time_s": round(makespan, 4),
-                    "wall_s": round(wall, 4),
-                    "throughput_kact_s": round(
-                        outcome.total_activities / makespan / 1e3, 1
-                    ),
-                }
-            )
-    return result
-
-
 #: Every generator, keyed by figure id (used by the CLI and the docs).
 ALL_FIGURES = {
     "sec5.2": accuracy_table,
@@ -1068,5 +965,4 @@ ALL_FIGURES = {
     "sampling": figure_sampling,
     "fuzz": figure_fuzz,
     "interning": figure_interning,
-    "scaling": figure_scaling,
 }

@@ -142,15 +142,13 @@ def sharded_trace(
     window: float = 0.010,
     max_workers: Optional[int] = None,
     max_shards: Optional[int] = None,
-    executor: str = "thread",
 ) -> TraceResult:
-    """Trace a completed run through the sharded parallel backend."""
+    """Trace a completed run through the sharded backend."""
     return trace_run(
         run,
         BackendSpec.sharded(
             window=window,
             max_workers=max_workers,
             max_shards=max_shards,
-            executor=executor,
         ),
     )

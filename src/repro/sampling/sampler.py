@@ -234,8 +234,8 @@ def precompute_decisions(activities: Iterable, spec) -> FrozenDecisions:
     reproduces what :meth:`RequestSampler.admit` would decide, which can
     be useful for reporting.  Adaptive specs are rejected: their rate is
     steered by the engine at run time, so no decision set exists before
-    the run.  The result is a plain frozenset of :func:`root_key` tuples
-    -- picklable, so the sharded driver ships it to worker processes.
+    the run.  The result is a plain frozenset of :func:`root_key` tuples,
+    which the sharded driver hands to every shard.
     """
     if spec.kind == "adaptive":
         raise ValueError(

@@ -15,8 +15,9 @@ the online drivers of that same engine, the seam every scaling direction
                             ``correlate()`` shape as the batch Correlator
 :class:`ShardedCorrelator`  partition a trace into causally-closed shards
                             (union-find over context/connection keys,
-                            LPT-packed by activity count) and correlate
-                            them in parallel
+                            LPT-packed by activity count), correlate each
+                            alone and merge: a tested equivalence backend
+                            whose output is identical to batch
 :class:`FileTailSource`     ``tail -f``-style log file reader, one
                             ``chunk_bytes`` block at a time
 :class:`IteratorSource`     chunked reader over any line iterable

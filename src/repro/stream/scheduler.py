@@ -19,8 +19,8 @@ optimal, which is all a scheduler needs when the weights are estimates
 anyway.
 
 Why only this one: the repo used to carry a round-robin fold and a
-run-time work-stealing dispatcher beside it.  Its own committed 18-cell
-scaling baseline showed LPT halving round-robin's makespan at 2 and 4
+run-time work-stealing dispatcher beside it.  An 18-cell scaling
+baseline it once committed showed LPT halving round-robin's makespan at 2 and 4
 shards (0.086 vs 0.155 s, 0.059 vs 0.120 s) and tying it at 8, while
 stealing fired 2 times in total and beat plain LPT in 1 of 6 cells.
 """

@@ -1,4 +1,4 @@
-"""Sharded correlation: partition the trace, correlate shards in parallel.
+"""Sharded correlation: partition the trace, correlate each shard alone.
 
 Correlation decisions only ever relate activities through two keys: the
 *context identifier* (adjacent-context edges, ``cmap``) and the
@@ -15,7 +15,7 @@ union-find pass; :func:`partition_activities` packs them cost-aware (LPT
 by activity count, see :mod:`repro.stream.scheduler`) into at most
 ``max_shards`` buckets -- any union of components is still causally
 closed; :class:`ShardedCorrelator` runs one correlation task per bucket
-on a worker pool and gathers the per-shard results through an
+on a thread pool and gathers the per-shard results through an
 associative **merge tree** back into one
 :class:`~repro.core.correlator.CorrelationResult`.
 
@@ -38,17 +38,19 @@ Two practical notes:
   reduces to the batch path, still correct, just not parallel).  Client
   churn, per-request connections and multi-frontend deployments shard
   well.
-* Two executors are available (``executor="thread"`` is the default).
-  Threads share the Python runtime, so the speed-up on CPython is bounded
-  by the GIL for pure-Python work; ``executor="process"`` ships each
-  shard to a worker process (a shard's packed table and its result are
-  pickled across the boundary), buying true CPU parallelism at a
-  serialisation cost that pays off on large shards.  Either way the
-  partitioning itself is the architectural seam a distributed driver
-  would use to place shards on different machines.  A shard is a table
-  of rows, and each worker builds the objects it delivers, so a
-  caller's activity objects are never touched; the returned CAGs are
-  byte-identical either way.
+* This is an equivalence backend, not a scale-out engine.  Shards run on
+  a thread pool, which shares the Python runtime, so on CPython the GIL
+  serialises the pure-Python work and no trace the repository produces
+  runs faster sharded than batch: at 300-400 clients the ``rubis``,
+  ``five_tier_chain``, ``cache_aside`` and ``fanout_aggregator`` traces
+  are each one component, and ``replicated_lb`` at 150 req/s open-loop
+  (112 k activities, 3 components) took 1.08 s batch against 1.18-1.39 s
+  on threads (a process pool, since retired, took 3.1-3.8 s).  What the
+  backend buys is a second, independently structured route to the batch
+  result -- and the partitioning is the seam a distributed driver would
+  use to place shards on different machines.  A shard is a table of
+  rows, and each run builds the objects it delivers, so a caller's
+  activity objects are never touched.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Un
 from ..core.activity import Activity
 from ..core.correlator import CorrelationResult, Correlator
 from ..core.engine import EngineStats
-from ..core.interning import INTERNER, ActivityTable, as_table
+from ..core.interning import ActivityTable, as_table
 from ..core.ranker import RankerStats
 from .scheduler import pack_lpt
 
@@ -320,60 +322,29 @@ def _correlate_shard(
     sampling,
     decisions,
     shard: ActivityTable,
-    interner_snapshot=None,
 ) -> CorrelationResult:
-    """Correlate one shard (module-level so process pools can pickle it).
+    """Correlate one shard with a batch :class:`Correlator`.
 
     ``sampling`` / ``decisions`` carry the request-sampling policy and
-    its whole-trace frozen decision set: the spec is a frozen dataclass
-    and the decisions a frozenset of key tuples, so both cross the
-    pickle boundary to process-pool workers unchanged.
-
-    ``interner_snapshot`` rebuilds the parent's key space in a worker
-    process before the shard is touched: an unpickled shard table carries
-    the parent's interned context and message keys verbatim, so the
-    worker's interner must assign the identical ids -- the objects the
-    worker builds from the rows resolve their contexts and nodes through
-    it.  With the fork start method the child inherits the parent's
-    interner and the install degenerates to a no-op; spawn starts need
-    it.
+    its whole-trace frozen decision set, so every shard admits exactly
+    the requests the batch run admits.
     """
-    if interner_snapshot is not None:
-        INTERNER.install(interner_snapshot)
     return Correlator(
         window=window, sampling=sampling, sampling_decisions=decisions
     ).correlate(shard)
 
 
-def _correlate_shard_timed(
-    window: float,
-    sampling,
-    decisions,
-    shard: ActivityTable,
-    interner_snapshot=None,
-) -> Tuple[CorrelationResult, float]:
-    """:func:`_correlate_shard` plus the worker's own busy-time measurement.
-
-    The worker times itself with ``thread_time`` -- CPU time of the
-    executing thread alone -- so the driver's per-slot busy accounting
-    (and the scaling figure's makespan) excludes queueing, pickle
-    transfer and, crucially, GIL/scheduler waits while *other* workers
-    run: on an oversubscribed machine a wall-clock self-measurement
-    would charge every slot for its neighbours' work and flatten the
-    very load imbalance the measurement exists to show.
-    """
-    start = time.thread_time()
-    part = _correlate_shard(window, sampling, decisions, shard, interner_snapshot)
-    return part, time.thread_time() - start
-
-
-#: Executor kinds accepted by :class:`ShardedCorrelator`.
-EXECUTOR_KINDS = ("thread", "process")
+def require_positive_or_none(name: str, value) -> None:
+    """Refuse a shard knob that is neither ``None`` nor a positive int."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{name} must be None or a positive int (got {value!r})")
 
 
 class ShardedCorrelator:
     """Partition a trace into causally-closed shards and correlate them
-    concurrently.
+    on a thread pool.
 
     Parameters
     ----------
@@ -381,19 +352,15 @@ class ShardedCorrelator:
         Sliding-time-window size in seconds (per shard, identical
         semantics to the batch correlator).
     max_workers:
-        Pool size for shard correlation.  The pool never exceeds the
-        shard count; unset, it is further capped at ``os.cpu_count()``
+        Thread-pool size for shard correlation (``None`` or a positive
+        int).  The pool never exceeds the shard count; unset, it is
+        further capped at ``os.cpu_count()``
         (``min(shards, max_workers or os.cpu_count())``).
     max_shards:
-        Upper bound on shard count; above it components are packed
-        LPT-greedily by activity count into that many buckets (see
-        :func:`partition_activities`).  ``None`` keeps one shard per
-        connected component.
-    executor:
-        ``"thread"`` (default) correlates shards on a thread pool --
-        zero serialisation cost, GIL-bounded; ``"process"`` ships shards
-        to worker processes for true CPU parallelism (shards and results
-        cross a pickle boundary, so it pays off on large traces).
+        Upper bound on shard count (``None`` or a positive int); above it
+        components are packed LPT-greedily by activity count into that
+        many buckets (see :func:`partition_activities`).  ``None`` keeps
+        one shard per connected component.
     sampling:
         Optional :class:`repro.sampling.SamplingSpec`.  The hash and
         budget policies sample the identical request subset the batch
@@ -403,9 +370,8 @@ class ShardedCorrelator:
         observes one sequential engine's state, which a shard-parallel
         run does not have.
 
-    After a :meth:`correlate` call the scheduling outcome is exposed for
-    reporting: ``last_shard_sizes`` (activities per shard) and
-    ``last_slot_busy_s`` (worker-measured busy seconds per shard).
+    After a :meth:`correlate` call ``last_shard_sizes`` holds the
+    activity count of each shard.
     """
 
     def __init__(
@@ -413,16 +379,12 @@ class ShardedCorrelator:
         window: float = 0.010,
         max_workers: Optional[int] = None,
         max_shards: Optional[int] = None,
-        executor: str = "thread",
         sampling=None,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {executor!r}; valid executors: "
-                f"{', '.join(EXECUTOR_KINDS)}"
-            )
+        require_positive_or_none("max_workers", max_workers)
+        require_positive_or_none("max_shards", max_shards)
         if sampling is not None and sampling.kind == "adaptive":
             raise ValueError(
                 "adaptive sampling feeds back from one sequential engine's "
@@ -432,15 +394,12 @@ class ShardedCorrelator:
         self.window = window
         self.max_workers = max_workers
         self.max_shards = max_shards
-        self.executor = executor
         self.sampling = sampling
         #: per-shard activity counts of the last ``correlate`` call
         self.last_shard_sizes: List[int] = []
-        #: worker-measured busy seconds per shard of the last call
-        self.last_slot_busy_s: List[float] = []
 
     def correlate(self, activities: Trace) -> CorrelationResult:
-        """Correlate a flat trace shard-parallel: packed rows, or objects,
+        """Correlate a flat trace shard by shard: packed rows, or objects,
         which are packed once here."""
         table = as_table(activities)
         start = time.perf_counter()
@@ -449,12 +408,10 @@ class ShardedCorrelator:
         decisions = self.sampling.freeze(table) if self.sampling is not None else None
         shards = partition_activities(table, max_shards=self.max_shards)
         self.last_shard_sizes = [len(shard) for shard in shards]
-        self.last_slot_busy_s = []
         if not shards:
             return Correlator(window=self.window).correlate(ActivityTable())
         tree = MergeTree()
-        for part, busy in self._timed_parts(shards, decisions):
-            self.last_slot_busy_s.append(busy)
+        for part in self._parts(shards, decisions):
             tree.push(canonical_part(part))
         elapsed = time.perf_counter() - start
         return merge_results(
@@ -462,45 +419,23 @@ class ShardedCorrelator:
             shard_sizes=self.last_shard_sizes,
         )
 
-    def _timed_parts(self, shards: List[ActivityTable], decisions):
-        """Yield ``(result, busy seconds)`` per shard, in shard order."""
+    def _parts(self, shards: List[ActivityTable], decisions):
+        """Yield each shard's correlation result, in shard order."""
         count = len(shards)
         if count == 1:
             # One shard: nothing to run concurrently, so no pool.
-            yield _correlate_shard_timed(
-                self.window, self.sampling, decisions, shards[0]
-            )
+            yield _correlate_shard(self.window, self.sampling, decisions, shards[0])
             return
         # Imported where a pool is built: a tracer that never shards does
         # not load the executors (about 20 modules) at all.
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        pool_cls = (
-            ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-        )
-        # Thread workers share the process interner already; process
-        # workers get a snapshot so they rebuild the identical key space
-        # (see _correlate_shard).  Taken after partitioning, so every key
-        # of every shard is covered.
-        snapshot = INTERNER.snapshot() if self.executor == "process" else None
         workers = min(count, self.max_workers or os.cpu_count() or 1)
-        with pool_cls(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(
-                _correlate_shard_timed,
+                _correlate_shard,
                 [self.window] * count,
                 [self.sampling] * count,
                 [decisions] * count,
                 shards,
-                [snapshot] * count,
             )
-
-    # -- reporting ------------------------------------------------------------
-
-    def last_makespan_s(self) -> float:
-        """Busiest shard's measured busy time of the last ``correlate``.
-
-        With one core per shard this tracks the parallel wall-clock time;
-        on an oversubscribed machine it still measures the packing's
-        quality (what the wall clock would be with real parallelism).
-        """
-        return max(self.last_slot_busy_s) if self.last_slot_busy_s else 0.0

@@ -277,11 +277,9 @@ class TestMemoSafety:
         assert cag_signature(shipped) is signature
         assert breakdown_for_cag(shipped).as_dict() == segments
 
-    def test_process_pool_sharded_results_match_batch_signatures(self, rubis_source):
+    def test_sharded_results_match_batch_signatures(self, rubis_source):
         batch = BackendSpec.batch().correlate(rubis_source.activities())
-        sharded = BackendSpec.sharded(max_workers=2, executor="process").correlate(
-            rubis_source.activities()
-        )
+        sharded = BackendSpec.sharded(max_workers=2).correlate(rubis_source.activities())
         assert Counter(map(cag_signature, sharded.cags)) == Counter(
             map(cag_signature, batch.cags)
         )

@@ -656,14 +656,10 @@ class TestWholeTraces:
             report = path_accuracy(cags, run.ground_truth, time_tolerance=1e-5)
             assert report.total_requests - report.correct_paths <= len(hit)
 
-    def test_process_pool_sharded_run_over_fused_activities_matches_batch(
-        self, rubis_run
-    ):
+    def test_sharded_run_over_fused_activities_matches_batch(self, rubis_run):
         lines = [format_record(record) for record in rubis_run.all_records()]
         stream = ActivityStream(frontends=[rubis_run.frontend_spec()])
         batch = BackendSpec.batch().correlate(stream.classify_lines(lines))
-        pooled = BackendSpec.sharded(max_workers=2, executor="process").correlate(
-            stream.classify_lines(lines)
-        )
+        pooled = BackendSpec.sharded(max_workers=2).correlate(stream.classify_lines(lines))
         assert len(batch.cags) == rubis_run.completed_requests
         assert result_digest(pooled) == result_digest(batch)

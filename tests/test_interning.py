@@ -6,11 +6,11 @@ Three invariants keep the interning refactor honest:
   ``intern(x)`` then ``resolve`` must give back the original identity,
   and re-interning the same identity must return the same dense int
   (property-tested over generated ``ContextId``/``MessageId`` values).
-* **Snapshot equality** -- a worker process that installs the parent's
-  interner snapshot rebuilds the *identical* key space, which is what
-  lets pickled activities carry their interned ints verbatim across the
-  process-pool boundary (asserted both directly and end-to-end through
-  the thread vs process sharded executors).
+* **Snapshot equality** -- an interner that installs another's snapshot
+  rebuilds the *identical* key space, which is what lets a checkpoint's
+  pickled activities carry their interned ints verbatim into a resume in
+  a new process (asserted here directly, and end to end by the
+  SIGKILL/resume subprocess test in ``tests/test_checkpoint.py``).
 * **Sampler invariance** -- sampling decisions hash the original string
   identity, never the interned ints, so the sampled request subset is
   byte-identical to the pre-refactor pins captured at commit 15b54ad.
@@ -170,9 +170,9 @@ class TestSnapshot:
             worker.install(parent.snapshot())
 
     def test_global_interner_snapshot_installs_onto_fresh_interner(self):
-        # Exactly what a spawn-start process-pool worker does on its
-        # first shard (fork-start children inherit the parent interner
-        # and the install degenerates to a prefix no-op).
+        # Exactly what a checkpoint resume in a fresh process does before
+        # it unpickles the engine (a resume in the writing process
+        # degenerates to a prefix no-op).
         make_activity()  # ensure the global interner is non-empty
         snapshot = INTERNER.snapshot()
         worker = KeyInterner()
@@ -205,35 +205,6 @@ def _two_component_trace():
             make_activity(ActivityType.END, base + 0.005, connection=back, request_id=req, **web),
         ]
     return activities
-
-
-class TestShardedExecutorKeySpace:
-    def test_thread_and_process_executors_agree(self):
-        # One fresh trace per run: the engine consumes Activity.size in
-        # place, so correlating the same objects twice is never valid.
-        thread = BackendSpec.sharded(executor="thread").correlate(_two_component_trace())
-        process = BackendSpec.sharded(executor="process").correlate(_two_component_trace())
-        assert result_digest(process) == result_digest(thread)
-        assert len(process.cags) == len(thread.cags)
-
-    def test_process_results_resolve_in_parent_key_space(self):
-        # Activities that crossed the pickle boundary carry the parent's
-        # interned ints verbatim; every key must still resolve to the
-        # activity's original identity in *this* process's interner.
-        activities = _two_component_trace()
-        result = BackendSpec.sharded(executor="process").correlate(activities)
-        assert result.cags
-        for cag in result.cags:
-            for activity in cag.vertices:
-                assert (
-                    INTERNER.resolve_context_key(activity.context_key)
-                    == activity.context.as_tuple()
-                )
-                assert (
-                    INTERNER.resolve_message_key(activity.message_key)
-                    == activity.message.connection_key()
-                )
-                assert INTERNER.resolve_node(activity.node_key) == activity.context.hostname
 
 
 class TestActivityTable:

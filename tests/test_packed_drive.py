@@ -289,8 +289,8 @@ class TestIdentity:
         backends = [
             BackendSpec.batch(),
             BackendSpec.streaming(),
-            BackendSpec.sharded(max_workers=2, executor="thread"),
-            BackendSpec.sharded(max_workers=2, max_shards=2, executor="process"),
+            BackendSpec.sharded(max_workers=2),
+            BackendSpec.sharded(max_workers=2, max_shards=2),
         ]
         digests = set()
         for backend in backends:

@@ -12,8 +12,8 @@ Regenerate the golden file after an *intentional* output change with::
 
     PYTHONPATH=src:tests python tests/test_pipeline.py --regenerate
 
-The rest covers the facade (sources, stages, sinks), the process-pool
-sharded executor, and the mismatch-reporting path of the equivalence API.
+The rest covers the facade (sources, stages, sinks), backend-spec
+validation, and the mismatch-reporting path of the equivalence API.
 """
 
 from __future__ import annotations
@@ -101,17 +101,6 @@ class TestEquivalenceMatrix:
             "(if intentional, regenerate with "
             "`PYTHONPATH=src:tests python tests/test_pipeline.py --regenerate`)"
         )
-
-    def test_process_executor_matches_thread_executor(self, matrix_sources):
-        source = matrix_sources["fanout_aggregator"]
-        thread = BackendSpec.sharded(window=MATRIX_WINDOW, executor="thread")
-        process = BackendSpec.sharded(window=MATRIX_WINDOW, executor="process")
-        thread_result = thread.correlate(source.activities())
-        process_result = process.correlate(source.activities())
-        assert result_digest(process_result) == result_digest(thread_result)
-        # CAGs that crossed the process boundary are structurally intact.
-        for cag in process_result.cags[:20]:
-            cag.validate()
 
     def test_pipeline_verify_equivalence_uses_the_pipeline_window(self, matrix_sources):
         pipeline = Pipeline(
@@ -630,6 +619,16 @@ class TestBackendSpec:
         with pytest.raises(ValueError):
             BackendSpec.sharded(executor="fiber")
 
+    @pytest.mark.parametrize("field", ["max_shards", "max_workers"])
+    @pytest.mark.parametrize("value", [0, -1, -3, 2.0, True])
+    def test_shard_knobs_are_refused_at_construction(self, field, value):
+        # A bad knob fails when the spec is built, naming the field --
+        # not at run time, and never silently read as "unset".
+        with pytest.raises(ValueError, match=field):
+            BackendSpec.sharded(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            BackendSpec(kind="sharded", **{field: value})
+
     def test_describe_names_the_driver_and_knobs(self):
         batch = BackendSpec.batch(window=0.002).describe()
         assert batch.startswith("batch (window=0.002s")
@@ -638,8 +637,9 @@ class TestBackendSpec:
         streaming = BackendSpec.streaming(horizon=5.0).describe()
         assert "streaming" in streaming and "horizon=5s" in streaming
         assert "kernel=" in streaming
-        sharded = BackendSpec.sharded(executor="process", max_shards=8).describe()
-        assert "executor=process" in sharded and "max_shards=8" in sharded
+        sharded = BackendSpec.sharded(max_shards=8, max_workers=2).describe()
+        assert "max_shards=8" in sharded and "max_workers=2" in sharded
+        assert "executor" not in sharded
         assert "kernel=" in sharded
 
     def test_sharded_result_reports_shard_sizes(self, tiny_run):

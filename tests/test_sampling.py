@@ -104,18 +104,6 @@ class TestSampledEquivalenceMatrix:
         ).require()
         assert report.digest is not None
 
-    def test_process_executor_matches_thread_executor_sampled(self, matrix_sources):
-        source = matrix_sources["fanout_aggregator"]
-        thread = BackendSpec.sharded(
-            window=MATRIX_WINDOW, executor="thread", sampling=MATRIX_SAMPLING
-        )
-        process = BackendSpec.sharded(
-            window=MATRIX_WINDOW, executor="process", sampling=MATRIX_SAMPLING
-        )
-        assert result_digest(thread.correlate(source.activities())) == result_digest(
-            process.correlate(source.activities())
-        )
-
     def test_adaptive_batch_matches_streaming(self, matrix_sources):
         # Both drivers correlate the identical candidate sequence and the
         # controller ticks on a candidate-count cadence, so with eviction

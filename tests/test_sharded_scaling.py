@@ -1,11 +1,11 @@
-"""Tests for the scale-out layer: LPT packing, merge tree, one driver.
+"""Tests for the sharded backend: LPT packing, merge tree, one driver.
 
 Three invariants keep the scheduler/merge layer honest:
 
 * **Assignment is policy, output is not** -- whatever ``max_shards``
-  packs the components into, on either executor, the output is
-  digest-identical to the batch correlator: components are causally
-  closed, so *where* one runs can never change *what* it produces.
+  packs the components into, the output is digest-identical to the
+  batch correlator: components are causally closed, so *where* one runs
+  can never change *what* it produces.
 * **Merge order independence** -- the gather is an associative pairwise
   merge over canonicalised parts, so ``merge_results`` (and the ranked
   latency report computed from its output) gives byte-identical results
@@ -24,10 +24,10 @@ import random
 import pytest
 
 from helpers import SyntheticTrace
+from repro.core.activity import sort_key
 from repro.core.correlator import Correlator
 from repro.core.interning import ActivityTable
-from repro.experiments.figures import _scaling_trace
-from repro.pipeline import ranked_latency_report, result_digest
+from repro.pipeline import BackendSpec, ranked_latency_report, result_digest
 from repro.stream import (
     MergeTree,
     ShardedCorrelator,
@@ -36,7 +36,6 @@ from repro.stream import (
     merge_results,
     partition_activities,
     partition_components,
-    sharded,
 )
 from repro.stream.scheduler import pack_lpt
 from repro.topology.library import run_scenario
@@ -154,7 +153,7 @@ class TestMergeOrderIndependence:
 
 
 # ---------------------------------------------------------------------------
-# Sharded vs batch: identical output, on both executors
+# Sharded vs batch: identical output
 # ---------------------------------------------------------------------------
 
 def _replicated_lb_table(seed=7):
@@ -163,38 +162,68 @@ def _replicated_lb_table(seed=7):
     )
 
 
+def _skewed_composite_table() -> ActivityTable:
+    """Four library scenarios at distinct seeds, concatenated.
+
+    Their node names never overlap, so each contributes its own
+    causally-closed component(s), and the mix is heavy-tailed: the
+    fan-out aggregator and the five-tier chain each collapse into one
+    giant component next to small ones.  Scenario defaults are used on
+    purpose -- other runtimes or client counts merge or splinter
+    components and lose the skew.
+    """
+    parts = [
+        run_scenario("fanout_aggregator", seed=11, clients=60),
+        run_scenario("replicated_lb", seed=7, clients=40),
+        run_scenario("five_tier_chain", seed=3, clients=50),
+        run_scenario("rubis", seed=6, clients=30),
+    ]
+    activities = [activity for part in parts for activity in part.activities()]
+    activities.sort(key=sort_key)
+    return ActivityTable.from_activities(activities)
+
+
 class TestSchedulesMatchBatch:
     def test_sharded_matches_batch_digest(self):
         table = _replicated_lb_table()
         batch = result_digest(Correlator(window=0.010).correlate(table))
-        for executor in sharded.EXECUTOR_KINDS:
-            for max_shards in (None, 1, 2, 4):
-                correlator = ShardedCorrelator(
-                    window=0.010, max_shards=max_shards, executor=executor
-                )
-                digest = result_digest(correlator.correlate(table))
-                assert digest == batch, (executor, max_shards)
-                assert sum(correlator.last_shard_sizes) == len(table)
-                if max_shards is not None:
-                    assert len(correlator.last_shard_sizes) <= max_shards
+        for max_shards in (None, 1, 2, 4):
+            correlator = ShardedCorrelator(window=0.010, max_shards=max_shards)
+            digest = result_digest(correlator.correlate(table))
+            assert digest == batch, max_shards
+            assert sum(correlator.last_shard_sizes) == len(table)
+            if max_shards is not None:
+                assert len(correlator.last_shard_sizes) <= max_shards
 
-    def test_process_pool_seed_sweep_matches_batch(self):
+    def test_thread_pool_seed_sweep_matches_batch(self):
         # Sweeping seeds exercises different component shapes (and with
         # them different bucket contents) against the same merge path.
         for seed in (3, 7, 11):
             table = _replicated_lb_table(seed)
             batch = result_digest(Correlator(window=0.010).correlate(table))
-            pooled = result_digest(
-                ShardedCorrelator(
-                    window=0.010, max_shards=4, executor="process"
-                ).correlate(table)
-            )
+            pooled = result_digest(ShardedCorrelator(window=0.010, max_shards=4).correlate(table))
             assert pooled == batch, seed
+
+    def test_benchmark_harness_spelling_matches_batch(self):
+        # benchmarks/e2e/worker.py builds its sharded leg exactly so; the
+        # executor keyword is accepted for that call and means threads.
+        table = _replicated_lb_table()
+        batch = result_digest(BackendSpec.batch().correlate(table))
+        harness = BackendSpec.sharded(max_workers=2, executor="thread")
+        assert result_digest(harness.correlate(table)) == batch
+        with pytest.raises(ValueError, match="executor"):
+            BackendSpec.sharded(max_workers=2, executor="process")
+
+    @pytest.mark.parametrize("knob", ["max_shards", "max_workers"])
+    @pytest.mark.parametrize("value", [0, -1, -3, 2.0, True])
+    def test_bad_shard_knobs_are_refused_at_construction(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ShardedCorrelator(window=0.010, **{knob: value})
 
     def test_packing_separates_the_dominant_components(self):
         # The skewed composite has two dominant components; a cost-blind
         # fold can stack them on one bucket, LPT by construction cannot.
-        table = _scaling_trace()
+        table = _skewed_composite_table()
         heavies = sorted(partition_components(table), key=len, reverse=True)[:2]
         buckets = partition_activities(table, max_shards=2)
         assert len(buckets) == 2
