@@ -1,9 +1,10 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper through the
-figure generators in :mod:`repro.experiments.figures`.  Simulation runs
-are memoised in one shared cache for the whole session, so figures that
-reuse the same experiment (e.g. Fig. 8 and Fig. 9) only pay for it once.
+figure generators in :mod:`repro.experiments.figures` and asserts its
+shape.  Simulation runs are memoised in one shared cache for the whole
+session, so figures that reuse the same experiment (e.g. Fig. 8 and
+Fig. 9) only pay for it once.
 
 Scale is controlled by the ``REPRO_SCALE`` environment variable
 (``small`` by default, ``full`` for the paper-sized grids).
@@ -11,8 +12,10 @@ Scale is controlled by the ``REPRO_SCALE`` environment variable
 Everything in this directory is marked ``slow``: the default test run
 (``pytest -x -q``, see ``pytest.ini``) deselects it so the tier-1 suite
 stays fast, and CI runs the benchmarks in a dedicated job with
-``-m slow`` that also uploads the ``BENCH_*.json`` performance-trajectory
-files written by :func:`emit_bench`.
+``-m slow``.  These files reproduce the paper's figures; they are not a
+performance measurement.  The one measurement, and the one perf gate, is
+the end-to-end benchmark under ``e2e/`` (``run.py --out`` /
+``--compare``).
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.bench import write_bench_result
 from repro.experiments.config import default_scale
-from repro.experiments.figures import FigureResult
 from repro.experiments.runner import RunCache
 
 _BENCH_ROOT = Path(__file__).resolve().parent
@@ -53,13 +54,3 @@ def cache():
 def run_once(benchmark, func):
     """Run a figure generator exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, rounds=1, iterations=1)
-
-
-def emit_bench(result: FigureResult) -> Path:
-    """Write the figure's ``BENCH_*.json`` performance-trajectory file.
-
-    Output lands in ``$REPRO_BENCH_DIR`` (default ``./bench_results``);
-    CI uploads the files as artifacts so every run extends the recorded
-    perf trajectory.
-    """
-    return write_bench_result(result, label="benchmark suite")

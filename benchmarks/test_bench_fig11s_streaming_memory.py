@@ -10,17 +10,16 @@ the incremental working set stays comparable to the batch one for every
 window, and eviction at this horizon never drops a live request (same
 completed-request count everywhere).
 
-Emits ``BENCH_fig11s.json``, the memory half of the recorded performance
-trajectory.
+The process's peak memory on a streaming run is measured end to end by
+``benchmarks/e2e/run.py`` (``peak_rss_mb`` on ``fanout_stream``).
 """
 
-from conftest import emit_bench, run_once
+from conftest import run_once
 from repro.experiments.figures import figure11_streaming
 
 
 def test_bench_fig11s_streaming_memory(benchmark, scale, cache):
     result = run_once(benchmark, lambda: figure11_streaming(scale, cache))
-    emit_bench(result)
     assert len(result.rows) == len(scale.window_clients) * len(scale.windows)
 
     # Eviction never costs accuracy at this horizon: every row completes

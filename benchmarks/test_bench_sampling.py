@@ -5,18 +5,17 @@ splitting correlation across machines, while per-request sampling is the
 complementary axis that precise (non-probabilistic) correlation uniquely
 enables -- trace a deterministic subset exactly instead of everything
 approximately.  This benchmark sweeps the uniform sampling rate across
-the scenario library and records the trade in ``BENCH_sampling.json``:
-analytical fidelity of the sampled ranked report on one side,
-correlation time and engine state on the other.
+the scenario library and asserts the shape of the trade (``repro figure
+sampling`` prints it): analytical fidelity of the sampled ranked report
+on one side, correlation time and engine state on the other.
 """
 
-from conftest import emit_bench, run_once
+from conftest import run_once
 from repro.experiments.figures import figure_sampling
 
 
 def test_bench_sampling_rate_sweep(benchmark, scale, cache):
     result = run_once(benchmark, lambda: figure_sampling(scale, cache))
-    emit_bench(result)
 
     assert {row["scenario"] for row in result.rows} == set(scale.sampling_scenarios)
     for row in result.rows:

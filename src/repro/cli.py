@@ -93,12 +93,6 @@ Commands
     movement, exit 1 on regression -- and ``export`` writes the diffable
     run-summary JSON (the golden-file format CI diffs against).  Stores
     are written by ``trace``/``simulate``/``stream`` via ``--store``.
-``profile``
-    Regenerate a performance figure (Fig. 9 correlation-time sweep by
-    default, or the Fig. 11s streaming-memory sweep), write its
-    ``BENCH_*.json`` trajectory file and -- when a baseline document is
-    available -- print the per-point speedup against it.  ``--cprofile``
-    additionally prints the hottest functions of one correlation run.
 
 Every data-producing command (``trace`` / ``simulate`` / ``stream``) is
 one :class:`repro.pipeline.Pipeline` run -- a source (simulated run or
@@ -380,37 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_store_flags(stream_parser)
     stream_parser.add_argument(
         "--json", action="store_true", help="print the trace summary as JSON"
-    )
-
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="run a perf figure, write BENCH_*.json and compare to a baseline",
-    )
-    profile_parser.add_argument(
-        "--figure",
-        choices=["fig9", "fig11s", "sampling", "interning"],
-        default="fig9",
-        help="which performance figure to regenerate (default: fig9)",
-    )
-    profile_parser.add_argument(
-        "--output-dir",
-        default=None,
-        metavar="DIR",
-        help="where to write BENCH_*.json (default: $REPRO_BENCH_DIR or ./bench_results)",
-    )
-    profile_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "BENCH_*.json to compare against "
-            "(default: benchmarks/baselines/BENCH_<figure>_baseline.json when present)"
-        ),
-    )
-    profile_parser.add_argument(
-        "--cprofile",
-        action="store_true",
-        help="also cProfile one batch correlation run and print the hot spots",
     )
 
     query_parser = subparsers.add_parser(
@@ -709,6 +672,7 @@ def _command_trace(args: argparse.Namespace) -> int:
             **_shared_run_fields(args),
         )
         sampling = _sampling_from_args(args)
+        backend = BackendSpec.batch(window=args.window, sampling=sampling)
         store_sink = _store_sink_from_args(args, scenario="rubis")
     except ValueError as exc:
         return _fail(str(exc))
@@ -717,7 +681,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     analysis = SamplingAccuracyStage() if sampling is not None else AccuracyStage()
     pipeline = Pipeline(
         source=config,
-        backend=BackendSpec.batch(window=args.window, sampling=sampling),
+        backend=backend,
         stages=[analysis, ProfileStage("trace")],
         sinks=[store_sink] if store_sink is not None else (),
     )
@@ -772,6 +736,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
             **_shared_run_fields(args),
         )
         sampling = _sampling_from_args(args)
+        backend = BackendSpec.batch(window=args.window, sampling=sampling)
         store_sink = _store_sink_from_args(args, scenario=args.scenario)
     except ValueError as exc:
         return _fail(str(exc))
@@ -779,7 +744,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     analysis = SamplingAccuracyStage() if sampling is not None else AccuracyStage()
     pipeline = Pipeline(
         source=config,
-        backend=BackendSpec.batch(window=args.window, sampling=sampling),
+        backend=backend,
         stages=[analysis, ProfileStage(scenario.name), PatternStage()],
         sinks=[store_sink] if store_sink is not None else (),
     )
@@ -835,6 +800,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         return _fail("--window must be positive")
     if args.skew_bound < 0:
         return _fail("--skew-bound must be non-negative")
+    if args.horizon < 0:
+        return _fail("--horizon must be non-negative (0 disables eviction)")
     if args.shards < 0:
         return _fail("--shards must be non-negative")
     try:
@@ -1159,89 +1126,6 @@ def _command_query(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
 
-def _command_profile(args: argparse.Namespace, scale) -> int:
-    """Regenerate a perf figure, record BENCH_*.json, compare to baseline."""
-    import os
-
-    from .core.kernel import kernel_provenance
-    from .experiments.bench import (
-        compare_timing_rows,
-        load_bench_result,
-        write_bench_result,
-    )
-    from .experiments.figures import (
-        figure9,
-        figure11_streaming,
-        figure_interning,
-        figure_sampling,
-    )
-
-    generators = {
-        "fig9": figure9,
-        "fig11s": figure11_streaming,
-        "sampling": figure_sampling,
-        "interning": figure_interning,
-    }
-    provenance = kernel_provenance()
-    print(
-        f"rank kernel: {provenance['kernel']} "
-        f"(requested {provenance['kernel_requested']}; "
-        f"{provenance['kernel_reason']})"
-    )
-    result = generators[args.figure](scale)
-    print(render_table(result))
-
-    path = write_bench_result(
-        result,
-        label="repro profile",
-        directory=args.output_dir,
-        scale_name=scale.name,
-    )
-    print(f"\nbenchmark results written to {path}")
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        default_path = os.path.join(
-            "benchmarks", "baselines", f"BENCH_{args.figure}_baseline.json"
-        )
-        if os.path.exists(default_path):
-            baseline_path = default_path
-    if baseline_path and args.figure == "fig9":
-        baseline = load_bench_result(baseline_path)
-        comparison = compare_timing_rows(baseline["rows"], result.rows)
-        if comparison:
-            print(f"\nspeedup vs {baseline_path} ({baseline.get('label', '')}):")
-            for row in comparison:
-                print(
-                    f"  clients={int(row['key']):5d}  "
-                    f"{row['baseline']:.4f}s -> {row['current']:.4f}s  "
-                    f"({row['speedup']:.2f}x)"
-                )
-            total_old = sum(row["baseline"] for row in comparison)
-            total_new = sum(row["current"] for row in comparison)
-            print(f"  aggregate: {total_old / max(total_new, 1e-9):.2f}x")
-    elif baseline_path:
-        print(f"(baseline comparison only supports fig9; ignoring {baseline_path})")
-
-    if args.cprofile:
-        import cProfile
-        import pstats
-
-        from .experiments.figures import _base_config
-        from .experiments.runner import get_run
-
-        clients = max(scale.client_series)
-        run = get_run(_base_config(scale, clients=clients))
-        activities = run.activities()
-        print(f"\ncProfile of one batch correlation ({clients} clients):")
-        profiler = cProfile.Profile()
-        profiler.enable()
-        BackendSpec.batch(window=scale.window).correlate(activities)
-        profiler.disable()
-        pstats.Stats(profiler).sort_stats("tottime").print_stats(15)
-    return 0
-
-
 def _command_fuzz(args: argparse.Namespace) -> int:
     """Run the differential fuzz sweep; exit 1 when any seed fails."""
     from .fuzz import report_payload, run_fuzz
@@ -1319,8 +1203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_stream(args)
     if args.command == "query":
         return _command_query(args)
-    if args.command == "profile":
-        return _command_profile(args, scale)
     if args.command == "fuzz":
         return _command_fuzz(args)
     parser.error(f"unknown command {args.command!r}")

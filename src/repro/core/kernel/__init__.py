@@ -24,8 +24,8 @@ Selection is driven by ``REPRO_KERNEL``:
   be produced (never a silent fallback).
 
 The resolved choice is cached per requested mode; :func:`kernel_info`
-exposes name + reason for provenance stamping (``repro profile``, the
-BENCH_*.json rows and ``BackendSpec.describe`` all report it).
+exposes name + reason for provenance stamping (the store's ``runs``
+row and ``BackendSpec.describe`` report it).
 """
 
 from __future__ import annotations

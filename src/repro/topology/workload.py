@@ -34,6 +34,14 @@ class WorkloadStages:
     runtime: float = 10.0
     down_ramp: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.runtime <= 0:
+            raise ValueError(f"runtime must be positive, got {self.runtime:g}")
+        for name in ("up_ramp", "down_ramp"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value:g}")
+
     @property
     def new_request_deadline(self) -> float:
         """No new requests are issued after the runtime session ends."""

@@ -224,6 +224,22 @@ class TestActivityTable:
         assert not any(built is original for built, original in zip(materialised, activities))
         assert table.nbytes() > 0
 
+    def test_rows_of_one_connection_and_size_share_one_message(self):
+        # Each object carries its own MessageId; the table keeps one per
+        # connection and size, so packing does not hold every copy alive.
+        conn = ("10.0.0.1", 40000, "10.0.0.2", 8080)
+        activities = [
+            make_activity(ActivityType.SEND, 1.0, connection=conn, size=100),
+            make_activity(ActivityType.RECEIVE, 1.1, connection=conn, size=100),
+            make_activity(ActivityType.SEND, 1.2, connection=conn, size=60),
+        ]
+        assert activities[0].message is not activities[1].message
+        table = ActivityTable.from_activities(activities)
+        first, second, third = (table.activity(row).message for row in range(3))
+        assert first is second
+        assert third is not first and third.size == 60
+        assert list(table) == activities
+
     def test_backend_correlates_a_table_repeatably(self):
         activities = _two_component_trace()
         table = ActivityTable.from_activities(activities)

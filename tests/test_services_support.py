@@ -21,6 +21,17 @@ class TestWorkloadStages:
         assert stages.new_request_deadline == 12.0
         assert stages.measurement_window == (2.0, 12.0)
 
+    def test_refuses_non_positive_runtime_and_negative_ramps(self):
+        WorkloadStages(up_ramp=0.0, runtime=0.5, down_ramp=0.0)  # zero ramps are fine
+        for fields, name in [
+            ({"runtime": 0.0}, "runtime"),
+            ({"runtime": -1.0}, "runtime"),
+            ({"up_ramp": -0.5}, "up_ramp"),
+            ({"down_ramp": -0.5}, "down_ramp"),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                WorkloadStages(**fields)
+
 
 class TestClientMetrics:
     def make_metrics(self):
