@@ -106,14 +106,26 @@ never simulating it, through the last ``on_cag`` call), ``first_cag_s``
 batch run while its drain runs, not after it) and ``hook_time_s`` (spent
 inside the store's live-ingest hook) -- beside the engine's own
 ``correlation_time_s``.
+
+Validation lives in the object that owns each value
+(:class:`~repro.pipeline.BackendSpec`, :class:`~repro.sampling.SamplingSpec`,
+:class:`~repro.topology.library.ScenarioConfig`, ``WorkloadStages``,
+``FrontendSpec``, :func:`~repro.fuzz.run_fuzz`, the store queries): this
+module repeats none of their checks and keeps only the flag-combination
+rules, the input-file and output-directory checks and ``--horizon``'s
+range.  Each command is a ``handler`` its subparser sets; :func:`main`
+holds the one converter from a ``ValueError``/``OSError`` to a one-line
+exit 2, spelling a field the owner names as its flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .experiments import (
     ALL_FIGURES,
@@ -138,9 +150,10 @@ from .pipeline import (
     TraceSession,
 )
 from .core.export import trace_summary
+from .core.log_format import FrontendSpec
 from .services.faults import FaultConfig
 from .services.noise import NoiseConfig
-from .topology.library import ScenarioConfig, get_scenario, scenario_names
+from .topology.library import Scenario, ScenarioConfig, get_scenario, scenario_names
 from .topology.requests import mix_by_name
 from .topology.workload import WorkloadStages
 
@@ -171,6 +184,7 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     """The request-sampling flags shared by trace/simulate/stream."""
     parser.add_argument(
         "--sample-rate",
+        dest="rate",
         type=float,
         default=None,
         metavar="RATE",
@@ -181,6 +195,7 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sample-budget",
+        dest="budget_per_second",
         type=int,
         default=None,
         metavar="N",
@@ -188,6 +203,7 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sample-adaptive",
+        dest="target_open_cags",
         type=int,
         default=None,
         metavar="TARGET",
@@ -211,20 +227,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list available figures")
+    list_parser = subparsers.add_parser("list", help="list available figures")
+    list_parser.set_defaults(handler=_command_list)
 
     figure_parser = subparsers.add_parser("figure", help="regenerate one figure")
     figure_parser.add_argument("figure_id", choices=sorted(ALL_FIGURES))
+    figure_parser.set_defaults(handler=_command_figure)
 
     report_parser = subparsers.add_parser("report", help="regenerate every figure")
     report_parser.add_argument("--output", default=None, help="write the report to this file")
+    report_parser.set_defaults(handler=_command_report)
 
     diag_parser = subparsers.add_parser(
         "diagnose", help="run the Fig. 17 fault scenarios and print the suspects"
     )
     diag_parser.add_argument("--threshold", type=float, default=5.0)
+    diag_parser.set_defaults(handler=_command_diagnose)
 
     trace_parser = subparsers.add_parser("trace", help="run one experiment and trace it")
+    trace_parser.set_defaults(handler=_command_trace)
     trace_parser.add_argument("--clients", type=int, default=200)
     trace_parser.add_argument(
         "--workload", choices=["browse_only", "default"], default="browse_only"
@@ -246,6 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="run one scenario from the topology library and trace it",
     )
+    simulate_parser.set_defaults(handler=_command_simulate)
     simulate_parser.add_argument(
         "--scenario",
         default="rubis",
@@ -285,6 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "stream",
         help="correlate incrementally (online mode), from a simulation or a log file",
     )
+    stream_parser.set_defaults(handler=_command_stream)
     stream_parser.add_argument(
         "--scenario",
         default="rubis",
@@ -326,6 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stream_parser.add_argument("--chunk-size", type=int, default=256)
     stream_parser.add_argument(
         "--shards",
+        dest="max_shards",
+        metavar="SHARDS",
         type=int,
         default=0,
         help=(
@@ -391,6 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     runs_parser = query_sub.add_parser("runs", help="list the runs in a store")
+    runs_parser.set_defaults(handler=_query_runs)
     _query_store_flag(runs_parser)
     runs_parser.add_argument(
         "--json", action="store_true", help="print the run rows as JSON"
@@ -400,6 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "latency",
         help="latency percentiles, optionally bucketed over time",
     )
+    latency_parser.set_defaults(handler=_query_latency)
     _query_store_flag(latency_parser)
     latency_parser.add_argument(
         "--run", default=None, metavar="ID", help="restrict to one run (default: all)"
@@ -433,6 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "patterns",
         help="pattern mix of a run; with --against, the mix drift between two runs",
     )
+    patterns_parser.set_defaults(handler=_query_patterns)
     _query_store_flag(patterns_parser)
     patterns_parser.add_argument("--run", required=True, metavar="ID")
     patterns_parser.add_argument(
@@ -453,6 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "exit 1 on regression"
         ),
     )
+    diff_parser.set_defaults(handler=_query_diff)
     _query_store_flag(diff_parser)
     diff_parser.add_argument(
         "runs",
@@ -475,6 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "export",
         help="write one run's diffable summary JSON (the golden-file format)",
     )
+    export_parser.set_defaults(handler=_query_export)
     _query_store_flag(export_parser)
     export_parser.add_argument("--run", required=True, metavar="ID")
     export_parser.add_argument(
@@ -485,6 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="fuzz the correlation pipeline with generated scenarios",
     )
+    fuzz_parser.set_defaults(handler=_command_fuzz)
     fuzz_parser.add_argument(
         "--seeds", type=int, default=25, help="consecutive seeds to run (default: 25)"
     )
@@ -501,6 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--window", type=float, default=0.010)
     fuzz_parser.add_argument(
         "--sample-rate",
+        dest="sampling_rate",
         type=float,
         default=0.5,
         metavar="RATE",
@@ -529,45 +561,40 @@ def _fault_from_name(name: str) -> FaultConfig:
     }[name]
 
 
-def _fail(message: str) -> int:
-    """One-line error on stderr, exit status 2 (no traceback)."""
-    print(f"precisetracer: error: {message}", file=sys.stderr)
-    return 2
+def _scale(args: argparse.Namespace):
+    return SCALES[args.scale] if args.scale else default_scale()
+
+
+def _refuse_missing_directory(path: Optional[str]) -> None:
+    """Refuse an output file whose directory does not exist, before any
+    work is done (the way :class:`StoreSink` refuses a store path)."""
+    if path:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"output directory does not exist: {parent}")
 
 
 def _sampling_from_args(args: argparse.Namespace) -> Optional[SamplingSpec]:
-    """Resolve the shared sampling flags into a spec (``None`` = trace all).
-
-    Raises :class:`ValueError` with a user-facing message on invalid
-    combinations; the commands convert that into the exit-2 path.
-    """
-    rate = args.sample_rate
-    budget = args.sample_budget
-    adaptive = getattr(args, "sample_adaptive", None)
+    """Resolve the shared sampling flags into a spec (``None`` = trace all);
+    :class:`SamplingSpec` refuses the values, this only the combination."""
     given = [
         flag
         for flag, value in (
-            ("--sample-rate", rate),
-            ("--sample-budget", budget),
-            ("--sample-adaptive", adaptive),
+            ("--sample-rate", args.rate),
+            ("--sample-budget", args.budget_per_second),
+            ("--sample-adaptive", args.target_open_cags),
         )
         if value is not None
     ]
-    if not given:
-        return None
     if len(given) > 1:
         raise ValueError(f"{' and '.join(given)} are mutually exclusive")
-    if rate is not None:
-        if not 0.0 < rate <= 1.0:
-            raise ValueError(f"--sample-rate must be in (0, 1], got {rate:g}")
-        return SamplingSpec.uniform(rate)
-    if budget is not None:
-        if budget <= 0:
-            raise ValueError(f"--sample-budget must be positive, got {budget}")
-        return SamplingSpec.budget(budget)
-    if adaptive <= 0:
-        raise ValueError(f"--sample-adaptive must be positive, got {adaptive}")
-    return SamplingSpec.adaptive(target_open_cags=adaptive)
+    if args.rate is not None:
+        return SamplingSpec.uniform(args.rate)
+    if args.budget_per_second is not None:
+        return SamplingSpec.budget(args.budget_per_second)
+    if args.target_open_cags is not None:
+        return SamplingSpec.adaptive(target_open_cags=args.target_open_cags)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +604,7 @@ def _sampling_from_args(args: argparse.Namespace) -> Optional[SamplingSpec]:
 def _store_sink_from_args(
     args: argparse.Namespace, scenario: Optional[str]
 ) -> Optional[StoreSink]:
-    """Build the :class:`StoreSink` behind ``--store``/``--run-id``.
-
-    Raises :class:`ValueError` with a user-facing message on invalid
-    combinations; the commands convert that into the exit-2 path.
-    """
+    """Build the :class:`StoreSink` behind ``--store``/``--run-id``."""
     if args.run_id is not None and args.store is None:
         raise ValueError("--run-id requires --store")
     if args.store is None:
@@ -634,18 +657,6 @@ def _session_json(session: TraceSession, command: str, **extra) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _parse_frontend(text: str):
-    from .core.log_format import FrontendSpec
-
-    ip, sep, port_text = text.rpartition(":")
-    if not sep or not ip:
-        return None
-    try:
-        return FrontendSpec(ip=ip, port=int(port_text))
-    except ValueError:
-        return None
-
-
 def _print_sampling_report(session: TraceSession) -> None:
     """Human-readable sampling lines shared by trace/simulate."""
     stats = session.trace.correlation.engine_stats
@@ -661,120 +672,123 @@ def _print_sampling_report(session: TraceSession) -> None:
             )
 
 
-def _command_trace(args: argparse.Namespace) -> int:
-    try:
-        config = ScenarioConfig(
-            "rubis",
-            clients=args.clients,
-            mix=mix_by_name(args.workload),
-            workers=(("app", args.max_threads),),
-            clock_skew=args.clock_skew,
-            **_shared_run_fields(args),
-        )
-        sampling = _sampling_from_args(args)
-        backend = BackendSpec.batch(window=args.window, sampling=sampling)
-        store_sink = _store_sink_from_args(args, scenario="rubis")
-    except ValueError as exc:
-        return _fail(str(exc))
-    # A sampled trace is *supposed* to miss requests, so ground-truth
-    # path accuracy is replaced by sampled-vs-full report fidelity.
-    analysis = SamplingAccuracyStage() if sampling is not None else AccuracyStage()
-    pipeline = Pipeline(
-        source=config,
-        backend=backend,
-        stages=[analysis, ProfileStage("trace")],
-        sinks=[store_sink] if store_sink is not None else (),
-    )
-    try:
-        session = pipeline.run()
-    except ValueError as exc:
-        # Store-side refusals (finalized duplicate run id, bad store file).
-        return _fail(str(exc))
-    if args.json:
-        extra = {}
-        if store_sink is not None:
-            extra = {"store": args.store, "store_run_id": store_sink.run_id}
-        print(_session_json(session, "trace", **extra))
-        return 0
-    run = session.run
-    trace = session.trace
-    print(f"simulated duration      : {run.simulated_duration:.1f} s")
-    print(f"requests completed      : {run.completed_requests}")
-    print(f"throughput              : {run.throughput:.1f} req/s")
-    print(f"mean response time      : {run.mean_response_time * 1000:.1f} ms")
-    print(f"activities logged       : {run.total_activities}")
-    print(f"causal paths (CAGs)     : {trace.request_count}")
-    print(f"correlation time        : {trace.correlation_time:.3f} s")
-    if sampling is not None:
-        _print_sampling_report(session)
-    else:
-        accuracy = session.analyses["accuracy"]
-        print(f"path accuracy           : {accuracy.accuracy * 100:.2f} %")
-    profile = session.analyses["profile"]
-    print("latency percentages of the dominant pattern:")
-    for label, value in sorted(profile.percentages.items()):
-        print(f"  {label:16s} {value:6.1f} %")
-    if store_sink is not None:
-        print(f"stored as run           : {store_sink.run_id} -> {args.store}")
+# ---------------------------------------------------------------------------
+# Commands
+# ---------------------------------------------------------------------------
+
+def _command_list(args: argparse.Namespace) -> int:
+    for figure_id in sorted(ALL_FIGURES):
+        print(figure_id)
     return 0
+
+
+def _command_figure(args: argparse.Namespace) -> int:
+    print(render_table(ALL_FIGURES[args.figure_id](_scale(args))))
+    return 0
+
+
+def _command_report(args: argparse.Namespace) -> int:
+    _refuse_missing_directory(args.output)
+    results = [generator(_scale(args)) for generator in ALL_FIGURES.values()]
+    if args.output:
+        write_report(results, args.output)
+        print(f"report written to {args.output}")
+    else:
+        for result in results:
+            print(render_table(result))
+            print()
+    return 0
+
+
+def _command_diagnose(args: argparse.Namespace) -> int:
+    suspects = figure17_diagnosis(_scale(args), threshold=args.threshold)
+    for scenario, components in suspects.items():
+        listed = ", ".join(components) if components else "(none above threshold)"
+        print(f"{scenario:16s} -> {listed}")
+    return 0
+
+
+def _command_trace(args: argparse.Namespace) -> int:
+    config = ScenarioConfig(
+        "rubis",
+        clients=args.clients,
+        mix=mix_by_name(args.workload),
+        workers=(("app", args.max_threads),),
+        clock_skew=args.clock_skew,
+        **_shared_run_fields(args),
+    )
+    return _batch_command(args, config)
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
     """Run one scenario from the topology library and batch-trace it."""
     if args.list:
         if args.json:
-            return _fail("--json cannot be combined with --list")
+            raise ValueError("--json cannot be combined with --list")
         for name in scenario_names():
             print(f"{name:20s} {get_scenario(name).description}")
         return 0
-    try:
-        config = ScenarioConfig(
-            scenario=args.scenario,
-            clients=args.clients,
-            arrival_rate=args.arrival_rate,
-            workload_kind=args.workload_kind,
-            **_shared_run_fields(args),
-        )
-        sampling = _sampling_from_args(args)
-        backend = BackendSpec.batch(window=args.window, sampling=sampling)
-        store_sink = _store_sink_from_args(args, scenario=args.scenario)
-    except ValueError as exc:
-        return _fail(str(exc))
-    scenario = get_scenario(args.scenario)
-    analysis = SamplingAccuracyStage() if sampling is not None else AccuracyStage()
-    pipeline = Pipeline(
+    config = ScenarioConfig(
+        scenario=args.scenario,
+        clients=args.clients,
+        arrival_rate=args.arrival_rate,
+        workload_kind=args.workload_kind,
+        **_shared_run_fields(args),
+    )
+    return _batch_command(args, config, get_scenario(args.scenario))
+
+
+def _batch_command(
+    args: argparse.Namespace,
+    config: ScenarioConfig,
+    scenario: Optional[Scenario] = None,
+) -> int:
+    """The body ``trace`` and ``simulate`` share: batch-trace ``config``
+    and print the report, or the ``--json`` document.  ``simulate`` passes
+    its library ``scenario``; the report then also names the scenario, its
+    tiers and workload, and counts the path patterns."""
+    sampling = _sampling_from_args(args)
+    backend = BackendSpec.batch(window=args.window, sampling=sampling)
+    store_sink = _store_sink_from_args(args, scenario=config.scenario)
+    # A sampled trace is *supposed* to miss requests, so ground-truth
+    # path accuracy is replaced by sampled-vs-full report fidelity.
+    stages = [SamplingAccuracyStage() if sampling is not None else AccuracyStage()]
+    if scenario is None:
+        stages.append(ProfileStage("trace"))
+    else:
+        stages += [ProfileStage(scenario.name), PatternStage()]
+    session = Pipeline(
         source=config,
         backend=backend,
-        stages=[analysis, ProfileStage(scenario.name), PatternStage()],
+        stages=stages,
         sinks=[store_sink] if store_sink is not None else (),
-    )
-    try:
-        session = pipeline.run()
-    except ValueError as exc:
-        # Store-side refusals (finalized duplicate run id, bad store file).
-        return _fail(str(exc))
+    ).run()
     if args.json:
-        extra = {"scenario": scenario.name}
+        extra = {}
+        if scenario is not None:
+            extra["scenario"] = scenario.name
         if store_sink is not None:
             extra.update(store=args.store, store_run_id=store_sink.run_id)
-        print(_session_json(session, "simulate", **extra))
+        print(_session_json(session, args.command, **extra))
         return 0
     run = session.run
     trace = session.trace
-    tier_list = ", ".join(
-        f"{tier.name}({tier.role}" + (f" x{tier.replicas})" if tier.replicas > 1 else ")")
-        for tier in scenario.topology.front_to_back()
-    )
-    print(f"scenario                : {scenario.name} -- {scenario.description}")
-    print(f"tiers                   : {tier_list}")
-    print(f"workload                : {run.workload.kind}")
+    if scenario is not None:
+        tier_list = ", ".join(
+            f"{tier.name}({tier.role}" + (f" x{tier.replicas})" if tier.replicas > 1 else ")")
+            for tier in scenario.topology.front_to_back()
+        )
+        print(f"scenario                : {scenario.name} -- {scenario.description}")
+        print(f"tiers                   : {tier_list}")
+        print(f"workload                : {run.workload.kind}")
     print(f"simulated duration      : {run.simulated_duration:.1f} s")
     print(f"requests completed      : {run.completed_requests}")
     print(f"throughput              : {run.throughput:.1f} req/s")
     print(f"mean response time      : {run.mean_response_time * 1000:.1f} ms")
     print(f"activities logged       : {run.total_activities}")
     print(f"causal paths (CAGs)     : {trace.request_count}")
-    print(f"path patterns           : {len(session.analyses['patterns'])}")
+    if scenario is not None:
+        print(f"path patterns           : {len(session.analyses['patterns'])}")
     print(f"correlation time        : {trace.correlation_time:.3f} s")
     if sampling is not None:
         _print_sampling_report(session)
@@ -782,9 +796,10 @@ def _command_simulate(args: argparse.Namespace) -> int:
         accuracy = session.analyses["accuracy"]
         print(f"path accuracy           : {accuracy.accuracy * 100:.2f} %")
     profile = session.analyses["profile"]
+    width = 16 if scenario is None else 24
     print("latency percentages of the dominant pattern:")
     for label, value in sorted(profile.percentages.items()):
-        print(f"  {label:24s} {value:6.1f} %")
+        print(f"  {label:{width}s} {value:6.1f} %")
     if store_sink is not None:
         print(f"stored as run           : {store_sink.run_id} -> {args.store}")
     return 0
@@ -792,55 +807,57 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 def _command_stream(args: argparse.Namespace) -> int:
     """Drive the online pipeline: source -> streaming/sharded backend."""
-    import os
-
-    if args.chunk_size <= 0:
-        return _fail("--chunk-size must be positive")
-    if args.window <= 0:
-        return _fail("--window must be positive")
-    if args.skew_bound < 0:
-        return _fail("--skew-bound must be non-negative")
+    # 0 is the flag's spelling of "never evict" (None to BackendSpec), so
+    # this one range is the command line's own.
     if args.horizon < 0:
-        return _fail("--horizon must be non-negative (0 disables eviction)")
-    if args.shards < 0:
-        return _fail("--shards must be non-negative")
-    try:
-        sampling = _sampling_from_args(args)
-        store_sink = _store_sink_from_args(
-            args, scenario=None if args.input else args.scenario
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError("--horizon must be non-negative (0 disables eviction)")
+    sampling = _sampling_from_args(args)
+    store_sink = _store_sink_from_args(
+        args, scenario=None if args.input else args.scenario
+    )
+    # Built before anything is read or simulated, so BackendSpec refuses
+    # every bad knob up front -- including the ones that do not apply to
+    # the sharded driver, and checkpoint flags combined with --shards.
+    backend = BackendSpec(
+        kind="sharded" if args.max_shards else "streaming",
+        window=args.window,
+        horizon=args.horizon or None,
+        skew_bound=args.skew_bound,
+        chunk_size=args.chunk_size,
+        max_shards=args.max_shards or None,
+        sampling=sampling,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        resume_from=args.resume,
+    )
 
     # -- source: a log file, or a freshly simulated run ----------------------
     if args.input:
         if not args.frontend:
-            return _fail("--input requires --frontend IP:PORT")
-        frontend = _parse_frontend(args.frontend)
-        if frontend is None:
-            return _fail(f"bad --frontend {args.frontend!r}, expected IP:PORT")
+            raise ValueError("--input requires --frontend IP:PORT")
+        try:
+            frontend = FrontendSpec.parse(args.frontend)
+        except ValueError as exc:
+            raise ValueError(f"bad --frontend: {exc}") from None
         if args.noise or args.fault != "none":
-            return _fail(
+            raise ValueError(
                 "--noise/--fault shape a simulated run and cannot be "
                 "combined with --input"
             )
         # Refuse up front: every path is checked before any stage runs.
         for path in args.input:
             if not os.path.isfile(path):
-                return _fail(f"--input file not found: {path}")
+                raise ValueError(f"--input file not found: {path}")
         source = LogSource(args.input, frontend=frontend)
     else:
         clients = args.clients
         if clients is None and args.scenario == "rubis":
             clients = 100
-        try:
-            config = ScenarioConfig(
-                scenario=args.scenario,
-                clients=clients,
-                **_shared_run_fields(args, up_ramp=1.0),
-            )
-        except ValueError as exc:
-            return _fail(str(exc))
+        config = ScenarioConfig(
+            scenario=args.scenario,
+            clients=clients,
+            **_shared_run_fields(args, up_ramp=1.0),
+        )
         source = RunSource(config=config)
         if not args.json:
             if args.scenario == "rubis":
@@ -855,64 +872,24 @@ def _command_stream(args: argparse.Namespace) -> int:
             print(f"requests completed      : {run.completed_requests}")
             print(f"activities logged       : {run.total_activities}")
 
-    # -- backend: incremental, or sharded ------------------------------------
-    # BackendSpec validation raises ValueError on incompatible knob
-    # combinations (adaptive sampling on the sharded driver, checkpoint
-    # flags without --checkpoint-every, ...); surface those as the usual
-    # one-line exit-2 error instead of a traceback.
-    try:
-        if args.shards > 0:
-            if args.checkpoint or args.checkpoint_every or args.resume:
-                raise ValueError(
-                    "--checkpoint/--checkpoint-every/--resume apply to the "
-                    "incremental driver and cannot be combined with --shards"
-                )
-            backend = BackendSpec.sharded(
-                window=args.window,
-                max_shards=args.shards,
-                sampling=sampling,
-            )
-        else:
-            backend = BackendSpec.streaming(
-                window=args.window,
-                horizon=args.horizon if args.horizon > 0 else None,
-                skew_bound=args.skew_bound,
-                chunk_size=args.chunk_size,
-                sampling=sampling,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                resume_from=args.resume,
-            )
-    except ValueError as exc:
-        return _fail(str(exc))
-
     # Reading and classification happen inside the drive (the streaming
     # backend pulls the source a chunk at a time), so "wall-clock
-    # ingestion" covers them.
+    # ingestion" covers them.  The store sink ingests live, at the
+    # cadence CAGs finish -- on the incremental driver that means
+    # chunk-boundary commits, so a long run persists as it goes (and
+    # composes with --checkpoint: ingest is idempotent, so re-emitted
+    # CAGs after --resume are no-ops).
     timings = DriveTimings()
-    try:
-        # The store sink ingests live, at the cadence CAGs finish -- on
-        # the incremental driver that means chunk-boundary commits, so a
-        # long run persists as it goes (and composes with --checkpoint:
-        # ingest is idempotent, so re-emitted CAGs after --resume are
-        # no-ops).
-        trace = backend.run(
-            source,
-            on_cag=store_sink.on_cag if store_sink is not None else None,
-            timings=timings,
-        )
-    except (ValueError, OSError) as exc:
-        # Bad/missing/mismatched checkpoint files (and store refusals,
-        # e.g. a finalized duplicate --run-id) surface here.
-        return _fail(str(exc))
+    trace = backend.run(
+        source,
+        on_cag=store_sink.on_cag if store_sink is not None else None,
+        timings=timings,
+    )
     session = TraceSession(
         source=source, backend=backend, trace=trace, timings=timings
     )
     if store_sink is not None:
-        try:
-            session.artifacts[store_sink.name] = store_sink.write(session)
-        except ValueError as exc:
-            return _fail(str(exc))
+        session.artifacts[store_sink.name] = store_sink.write(session)
     result = trace.correlation
 
     if args.json:
@@ -1009,8 +986,6 @@ def _query_runs(args: argparse.Namespace) -> int:
 def _query_latency(args: argparse.Namespace) -> int:
     from .store import latency_over_windows
 
-    if args.bucket is not None and args.bucket <= 0:
-        return _fail("--bucket must be positive")
     with _open_store(args) as store:
         rows = latency_over_windows(
             store,
@@ -1061,33 +1036,25 @@ def _query_patterns(args: argparse.Namespace) -> int:
 
 
 def _query_diff(args: argparse.Namespace) -> int:
-    import os
-
     from .store import diff_summaries, load_run_summary, run_summary
 
     if len(args.runs) != 2:
-        return _fail(
+        raise ValueError(
             "diff needs exactly two runs: a baseline and a candidate "
             "(run ids in --store, or exported run-summary JSON files)"
         )
-    if args.tolerance <= 0:
-        return _fail(f"--tolerance must be positive, got {args.tolerance:g}")
 
     def side(token: str):
         # A side naming an existing file (or anything .json) is an
         # exported summary; everything else is a run id in the store.
         if token.endswith(".json") or os.path.exists(token):
             return load_run_summary(token)
-        store = _open_store(args)
-        with store:
+        with _open_store(args) as store:
             return run_summary(store, token)
 
-    try:
-        base = side(args.runs[0])
-        current = side(args.runs[1])
-        diff = diff_summaries(base, current, tolerance=args.tolerance)
-    except ValueError as exc:
-        return _fail(str(exc))
+    diff = diff_summaries(
+        side(args.runs[0]), side(args.runs[1]), tolerance=args.tolerance
+    )
     if args.json:
         print(json.dumps(diff.payload(), indent=2, sort_keys=True))
     else:
@@ -1098,6 +1065,7 @@ def _query_diff(args: argparse.Namespace) -> int:
 def _query_export(args: argparse.Namespace) -> int:
     from .store import run_summary
 
+    _refuse_missing_directory(args.output)
     with _open_store(args) as store:
         document = run_summary(store, args.run)
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -1110,34 +1078,11 @@ def _query_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_query(args: argparse.Namespace) -> int:
-    handlers = {
-        "runs": _query_runs,
-        "latency": _query_latency,
-        "patterns": _query_patterns,
-        "diff": _query_diff,
-        "export": _query_export,
-    }
-    try:
-        return handlers[args.query_command](args)
-    except ValueError as exc:
-        # Missing/invalid store files, schema mismatches, unknown run
-        # ids, unknown patterns -- all the one-line exit-2 paths.
-        return _fail(str(exc))
-
-
 def _command_fuzz(args: argparse.Namespace) -> int:
     """Run the differential fuzz sweep; exit 1 when any seed fails."""
     from .fuzz import report_payload, run_fuzz
 
-    if args.seeds <= 0:
-        return _fail("--seeds must be positive")
-    if not 0.0 < args.sample_rate <= 1.0:
-        return _fail(f"--sample-rate must be in (0, 1], got {args.sample_rate:g}")
-    if args.window <= 0:
-        return _fail("--window must be positive")
-    if args.budget is not None and args.budget <= 0:
-        return _fail("--budget must be positive")
+    _refuse_missing_directory(args.output)
 
     def progress(case) -> None:
         status = "ok " if case.ok else "FAIL"
@@ -1151,7 +1096,7 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         start_seed=args.start_seed,
         window=args.window,
-        sampling_rate=args.sample_rate,
+        sampling_rate=args.sampling_rate,
         budget=args.budget,
         shrink_failures=not args.no_shrink,
         on_case=progress,
@@ -1166,47 +1111,47 @@ def _command_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+# ---------------------------------------------------------------------------
+# Entry point: dispatch, and the one converter from refusal to exit 2
+# ---------------------------------------------------------------------------
+
+#: A refusal that names a field leads with it (``chunk_size must be ...``).
+_FIELD_REFUSAL = re.compile(r"^(\w+)(?= must )")
+
+
+def _flag_spellings(parser: argparse.ArgumentParser) -> Dict[str, str]:
+    """``dest`` -> option string, over ``parser`` and its subcommands
+    (no two commands spell one ``dest`` differently)."""
+    spellings: Dict[str, str] = {}
+    for action in parser._actions:
+        if action.option_strings:
+            spellings[action.dest] = action.option_strings[0]
+        elif isinstance(action.choices, dict):  # a table of subcommands
+            for subparser in action.choices.values():
+                spellings.update(_flag_spellings(subparser))
+    return spellings
+
+
+def _fail(message: str) -> int:
+    """One-line error on stderr, exit status 2 (no traceback)."""
+    print(f"precisetracer: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    scale = SCALES[args.scale] if args.scale else default_scale()
-
-    if args.command == "list":
-        for figure_id in sorted(ALL_FIGURES):
-            print(figure_id)
-        return 0
-    if args.command == "figure":
-        result = ALL_FIGURES[args.figure_id](scale)
-        print(render_table(result))
-        return 0
-    if args.command == "report":
-        results = [generator(scale) for generator in ALL_FIGURES.values()]
-        if args.output:
-            write_report(results, args.output)
-            print(f"report written to {args.output}")
-        else:
-            for result in results:
-                print(render_table(result))
-                print()
-        return 0
-    if args.command == "diagnose":
-        suspects = figure17_diagnosis(scale, threshold=args.threshold)
-        for scenario, components in suspects.items():
-            listed = ", ".join(components) if components else "(none above threshold)"
-            print(f"{scenario:16s} -> {listed}")
-        return 0
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "simulate":
-        return _command_simulate(args)
-    if args.command == "stream":
-        return _command_stream(args)
-    if args.command == "query":
-        return _command_query(args)
-    if args.command == "fuzz":
-        return _command_fuzz(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
+        # Every refusal -- a value object's, a store's, a file's, or a
+        # flag-combination rule above -- leaves as one line and exit 2.
+        # The field an owner names is respelled as the flag that set it:
+        # "chunk_size must be positive" reads "--chunk-size must be ...".
+        spellings = _flag_spellings(parser)
+        return _fail(
+            _FIELD_REFUSAL.sub(lambda m: spellings.get(m[1], m[1]), str(exc))
+        )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -221,6 +221,23 @@ class FrontendSpec:
     port: int
     internal_ips: frozenset = frozenset()
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.port <= 65535:
+            raise ValueError(f"port must be in 1..65535, got {self.port}")
+
+    @classmethod
+    def parse(cls, text: str) -> "FrontendSpec":
+        """The spec an ``"IP:PORT"`` string names (the split is at the
+        last ``:``)."""
+        ip, sep, port = text.rpartition(":")
+        if not sep or not ip:
+            raise ValueError(f"expected IP:PORT, got {text!r}")
+        try:
+            number = int(port)
+        except ValueError:
+            raise ValueError(f"port must be an integer, got {port!r}") from None
+        return cls(ip=ip, port=number)
+
     def is_frontend_endpoint(self, ip: str, port: int) -> bool:
         return ip == self.ip and port == self.port
 

@@ -405,7 +405,17 @@ def run_fuzz(
     ``budget`` caps wall-clock seconds: the sweep stops cleanly before
     starting a case that would exceed it (``report.budget_exhausted``).
     ``on_case`` fires after every case -- the CLI's progress line.
+    Every knob is refused before the first case: a sweep of nothing is
+    not a green run.
     """
+    if seeds <= 0:
+        raise ValueError(f"seeds must be positive, got {seeds}")
+    if budget is not None and budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget:g}")
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window:g}")
+    if not 0.0 < sampling_rate <= 1.0:
+        raise ValueError(f"sampling_rate must be in (0, 1], got {sampling_rate:g}")
     report = FuzzReport(seeds_requested=seeds)
     start = time.perf_counter()
     for seed in range(start_seed, start_seed + seeds):

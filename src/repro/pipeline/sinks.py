@@ -107,6 +107,7 @@ class StoreSink(Sink):
     ----------
     path:
         Store database file; created with the current schema if missing.
+        A missing directory is refused here, before anything runs.
     run_id:
         User-visible id the run is stored under; defaults to a
         timestamp/pid id from :func:`~repro.store.default_run_id`.
@@ -130,6 +131,8 @@ class StoreSink(Sink):
         if commit_every <= 0:
             raise ValueError("commit_every must be positive")
         self.path = Path(path)
+        if not self.path.parent.is_dir():
+            raise ValueError(f"store directory does not exist: {self.path.parent}")
         self.run_id = run_id or default_run_id()
         self.scenario = scenario
         self.commit_every = commit_every

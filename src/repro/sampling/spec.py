@@ -61,7 +61,9 @@ class AdaptiveController:
 
     def __post_init__(self) -> None:
         if self.target_open_cags <= 0:
-            raise ValueError("target_open_cags must be positive")
+            raise ValueError(
+                f"target_open_cags must be positive, got {self.target_open_cags}"
+            )
         if not 0.0 < self.gain <= 1.0:
             raise ValueError("gain must be in (0, 1]")
         if not 0.0 < self.min_rate <= self.max_rate <= 1.0:
@@ -103,10 +105,12 @@ class SamplingSpec:
                 f"{', '.join(SAMPLING_KINDS)}"
             )
         if not 0.0 < self.rate <= 1.0:
-            raise ValueError("rate must be in (0, 1]")
+            raise ValueError(f"rate must be in (0, 1], got {self.rate:g}")
         if self.kind == "budget":
             if self.budget_per_second is None or self.budget_per_second <= 0:
-                raise ValueError("budget policy needs a positive budget_per_second")
+                raise ValueError(
+                    f"budget_per_second must be positive, got {self.budget_per_second}"
+                )
         elif self.budget_per_second is not None:
             raise ValueError("budget_per_second only applies to the budget policy")
         if self.kind == "adaptive":

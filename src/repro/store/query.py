@@ -66,7 +66,7 @@ def latency_over_windows(
     selected it.
     """
     if bucket_s is not None and bucket_s <= 0:
-        raise ValueError("bucket must be positive")
+        raise ValueError(f"bucket must be positive, got {bucket_s:g}")
     pairs = store.durations(
         run_id=run_id, pattern=pattern, scenario=scenario, since=since, until=until
     )

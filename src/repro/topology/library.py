@@ -47,7 +47,7 @@ from ..sim.tcp_trace import DEFAULT_PROBE_OVERHEAD
 from .deployment import RunSettings, TopologyDeployment, TopologyRunResult
 from .operations import QuerySpec, RequestType
 from .requests import BROWSE_ONLY_MIX
-from .spec import TierSpec, TopologySpec, WorkloadSpec
+from .spec import TierSpec, TopologyError, TopologySpec, WorkloadSpec
 from .workload import WorkloadStages
 
 
@@ -462,8 +462,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # Fail at construction, not deep inside the run: an unknown
-        # scenario raises ValueError, an invalid workload patch or pool
-        # size TopologyError (a ValueError), each listing the valid names.
+        # scenario raises ValueError, an invalid workload patch, pool
+        # size or clock skew TopologyError (a ValueError), each naming
+        # the field or listing the valid names.
+        if self.clock_skew < 0:
+            raise TopologyError(
+                f"clock_skew must be non-negative, got {self.clock_skew:g}"
+            )
         self.run_inputs()
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":

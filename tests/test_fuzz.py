@@ -56,11 +56,36 @@ class TestHarnessSmoke:
         assert payload["failures"] == []
         assert set(payload["coverage"]) >= {"patterns", "workloads", "tiers_max"}
 
-    def test_zero_budget_stops_before_the_first_case(self):
-        report = run_fuzz(seeds=5, limits=SMOKE_LIMITS, budget=0.0)
+    def test_exhausted_budget_stops_the_sweep(self):
+        report = run_fuzz(seeds=5, limits=SMOKE_LIMITS, budget=1e-6)
         assert report.budget_exhausted
-        assert report.seeds_run == 0
+        assert report.seeds_run < 5
         assert report.ok
+
+    @pytest.mark.parametrize(
+        "knobs, field",
+        [
+            ({"seeds": 0}, "seeds"),
+            ({"seeds": -2}, "seeds"),
+            ({"budget": 0.0}, "budget"),
+            ({"budget": -1.0}, "budget"),
+            ({"window": 0.0}, "window"),
+            ({"window": -0.01}, "window"),
+            ({"sampling_rate": 0.0}, "sampling_rate"),
+            ({"sampling_rate": 1.5}, "sampling_rate"),
+        ],
+    )
+    def test_bad_knobs_are_refused_before_the_first_case(
+        self, knobs, field, monkeypatch
+    ):
+        # A sweep of nothing is not a green run, and a bad window or rate
+        # must not wait for a simulated scenario to be refused.
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran before the knobs were checked")
+
+        monkeypatch.setattr("repro.fuzz.harness.run_case", no_case)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            run_fuzz(**{"seeds": 1, "limits": SMOKE_LIMITS, **knobs})
 
     def test_case_result_carries_the_scenario_shape(self):
         case = run_case(0, SMOKE_LIMITS)

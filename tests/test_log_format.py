@@ -119,6 +119,26 @@ class TestFrontendSpec:
         assert spec.is_external("9.9.9.9")
         assert not spec.is_external("10.0.0.2")
 
+    def test_parse_reads_ip_colon_port(self):
+        assert FrontendSpec.parse("10.0.0.1:80") == FrontendSpec(ip="10.0.0.1", port=80)
+
+    def test_parse_refuses_a_missing_colon(self):
+        with pytest.raises(ValueError, match="expected IP:PORT, got 'oops'"):
+            FrontendSpec.parse("oops")
+        with pytest.raises(ValueError, match="expected IP:PORT"):
+            FrontendSpec.parse(":80")
+
+    def test_parse_refuses_a_non_integer_port(self):
+        with pytest.raises(ValueError, match="port must be an integer, got 'http'"):
+            FrontendSpec.parse("10.0.0.1:http")
+
+    @pytest.mark.parametrize("port", [0, -1, 65536, 99999])
+    def test_port_outside_the_tcp_range_is_refused(self, port):
+        with pytest.raises(ValueError, match=f"port must be in 1..65535, got {port}"):
+            FrontendSpec.parse(f"10.0.0.1:{port}")
+        with pytest.raises(ValueError, match="port must be in 1..65535"):
+            FrontendSpec(ip="10.0.0.1", port=port)
+
 
 class TestActivityClassifier:
     def make_classifier(self, **kwargs):

@@ -458,6 +458,11 @@ class TestStoreFiles:
         with pytest.raises(ValueError, match="store directory does not exist"):
             TraceStore(tmp_path / "no" / "such" / "dir.sqlite")
 
+    def test_sink_refuses_a_missing_directory_before_the_run(self, tmp_path):
+        # Refused when the sink is built, not when the first CAG arrives.
+        with pytest.raises(ValueError, match="store directory does not exist"):
+            StoreSink(tmp_path / "no" / "such" / "dir.sqlite")
+
     def test_non_database_file_refused(self, tmp_path):
         path = tmp_path / "not_a_db.sqlite"
         path.write_text("this is not SQLite", encoding="utf-8")

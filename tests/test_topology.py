@@ -196,8 +196,16 @@ class TestEagerConfigValidation:
             ({"clients": -5}, "clients > 0"),
             ({"think_time": -1.0}, "think_time must be non-negative"),
             ({"workload_kind": "open", "arrival_rate": -1.0}, "arrival_rate > 0"),
+            ({"clock_skew": -1.0}, "clock_skew must be non-negative"),
         ],
-        ids=["kind", "zero_clients", "negative_clients", "think_time", "arrival_rate"],
+        ids=[
+            "kind",
+            "zero_clients",
+            "negative_clients",
+            "think_time",
+            "arrival_rate",
+            "clock_skew",
+        ],
     )
     def test_invalid_workload_patch_fails_at_construction(self, patch, message):
         with pytest.raises(TopologyError, match=message):
