@@ -18,8 +18,9 @@ Quick start::
 
 Every correlation run is a :class:`BackendSpec` value --
 ``BackendSpec.batch()``, ``.streaming(horizon=...)`` or ``.sharded()``
--- which drives :class:`IncrementalEngine` (sharded: one per shard) over
-a pipeline source (``spec.run(source)``) or an activity collection
+-- which drives :class:`IncrementalEngine` (sharded, the equivalence
+oracle: one per causally-closed component) over a pipeline source
+(``spec.run(source)``) or an activity collection
 (``spec.correlate(activities)``, ``spec.trace(activities)``).
 """
 
@@ -57,11 +58,7 @@ from .core import (
     percentage_table,
     profile_series,
 )
-from .stream import (
-    FileTailSource,
-    IncrementalEngine,
-    ShardedCorrelator,
-)
+from .stream import FileTailSource, IncrementalEngine
 from .pipeline import (
     AccuracyStage,
     BackendSpec,
@@ -162,7 +159,6 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "SegmentChange",
-    "ShardedCorrelator",
     "SummaryJsonSink",
     "TierSpec",
     "TopologyDeployment",

@@ -63,13 +63,10 @@ Commands
     requests finish.  ``--horizon`` bounds engine state (seconds of
     local time; state idle for longer is evicted -- pick a value above
     the service's worst-case response time, see
-    ``IncrementalEngine.horizon``); ``--shards`` switches to the
-    sharded driver instead (batch semantics per shard, so the
-    incremental-only knobs ``--horizon``/``--skew-bound``/``--chunk-size``
-    do not apply there).  ``--input`` (repeatable: one log per node)
-    reads the files a block at a time inside the drive, merged by
-    timestamp as they are read, so the first causal paths are out before
-    the logs have been read through; ``wall_clock_s`` therefore covers
+    ``IncrementalEngine.horizon``).  ``--input`` (repeatable: one log
+    per node) reads the files a block at a time inside the drive, merged
+    by timestamp as they are read, so the first causal paths are out
+    before the logs have been read through; ``wall_clock_s`` therefore covers
     read + classify + correlate, while ``correlation_time_s`` stays the
     engine's own clock.  To *follow* a file that is still being written,
     loop :meth:`repro.FileTailSource.poll` from Python.
@@ -96,8 +93,8 @@ Commands
 
 Every data-producing command (``trace`` / ``simulate`` / ``stream``) is
 one :class:`repro.pipeline.Pipeline` run -- a source (simulated run or
-log file), a backend (:class:`repro.pipeline.BackendSpec`: batch,
-streaming or sharded) and analysis stages -- differing only in how the
+log file), a backend (:class:`repro.pipeline.BackendSpec`: batch or
+streaming) and analysis stages -- differing only in how the
 flags select the source and the backend.  ``--json`` prints the
 pipeline's trace-summary document instead of the human report; it says
 where the drive's wall clock went -- ``wall_clock_s`` (reading the trace,
@@ -209,7 +206,7 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
         metavar="TARGET",
         help=(
             "steer the admission rate toward TARGET open requests in the "
-            "engine (feedback control; incremental backend only)"
+            "engine (feedback control)"
         ),
     )
 
@@ -348,26 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument("--chunk-size", type=int, default=256)
     stream_parser.add_argument(
-        "--shards",
-        dest="max_shards",
-        metavar="SHARDS",
-        type=int,
-        default=0,
-        help=(
-            "use the sharded driver with up to N shards: causally-closed "
-            "components, each correlated alone on a thread pool and merged, "
-            "output identical to batch (0 = incremental; "
-            "--horizon/--skew-bound/--chunk-size do not apply)"
-        ),
-    )
-    stream_parser.add_argument(
         "--checkpoint",
         dest="checkpoint_path",
         default=None,
         metavar="FILE",
         help=(
             "periodically snapshot the incremental engine to FILE "
-            "(requires --checkpoint-every; incremental backend only)"
+            "(requires --checkpoint-every)"
         ),
     )
     stream_parser.add_argument(
@@ -384,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "resume a previous run from this checkpoint file instead of "
-            "starting at the head of the trace (incremental backend only)"
+            "starting at the head of the trace"
         ),
     )
     stream_parser.add_argument(
@@ -808,7 +792,7 @@ def _batch_command(
 
 
 def _command_stream(args: argparse.Namespace) -> int:
-    """Drive the online pipeline: source -> streaming/sharded backend."""
+    """Drive the online pipeline: source -> streaming backend."""
     # 0 is the flag's spelling of "never evict" (None to BackendSpec), so
     # this one range is the command line's own.
     if args.horizon < 0:
@@ -818,15 +802,12 @@ def _command_stream(args: argparse.Namespace) -> int:
         args, scenario=None if args.input else args.scenario
     )
     # Built before anything is read or simulated, so BackendSpec refuses
-    # every bad knob up front -- including the ones that do not apply to
-    # the sharded driver, and checkpoint flags combined with --shards.
-    backend = BackendSpec(
-        kind="sharded" if args.max_shards else "streaming",
+    # every bad knob up front.
+    backend = BackendSpec.streaming(
         window=args.window,
         horizon=args.horizon or None,
         skew_bound=args.skew_bound,
         chunk_size=args.chunk_size,
-        max_shards=args.max_shards or None,
         sampling=sampling,
         checkpoint_path=args.checkpoint_path,
         checkpoint_every=args.checkpoint_every,
@@ -896,8 +877,6 @@ def _command_stream(args: argparse.Namespace) -> int:
 
     if args.json:
         extra = {}
-        if result.shard_sizes is not None:
-            extra["shards"] = len(result.shard_sizes)
         if store_sink is not None:
             extra.update(store=args.store, store_run_id=store_sink.run_id)
         print(_session_json(session, "stream", **extra))
@@ -910,11 +889,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         + stats.evicted_open_cags
     )
     peak_pending = result.peak_state_entries + result.peak_buffered_activities
-    if backend.kind == "sharded":
-        print(f"\n== sharded correlation ({len(result.shard_sizes or [])} shards) ==")
-    else:
-        print("\n== incremental correlation ==")
-        print(f"wall-clock ingestion    : {timings.wall_clock_s:.3f} s")
+    print("\n== incremental correlation ==")
+    print(f"wall-clock ingestion    : {timings.wall_clock_s:.3f} s")
     print(f"activities ingested     : {result.total_activities}")
     print(f"finished paths (CAGs)   : {len(result.cags)}")
     print(f"incomplete paths        : {len(result.incomplete_cags)}")

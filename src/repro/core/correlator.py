@@ -27,7 +27,8 @@ slice's CAGs to the caller before the next one starts
 (:meth:`IncrementalEngine.flush_slices`), so a consumer stores the first
 requests while the later ones are still being correlated.  Every
 backend of :class:`repro.pipeline.BackendSpec` drives this engine:
-batch that way, streaming a chunk at a time, sharded once per shard.
+batch that way, streaming a chunk at a time, sharded once per
+causally-closed component.
 
 Two knobs control the online memory/latency/accuracy triangle:
 
@@ -98,7 +99,9 @@ _ACTIVITY_FOOTPRINT_BYTES = 480
 
 @dataclass
 class CorrelationResult:
-    """Everything the Correlator produced for one trace."""
+    """Everything one correlation run produced for one trace: the
+    engine's :meth:`IncrementalEngine.result`, or the sharded backend's
+    merge of one such result per component."""
 
     cags: List[CAG]
     incomplete_cags: List[CAG]
@@ -109,9 +112,6 @@ class CorrelationResult:
     engine_stats: EngineStats
     window: float
     total_activities: int
-    #: per-shard activity counts when the sharded driver produced this
-    #: result (``None`` for the batch and streaming drivers)
-    shard_sizes: Optional[List[int]] = None
     #: live bookkeeping entries (index maps, owners, open CAGs) left in
     #: the engine after the drain -- the leak-sanity figure the fuzz
     #: harness compares between sampled and unsampled runs

@@ -293,33 +293,15 @@ class ActivitySource:
         self._move_fence(end)
         return end - fence
 
-    def take_until(self, limit: float) -> List[Activity]:
-        """:meth:`fetch_until`, returning the admitted activities."""
-        fence = self.fence
-        self.fetch_until(limit)
-        return self.activities(fence, self.fence)
-
-    def take_one(self) -> Optional[Activity]:
-        """Admit a single activity regardless of the window (used to make
-        progress when the window is smaller than the inter-activity gap)."""
-        fence = self.fence
-        if not self.fetch_one():
-            return None
-        return self.activity(fence)
-
     def fetch_one(self) -> bool:
-        """:meth:`take_one` without looking at the row: whether a row was
-        admitted (none awaited fetch otherwise)."""
+        """Admit a single activity regardless of the window (used to make
+        progress when the window is smaller than the inter-activity gap):
+        whether a row was admitted (none awaited fetch otherwise)."""
         fence = self.fence
         if fence >= len(self._ts):
             return False
         self._move_fence(fence + 1)
         return True
-
-    def has_future_send(self, key: MessageKey) -> bool:
-        """Is a send-like activity with ``key`` still awaiting fetch?"""
-        entries = self._positions().get(key)
-        return entries is not None and entries[-1] - self._base >= self.fence
 
     def fetch_through_send(self, key: MessageKey) -> int:
         """Admit activities up to and including the next send-like one
@@ -352,12 +334,6 @@ class ActivitySource:
             index += 1
         self._move_fence(index)
         return index - fence
-
-    def take_through_send(self, key: MessageKey) -> List[Activity]:
-        """:meth:`fetch_through_send`, returning the admitted activities."""
-        fence = self.fence
-        self.fetch_through_send(key)
-        return self.activities(fence, self.fence)
 
     def _move_fence(self, end: int) -> None:
         self.fence = end

@@ -23,8 +23,8 @@ generated meshes reach ~0.6 distinct shapes per request, and a table
 that grows with a long tail of one-off shapes is a leak.  Once
 :data:`MAX_SHAPES` plans exist, a CAG of an unseen shape gets no plan and
 both consumers derive it on its own.  Only ``dict.get`` / ``setdefault``
-touch the table, and two threads racing to fill one plan store equal
-values, so the thread executor needs no lock.
+touch the table, and two threads racing to fill one plan would store
+equal values, so the table needs no lock of its own.
 """
 
 from __future__ import annotations

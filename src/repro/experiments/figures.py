@@ -580,25 +580,17 @@ def figure11_streaming(
 def figure12_streaming(
     scale: Optional[ExperimentScale] = None, cache: Optional[RunCache] = None
 ) -> FigureResult:
-    """Fig. 12 companion: correlation throughput of the three drivers.
+    """Fig. 12 companion: correlation throughput of the two drivers.
 
     Where Fig. 12 measures the *instrumentation* overhead on the traced
     service, this table measures the *analysis* side: how many logged
-    activities per second the batch, streaming and sharded correlators
-    sustain, i.e. how much live traffic an online deployment could keep
-    up with."""
+    activities per second the batch and streaming correlators sustain,
+    i.e. how much live traffic an online deployment could keep up with."""
     scale = scale or default_scale()
     result = FigureResult(
         figure_id="fig12s",
-        title="Correlation throughput: batch vs. streaming vs. sharded",
-        columns=[
-            "clients",
-            "activities",
-            "batch_kact_s",
-            "stream_kact_s",
-            "sharded_kact_s",
-            "shards",
-        ],
+        title="Correlation throughput: batch vs. streaming",
+        columns=["clients", "activities", "batch_kact_s", "stream_kact_s"],
     )
 
     def _rate(activities: int, seconds: float) -> float:
@@ -608,7 +600,6 @@ def figure12_streaming(
         run = get_run(_base_config(scale, clients=clients), cache)
         batch = run.trace(window=scale.window)
         stream = stream_trace(run, window=scale.window, horizon=STREAMING_HORIZON)
-        sharded = BackendSpec.sharded(window=scale.window).correlate(run.activities())
         total = run.total_activities
         result.rows.append(
             {
@@ -616,8 +607,6 @@ def figure12_streaming(
                 "activities": total,
                 "batch_kact_s": _rate(total, batch.correlation_time),
                 "stream_kact_s": _rate(total, stream.correlation_time),
-                "sharded_kact_s": _rate(total, sharded.correlation_time),
-                "shards": len(sharded.shard_sizes),
             }
         )
     return result

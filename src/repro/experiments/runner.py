@@ -6,12 +6,11 @@ window-sweep runs).  :class:`RunCache` memoises completed runs keyed by
 their configuration so a full figure suite performs each distinct
 simulation exactly once per process.
 
-:func:`stream_trace` / :func:`sharded_trace` are the streaming and
-sharded counterparts of :meth:`TopologyRunResult.trace`; since the pipeline
-refactor they are thin wrappers over
-:class:`~repro.pipeline.BackendSpec` -- kept because the figure
-generators read naturally with run-centric helpers, but every knob and
-semantics detail lives in the backend spec now.
+:func:`stream_trace` is the streaming counterpart of
+:meth:`TopologyRunResult.trace`; since the pipeline refactor it is a thin
+wrapper over :class:`~repro.pipeline.BackendSpec` -- kept because the
+figure generators read naturally with run-centric helpers, but every knob
+and semantics detail lives in the backend spec now.
 """
 
 from __future__ import annotations
@@ -133,22 +132,5 @@ def stream_trace(
             horizon=horizon,
             skew_bound=skew_bound,
             chunk_size=chunk_size,
-        ),
-    )
-
-
-def sharded_trace(
-    run: TopologyRunResult,
-    window: float = 0.010,
-    max_workers: Optional[int] = None,
-    max_shards: Optional[int] = None,
-) -> TraceResult:
-    """Trace a completed run through the sharded backend."""
-    return trace_run(
-        run,
-        BackendSpec.sharded(
-            window=window,
-            max_workers=max_workers,
-            max_shards=max_shards,
         ),
     )

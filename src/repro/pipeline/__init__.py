@@ -16,7 +16,7 @@ Entry points
     Compose and execute: ``Pipeline(source, backend, stages, sinks).run()``.
 :class:`BackendSpec`
     Declarative driver selection (``batch`` | ``streaming`` | ``sharded``)
-    carrying window/horizon/skew-bound/chunk-size/shard knobs;
+    carrying window/horizon/skew-bound/chunk-size/checkpoint knobs;
     :class:`DriveTimings` is what one drive reports about its wall clock.
 :mod:`sources <repro.pipeline.sources>`
     :class:`RunSource` (simulations, memoised), :class:`LogSource`

@@ -14,9 +14,10 @@ declaratively::
 The three kinds feed the same engine differently: ``batch`` buffers every
 piece of the trace, seals and drains once, a slice at a time;
 ``streaming`` ingests arrival-order chunks and can checkpoint and resume
-(:mod:`repro.stream.checkpoint`); ``sharded`` correlates causally-closed
-shards one engine each (:class:`~repro.stream.ShardedCorrelator`) and
-merges them.  All three produce the same
+(:mod:`repro.stream.checkpoint`); ``sharded`` is the equivalence oracle:
+it correlates each causally-closed component on an engine of its own,
+one after another, and merges them (:mod:`repro.stream.sharded`).  All
+three produce the same
 :class:`~repro.core.correlator.CorrelationResult` type, and -- with
 eviction disabled -- the same finished CAGs (the equivalence asserted by
 :func:`repro.pipeline.verify_equivalence`).  Which knobs apply:
@@ -25,12 +26,13 @@ eviction disabled -- the same finished CAGs (the equivalence asserted by
 ``batch``     ``window`` only
 ``streaming`` ``window``, ``horizon``, ``skew_bound``, ``chunk_size``,
               ``checkpoint_path``, ``checkpoint_every``, ``resume_from``
-``sharded``   ``window``, ``max_shards``, ``max_workers``
+``sharded``   ``window`` only
 ============  =========================================================
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -42,9 +44,9 @@ from ..core.correlator import CorrelationResult, IncrementalEngine
 from ..core.interning import ActivityTable, as_table
 from ..core.tracer import TraceResult
 from ..sampling import SamplingSpec
-from ..stream import ShardedCorrelator, arrival_chunks, iter_chunks
+from ..stream import arrival_chunks, iter_chunks
 from ..stream.checkpoint import config_fingerprint, resume_checkpoint, save_checkpoint
-from ..stream.sharded import require_positive_or_none
+from ..stream.sharded import correlate_components
 
 #: The three backend kinds, in canonical (equivalence-matrix) order.
 BACKEND_KINDS = ("batch", "streaming", "sharded")
@@ -86,11 +88,6 @@ class BackendSpec:
     skew_bound: float = 0.005
     #: streaming ingestion chunk size, activities
     chunk_size: int = 256
-    #: sharded: upper bound on shard count (``None`` = one per component)
-    max_shards: Optional[int] = None
-    #: sharded: thread-pool size (``None`` = ``os.cpu_count()``; never
-    #: more than the shard count)
-    max_workers: Optional[int] = None
     #: streaming: checkpoint file path (requires ``checkpoint_every``)
     checkpoint_path: Optional[str] = None
     #: streaming: checkpoint cadence in ingested activities
@@ -112,16 +109,18 @@ class BackendSpec:
                 f"unknown backend kind {self.kind!r}; valid kinds: "
                 f"{', '.join(BACKEND_KINDS)}"
             )
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive (or None to disable)")
-        if self.skew_bound < 0:
-            raise ValueError("skew_bound must be non-negative")
+        # NaN passes every ``x <= 0`` test, so finiteness is checked first.
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be positive and finite, got {self.window:g}")
+        if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(
+                "horizon must be positive and finite (or None to disable), "
+                f"got {self.horizon:g}"
+            )
+        if not (math.isfinite(self.skew_bound) and self.skew_bound >= 0):
+            raise ValueError(f"skew_bound must be non-negative and finite, got {self.skew_bound:g}")
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        require_positive_or_none("max_shards", self.max_shards)
-        require_positive_or_none("max_workers", self.max_workers)
         if (self.checkpoint_path is None) != (self.checkpoint_every is None):
             raise ValueError(
                 "checkpoint_path and checkpoint_every must be set together"
@@ -195,28 +194,26 @@ class BackendSpec:
     def sharded(
         cls,
         window: float = 0.010,
-        max_shards: Optional[int] = None,
+        sampling: Optional[SamplingSpec] = None,
         max_workers: Optional[int] = None,
         executor: str = "thread",
-        sampling: Optional[SamplingSpec] = None,
     ) -> "BackendSpec":
-        # ``executor`` is a spelling kept for one caller: the benchmark
-        # harness's sharded leg, ``BackendSpec.sharded(max_workers=2,
-        # executor="thread")`` in benchmarks/e2e/worker.py.  Shards always
-        # run on a thread pool; the keyword goes when that harness is next
-        # revised.
+        # ``max_workers`` and ``executor`` are spellings kept for one
+        # caller: the benchmark harness's sharded leg,
+        # ``BackendSpec.sharded(max_workers=2, executor="thread")`` in
+        # benchmarks/e2e/worker.py.  Components run one after another, so
+        # neither changes anything; a bad value is still refused.  Both
+        # go when that harness is next revised.
+        if max_workers is not None and (
+            isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers <= 0
+        ):
+            raise ValueError(f"max_workers must be None or a positive int (got {max_workers!r})")
         if executor != "thread":
             raise ValueError(
                 f"unknown executor {executor!r}: sharded correlation runs "
-                "on a thread pool only"
+                "one component after another"
             )
-        return cls(
-            kind="sharded",
-            window=window,
-            max_shards=max_shards,
-            max_workers=max_workers,
-            sampling=sampling,
-        )
+        return cls(kind="sharded", window=window, sampling=sampling)
 
     def with_overrides(self, **kwargs) -> "BackendSpec":
         """A copy of this spec with some fields replaced."""
@@ -307,12 +304,7 @@ class BackendSpec:
             # The merged CAG list only exists after the pass.
             if source is not None:
                 activities = source.table()
-            result = ShardedCorrelator(
-                window=self.window,
-                max_workers=self.max_workers,
-                max_shards=self.max_shards,
-                sampling=self.sampling,
-            ).correlate(activities)
+            result = correlate_components(activities, self.window, self.sampling)
             hand_out(result.cags)
             timings.wall_clock_s = perf_counter() - start
             return result
@@ -411,11 +403,6 @@ class BackendSpec:
                 parts.append(f"checkpoint_every={self.checkpoint_every}")
             if self.resume_from is not None:
                 parts.append(f"resume_from={self.resume_from}")
-        elif self.kind == "sharded":
-            if self.max_shards is not None:
-                parts.append(f"max_shards={self.max_shards}")
-            if self.max_workers is not None:
-                parts.append(f"max_workers={self.max_workers}")
         if self.sampling is not None:
             parts.append(f"sampling={self.sampling.describe()}")
         # Which rank-kernel backend the drivers will run on (resolved

@@ -1,4 +1,4 @@
-"""Streaming correlation subsystem: online, bounded-memory, shardable.
+"""Streaming correlation subsystem: online, bounded-memory, partitionable.
 
 The batch pipeline (``repro.core``) reads a complete trace and correlates
 it once -- one sealed run of the incremental engine.  This package holds
@@ -6,26 +6,27 @@ what the online and sharded backends of :class:`repro.pipeline.BackendSpec`
 drive that same engine with, the seam every scaling direction (async
 ingestion, multi-backend storage, distributed sharding) builds on:
 
-==========================  ==================================================
-:class:`IncrementalEngine`  push-interface engine (defined in
-                            ``repro.core.correlator``): ingest activity
-                            chunks, emit each CAG the moment its END
-                            correlates, evict stale state past a
-                            watermark horizon
-checkpoints                 :func:`save_checkpoint` /
-                            :func:`load_checkpoint`: the engine pickled at
-                            a chunk boundary by the streaming backend, and
-                            revived to resume past the prefix it has seen
-:class:`ShardedCorrelator`  partition a trace into causally-closed shards
-                            (union-find over context/connection keys,
-                            LPT-packed by activity count), correlate each
-                            alone and merge: a tested equivalence backend
-                            whose output is identical to batch
-:class:`FileTailSource`     ``tail -f``-style log file reader, one
-                            ``chunk_bytes`` block at a time
-:class:`IteratorSource`     chunked reader over any line iterable
-:class:`ActivityStream`     raw line -> typed activity classification step
-==========================  ==================================================
+==============================  ==================================================
+:class:`IncrementalEngine`      push-interface engine (defined in
+                                ``repro.core.correlator``): ingest activity
+                                chunks, emit each CAG the moment its END
+                                correlates, evict stale state past a
+                                watermark horizon
+checkpoints                     :func:`save_checkpoint` /
+                                :func:`load_checkpoint`: the engine pickled at
+                                a chunk boundary by the streaming backend, and
+                                revived to resume past the prefix it has seen
+:func:`partition_components`    split a trace into causally-closed
+                                components (union-find over context and
+                                connection keys); the ``sharded`` backend
+                                correlates each alone and merges: an
+                                equivalence oracle whose output is identical
+                                to batch
+:class:`FileTailSource`         ``tail -f``-style log file reader, one
+                                ``chunk_bytes`` block at a time
+:class:`IteratorSource`         chunked reader over any line iterable
+:class:`ActivityStream`         raw line -> typed activity classification step
+==============================  ==================================================
 
 Equivalence guarantee: with eviction disabled (``horizon=None``) the
 streaming path produces exactly the same finished CAGs -- same edge
@@ -43,35 +44,17 @@ from .reader import (
     arrival_chunks,
     iter_chunks,
 )
-from .sharded import (
-    MergeTree,
-    ShardedCorrelator,
-    canonical_part,
-    merge_engine_stats,
-    merge_pair,
-    merge_ranker_stats,
-    merge_results,
-    partition_activities,
-    partition_components,
-)
+from .sharded import partition_components
 
 __all__ = [
     "ActivityStream",
     "FileTailSource",
     "IncrementalEngine",
     "IteratorSource",
-    "MergeTree",
-    "ShardedCorrelator",
     "StreamCheckpoint",
     "arrival_chunks",
-    "canonical_part",
     "iter_chunks",
     "load_checkpoint",
-    "merge_engine_stats",
-    "merge_pair",
-    "merge_ranker_stats",
-    "merge_results",
-    "partition_activities",
     "partition_components",
     "save_checkpoint",
 ]

@@ -37,6 +37,7 @@ read-write mix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -465,10 +466,12 @@ class ScenarioConfig:
         # scenario raises ValueError, an invalid workload patch, pool
         # size or clock skew TopologyError (a ValueError), each naming
         # the field or listing the valid names.
-        if self.clock_skew < 0:
+        if not (math.isfinite(self.clock_skew) and self.clock_skew >= 0):
             raise TopologyError(
-                f"clock_skew must be non-negative, got {self.clock_skew:g}"
+                f"clock_skew must be non-negative and finite, got {self.clock_skew:g}"
             )
+        if self.arrival_rate is not None and not math.isfinite(self.arrival_rate):
+            raise TopologyError(f"arrival_rate must be finite, got {self.arrival_rate:g}")
         self.run_inputs()
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":

@@ -16,6 +16,7 @@ mean response time over the runtime window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -35,12 +36,14 @@ class WorkloadStages:
     down_ramp: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.runtime <= 0:
-            raise ValueError(f"runtime must be positive, got {self.runtime:g}")
+        # Infinite stages never end and NaN fails every comparison, so
+        # finiteness is checked first.
+        if not (math.isfinite(self.runtime) and self.runtime > 0):
+            raise ValueError(f"runtime must be positive and finite, got {self.runtime:g}")
         for name in ("up_ramp", "down_ramp"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value:g}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value:g}")
 
     @property
     def new_request_deadline(self) -> float:

@@ -71,15 +71,6 @@ class TestCli:
         assert "finished paths" in output
         assert "100.00 %" in output
 
-    def test_stream_command_sharded_mode(self, capsys):
-        code = main(
-            ["stream", "--clients", "10", "--runtime", "3", "--seed", "9", "--shards", "2"]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "sharded correlation" in output
-        assert "100.00 %" in output
-
     def test_stream_command_reads_a_log_file(self, tmp_path, capsys, tiny_run):
         from repro.core.log_format import format_record
 
@@ -274,23 +265,6 @@ class TestCli:
         assert payload["command"] == "simulate"
         assert payload["scenario"] == "cache_aside"
         assert payload["accuracy"] == 1.0
-
-    def test_stream_json_output_sharded(self, capsys):
-        import json
-
-        code = main(
-            ["stream", "--clients", "10", "--runtime", "3", "--seed", "9",
-             "--shards", "2", "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["command"] == "stream"
-        assert payload["backend"].startswith("sharded")
-        assert payload["shards"] >= 1
-        assert payload["accuracy"] == 1.0
-        # the merged CAG list only exists after the pass
-        assert payload["correlation_time_s"] < payload["first_cag_s"]
-        assert payload["first_cag_s"] <= payload["wall_clock_s"]
 
     def test_simulate_json_with_list_exits_2_with_one_line(self, capsys):
         code = main(["simulate", "--list", "--json"])

@@ -42,20 +42,23 @@ CASES = [
      lambda p: BackendSpec.streaming(chunk_size=0)),
     (["stream", "--skew-bound", "-1"], "--skew-bound must be non-negative",
      lambda p: BackendSpec.streaming(skew_bound=-1.0)),
-    (["stream", "--shards", "-1"], "--shards must be",
-     lambda p: BackendSpec.sharded(max_shards=-1)),
+    (["trace", "--window", "nan"], "--window must be positive and finite",
+     lambda p: BackendSpec.batch(window=float("nan"))),
+    (["stream", "--skew-bound", "nan"], "--skew-bound must be non-negative and finite",
+     lambda p: BackendSpec.streaming(skew_bound=float("nan"))),
+    (["stream", "--horizon", "nan"], "--horizon must be positive and finite",
+     lambda p: BackendSpec.streaming(horizon=float("nan"))),
+    (["trace", "--window", "inf"], "--window must be positive and finite",
+     lambda p: BackendSpec.batch(window=float("inf"))),
+    (["stream", "--skew-bound", "inf"], "--skew-bound must be non-negative and finite",
+     lambda p: BackendSpec.streaming(skew_bound=float("inf"))),
+    (["stream", "--horizon", "inf"], "--horizon must be positive and finite",
+     lambda p: BackendSpec.streaming(horizon=float("inf"))),
     (["stream", "--checkpoint", "{ck}"], "must be set together",
      lambda p: BackendSpec.streaming(checkpoint_path=p["ck"])),
     (["stream", "--checkpoint", "{ck}", "--checkpoint-every", "0"],
      "--checkpoint-every must be positive",
      lambda p: BackendSpec.streaming(checkpoint_path=p["ck"], checkpoint_every=0)),
-    (["stream", "--shards", "2", "--checkpoint", "{ck}", "--checkpoint-every", "5"],
-     "streaming-backend features",
-     lambda p: BackendSpec(
-         kind="sharded", max_shards=2, checkpoint_path=p["ck"], checkpoint_every=5
-     )),
-    (["stream", "--shards", "2", "--resume", "{ck}"], "streaming-backend features",
-     lambda p: BackendSpec(kind="sharded", max_shards=2, resume_from=p["ck"])),
     (["stream", "--runtime", "1", "--clients", "10", "--resume", "{ck}"],
      "--resume must be an existing checkpoint file",
      lambda p: BackendSpec.streaming(resume_from=p["ck"])),
@@ -67,8 +70,6 @@ CASES = [
       "--checkpoint-every", "100"],
      "--checkpoint must be in an existing directory",
      lambda p: BackendSpec.streaming(checkpoint_path=p["nodir"], checkpoint_every=100)),
-    (["stream", "--shards", "2", "--sample-adaptive", "5"], "adaptive sampling",
-     lambda p: BackendSpec.sharded(max_shards=2, sampling=SamplingSpec.adaptive(5))),
     (["trace", "--sample-rate", "1.5"], "--sample-rate must be in (0, 1]",
      lambda p: SamplingSpec.uniform(1.5)),
     (["stream", "--sample-rate", "0"], "--sample-rate must be in (0, 1]",
@@ -81,8 +82,16 @@ CASES = [
      lambda p: WorkloadStages(runtime=0.0)),
     (["simulate", "--runtime", "-1"], "--runtime must be positive",
      lambda p: WorkloadStages(runtime=-1.0)),
+    (["trace", "--clients", "5", "--runtime", "inf"], "--runtime must be positive and finite",
+     lambda p: WorkloadStages(runtime=float("inf"))),
+    (["trace", "--clients", "5", "--runtime", "nan"], "--runtime must be positive and finite",
+     lambda p: WorkloadStages(runtime=float("nan"))),
     (["trace", "--clock-skew", "-1"], "--clock-skew must be non-negative",
      lambda p: ScenarioConfig("rubis", clock_skew=-1.0)),
+    (["trace", "--clock-skew", "nan"], "--clock-skew must be non-negative and finite",
+     lambda p: ScenarioConfig("rubis", clock_skew=float("nan"))),
+    (["trace", "--clock-skew", "inf"], "--clock-skew must be non-negative and finite",
+     lambda p: ScenarioConfig("rubis", clock_skew=float("inf"))),
     (["trace", "--clients", "0"], "clients > 0",
      lambda p: ScenarioConfig("rubis", clients=0)),
     (["trace", "--max-threads", "0"], "workers must be positive",
@@ -92,6 +101,12 @@ CASES = [
     (["simulate", "--workload-kind", "open", "--arrival-rate", "-1"],
      "arrival_rate > 0",
      lambda p: ScenarioConfig("rubis", workload_kind="open", arrival_rate=-1.0)),
+    (["simulate", "--workload-kind", "open", "--arrival-rate", "inf"],
+     "--arrival-rate must be finite",
+     lambda p: ScenarioConfig("rubis", workload_kind="open", arrival_rate=float("inf"))),
+    (["simulate", "--workload-kind", "open", "--arrival-rate", "nan"],
+     "--arrival-rate must be finite",
+     lambda p: ScenarioConfig("rubis", workload_kind="open", arrival_rate=float("nan"))),
     (["stream", "--input", "{log}", "--frontend", "oops"], "bad --frontend",
      lambda p: FrontendSpec.parse("oops")),
     (["stream", "--input", "{log}", "--frontend", "10.0.0.1:http"],
@@ -158,6 +173,31 @@ def test_cli_refusal_is_the_owners_refusal(argv, message, owner, paths, capsys):
     assert message in captured.err
     with pytest.raises(ValueError):
         owner(paths)
+
+
+# (owner, field): every number an owner range-checks must also be finite --
+# NaN passes every ``x <= 0`` test, and an infinite stage never ends.
+NON_FINITE_OWNERS = [
+    (lambda v: BackendSpec.batch(window=v), "window"),
+    (lambda v: BackendSpec.streaming(horizon=v), "horizon"),
+    (lambda v: BackendSpec.streaming(skew_bound=v), "skew_bound"),
+    (lambda v: WorkloadStages(runtime=v), "runtime"),
+    (lambda v: WorkloadStages(up_ramp=v), "up_ramp"),
+    (lambda v: WorkloadStages(down_ramp=v), "down_ramp"),
+    (lambda v: ScenarioConfig("rubis", clock_skew=v), "clock_skew"),
+    (lambda v: ScenarioConfig("rubis", workload_kind="open", arrival_rate=v), "arrival_rate"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "owner, field",
+    NON_FINITE_OWNERS,
+    ids=[field for _owner, field in NON_FINITE_OWNERS],
+)
+def test_owner_refuses_a_non_finite_number(owner, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must .*finite"):
+        owner(value)
 
 
 class TestOutputPathsAreRefusedUpFront:

@@ -278,7 +278,7 @@ class TestMemoSafety:
 
     def test_sharded_results_match_batch_signatures(self, rubis_source):
         batch = BackendSpec.batch().correlate(rubis_source.activities())
-        sharded = BackendSpec.sharded(max_workers=2).correlate(rubis_source.activities())
+        sharded = BackendSpec.sharded().correlate(rubis_source.activities())
         assert Counter(map(cag_signature, sharded.cags)) == Counter(
             map(cag_signature, batch.cags)
         )

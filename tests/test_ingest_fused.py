@@ -638,7 +638,7 @@ class TestWholeTraces:
 
     def test_nan_timestamps_are_counted_and_cost_at_most_their_own_requests(self):
         # A non-finite timestamp used to parse, sort nowhere, break
-        # take_until's bisect and take every other path with it at this
+        # fetch_until's bisect and take every other path with it at this
         # concurrency -- with malformed_lines == 0 and no error.
         run = scenario_run("rubis", clients=300)
         records = sorted(run.all_records(), key=lambda r: r.timestamp)
@@ -660,6 +660,6 @@ class TestWholeTraces:
         lines = [format_record(record) for record in rubis_run.all_records()]
         stream = ActivityStream(frontends=[rubis_run.frontend_spec()])
         batch = BackendSpec.batch().correlate(stream.classify_lines(lines))
-        pooled = BackendSpec.sharded(max_workers=2).correlate(stream.classify_lines(lines))
+        sharded = BackendSpec.sharded().correlate(stream.classify_lines(lines))
         assert len(batch.cags) == rubis_run.completed_requests
-        assert result_digest(pooled) == result_digest(batch)
+        assert result_digest(sharded) == result_digest(batch)

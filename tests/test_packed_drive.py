@@ -289,8 +289,7 @@ class TestIdentity:
         backends = [
             BackendSpec.batch(),
             BackendSpec.streaming(),
-            BackendSpec.sharded(max_workers=2),
-            BackendSpec.sharded(max_workers=2, max_shards=2),
+            BackendSpec.sharded(),
         ]
         digests = set()
         for backend in backends:

@@ -240,6 +240,9 @@ class TestDriveTimings:
         assert 0 < timings.first_cag_s <= timings.wall_clock_s
         assert 0 < timings.hook_time_s < timings.wall_clock_s
         assert session.trace.correlation_time < timings.wall_clock_s
+        if kind == "sharded":
+            # the merged CAG list only exists after every component ran
+            assert session.trace.correlation_time < timings.first_cag_s
         summary = session.summary()
         assert summary["wall_clock_s"] == timings.wall_clock_s
         assert summary["first_cag_s"] == timings.first_cag_s
@@ -620,15 +623,21 @@ class TestBackendSpec:
         with pytest.raises(ValueError):
             BackendSpec.sharded(executor="fiber")
 
-    @pytest.mark.parametrize("field", ["max_shards", "max_workers"])
     @pytest.mark.parametrize("value", [0, -1, -3, 2.0, True])
-    def test_shard_knobs_are_refused_at_construction(self, field, value):
+    def test_shard_knobs_are_refused_at_construction(self, value):
         # A bad knob fails when the spec is built, naming the field --
         # not at run time, and never silently read as "unset".
-        with pytest.raises(ValueError, match=field):
-            BackendSpec.sharded(**{field: value})
-        with pytest.raises(ValueError, match=field):
-            BackendSpec(kind="sharded", **{field: value})
+        with pytest.raises(ValueError, match="max_workers"):
+            BackendSpec.sharded(max_workers=value)
+
+    def test_streaming_only_features_are_refused_on_the_sharded_kind(self, tmp_path):
+        checkpoint = str(tmp_path / "ck.bin")
+        with pytest.raises(ValueError, match="streaming-backend features"):
+            BackendSpec(kind="sharded", checkpoint_path=checkpoint, checkpoint_every=5)
+        with pytest.raises(ValueError, match="streaming-backend features"):
+            BackendSpec(kind="sharded", resume_from=checkpoint)
+        with pytest.raises(ValueError, match="adaptive sampling"):
+            BackendSpec.sharded(sampling=SamplingSpec.adaptive(5))
 
     def test_describe_names_the_driver_and_knobs(self):
         batch = BackendSpec.batch(window=0.002).describe()
@@ -638,19 +647,11 @@ class TestBackendSpec:
         streaming = BackendSpec.streaming(horizon=5.0).describe()
         assert "streaming" in streaming and "horizon=5s" in streaming
         assert "kernel=" in streaming
-        sharded = BackendSpec.sharded(max_shards=8, max_workers=2).describe()
-        assert "max_shards=8" in sharded and "max_workers=2" in sharded
-        assert "executor" not in sharded
+        # the harness's keywords change nothing, so describe nothing
+        sharded = BackendSpec.sharded(max_workers=2).describe()
+        assert sharded.startswith("sharded (window=0.01s")
+        assert "max_workers" not in sharded and "executor" not in sharded
         assert "kernel=" in sharded
-
-    def test_sharded_result_reports_shard_sizes(self, tiny_run):
-        result = BackendSpec.sharded(window=MATRIX_WINDOW, max_shards=4).correlate(
-            tiny_run.activities()
-        )
-        assert result.shard_sizes is not None
-        assert sum(result.shard_sizes) == tiny_run.total_activities
-        batch = BackendSpec.batch(window=MATRIX_WINDOW).correlate(tiny_run.activities())
-        assert batch.shard_sizes is None
 
 
 def _regenerate_goldens() -> None:

@@ -53,34 +53,37 @@ class TestActivitySource:
         assert source.peek_timestamp() == 1.0
         assert len(source) == 2
 
-    def test_take_until_respects_limit(self):
+    def test_fetch_until_respects_limit(self):
         activities = [act(ActivityType.SEND, t, "n") for t in (1.0, 2.0, 3.0)]
         source = ActivitySource("n", packed(activities))
-        taken = source.take_until(2.0)
+        assert source.fetch_until(2.0) == 2
+        taken = [source.activity(index) for index in range(source.fence)]
         assert [a.timestamp for a in taken] == [1.0, 2.0]
         assert not source.exhausted
 
-    def test_take_one_forces_progress(self):
+    def test_fetch_one_forces_progress(self):
         source = ActivitySource("n", packed([act(ActivityType.SEND, 5.0, "n")]))
-        assert source.take_one().timestamp == 5.0
-        assert source.take_one() is None
+        assert source.fetch_one()
+        assert source.activity(0).timestamp == 5.0
+        assert not source.fetch_one()
         assert source.exhausted
 
     def test_future_send_index_tracks_fetches(self):
         send = act(ActivityType.SEND, 1.0, "n")
         source = ActivitySource("n", packed([send]))
-        assert source.has_future_send(send.message_key)
-        source.take_until(10.0)
-        assert not source.has_future_send(send.message_key)
+        # the key's last recorded position at or behind the fence: a send
+        # with it still awaits fetch
+        assert source._positions()[send.message_key][-1] >= source.fence
+        source.fetch_until(10.0)
+        assert source._positions()[send.message_key][-1] < source.fence
 
-    def test_take_through_send_stops_at_matching_key(self):
+    def test_fetch_through_send_stops_at_matching_key(self):
         first = act(ActivityType.RECEIVE, 1.0, "n", src=("9.9.9.9", 1), dst=("1.1.1.1", 2))
         target = act(ActivityType.SEND, 2.0, "n")
         later = act(ActivityType.SEND, 3.0, "n", src=("3.3.3.3", 5))
         source = ActivitySource("n", packed([first, target, later]))
-        taken = source.take_through_send(target.message_key)
-        assert taken[-1] == target
-        assert len(taken) == 2
+        assert source.fetch_through_send(target.message_key) == 2
+        assert source.activity(1) == target
         assert not source.exhausted
 
 

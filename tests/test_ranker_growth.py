@@ -82,7 +82,7 @@ class TestLateArrival:
 
     def test_row_older_than_everything_fetched_lands_at_the_consumption_point(self):
         source = ActivitySource("n", packed([row(1.0), row(2.0), row(3.0), row(4.0)]))
-        assert len(source.take_until(2.5)) == 2
+        assert source.fetch_until(2.5) == 2
         stale = row(0.5)
         source.extend(packed([stale]))
         # the two fetched rows are the queue (nothing was delivered, so
@@ -91,7 +91,7 @@ class TestLateArrival:
         assert source.activity(2) == stale
         assert source.next_timestamp == 0.5
         assert_source_aligned(source)
-        assert source.take_one() == stale
+        assert source.fetch_one() and source.activity(2) == stale
         assert source.frontier == 4.0
         assert_source_aligned(source)
 
@@ -132,14 +132,21 @@ class TestLateArrival:
             source.extend(packed(rows[start : start + 7]))
             assert_source_aligned(source)
             if start % 3 == 0 and source.next_timestamp is not None:
-                fetched += source.take_until(source.next_timestamp + 0.05)
+                fence = source.fence
+                source.fetch_until(source.next_timestamp + 0.05)
+                fetched += source.activities(fence, source.fence)
                 assert_source_aligned(source)
-        fetched += source.take_until(float("inf"))
+        fence = source.fence
+        source.fetch_until(float("inf"))
+        fetched += source.activities(fence, source.fence)
         assert sorted(a.seq for a in fetched) == sorted(a.seq for a in rows)
         # fetch order is queue order
         assert fetched == source.buffered()
         assert source.exhausted
-        assert not any(source.has_future_send(key) for key in source._positions())
+        # no recorded send position at or behind the fence: none awaits fetch
+        assert all(
+            entries[-1] - source._base < source.fence for entries in source._positions().values()
+        )
         assert_source_aligned(source)
 
     def test_future_send_counters_are_empty_after_a_drain(self):
@@ -212,7 +219,7 @@ class TestIndexOnDemand:
         (source,) = ranker._slot_sources
         assert source._send_positions is None
         # row 2 is the queue head; the next send of its key awaits fetch
-        assert source.has_future_send(rows[4].message_key)
+        assert source._positions()[rows[4].message_key][-1] - source._base >= source.fence
         assert source._send_positions == {
             rows[2].message_key: deque([2, 4]),
             rows[3].message_key: deque([3, 5]),

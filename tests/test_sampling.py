@@ -42,7 +42,6 @@ from repro.sampling import (
     root_position,
 )
 from repro.sampling.sampler import iter_roots
-from repro.stream import ShardedCorrelator
 from repro.topology.library import scenario_names
 from helpers import packed
 from test_pipeline import MATRIX_WINDOW, matrix_config
@@ -169,8 +168,6 @@ class TestSamplingSpec:
             BackendSpec.sharded(
                 sampling=SamplingSpec.adaptive(target_open_cags=10)
             )
-        with pytest.raises(ValueError, match="adaptive"):
-            ShardedCorrelator(sampling=SamplingSpec.adaptive(target_open_cags=10))
         described = BackendSpec.batch(sampling=SamplingSpec.uniform(0.5)).describe()
         assert "sampling=uniform (rate=0.5)" in described
 

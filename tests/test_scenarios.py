@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import ActivityType
-from repro.experiments.runner import sharded_trace, stream_trace
+from repro.experiments.runner import stream_trace
 from repro.pipeline import BackendSpec, RunSource, canonical_cags, verify_equivalence
 from repro.services.faults import FaultConfig
 from repro.services.noise import NoiseConfig
@@ -85,7 +85,7 @@ class TestFanoutAggregator:
         run = small_run("fanout_aggregator")
         batch = run.trace(window=0.010)
         stream = stream_trace(run, window=0.010, horizon=5.0)
-        shard = sharded_trace(run, window=0.010)
+        shard = BackendSpec.sharded(window=0.010).trace(run.activities())
         expected = canonical_cags(batch.cags)
         assert canonical_cags(stream.cags) == expected
         assert canonical_cags(shard.cags) == expected

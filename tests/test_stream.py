@@ -5,7 +5,7 @@ incremental path and the sharded path must produce exactly the same
 finished CAGs -- same edge multisets, same ranked latency report -- as
 the batch correlator, on the tiny RUBiS workload.  The rest covers the
 bounded-memory claim (watermark eviction), the chunked readers and the
-shard partitioner/merger in isolation.
+component partitioner in isolation.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ from repro.stream import (
     FileTailSource,
     IncrementalEngine,
     IteratorSource,
-    ShardedCorrelator,
     arrival_chunks,
     iter_chunks,
-    merge_engine_stats,
-    merge_ranker_stats,
-    partition_activities,
+    partition_components,
 )
 
 
@@ -98,7 +95,7 @@ class TestStreamingEquivalence:
 
     def test_tiny_rubis_sharded_matches_batch(self, tiny_run):
         batch = BackendSpec.batch(window=0.010).correlate(tiny_run.activities())
-        sharded = ShardedCorrelator(window=0.010).correlate(tiny_run.activities())
+        sharded = BackendSpec.sharded(window=0.010).correlate(tiny_run.activities())
         assert canonical_cags(sharded.cags) == canonical_cags(batch.cags)
         assert ranked_latency_report(sharded.cags) == ranked_latency_report(batch.cags)
 
@@ -344,7 +341,7 @@ class TestReaders:
 class TestSharding:
     def test_partition_is_causally_closed(self):
         trace = synthetic_workload(requests=9, noise=0)
-        shards = partition_activities(trace.activities)
+        shards = partition_components(trace.activities)
         assert len(shards) > 1
         # No context or connection key may span two shards.
         seen_ctx = {}
@@ -356,37 +353,17 @@ class TestSharding:
                 assert seen_conn.setdefault(key, index) == index
         assert sum(len(shard) for shard in shards) == len(trace.activities)
 
-    def test_max_shards_folds_components(self):
-        trace = synthetic_workload(requests=9, noise=0)
-        shards = partition_activities(trace.activities, max_shards=2)
-        assert len(shards) == 2
-
-    def test_merge_stats_sums_counters(self):
-        from repro.core.engine import EngineStats
-        from repro.core.ranker import RankerStats
-
-        merged = merge_engine_stats([EngineStats(begins=2), EngineStats(begins=3)])
-        assert merged.begins == 5
-        ranker = merge_ranker_stats(
-            [RankerStats(delivered=4, max_buffered=7), RankerStats(delivered=1, max_buffered=9)]
-        )
-        assert ranker.delivered == 5
-        assert ranker.max_buffered == 16  # concurrent worst case: summed
-
     def test_sharded_correlator_matches_batch_on_synthetic_trace(self):
         trace = synthetic_workload()
         batch = BackendSpec.batch(window=0.010).correlate(trace.activities)
-        for max_shards in (None, 3, 1):
-            sharded = ShardedCorrelator(
-                window=0.010, max_shards=max_shards, max_workers=4
-            ).correlate(trace.activities)
-            assert canonical_cags(sharded.cags) == canonical_cags(batch.cags)
-            assert sharded.engine_stats.finished_cags == batch.engine_stats.finished_cags
+        sharded = BackendSpec.sharded(window=0.010).correlate(trace.activities)
+        assert canonical_cags(sharded.cags) == canonical_cags(batch.cags)
+        assert sharded.engine_stats.finished_cags == batch.engine_stats.finished_cags
 
     def test_merged_report_is_deterministic(self):
         trace = synthetic_workload(requests=6, noise=0)
-        first = ShardedCorrelator(window=0.010).correlate(trace.activities)
-        second = ShardedCorrelator(window=0.010, max_workers=1).correlate(trace.activities)
+        first = BackendSpec.sharded(window=0.010).correlate(trace.activities)
+        second = BackendSpec.sharded(window=0.010).correlate(trace.activities)
         assert [cag.begin_timestamp for cag in first.cags] == [
             cag.begin_timestamp for cag in second.cags
         ]
@@ -410,7 +387,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             BackendSpec.streaming(chunk_size=0)
         with pytest.raises(ValueError):
-            ShardedCorrelator(window=-0.1)
+            BackendSpec.sharded(window=-0.1)
         with pytest.raises(ValueError):
             FileTailSource("/tmp/x.log", chunk_bytes=0)
 
