@@ -177,18 +177,19 @@ class Activity:
 
     The identity keys (``context_key``, ``message_key``, ``node_key``,
     ``priority``, ``send_like``) are looked up on every ranker and engine
-    step, so they are computed once at construction and stored as plain
-    slot attributes instead of being re-derived through properties --
-    together with ``__slots__`` this is a large share of the correlation
-    hot-path speedup.  Each key is the *interned dense int* assigned by
-    :data:`repro.core.interning.INTERNER` for the underlying tuple /
-    hostname identity: interning is injective and first-seen ordered, so
-    every dict keyed by these attributes behaves exactly as with tuple
-    keys, but hashes a machine int instead of a tuple of strings.  Code
-    that needs the original identity (digests, sampling, cross-process
-    export) resolves it from the immutable ``context`` / ``message``
-    identifiers -- never from the ints, which are one process's ingest
-    artefact.  All derived keys are excluded from equality.
+    step, so they are stored as plain slot attributes instead of being
+    re-derived through properties -- together with ``__slots__`` this is
+    a large share of the correlation hot-path speedup.  An object built
+    from a packed row (what the ranker delivers) holds the dense ints its
+    table's :class:`~repro.core.interning.KeySpace` gives the underlying
+    tuple / hostname identity; one built by this constructor belongs to
+    no key space and holds the identity itself (the context 4-tuple, the
+    connection 4-tuple, the hostname).  Interning is injective, so every
+    dict keyed by these attributes behaves the same either way; only the
+    hash cost differs.  Code that needs the original identity (digests,
+    sampling, export) reads it from the immutable ``context`` /
+    ``message`` identifiers -- never from the keys, whose ints are one
+    run's key space.  All derived keys are excluded from equality.
     """
 
     type: ActivityType
@@ -202,21 +203,20 @@ class Activity:
     # as the logged message size and is adjusted as parts are merged.
     size: int = field(default=-1)
 
-    #: Interned key used by the ``cmap`` (adjacent-context matching);
-    #: resolve the raw 4-tuple via ``context.as_tuple()``.
-    context_key: int = field(init=False, repr=False, compare=False)
-    #: Interned key used by the ``mmap`` (message matching).  SEND
+    #: Key used by the ``cmap`` (adjacent-context matching).
+    context_key: object = field(init=False, repr=False, compare=False)
+    #: Key used by the ``mmap`` (message matching).  SEND
     #: activities are stored under their own direction; a RECEIVE looks up
     #: the *same* direction (the sender's ip:port still appears first in
     #: the receiver's log record), so both sides share one key.  Resolve
     #: the raw 4-tuple via ``message.connection_key()``.
-    message_key: int = field(init=False, repr=False, compare=False)
-    #: Interned key of the ranker queue this activity belongs to.  The
+    message_key: object = field(init=False, repr=False, compare=False)
+    #: Key of the ranker queue this activity belongs to.  The
     #: paper groups activities "according to the IP addresses of the
     #: context identifiers"; activities observed on one node share one
-    #: local clock and therefore one queue.  We intern the hostname, which
+    #: local clock and therefore one queue.  We key by the hostname, which
     #: identifies the node just as well as its IP.
-    node_key: int = field(init=False, repr=False, compare=False)
+    node_key: object = field(init=False, repr=False, compare=False)
     #: Rule 2 priority (smaller is delivered earlier).
     priority: int = field(init=False, repr=False, compare=False)
     #: Cached ``type.is_send_like`` (True for SEND and END).
@@ -227,17 +227,9 @@ class Activity:
         message = self.message
         if self.size < 0:
             self.size = message.size
-        # Inline fast path: already-interned keys (the overwhelmingly
-        # common case past the first few activities) are one dict get;
-        # only misses take the interner's lock.
-        ckey = _context_ids.get(context.as_tuple())
-        self.context_key = ckey if ckey is not None else _intern_context(context)
-        mkey = _message_ids.get(message.connection_key())
-        self.message_key = (
-            mkey if mkey is not None else _intern_message_key(message.connection_key())
-        )
-        nkey = _node_ids.get(context.hostname)
-        self.node_key = nkey if nkey is not None else _intern_node(context.hostname)
+        self.context_key = context.as_tuple()
+        self.message_key = message.connection_key()
+        self.node_key = context.hostname
         self.priority = _PRIORITY[self.type]
         self.send_like = _SEND_LIKE[self.type]
 
@@ -249,25 +241,25 @@ class Activity:
         context: ContextId,
         message: MessageId,
         request_id: Optional[int],
-        context_key: int,
-        message_key: int,
-        node_key: int,
+        context_key,
+        message_key,
+        node_key,
         seq: Optional[int] = None,
     ) -> "Activity":
-        """Build an activity whose interned keys the caller already holds.
+        """Build an activity whose keys the caller already holds.
 
-        Slot for slot what ``Activity(type, timestamp, context, message,
-        request_id)`` produces, without re-deriving the three identity
-        tuples and looking each up in the interner: the log front end
-        (:meth:`repro.core.log_format.ActivityClassifier.classify_lines`)
-        resolves the keys once per distinct context and connection and
-        passes them in.  The keys **must** be the interner's ids for
-        ``context`` / ``message.connection_key()`` / ``context.hostname``;
-        nothing here checks that.  ``seq`` is drawn from the same counter
-        as the dataclass constructor, so creation order stays one total
-        order across both -- unless the caller passes the one it drew
-        when it read the line (a packed :class:`~repro.core.interning.
-        ActivityTable` row becomes an object long after its neighbours).
+        What ``Activity(type, timestamp, context, message, request_id)``
+        produces, but with the given keys: a packed row's ids in its
+        table's key space (:meth:`repro.core.interning.ActivityTable.
+        activity`), or the keys of another activity the new one stands
+        for (the engine's split receive part).  The keys **must** be one
+        key space's ids for ``context`` / ``message.connection_key()`` /
+        ``context.hostname``, or those identities themselves; nothing
+        here checks that.  ``seq`` is drawn from the same counter as the
+        dataclass constructor, so creation order stays one total order
+        across both -- unless the caller passes the one it drew when it
+        read the line (a packed row becomes an object long after its
+        neighbours).
         """
         self = object.__new__(cls)
         self.type = type
@@ -334,19 +326,3 @@ def draw_seqs(count: int) -> Iterable[int]:
     (:meth:`repro.core.log_format.ActivityClassifier.pack_lines`)."""
     return itertools.islice(_activity_counter, count)
 
-
-# Interned-key plumbing, imported at the bottom to break the module
-# cycle (interning.py materialises ContextId/MessageId lazily from this
-# module).  ``__post_init__`` resolves these names as module globals at
-# call time, so binding them after the class definitions is safe.  The
-# direct dict references save an attribute hop on the hit path; they
-# stay valid because ``KeyInterner`` only ever mutates its maps in
-# place (append-only), never rebinds them.
-from .interning import INTERNER  # noqa: E402
-
-_context_ids = INTERNER._context_ids
-_message_ids = INTERNER._message_ids
-_node_ids = INTERNER._node_ids
-_intern_context = INTERNER.intern_context
-_intern_message_key = INTERNER.intern_message_key
-_intern_node = INTERNER.intern_node

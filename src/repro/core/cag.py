@@ -77,7 +77,7 @@ class AnalysisMemo:
     slot and its invalidation), so every consumer of one request --
     classifier, ranked report, summary, store, export -- shares a single
     derivation.  ``signature`` is the *interned* pattern signature: one
-    tuple per pattern for the whole process, so a CAG retains a pointer,
+    tuple per pattern in the CAG's key space, so a CAG retains a pointer,
     not its own multi-kilobyte copy.
     """
 
@@ -90,7 +90,7 @@ class AnalysisMemo:
         self.segments: Optional[Dict[str, float]] = None
         #: ``repro.core.shapes.ShapePlan`` shared by every CAG of this
         #: labelled structure; ``None`` until looked up, and for a CAG
-        #: that met a full shape table
+        #: that met a full shape table or has no key space
         self.plan = None
 
 
@@ -116,10 +116,14 @@ class CAG:
     #: tell them apart from :class:`SampledOutCAG` tombstones.
     sampled_out = False
 
-    def __init__(self, root: Activity, cag_id: Optional[int] = None) -> None:
+    def __init__(self, root: Activity, cag_id: Optional[int] = None, keys=None) -> None:
         if not isinstance(root, Activity):
             raise CAGError("CAG root must be an Activity")
         self.cag_id: int = cag_id if cag_id is not None else next(_cag_counter)
+        #: the :class:`~repro.core.interning.KeySpace` its vertices' keys
+        #: are ids of -- where its shape plan and signature are shared --
+        #: or ``None`` (vertices built by hand: no plan)
+        self.keys = keys
         self.root: Activity = root
         self._vertices: List[Activity] = [root]
         # ``id(vertex) -> position``: construction-time state only.  It is
@@ -312,12 +316,14 @@ class CAG:
         written as it is held: the vertex list and the three packed
         columns (a streaming checkpoint pickles the engine's open CAGs,
         and a resume may unpickle them in a new process).  The
-        ``id -> position`` index and the analysis memo are
-        not serialised -- vertex ids do not survive a round trip, and the
-        memo's interned signature and shape plan are only canonical
-        within one process."""
+        ``id -> position`` index and the analysis memo are not
+        serialised -- vertex ids do not survive a round trip, and the
+        memo is re-derived from the key space, which pickles with the
+        CAG (and, through the pickle memo, stays one object with the
+        engine's)."""
         return {
             "cag_id": self.cag_id,
+            "keys": self.keys,
             "vertices": self._vertices,
             "context_parent": self._context_parent,
             "message_parent": self._message_parent,
@@ -328,6 +334,7 @@ class CAG:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.cag_id = state["cag_id"]
+        self.keys = state["keys"]
         self._vertices = state["vertices"]
         self.root = self._vertices[0]
         self._index = None

@@ -220,6 +220,8 @@ class IncrementalEngine:
         if self._flushed:
             raise RuntimeError("cannot ingest after flush()")
         self.total_ingested += self.ranker.ingest(rows)
+        # The CAGs the engine opens share the ranker's key space.
+        self.engine.keys = self.ranker.keys
 
     def ingest(self, rows: ActivityTable) -> List[CAG]:
         """Feed one chunk of packed rows; return the CAGs finished by it.

@@ -85,6 +85,11 @@ class CorrelationEngine:
     selection consults the ``mmap``, so the candidate stream (and with
     it cross-backend equivalence) is independent of the sampling
     decisions; only which requests get edges, analysis and memory is.
+
+    ``keys`` is the :class:`~repro.core.interning.KeySpace` the candidate
+    keys are ids of (the ranker's, set by whoever wires the two), handed
+    to every CAG the engine opens so its analysis shares that run's shape
+    plans; ``None`` for candidates built by hand.
     """
 
     def __init__(self, sampler=None) -> None:
@@ -92,6 +97,7 @@ class CorrelationEngine:
         self.cmap = ContextMap()
         self.stats = EngineStats()
         self.sampler = sampler
+        self.keys = None
         # Per-candidate adaptive feedback: only wired up when the
         # sampler actually adapts, so the hot path pays one None check
         # otherwise.
@@ -299,7 +305,7 @@ class CorrelationEngine:
             cag = SampledOutCAG(current)
             self.stats.sampled_out_roots += 1
         else:
-            cag = CAG(root=current)
+            cag = CAG(root=current, keys=self.keys)
         self._open[cag.cag_id] = cag
         self._owner[id(current)] = cag
         key = current.context_key
@@ -521,15 +527,18 @@ class CorrelationEngine:
             # complete this message with the bytes it consumed, and leave
             # the remainder for the next pipelined message.
             part = entry[0]
-            vertex = Activity(
-                type=part.type,
-                timestamp=part.timestamp,
-                context=part.context,
-                message=part.message,
-                request_id=part.request_id,
-                seq=part.seq,
-                size=entry[2],
+            vertex = Activity.keyed(
+                part.type,
+                part.timestamp,
+                part.context,
+                part.message,
+                part.request_id,
+                part.context_key,
+                part.message_key,
+                part.node_key,
+                part.seq,
             )
+            vertex.size = entry[2]
             entry[2] = 0
             entry[3] = None
             self.stats.split_receives += 1

@@ -33,12 +33,12 @@ from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from .activity import Activity
 
-#: Interned message key: the dense int INTERNER assigned to a directional
+#: Message key: the dense int one run's key space gives a directional
 #: connection 4-tuple (see :mod:`repro.core.interning`).  Both maps are
-#: keyed by the interned ints -- the engine and ranker probe them once
-#: per candidate, so the key hash is pure hot-path cost.
+#: keyed by those ints -- the engine and ranker probe them once per
+#: candidate, so the key hash is pure hot-path cost.
 MessageKey = int
-#: Interned context key (dense int for a context 4-tuple).
+#: Context key (dense int for a context 4-tuple, in the same space).
 ContextKey = int
 
 

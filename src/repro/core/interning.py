@@ -1,49 +1,47 @@
-"""Key interning and columnar activity storage (the hot-path substrate).
+"""Key spaces and columnar activity storage (the hot-path substrate).
 
 The correlation algorithm never inspects the *content* of an identity
 key: the ranker's future-send registry, the engine's ``cmap``/``mmap``
 and the CAG bookkeeping only ever hash keys and compare them for
-equality.  That makes the keys themselves replaceable: this module
-interns every distinct context 4-tuple, connection 4-tuple and node
-hostname into a dense ``int`` the first time it is seen, and the whole
-hot path -- ranker sweeps, index-map lookups, buffered-send indexing,
-tombstone purges -- runs on those ints end-to-end.  Interning is
-injective and first-seen ordered, so every keyed structure behaves
-exactly as it did with tuple keys (same membership, same insertion
-order, same iteration order); only the hash and comparison cost drops.
+equality.  That makes the keys themselves replaceable: a
+:class:`KeySpace` gives every distinct context 4-tuple, connection
+4-tuple and node hostname of one run a dense ``int`` the first time it
+is seen, and the whole hot path -- ranker sweeps, index-map lookups,
+buffered-send indexing, tombstone purges -- runs on those ints
+end-to-end.  Interning is injective and first-seen ordered, so every
+keyed structure behaves exactly as it did with tuple keys (same
+membership, same insertion order, same iteration order); only the hash
+and comparison cost drops.
 
-Two deliberate boundaries keep the refactor byte-identical:
-
-* **Digests and sampling hash the original identity.**  Interned ids
-  are an artefact of one process's ingest order; anything that leaves
-  the process (golden digests, the root-hash sampling decision) must
-  resolve back to the string/tuple identity first.  See
-  ``repro.sampling.sampler.root_key`` and
-  ``repro.pipeline.equivalence._fingerprint``.
-* **A resumed checkpoint rebuilds the identical key space.**  A
-  checkpoint pickles engine state whose activities carry interned keys
-  verbatim, so it stores an interner :meth:`~KeyInterner.snapshot`
-  beside the engine, and a resume -- possibly in a new process --
-  :meth:`~KeyInterner.install`\\ s it before the engine is unpickled.
+A key space belongs to one run, never to the process.  The ids are an
+artefact of that run's ingest order, so anything that leaves the run
+(golden digests, the root-hash sampling decision) resolves back to the
+string/tuple identity first -- see ``repro.sampling.sampler.root_key``
+and ``repro.pipeline.equivalence._fingerprint``.  A key space grows with
+the run's distinct contexts and connections -- nothing ages out of it
+while the run lasts -- and is freed with the tables and CAGs that
+reference it; a streaming checkpoint pickles it with the engine that
+holds it.
 
 :class:`ActivityTable` is the companion columnar store, and the one
 form a trace takes on its way to the ranker: parallel columns of type /
-timestamp / interned keys / request id / ``seq`` plus a reference to the
-row's shared ``MessageId``.  The log front end writes it
-(``ActivityClassifier.pack_lines``), an entry point handed objects packs
-them once (``ActivityTable.from_activities``), each ranker source keeps
-its node's rows in one, and an ``Activity`` is built from a row only
-when something needs the object -- the ranker, at the moment it
-delivers the row.
+timestamp / key ids / request id / ``seq`` plus a reference to the
+row's shared ``MessageId``, over one key space.  The log front end
+writes it (``ActivityClassifier.pack_lines``), an entry point handed
+objects packs them once (``ActivityTable.from_activities``), each
+ranker source keeps its node's rows in one, and an ``Activity`` is
+built from a row only when something needs the object -- the ranker, at
+the moment it delivers the row.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from itertools import islice
 from operator import itemgetter, le, lt
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from .activity import Activity, ActivityType, ContextId, MessageId, draw_seqs
 
 #: Raw context identity: (hostname, program, pid, tid).
 ContextTuple = Tuple[str, str, int, int]
@@ -51,201 +49,85 @@ ContextTuple = Tuple[str, str, int, int]
 MessageTuple = Tuple[str, int, str, int]
 
 
-class KeyInterner:
-    """Bidirectional dense-int interner for the three identity key kinds.
+class KeySpace:
+    """One run's identity keys as dense ints, and what the analysis layer
+    compiles once per request shape of that run.
 
-    Ids are assigned first-seen, per kind, starting at 0.  Lookups on
-    the hot path go through the plain dicts (``_context_ids`` etc.)
-    without taking the lock -- dict reads are atomic under the GIL and
-    the maps are append-only -- while every miss takes the lock, so
-    concurrent ingest threads agree on one id per key.
+    Ids are assigned first-seen, per kind, starting at 0.  A context's
+    node (its hostname) and component (its ``(hostname, program)``, the
+    identity pattern isomorphism compares, Section 3.2) get their ids
+    when the context does, so every per-context question is a list
+    index.  Each :class:`~repro.core.log_format.ActivityClassifier` and
+    each :meth:`ActivityTable.from_activities` pack creates one; every
+    table derived from a table, the ranker and engine it feeds and the
+    CAGs they build share it.
     """
 
     __slots__ = (
-        "_lock",
-        "_context_ids",
-        "_context_tuples",
-        "_contexts",
-        "_message_ids",
-        "_message_tuples",
-        "_node_ids",
-        "_nodes",
-        "_component_ids",
-        "_context_components",
+        "context_ids",
+        "contexts",
+        "node_of",
+        "component_of",
+        "node_ids",
+        "component_ids",
+        "message_ids",
+        "connections",
+        "plans",
+        "signatures",
+        "__weakref__",
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._context_ids: Dict[ContextTuple, int] = {}
-        self._context_tuples: List[ContextTuple] = []
-        # Canonical ContextId object per id, materialised lazily when the
-        # id was interned from a raw tuple (snapshot install, table load).
-        self._contexts: List[object] = []
-        self._message_ids: Dict[MessageTuple, int] = {}
-        self._message_tuples: List[MessageTuple] = []
-        self._node_ids: Dict[str, int] = {}
-        self._nodes: List[str] = []
-        # Component ids: derived lazily from the context tables, so they
-        # are a pure function of ``(hostname, program)`` first-use order,
-        # stay valid across ``install`` (which only appends contexts) and
-        # are never part of a snapshot.
-        self._component_ids: Dict[Tuple[str, str], int] = {}
-        self._context_components: Dict[int, int] = {}
+        self.context_ids: Dict[ContextTuple, int] = {}
+        #: the canonical ``ContextId`` per context id
+        self.contexts: List[ContextId] = []
+        #: node id per context id
+        self.node_of: List[int] = []
+        #: component id per context id
+        self.component_of: List[int] = []
+        self.node_ids: Dict[str, int] = {}
+        self.component_ids: Dict[Tuple[str, str], int] = {}
+        self.message_ids: Dict[MessageTuple, int] = {}
+        #: the connection 4-tuple per message id
+        self.connections: List[MessageTuple] = []
+        #: ``repro.core.shapes.ShapePlan`` per labelled CAG structure (at
+        #: most ``repro.core.shapes.MAX_SHAPES``)
+        self.plans: Dict[tuple, object] = {}
+        #: one shared ``repro.core.patterns.Signature`` per pattern
+        self.signatures: Dict[tuple, tuple] = {}
 
-    # -- interning ----------------------------------------------------------
-
-    def intern_context(self, context) -> int:
-        """Intern a :class:`~repro.core.activity.ContextId`, keeping it as
-        the canonical object for :meth:`resolve_context`."""
+    def context_key(self, context: ContextId) -> int:
+        """The id of ``context``'s identity; a context first seen becomes
+        the canonical object for its id."""
         key = context.as_tuple()
-        with self._lock:
-            cid = self._context_ids.get(key)
-            if cid is None:
-                cid = len(self._context_tuples)
-                self._context_tuples.append(key)
-                self._contexts.append(context)
-                self._context_ids[key] = cid
-            elif self._contexts[cid] is None:
-                self._contexts[cid] = context
+        cid = self.context_ids.get(key)
+        if cid is None:
+            cid = self.context_ids[key] = len(self.contexts)
+            self.contexts.append(context)
+            node_ids, component_ids = self.node_ids, self.component_ids
+            self.node_of.append(node_ids.setdefault(context.hostname, len(node_ids)))
+            self.component_of.append(
+                component_ids.setdefault(context.component, len(component_ids))
+            )
         return cid
 
-    def intern_context_key(self, key: ContextTuple) -> int:
-        """Intern a raw context 4-tuple (no canonical object yet)."""
-        with self._lock:
-            cid = self._context_ids.get(key)
-            if cid is None:
-                cid = len(self._context_tuples)
-                self._context_tuples.append(key)
-                self._contexts.append(None)
-                self._context_ids[key] = cid
-        return cid
-
-    def intern_message_key(self, key: MessageTuple) -> int:
-        """Intern a directional connection 4-tuple."""
-        with self._lock:
-            mid = self._message_ids.get(key)
-            if mid is None:
-                mid = len(self._message_tuples)
-                self._message_tuples.append(key)
-                self._message_ids[key] = mid
+    def message_key(self, connection: MessageTuple) -> int:
+        """The id of a directional connection 4-tuple."""
+        mid = self.message_ids.get(connection)
+        if mid is None:
+            mid = self.message_ids[connection] = len(self.connections)
+            self.connections.append(connection)
         return mid
 
-    def intern_node(self, hostname: str) -> int:
-        """Intern a node hostname."""
-        with self._lock:
-            nid = self._node_ids.get(hostname)
-            if nid is None:
-                nid = len(self._nodes)
-                self._nodes.append(hostname)
-                self._node_ids[hostname] = nid
-        return nid
-
-    def component_of(self, cid: int) -> int:
-        """Dense id of the ``(hostname, program)`` component an interned
-        context belongs to -- the identity pattern isomorphism compares
-        (Section 3.2 ignores pid and tid).  Hot callers read
-        ``_context_components`` directly and come here on a miss."""
-        with self._lock:
-            component = self._context_components.get(cid)
-            if component is None:
-                hostname, program, _pid, _tid = self._context_tuples[cid]
-                component = self._component_ids.setdefault(
-                    (hostname, program), len(self._component_ids)
-                )
-                self._context_components[cid] = component
-        return component
-
-    # -- resolving ----------------------------------------------------------
-
-    def resolve_context(self, cid: int):
-        """Return the canonical :class:`ContextId` for an interned id."""
-        context = self._contexts[cid]
-        if context is None:
-            from .activity import ContextId
-
-            context = ContextId(*self._context_tuples[cid])
-            self._contexts[cid] = context
-        return context
-
-    def resolve_context_key(self, cid: int) -> ContextTuple:
-        """Return the raw context 4-tuple for an interned id."""
-        return self._context_tuples[cid]
-
-    def resolve_message_key(self, mid: int) -> MessageTuple:
-        """Return the directional connection 4-tuple for an interned id."""
-        return self._message_tuples[mid]
-
-    def resolve_node(self, nid: int) -> str:
-        """Return the hostname for an interned node id."""
-        return self._nodes[nid]
-
-    # -- introspection --------------------------------------------------------
-
     def sizes(self) -> Dict[str, int]:
-        """Distinct key counts per kind (monitoring / tests)."""
+        """Distinct keys per kind, plans and signatures (monitoring, tests)."""
         return {
-            "contexts": len(self._context_tuples),
-            "messages": len(self._message_tuples),
-            "nodes": len(self._nodes),
+            "contexts": len(self.contexts),
+            "messages": len(self.connections),
+            "nodes": len(self.node_ids),
+            "plans": len(self.plans),
+            "signatures": len(self.signatures),
         }
-
-    # -- cross-process key-space transfer ------------------------------------
-
-    def snapshot(self) -> Dict[str, list]:
-        """Picklable copy of the id assignment (raw tuples only).
-
-        A streaming checkpoint stores this beside the engine so that a
-        resume can :meth:`install` the identical key space before any
-        interned activity is unpickled.
-        """
-        with self._lock:
-            return {
-                "contexts": list(self._context_tuples),
-                "messages": list(self._message_tuples),
-                "nodes": list(self._nodes),
-            }
-
-    def install(self, snapshot: Dict[str, list]) -> None:
-        """Adopt a snapshot's id assignment, in place and append-only.
-
-        The existing assignment must be a prefix of the snapshot's (a
-        resume in the process that wrote the checkpoint degenerates to a
-        no-op; a fresh process starts from an empty one).  The maps are
-        extended in place -- never rebound -- because hot-path modules
-        hold direct references to them.
-        """
-        with self._lock:
-            self._install_keys(
-                snapshot["contexts"],
-                self._context_ids,
-                self._context_tuples,
-                "context",
-                objects=self._contexts,
-            )
-            self._install_keys(
-                snapshot["messages"], self._message_ids, self._message_tuples, "message"
-            )
-            self._install_keys(snapshot["nodes"], self._node_ids, self._nodes, "node")
-
-    @staticmethod
-    def _install_keys(keys, ids, ordered, kind, objects=None):
-        have = len(ordered)
-        if ordered and ordered[: min(have, len(keys))] != keys[: min(have, len(keys))]:
-            raise ValueError(
-                f"interner snapshot conflicts with existing {kind} id assignment"
-            )
-        for key in keys[have:]:
-            ids[key] = len(ordered)
-            ordered.append(key)
-            if objects is not None:
-                objects.append(None)
-
-
-#: Process-wide interner.  ``Activity.__post_init__`` interns through this
-#: instance, so every activity constructed in one process shares one key
-#: space.  It grows monotonically with the number of *distinct* keys --
-#: bounded by deployment size, not trace length.
-INTERNER = KeyInterner()
 
 
 #: What the request-id column holds for ``request_id=None``: the one
@@ -256,10 +138,6 @@ INTERNER = KeyInterner()
 NO_REQUEST = -(1 << 63)
 #: First int above the column's range: ``NO_REQUEST < id < REQUEST_LIMIT``.
 REQUEST_LIMIT = 1 << 63
-
-# Context key -> interned node key, filled on first use.  The interner is
-# append-only, so an entry never goes stale.
-_NODE_OF: Dict[int, int] = {}
 
 
 class ActivityTable:
@@ -273,8 +151,8 @@ class ActivityTable:
     ========== ===== ==============================================
     type       b     :class:`ActivityType` value / Rule 2 priority
     timestamp  d     local timestamp (seconds)
-    ckey       list  interned context key
-    mkey       list  interned message (connection) key
+    ckey       list  context id in :attr:`keys`
+    mkey       list  message (connection) id in :attr:`keys`
     request_id q     ground-truth request id (:data:`NO_REQUEST` =
                      ``None``)
     seq        q     global creation sequence number
@@ -288,9 +166,14 @@ class ActivityTable:
     which an ``array`` (a new ``int`` per read) would not give.  The node
     key is a function of the context (its hostname) and
     ``Activity.size`` starts as ``message.size``, so neither has a
-    column.  Nothing per row asks the interner anything: the keys are
-    stored (they are :data:`INTERNER`'s), and a context key indexes its
-    canonical ``ContextId`` list.
+    column.  Nothing per row asks the key space anything: the ids are
+    stored, and a context id indexes its canonical ``ContextId`` and
+    node id lists.
+
+    A table's ids are those of its :attr:`keys`.  A table derived from
+    one (:meth:`take`, a slice, :meth:`by_node`, :meth:`ordered`) shares
+    its key space, and :meth:`concat` / :meth:`insert_from` refuse rows
+    of another (``ValueError``): an id means nothing outside its space.
 
     This is the one form in which a trace reaches the ranker.  The log
     front end appends a kept line's fields here instead of building an
@@ -308,6 +191,7 @@ class ActivityTable:
     """
 
     __slots__ = (
+        "keys",
         "_types",
         "_timestamps",
         "_ckeys",
@@ -317,7 +201,9 @@ class ActivityTable:
         "_messages",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, keys: Optional[KeySpace] = None) -> None:
+        #: the key space the key columns hold ids of (a new one by default)
+        self.keys = KeySpace() if keys is None else keys
         self._types = array("b")
         self._timestamps = array("d")
         self._ckeys: List[int] = []
@@ -342,13 +228,13 @@ class ActivityTable:
 
     @classmethod
     def from_activities(cls, activities: Iterable) -> "ActivityTable":
-        """Pack an activity iterable into columns (keys already interned)."""
+        """Pack an activity iterable into columns, over a new key space."""
         table = cls()
         table.extend(activities)
         return table
 
     def append(self, activity) -> None:
-        """Append one activity's row (its interned keys are reused as-is)."""
+        """Append one activity's row (see :meth:`extend`)."""
         self.extend((activity,))
 
     def extend(self, activities: Iterable) -> None:
@@ -361,7 +247,10 @@ class ActivityTable:
         Rows of one connection and size share one ``MessageId``, as the
         log front end's rows do, so the column does not keep every
         object's own copy alive (a simulated trace carries ~5 rows per
-        distinct one).
+        distinct one).  The key columns hold this table's ids of each
+        object's identity (``context``, ``message.connection_key()``),
+        never the object's own key slots: those belong to whatever built
+        the object.
         """
         batch = activities if isinstance(activities, (list, tuple)) else list(activities)
         request_ids = [a.request_id for a in batch]
@@ -372,29 +261,73 @@ class ActivityTable:
         )
         self._types.fromlist([a.priority for a in batch])
         self._timestamps.fromlist([a.timestamp for a in batch])
-        self._ckeys += [a.context_key for a in batch]
-        self._mkeys += [a.message_key for a in batch]
+        # One dict probe per row; only a key first seen takes the call.
+        keys = self.keys
+        contexts = [a.context for a in batch]
+        context_ids = keys.context_ids
+        ckeys = [context_ids.get(context.as_tuple()) for context in contexts]
+        if None in ckeys:
+            ckeys = [
+                keys.context_key(context) if ckey is None else ckey
+                for ckey, context in zip(ckeys, contexts)
+            ]
+        connections = [a.message.connection_key() for a in batch]
+        message_ids = keys.message_ids
+        mkeys = [message_ids.get(connection) for connection in connections]
+        if None in mkeys:
+            mkeys = [
+                keys.message_key(connection) if mkey is None else mkey
+                for mkey, connection in zip(mkeys, connections)
+            ]
+        self._ckeys += ckeys
+        self._mkeys += mkeys
         self._seqs.fromlist([a.seq for a in batch])
         shared: Dict[Tuple[int, int], MessageId] = {}
         self._messages += [
-            shared.setdefault((a.message_key, a.message.size), a.message) for a in batch
+            shared.setdefault((mkey, a.message.size), a.message) for mkey, a in zip(mkeys, batch)
         ]
 
+    def rekeyed(self, keys: KeySpace) -> "ActivityTable":
+        """These rows with the ids ``keys`` gives their identities -- a
+        table of another run's key space made this one's (a resumed
+        checkpoint fed by a fresh source).  One lookup per distinct
+        context and connection; ids ``keys`` already holds keep their
+        values, and what it has not seen is interned in row order."""
+        own = self.keys
+        contexts = {
+            ckey: keys.context_key(own.contexts[ckey]) for ckey in dict.fromkeys(self._ckeys)
+        }
+        messages = {
+            mkey: keys.message_key(own.connections[mkey]) for mkey in dict.fromkeys(self._mkeys)
+        }
+        moved = self[:]
+        moved.keys = keys
+        moved._ckeys = list(map(contexts.__getitem__, self._ckeys))
+        moved._mkeys = list(map(messages.__getitem__, self._mkeys))
+        return moved
+
+    def _check_space(self, other: "ActivityTable") -> None:
+        if other.keys is not self.keys:
+            raise ValueError("the rows belong to another key space (see ActivityTable.rekeyed)")
+
     def concat(self, other: "ActivityTable") -> None:
-        """Append every row of ``other`` (a block copy per column)."""
+        """Append every row of ``other`` (a block copy per column); both
+        tables must share one key space."""
+        self._check_space(other)
         for column, addition in zip(self._columns(), other._columns()):
             column += addition
 
     def insert_from(self, index: int, other: "ActivityTable", row: int) -> None:
-        """Insert row ``row`` of ``other`` in front of row ``index``, every
-        column moved together."""
+        """Insert row ``row`` of ``other`` (same key space) in front of row
+        ``index``, every column moved together."""
+        self._check_space(other)
         for column, source in zip(self._columns(), other._columns()):
             column.insert(index, source[row])
 
     def take(self, rows: Sequence[int]) -> "ActivityTable":
         """A new table holding ``rows`` of this one, in the order given."""
         if not rows:
-            return ActivityTable()
+            return ActivityTable(self.keys)
         # One C call per column: a streaming chunk is split per node like
         # this on every ingest.  (``itemgetter`` of one index is no tuple.)
         if len(rows) == 1:
@@ -406,6 +339,7 @@ class ActivityTable:
         else:
             pick = itemgetter(*rows)
         taken = ActivityTable.__new__(ActivityTable)
+        taken.keys = self.keys
         taken._types = array("b", pick(self._types))
         taken._timestamps = array("d", pick(self._timestamps))
         taken._ckeys = list(pick(self._ckeys))
@@ -419,7 +353,7 @@ class ActivityTable:
         """A new table holding a slice of the rows (a slice per column)."""
         if not isinstance(rows, slice):
             raise TypeError("an ActivityTable is sliced, not indexed: use activity(row)")
-        taken = ActivityTable()
+        taken = ActivityTable(self.keys)
         for column, source in zip(taken._columns(), self._columns()):
             column += source[rows]
         return taken
@@ -468,13 +402,10 @@ class ActivityTable:
         return self.take(order)
 
     def by_node(self) -> Dict[int, "ActivityTable"]:
-        """Interned node key -> that node's rows, in row order; nodes in
-        first-seen order.  A table of one node -- what a per-node log
-        yields -- is returned as it is, not copied."""
-        ckeys = self._ckeys
-        for ckey in set(ckeys).difference(_NODE_OF):
-            _node_of(ckey)
-        nodes = list(map(_NODE_OF.__getitem__, ckeys))
+        """Node id -> that node's rows, in row order; nodes in first-seen
+        order.  A table of one node -- what a per-node log yields -- is
+        returned as it is, not copied."""
+        nodes = list(map(self.keys.node_of.__getitem__, self._ckeys))
         if not nodes or nodes.count(nodes[0]) == len(nodes):
             return {node: self for node in nodes[:1]}
         rows: Dict[int, List[int]] = {}
@@ -504,22 +435,23 @@ class ActivityTable:
         return self._mkeys[row]
 
     def node_key(self, row: int) -> int:
-        return _node_of(self._ckeys[row])
+        return self.keys.node_of[self._ckeys[row]]
 
     def activity(self, row: int):
         """Build row ``row``'s ``Activity``: a new object on every call
         (``Ranker.rank`` inlines this for the row it delivers)."""
         ckey = self._ckeys[row]
         request_id = self._request_ids[row]
+        keys = self.keys
         return Activity.keyed(
             _TYPES[self._types[row]],
             self._timestamps[row],
-            _CONTEXTS[ckey] or INTERNER.resolve_context(ckey),
+            keys.contexts[ckey],
             self._messages[row],
             None if request_id == NO_REQUEST else request_id,
             ckey,
             self._mkeys[row],
-            _node_of(ckey),
+            keys.node_of[ckey],
             self._seqs[row],
         )
 
@@ -531,7 +463,7 @@ class ActivityTable:
 
     def nbytes(self) -> int:
         """Byte size of the packed columns (8 a row for each reference
-        column; excludes the objects they point to and the interner)."""
+        column; excludes the objects they point to and the key space)."""
         return sum(
             column.itemsize * len(column) if isinstance(column, array) else 8 * len(column)
             for column in self._columns()
@@ -547,20 +479,16 @@ def as_table(activities: Iterable) -> ActivityTable:
     return ActivityTable.from_activities(activities)
 
 
-def _node_of(ckey: int) -> int:
-    """The interned node key of an interned context key."""
-    node = _NODE_OF.get(ckey)
-    if node is None:
-        node = _NODE_OF[ckey] = INTERNER.intern_node(INTERNER.resolve_context_key(ckey)[0])
-    return node
+def joined(tables: Iterable[ActivityTable]) -> ActivityTable:
+    """Every row of ``tables`` -- of one key space, like the blocks of one
+    source -- in one new table (empty, over a new key space, for none)."""
+    whole = None
+    for table in tables:
+        if whole is None:
+            whole = ActivityTable(table.keys)
+        whole.concat(table)
+    return whole if whole is not None else ActivityTable()
 
 
-# Imported at the bottom to break the module cycle: activity.py binds the
-# interner's maps at *its* bottom, so whichever of the two is imported
-# first finds the other's names already defined.
-from .activity import Activity, ActivityType, MessageId, draw_seqs  # noqa: E402
-
+#: ``ActivityType`` by type value / Rule 2 priority.
 _TYPES = tuple(ActivityType)
-# The interner's canonical ContextId per context key (None until someone
-# resolves the key: a key space installed from a snapshot).
-_CONTEXTS = INTERNER._contexts

@@ -39,7 +39,7 @@ from math import isfinite
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .activity import Activity, ActivityType, ContextId, MessageId, draw_seqs
-from .interning import INTERNER, NO_REQUEST, REQUEST_LIMIT, ActivityTable
+from .interning import NO_REQUEST, REQUEST_LIMIT, ActivityTable, KeySpace
 
 
 class LogFormatError(ValueError):
@@ -251,7 +251,7 @@ class FrontendSpec:
 
 # Memo entries of ActivityClassifier.pack_lines that carry no ids: a
 # context / channel the attribute filter drops, and a context no row has
-# been packed for yet (the interner has not been asked).
+# been packed for yet (the key space has not been asked).
 _IGNORED_CONTEXT = (True, -1)
 _UNSEEN_CONTEXT = (False, -1)
 _IGNORED_CHANNEL = (True, "", 0, "", 0, -1, ActivityType.SEND, ActivityType.RECEIVE, {})
@@ -290,6 +290,9 @@ class ActivityClassifier:
     #: blank and ``#`` comment lines :meth:`classify_lines` passed over
     skipped_count: int = field(default=0, init=False)
 
+    #: the key space of every table :meth:`pack_lines` returns: the memos
+    #: below hold its ids
+    keys: KeySpace = field(default_factory=KeySpace, init=False, repr=False, compare=False)
     # What the rules answered, per distinct raw token (pack_lines).
     _context_memo: Dict[Tuple[str, str, str, str], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -345,7 +348,7 @@ class ActivityClassifier:
         ``ip:port-ip:port`` token in another; ``float()`` the timestamp
         and ``int()`` the size; append the values and the keys the two
         entries carry to the columns.  The objects built from the rows of
-        one context share the interner's canonical :class:`ContextId`,
+        one context share the key space's canonical :class:`ContextId`,
         every row of one connection the same ip strings, and every row of
         one connection *and size token* the same frozen
         :class:`MessageId`: the channel
@@ -375,12 +378,13 @@ class ActivityClassifier:
         before the filter, so a bad line from an ignored program is
         malformed, not filtered.
 
-        :data:`~repro.core.interning.INTERNER` hears of a context or a
-        connection only when the first row of it is packed, exactly as
-        on the reference path: lines the filter drops and malformed
-        lines leave it alone.  For kept traffic the two tables therefore
-        grow with what the interner already keeps for the life of the
-        process (plus each kept connection's bounded size table).
+        Every table returned is over :attr:`keys`, the classifier's one
+        key space, which hears of a context or a connection only when
+        the first row of it is packed: lines the filter drops and
+        malformed lines leave it alone.  For kept traffic the two memos
+        therefore grow with what the key space already keeps for the
+        life of the classifier (plus each kept connection's bounded size
+        table).
         Dropped traffic costs a dict slot per distinct token, so that
         noise stays on the fast path -- one shared entry when the token
         itself is what the filter matched -- and a line rejected for its
@@ -388,7 +392,7 @@ class ActivityClassifier:
         eviction.  The rule sets (``frontends``, ``ignore_*``) must not
         change once lines have been classified.
         """
-        table = ActivityTable()
+        table = ActivityTable(self.keys)
         context_memo = self._context_memo
         channel_memo = self._channel_memo
         sizes_limit = _SIZES_PER_CONNECTION
@@ -471,7 +475,7 @@ class ActivityClassifier:
                         filtered += 1
                         continue
                     # The first activity of a context / connection: only
-                    # now does the interner hear of it.
+                    # now does the key space hear of it.
                     if context_key < 0:
                         context_key = self._remember_context(
                             hostname, program, pid_text, tid_text, intern=True
@@ -526,10 +530,10 @@ class ActivityClassifier:
         A context first seen is only validated and put to the program
         filter; its key stays ``-1`` until the loop asks again with
         ``intern`` for the first line of it that yields a row, so ignored
-        and malformed traffic never reaches the interner."""
+        and malformed traffic never reaches the key space."""
         key = (hostname, program, int(pid_text), int(tid_text))
         if intern:
-            entry = (False, INTERNER.intern_context_key(key))
+            entry = (False, self.keys.context_key(ContextId(*key)))
         elif program in self.ignore_programs:
             entry = _IGNORED_CONTEXT
         else:
@@ -552,7 +556,7 @@ class ActivityClassifier:
             entry = (
                 False,
                 *ends,
-                INTERNER.intern_message_key(ends) if intern else -1,
+                self.keys.message_key(ends) if intern else -1,
                 self._classify_type("SEND", *ends),
                 self._classify_type("RECEIVE", *ends),
                 {},

@@ -54,12 +54,6 @@ def _signature_tie_key(vertex) -> Tuple[str, str, str, float]:
     return (*_vertex_sig(vertex), vertex.timestamp)
 
 
-#: One shared tuple per distinct pattern (a handful per service, so the
-#: table stays tiny): every CAG of a pattern points at the same object
-#: instead of retaining its own multi-kilobyte copy.
-_INTERNED: Dict[Signature, Signature] = {}
-
-
 def cag_signature(cag: CAG) -> Signature:
     """Canonical isomorphism signature of a CAG.
 
@@ -78,9 +72,12 @@ def cag_signature(cag: CAG) -> Signature:
     every later CAG of that structure reads it.  A shape whose order a
     timestamp did decide -- two same-fingerprint vertices ready at once
     -- is marked on its plan and each of its CAGs is derived on its own,
-    as is a CAG that finds the shape table full.  Either way the result
-    is interned and remembered on the CAG (:class:`~repro.core.cag.
-    AnalysisMemo`).  A cyclic CAG has no topological order:
+    as is a CAG that finds the shape table full or belongs to no key
+    space.  Either way the result is remembered on the CAG
+    (:class:`~repro.core.cag.AnalysisMemo`) and, in a key space,
+    interned there: every CAG of a pattern points at one shared tuple
+    (``keys.signatures``, a handful per service) instead of retaining
+    its own multi-kilobyte copy.  A cyclic CAG has no topological order:
     :class:`~repro.core.cag.CAGError` propagates and nothing is cached.
     """
     memo = cag.analysis
@@ -90,10 +87,16 @@ def cag_signature(cag: CAG) -> Signature:
         if plan is not None:
             signature = plan.signature
         if signature is None:
-            derived, timestamp_decided = _derive_signature(cag)
-            signature = _INTERNED.setdefault(derived, derived)
+            order = cag.topological_positions(tie_key=_signature_tie_key)
+            rank = [0] * len(order)
+            for index, position in enumerate(order):
+                rank[position] = index
+            signature = _derive_signature(cag, order, rank)
+            keys = cag.keys
+            if keys is not None:
+                signature = keys.signatures.setdefault(signature, signature)
             if plan is not None:
-                if timestamp_decided:
+                if _timestamp_decided(cag, order, rank):
                     plan.timestamp_decided = True
                 else:
                     plan.signature = signature
@@ -101,12 +104,9 @@ def cag_signature(cag: CAG) -> Signature:
     return signature
 
 
-def _derive_signature(cag: CAG) -> Tuple[Signature, bool]:
-    """One CAG's signature, and whether a timestamp decided its order."""
-    order = cag.topological_positions(tie_key=_signature_tie_key)
-    rank = [0] * len(order)
-    for index, position in enumerate(order):
-        rank[position] = index
+def _derive_signature(cag: CAG, order: List[int], rank: List[int]) -> Signature:
+    """The signature of ``cag`` read off its canonical ``order`` (``rank``
+    is each position's index in it)."""
     vertices = cag.vertices
     vertex_sigs = tuple(_vertex_sig(vertices[position]) for position in order)
     edge_sigs: List[EdgeSig] = []
@@ -115,7 +115,7 @@ def _derive_signature(cag: CAG) -> Tuple[Signature, bool]:
             if parent >= 0:
                 edge_sigs.append((kind, rank[parent], rank[child]))
     edge_sigs.sort()
-    return (vertex_sigs, tuple(edge_sigs)), _timestamp_decided(cag, order, rank)
+    return (vertex_sigs, tuple(edge_sigs))
 
 
 def _timestamp_decided(cag: CAG, order: List[int], rank: List[int]) -> bool:
@@ -129,7 +129,7 @@ def _timestamp_decided(cag: CAG, order: List[int], rank: List[int]) -> bool:
     with the previous one of its fingerprint is enough: they were ready
     together exactly when this one already was at that pop.
     """
-    codes = vertex_codes(cag.vertices)
+    codes = vertex_codes(cag.keys, cag.vertices)
     context_parents, message_parents = cag.parent_columns
     last_pop: Dict[int, int] = {}
     for index, position in enumerate(order):
@@ -250,12 +250,12 @@ class PatternClassifier:
         repeat shapes" without a debugger.
 
         ``shapes`` counts the distinct shape plans they resolved to: one
-        structural compile each per process.  ``plan_hits`` counts the
+        structural compile each per key space.  ``plan_hits`` counts the
         CAGs that read their signature off a plan instead (every CAG of a
         cacheable shape but its first), ``timestamp_decided`` the CAGs of
         shapes whose order a timestamp decided and ``table_full`` the CAGs
-        that found no plan at all -- those two kinds were derived one CAG
-        at a time.
+        that found no plan at all (a full shape table, or no key space)
+        -- those two kinds were derived one CAG at a time.
         """
         uses = dict(self._plan_uses)
         table_full = uses.pop(None, 0)

@@ -93,17 +93,13 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .activity import Activity, ActivityType
 from .index_maps import MessageMap
-from .interning import _TYPES, INTERNER, NO_REQUEST, ActivityTable
+from .interning import _TYPES, NO_REQUEST, ActivityTable, KeySpace
 from .kernel import DISCARD, EMPTY, RULE1, STALL, kernel_info
 
-#: Interned message key (see :mod:`repro.core.interning`).
+#: Message (connection) id in the ranker's key space (see
+#: :mod:`repro.core.interning`).
 MessageKey = int
 
-# The interner's canonical ContextId per context key: what ``rank()``
-# indexes when it builds a packed row's object.  The list is only ever
-# appended to; an entry is None until someone resolves the key (a key
-# space installed from a snapshot), so a miss goes to ``resolve_context``.
-_CONTEXTS = INTERNER._contexts
 _new_activity = object.__new__
 
 _INF = math.inf
@@ -145,7 +141,9 @@ class ActivitySource:
     message key is its *send key*.
 
     ``registry`` is the owning ranker's undelivered-send counter, which
-    the source adds its sends to as it grows.
+    the source adds its sends to as it grows.  The source's table is over
+    the key space of ``rows`` (a new one without), and so must be every
+    batch it is extended by.
     """
 
     def __init__(
@@ -155,7 +153,7 @@ class ActivitySource:
         registry: Optional[Counter] = None,
     ) -> None:
         self.node = node
-        table = self._table = ActivityTable()
+        table = self._table = ActivityTable(rows.keys if rows is not None else None)
         # The table's columns under the names the hot path reads them
         # by; they are only ever mutated in place, never rebound.
         self._types = table._types
@@ -163,7 +161,7 @@ class ActivitySource:
         self._mkeys = table._mkeys
         self._seqs = table._seqs
         self._ckeys = table._ckeys
-        # Interned node key of the rows (``Activity.node_key``), learnt
+        # Node id of the rows (``Activity.node_key``), learnt
         # from the first row: ``node`` is whatever the owner keys by.
         self._node_key = -1
         #: Queue cursors (row indexes into the columns).
@@ -274,7 +272,7 @@ class ActivitySource:
         return self.activities(self.head, self.fence)
 
     def context_key(self, index: int) -> int:
-        """Row ``index``'s interned context key."""
+        """Row ``index``'s context id."""
         return self._ckeys[index]
 
     def send_key(self, index: int) -> Optional[MessageKey]:
@@ -502,6 +500,9 @@ class Ranker:
         # ``buffered_count()`` (polled by ``exhausted()`` every EMPTY
         # verdict) is O(1).
         self._buffered_total = 0
+        #: the key space of the sources' rows: the first table's, adopted
+        #: by :meth:`ingest` (``None`` before)
+        self.keys: Optional[KeySpace] = None
         self.stats = RankerStats()
         if trace is not None:
             self.ingest(trace)
@@ -512,12 +513,16 @@ class Ranker:
     def ingest(self, rows: ActivityTable) -> int:
         """Route the packed rows of an
         :class:`~repro.core.interning.ActivityTable` to their per-node
-        sources (keyed by interned node key); returns the count.
+        sources (keyed by node id); returns the count.
 
-        Nodes are registered in first-seen order (slot order decides
-        tie-breaks).  Call :meth:`rank` (in a loop, until it returns
-        ``None``) afterwards to drain everything the advanced watermark
-        makes decidable.  A row becomes an ``Activity`` when it is
+        The ranker adopts the key space of the first table it is fed; a
+        table of another (a resumed checkpoint fed by a fresh source) is
+        re-keyed into it by identity (:meth:`ActivityTable.rekeyed`), so
+        the ids the engine already holds keep their meaning.  Nodes are
+        registered in first-seen order (slot order decides tie-breaks).
+        Call :meth:`rank` (in a loop, until it returns ``None``)
+        afterwards to drain everything the advanced watermark makes
+        decidable.  A row becomes an ``Activity`` when it is
         delivered; an entry point holding objects packs them first
         (:meth:`ActivityTable.from_activities`).
         """
@@ -526,6 +531,10 @@ class Ranker:
                 f"the ranker takes an ActivityTable, not {type(rows).__name__}; "
                 "pack objects with ActivityTable.from_activities"
             )
+        if self.keys is None:
+            self.keys = rows.keys
+        elif rows.keys is not self.keys:
+            rows = rows.rekeyed(self.keys)
         for node, batch in rows.by_node().items():
             self._extend_source(node, batch)
         if not self._sealed:
@@ -545,12 +554,13 @@ class Ranker:
     def _extend_source(self, node: int, batch: ActivityTable) -> None:
         source = self._sources.get(node)
         if source is None:
-            source = ActivitySource(node, registry=self._undelivered_sends)
+            source = ActivitySource(node, batch, registry=self._undelivered_sends)
             self._sources[node] = source
             # New node, new sweep slot (appended, so the established
             # scan order is preserved).
             self._register_slot(node, source)
-        source.extend(batch)
+        else:
+            source.extend(batch)
         self._refill_due = True
 
     def seal(self) -> None:
@@ -698,6 +708,8 @@ class Ranker:
         head_keys = self._head_keys
         undelivered = self._undelivered_sends
         stats = self.stats
+        # The canonical ContextId per context id, for the row objects
+        contexts = self.keys.contexts if self.keys is not None else ()
         # The fused two-sweep selection lives in the kernel (see
         # repro.core.kernel.reference for the decision contract): flat
         # loops over the head columns, no attribute chasing.  This loop
@@ -735,7 +747,7 @@ class Ranker:
                 activity = _new_activity(Activity)
                 activity.type = _TYPES[kind]
                 activity.timestamp = timestamp
-                activity.context = _CONTEXTS[context_key] or INTERNER.resolve_context(context_key)
+                activity.context = contexts[context_key]
                 activity.message = message
                 activity.request_id = None if request_id == NO_REQUEST else request_id
                 activity.seq = source._seqs[head]

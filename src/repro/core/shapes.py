@@ -18,25 +18,28 @@ order is a function of the key only while no timestamp broke a tie, so
 and marks the plan ``timestamp_decided`` otherwise (see
 :func:`repro.core.patterns.cag_signature`).
 
-The table is process-wide, like the interned signatures, and bounded:
-generated meshes reach ~0.6 distinct shapes per request, and a table
-that grows with a long tail of one-off shapes is a leak.  Once
-:data:`MAX_SHAPES` plans exist, a CAG of an unseen shape gets no plan and
-both consumers derive it on its own.  Only ``dict.get`` / ``setdefault``
-touch the table, and two threads racing to fill one plan would store
-equal values, so the table needs no lock of its own.
+The table belongs to one run's :class:`~repro.core.interning.KeySpace`
+(``keys.plans``), like the interned signatures: the component ids in
+the key are that space's, and the plans go when the run's tables and
+CAGs do.  It is bounded too: generated meshes reach ~0.6 distinct shapes
+per request, and a table that grows with a long tail of one-off shapes
+is a leak.  Once :data:`MAX_SHAPES` plans exist, a CAG of an unseen
+shape gets no plan and both consumers derive it on its own -- as they do
+for a CAG that belongs to no key space (one built by hand from
+``Activity(...)`` objects).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .activity import Activity
 from .cag import CAG
-from .interning import INTERNER
+from .interning import KeySpace
 
-#: Most distinct shapes that get a plan (a plan is a few KB; the paper's
-#: services have a handful of shapes, the fan-out benchmark ~200).
+#: Most distinct shapes one key space gives a plan (a plan is a few KB;
+#: the paper's services have a handful of shapes, the fan-out benchmark
+#: ~200).
 MAX_SHAPES = 4096
 
 #: One primary-path step: (child position, parent position, segment label).
@@ -61,41 +64,35 @@ class ShapePlan:
         self.path: Optional[Tuple[PathRow, ...]] = None
 
 
-_PLANS: Dict[tuple, ShapePlan] = {}
-
-_context_components = INTERNER._context_components
-
-
-def vertex_codes(vertices: Sequence[Activity]) -> Tuple[int, ...]:
-    """Per-vertex ``component id << 3 | type``: equal exactly when two
-    vertices share the (type, hostname, program) fingerprint."""
-    try:
-        return tuple([_context_components[v.context_key] << 3 | v.priority for v in vertices])
-    except KeyError:
-        # A context no plan has met yet: give every member its component
-        # id (the miss path takes the interner's lock), then read again.
-        for vertex in vertices:
-            INTERNER.component_of(vertex.context_key)
-        return vertex_codes(vertices)
+def vertex_codes(keys: KeySpace, vertices: Sequence[Activity]) -> Tuple[int, ...]:
+    """Per-vertex ``component id << 3 | type`` in ``keys`` (the vertices'
+    key space): equal exactly when two vertices share the (type,
+    hostname, program) fingerprint."""
+    component_of = keys.component_of
+    return tuple([component_of[v.context_key] << 3 | v.priority for v in vertices])
 
 
 def plan_for(cag: CAG) -> Optional[ShapePlan]:
-    """The plan shared by every CAG of ``cag``'s shape (remembered on the
-    CAG's analysis memo), or ``None`` when the shape is new and the table
-    is full."""
+    """The plan shared by every CAG of ``cag``'s shape in its key space
+    (remembered on the CAG's analysis memo), or ``None`` when the CAG
+    belongs to no key space, or its shape is new and the table is full."""
     memo = cag.analysis
     plan = memo.plan
     if plan is None:
+        keys = cag.keys
+        if keys is None:
+            return None
         context_parents, message_parents = cag.parent_columns
         key = (
-            vertex_codes(cag.vertices),
+            vertex_codes(keys, cag.vertices),
             context_parents.tobytes(),
             message_parents.tobytes(),
         )
-        plan = _PLANS.get(key)
+        plans = keys.plans
+        plan = plans.get(key)
         if plan is None:
-            if len(_PLANS) >= MAX_SHAPES:
+            if len(plans) >= MAX_SHAPES:
                 return None
-            plan = _PLANS.setdefault(key, ShapePlan())
+            plan = plans[key] = ShapePlan()
         memo.plan = plan
     return plan

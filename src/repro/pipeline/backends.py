@@ -41,7 +41,7 @@ from typing import Callable, Iterable, List, Optional, Union
 from ..core.activity import Activity
 from ..core.cag import CAG
 from ..core.correlator import CorrelationResult, IncrementalEngine
-from ..core.interning import ActivityTable, as_table
+from ..core.interning import ActivityTable, as_table, joined
 from ..core.tracer import TraceResult
 from ..sampling import SamplingSpec
 from ..stream import arrival_chunks, iter_chunks
@@ -368,9 +368,7 @@ class BackendSpec:
             return resume_checkpoint(self.resume_from, config_fingerprint(self), chunks)
         decisions = None
         if self.sampling is not None and self.sampling.needs_prepass:
-            whole = ActivityTable()
-            for chunk in chunks:
-                whole.concat(chunk)
+            whole = joined(chunks)
             decisions = self.sampling.freeze(whole)
             chunks = iter_chunks(whole, self.chunk_size) if self.kind == "streaming" else (whole,)
         engine = IncrementalEngine(

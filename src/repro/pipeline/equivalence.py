@@ -39,8 +39,8 @@ def _fingerprint(activity) -> Tuple:
     """Identity of one vertex: everything the paper logs about it.
 
     Built from the original string/tuple identity (never the interned
-    ``context_key`` int, which is a per-process ingest artefact) so the
-    golden digests stay byte-identical across runs and refactors.
+    ``context_key`` int, which is an artefact of one run's key space) so
+    the golden digests stay byte-identical across runs and refactors.
     """
     return (
         activity.type.name,

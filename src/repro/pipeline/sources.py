@@ -38,11 +38,11 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.accuracy import GroundTruthRequest
 from ..core.activity import Activity
-from ..core.interning import ActivityTable, as_table
+from ..core.interning import ActivityTable, KeySpace, as_table, joined
 from ..core.log_format import ActivityClassifier, FrontendSpec
 from ..stream import ActivityStream, FileTailSource, arrival_chunks
 
@@ -242,10 +242,10 @@ class LogSource(Source):
         self.chunk_bytes = chunk_bytes
         self.lines_read = 0
 
-    def _block_readers(self) -> List[Iterator[ActivityTable]]:
+    def _block_readers(self) -> Tuple[KeySpace, List[Iterator[ActivityTable]]]:
         """One iterator of packed blocks per file, in path order, over
-        one shared classifier.  Resets the read counters; the iterators
-        keep them current."""
+        one shared classifier, and the key space of every block.  Resets
+        the read counters; the iterators keep them current."""
         stream = ActivityStream(
             frontends=[self.frontend], ignore_programs=set(self.ignore_programs)
         )
@@ -262,7 +262,7 @@ class LogSource(Source):
                 if len(rows):
                     yield rows
 
-        return [blocks(path) for path in self.paths]
+        return stream.classifier.keys, [blocks(path) for path in self.paths]
 
     def activities(self) -> List[Activity]:
         activities: List[Activity] = []
@@ -271,26 +271,23 @@ class LogSource(Source):
         return activities
 
     def blocks(self) -> Iterator[ActivityTable]:
-        for reader in self._block_readers():
+        for reader in self._block_readers()[1]:
             yield from reader
 
     def table(self) -> ActivityTable:
-        table = ActivityTable()
-        for block in self.blocks():
-            table.concat(block)
-        return table
+        return joined(self.blocks())
 
     def chunks(self, chunk_size: int) -> Iterator[ActivityTable]:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        readers = self._block_readers()
+        keys, readers = self._block_readers()
         files = range(len(readers))
-        rows = [ActivityTable() for _ in files]
+        rows = [ActivityTable(keys) for _ in files]
         # +inf once a file is exhausted: it no longer bounds the limit.
         frontier = [-math.inf] * len(readers)
         released = -math.inf
         held = 0
-        pending = ActivityTable()  # released, not yet a whole chunk
+        pending = ActivityTable(keys)  # released, not yet a whole chunk
         while released < math.inf:
             for index in files:
                 if frontier[index] > released:
@@ -311,7 +308,7 @@ class LogSource(Source):
             # A frontier below ``released`` (a late row ended the block)
             # bounds nothing that can still be ordered.
             released = max(released, min(frontier))
-            ready = ActivityTable()
+            ready = ActivityTable(keys)
             for index in files:
                 cut = bisect_left(rows[index]._timestamps, released)
                 if cut:

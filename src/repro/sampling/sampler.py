@@ -55,7 +55,7 @@ def root_key(activity) -> RootKey:
 
     Deliberately built from the *original* string/tuple identity, not
     the interned ``context_key``/``message_key`` ints: interned ids are
-    an artefact of one process's ingest order, and the sampled subset
+    an artefact of one run's key space, and the sampled subset
     must be a property of the trace alone (the determinism invariant in
     the module docstring).
     """

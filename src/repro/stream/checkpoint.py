@@ -3,8 +3,8 @@
 A days-long streaming run that dies should not have to replay the whole
 trace.  The streaming engine's live state is small and self-contained --
 the connection/message index maps, the open (unfinished) CAGs, the
-ranker's reorder buffers, and the interner tables that give every key its
-integer id -- so the whole of it pickles into a compact blob.  The
+ranker's reorder buffers, and the run's key space that gives every key
+its integer id -- so the whole of it pickles into a compact blob.  The
 streaming backend (:class:`~repro.pipeline.BackendSpec` with
 ``checkpoint_path`` + ``checkpoint_every``) writes one at the first chunk
 boundary at or past every ``checkpoint_every`` ingested activities, and
@@ -13,7 +13,7 @@ with a final output digest-identical to the uninterrupted run:
 :func:`resume_checkpoint` revives the engine and skips the prefix of the
 (deterministic) arrival order it has already seen.
 
-Checkpoint file format (version 6): a single pickled dict with
+Checkpoint file format (version 7): a single pickled dict with
 
 ``magic`` / ``version``
     Sanity markers; mismatches fail fast with a clear error instead of
@@ -24,12 +24,14 @@ Checkpoint file format (version 6): a single pickled dict with
     window as per-node deques rather than cursors into its sources,
     version 4 pickled each source's rows as an activity list with two
     shadow columns rather than one ``ActivityTable``, version 5 pickled
-    that table with an object column beside the packed ones) is refused
-    with the same :class:`ValueError` rather than an import error, a
-    ``KeyError`` or (version 5: the table has no object slot any more)
-    an ``AttributeError`` from inside ``pickle`` -- or, for versions 3
-    and 4, a ranker that revives without complaint and fails at its
-    first ``rank()``.
+    that table with an object column beside the packed ones, version 6
+    stored a snapshot of a process-wide interner beside an engine whose
+    tables and CAGs carry no key space) is refused with the same
+    :class:`ValueError` rather than an import error, a ``KeyError`` or
+    an ``AttributeError`` (version 5: the table has no object slot any
+    more; version 6: its tables and CAGs lack the key space) from inside
+    ``pickle`` or at first use -- or, for versions 3 and 4, a ranker
+    that revives without complaint and fails at its first ``rank()``.
 ``ingested_count``
     How many activities the engine had ingested when the snapshot was
     taken.  On resume the driver skips exactly this prefix of the
@@ -39,14 +41,13 @@ Checkpoint file format (version 6): a single pickled dict with
     (:data:`FINGERPRINT_KEYS`: window, horizon, skew bound, chunk size,
     sampling).  Resuming with different knobs would silently change the
     output, so :func:`resume_checkpoint` refuses mismatches.
-``interner``
-    :meth:`repro.core.interning.KeyInterner.snapshot` of the global
-    interner -- the id assignments the pickled engine state refers to.
-    It is installed *before* the engine blob is unpickled so the revived
-    keys land in a compatible universe.
 ``engine_blob`` / ``engine_sha256``
     The pickled :class:`~repro.core.correlator.IncrementalEngine` and
-    its checksum.  The checksum turns a torn or corrupted file into a
+    its checksum.  The engine carries its
+    :class:`~repro.core.interning.KeySpace` (its ranker, tables and CAGs
+    all reference the one object), so the ids in the blob mean the same
+    after a resume in any process; the ranker re-keys what a fresh
+    source feeds it into that space.  The checksum turns a torn or corrupted file into a
     loud error rather than a subtly wrong correlation.
 
 Writes are atomic (temp file + ``os.replace`` after fsync), so a crash
@@ -61,10 +62,10 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Tuple
 
-from ..core.interning import INTERNER, ActivityTable
+from ..core.interning import ActivityTable
 
 MAGIC = "precisetracer-stream-checkpoint"
-VERSION = 6
+VERSION = 7
 
 #: The streaming knobs a checkpoint records; a resume must match each one.
 FINGERPRINT_KEYS = ("window", "horizon", "skew_bound", "chunk_size", "sampling")
@@ -91,19 +92,13 @@ def save_checkpoint(
     ingested_count: int,
     config: Dict[str, Any],
 ) -> None:
-    """Atomically write ``engine`` state to ``path``.
-
-    The interner snapshot is taken at the same moment as the engine
-    pickle, so the blob's integer key ids are guaranteed resolvable on
-    load.
-    """
+    """Atomically write ``engine`` state to ``path``."""
     engine_blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
     payload = {
         "magic": MAGIC,
         "version": VERSION,
         "ingested_count": int(ingested_count),
         "config": dict(config),
-        "interner": INTERNER.snapshot(),
         "engine_blob": engine_blob,
         "engine_sha256": hashlib.sha256(engine_blob).hexdigest(),
     }
@@ -129,10 +124,9 @@ def save_checkpoint(
 def load_checkpoint(path: str) -> StreamCheckpoint:
     """Load and validate a checkpoint written by :func:`save_checkpoint`.
 
-    Installs the snapshot's interner state into the process-global
-    interner *before* unpickling the engine; raises :class:`ValueError`
-    on any structural problem (wrong magic, unsupported version,
-    checksum mismatch, incompatible interner state).
+    Raises :class:`ValueError` on any structural problem (wrong magic,
+    unsupported version, checksum mismatch), before the engine blob is
+    unpickled.
     """
     with open(path, "rb") as handle:
         payload = pickle.load(handle)
@@ -147,8 +141,6 @@ def load_checkpoint(path: str) -> StreamCheckpoint:
     digest = hashlib.sha256(engine_blob).hexdigest()
     if digest != payload["engine_sha256"]:
         raise ValueError(f"checkpoint {path} is corrupted (engine checksum mismatch)")
-    # Key ids first: the engine blob references interned keys by id.
-    INTERNER.install(payload["interner"])
     engine = pickle.loads(engine_blob)
     return StreamCheckpoint(
         ingested_count=payload["ingested_count"],

@@ -47,15 +47,3 @@ def trace_builder():
     from helpers import SyntheticTrace
 
     return SyntheticTrace()
-
-
-@pytest.fixture()
-def fresh_shape_table():
-    """An empty process-wide shape table, emptied again afterwards: the
-    test compiles every plan it reads, and none it compiled (possibly
-    under a monkeypatch) outlives it."""
-    from repro.core import shapes
-
-    shapes._PLANS.clear()
-    yield shapes._PLANS
-    shapes._PLANS.clear()

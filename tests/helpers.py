@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
-from repro.core.interning import ActivityTable
+from repro.core.interning import ActivityTable, KeySpace
 from repro.core.latency import segment_label
 from repro.core.log_format import format_record
 from repro.topology import ScenarioConfig, WorkloadStages
@@ -279,8 +279,9 @@ class SyntheticTrace:
 
 
 def cyclic_cag() -> CAG:
-    """A finished three-vertex cycle: every ``add_edge`` check is local,
-    so nothing stops the last edge from closing the loop."""
+    """A finished three-vertex cycle (over a key space of its own): every
+    ``add_edge`` check is local, so nothing stops the last edge from
+    closing the loop."""
 
     def vertex(kind, timestamp, host, program, tid):
         return Activity(
@@ -290,10 +291,14 @@ def cyclic_cag() -> CAG:
             message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
         )
 
-    begin = vertex(ActivityType.BEGIN, 1.0, "web", "httpd", 1)
-    send = vertex(ActivityType.SEND, 1.1, "web", "httpd", 1)
-    receive = vertex(ActivityType.RECEIVE, 1.2, "app", "java", 2)
-    cag = CAG(root=begin)
+    keys = KeySpace()
+    begin, send, receive = in_space(
+        keys,
+        vertex(ActivityType.BEGIN, 1.0, "web", "httpd", 1),
+        vertex(ActivityType.SEND, 1.1, "web", "httpd", 1),
+        vertex(ActivityType.RECEIVE, 1.2, "app", "java", 2),
+    )
+    cag = CAG(root=begin, keys=keys)
     cag.append(send, begin, CONTEXT_EDGE)
     cag.append(receive, send, MESSAGE_EDGE)
     cag.add_edge(receive, begin, CONTEXT_EDGE)
@@ -375,12 +380,32 @@ def reference_segments(cag):
 # -- ranker input ---------------------------------------------------------------
 
 
-def packed(streams) -> ActivityTable:
+def packed(streams, keys: Optional[KeySpace] = None) -> ActivityTable:
     """Activities -- a list, or a node -> list mapping -- as the packed
-    rows the ranker takes, nodes in mapping order."""
+    rows the ranker takes, nodes in mapping order; over ``keys`` (a
+    table's key space, to extend that table with them) or a new one."""
     if isinstance(streams, dict):
         streams = [activity for stream in streams.values() for activity in stream]
-    return ActivityTable.from_activities(streams)
+    table = ActivityTable(keys)
+    table.extend(streams)
+    return table
+
+
+def in_space(keys: KeySpace, *objects: Activity) -> List[Activity]:
+    """``objects`` as the rows of a table over ``keys`` build them: keyed
+    the way a run's ranker delivers them (hand-built CAGs over them share
+    ``keys``' shape plans)."""
+    return list(packed(list(objects), keys))
+
+
+def message_id(keys: KeySpace, activity: Activity) -> int:
+    """``activity``'s connection id in key space ``keys``."""
+    return keys.message_ids[activity.message.connection_key()]
+
+
+def node_id(keys: KeySpace, activity: Activity) -> int:
+    """``activity``'s node id in key space ``keys``."""
+    return keys.node_ids[activity.context.hostname]
 
 
 # -- correlation results, field for field ---------------------------------------

@@ -8,7 +8,7 @@ from repro.core.activity import (
     RULE2_PRIORITY,
     sort_key,
 )
-from repro.core.interning import INTERNER, ActivityTable
+from repro.core.interning import ActivityTable
 
 
 def make_activity(activity_type=ActivityType.SEND, timestamp=1.0, size=100, port=5000):
@@ -109,21 +109,31 @@ class TestActivity:
 
     def test_message_key_is_interned_connection_key(self):
         activity = make_activity()
-        assert isinstance(activity.message_key, int)
-        resolved = INTERNER.resolve_message_key(activity.message_key)
+        # built by the constructor: no key space, the identity itself
+        assert activity.message_key == activity.message.connection_key()
+        table = ActivityTable.from_activities([activity])
+        row = table.activity(0)
+        assert isinstance(row.message_key, int)
+        resolved = table.keys.connections[row.message_key]
         assert resolved == activity.message.connection_key()
 
     def test_context_key_and_component(self):
         activity = make_activity()
-        assert isinstance(activity.context_key, int)
-        resolved = INTERNER.resolve_context_key(activity.context_key)
+        assert activity.context_key == ("node1", "httpd", 10, 11)
+        table = ActivityTable.from_activities([activity])
+        row = table.activity(0)
+        assert isinstance(row.context_key, int)
+        resolved = table.keys.contexts[row.context_key].as_tuple()
         assert resolved == ("node1", "httpd", 10, 11)
-        assert activity.component == ("node1", "httpd")
+        assert activity.component == row.component == ("node1", "httpd")
 
     def test_node_key_is_interned_hostname(self):
         activity = make_activity()
-        assert isinstance(activity.node_key, int)
-        assert INTERNER.resolve_node(activity.node_key) == "node1"
+        assert activity.node_key == "node1"
+        table = ActivityTable.from_activities([activity])
+        row = table.activity(0)
+        assert isinstance(row.node_key, int)
+        assert table.keys.node_ids["node1"] == row.node_key
 
     def test_equal_identities_share_interned_keys(self):
         first = make_activity()
@@ -131,6 +141,11 @@ class TestActivity:
         assert first.context_key == second.context_key
         assert first.message_key == second.message_key
         assert first.node_key == second.node_key
+        table = ActivityTable.from_activities([first, second])
+        one, two = table
+        assert one.context_key == two.context_key
+        assert one.message_key == two.message_key
+        assert one.node_key == two.node_key
 
     def test_priority_follows_type(self):
         assert make_activity(ActivityType.BEGIN).priority == 0

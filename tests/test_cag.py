@@ -249,8 +249,9 @@ class TestOrderingAndPaths:
 def owned_tracked_objects(cag):
     """Every collector-tracked object reachable from the CAG that is its
     own bookkeeping: the walk stops at the member activities (the trace
-    owns those) and at classes."""
-    skip = {id(vertex) for vertex in cag.vertices}
+    owns those), at the run's key space (every CAG of the run shares it)
+    and at classes."""
+    skip = {id(vertex) for vertex in cag.vertices} | {id(cag.keys)}
     owned = []
     stack = [cag]
     while stack:

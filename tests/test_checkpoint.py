@@ -6,7 +6,7 @@ checkpoint and resumed from that checkpoint produces a final
 library scenario, at kill points early, middle and late in the trace.
 One test performs a real ``SIGKILL`` mid-run in a subprocess and resumes
 in a *fresh* interpreter, which is the actual crash-recovery story
-(interner state and engine ids must survive the process boundary, not
+(the engine's key space and ids must survive the process boundary, not
 just a pickle round-trip inside one process).
 """
 
@@ -25,13 +25,15 @@ import pytest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG
 from repro.core.correlator import IncrementalEngine
-from repro.core.interning import INTERNER, ActivityTable
+from repro.core.interning import ActivityTable
 from repro.pipeline import BackendSpec, result_digest
 from repro.stream import load_checkpoint, save_checkpoint
 from repro.stream.checkpoint import MAGIC, VERSION
 from repro.topology.library import run_scenario, scenario_names
 
 WINDOW = 0.010
+#: The process-wide interner snapshot files before version 7 carried.
+OLD_INTERNER = {"contexts": [], "messages": [], "nodes": []}
 
 
 def _scenario_table(name: str) -> ActivityTable:
@@ -118,6 +120,9 @@ class TestCrashKillSubprocess:
         )
         assert crashed.returncode == -signal.SIGKILL, crashed.stderr
         assert os.path.exists(ckpt)
+        # the engine carries its key space: nothing beside it to restore
+        with open(ckpt, "rb") as handle:
+            assert "interner" not in pickle.load(handle)
 
         driver = textwrap.dedent(
             f"""
@@ -237,7 +242,7 @@ class TestCheckpointFileContract:
                     "version": 2,
                     "ingested_count": 0,
                     "config": {"window": WINDOW},
-                    "interner": INTERNER.snapshot(),
+                    "interner": OLD_INTERNER,
                     "engine_blob": blob,
                     "engine_sha256": hashlib.sha256(blob).hexdigest(),
                 }
@@ -303,7 +308,7 @@ class TestCheckpointFileContract:
                     "version": 3,
                     "ingested_count": 0,
                     "config": {"window": WINDOW},
-                    "interner": INTERNER.snapshot(),
+                    "interner": OLD_INTERNER,
                     "engine_blob": blob,
                     "engine_sha256": hashlib.sha256(blob).hexdigest(),
                 }
@@ -360,7 +365,7 @@ class TestCheckpointFileContract:
                     "version": 4,
                     "ingested_count": 0,
                     "config": {"window": WINDOW},
-                    "interner": INTERNER.snapshot(),
+                    "interner": OLD_INTERNER,
                     "engine_blob": blob,
                     "engine_sha256": hashlib.sha256(blob).hexdigest(),
                 }
@@ -403,7 +408,7 @@ class TestCheckpointFileContract:
                     "version": 5,
                     "ingested_count": 0,
                     "config": {"window": WINDOW},
-                    "interner": INTERNER.snapshot(),
+                    "interner": OLD_INTERNER,
                     "engine_blob": blob,
                     "engine_sha256": hashlib.sha256(blob).hexdigest(),
                 }
@@ -418,6 +423,60 @@ class TestCheckpointFileContract:
 
         monkeypatch.setattr(checkpoint.pickle, "loads", watching_loads)
         with pytest.raises(ValueError, match="unsupported checkpoint version 5"):
+            load_checkpoint(str(path))
+        assert blob not in unpickled
+
+    def test_version_6_file_is_refused_before_its_keyless_cags_are_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        """Version 6 stored a snapshot of a process-wide interner beside
+        the engine, whose tables and CAGs carried no key space of their
+        own.  A CAG of that layout has no ``keys`` entry, so unpickling
+        such a blob fails inside ``pickle``; the version check has to
+        refuse the file before the blob is touched at all."""
+        import repro.stream.checkpoint as checkpoint
+
+        assert VERSION > 6
+        root = Activity(
+            type=ActivityType.BEGIN,
+            timestamp=1.0,
+            context=ContextId("web", "httpd", 1, 1),
+            message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
+        )
+        version_6_state = {
+            key: value for key, value in CAG(root).__getstate__().items() if key != "keys"
+        }
+
+        class Version6CAG:
+            def __reduce__(self):
+                return (object.__new__, (CAG,), version_6_state)
+
+        blob = pickle.dumps(Version6CAG())
+        with pytest.raises(KeyError):
+            pickle.loads(blob)
+        path = tmp_path / "v6.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 6,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "interner": OLD_INTERNER,
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        unpickled = []
+        real_loads = pickle.loads
+
+        def watching_loads(data, *args, **kwargs):
+            unpickled.append(data)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint.pickle, "loads", watching_loads)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 6"):
             load_checkpoint(str(path))
         assert blob not in unpickled
 

@@ -20,10 +20,11 @@ from collections import Counter
 
 import pytest
 
-from helpers import SyntheticTrace, cyclic_cag, tiny_config
+from helpers import SyntheticTrace, cyclic_cag, in_space, tiny_config
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.export import cag_to_dict, trace_summary
+from repro.core.interning import KeySpace
 from repro.core.latency import average_breakdown, average_duration, breakdown_for_cag
 from repro.core.log_format import format_record
 from repro.core.patterns import PatternClassifier, cag_signature
@@ -51,15 +52,20 @@ def activity(activity_type, timestamp, host="web", program="httpd", pid=1, tid=1
     )
 
 
-def chain():
-    """BEGIN -> SEND -> RECEIVE(app) -> SEND(app) -> RECEIVE -> END."""
-    begin = activity(ActivityType.BEGIN, 1.0)
-    send = activity(ActivityType.SEND, 1.1)
-    receive = activity(ActivityType.RECEIVE, 1.2, host="app", program="java", pid=2, tid=2)
-    reply = activity(ActivityType.SEND, 1.3, host="app", program="java", pid=2, tid=2)
-    back = activity(ActivityType.RECEIVE, 1.4)
-    end = activity(ActivityType.END, 1.5)
-    cag = CAG(root=begin)
+def chain(keys=None):
+    """BEGIN -> SEND -> RECEIVE(app) -> SEND(app) -> RECEIVE -> END, in
+    key space ``keys`` (a new one by default)."""
+    keys = KeySpace() if keys is None else keys
+    begin, send, receive, reply, back, end = in_space(
+        keys,
+        activity(ActivityType.BEGIN, 1.0),
+        activity(ActivityType.SEND, 1.1),
+        activity(ActivityType.RECEIVE, 1.2, host="app", program="java", pid=2, tid=2),
+        activity(ActivityType.SEND, 1.3, host="app", program="java", pid=2, tid=2),
+        activity(ActivityType.RECEIVE, 1.4),
+        activity(ActivityType.END, 1.5),
+    )
+    cag = CAG(root=begin, keys=keys)
     cag.append(send, begin, CONTEXT_EDGE)
     cag.append(receive, send, MESSAGE_EDGE)
     cag.append(reply, receive, CONTEXT_EDGE)
@@ -128,13 +134,16 @@ class TestDeriveOnce:
     )
     @pytest.mark.parametrize("source_kind", ["simulation", "logs"])
     def test_one_walk_and_one_ingest_per_finished_cag(
-        self, backend, source_kind, rubis_source, rubis_logs, tmp_path, counted, fresh_shape_table
+        self, backend, source_kind, rubis_source, rubis_logs, tmp_path, counted
     ):
         source = rubis_source if source_kind == "simulation" else rubis_logs
         session = full_pipeline(source, backend, tmp_path).run()
         finished = len(session.cags)
         assert finished > 20
-        shapes = len(fresh_shape_table)
+        # the run's one key space holds every plan it compiled, and no other
+        keys = session.cags[0].keys
+        assert all(cag.keys is keys for cag in session.cags)
+        shapes = len(keys.plans)
         assert 0 < shapes < finished / 4
         assert counted == {
             "topological_positions": shapes,
@@ -200,11 +209,11 @@ class TestDeriveOnce:
             store_module.git_describe.cache_clear()
 
 
-@pytest.mark.usefixtures("fresh_shape_table")
 class TestMemoSafety:
     def test_signature_is_interned_one_object_per_pattern(self):
-        first, _ = chain()
-        second, _ = chain()
+        keys = KeySpace()
+        first, _ = chain(keys)
+        second, _ = chain(keys)
         assert cag_signature(first) is cag_signature(second)
         assert cag_signature(first) is cag_signature(first)
 
@@ -218,7 +227,7 @@ class TestMemoSafety:
         cag, vertices = chain()
         before_signature = cag_signature(cag)
         before_segments = breakdown_for_cag(cag).as_dict()
-        extra = activity(ActivityType.SEND, 1.6)
+        (extra,) = in_space(cag.keys, activity(ActivityType.SEND, 1.6))
         cag.append(extra, vertices[-1], CONTEXT_EDGE)
         after = cag_signature(cag)
         assert len(after[0]) == len(before_signature[0]) + 1
@@ -238,17 +247,21 @@ class TestMemoSafety:
         after = cag_signature(cag)
         assert after[0] == before[0]
         assert len(after[1]) == len(before[1]) + 1
-        late = activity(ActivityType.SEND, 1.45)
+        (late,) = in_space(cag.keys, activity(ActivityType.SEND, 1.45))
         cag.add_vertex(late)
         assert cag._analysis is None
         assert len(cag_signature(cag)[0]) == len(before[0]) + 1
 
     def test_splice_context_vertex_invalidates(self):
-        begin = activity(ActivityType.BEGIN, 1.0)
-        send = activity(ActivityType.SEND, 1.3)
-        upstream = activity(ActivityType.SEND, 1.05, host="app", program="java", pid=2, tid=2)
-        late = activity(ActivityType.RECEIVE, 1.1)
-        cag = CAG(root=begin)
+        keys = KeySpace()
+        begin, send, upstream, late = in_space(
+            keys,
+            activity(ActivityType.BEGIN, 1.0),
+            activity(ActivityType.SEND, 1.3),
+            activity(ActivityType.SEND, 1.05, host="app", program="java", pid=2, tid=2),
+            activity(ActivityType.RECEIVE, 1.1),
+        )
+        cag = CAG(root=begin, keys=keys)
         cag.append(send, begin, CONTEXT_EDGE)
         cag.append(upstream, begin, MESSAGE_EDGE)
         cag.append(late, upstream, MESSAGE_EDGE)
@@ -273,7 +286,9 @@ class TestMemoSafety:
         assert "analysis" not in "".join(cag.__getstate__())
         shipped = pickle.loads(pickle.dumps(cag))
         assert shipped._analysis is None
-        assert cag_signature(shipped) is signature
+        # the key space travels with the CAG: re-derived, and interned there
+        assert cag_signature(shipped) == signature
+        assert cag_signature(shipped) is shipped.keys.signatures[signature]
         assert breakdown_for_cag(shipped).as_dict() == segments
 
     def test_sharded_results_match_batch_signatures(self, rubis_source):

@@ -18,17 +18,17 @@ kernel-part merging in two subtle ways:
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import SampledOutCAG
 from repro.core.engine import CorrelationEngine
-from repro.core.interning import INTERNER
 
 
 def mkey(connection):
-    """Interned mmap key for a raw connection 4-tuple."""
-    return INTERNER.intern_message_key(connection)
+    """The mmap key of a hand-built activity on a raw connection 4-tuple
+    (it belongs to no key space: the 4-tuple itself)."""
+    return connection
 
 
 def ckey(ctx):
-    """Interned cmap key for a ContextId."""
-    return INTERNER.intern_context_key(ctx.as_tuple())
+    """The cmap key of a hand-built activity in a ContextId."""
+    return ctx.as_tuple()
 
 
 class _RejectAll:
@@ -182,6 +182,43 @@ class TestSegmentedEviction:
         assert engine.stats.evicted_backlog_parts == 1
         assert engine._backlog_size == 0
         assert engine._recv_backlog == {}
+
+
+class TestGhostSendDrop:
+    def test_a_send_whose_cag_is_gone_is_dropped_and_counted(self):
+        """``_settle``'s ghost drop: a pending SEND whose CAG has finished
+        (it has no owner any more) must not capture the next RECEIVE on
+        its connection; it is dropped and counted.  Finishing and
+        eviction both take a CAG's SENDs out of the mmap, so the engine
+        leaves no ghost on its own -- the test re-registers a finished
+        request's SEND by hand."""
+        engine = CorrelationEngine()
+        open_request(engine, begin_ts=1.0, request_id=1)
+        ghost = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
+        engine.process(ghost)
+        back_to_client = ("10.1.0.1", 80, "10.9.0.1", 51000)
+        engine.process(act(ActivityType.END, 1.2, WEB_CTX, back_to_client, 200, 1))
+        assert len(engine.finished_cags) == 1
+        assert not engine.mmap.has_match(mkey(CONN_KEY))
+        engine.mmap.insert(ghost)  # pending, and owned by no CAG
+
+        # request 2, on another web worker, sends on the same connection;
+        # its RECEIVE meets the ghost at the head and goes to the backlog
+        web_2 = ContextId("web", "httpd", 101, 101)
+        engine.process(
+            act(ActivityType.BEGIN, 2.0, web_2, ("10.9.0.2", 51001, "10.1.0.1", 80), 400, 2)
+        )
+        send = act(ActivityType.SEND, 2.1, web_2, CONN_KEY, 100, 2)
+        engine.process(send)
+        app = ContextId("app", "java", 250, 250)
+        receive = act(ActivityType.RECEIVE, 2.2, app, CONN_KEY, 100, 2)
+        engine.process(receive)
+
+        assert engine.stats.unmatched_receives == 1  # the ghost drop
+        assert not engine.mmap.has_match(mkey(CONN_KEY))  # ghost gone, send matched
+        assert engine._backlog_size == 0
+        (cag,) = engine.open_cags
+        assert receive in cag and [e.parent for e in cag.parents_of(receive)] == [send]
 
 
 class TestMergeRecency:

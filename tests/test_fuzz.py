@@ -208,9 +208,9 @@ class TestPinnedHistoricalBugs:
         case = run_case(SPLICE_SEED)
         assert "full_equivalence" in _violated(case)
 
-    def test_signature_tie_break_revert_breaks_equivalence(self, monkeypatch, fresh_shape_table):
-        # A plan compiled under the real tie key would answer for the
-        # reverted one (and the reverse, for every later test).
+    def test_signature_tie_break_revert_breaks_equivalence(self, monkeypatch):
+        # Every run compiles its own plans, so none compiled under the
+        # real tie key answers for the reverted one (or the reverse).
         monkeypatch.setattr(patterns_mod, "_signature_tie_key", _legacy_tie_key)
         case = run_case(TIE_KEY_SEED)
         assert "full_equivalence" in _violated(case)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.core import log_format
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
-from repro.core.interning import INTERNER
 from repro.core.log_format import (
     ActivityClassifier,
     FrontendSpec,
@@ -75,9 +74,19 @@ def reference(lines, classifier, strict):
     return activities, malformed, skipped
 
 
-def slots(activity, first_seq):
+def slots(activity, first_seq, keys=None):
+    """Every slot, the three keys as the identities they stand for: a
+    row's ids resolved in its table's key space ``keys``, the keys of an
+    object built by the constructor as they are (the identities)."""
     values = {name: getattr(activity, name) for name in SLOTS}
     values["seq"] -= first_seq  # one global counter: compare the order
+    if keys is not None:
+        context = keys.contexts[values["context_key"]]
+        assert keys.node_of[values["context_key"]] == values["node_key"]
+        assert keys.node_ids[context.hostname] == values["node_key"]
+        values["context_key"] = context.as_tuple()
+        values["message_key"] = keys.connections[values["message_key"]]
+        values["node_key"] = context.hostname
     return values
 
 
@@ -94,11 +103,13 @@ def run_loop(classifier, lines, sink, strict=False):
     return list(table)
 
 
-def assert_same_activities(fused, expected):
+def assert_same_activities(fused, expected, keys=None, expected_keys=None):
+    """Slot for slot (see :func:`slots`; ``keys`` / ``expected_keys``: the
+    key space each side's rows were built over, None for objects)."""
     assert len(fused) == len(expected)
     if fused:
-        assert [slots(a, fused[0].seq) for a in fused] == [
-            slots(a, expected[0].seq) for a in expected
+        assert [slots(a, fused[0].seq, keys) for a in fused] == [
+            slots(a, expected[0].seq, expected_keys) for a in expected
         ]
         assert all(type(a.type) is ActivityType for a in fused)
 
@@ -207,10 +218,15 @@ class TestFusedLoopEqualsReference:
     def test_tolerant_mode(self, sink, lines):
         fused, definition = make_classifier(), make_classifier()
         expected, malformed, skipped = reference(lines, definition, strict=False)
-        interned = INTERNER.sizes()
-        assert_same_activities(run_loop(fused, lines, sink), expected)
-        # The definition ran first: the loop interns nothing it did not.
-        assert INTERNER.sizes() == interned
+        assert_same_activities(run_loop(fused, lines, sink), expected, fused.keys)
+        # The loop interns what its rows carry, and nothing else.
+        assert fused.keys.sizes() == {
+            "contexts": len({a.context for a in expected}),
+            "messages": len({a.message.connection_key() for a in expected}),
+            "nodes": len({a.context.hostname for a in expected}),
+            "plans": 0,
+            "signatures": 0,
+        }
         assert fused.filtered_count == definition.filtered_count
         assert fused.malformed_count == malformed
         assert fused.skipped_count == skipped
@@ -230,7 +246,7 @@ class TestFusedLoopEqualsReference:
         fused, definition = make_classifier(), make_classifier()
         expected, malformed, _ = reference(lines, definition, strict=False)
         with mock.patch.object(log_format, "_SIZES_PER_CONNECTION", bound):
-            assert_same_activities(run_loop(fused, lines, sink), expected)
+            assert_same_activities(run_loop(fused, lines, sink), expected, fused.keys)
         assert fused.malformed_count == malformed
         assert fused.filtered_count == definition.filtered_count
         tables = [entry[8] for entry in fused._channel_memo.values()]
@@ -249,7 +265,7 @@ class TestFusedLoopEqualsReference:
             assert str(raised.value) == str(error)
             assert fused.malformed_count == 0
         else:
-            assert_same_activities(run_loop(fused, lines, sink, strict=True), expected)
+            assert_same_activities(run_loop(fused, lines, sink, strict=True), expected, fused.keys)
             assert fused.skipped_count == skipped
         assert fused.filtered_count == definition.filtered_count
 
@@ -269,8 +285,9 @@ class TestFusedLoopEqualsReference:
         lines = [format_record(record) for record in records]
         classifier = make_classifier()
         first = classifier.classify_lines(lines)
-        assert_same_activities(classifier.classify_lines(lines), first)
-        assert_same_activities(first, make_classifier().classify_all(records))
+        keys = classifier.keys
+        assert_same_activities(classifier.classify_lines(lines), first, keys, keys)
+        assert_same_activities(first, make_classifier().classify_all(records), keys)
 
 
 #: Request ids the int64 column cannot carry: past either end, and the
@@ -369,7 +386,7 @@ class TestMemoTables:
         assert classifier.classify_lines([good, bad_size, good]) == []
         assert (classifier.filtered_count, classifier.malformed_count) == (2, 1)
 
-    def test_dropped_and_malformed_lines_leave_the_interner_alone(self):
+    def test_dropped_and_malformed_lines_leave_the_key_space_alone(self):
         # Section 4.3's noise is ephemeral: every line a new pid and port.
         def noise(i):
             fresh = f"10.7.{i}.1:{20000 + i}"
@@ -389,13 +406,13 @@ class TestMemoTables:
                 line("SEND", fresh.replace("-", "+"), pid=7000 + i),
             ]
 
-        before = INTERNER.sizes()
         classifier = make_classifier()
+        before = classifier.keys.sizes()
         for make, counter in [(noise, "filtered_count"), (broken, "malformed_count")]:
             lines = [text for i in range(50) for text in make(i)]
             assert classifier.classify_lines(lines * 2) == []
             assert getattr(classifier, counter) == 2 * len(lines)
-        assert INTERNER.sizes() == before
+        assert classifier.keys.sizes() == before
         # What the filter dropped is remembered (noise stays on the fast
         # path, one slot each); a line rejected for its direction, size,
         # timestamp or pid never reached the tables.  (The pid-7000 lines
@@ -403,42 +420,47 @@ class TestMemoTables:
         assert not any(key[2].startswith("8") for key in classifier._context_memo)
         assert not any(key.startswith("10.8.") for key in classifier._channel_memo)
 
-    def test_the_interner_hears_of_a_context_at_its_first_activity(self):
+    def test_the_key_space_hears_of_a_context_at_its_first_activity(self):
         classifier = make_classifier()
+        keys = classifier.keys
         dropped = line("SEND", "10.6.0.1:5000-10.6.0.2:22", pid=6001, host="late")
         kept = line("SEND", "10.6.0.1:5000-10.6.0.2:8080", pid=6001, host="late")
-        before = INTERNER.sizes()
+        before = keys.sizes()
         assert classifier.classify_lines([dropped] * 3) == []
-        assert INTERNER.sizes() == before
+        assert keys.sizes() == before
         first, second = classifier.classify_lines([kept, dropped, kept])
-        assert INTERNER.sizes() == {kind: size + 1 for kind, size in before.items()}
+        grown = {"contexts": 1, "messages": 1, "nodes": 1, "plans": 0, "signatures": 0}
+        assert keys.sizes() == {kind: size + grown[kind] for kind, size in before.items()}
         assert first.context is second.context
-        assert first.context is INTERNER.resolve_context(first.context_key)
-        assert INTERNER.resolve_context_key(first.context_key) == ("late", "httpd", 6001, 6001)
-        assert INTERNER.resolve_message_key(first.message_key) == (
+        assert first.context is keys.contexts[first.context_key]
+        assert keys.contexts[first.context_key].as_tuple() == ("late", "httpd", 6001, 6001)
+        assert keys.connections[first.message_key] == (
             "10.6.0.1", 5000, "10.6.0.2", 8080,
         )  # fmt: skip
-        assert INTERNER.resolve_node(first.node_key) == "late"
+        assert keys.node_ids["late"] == first.node_key
 
-    def test_one_context_object_per_context_and_it_is_the_interners(self):
+    def test_one_context_object_per_context_and_it_is_the_key_spaces(self):
         lines = [
             line("SEND", f"10.0.0.1:{5000 + i}-10.0.0.2:8080", pid=1 + i % 2, ts=i)
             for i in range(6)
         ]
-        activities = make_classifier().classify_lines(lines)
+        classifier = make_classifier()
+        activities = classifier.classify_lines(lines)
         even, odd = activities[0::2], activities[1::2]
         assert all(a.context is even[0].context for a in even)
         assert all(a.context is odd[0].context for a in odd)
         assert even[0].context is not odd[0].context
         for activity in activities:
-            assert activity.context is INTERNER.resolve_context(activity.context_key)
+            assert activity.context is classifier.keys.contexts[activity.context_key]
             pid = activity.context.pid
             assert activity.context == ContextId("www", "httpd", pid, pid)
         # ip strings are shared across the channel's activities
         assert all(a.message.src_ip is activities[0].message.src_ip for a in activities)
-        # a second stream over the same deployment resolves to the same objects
+        # a second stream over the same deployment is another run: its own
+        # key space, equal objects and not the same ones
         again = make_classifier().classify_lines(lines)
-        assert again[0].context is activities[0].context
+        assert again[0].context == activities[0].context
+        assert again[0].context is not activities[0].context
 
     def test_one_message_id_per_connection_and_size_token(self):
         channel, other = "10.0.0.1:5000-10.0.0.2:8080", "10.0.0.1:5001-10.0.0.2:8080"
@@ -461,7 +483,7 @@ class TestMemoTables:
 
     def test_a_connection_first_seen_filtered_shares_from_its_first_kept_line(self):
         # The program filter drops the first line, so the connection's
-        # entry exists before the interner hears of it; the entry re-made
+        # entry exists before the key space hears of it; the entry re-made
         # at the first kept line is the one whose table is written.
         channel = "10.0.0.1:5000-10.0.0.2:8080"
         classifier = make_classifier()
@@ -525,13 +547,15 @@ class TestMemoTables:
         for index in (0, 3, 6):
             lines[index] = "!" + lines[index]
         lines[5:5] = ["", "torn li"]
-        objects = make_classifier().classify_lines(lines)
+        other = make_classifier()
+        objects = other.classify_lines(lines)
         classifier = make_classifier()
         table = classifier.pack_lines(lines)
         assert (classifier.skipped_count, classifier.malformed_count) == (1, 1)
         rows = list(table)
-        assert_same_activities(rows, objects)
-        assert_same_activities(rows, make_classifier().classify_lines(plain))
+        assert_same_activities(rows, objects, table.keys, other.keys)
+        third = make_classifier()
+        assert_same_activities(rows, third.classify_lines(plain), table.keys, third.keys)
         for row in (0, 3, 6):  # the odd lines' rows are plain rows
             assert table.activity(row) is not table.activity(row)
             assert slots(rows[row], 0) == slots(table.activity(row), 0)
@@ -582,7 +606,8 @@ class TestWholeTraces:
         paths = write_node_logs(run, tmp_path)
         ignored = set(run.topology.ignore_programs)
         source = LogSource(paths, run.frontend_spec(), ignore_programs=ignored)
-        activities = source.activities()
+        blocks = list(source.blocks())
+        activities = [activity for block in blocks for activity in block]
         assert source.lines_read == sum(map(len, run.records_by_node.values()))
         assert source.malformed_lines == source.skipped_lines == 0
         assert lines_conserved(source, activities)
@@ -592,7 +617,7 @@ class TestWholeTraces:
         )
         lines = [text for path in paths for text in path.read_text().splitlines()]
         expected, _, _ = reference(lines, definition, strict=True)
-        assert_same_activities(activities, expected)
+        assert_same_activities(activities, expected, blocks[0].keys)
         assert source.filtered_records == definition.filtered_count
 
     def test_message_ids_are_shared_and_sizes_stay_per_activity(self, rubis_run):

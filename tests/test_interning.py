@@ -2,14 +2,14 @@
 
 Three invariants keep the interning refactor honest:
 
-* **Round trip** -- interning is injective and first-seen ordered, so
-  ``intern(x)`` then ``resolve`` must give back the original identity,
-  and re-interning the same identity must return the same dense int
-  (property-tested over generated ``ContextId``/``MessageId`` values).
-* **Snapshot equality** -- an interner that installs another's snapshot
-  rebuilds the *identical* key space, which is what lets a checkpoint's
-  pickled activities carry their interned ints verbatim into a resume in
-  a new process (asserted here directly, and end to end by the
+* **Round trip** -- a key space is injective and first-seen ordered, so
+  an identity's id must index back to that identity, and asking again
+  must return the same dense int (property-tested over generated
+  ``ContextId``/``MessageId`` values).
+* **One run, one key space** -- every table a run derives shares its
+  space, rows of another are refused or re-keyed by identity, two runs
+  share no plan or signature, and a finished run's key space is freed
+  with its result (end to end across a process boundary: the
   SIGKILL/resume subprocess test in ``tests/test_checkpoint.py``).
 * **Sampler invariance** -- sampling decisions hash the original string
   identity, never the interned ints, so the sampled request subset is
@@ -18,14 +18,18 @@ Three invariants keep the interning refactor honest:
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
-from repro.core.interning import INTERNER, ActivityTable, KeyInterner
+from repro.core.correlator import IncrementalEngine
+from repro.core.interning import ActivityTable, KeySpace
+from repro.core.patterns import cag_signature, classify
 from repro.pipeline import BackendSpec, result_digest
 from repro.sampling import SamplingSpec
 from repro.sampling.sampler import precompute_decisions
@@ -77,13 +81,12 @@ class TestRoundTrip:
     @given(st.lists(contexts, min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_context_intern_resolve_round_trip(self, items):
-        interner = KeyInterner()
-        ids = [interner.intern_context(c) for c in items]
+        keys = KeySpace()
+        ids = [keys.context_key(c) for c in items]
         for context, cid in zip(items, ids):
-            assert interner.resolve_context(cid).as_tuple() == context.as_tuple()
-            assert interner.resolve_context_key(cid) == context.as_tuple()
+            assert keys.contexts[cid].as_tuple() == context.as_tuple()
         # Re-interning the same identities is stable (first-seen wins).
-        assert [interner.intern_context(c) for c in items] == ids
+        assert [keys.context_key(c) for c in items] == ids
         # Ids are dense: one per distinct identity, counted from zero.
         distinct = {c.as_tuple() for c in items}
         assert sorted(set(ids)) == list(range(len(distinct)))
@@ -91,93 +94,41 @@ class TestRoundTrip:
     @given(st.lists(messages, min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_message_intern_resolve_round_trip(self, items):
-        interner = KeyInterner()
-        ids = [interner.intern_message_key(m.connection_key()) for m in items]
+        keys = KeySpace()
+        ids = [keys.message_key(m.connection_key()) for m in items]
         for message, mid in zip(items, ids):
-            assert interner.resolve_message_key(mid) == message.connection_key()
-        assert [interner.intern_message_key(m.connection_key()) for m in items] == ids
+            assert keys.connections[mid] == message.connection_key()
+        assert [keys.message_key(m.connection_key()) for m in items] == ids
         distinct = {m.connection_key() for m in items}
         assert sorted(set(ids)) == list(range(len(distinct)))
 
     @given(st.lists(names, min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_node_intern_resolve_round_trip(self, hostnames):
-        interner = KeyInterner()
-        ids = [interner.intern_node(h) for h in hostnames]
-        for hostname, nid in zip(hostnames, ids):
-            assert interner.resolve_node(nid) == hostname
-        assert [interner.intern_node(h) for h in hostnames] == ids
+        keys = KeySpace()
+        ids = [keys.context_key(ContextId(h, "prog", 1, 1)) for h in hostnames]
+        for hostname, cid in zip(hostnames, ids):
+            assert keys.node_ids[hostname] == keys.node_of[cid]
+        nodes = [keys.node_of[cid] for cid in ids]
+        assert [keys.node_ids[h] for h in hostnames] == nodes
+        assert sorted(set(nodes)) == list(range(len(set(hostnames))))
 
-    def test_context_key_and_object_paths_share_ids(self):
-        interner = KeyInterner()
+    def test_the_first_object_of_an_identity_is_its_canonical_one(self):
+        keys = KeySpace()
         context = ContextId("host", "prog", 1, 2)
-        by_tuple = interner.intern_context_key(context.as_tuple())
-        assert interner.intern_context(context) == by_tuple
-        # The object path backfills the canonical object.
-        assert interner.resolve_context(by_tuple).as_tuple() == context.as_tuple()
+        cid = keys.context_key(context)
+        assert keys.context_key(ContextId("host", "prog", 1, 2)) == cid
+        assert keys.contexts[cid] is context
 
-
-class TestSnapshot:
-    def _populated(self):
-        interner = KeyInterner()
-        for i in range(5):
-            interner.intern_context(ContextId(f"host{i}", "prog", i, i))
-            interner.intern_message_key(("10.0.0.1", 1000 + i, "10.0.0.2", 80))
-            interner.intern_node(f"host{i}")
-        return interner
-
-    def test_install_rebuilds_identical_key_space(self):
-        parent = self._populated()
-        snapshot = parent.snapshot()
-        worker = KeyInterner()
-        worker.install(snapshot)
-        assert worker.snapshot() == snapshot
-        assert worker.sizes() == parent.sizes()
-        for cid in range(parent.sizes()["contexts"]):
-            assert worker.resolve_context_key(cid) == parent.resolve_context_key(cid)
-
-    def test_install_is_idempotent_and_extends(self):
-        parent = self._populated()
-        worker = KeyInterner()
-        worker.install(parent.snapshot())
-        worker.install(parent.snapshot())  # no-op: identical prefix
-        parent.intern_node("late-host")
-        worker.install(parent.snapshot())  # prefix-extends
-        assert worker.snapshot() == parent.snapshot()
-
-    def test_component_ids_ignore_pid_and_tid_and_survive_install(self):
-        interner = KeyInterner()
-        worker_a = interner.intern_context(ContextId("app", "java", 1, 1))
-        database = interner.intern_context(ContextId("db", "mysqld", 2, 2))
-        worker_b = interner.intern_context(ContextId("app", "java", 1, 7))
-        # Asked for out of interning order: ids are first-asked, per component.
-        assert interner.component_of(database) == 0
-        assert interner.component_of(worker_a) == interner.component_of(worker_b) == 1
-        snapshot = interner.snapshot()
-        assert set(snapshot) == {"contexts", "messages", "nodes"}  # never shipped
-        snapshot["contexts"].append(("app", "java", 9, 9))
-        snapshot["contexts"].append(("cache", "memcached", 3, 3))
-        interner.install(snapshot)
-        assert interner.component_of(database) == 0
-        assert interner.component_of(3) == 1
-        assert interner.component_of(4) == 2
-
-    def test_install_rejects_conflicting_assignment(self):
-        parent = self._populated()
-        worker = KeyInterner()
-        worker.intern_node("someone-else-was-first")
-        with pytest.raises(ValueError, match="conflicts"):
-            worker.install(parent.snapshot())
-
-    def test_global_interner_snapshot_installs_onto_fresh_interner(self):
-        # Exactly what a checkpoint resume in a fresh process does before
-        # it unpickles the engine (a resume in the writing process
-        # degenerates to a prefix no-op).
-        make_activity()  # ensure the global interner is non-empty
-        snapshot = INTERNER.snapshot()
-        worker = KeyInterner()
-        worker.install(snapshot)
-        assert worker.snapshot() == snapshot
+    def test_component_ids_ignore_pid_and_tid(self):
+        keys = KeySpace()
+        worker_a = keys.context_key(ContextId("app", "java", 1, 1))
+        database = keys.context_key(ContextId("db", "mysqld", 2, 2))
+        worker_b = keys.context_key(ContextId("app", "java", 1, 7))
+        # First seen, per component -- and every id is the context's own.
+        assert keys.component_of[worker_a] == keys.component_of[worker_b] == 0
+        assert keys.component_of[database] == 1
+        assert keys.node_of[worker_a] == keys.node_of[worker_b] != keys.node_of[database]
 
 
 def _two_component_trace():
@@ -212,11 +163,13 @@ class TestActivityTable:
         activities = _two_component_trace()
         table = ActivityTable.from_activities(activities)
         assert len(table) == len(activities)
+        keys = table.keys
         for row, original in enumerate(activities):
             assert table.timestamp(row) == original.timestamp
-            assert table.context_key(row) == original.context_key
-            assert table.message_key(row) == original.message_key
-            assert table.node_key(row) == original.node_key
+            # the object's keys are its identity; the row's, ids of it
+            assert keys.contexts[table.context_key(row)].as_tuple() == original.context_key
+            assert keys.connections[table.message_key(row)] == original.message_key
+            assert keys.node_ids[original.node_key] == table.node_key(row)
         materialised = list(table)
         assert materialised == activities
         # Every build is a new object the table does not remember.
@@ -249,6 +202,82 @@ class TestActivityTable:
         # run builds from the rows: a second pass is identical.
         second = result_digest(spec.correlate(table))
         assert first == second == result_digest(spec.correlate(list(activities)))
+
+
+class TestOneKeySpacePerRun:
+    def test_derived_tables_share_the_key_space(self):
+        table = ActivityTable.from_activities(_two_component_trace())
+        keys = table.keys
+        derived = [table.take([3, 1]), table[2:5], table.ordered(), table.take([])]
+        derived += table.by_node().values()
+        assert all(part.keys is keys for part in derived)
+        assert ActivityTable.from_activities(_two_component_trace()).keys is not keys
+
+    def test_rows_of_another_key_space_are_refused(self):
+        table = ActivityTable.from_activities(_two_component_trace())
+        other = ActivityTable.from_activities(_two_component_trace())
+        with pytest.raises(ValueError, match="another key space"):
+            table.concat(other)
+        with pytest.raises(ValueError, match="another key space"):
+            table.insert_from(0, other, 0)
+        assert len(table) == len(other)  # nothing moved
+        table.concat(table[:2])  # its own rows are welcome
+        assert len(table) == len(other) + 2
+
+    def test_rekeyed_rows_keep_the_ids_the_target_holds(self):
+        activities = _two_component_trace()
+        target = ActivityTable.from_activities(activities[6:])
+        before = list(target.keys.context_ids.items())
+        source = ActivityTable.from_activities(activities)
+        moved = source.rekeyed(target.keys)
+        assert moved.keys is target.keys
+        assert list(target.keys.context_ids.items())[: len(before)] == before
+        assert list(moved) == activities
+        for row in range(len(moved)):
+            ours, theirs = moved.activity(row), source.activity(row)
+            assert ours.context is target.keys.contexts[ours.context_key]
+            assert ours.context == theirs.context
+            assert target.keys.connections[ours.message_key] == theirs.message.connection_key()
+        target.concat(moved)  # one space now
+
+    def test_a_ranker_fed_from_two_key_spaces_equals_one_fed_from_one(self):
+        activities = _two_component_trace()
+        half = len(activities) // 2
+        spec = BackendSpec.streaming(window=0.010, chunk_size=5)
+        whole = ActivityTable.from_activities(activities)
+        split = [
+            ActivityTable.from_activities(activities[:half]),
+            ActivityTable.from_activities(activities[half:]),
+        ]
+        engine = IncrementalEngine(window=0.010)
+        for part in split:
+            engine.ingest(part)
+        engine.flush()
+        mixed = engine.result()
+        assert all(cag.keys is split[0].keys for cag in mixed.cags)
+        assert result_digest(mixed) == result_digest(spec.correlate(whole))
+
+    def test_two_runs_share_no_plan_and_no_signature(self):
+        spec = BackendSpec.batch()
+        first = spec.correlate(_two_component_trace()).cags
+        second = spec.correlate(_two_component_trace()).cags
+        assert first[0].keys is not second[0].keys
+        for one, two in zip(first, second):
+            assert cag_signature(one) == cag_signature(two)
+            assert cag_signature(one) is not cag_signature(two)
+            assert one.analysis.plan is not None
+            assert one.analysis.plan is not two.analysis.plan
+
+    @pytest.mark.parametrize("kind", ["batch", "streaming", "sharded"])
+    def test_a_finished_runs_key_space_is_freed_with_its_result(self, kind):
+        result = getattr(BackendSpec, kind)().correlate(_two_component_trace())
+        classify(result.cags)  # plans and signatures compiled into it
+        keys = result.cags[0].keys
+        assert keys.plans and keys.signatures
+        dead = weakref.ref(keys)
+        del keys, result
+        gc.collect()
+        assert dead() is None
 
 
 class TestSamplerInvariance:

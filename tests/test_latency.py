@@ -2,8 +2,9 @@
 
 import pytest
 
-from helpers import SyntheticTrace, reference_segments
+from helpers import SyntheticTrace, packed, reference_segments
 from repro.pipeline import BackendSpec
+from repro.core.interning import KeySpace
 from repro.core.latency import (
     LatencyBreakdown,
     average_breakdown,
@@ -83,22 +84,22 @@ class TestSegmentLabels:
         breakdown = breakdown_for_cag(result.cags[0])
         assert all(value >= 0 for value in breakdown.segments.values())
 
-    def test_one_plan_serves_a_skewed_and_an_unskewed_request_of_its_shape(
-        self, fresh_shape_table
-    ):
+    def test_one_plan_serves_a_skewed_and_an_unskewed_request_of_its_shape(self):
         """The plan carries positions and labels only; the clamp and the
         sums are each request's own, float for float and label order too."""
+        keys = KeySpace()  # both runs pack into it, so they share its plans
         cags = []
         for skews in ({}, {"app": 0.5, "db": -0.5}):
             trace = SyntheticTrace(skews=skews)
             trace.three_tier_request(request_id=1, start=1.0, db_queries=1)
-            cags += BackendSpec.batch(window=1.0).correlate(trace.activities).cags
+            table = packed(trace.activities, keys)
+            cags += BackendSpec.batch(window=1.0).correlate(table).cags
         plain, skewed = cags
         for cag in cags:
             assert list(breakdown_for_cag(cag).segments.items()) == list(
                 reference_segments(cag).items()
             )
-        assert len(fresh_shape_table) == 1
+        assert len(keys.plans) == 1
         assert plain.analysis.plan is skewed.analysis.plan
         assert [label for _child, _parent, label in plain.analysis.plan.path] == [
             segment_label(edge) for edge in skewed.primary_path()

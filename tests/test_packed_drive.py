@@ -141,15 +141,20 @@ class TestPackedRunEqualsObjectFedRun:
         run, paths = log_sets["fanout_aggregator"]
         source = log_source(run, paths, chunk_bytes=1024)
         objects = source.activities()
-        rows = [activity for block in source.blocks() for activity in block]
+        blocks = list(source.blocks())
+        rows = [activity for block in blocks for activity in block]
         assert len(rows) == len(objects) > 0
+        # one read of the source, one key space
+        keys = blocks[0].keys
+        assert all(block.keys is keys for block in blocks)
         first = objects[0].seq, rows[0].seq
         for built, original in zip(rows, objects):
             ours, theirs = slots(built), slots(original)
             # one global counter: compare the order
             assert ours.pop("seq") - first[1] == theirs.pop("seq") - first[0]
             assert ours == theirs
-            assert built.context is original.context  # the interner's own
+            assert built.context == original.context
+            assert built.context is keys.contexts[built.context_key]  # the key space's own
         # a second run over the same source reads the same rows again
         assert sum(len(block) for block in source.blocks()) == len(objects)
 

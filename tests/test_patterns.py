@@ -1,17 +1,19 @@
 """Tests for causal-path pattern classification."""
 
-import pickle
-import sys
-import threading
-
 import pytest
 
-from helpers import SyntheticTrace, cyclic_cag, reference_segments, reference_signature
-from repro.core import patterns as patterns_mod
+from helpers import (
+    SyntheticTrace,
+    cyclic_cag,
+    in_space,
+    packed,
+    reference_segments,
+    reference_signature,
+)
 from repro.core import shapes as shapes_mod
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
-from repro.core.interning import INTERNER
+from repro.core.interning import KeySpace
 from repro.core.latency import breakdown_for_cag
 from repro.core.patterns import PatternClassifier, cag_signature, classify, dominant_pattern
 from repro.fuzz.harness import run_generated_scenario
@@ -21,7 +23,9 @@ from repro.topology.generator import generate_scenario
 from repro.topology.library import run_scenario, scenario_names
 
 
-def make_cags(query_counts):
+def make_cags(query_counts, keys=None):
+    """One batch run over ``query_counts`` requests, packed into ``keys``
+    (a new key space by default)."""
     trace = SyntheticTrace()
     for index, queries in enumerate(query_counts):
         trace.three_tier_request(
@@ -32,7 +36,7 @@ def make_cags(query_counts):
             app_tid=200 + index % 7,
             db_tid=300 + index % 7,
         )
-    result = BackendSpec.batch(window=0.01).correlate(trace.activities)
+    result = BackendSpec.batch(window=0.01).correlate(packed(trace.activities, keys))
     assert result.completed_requests == len(query_counts)
     return result.cags
 
@@ -107,12 +111,12 @@ class TestClassification:
 
 def assert_matches_reference(cag):
     """Plan-derived signature and segments are what this CAG derives on
-    its own -- the signature the one interned object, the segments label
-    for label and float for float."""
+    its own -- the signature the one interned object of its key space,
+    the segments label for label and float for float."""
     expected = reference_signature(cag)
     signature = cag_signature(cag)
     assert signature == expected
-    assert signature is patterns_mod._INTERNED[expected]
+    assert signature is cag.keys.signatures[expected]
     assert list(breakdown_for_cag(cag).segments.items()) == list(
         reference_segments(cag).items()
     )
@@ -133,23 +137,26 @@ def vertex(kind, timestamp, host, program, tid):
     )
 
 
-def uneven_fanout(first_reply_at, second_send_at):
+def uneven_fanout(keys, first_reply_at, second_send_at):
     """A frontend calls two threads of one worker component; the first
     replies, the second calls on to a database.  The first thread's reply
     and the second thread's onward SEND share the fingerprint (SEND,
     worker, java) and are ready together, so only their timestamps order
     them -- and what hangs off each differs, so the order shows in the
-    signature."""
-    begin = vertex(ActivityType.BEGIN, 1.0, "web", "httpd", 1)
-    call_1 = vertex(ActivityType.SEND, 1.1, "web", "httpd", 1)
-    call_2 = vertex(ActivityType.SEND, 1.2, "web", "httpd", 1)
-    serve_1 = vertex(ActivityType.RECEIVE, 1.3, "worker", "java", 11)
-    serve_2 = vertex(ActivityType.RECEIVE, 1.4, "worker", "java", 12)
-    reply_1 = vertex(ActivityType.SEND, first_reply_at, "worker", "java", 11)
-    query_2 = vertex(ActivityType.SEND, second_send_at, "worker", "java", 12)
-    joined = vertex(ActivityType.RECEIVE, 3.0, "web", "httpd", 1)
-    stored = vertex(ActivityType.RECEIVE, 3.1, "zdb", "mysqld", 21)
-    cag = CAG(root=begin)
+    signature.  Vertices and CAG are over ``keys``."""
+    begin, call_1, call_2, serve_1, serve_2, reply_1, query_2, joined, stored = in_space(
+        keys,
+        vertex(ActivityType.BEGIN, 1.0, "web", "httpd", 1),
+        vertex(ActivityType.SEND, 1.1, "web", "httpd", 1),
+        vertex(ActivityType.SEND, 1.2, "web", "httpd", 1),
+        vertex(ActivityType.RECEIVE, 1.3, "worker", "java", 11),
+        vertex(ActivityType.RECEIVE, 1.4, "worker", "java", 12),
+        vertex(ActivityType.SEND, first_reply_at, "worker", "java", 11),
+        vertex(ActivityType.SEND, second_send_at, "worker", "java", 12),
+        vertex(ActivityType.RECEIVE, 3.0, "web", "httpd", 1),
+        vertex(ActivityType.RECEIVE, 3.1, "zdb", "mysqld", 21),
+    )
+    cag = CAG(root=begin, keys=keys)
     cag.append(call_1, begin, CONTEXT_EDGE)
     cag.append(call_2, call_1, CONTEXT_EDGE)
     cag.append(serve_1, call_1, MESSAGE_EDGE)
@@ -162,14 +169,17 @@ def uneven_fanout(first_reply_at, second_send_at):
     return cag
 
 
-def spliced_chain():
+def spliced_chain(keys):
     """``late`` is appended after ``send`` but spliced in before it, so
     the insertion order is not a topological order."""
-    begin = vertex(ActivityType.BEGIN, 1.0, "web", "httpd", 1)
-    send = vertex(ActivityType.SEND, 1.3, "web", "httpd", 1)
-    upstream = vertex(ActivityType.SEND, 1.05, "app", "java", 2)
-    late = vertex(ActivityType.RECEIVE, 1.1, "web", "httpd", 1)
-    cag = CAG(root=begin)
+    begin, send, upstream, late = in_space(
+        keys,
+        vertex(ActivityType.BEGIN, 1.0, "web", "httpd", 1),
+        vertex(ActivityType.SEND, 1.3, "web", "httpd", 1),
+        vertex(ActivityType.SEND, 1.05, "app", "java", 2),
+        vertex(ActivityType.RECEIVE, 1.1, "web", "httpd", 1),
+    )
+    cag = CAG(root=begin, keys=keys)
     cag.append(send, begin, CONTEXT_EDGE)
     cag.append(upstream, begin, MESSAGE_EDGE)
     cag.append(late, upstream, MESSAGE_EDGE)
@@ -177,7 +187,6 @@ def spliced_chain():
     return cag
 
 
-@pytest.mark.usefixtures("fresh_shape_table")
 class TestShapePlansEqualTheReference:
     @pytest.mark.parametrize("scenario", sorted(scenario_names()))
     def test_library_scenarios(self, scenario):
@@ -185,7 +194,7 @@ class TestShapePlansEqualTheReference:
         assert len(cags) > 20
         for cag in cags:
             assert_matches_reference(cag)
-        assert len(shapes_mod._PLANS) < len(cags)
+        assert len(cags[0].keys.plans) < len(cags)
 
     @pytest.mark.parametrize("seed", [17, 24, 63, 90, 119])
     def test_pinned_fuzz_seeds(self, seed):
@@ -197,8 +206,9 @@ class TestShapePlansEqualTheReference:
     def test_same_fingerprint_branches_are_derived_per_cag(self):
         """Both arrival interleavings of one shape: the plan may not
         answer for either, and each canonicalises by its own timestamps."""
-        reply_first = uneven_fanout(first_reply_at=2.0, second_send_at=2.5)
-        query_first = uneven_fanout(first_reply_at=2.5, second_send_at=2.0)
+        keys = KeySpace()
+        reply_first = uneven_fanout(keys, first_reply_at=2.0, second_send_at=2.5)
+        query_first = uneven_fanout(keys, first_reply_at=2.5, second_send_at=2.0)
         assert_matches_reference(reply_first)
         assert_matches_reference(query_first)
         plan = reply_first.analysis.plan
@@ -206,7 +216,7 @@ class TestShapePlansEqualTheReference:
         assert plan.timestamp_decided and plan.signature is None
         assert cag_signature(reply_first) != cag_signature(query_first)
         # Same interleaving again: derived again, interned to the same object.
-        again = uneven_fanout(first_reply_at=2.0, second_send_at=2.5)
+        again = uneven_fanout(keys, first_reply_at=2.0, second_send_at=2.5)
         assert cag_signature(again) is cag_signature(reply_first)
         classifier = PatternClassifier()
         classifier.add_all([reply_first, query_first, again])
@@ -218,7 +228,8 @@ class TestShapePlansEqualTheReference:
         }
 
     def test_spliced_cag_whose_insertion_order_is_not_topological(self):
-        first, second = spliced_chain(), spliced_chain()
+        keys = KeySpace()
+        first, second = spliced_chain(keys), spliced_chain(keys)
         assert_matches_reference(first)
         assert_matches_reference(second)
         plan = first.analysis.plan
@@ -237,16 +248,17 @@ class TestShapePlansEqualTheReference:
             assert breakdown_for_cag(cag).segments == reference_segments(cag)
 
     def test_full_table_derives_new_shapes_per_cag(self, monkeypatch):
-        known = make_cags([2])[0]
+        keys = KeySpace()  # both runs pack into it: one table, one cap
+        known = make_cags([2], keys)[0]
         assert_matches_reference(known)
-        monkeypatch.setattr(shapes_mod, "MAX_SHAPES", len(shapes_mod._PLANS))
-        unseen, unseen_again, known_again = make_cags([3, 3, 2])
+        monkeypatch.setattr(shapes_mod, "MAX_SHAPES", len(keys.plans))
+        unseen, unseen_again, known_again = make_cags([3, 3, 2], keys)
         for cag in (unseen, unseen_again, known_again):
             assert_matches_reference(cag)
         assert unseen.analysis.plan is None and unseen_again.analysis.plan is None
         assert cag_signature(unseen) is cag_signature(unseen_again)
         assert known_again.analysis.plan is known.analysis.plan
-        assert len(shapes_mod._PLANS) == shapes_mod.MAX_SHAPES
+        assert len(keys.plans) == shapes_mod.MAX_SHAPES
         classifier = PatternClassifier()
         classifier.add_all([known, unseen, unseen_again, known_again])
         assert classifier.shape_counts() == {
@@ -255,50 +267,3 @@ class TestShapePlansEqualTheReference:
             "timestamp_decided": 0,
             "table_full": 2,
         }
-
-    def test_plans_survive_an_interner_install(self):
-        before = make_cags([2])[0]
-        assert_matches_reference(before)
-        snapshot = INTERNER.snapshot()
-        snapshot["contexts"].append(("web", "httpd", 424242, 424242))
-        snapshot["contexts"].append(("elsewhere", "installed-only", 1, 1))
-        INTERNER.install(snapshot)
-        after = make_cags([2])[0]
-        assert_matches_reference(after)
-        assert after.analysis.plan is before.analysis.plan
-        assert cag_signature(after) is cag_signature(before)
-
-    def test_threads_racing_on_one_table_agree(self, fresh_shape_table):
-        """The table is touched with ``get`` / ``setdefault`` only and racing
-        fills store equal values: more threads than cores, each analysing
-        its own copies of the same requests, must end with one plan per
-        shape and the one interned signature per request."""
-        cags = make_cags([1, 2, 3, 1, 2, 3, 2, 2])
-        expected = [reference_signature(cag) for cag in cags]
-        copies = [pickle.loads(pickle.dumps(cags)) for _ in range(8)]
-        barrier = threading.Barrier(len(copies))
-        results = [None] * len(copies)
-
-        def analyse(slot):
-            barrier.wait(timeout=30)
-            results[slot] = [
-                (cag_signature(cag), list(breakdown_for_cag(cag).segments.items()))
-                for cag in copies[slot]
-            ]
-
-        threads = [threading.Thread(target=analyse, args=(slot,)) for slot in range(len(copies))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(fresh_shape_table) == 3
-        for result in results:
-            assert [signature for signature, _segments in result] == expected
-            for (signature, segments), (first, first_segments) in zip(result, results[0]):
-                assert signature is first and segments == first_segments

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     SyntheticTrace,
+    in_space,
     reference_segments,
     reference_signature,
     sort_based_topological_order,
@@ -12,10 +13,11 @@ from helpers import (
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CONTEXT_EDGE, MESSAGE_EDGE
+from repro.core.interning import KeySpace
 from repro.pipeline import BackendSpec
 from repro.core.latency import LatencyBreakdown, breakdown_for_cag
 from repro.core.log_format import RawRecord, format_record, parse_record
-from repro.core.patterns import _INTERNED, _signature_tie_key, cag_signature
+from repro.core.patterns import _signature_tie_key, cag_signature
 from repro.sim.network import SegmentationPolicy
 from repro.topology.generator import entity_exclusive_step
 
@@ -186,7 +188,8 @@ def fanout_join_cags(draw):
     Timestamps, worker hosts and worker programs come from small pools,
     so concurrent branches share fingerprints and tie on the signature
     key, down to the timestamp and the insertion index; the insertion
-    order is not topological, so the ready set really is a set.
+    order is not topological, so the ready set really is a set.  The
+    vertices are a key space's rows, so the CAG gets shape plans.
     """
     stamps = st.sampled_from([1.0, 1.5, 2.0])
     programs = st.sampled_from(["java", "mysqld"])
@@ -227,11 +230,13 @@ def fanout_join_cags(draw):
     vertices.append(end)
     edges.append((front, end, CONTEXT_EDGE))
 
-    cag = CAG(root=root)
+    keys = KeySpace()
+    rows = dict(zip(map(id, [root, *vertices]), in_space(keys, root, *vertices)))
+    cag = CAG(root=rows[id(root)], keys=keys)
     for item in draw(st.permutations(vertices)):
-        cag.add_vertex(item)
+        cag.add_vertex(rows[id(item)])
     for parent, child, kind in draw(st.permutations(edges)):
-        cag.add_edge(parent, child, kind)
+        cag.add_edge(rows[id(parent)], rows[id(child)], kind)
     return cag
 
 
@@ -252,15 +257,18 @@ class TestTopologicalOrderProperties:
 
 
 def retimed_twin(cag, stamps):
-    """The same labelled structure built in the same order -- so the same
-    shape key -- with every timestamp replaced."""
+    """The same labelled structure built in the same order, in the same key
+    space -- so the same shape key -- with every timestamp replaced."""
     originals = cag.vertices
-    clones = [
-        Activity(type=v.type, timestamp=stamp, context=v.context, message=v.message)
-        for v, stamp in zip(originals, stamps)
-    ]
+    clones = in_space(
+        cag.keys,
+        *(
+            Activity(type=v.type, timestamp=stamp, context=v.context, message=v.message)
+            for v, stamp in zip(originals, stamps)
+        ),
+    )
     position = {id(vertex): index for index, vertex in enumerate(originals)}
-    twin = CAG(root=clones[0])
+    twin = CAG(root=clones[0], keys=cag.keys)
     for clone in clones[1:]:
         twin.add_vertex(clone)
     for edge in cag.edges:
@@ -286,7 +294,7 @@ class TestShapePlanProperties:
         for graph in (cag, twin):
             expected = reference_signature(graph)
             assert cag_signature(graph) == expected
-            assert cag_signature(graph) is _INTERNED[expected]
+            assert cag_signature(graph) is graph.keys.signatures[expected]
             assert list(breakdown_for_cag(graph).segments.items()) == list(
                 reference_segments(graph).items()
             )

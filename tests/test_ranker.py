@@ -2,7 +2,14 @@
 
 import pytest
 
-from helpers import SyntheticTrace, assert_ranker_aligned, assert_ranker_drained, packed
+from helpers import (
+    SyntheticTrace,
+    assert_ranker_aligned,
+    assert_ranker_drained,
+    message_id,
+    node_id,
+    packed,
+)
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.engine import CorrelationEngine
 from repro.core.index_maps import MessageMap
@@ -70,19 +77,22 @@ class TestActivitySource:
 
     def test_future_send_index_tracks_fetches(self):
         send = act(ActivityType.SEND, 1.0, "n")
-        source = ActivitySource("n", packed([send]))
+        rows = packed([send])
+        source = ActivitySource("n", rows)
+        key = message_id(rows.keys, send)
         # the key's last recorded position at or behind the fence: a send
         # with it still awaits fetch
-        assert source._positions()[send.message_key][-1] >= source.fence
+        assert source._positions()[key][-1] >= source.fence
         source.fetch_until(10.0)
-        assert source._positions()[send.message_key][-1] < source.fence
+        assert source._positions()[key][-1] < source.fence
 
     def test_fetch_through_send_stops_at_matching_key(self):
         first = act(ActivityType.RECEIVE, 1.0, "n", src=("9.9.9.9", 1), dst=("1.1.1.1", 2))
         target = act(ActivityType.SEND, 2.0, "n")
         later = act(ActivityType.SEND, 3.0, "n", src=("3.3.3.3", 5))
-        source = ActivitySource("n", packed([first, target, later]))
-        assert source.fetch_through_send(target.message_key) == 2
+        rows = packed([first, target, later])
+        source = ActivitySource("n", rows)
+        assert source.fetch_through_send(message_id(rows.keys, target)) == 2
         assert source.activity(1) == target
         assert not source.exhausted
 
@@ -135,8 +145,9 @@ class TestRankerBasics:
         receive = act(ActivityType.RECEIVE, 1.1, "b")
         mmap = MessageMap()
         ranker = Ranker(packed({"a": [send], "b": [receive]}), mmap, window=1.0)
-        assert ranker.rank() == send
-        mmap.insert(send)  # the engine would do this
+        delivered = ranker.rank()
+        assert delivered == send
+        mmap.insert(delivered)  # the engine would do this
         assert ranker.rank() == receive
         assert ranker.stats.rule1_selections == 1
 
@@ -299,13 +310,14 @@ class TestIdentityDelivery:
         )
         ranker._refill()
         assert ranker._low == 1.0 and ranker.buffered_count() == 3
-        ranker._promote_send(ranker._slot_of[recv_n.node_key], 1)  # queue n: [send(3.0), recv(1.0)]
+        slot_n = ranker._slot_of[node_id(ranker.keys, recv_n)]
+        ranker._promote_send(slot_n, 1)  # queue n: [send(3.0), recv(1.0)]
         assert ranker._refill_due  # the head that held the edge was replaced
         assert_ranker_aligned(ranker)
         ranker._refill()
         assert ranker._low == 2.0  # heads are 3.0 (n) and 2.0 (m)
         assert ranker.buffered_count() == 4  # ... which puts 11.5 in the window
-        delivered = ranker._pop_head(ranker._slot_of[send_x.node_key])
+        delivered = ranker._pop_head(slot_n)
         assert delivered == send_x  # ... which exposes recv(1.0) on n
         assert_ranker_aligned(ranker)
         ranker._refill()
@@ -322,22 +334,23 @@ class TestIdentityDelivery:
         twin = act(ActivityType.SEND, 1.1, "n", rid=2)
         ranker = Ranker(packed({"n": [blocker, first, twin]}), MessageMap(), window=10.0)
         ranker._refill()
-        slot = ranker._slot_of[blocker.node_key]
+        slot = ranker._slot_of[node_id(ranker.keys, blocker)]
         source = ranker._slot_sources[slot]
+        twin_key = message_id(ranker.keys, twin)
         assert source.buffered()[2] == twin
         # blockage resolution has looked the send up (and so built the
         # index) by the time it promotes
-        assert ranker._find_buffered_send(twin.message_key) == (slot, 1)
+        assert ranker._find_buffered_send(twin_key) == (slot, 1)
         ranker._promote_send(slot, 2)  # the *second* send, over its sibling
         assert ranker.stats.head_swaps == 1
         assert source.buffered() == [twin, blocker, first]
         # the promoted send leads its key's positions, the sibling moved up
-        assert list(source._send_positions[twin.message_key]) == [0, 2]
+        assert list(source._send_positions[twin_key]) == [0, 2]
         assert_ranker_aligned(ranker)
         assert ranker._pop_head(slot) == twin
         assert_ranker_aligned(ranker)
         # the sibling SEND is still indexed as buffered under its key
-        found = ranker._find_buffered_send(first.message_key)
+        found = ranker._find_buffered_send(message_id(ranker.keys, first))
         assert found is not None
         found_slot, index = found
         assert found_slot == slot

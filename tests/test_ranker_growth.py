@@ -25,6 +25,7 @@ from helpers import (
     assert_ranker_aligned,
     assert_ranker_drained,
     assert_source_aligned,
+    message_id,
     packed,
 )
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId, sort_key
@@ -67,24 +68,25 @@ class TestLateArrival:
     def test_late_row_is_inserted_at_its_sort_position(self):
         source = ActivitySource("n", packed([row(1.0), row(2.0), row(4.0), row(5.0)]))
         source._positions()
+        keys = source._table.keys
         late = row(3.0, ActivityType.RECEIVE)
-        source.extend(packed([late]))
+        source.extend(packed([late], keys))
         assert columns(source)[1] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert source.activity(2) == late
         assert_source_aligned(source)
         assert source.frontier == 5.0
         # a late *send* renumbers the sends behind it
         late_send = row(2.5)
-        source.extend(packed([late_send]))
+        source.extend(packed([late_send], keys))
         assert source.activity(2) == late_send
-        assert list(source._send_positions[late_send.message_key]) == [0, 1, 2, 4, 5]
+        assert list(source._send_positions[message_id(keys, late_send)]) == [0, 1, 2, 4, 5]
         assert_source_aligned(source)
 
     def test_row_older_than_everything_fetched_lands_at_the_consumption_point(self):
         source = ActivitySource("n", packed([row(1.0), row(2.0), row(3.0), row(4.0)]))
         assert source.fetch_until(2.5) == 2
         stale = row(0.5)
-        source.extend(packed([stale]))
+        source.extend(packed([stale], source._table.keys))
         # the two fetched rows are the queue (nothing was delivered, so
         # nothing is released); the stale one is next in line behind them
         assert (source.head, source.fence) == (0, 2) and len(source) == 3
@@ -129,7 +131,7 @@ class TestLateArrival:
         source._positions()
         fetched = []
         for start in range(0, len(rows), 7):
-            source.extend(packed(rows[start : start + 7]))
+            source.extend(packed(rows[start : start + 7], source._table.keys))
             assert_source_aligned(source)
             if start % 3 == 0 and source.next_timestamp is not None:
                 fence = source.fence
@@ -219,10 +221,11 @@ class TestIndexOnDemand:
         (source,) = ranker._slot_sources
         assert source._send_positions is None
         # row 2 is the queue head; the next send of its key awaits fetch
-        assert source._positions()[rows[4].message_key][-1] - source._base >= source.fence
+        keys = ranker.keys
+        assert source._positions()[message_id(keys, rows[4])][-1] - source._base >= source.fence
         assert source._send_positions == {
-            rows[2].message_key: deque([2, 4]),
-            rows[3].message_key: deque([3, 5]),
+            message_id(keys, rows[2]): deque([2, 4]),
+            message_id(keys, rows[3]): deque([3, 5]),
         }
         assert_ranker_aligned(ranker)
         assert [ranker.rank() for _ in range(4)] == rows[2:]
@@ -235,7 +238,7 @@ class TestBulkPath:
         one_by_one = ActivitySource("n")
         one_by_one._positions()
         for activity in rows:
-            one_by_one.extend(packed([activity]))
+            one_by_one.extend(packed([activity], one_by_one._table.keys))
 
         def no_bisect(*_args, **_kwargs):
             raise AssertionError("an in-order chunk must not take the insort path")
@@ -243,7 +246,7 @@ class TestBulkPath:
         monkeypatch.setattr("repro.core.ranker.bisect_right", no_bisect)
         bulk = ActivitySource("n", packed(rows[:25]))
         bulk._positions()
-        bulk.extend(packed(rows[25:]))
+        bulk.extend(packed(rows[25:], bulk._table.keys))
         assert columns(bulk) == columns(one_by_one)
         assert send_positions(bulk) == send_positions(one_by_one)
         assert bulk.frontier == one_by_one.frontier
