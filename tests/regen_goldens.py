@@ -1,10 +1,10 @@
 """Regenerate every committed golden file in one command::
 
-    python -m tests.regen_goldens            # all three golden files
+    python -m tests.regen_goldens            # every golden file
     python -m tests.regen_goldens pipeline   # just one of them
 
-Three golden files pin the repo's outputs, each with its own digest
-format and pinned run matrix:
+Four golden files pin the repo's outputs, each with its own format and
+pinned run matrix:
 
 ``golden_rubis_digests.json``
     Byte-identity of the spec-interpreted RUBiS deployment: record and
@@ -16,6 +16,10 @@ format and pinned run matrix:
 ``golden_sampling_digests.json``
     The same matrix under uniform request sampling
     (``tests/test_sampling.py``).
+``golden_figures.json``
+    Every evaluation figure at the test scale ``TINY``: id, title,
+    columns, notes and every row, minus the wall-clock and
+    tracemalloc columns (``tests/test_experiments.py``).
 
 Regenerate **only** after an intentional output change, and commit the
 JSON diff together with the change that caused it -- an unexpected diff
@@ -71,10 +75,18 @@ def regen_sampling() -> None:
     _regenerate_goldens()
 
 
+def regen_figures() -> None:
+    """Every figure's pinned rows, for ``test_experiments.py``."""
+    from test_experiments import _regenerate_figures_golden
+
+    _regenerate_figures_golden()
+
+
 REGENERATORS = {
     "rubis": regen_rubis,
     "pipeline": regen_pipeline,
     "sampling": regen_sampling,
+    "figures": regen_figures,
 }
 
 

@@ -1,9 +1,15 @@
 """Tests for the experiment harness (figure generators, report, CLI)."""
 
+import dataclasses
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import FULL, SCALES, SMALL, ExperimentScale, default_scale
 from repro.experiments.figures import (
+    ALL_FIGURES,
     FigureResult,
     accuracy_table,
     baseline_comparison,
@@ -169,3 +175,61 @@ class TestReportRendering:
         assert path.read_text() == text
         assert text.count("Demo") == 2
         assert render_report([result]).endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# Every figure's rows, pinned
+# ---------------------------------------------------------------------------
+
+GOLDEN_FIGURES_PATH = Path(__file__).resolve().parent / "golden_figures.json"
+
+#: Columns left out of the golden: wall-clock readings (they differ run to
+#: run) and the interning figure's tracemalloc byte counts (they differ
+#: across Python versions).
+UNPINNED_COLUMN = re.compile(
+    r"^correlation_time|_kact_s$|^time_vs_full$|^seconds$|_kb$|_bytes_per_activity$"
+    r"|^retained_ratio$"
+)
+
+#: The fuzz note's seconds-per-seed reading is wall clock too.
+_SECONDS_PER_SEED = re.compile(r"[0-9.]+ s/seed")
+
+
+def figures_document():
+    """Every figure at ``TINY`` (two fuzz seeds), in ``ALL_FIGURES`` order:
+    id, title, columns, notes and the rows minus the unpinned columns."""
+    scale = dataclasses.replace(TINY, fuzz_seeds=2)
+    cache = RunCache()
+    document = []
+    for generator in ALL_FIGURES.values():
+        result = generator(scale, cache)
+        document.append(
+            {
+                "figure_id": result.figure_id,
+                "title": result.title,
+                "columns": result.columns,
+                "notes": _SECONDS_PER_SEED.sub("- s/seed", result.notes),
+                "rows": [
+                    {key: value for key, value in row.items() if not UNPINNED_COLUMN.search(key)}
+                    for row in result.rows
+                ],
+            }
+        )
+    return document
+
+
+def _regenerate_figures_golden() -> None:
+    text = json.dumps(figures_document(), indent=1) + "\n"
+    GOLDEN_FIGURES_PATH.write_text(text, encoding="utf-8")
+    print(f"wrote {GOLDEN_FIGURES_PATH}")
+
+
+def test_every_figure_matches_the_golden():
+    """Each figure's id, title, columns, notes and non-timing rows, in
+    ``ALL_FIGURES`` order (the order ``report`` prints in)."""
+    golden = json.loads(GOLDEN_FIGURES_PATH.read_text(encoding="utf-8"))
+    current = json.loads(json.dumps(figures_document()))
+    assert [figure["figure_id"] for figure in current] == list(ALL_FIGURES)
+    assert [figure["figure_id"] for figure in golden] == list(ALL_FIGURES)
+    for expected, actual in zip(golden, current):
+        assert actual == expected, expected["figure_id"]
