@@ -104,6 +104,15 @@ batch run while its drain runs, not after it) and ``hook_time_s`` (spent
 inside the store's live-ingest hook) -- beside the engine's own
 ``correlation_time_s``.
 
+Each flag is declared once.  The flags ``trace``/``simulate``/``stream``
+share (run shape, sampling, store, ``--json``) come from
+:func:`_add_run_flags`, which each command calls with its own defaults;
+``--scenario`` is declared once for ``simulate`` and ``stream``, and
+``--store``/``--json`` once for the ``query`` subcommands.  Helpers, not
+argparse ``parents=``: parent parsers share their ``Action`` objects, so
+one command's ``set_defaults`` would change the others' defaults.
+``--fault`` takes its choices from :data:`FAULTS`.
+
 Validation lives in the object that owns each value
 (:class:`~repro.pipeline.BackendSpec`, :class:`~repro.sampling.SamplingSpec`,
 :class:`~repro.topology.library.ScenarioConfig`, ``WorkloadStages``,
@@ -154,8 +163,38 @@ from .topology.library import Scenario, ScenarioConfig, get_scenario, scenario_n
 from .topology.requests import mix_by_name
 from .topology.workload import WorkloadStages
 
-#: Fault scenario names accepted by ``--fault``.
-FAULT_CHOICES = ["none", "ejb_delay", "database_lock", "ejb_network"]
+#: The fault scenarios ``--fault`` names (its choices, in this order),
+#: each a factory of the run's :class:`FaultConfig`.
+FAULTS = {
+    "none": FaultConfig.none,
+    "ejb_delay": FaultConfig.ejb_delay_case,
+    "database_lock": FaultConfig.database_lock_case,
+    "ejb_network": FaultConfig.ejb_network_case,
+}
+
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser,
+    runtime: float,
+    clients: Optional[int] = None,
+    clients_help: Optional[str] = "closed-loop sessions (scenario default)",
+) -> None:
+    """The run, sampling and store flags trace/simulate/stream share,
+    declared with the calling command's own defaults."""
+    parser.add_argument("--clients", type=int, default=clients, help=clients_help)
+    _add_window_flag(parser)
+    parser.add_argument("--runtime", type=float, default=runtime)
+    parser.add_argument("--noise", action="store_true", help="enable noise traffic")
+    parser.add_argument("--fault", choices=FAULTS, default="none")
+    parser.add_argument("--seed", type=int, default=17)
+    _add_sampling_flags(parser)
+    _add_store_flags(parser)
+    parser.add_argument("--json", action="store_true", help="print the trace summary as JSON")
+
+
+def _add_window_flag(parser: argparse.ArgumentParser) -> None:
+    """``--window``, for every command that correlates."""
+    parser.add_argument("--window", type=float, default=0.010)
 
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
@@ -224,58 +263,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = subparsers.add_parser("list", help="list available figures")
-    list_parser.set_defaults(handler=_command_list)
+    def command(table, name: str, handler, help: str) -> argparse.ArgumentParser:
+        subparser = table.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler)
+        return subparser
 
-    figure_parser = subparsers.add_parser("figure", help="regenerate one figure")
+    command(subparsers, "list", _command_list, "list available figures")
+    figure_parser = command(subparsers, "figure", _command_figure, "regenerate one figure")
     figure_parser.add_argument("figure_id", choices=sorted(ALL_FIGURES))
-    figure_parser.set_defaults(handler=_command_figure)
-
-    report_parser = subparsers.add_parser("report", help="regenerate every figure")
-    report_parser.add_argument("--output", default=None, help="write the report to this file")
-    report_parser.set_defaults(handler=_command_report)
-
-    diag_parser = subparsers.add_parser(
-        "diagnose", help="run the Fig. 17 fault scenarios and print the suspects"
+    report_parser = command(subparsers, "report", _command_report, "regenerate every figure")
+    diag_parser = command(
+        subparsers,
+        "diagnose",
+        _command_diagnose,
+        "run the Fig. 17 fault scenarios and print the suspects",
     )
     diag_parser.add_argument("--threshold", type=float, default=5.0)
-    diag_parser.set_defaults(handler=_command_diagnose)
 
-    trace_parser = subparsers.add_parser("trace", help="run one experiment and trace it")
-    trace_parser.set_defaults(handler=_command_trace)
-    trace_parser.add_argument("--clients", type=int, default=200)
+    trace_parser = command(subparsers, "trace", _command_trace, "run one experiment and trace it")
+    _add_run_flags(trace_parser, runtime=8.0, clients=200, clients_help=None)
     trace_parser.add_argument(
         "--workload", choices=["browse_only", "default"], default="browse_only"
     )
     trace_parser.add_argument("--max-threads", type=int, default=40)
-    trace_parser.add_argument("--window", type=float, default=0.010)
     trace_parser.add_argument("--clock-skew", type=float, default=0.001)
-    trace_parser.add_argument("--runtime", type=float, default=8.0)
-    trace_parser.add_argument("--noise", action="store_true", help="enable noise traffic")
-    trace_parser.add_argument("--fault", choices=FAULT_CHOICES, default="none")
-    trace_parser.add_argument("--seed", type=int, default=17)
-    _add_sampling_flags(trace_parser)
-    _add_store_flags(trace_parser)
-    trace_parser.add_argument(
-        "--json", action="store_true", help="print the trace summary as JSON"
-    )
 
-    simulate_parser = subparsers.add_parser(
+    simulate_parser = command(
+        subparsers,
         "simulate",
-        help="run one scenario from the topology library and trace it",
+        _command_simulate,
+        "run one scenario from the topology library and trace it",
     )
-    simulate_parser.set_defaults(handler=_command_simulate)
-    simulate_parser.add_argument(
-        "--scenario",
-        default="rubis",
-        metavar="NAME",
-        help="scenario name (see --list; default: rubis)",
+    stream_parser = command(
+        subparsers,
+        "stream",
+        _command_stream,
+        "correlate incrementally (online mode), from a simulation or a log file",
     )
+    for scenario_parser in (simulate_parser, stream_parser):
+        scenario_parser.add_argument(
+            "--scenario",
+            default="rubis",
+            metavar="NAME",
+            help="scenario to simulate (see simulate --list; default: rubis)",
+        )
+    _add_run_flags(simulate_parser, runtime=8.0)
     simulate_parser.add_argument(
         "--list", action="store_true", help="list available scenarios and exit"
-    )
-    simulate_parser.add_argument(
-        "--clients", type=int, default=None, help="closed-loop sessions (scenario default)"
     )
     simulate_parser.add_argument(
         "--arrival-rate",
@@ -289,27 +323,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the scenario's workload shape",
     )
-    simulate_parser.add_argument("--window", type=float, default=0.010)
-    simulate_parser.add_argument("--runtime", type=float, default=8.0)
-    simulate_parser.add_argument("--noise", action="store_true", help="enable noise traffic")
-    simulate_parser.add_argument("--fault", choices=FAULT_CHOICES, default="none")
-    simulate_parser.add_argument("--seed", type=int, default=17)
-    _add_sampling_flags(simulate_parser)
-    _add_store_flags(simulate_parser)
-    simulate_parser.add_argument(
-        "--json", action="store_true", help="print the trace summary as JSON"
-    )
 
-    stream_parser = subparsers.add_parser(
-        "stream",
-        help="correlate incrementally (online mode), from a simulation or a log file",
-    )
-    stream_parser.set_defaults(handler=_command_stream)
-    stream_parser.add_argument(
-        "--scenario",
-        default="rubis",
-        metavar="NAME",
-        help="scenario to simulate when no --input is given (default: rubis)",
+    _add_run_flags(
+        stream_parser,
+        runtime=6.0,
+        clients_help="closed-loop sessions (default: 100 for rubis, scenario default otherwise)",
     )
     stream_parser.add_argument(
         "--input",
@@ -330,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="IP:PORT",
         help="frontend endpoint for BEGIN/END classification (required with --input)",
     )
-    stream_parser.add_argument("--window", type=float, default=0.010)
     stream_parser.add_argument(
         "--horizon",
         type=float,
@@ -371,21 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "starting at the head of the trace"
         ),
     )
-    stream_parser.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        help="closed-loop sessions (default: 100 for rubis, scenario default otherwise)",
-    )
-    stream_parser.add_argument("--runtime", type=float, default=6.0)
-    stream_parser.add_argument("--noise", action="store_true", help="enable noise traffic")
-    stream_parser.add_argument("--fault", choices=FAULT_CHOICES, default="none")
-    stream_parser.add_argument("--seed", type=int, default=17)
-    _add_sampling_flags(stream_parser)
-    _add_store_flags(stream_parser)
-    stream_parser.add_argument(
-        "--json", action="store_true", help="print the trace summary as JSON"
-    )
 
     query_parser = subparsers.add_parser(
         "query",
@@ -393,27 +395,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query_sub = query_parser.add_subparsers(dest="query_command", required=True)
 
-    def _query_store_flag(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
+    def query(name: str, handler, help: str, json: bool = True) -> argparse.ArgumentParser:
+        """A ``query`` subcommand with the ``--store`` (and ``--json``) flag."""
+        subparser = command(query_sub, name, handler, help)
+        subparser.add_argument(
             "--store",
             default=None,
             metavar="FILE",
             help="trace store database file (written by trace/simulate/stream --store)",
         )
+        if json:
+            subparser.add_argument("--json", action="store_true", help="print the result as JSON")
+        return subparser
 
-    runs_parser = query_sub.add_parser("runs", help="list the runs in a store")
-    runs_parser.set_defaults(handler=_query_runs)
-    _query_store_flag(runs_parser)
-    runs_parser.add_argument(
-        "--json", action="store_true", help="print the run rows as JSON"
+    query("runs", _query_runs, "list the runs in a store")
+    latency_parser = query(
+        "latency", _query_latency, "latency percentiles, optionally bucketed over time"
     )
-
-    latency_parser = query_sub.add_parser(
-        "latency",
-        help="latency percentiles, optionally bucketed over time",
-    )
-    latency_parser.set_defaults(handler=_query_latency)
-    _query_store_flag(latency_parser)
     latency_parser.add_argument(
         "--run", default=None, metavar="ID", help="restrict to one run (default: all)"
     )
@@ -438,37 +436,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bucket", type=float, default=None, metavar="SECS",
         help="group into time buckets of this width (default: one row)",
     )
-    latency_parser.add_argument(
-        "--json", action="store_true", help="print the rows as JSON"
-    )
-
-    patterns_parser = query_sub.add_parser(
+    patterns_parser = query(
         "patterns",
-        help="pattern mix of a run; with --against, the mix drift between two runs",
+        _query_patterns,
+        "pattern mix of a run; with --against, the mix drift between two runs",
     )
-    patterns_parser.set_defaults(handler=_query_patterns)
-    _query_store_flag(patterns_parser)
-    patterns_parser.add_argument("--run", required=True, metavar="ID")
     patterns_parser.add_argument(
         "--against",
         default=None,
         metavar="ID",
         help="second run: report mix drift --run -> --against instead",
     )
-    patterns_parser.add_argument(
-        "--json", action="store_true", help="print the rows as JSON"
-    )
-
-    diff_parser = query_sub.add_parser(
+    diff_parser = query(
         "diff",
-        help=(
-            "regression diff of two runs' ranked reports; each side is a "
-            "run id in --store or an exported run-summary JSON file; "
-            "exit 1 on regression"
-        ),
+        _query_diff,
+        "regression diff of two runs' ranked reports; each side is a "
+        "run id in --store or an exported run-summary JSON file; "
+        "exit 1 on regression",
     )
-    diff_parser.set_defaults(handler=_query_diff)
-    _query_store_flag(diff_parser)
     diff_parser.add_argument(
         "runs",
         nargs="*",
@@ -482,26 +467,25 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FRAC",
         help="allowed relative p50/p95 increase before a pattern regresses (default: 0.25)",
     )
-    diff_parser.add_argument(
-        "--json", action="store_true", help="print the diff document as JSON"
-    )
-
-    export_parser = query_sub.add_parser(
+    export_parser = query(
         "export",
-        help="write one run's diffable summary JSON (the golden-file format)",
+        _query_export,
+        "write one run's diffable summary JSON (the golden-file format)",
+        json=False,
     )
-    export_parser.set_defaults(handler=_query_export)
-    _query_store_flag(export_parser)
-    export_parser.add_argument("--run", required=True, metavar="ID")
-    export_parser.add_argument(
-        "--output", default=None, metavar="FILE", help="write here instead of stdout"
-    )
+    for run_parser in (patterns_parser, export_parser):
+        run_parser.add_argument("--run", required=True, metavar="ID")
+    for output_parser in (report_parser, export_parser):
+        output_parser.add_argument(
+            "--output", default=None, metavar="FILE", help="write here instead of stdout"
+        )
 
-    fuzz_parser = subparsers.add_parser(
+    fuzz_parser = command(
+        subparsers,
         "fuzz",
-        help="fuzz the correlation pipeline with generated scenarios",
+        _command_fuzz,
+        "fuzz the correlation pipeline with generated scenarios",
     )
-    fuzz_parser.set_defaults(handler=_command_fuzz)
     fuzz_parser.add_argument(
         "--seeds", type=int, default=25, help="consecutive seeds to run (default: 25)"
     )
@@ -515,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECS",
         help="wall-clock budget; the sweep stops cleanly before exceeding it",
     )
-    fuzz_parser.add_argument("--window", type=float, default=0.010)
+    _add_window_flag(fuzz_parser)
     fuzz_parser.add_argument(
         "--sample-rate",
         dest="sampling_rate",
@@ -536,15 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the machine-readable JSON fuzz report here",
     )
     return parser
-
-
-def _fault_from_name(name: str) -> FaultConfig:
-    return {
-        "none": FaultConfig.none(),
-        "ejb_delay": FaultConfig.ejb_delay_case(),
-        "database_lock": FaultConfig.database_lock_case(),
-        "ejb_network": FaultConfig.ejb_network_case(),
-    }[name]
 
 
 def _scale(args: argparse.Namespace):
@@ -608,7 +583,7 @@ def _shared_run_fields(args: argparse.Namespace, up_ramp: float = 1.5) -> dict:
     return {
         "stages": WorkloadStages(up_ramp=up_ramp, runtime=args.runtime, down_ramp=0.5),
         "noise": NoiseConfig.paper_noise() if args.noise else NoiseConfig.quiet(),
-        "faults": _fault_from_name(args.fault),
+        "faults": FAULTS[args.fault](),
         "seed": args.seed,
     }
 

@@ -485,9 +485,11 @@ class CorrelationEngine:
             cag = self._owner.get(id(send))
             if cag is None:
                 # The owning CAG finished or was evicted; drop the ghost
-                # so it cannot capture this (unrelated) traffic.
+                # so it cannot capture this (unrelated) traffic.  The
+                # receive part stays in the backlog for the next SEND, so
+                # the drop is booked once, on the SEND's side.
                 self.mmap.remove(send)
-                self.stats.unmatched_receives += 1
+                self.stats.unmatched_sends += 1
                 continue
             entry = backlog[0]
             if entry[3] is not send:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import ActivityType
-from repro.experiments.runner import stream_trace
 from repro.pipeline import BackendSpec, RunSource, canonical_cags, verify_equivalence
 from repro.services.faults import FaultConfig
 from repro.services.noise import NoiseConfig
@@ -84,7 +83,10 @@ class TestFanoutAggregator:
         genuinely driver-dependent."""
         run = small_run("fanout_aggregator")
         batch = run.trace(window=0.010)
-        stream = stream_trace(run, window=0.010, horizon=5.0)
+        streaming = BackendSpec.streaming(
+            window=0.010, horizon=5.0, skew_bound=max(2 * run.clock_skew, 1e-4)
+        )
+        stream = streaming.trace(run.activities())
         shard = BackendSpec.sharded(window=0.010).trace(run.activities())
         expected = canonical_cags(batch.cags)
         assert canonical_cags(stream.cags) == expected
