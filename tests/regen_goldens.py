@@ -3,7 +3,7 @@
     python -m tests.regen_goldens            # every golden file
     python -m tests.regen_goldens pipeline   # just one of them
 
-Four golden files pin the repo's outputs, each with its own format and
+Five golden files pin the repo's outputs, each with its own format and
 pinned run matrix:
 
 ``golden_rubis_digests.json``
@@ -20,6 +20,10 @@ pinned run matrix:
     Every evaluation figure at the test scale ``TINY``: id, title,
     columns, notes and every row, minus the wall-clock and
     tracemalloc columns (``tests/test_experiments.py``).
+``golden_cag_queries.json``
+    Every query answer of every finished CAG of two runs (RUBiS
+    identity trace, ``fanout_aggregator``), one digest per run
+    (``tests/test_cag_queries.py``).
 
 Regenerate **only** after an intentional output change, and commit the
 JSON diff together with the change that caused it -- an unexpected diff
@@ -82,11 +86,19 @@ def regen_figures() -> None:
     _regenerate_figures_golden()
 
 
+def regen_cag_queries() -> None:
+    """The finished-CAG query digests of ``test_cag_queries.py``."""
+    from test_cag_queries import _regenerate_golden
+
+    _regenerate_golden()
+
+
 REGENERATORS = {
     "rubis": regen_rubis,
     "pipeline": regen_pipeline,
     "sampling": regen_sampling,
     "figures": regen_figures,
+    "cag_queries": regen_cag_queries,
 }
 
 
