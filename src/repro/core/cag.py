@@ -15,6 +15,14 @@ message parent.
 
 The CAG is the unit handed to the analysis layer: latency extraction,
 pattern classification and performance debugging all operate on CAGs.
+
+A finished CAG is kept for the rest of the run (the store, the report and
+the accuracy oracle all read it), so what it holds at rest is what the
+tracer's memory grows with.  A finished CAG of a run with a key space
+keeps its vertices as packed columns (:class:`VertexRows`) plus two
+objects, the root and the END; the queries the analysis layer asks read
+those columns, and the queries that need every vertex as an object build
+them once, on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .activity import Activity, ActivityType
+from .activity import Activity, ActivityType, MessageId
+from .interning import NO_REQUEST
 
 #: Edge kinds.
 CONTEXT_EDGE = "context"
@@ -94,6 +103,101 @@ class AnalysisMemo:
         self.plan = None
 
 
+#: ``ActivityType`` by type value.
+_TYPES = tuple(ActivityType)
+
+#: The columns of :class:`VertexRows`, in buffer order (widest first, so
+#: every column starts aligned): name and ``array`` type code.
+_ROW_LAYOUT = (
+    ("timestamp", "d"),
+    ("request_id", "q"),
+    ("seq", "q"),
+    ("size", "q"),
+    ("message_size", "q"),
+    ("context_key", "i"),
+    ("message_key", "i"),
+    ("priority", "b"),
+)
+#: Bytes one vertex takes in each column before ``name``'s, and in all.
+_ROW_OFFSETS: Dict[str, Tuple[str, int]] = {}
+_ROW_BYTES = 0
+for _name, _code in _ROW_LAYOUT:
+    _ROW_OFFSETS[_name] = (_code, _ROW_BYTES)
+    _ROW_BYTES += array(_code).itemsize
+
+
+class VertexRows(bytes):
+    """A finished CAG's vertices as packed columns, in one buffer.
+
+    Column after column (:data:`_ROW_LAYOUT`), one entry a position, 49
+    bytes a vertex: ``timestamp``, ``request_id``
+    (:data:`~repro.core.interning.NO_REQUEST` for ``None``), ``seq``,
+    ``size`` -- the byte count the engine left on the vertex when the CAG
+    finished (a matched SEND's is 0) --, ``message_size`` (the logged
+    one), ``context_key``, ``message_key`` and ``priority`` (the type
+    value).  The context, node and connection are read off the key space,
+    so a vertex keeps no object at all: one buffer per CAG, whatever the
+    request's size.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def pack(cls, vertices: Sequence[Activity]) -> "VertexRows":
+        columns = {
+            "timestamp": [vertex.timestamp for vertex in vertices],
+            "request_id": [
+                NO_REQUEST if vertex.request_id is None else vertex.request_id
+                for vertex in vertices
+            ],
+            "seq": [vertex.seq for vertex in vertices],
+            "size": [vertex.size for vertex in vertices],
+            "message_size": [vertex.message.size for vertex in vertices],
+            "context_key": [vertex.context_key for vertex in vertices],
+            "message_key": [vertex.message_key for vertex in vertices],
+            "priority": [vertex.priority for vertex in vertices],
+        }
+        return cls(b"".join([array(code, columns[name]) for name, code in _ROW_LAYOUT]))
+
+    def column(self, name: str) -> memoryview:
+        """One column, as a read-only view of the buffer."""
+        code, before = _ROW_OFFSETS[name]
+        count = len(self) // _ROW_BYTES
+        start = before * count
+        return memoryview(self)[start : start + count * array(code).itemsize].cast(code)
+
+    def activities(self, keys) -> List[Activity]:
+        """A new ``Activity`` per row, equal to the vertex it was packed
+        from (same seq, same size at finish), in ``keys``' ids.  Rows of
+        one connection and logged size share one ``MessageId``, as the
+        rows of a trace do."""
+        contexts, node_of, connections = keys.contexts, keys.node_of, keys.connections
+        messages: Dict[Tuple[int, int], MessageId] = {}
+        built = []
+        for timestamp, request_id, seq, size, message_size, ckey, mkey, kind in zip(
+            *[self.column(name) for name, _code in _ROW_LAYOUT]
+        ):
+            message = messages.get((mkey, message_size))
+            if message is None:
+                message = messages[mkey, message_size] = MessageId(
+                    *connections[mkey], message_size
+                )
+            vertex = Activity.keyed(
+                _TYPES[kind],
+                timestamp,
+                contexts[ckey],
+                message,
+                None if request_id == NO_REQUEST else request_id,
+                ckey,
+                mkey,
+                node_of[ckey],
+                seq,
+            )
+            vertex.size = size
+            built.append(vertex)
+        return built
+
+
 class CAG:
     """The causal path of one individual request.
 
@@ -106,10 +210,21 @@ class CAG:
     list, and the Section 3.2 invariant (at most one context parent and
     one message parent per vertex) means two ``int`` columns hold every
     edge.  :class:`Edge` objects are views built on demand by the query
-    methods; a CAG at rest owns a vertex list and three packed arrays
-    whatever the request's size, so its structure costs a few bytes per
-    vertex and the cyclic collector has four objects to visit, not two
-    per vertex.
+    methods.
+
+    An open CAG holds its vertices as a list of ``Activity`` objects: the
+    engine grows them and finds them by identity.  :meth:`finish` packs a
+    CAG that has a key space into :class:`VertexRows` and drops the list,
+    keeping two vertices as objects: the root (public as :attr:`root`)
+    and the END, the one vertex the engine still changes after finish (a
+    response flushed in several writes grows its byte count).  A finished
+    CAG at rest then owns its columns, two objects and its three position
+    arrays whatever the request's size.  ``len``, the timestamps, the
+    request ids, the contexts and :meth:`column` read the columns;
+    :attr:`vertices` and every query that hands out vertex or edge
+    objects build the vertices once, keep them, and hand out the same
+    objects from then on.  A CAG without a key space (vertices built by
+    hand) keeps its objects.
     """
 
     #: Real CAGs are never sampled out; the engine checks this flag to
@@ -125,7 +240,12 @@ class CAG:
         #: or ``None`` (vertices built by hand: no plan)
         self.keys = keys
         self.root: Activity = root
-        self._vertices: List[Activity] = [root]
+        # The vertex objects: a list while open, a tuple once finished --
+        # ``None`` for a packed CAG until something asks for them.
+        self._vertices: Optional[Sequence[Activity]] = [root]
+        # The packed vertices and the kept END (see ``finish``).
+        self._rows: Optional[VertexRows] = None
+        self._end: Optional[Activity] = None
         # ``id(vertex) -> position``: construction-time state only.  It is
         # dropped at ``finish()`` (and never pickled) and rebuilt by
         # ``_positions()`` if a finished or revived CAG is asked about a
@@ -157,7 +277,7 @@ class CAG:
         index = self._index
         if index is None:
             index = self._index = {
-                id(vertex): position for position, vertex in enumerate(self._vertices)
+                id(vertex): position for position, vertex in enumerate(self.vertices)
             }
         return index
 
@@ -294,9 +414,24 @@ class CAG:
         self.add_edge(vertex, after, CONTEXT_EDGE)
 
     def finish(self) -> None:
-        """Mark the CAG as complete (an END activity was correlated)."""
+        """Mark the CAG as complete (an END activity was correlated).
+
+        A CAG with a key space is packed into :class:`VertexRows` here and
+        lets go of every vertex object but the root and the last END;
+        one without keeps its objects.  The engine releases its own
+        per-vertex state (owners keyed by ``id(vertex)``) before this
+        call, since the ids of the released objects may be reused."""
+        if self.finished:
+            return
         self.finished = True
         self._index = None
+        vertices = self._vertices
+        if self.keys is None:
+            self._vertices = tuple(vertices)
+            return
+        self._rows = VertexRows.pack(vertices)
+        self._end = next((v for v in reversed(vertices) if v.type is ActivityType.END), None)
+        self._vertices = None
 
     def touch(self, timestamp: float) -> None:
         """Record recent activity that did not add a vertex.
@@ -313,18 +448,23 @@ class CAG:
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle support.  The state is positional already, so it is
-        written as it is held: the vertex list and the three packed
-        columns (a streaming checkpoint pickles the engine's open CAGs,
-        and a resume may unpickle them in a new process).  The
-        ``id -> position`` index and the analysis memo are not
-        serialised -- vertex ids do not survive a round trip, and the
-        memo is re-derived from the key space, which pickles with the
-        CAG (and, through the pickle memo, stays one object with the
-        engine's)."""
+        written as it is held: the vertex objects -- of a packed CAG only
+        the root and the END, beside its rows -- and the three position
+        columns (a streaming checkpoint pickles the engine's open and
+        finished CAGs, and a resume may unpickle them in a new process).
+        The ``id -> position`` index, a packed CAG's built vertices and
+        the analysis memo are not serialised -- vertex ids do not survive
+        a round trip, the built vertices are rebuilt from the rows, and
+        the memo is re-derived from the key space, which pickles with
+        the CAG (and, through the pickle memo, stays one object with the
+        engine's).  The kept END stays the object the engine's context
+        map holds, so a trailing part merged after a resume reaches it."""
+        rows = self._rows
         return {
             "cag_id": self.cag_id,
             "keys": self.keys,
-            "vertices": self._vertices,
+            "vertices": list(self._vertices) if rows is None else [self.root, self._end],
+            "rows": rows,
             "context_parent": self._context_parent,
             "message_parent": self._message_parent,
             "edge_log": self._edge_log,
@@ -335,8 +475,16 @@ class CAG:
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.cag_id = state["cag_id"]
         self.keys = state["keys"]
-        self._vertices = state["vertices"]
-        self.root = self._vertices[0]
+        vertices = state["vertices"]
+        self.root = vertices[0]
+        self._rows = rows = state["rows"]
+        self._end = None if rows is None else vertices[1]
+        if rows is not None:
+            self._vertices = None
+        elif state["finished"]:
+            self._vertices = tuple(vertices)
+        else:
+            self._vertices = vertices
         self._index = None
         self._context_parent = state["context_parent"]
         self._message_parent = state["message_parent"]
@@ -351,11 +499,45 @@ class CAG:
         return id(activity) in self._positions()
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self._context_parent)
 
     @property
     def vertices(self) -> Sequence[Activity]:
-        return tuple(self._vertices)
+        """Every vertex, in insertion order.  A packed CAG builds them on
+        the first call and hands out the same objects from then on."""
+        vertices = self._vertices
+        if vertices is None:
+            vertices = self._vertices = tuple(self._build())
+        return vertices if isinstance(vertices, tuple) else tuple(vertices)
+
+    def _build(self) -> List[Activity]:
+        """A packed CAG's vertices as objects: new ones from the rows, the
+        kept root and END in their places."""
+        built = self._rows.activities(self.keys)
+        built[0] = self.root
+        end = self._end
+        if end is not None:
+            kinds = self._rows.column("priority").tolist()
+            built[len(kinds) - 1 - kinds[::-1].index(ActivityType.END)] = end
+        return built
+
+    def vertex_objects(self) -> Sequence[Activity]:
+        """The vertices as objects, for a caller that reads them and lets
+        go: the CAG's own when it holds them, otherwise built from the
+        rows for this call alone (read-only either way)."""
+        vertices = self._vertices
+        return vertices if vertices is not None else self._build()
+
+    def column(self, name: str) -> Sequence:
+        """Attribute ``name`` of every vertex, by position: ``timestamp``,
+        ``priority`` (the type value), ``context_key``, ``message_key``,
+        ``seq`` or ``size``.  A packed CAG's column as it is held (a view
+        of its buffer, no object built; the END's ``size`` is its size at
+        finish), read off the objects otherwise."""
+        rows = self._rows
+        if rows is not None:
+            return rows.column(name)
+        return [getattr(vertex, name) for vertex in self._vertices]
 
     def _edge(self, code: int) -> Edge:
         """The :class:`Edge` view of one edge-log entry."""
@@ -364,12 +546,13 @@ class CAG:
             parent, kind = self._message_parent[position], MESSAGE_EDGE
         else:
             parent, kind = self._context_parent[position], CONTEXT_EDGE
-        vertices = self._vertices
+        vertices = self.vertices
         return Edge(vertices[parent], vertices[position], kind)
 
     @property
     def edges(self) -> Sequence[Edge]:
         """Every edge, in insertion order."""
+        self.vertices  # build a packed CAG's vertices once, not per edge
         return tuple(map(self._edge, self._edge_log))
 
     @property
@@ -419,7 +602,7 @@ class CAG:
         position = self._positions().get(id(activity))
         if position is None or column[position] < 0:
             return None
-        return self._vertices[column[position]]
+        return self.vertices[column[position]]
 
     def context_parent(self, activity: Activity) -> Optional[Activity]:
         return self._parent(activity, self._context_parent)
@@ -429,7 +612,10 @@ class CAG:
 
     @property
     def end_activity(self) -> Optional[Activity]:
-        """The END vertex, if the request completed."""
+        """The END vertex, if the request completed (the last one, if a
+        hand-built CAG holds several); a packed CAG's kept object."""
+        if self._rows is not None:
+            return self._end
         for activity in reversed(self._vertices):
             if activity.type is ActivityType.END:
                 return activity
@@ -457,10 +643,14 @@ class CAG:
 
     def components(self) -> List[Tuple[str, str]]:
         """Distinct (hostname, program) pairs in first-seen order."""
-        return list(dict.fromkeys(activity.component for activity in self._vertices))
+        return list(dict.fromkeys(context[:2] for context in self.contexts()))
 
     def contexts(self) -> List[Tuple[str, str, int, int]]:
         """Distinct execution entities (raw 4-tuples) in first-seen order."""
+        rows = self._rows
+        if rows is not None:
+            contexts = self.keys.contexts
+            return [contexts[key].as_tuple() for key in dict.fromkeys(rows.column("context_key"))]
         seen: List[Tuple[str, str, int, int]] = []
         seen_keys: Set[int] = set()
         for activity in self._vertices:
@@ -476,6 +666,11 @@ class CAG:
         A correctly correlated CAG carries exactly one distinct id; mixed
         ids indicate a mis-correlation.  Used only for evaluation.
         """
+        rows = self._rows
+        if rows is not None:
+            ids = set(rows.column("request_id"))
+            ids.discard(NO_REQUEST)
+            return ids
         return {
             activity.request_id
             for activity in self._vertices
@@ -484,26 +679,26 @@ class CAG:
 
     # -- causal ordering ---------------------------------------------------
 
-    def topological_positions(self, tie_key=None) -> List[int]:
+    def topological_positions(self, tie_keys: Optional[Sequence] = None) -> List[int]:
         """Vertex positions in a topological order of the happened-before
-        DAG (see :meth:`topological_order`, which maps them to vertices)."""
-        vertices = self._vertices
+        DAG (see :meth:`topological_order`, which maps them to vertices);
+        ``tie_keys[i]`` is position ``i``'s tie key, if any."""
+        count = len(self)
         # Positional adjacency, local to this call: nothing derived stays
         # resident on the CAG once the order has been read off.
-        children: List[List[int]] = [[] for _ in vertices]
-        indegree = [0] * len(vertices)
+        children: List[List[int]] = [[] for _ in range(count)]
+        indegree = [0] * count
         for column in self.parent_columns:
             for child, parent in enumerate(column):
                 if parent >= 0:
                     children[parent].append(child)
                     indegree[child] += 1
         # The ready set is a heap of (tie key, insertion index): the pop
-        # order is the total order a full re-sort on every push gave, and
-        # each vertex is keyed once, when it becomes ready.
-        if tie_key is None:
+        # order is the total order a full re-sort on every push gave.
+        if tie_keys is None:
             entry = lambda i: (i,)  # noqa: E731
         else:
-            entry = lambda i: (tie_key(vertices[i]), i)  # noqa: E731
+            entry = lambda i: (tie_keys[i], i)  # noqa: E731
         ready = [entry(i) for i, degree in enumerate(indegree) if degree == 0]
         heapq.heapify(ready)
         result: List[int] = []
@@ -514,7 +709,7 @@ class CAG:
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     heapq.heappush(ready, entry(child))
-        if len(result) != len(vertices):
+        if len(result) != count:
             raise CAGError("CAG contains a cycle")
         return result
 
@@ -529,8 +724,9 @@ class CAG:
         order must be a function of the graph alone.  The insertion
         index stays as the final fallback so the order is always total.
         """
-        vertices = self._vertices
-        return [vertices[i] for i in self.topological_positions(tie_key)]
+        vertices = self.vertices
+        tie_keys = None if tie_key is None else [tie_key(vertex) for vertex in vertices]
+        return [vertices[i] for i in self.topological_positions(tie_keys)]
 
     def primary_positions(self) -> List[Tuple[int, int, str]]:
         """:meth:`primary_path` as ``(child position, parent position,
@@ -558,7 +754,7 @@ class CAG:
         and is what Section 3.2 uses to attribute latency to components
         and to interactions.
         """
-        vertices = self._vertices
+        vertices = self.vertices
         return [
             Edge(vertices[parent], vertices[position], kind)
             for position, parent, kind in self.primary_positions()
@@ -572,7 +768,7 @@ class CAG:
         closing), in which case no causal order exists to analyse."""
         if not self.finished:
             return True
-        for position in range(1, len(self._vertices)):
+        for position in range(1, len(self)):
             if self._context_parent[position] < 0 and self._message_parent[position] < 0:
                 return True
         try:
@@ -589,7 +785,7 @@ class CAG:
 
         The columns cannot represent a third parent or two parents under
         one relation, so what is left to check is what they can hold."""
-        vertices = self._vertices
+        vertices = self.vertex_objects()
         for vertex, context, message in zip(
             vertices, self._context_parent, self._message_parent
         ):

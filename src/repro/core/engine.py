@@ -676,9 +676,11 @@ class CorrelationEngine:
         return self._owner.get(id(activity))
 
     def _finish(self, cag: CAG, end_activity: Activity) -> None:
-        cag.finish()
         self._open.pop(cag.cag_id, None)
+        # Release first: finishing packs the CAG and lets go of vertex
+        # objects whose ids key ``_owner``.
         self._release_vertices(cag)
+        cag.finish()
         if cag.sampled_out:
             # A sampled-out request completed: discard the tombstone --
             # it is neither reported nor retained -- and count it.

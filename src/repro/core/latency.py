@@ -127,7 +127,7 @@ def _segments_for_cag(cag: CAG) -> Dict[str, float]:
             path = _path_rows(cag)
             if plan is not None:
                 plan.path = path
-        timestamps = [vertex.timestamp for vertex in cag.vertices]
+        timestamps = cag.column("timestamp")
         segments = {}
         for child, parent, label in path:
             latency = timestamps[child] - timestamps[parent]
@@ -143,8 +143,9 @@ def _segments_for_cag(cag: CAG) -> Dict[str, float]:
 
 
 def _path_rows(cag: CAG) -> Tuple[PathRow, ...]:
-    """The primary path as positions plus each step's segment label."""
-    vertices = cag.vertices
+    """The primary path as positions plus each step's segment label (a
+    packed CAG's vertices are built for this call only)."""
+    vertices = cag.vertex_objects()
     return tuple(
         (child, parent, _label(vertices[parent], vertices[child]))
         for child, parent, _kind in cag.primary_positions()

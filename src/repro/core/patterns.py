@@ -87,11 +87,13 @@ def cag_signature(cag: CAG) -> Signature:
         if plan is not None:
             signature = plan.signature
         if signature is None:
-            order = cag.topological_positions(tie_key=_signature_tie_key)
+            # A packed CAG's vertices are built for this derivation only.
+            vertices = cag.vertex_objects()
+            order = cag.topological_positions(list(map(_signature_tie_key, vertices)))
             rank = [0] * len(order)
             for index, position in enumerate(order):
                 rank[position] = index
-            signature = _derive_signature(cag, order, rank)
+            signature = _derive_signature(cag, vertices, order, rank)
             keys = cag.keys
             if keys is not None:
                 signature = keys.signatures.setdefault(signature, signature)
@@ -104,10 +106,12 @@ def cag_signature(cag: CAG) -> Signature:
     return signature
 
 
-def _derive_signature(cag: CAG, order: List[int], rank: List[int]) -> Signature:
-    """The signature of ``cag`` read off its canonical ``order`` (``rank``
-    is each position's index in it)."""
-    vertices = cag.vertices
+def _derive_signature(
+    cag: CAG, vertices: Sequence, order: List[int], rank: List[int]
+) -> Signature:
+    """The signature of ``cag`` (whose vertex objects are ``vertices``)
+    read off its canonical ``order`` (``rank`` is each position's index
+    in it)."""
     vertex_sigs = tuple(_vertex_sig(vertices[position]) for position in order)
     edge_sigs: List[EdgeSig] = []
     for kind, column in zip((CONTEXT_EDGE, MESSAGE_EDGE), cag.parent_columns):
@@ -129,7 +133,7 @@ def _timestamp_decided(cag: CAG, order: List[int], rank: List[int]) -> bool:
     with the previous one of its fingerprint is enough: they were ready
     together exactly when this one already was at that pop.
     """
-    codes = vertex_codes(cag.keys, cag.vertices)
+    codes = vertex_codes(cag)
     context_parents, message_parents = cag.parent_columns
     last_pop: Dict[int, int] = {}
     for index, position in enumerate(order):

@@ -31,11 +31,9 @@ for a CAG that belongs to no key space (one built by hand from
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .activity import Activity
 from .cag import CAG
-from .interning import KeySpace
 
 #: Most distinct shapes one key space gives a plan (a plan is a few KB;
 #: the paper's services have a handful of shapes, the fan-out benchmark
@@ -64,12 +62,17 @@ class ShapePlan:
         self.path: Optional[Tuple[PathRow, ...]] = None
 
 
-def vertex_codes(keys: KeySpace, vertices: Sequence[Activity]) -> Tuple[int, ...]:
-    """Per-vertex ``component id << 3 | type`` in ``keys`` (the vertices'
-    key space): equal exactly when two vertices share the (type,
-    hostname, program) fingerprint."""
-    component_of = keys.component_of
-    return tuple([component_of[v.context_key] << 3 | v.priority for v in vertices])
+def vertex_codes(cag: CAG) -> Tuple[int, ...]:
+    """Per-vertex ``component id << 3 | type`` in ``cag``'s key space,
+    read off its columns: equal exactly when two vertices share the
+    (type, hostname, program) fingerprint."""
+    component_of = cag.keys.component_of
+    return tuple(
+        [
+            component_of[context] << 3 | kind
+            for context, kind in zip(cag.column("context_key"), cag.column("priority"))
+        ]
+    )
 
 
 def plan_for(cag: CAG) -> Optional[ShapePlan]:
@@ -84,7 +87,7 @@ def plan_for(cag: CAG) -> Optional[ShapePlan]:
             return None
         context_parents, message_parents = cag.parent_columns
         key = (
-            vertex_codes(keys, cag.vertices),
+            vertex_codes(cag),
             context_parents.tobytes(),
             message_parents.tobytes(),
         )

@@ -70,11 +70,6 @@ class ExperimentScale:
     #: scenario-library scenarios swept by the overhead-control figure
     sampling_scenarios: Tuple[str, ...] = ("rubis", "fanout_aggregator", "cache_aside")
 
-    @property
-    def max_threads_values(self) -> Tuple[int, ...]:
-        """MaxThreads settings compared by Fig. 16."""
-        return (40, 250)
-
 
 SMALL = ExperimentScale(
     name="small",

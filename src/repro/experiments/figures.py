@@ -681,8 +681,11 @@ def figure_interning(scale: ExperimentScale, cache: Optional[RunCache]) -> Rows:
     :class:`~repro.core.interning.ActivityTable` (the object list is
     released).  ``tracemalloc`` reports the bytes each representation
     retains; the gc scan reports how many ``Activity`` instances stay
-    alive -- the table keeps none until a row is materialised at the
-    CAG/export boundary, which is the point of the columnar core.
+    alive -- the table keeps none.  Rows become objects only while the
+    ranker delivers them to the engine, and a finished CAG packs its
+    vertices back into rows, keeping its root and END as the only
+    objects of a request (``repro.core.cag.VertexRows``), which is the
+    point of the columnar core.
     """
     for clients in scale.window_clients:
         run = _run(scale, cache, clients=clients)

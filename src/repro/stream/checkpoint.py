@@ -13,7 +13,7 @@ with a final output digest-identical to the uninterrupted run:
 :func:`resume_checkpoint` revives the engine and skips the prefix of the
 (deterministic) arrival order it has already seen.
 
-Checkpoint file format (version 7): a single pickled dict with
+Checkpoint file format (version 8): a single pickled dict with
 
 ``magic`` / ``version``
     Sanity markers; mismatches fail fast with a clear error instead of
@@ -26,12 +26,15 @@ Checkpoint file format (version 7): a single pickled dict with
     shadow columns rather than one ``ActivityTable``, version 5 pickled
     that table with an object column beside the packed ones, version 6
     stored a snapshot of a process-wide interner beside an engine whose
-    tables and CAGs carry no key space) is refused with the same
-    :class:`ValueError` rather than an import error, a ``KeyError`` or
-    an ``AttributeError`` (version 5: the table has no object slot any
-    more; version 6: its tables and CAGs lack the key space) from inside
-    ``pickle`` or at first use -- or, for versions 3 and 4, a ranker
-    that revives without complaint and fails at its first ``rank()``.
+    tables and CAGs carry no key space, version 7 pickled every finished
+    CAG as a list of vertex objects rather than packed vertex rows plus
+    its root and END) is refused with the same :class:`ValueError`
+    rather than an import error, a ``KeyError`` or an ``AttributeError``
+    (version 5: the table has no object slot any more; version 6: its
+    tables and CAGs lack the key space; version 7: its CAGs lack the
+    rows entry) from inside ``pickle`` or at first use -- or, for
+    versions 3 and 4, a ranker that revives without complaint and fails
+    at its first ``rank()``.
 ``ingested_count``
     How many activities the engine had ingested when the snapshot was
     taken.  On resume the driver skips exactly this prefix of the
@@ -65,7 +68,7 @@ from typing import Any, Dict, Iterable, Iterator, Tuple
 from ..core.interning import ActivityTable
 
 MAGIC = "precisetracer-stream-checkpoint"
-VERSION = 7
+VERSION = 8
 
 #: The streaming knobs a checkpoint records; a resume must match each one.
 FINGERPRINT_KEYS = ("window", "horizon", "skew_bound", "chunk_size", "sampling")

@@ -248,37 +248,53 @@ class TestOrderingAndPaths:
 
 def owned_tracked_objects(cag):
     """Every collector-tracked object reachable from the CAG that is its
-    own bookkeeping: the walk stops at the member activities (the trace
-    owns those), at the run's key space (every CAG of the run shares it)
-    and at classes."""
-    skip = {id(vertex) for vertex in cag.vertices} | {id(cag.keys)}
-    owned = []
+    own bookkeeping, and the activities it reaches: the walk stops at
+    activities and at the identities they share with the trace's rows
+    (``ContextId``, ``MessageId``), at the run's key space (every CAG of
+    the run shares it) and at classes."""
+    skip = {id(cag.keys)}
+    owned, activities = [], []
     stack = [cag]
     while stack:
         for referent in gc.get_referents(stack.pop()):
             if id(referent) in skip or isinstance(referent, type):
                 continue
             skip.add(id(referent))
+            if isinstance(referent, Activity):
+                activities.append(referent)
+                continue
+            if isinstance(referent, (ContextId, MessageId)):
+                continue
             stack.append(referent)
             if gc.is_tracked(referent):
                 owned.append(referent)
-    return owned
+    return owned, activities
 
 
 class TestColumnarStorage:
     def test_finished_rubis_cag_owns_no_per_vertex_object(self, tiny_run):
-        """The Fig. 11 guard, counted rather than timed: structure is the
-        vertex list plus three packed columns whatever the request's size
-        -- no parents map, no per-vertex list, no ``Edge``."""
+        """The Fig. 11 guard, counted rather than timed: a finished CAG at
+        rest is one buffer of packed vertex rows, the root, the END and
+        three position columns whatever the request's size -- no vertex
+        list, no parents map, no ``Edge``.  Asking for edges builds the
+        vertices once; later calls hand out the same objects."""
         finished = BackendSpec.batch(window=0.010).correlate(tiny_run.activities()).cags
         small, large = min(finished, key=len), max(finished, key=len)
         assert len(small) < 24 <= len(large)
+        held = []
         for cag in (small, large):
-            assert cag.finished and len(cag.edges) >= len(cag) - 1
-            owned = owned_tracked_objects(cag)
+            owned, activities = owned_tracked_objects(cag)
+            held.append(len(owned))
+            # the row buffer and the three position columns
             assert len(owned) <= 4, owned
-            assert not any(isinstance(item, (Edge, dict, tuple)) for item in owned)
-            assert sum(isinstance(item, list) for item in owned) == 1
+            assert not any(isinstance(item, (Edge, dict, tuple, list)) for item in owned)
+            assert activities == [cag.root, cag.end_activity]
+            assert cag.finished and len(cag.edges) >= len(cag) - 1
+            vertices = cag.vertices
+            assert cag.vertices is vertices and len(vertices) == len(cag)
+            assert vertices[0] is cag.root and vertices[-1] is cag.end_activity
+            assert {id(edge.child) for edge in cag.edges} <= set(map(id, vertices))
+        assert held[0] == held[1]
 
     def test_position_index_is_dropped_at_finish_and_rebuilt_on_demand(self):
         cag, vertices = simple_chain()

@@ -26,7 +26,8 @@ from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG
 from repro.core.correlator import IncrementalEngine
 from repro.core.interning import ActivityTable
-from repro.pipeline import BackendSpec, result_digest
+from repro.pipeline import BackendSpec, Pipeline, RunSource, StoreSink, result_digest
+from repro.store import TraceStore
 from repro.stream import load_checkpoint, save_checkpoint
 from repro.stream.checkpoint import MAGIC, VERSION
 from repro.topology.library import run_scenario, scenario_names
@@ -480,6 +481,61 @@ class TestCheckpointFileContract:
             load_checkpoint(str(path))
         assert blob not in unpickled
 
+    def test_version_7_file_is_refused_before_its_object_cags_are_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        """Version 7 pickled every finished CAG as a list of vertex
+        objects; a version-8 CAG is packed rows plus its root and END, and
+        its state always says which (the ``rows`` entry).  A CAG of the
+        old layout lacks that entry, so unpickling such a blob fails
+        inside ``pickle``; the version check has to refuse the file,
+        naming its version, before the blob is touched at all."""
+        import repro.stream.checkpoint as checkpoint
+
+        assert VERSION > 7
+        root = Activity(
+            type=ActivityType.BEGIN,
+            timestamp=1.0,
+            context=ContextId("web", "httpd", 1, 1),
+            message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
+        )
+        version_7_state = {
+            key: value for key, value in CAG(root).__getstate__().items() if key != "rows"
+        }
+        version_7_state["finished"] = True
+
+        class Version7CAG:
+            def __reduce__(self):
+                return (object.__new__, (CAG,), version_7_state)
+
+        blob = pickle.dumps(Version7CAG())
+        with pytest.raises(KeyError):
+            pickle.loads(blob)
+        path = tmp_path / "v7.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 7,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        unpickled = []
+        real_loads = pickle.loads
+
+        def watching_loads(data, *args, **kwargs):
+            unpickled.append(data)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint.pickle, "loads", watching_loads)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 7"):
+            load_checkpoint(str(path))
+        assert blob not in unpickled
+
     def test_corrupted_engine_blob_is_rejected(self, tmp_path):
         table = _scenario_table("cache_aside")
         ckpt = tmp_path / "corrupt.ckpt"
@@ -526,6 +582,39 @@ class TestCheckpointFileContract:
 
 
 class TestEngineStateSurvivesPickling:
+    def test_resume_from_packed_finished_cags_reaches_the_uninterrupted_store(
+        self, tmp_path
+    ):
+        """A checkpoint taken mid-run holds the CAGs finished so far as
+        packed rows (plus root and END); a resume that stores them beside
+        the CAGs it finishes itself stores exactly the uninterrupted
+        run's requests."""
+        source = RunSource(run=run_scenario("rubis", seed=5))
+        store = tmp_path / "store.sqlite"
+
+        def stored(run_id, backend):
+            Pipeline(source, backend, stages=[], sinks=[StoreSink(store, run_id=run_id)]).run()
+
+        stored("full", BackendSpec.streaming(window=WINDOW))
+        ckpt = str(tmp_path / "mid.ckpt")
+        crashing = BackendSpec.streaming(
+            window=WINDOW, checkpoint_path=ckpt, checkpoint_every=len(source.activities()) // 2
+        )
+
+        def crash_once_checkpointed(_cag):
+            if os.path.exists(ckpt):
+                raise _Crash
+
+        with pytest.raises(_Crash):
+            Pipeline(source, crashing, stages=[]).run(on_cag=crash_once_checkpointed)
+        revived = load_checkpoint(ckpt).engine.engine.finished_cags
+        assert revived and all(cag.__getstate__()["rows"] is not None for cag in revived)
+        stored("resumed", BackendSpec.streaming(window=WINDOW, resume_from=ckpt))
+        with TraceStore.open(store) as opened:
+            full, resumed = opened.run_digest("full"), opened.run_digest("resumed")
+            assert opened.run_row("resumed")["requests"] == opened.run_row("full")["requests"]
+        assert resumed == full
+
     def test_new_cags_after_resume_do_not_collide_with_revived_ids(self, tmp_path):
         """The engine's CAG id counter is module-global and restarts at
         zero in a fresh process; ``__setstate__`` must advance it past

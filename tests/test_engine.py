@@ -2,6 +2,10 @@
 
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.engine import CorrelationEngine
+from repro.core.export import cag_to_dict
+from repro.core.interning import ActivityTable
+from repro.pipeline import BackendSpec
+from repro.pipeline.equivalence import _fingerprint, canonical_cags
 
 
 WEB_CTX = ("www", "httpd", 100, 100)
@@ -80,6 +84,34 @@ class TestBeginEnd:
         assert len(engine.finished_cags) == 1
         # the extra part only grew the first END's byte count
         assert activities[-1].size == 2500
+
+    def test_split_end_part_after_finish_reaches_a_packed_cag(self):
+        """The keyed form of the test above: packed rows through the batch
+        backend, so the CAG has a key space and is packed when its END
+        finishes it.  The trailing part arrives after that and grows the
+        END the engine's context map still holds -- the object the
+        finished CAG kept, so every view of the CAG carries it."""
+        reference = CorrelationEngine()
+        simple_request(reference)
+        reference.process(act(ActivityType.END, 1.50001, WEB_CTX, WEB_FRONT, CLIENT, 500))
+        (expected,) = reference.finished_cags
+
+        # the table packs what was logged, whatever an engine did to sizes
+        trace = simple_request(CorrelationEngine())
+        trace.append(act(ActivityType.END, 1.50001, WEB_CTX, WEB_FRONT, CLIENT, 500))
+        result = BackendSpec.batch(window=0.010).correlate(ActivityTable.from_activities(trace))
+        (cag,) = result.cags
+        assert cag.keys is not None
+        # packed with the size the END had when it finished the CAG ...
+        assert cag.column("size")[-1] == 2000
+        # ... and grown after that, on the kept object
+        assert cag.end_activity.size == 2500
+        assert cag.vertices[-1] is cag.end_activity
+        assert _fingerprint(cag.vertices[-1]) == _fingerprint(expected.end_activity)
+        assert canonical_cags([cag]) == canonical_cags([expected])
+        exported, reference_export = cag_to_dict(cag), cag_to_dict(expected)
+        del exported["cag_id"], reference_export["cag_id"]
+        assert exported == reference_export
 
     def test_two_requests_in_same_worker_produce_two_cags(self):
         engine = CorrelationEngine()
