@@ -27,10 +27,13 @@ them once, on first use.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import struct
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .activity import Activity, ActivityType, MessageId
@@ -107,23 +110,38 @@ class AnalysisMemo:
 _TYPES = tuple(ActivityType)
 
 #: The columns of :class:`VertexRows`, in buffer order (widest first, so
-#: every column starts aligned): name and ``array`` type code.
+#: every column starts aligned): name, ``struct`` code and the
+#: ``Activity`` attribute it holds.
 _ROW_LAYOUT = (
-    ("timestamp", "d"),
-    ("request_id", "q"),
-    ("seq", "q"),
-    ("size", "q"),
-    ("message_size", "q"),
-    ("context_key", "i"),
-    ("message_key", "i"),
-    ("priority", "b"),
+    ("timestamp", "d", "timestamp"),
+    ("request_id", "q", "request_id"),
+    ("seq", "q", "seq"),
+    ("size", "q", "size"),
+    ("message_size", "q", "message.size"),
+    ("context_key", "i", "context_key"),
+    ("message_key", "i", "message_key"),
+    ("priority", "b", "priority"),
 )
-#: Bytes one vertex takes in each column before ``name``'s, and in all.
+#: One vertex's values, in buffer order.
+_ROW_VALUES = attrgetter(*[attribute for _name, _code, attribute in _ROW_LAYOUT])
+#: Per column: its ``struct`` code and the bytes one vertex takes in the
+#: columns before it.
 _ROW_OFFSETS: Dict[str, Tuple[str, int]] = {}
 _ROW_BYTES = 0
-for _name, _code in _ROW_LAYOUT:
+for _name, _code, _attribute in _ROW_LAYOUT:
     _ROW_OFFSETS[_name] = (_code, _ROW_BYTES)
-    _ROW_BYTES += array(_code).itemsize
+    _ROW_BYTES += struct.calcsize("=" + _code)
+
+
+@functools.lru_cache(maxsize=1024)
+def _rows_struct(count: int) -> struct.Struct:
+    """The layout of ``count`` vertices' rows (one per CAG length)."""
+    return struct.Struct("=" + "".join(f"{count}{code}" for _name, code, _attr in _ROW_LAYOUT))
+
+
+@functools.lru_cache(maxsize=1024)
+def _column_struct(code: str, count: int) -> struct.Struct:
+    return struct.Struct(f"={count}{code}")
 
 
 class VertexRows(bytes):
@@ -144,27 +162,18 @@ class VertexRows(bytes):
 
     @classmethod
     def pack(cls, vertices: Sequence[Activity]) -> "VertexRows":
-        columns = {
-            "timestamp": [vertex.timestamp for vertex in vertices],
-            "request_id": [
-                NO_REQUEST if vertex.request_id is None else vertex.request_id
-                for vertex in vertices
-            ],
-            "seq": [vertex.seq for vertex in vertices],
-            "size": [vertex.size for vertex in vertices],
-            "message_size": [vertex.message.size for vertex in vertices],
-            "context_key": [vertex.context_key for vertex in vertices],
-            "message_key": [vertex.message_key for vertex in vertices],
-            "priority": [vertex.priority for vertex in vertices],
-        }
-        return cls(b"".join([array(code, columns[name]) for name, code in _ROW_LAYOUT]))
+        # One C-level read of every vertex, transposed into columns.
+        columns = list(zip(*map(_ROW_VALUES, vertices)))
+        request_ids = columns[1]
+        if None in request_ids:
+            columns[1] = [NO_REQUEST if rid is None else rid for rid in request_ids]
+        return cls(_rows_struct(len(vertices)).pack(*itertools.chain.from_iterable(columns)))
 
-    def column(self, name: str) -> memoryview:
-        """One column, as a read-only view of the buffer."""
+    def column(self, name: str) -> Tuple:
+        """One column's values, by position."""
         code, before = _ROW_OFFSETS[name]
         count = len(self) // _ROW_BYTES
-        start = before * count
-        return memoryview(self)[start : start + count * array(code).itemsize].cast(code)
+        return _column_struct(code, count).unpack_from(self, before * count)
 
     def activities(self, keys) -> List[Activity]:
         """A new ``Activity`` per row, equal to the vertex it was packed
@@ -175,7 +184,7 @@ class VertexRows(bytes):
         messages: Dict[Tuple[int, int], MessageId] = {}
         built = []
         for timestamp, request_id, seq, size, message_size, ckey, mkey, kind in zip(
-            *[self.column(name) for name, _code in _ROW_LAYOUT]
+            *[self.column(name) for name, _code, _attribute in _ROW_LAYOUT]
         ):
             message = messages.get((mkey, message_size))
             if message is None:
@@ -429,8 +438,9 @@ class CAG:
         if self.keys is None:
             self._vertices = tuple(vertices)
             return
+        # The END, last whenever the engine built the CAG.
+        self._end = vertices[-1] if vertices[-1].type is ActivityType.END else self.end_activity
         self._rows = VertexRows.pack(vertices)
-        self._end = next((v for v in reversed(vertices) if v.type is ActivityType.END), None)
         self._vertices = None
 
     def touch(self, timestamp: float) -> None:
@@ -517,7 +527,7 @@ class CAG:
         built[0] = self.root
         end = self._end
         if end is not None:
-            kinds = self._rows.column("priority").tolist()
+            kinds = self._rows.column("priority")
             built[len(kinds) - 1 - kinds[::-1].index(ActivityType.END)] = end
         return built
 
@@ -531,9 +541,9 @@ class CAG:
     def column(self, name: str) -> Sequence:
         """Attribute ``name`` of every vertex, by position: ``timestamp``,
         ``priority`` (the type value), ``context_key``, ``message_key``,
-        ``seq`` or ``size``.  A packed CAG's column as it is held (a view
-        of its buffer, no object built; the END's ``size`` is its size at
-        finish), read off the objects otherwise."""
+        ``seq`` or ``size``.  A packed CAG's column read off its buffer
+        (no vertex built; the END's ``size`` is its size at finish), read
+        off the objects otherwise."""
         rows = self._rows
         if rows is not None:
             return rows.column(name)

@@ -705,12 +705,14 @@ class CorrelationEngine:
         activities.  All backends run this identically, which keeps the
         context maps -- and with them the reconstruction -- equivalent.
         """
-        purge_cmap = cag.sampled_out
-        for vertex in cag.vertices:
-            self._owner.pop(id(vertex), None)
-            if vertex.type is ActivityType.SEND:
-                self.mmap.remove(vertex)
-            if purge_cmap:
+        vertices = cag.vertices
+        release_owner, remove_send, send = self._owner.pop, self.mmap.remove, ActivityType.SEND
+        for vertex in vertices:
+            release_owner(id(vertex), None)
+            if vertex.type is send:
+                remove_send(vertex)
+        if cag.sampled_out:
+            for vertex in vertices:
                 key = vertex.context_key
                 if self._cmap_latest.get(key) is vertex:
                     del self._cmap_latest[key]
