@@ -139,11 +139,6 @@ def _rows_struct(count: int) -> struct.Struct:
     return struct.Struct("=" + "".join(f"{count}{code}" for _name, code, _attr in _ROW_LAYOUT))
 
 
-@functools.lru_cache(maxsize=1024)
-def _column_struct(code: str, count: int) -> struct.Struct:
-    return struct.Struct(f"={count}{code}")
-
-
 class VertexRows(bytes):
     """A finished CAG's vertices as packed columns, in one buffer.
 
@@ -173,7 +168,7 @@ class VertexRows(bytes):
         """One column's values, by position."""
         code, before = _ROW_OFFSETS[name]
         count = len(self) // _ROW_BYTES
-        return _column_struct(code, count).unpack_from(self, before * count)
+        return struct.unpack_from(f"={count}{code}", self, before * count)
 
     def activities(self, keys) -> List[Activity]:
         """A new ``Activity`` per row, equal to the vertex it was packed
@@ -249,8 +244,8 @@ class CAG:
         #: or ``None`` (vertices built by hand: no plan)
         self.keys = keys
         self.root: Activity = root
-        # The vertex objects: a list while open, a tuple once finished --
-        # ``None`` for a packed CAG until something asks for them.
+        # The vertex objects: a list until the CAG is packed, then ``None``
+        # until something asks for them (a tuple from then on).
         self._vertices: Optional[Sequence[Activity]] = [root]
         # The packed vertices and the kept END (see ``finish``).
         self._rows: Optional[VertexRows] = None
@@ -436,7 +431,6 @@ class CAG:
         self._index = None
         vertices = self._vertices
         if self.keys is None:
-            self._vertices = tuple(vertices)
             return
         # The END, last whenever the engine built the CAG.
         self._end = vertices[-1] if vertices[-1].type is ActivityType.END else self.end_activity
@@ -489,12 +483,7 @@ class CAG:
         self.root = vertices[0]
         self._rows = rows = state["rows"]
         self._end = None if rows is None else vertices[1]
-        if rows is not None:
-            self._vertices = None
-        elif state["finished"]:
-            self._vertices = tuple(vertices)
-        else:
-            self._vertices = vertices
+        self._vertices = None if rows is not None else vertices
         self._index = None
         self._context_parent = state["context_parent"]
         self._message_parent = state["message_parent"]
