@@ -34,9 +34,9 @@ import struct
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .activity import Activity, ActivityType, MessageId
+from .activity import Activity, ActivityType, ContextId, MessageId
 from .interning import NO_REQUEST
 
 #: Edge kinds.
@@ -137,6 +137,16 @@ for _name, _code, _attribute in _ROW_LAYOUT:
 def _rows_struct(count: int) -> struct.Struct:
     """The layout of ``count`` vertices' rows (one per CAG length)."""
     return struct.Struct("=" + "".join(f"{count}{code}" for _name, code, _attr in _ROW_LAYOUT))
+
+
+class VertexView(NamedTuple):
+    """What a vertex's fingerprint and segment label read: enough of an
+    ``Activity`` to derive a new shape's signature and labelled path from
+    a packed CAG without building its vertices."""
+
+    type: ActivityType
+    context: ContextId
+    timestamp: float
 
 
 class VertexRows(bytes):
@@ -520,12 +530,21 @@ class CAG:
             built[len(kinds) - 1 - kinds[::-1].index(ActivityType.END)] = end
         return built
 
-    def vertex_objects(self) -> Sequence[Activity]:
-        """The vertices as objects, for a caller that reads them and lets
-        go: the CAG's own when it holds them, otherwise built from the
-        rows for this call alone (read-only either way)."""
+    def vertex_views(self) -> Sequence:
+        """Each vertex's ``type``, ``context`` and ``timestamp``, by
+        position, for a caller that reads only those and lets go (a new
+        shape's derivations): the vertex objects when the CAG holds them,
+        otherwise a :class:`VertexView` per row, built for this call."""
         vertices = self._vertices
-        return vertices if vertices is not None else self._build()
+        if vertices is not None:
+            return vertices
+        contexts = self.keys.contexts
+        return [
+            VertexView(_TYPES[kind], contexts[context], timestamp)
+            for kind, context, timestamp in zip(
+                self.column("priority"), self.column("context_key"), self.column("timestamp")
+            )
+        ]
 
     def column(self, name: str) -> Sequence:
         """Attribute ``name`` of every vertex, by position: ``timestamp``,
@@ -784,7 +803,7 @@ class CAG:
 
         The columns cannot represent a third parent or two parents under
         one relation, so what is left to check is what they can hold."""
-        vertices = self.vertex_objects()
+        vertices = self.vertices
         for vertex, context, message in zip(
             vertices, self._context_parent, self._message_parent
         ):

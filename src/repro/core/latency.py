@@ -143,9 +143,8 @@ def _segments_for_cag(cag: CAG) -> Dict[str, float]:
 
 
 def _path_rows(cag: CAG) -> Tuple[PathRow, ...]:
-    """The primary path as positions plus each step's segment label (a
-    packed CAG's vertices are built for this call only)."""
-    vertices = cag.vertex_objects()
+    """The primary path as positions plus each step's segment label."""
+    vertices = cag.vertex_views()
     return tuple(
         (child, parent, _label(vertices[parent], vertices[child]))
         for child, parent, _kind in cag.primary_positions()

@@ -87,8 +87,7 @@ def cag_signature(cag: CAG) -> Signature:
         if plan is not None:
             signature = plan.signature
         if signature is None:
-            # A packed CAG's vertices are built for this derivation only.
-            vertices = cag.vertex_objects()
+            vertices = cag.vertex_views()
             order = cag.topological_positions(list(map(_signature_tie_key, vertices)))
             rank = [0] * len(order)
             for index, position in enumerate(order):
@@ -109,9 +108,9 @@ def cag_signature(cag: CAG) -> Signature:
 def _derive_signature(
     cag: CAG, vertices: Sequence, order: List[int], rank: List[int]
 ) -> Signature:
-    """The signature of ``cag`` (whose vertex objects are ``vertices``)
-    read off its canonical ``order`` (``rank`` is each position's index
-    in it)."""
+    """The signature of ``cag`` (whose vertices, or views of them, are
+    ``vertices``) read off its canonical ``order`` (``rank`` is each
+    position's index in it)."""
     vertex_sigs = tuple(_vertex_sig(vertices[position]) for position in order)
     edge_sigs: List[EdgeSig] = []
     for kind, column in zip((CONTEXT_EDGE, MESSAGE_EDGE), cag.parent_columns):
