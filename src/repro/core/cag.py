@@ -136,7 +136,8 @@ for _name, _code, _attribute in _ROW_LAYOUT:
 @functools.lru_cache(maxsize=1024)
 def _rows_struct(count: int) -> struct.Struct:
     """The layout of ``count`` vertices' rows (one per CAG length)."""
-    return struct.Struct("=" + "".join(f"{count}{code}" for _name, code, _attr in _ROW_LAYOUT))
+    columns = "".join(f"{count}{code}" for _name, code, _attribute in _ROW_LAYOUT)
+    return struct.Struct("=" + columns)
 
 
 class VertexView(NamedTuple):
@@ -193,9 +194,7 @@ class VertexRows(bytes):
         ):
             message = messages.get((mkey, message_size))
             if message is None:
-                message = messages[mkey, message_size] = MessageId(
-                    *connections[mkey], message_size
-                )
+                message = messages[mkey, message_size] = MessageId(*connections[mkey], message_size)
             vertex = Activity.keyed(
                 _TYPES[kind],
                 timestamp,

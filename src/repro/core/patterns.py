@@ -105,9 +105,7 @@ def cag_signature(cag: CAG) -> Signature:
     return signature
 
 
-def _derive_signature(
-    cag: CAG, vertices: Sequence, order: List[int], rank: List[int]
-) -> Signature:
+def _derive_signature(cag: CAG, vertices: Sequence, order: List[int], rank: List[int]) -> Signature:
     """The signature of ``cag`` (whose vertices, or views of them, are
     ``vertices``) read off its canonical ``order`` (``rank`` is each
     position's index in it)."""

@@ -582,9 +582,7 @@ class TestCheckpointFileContract:
 
 
 class TestEngineStateSurvivesPickling:
-    def test_resume_from_packed_finished_cags_reaches_the_uninterrupted_store(
-        self, tmp_path
-    ):
+    def test_resume_from_packed_finished_cags_reaches_the_uninterrupted_store(self, tmp_path):
         """A checkpoint taken mid-run holds the CAGs finished so far as
         packed rows (plus root and END); a resume that stores them beside
         the CAGs it finishes itself stores exactly the uninterrupted
