@@ -25,7 +25,6 @@ from .debugging import (
 )
 from .engine import CorrelationEngine, EngineStats
 from .export import cag_to_dict, cag_to_dot, cag_to_json, trace_summary, trace_summary_json
-from .index_maps import ContextMap, MessageMap
 from .latency import (
     LatencyBreakdown,
     average_breakdown,
@@ -57,7 +56,6 @@ __all__ = [
     "CAGError",
     "CONTEXT_EDGE",
     "ContextId",
-    "ContextMap",
     "CorrelationEngine",
     "CorrelationResult",
     "Diagnosis",
@@ -70,7 +68,6 @@ __all__ = [
     "LogFormatError",
     "MESSAGE_EDGE",
     "MessageId",
-    "MessageMap",
     "PathJudgement",
     "PathPattern",
     "PatternClassifier",

@@ -18,11 +18,10 @@ pattern classification and performance debugging all operate on CAGs.
 
 A finished CAG is kept for the rest of the run (the store, the report and
 the accuracy oracle all read it), so what it holds at rest is what the
-tracer's memory grows with.  A finished CAG of a run with a key space
-keeps its vertices as packed columns (:class:`VertexRows`) plus two
-objects, the root and the END; the queries the analysis layer asks read
-those columns, and the queries that need every vertex as an object build
-them once, on first use.
+tracer's memory grows with.  A finished CAG keeps its vertices as packed
+columns (:class:`VertexRows`) plus two objects, the root and the END; the
+queries the analysis layer asks read those columns, and the queries that
+need every vertex as an object build them once, on first use.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .activity import Activity, ActivityType, ContextId, MessageId
 from .interning import NO_REQUEST
@@ -102,7 +101,7 @@ class AnalysisMemo:
         self.segments: Optional[Dict[str, float]] = None
         #: ``repro.core.shapes.ShapePlan`` shared by every CAG of this
         #: labelled structure; ``None`` until looked up, and for a CAG
-        #: that met a full shape table or has no key space
+        #: that met a full shape table
         self.plan = None
 
 
@@ -225,32 +224,35 @@ class CAG:
     edge.  :class:`Edge` objects are views built on demand by the query
     methods.
 
+    Every CAG belongs to a :class:`~repro.core.interning.KeySpace`
+    (``keys``): its vertices' context and connection keys are that
+    space's ids, and its shape plan and signature are shared there.
+
     An open CAG holds its vertices as a list of ``Activity`` objects: the
-    engine grows them and finds them by identity.  :meth:`finish` packs a
-    CAG that has a key space into :class:`VertexRows` and drops the list,
-    keeping two vertices as objects: the root (public as :attr:`root`)
-    and the END, the one vertex the engine still changes after finish (a
-    response flushed in several writes grows its byte count).  A finished
-    CAG at rest then owns its columns, two objects and its three position
-    arrays whatever the request's size.  ``len``, the timestamps, the
-    request ids, the contexts and :meth:`column` read the columns;
-    :attr:`vertices` and every query that hands out vertex or edge
-    objects build the vertices once, keep them, and hand out the same
-    objects from then on.  A CAG without a key space (vertices built by
-    hand) keeps its objects.
+    engine grows them and finds them by identity.  :meth:`finish` packs
+    the CAG into :class:`VertexRows` and drops the list, keeping two
+    vertices as objects: the root (public as :attr:`root`) and the END,
+    the one vertex the engine still changes after finish (a response
+    flushed in several writes grows its byte count).  A finished CAG at
+    rest then owns its columns, two objects and its three position arrays
+    whatever the request's size.  ``len``, the timestamps, the request
+    ids, the contexts and :meth:`column` read the columns; :attr:`vertices`
+    and every query that hands out vertex or edge objects build the
+    vertices once, keep them, and hand out the same objects from then on.
     """
 
     #: Real CAGs are never sampled out; the engine checks this flag to
     #: tell them apart from :class:`SampledOutCAG` tombstones.
     sampled_out = False
 
-    def __init__(self, root: Activity, cag_id: Optional[int] = None, keys=None) -> None:
+    def __init__(self, root: Activity, keys) -> None:
         if not isinstance(root, Activity):
             raise CAGError("CAG root must be an Activity")
-        self.cag_id: int = cag_id if cag_id is not None else next(_cag_counter)
+        if keys is None:
+            raise CAGError("a CAG belongs to a key space: keys must not be None")
+        self.cag_id: int = next(_cag_counter)
         #: the :class:`~repro.core.interning.KeySpace` its vertices' keys
-        #: are ids of -- where its shape plan and signature are shared --
-        #: or ``None`` (vertices built by hand: no plan)
+        #: are ids of, where its shape plan and signature are shared
         self.keys = keys
         self.root: Activity = root
         # The vertex objects: a list until the CAG is packed, then ``None``
@@ -429,18 +431,16 @@ class CAG:
     def finish(self) -> None:
         """Mark the CAG as complete (an END activity was correlated).
 
-        A CAG with a key space is packed into :class:`VertexRows` here and
-        lets go of every vertex object but the root and the last END;
-        one without keeps its objects.  The engine releases its own
-        per-vertex state (owners keyed by ``id(vertex)``) before this
-        call, since the ids of the released objects may be reused."""
+        The CAG is packed into :class:`VertexRows` here and lets go of
+        every vertex object but the root and the last END.  The engine
+        releases its own per-vertex state (owners keyed by
+        ``id(vertex)``) before this call, since the ids of the released
+        objects may be reused."""
         if self.finished:
             return
         self.finished = True
         self._index = None
         vertices = self._vertices
-        if self.keys is None:
-            return
         # The END, last whenever the engine built the CAG.
         self._end = vertices[-1] if vertices[-1].type is ActivityType.END else self.end_activity
         self._rows = VertexRows.pack(vertices)
@@ -548,9 +548,10 @@ class CAG:
     def column(self, name: str) -> Sequence:
         """Attribute ``name`` of every vertex, by position: ``timestamp``,
         ``priority`` (the type value), ``context_key``, ``message_key``,
-        ``seq`` or ``size``.  A packed CAG's column read off its buffer
-        (no vertex built; the END's ``size`` is its size at finish), read
-        off the objects otherwise."""
+        ``request_id``, ``seq`` or ``size``.  A finished CAG's column is
+        read off its buffer (no vertex built; the END's ``size`` is its
+        size at finish, a missing request id is :data:`NO_REQUEST`), an
+        open CAG's off its objects (a missing request id is ``None``)."""
         rows = self._rows
         if rows is not None:
             return rows.column(name)
@@ -629,8 +630,8 @@ class CAG:
 
     @property
     def end_activity(self) -> Optional[Activity]:
-        """The END vertex, if the request completed (the last one, if a
-        hand-built CAG holds several); a packed CAG's kept object."""
+        """The END vertex, if the request completed: a finished CAG's kept
+        object; for an open one, the last END among its vertices."""
         if self._rows is not None:
             return self._end
         for activity in reversed(self._vertices):
@@ -664,18 +665,8 @@ class CAG:
 
     def contexts(self) -> List[Tuple[str, str, int, int]]:
         """Distinct execution entities (raw 4-tuples) in first-seen order."""
-        rows = self._rows
-        if rows is not None:
-            contexts = self.keys.contexts
-            return [contexts[key].as_tuple() for key in dict.fromkeys(rows.column("context_key"))]
-        seen: List[Tuple[str, str, int, int]] = []
-        seen_keys: Set[int] = set()
-        for activity in self._vertices:
-            key = activity.context_key
-            if key not in seen_keys:
-                seen_keys.add(key)
-                seen.append(activity.context.as_tuple())
-        return seen
+        contexts = self.keys.contexts
+        return [contexts[key].as_tuple() for key in dict.fromkeys(self.column("context_key"))]
 
     def request_ids(self) -> Set[int]:
         """Ground-truth request ids attached to the member activities.
@@ -683,16 +674,9 @@ class CAG:
         A correctly correlated CAG carries exactly one distinct id; mixed
         ids indicate a mis-correlation.  Used only for evaluation.
         """
-        rows = self._rows
-        if rows is not None:
-            ids = set(rows.column("request_id"))
-            ids.discard(NO_REQUEST)
-            return ids
-        return {
-            activity.request_id
-            for activity in self._vertices
-            if activity.request_id is not None
-        }
+        ids = set(self.column("request_id"))
+        ids.difference_update((NO_REQUEST, None))
+        return ids
 
     # -- causal ordering ---------------------------------------------------
 
@@ -882,9 +866,3 @@ class SampledOutCAG:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SampledOutCAG(id={self.cag_id}, vertices={len(self)})"
-
-
-def iter_edges_in_causal_order(cag: CAG) -> Iterator[Edge]:
-    """Yield the primary-path edges ordered by their child's position."""
-    for edge in cag.primary_path():
-        yield edge

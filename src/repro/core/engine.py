@@ -1,13 +1,27 @@
 """The correlation engine: CAG construction (Section 4.2, Fig. 3).
 
 The engine repeatedly fetches a candidate activity from the ranker and
-attaches it to an unfinished CAG, using the two index maps:
+attaches it to an unfinished CAG.  Section 4 keeps the state of all
+unfinished CAGs in two index maps, which the engine owns as plain dicts
+keyed by the run's dense ids (see :mod:`repro.core.interning`):
 
-* ``cmap`` (context identifier -> latest activity in that execution
-  entity) establishes adjacent-context relations,
 * ``mmap`` (message identifier -> pending SEND) establishes message
   relations and supports the n-to-n SEND/RECEIVE merging of Fig. 4 by
-  tracking the outstanding byte count of each logical message.
+  tracking the outstanding byte count of each logical message.  The
+  paper's single-value map is generalised to a FIFO of pending SENDs per
+  connection, so pipelined messages on one persistent connection cannot
+  clobber each other.  The ranker reads the same dict (Rule 1 and the
+  ``is_noise`` test).
+* ``cmap`` (context identifier -> latest activity in that execution
+  entity) establishes adjacent-context relations.  Beside it,
+  ``cmap_recency`` holds each context's eviction recency: a merged
+  kernel part grows the stored activity in place without replacing it,
+  but proves the context alive.
+
+For online correlation both maps are swept by watermark eviction
+(:meth:`CorrelationEngine.evict_stale`), which keeps them bounded even
+when traffic contains flows that never complete (noise, crashed
+requests, abandoned connections).
 
 The engine also implements the thread-reuse guard of the paper (Fig. 3
 lines 29-32): the context edge into a RECEIVE is only added when both
@@ -24,7 +38,6 @@ from typing import Deque, Dict, List, Optional
 
 from .activity import Activity, ActivityType
 from .cag import CAG, CONTEXT_EDGE, MESSAGE_EDGE, SampledOutCAG, ensure_cag_ids_above
-from .index_maps import ContextMap, MessageMap
 
 
 @dataclass
@@ -87,14 +100,19 @@ class CorrelationEngine:
     decisions; only which requests get edges, analysis and memory is.
 
     ``keys`` is the :class:`~repro.core.interning.KeySpace` the candidate
-    keys are ids of (the ranker's, set by whoever wires the two), handed
-    to every CAG the engine opens so its analysis shares that run's shape
-    plans; ``None`` for candidates built by hand.
+    keys are ids of (the ranker's, set by whoever wires the two before
+    the first delivery), handed to every CAG the engine opens so its
+    analysis shares that run's shape plans.
     """
 
     def __init__(self, sampler=None) -> None:
-        self.mmap = MessageMap()
-        self.cmap = ContextMap()
+        # The index maps (module docstring).  A pending SEND's ``size``
+        # counts down in place as its bytes are matched (on objects the
+        # run built from its rows, never a caller's); a connection with no
+        # pending SEND has no ``mmap`` entry.
+        self.mmap: Dict[int, Deque[Activity]] = {}
+        self.cmap: Dict[int, Activity] = {}
+        self.cmap_recency: Dict[int, float] = {}
         self.stats = EngineStats()
         self.sampler = sampler
         self.keys = None
@@ -141,26 +159,17 @@ class CorrelationEngine:
         # CAGs dropped by watermark eviction (streaming mode); kept so the
         # final accounting can still report them as incomplete paths.
         self._evicted: List[CAG] = []
-        # Direct references into the index maps' backing dicts.  Every
-        # candidate performs at least one cmap lookup and update, so the
-        # method indirection is measurable on the Fig. 9 benchmark; the
-        # maps remain the owning API (eviction, touch, introspection) and
-        # both sides only ever mutate these dicts in place, never rebind
-        # them.
-        self._cmap_latest = self.cmap._latest
-        self._cmap_recency = self.cmap._recency
-        self._mmap_pending = self.mmap._pending
 
     # -- pickling (streaming checkpoints) -----------------------------------
 
     def __getstate__(self):
         """Picklable engine state (the streaming checkpoint payload).
 
-        Two kinds of attribute cannot cross a pickle boundary as-is
-        and are reconstructed in :meth:`__setstate__`:
+        Two attributes cannot cross a pickle boundary as-is and are
+        reconstructed in :meth:`__setstate__`:
 
-        * the direct index-map dict references and the sampler's bound
-          ``tick`` (rebuilt from the unpickled maps and sampler);
+        * the sampler's bound ``tick`` (rebuilt from the unpickled
+          sampler);
         * ``_owner``, keyed by ``id(activity)`` -- object ids do not
           survive unpickling.  It is *derived* state: exactly the
           vertices of the open CAGs, each owned by its CAG (entries are
@@ -171,17 +180,12 @@ class CorrelationEngine:
         ``_recv_backlog`` needs no translation: its entries reference
         their activities (and the head SEND they fed) directly, and the
         pickle memo keeps those references identical to the objects
-        inside the unpickled ``mmap`` deques.
+        inside the unpickled ``mmap`` deques.  The ranker pickled beside
+        the engine holds the same ``mmap`` dict, and the pickle memo keeps
+        it one object.
         """
         state = self.__dict__.copy()
-        for derived in (
-            "_cmap_latest",
-            "_cmap_recency",
-            "_mmap_pending",
-            "_sampler_tick",
-            "_owner",
-        ):
-            state.pop(derived, None)
+        del state["_sampler_tick"], state["_owner"]
         return state
 
     def __setstate__(self, state):
@@ -205,9 +209,6 @@ class CorrelationEngine:
         self._sampler_tick = (
             sampler.tick if sampler is not None and sampler.is_adaptive else None
         )
-        self._cmap_latest = self.cmap._latest
-        self._cmap_recency = self.cmap._recency
-        self._mmap_pending = self.mmap._pending
 
     # -- public API --------------------------------------------------------
 
@@ -246,7 +247,7 @@ class CorrelationEngine:
     def pending_state_size(self) -> int:
         """Number of live bookkeeping entries (for memory accounting)."""
         return (
-            len(self.mmap)
+            sum(map(len, self.mmap.values()))
             + len(self.cmap)
             + len(self._owner)
             + len(self._open)
@@ -271,7 +272,7 @@ class CorrelationEngine:
 
     def _handle_begin(self, current: Activity) -> Optional[CAG]:
         self.stats.begins += 1
-        previous = self._cmap_latest.get(current.context_key)
+        previous = self.cmap.get(current.context_key)
         if (
             previous is not None
             and previous.type is ActivityType.BEGIN
@@ -291,7 +292,7 @@ class CorrelationEngine:
                 # The vertex absorbed the part: it stays the context's
                 # last-delivered activity, so the next part can merge too.
                 self._ctx_last_seq[current.context_key] = previous.seq
-                self.cmap.touch(current.context_key, current.timestamp)
+                self._touch_context(current.context_key, current.timestamp)
                 owner.touch(current.timestamp)
                 return None
 
@@ -309,13 +310,13 @@ class CorrelationEngine:
         self._open[cag.cag_id] = cag
         self._owner[id(current)] = cag
         key = current.context_key
-        self._cmap_latest[key] = current
-        self._cmap_recency[key] = current.timestamp
+        self.cmap[key] = current
+        self.cmap_recency[key] = current.timestamp
         return None
 
     def _handle_end(self, current: Activity) -> Optional[CAG]:
         self.stats.ends += 1
-        parent = self._cmap_latest.get(current.context_key)
+        parent = self.cmap.get(current.context_key)
         if parent is None:
             self.stats.unmatched_ends += 1
             return None
@@ -330,7 +331,7 @@ class CorrelationEngine:
             # response is still being written.
             parent.size += current.size
             self._ctx_last_seq[current.context_key] = parent.seq
-            self.cmap.touch(current.context_key, current.timestamp)
+            self._touch_context(current.context_key, current.timestamp)
             return None
         cag = self._owner.get(id(parent))
         if cag is None:
@@ -338,18 +339,18 @@ class CorrelationEngine:
             return None
         cag.append(current, parent, CONTEXT_EDGE)
         key = current.context_key
-        self._cmap_latest[key] = current
-        self._cmap_recency[key] = current.timestamp
+        self.cmap[key] = current
+        self.cmap_recency[key] = current.timestamp
         self._finish(cag, current)
         return None if cag.sampled_out else cag
 
     # -- SEND ----------------------------------------------------------------
 
     def _parent_is_pending(self, parent: Activity) -> bool:
-        """Identity probe of the pending map (``MessageMap.is_pending``
-        without the method indirection and generator allocation -- this
-        sits on the per-SEND merge check of the hot loop)."""
-        queue = self._mmap_pending.get(parent.message_key)
+        """Is this exact SEND still in the ``mmap``?  An identity probe
+        without a generator allocation -- this sits on the per-SEND merge
+        check of the hot loop."""
+        queue = self.mmap.get(parent.message_key)
         if not queue:
             return False
         for entry in queue:
@@ -359,7 +360,7 @@ class CorrelationEngine:
 
     def _handle_send(self, current: Activity) -> Optional[CAG]:
         self.stats.sends += 1
-        parent = self._cmap_latest.get(current.context_key)
+        parent = self.cmap.get(current.context_key)
         cag = self._owner.get(id(parent)) if parent is not None else None
         if parent is None or cag is None:
             # A SEND with no causal predecessor belongs to traffic we do
@@ -389,7 +390,7 @@ class CorrelationEngine:
             self._ctx_last_seq[current.context_key] = parent.seq
             # Same recency hazard as the BEGIN/END merges: the vertex grew
             # in place, so the context and its CAG are provably alive.
-            self.cmap.touch(current.context_key, current.timestamp)
+            self._touch_context(current.context_key, current.timestamp)
             cag.touch(current.timestamp)
             # The receiver's reads may already be waiting in the backlog
             # (delivered before this part was merged in); the grown byte
@@ -397,18 +398,18 @@ class CorrelationEngine:
             # the books balance.
             backlog = self._recv_backlog.get(current.message_key)
             if backlog:
-                self._settle(self._mmap_pending[current.message_key], backlog)
+                self._settle(self.mmap[current.message_key], backlog)
             return None
 
         cag.append(current, parent, CONTEXT_EDGE)
         self._owner[id(current)] = cag
         key = current.context_key
-        self._cmap_latest[key] = current
-        self._cmap_recency[key] = current.timestamp
+        self.cmap[key] = current
+        self.cmap_recency[key] = current.timestamp
         message_key = current.message_key
-        pending = self._mmap_pending.get(message_key)
+        pending = self.mmap.get(message_key)
         if pending is None:
-            pending = self._mmap_pending[message_key] = deque()
+            pending = self.mmap[message_key] = deque()
         pending.append(current)
         # A new SEND vertex behind a balanced-but-parked head finalises
         # the head's byte count (its sender context has moved on), and
@@ -424,7 +425,7 @@ class CorrelationEngine:
     def _handle_receive(self, current: Activity) -> Optional[CAG]:
         self.stats.receives += 1
         key = current.message_key
-        pending = self._mmap_pending.get(key)
+        pending = self.mmap.get(key)
         if not pending:
             self.stats.unmatched_receives += 1
             return None
@@ -488,7 +489,7 @@ class CorrelationEngine:
                 # so it cannot capture this (unrelated) traffic.  The
                 # receive part stays in the backlog for the next SEND, so
                 # the drop is booked once, on the SEND's side.
-                self.mmap.remove(send)
+                self._remove_send(send)
                 self.stats.unmatched_sends += 1
                 continue
             entry = backlog[0]
@@ -519,7 +520,7 @@ class CorrelationEngine:
                 self._complete_receive(send, entry[0], cag)
                 completed += 1
                 continue
-            if self._cmap_latest.get(send.context_key) is send:
+            if self.cmap.get(send.context_key) is send:
                 # The sender's context is still parked on this SEND, so a
                 # later kernel write can still merge in and grow the
                 # message: the leftover receive bytes must wait.
@@ -550,12 +551,12 @@ class CorrelationEngine:
 
     def _complete_receive(self, parent_msg: Activity, current: Activity, cag: CAG) -> None:
         """All bytes of a logical message are matched: add the RECEIVE vertex."""
-        self.mmap.remove(parent_msg)
+        self._remove_send(parent_msg)
         cag.append(current, parent_msg, MESSAGE_EDGE)
         self._owner[id(current)] = cag
 
         key = current.context_key
-        parent_cntx = self._cmap_latest.get(key)
+        parent_cntx = self.cmap.get(key)
         if parent_cntx is not None and parent_cntx is not current:
             if self._owner.get(id(parent_cntx)) is cag:
                 if (current.timestamp, current.seq) < (
@@ -581,8 +582,8 @@ class CorrelationEngine:
                 # entity belongs to a different request (recycled pool
                 # thread); do not splice the paths together.
                 self.stats.thread_reuse_blocked += 1
-        self._cmap_latest[key] = current
-        self._cmap_recency[key] = current.timestamp
+        self.cmap[key] = current
+        self.cmap_recency[key] = current.timestamp
 
     def _splice_in_order(self, cag: CAG, current: Activity, latest: Activity) -> None:
         """Insert ``current`` into the context chain before ``latest``.
@@ -635,9 +636,17 @@ class CorrelationEngine:
         in :class:`EngineStats`.
         """
         evicted = 0
-        for send in self.mmap.evict_older_than(before):
-            self.stats.evicted_mmap_entries += 1
-            evicted += 1
+        mmap = self.mmap
+        for key, queue in list(mmap.items()):
+            if not any(send.timestamp < before for send in queue):
+                continue  # common case: nothing stale, no rebuild
+            kept = deque(send for send in queue if send.timestamp >= before)
+            self.stats.evicted_mmap_entries += len(queue) - len(kept)
+            evicted += len(queue) - len(kept)
+            if kept:
+                mmap[key] = kept
+            else:
+                del mmap[key]
         for backlog_key in list(self._recv_backlog):
             backlog = self._recv_backlog[backlog_key]
             while backlog and backlog[0][0].timestamp < before:
@@ -647,9 +656,12 @@ class CorrelationEngine:
                 evicted += 1
             if not backlog:
                 del self._recv_backlog[backlog_key]
-        cmap_evicted = self.cmap.evict_older_than(before)
-        self.stats.evicted_cmap_entries += cmap_evicted
-        evicted += cmap_evicted
+        recency = self.cmap_recency
+        stale = [key for key, timestamp in recency.items() if timestamp < before]
+        for key in stale:
+            del self.cmap[key], recency[key]
+        self.stats.evicted_cmap_entries += len(stale)
+        evicted += len(stale)
         for cag_id, cag in list(self._open.items()):
             # ``newest_timestamp`` is maintained incrementally (including
             # merged kernel parts via ``CAG.touch``), so the eviction tick
@@ -670,10 +682,24 @@ class CorrelationEngine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _owner_of(self, activity: Optional[Activity]) -> Optional[CAG]:
-        if activity is None:
-            return None
-        return self._owner.get(id(activity))
+    def _touch_context(self, key: int, timestamp: float) -> None:
+        """Refresh a context's eviction recency without replacing its
+        latest activity (a kernel part was merged in place)."""
+        if key in self.cmap and timestamp > self.cmap_recency[key]:
+            self.cmap_recency[key] = timestamp
+
+    def _remove_send(self, send: Activity) -> None:
+        """Take ``send`` out of the ``mmap``, if it is there."""
+        key = send.message_key
+        queue = self.mmap.get(key)
+        if not queue:
+            return
+        try:
+            queue.remove(send)
+        except ValueError:
+            return
+        if not queue:
+            del self.mmap[key]
 
     def _finish(self, cag: CAG, end_activity: Activity) -> None:
         self._open.pop(cag.cag_id, None)
@@ -706,7 +732,7 @@ class CorrelationEngine:
         context maps -- and with them the reconstruction -- equivalent.
         """
         vertices = cag.vertices
-        release_owner, remove_send, send = self._owner.pop, self.mmap.remove, ActivityType.SEND
+        release_owner, remove_send, send = self._owner.pop, self._remove_send, ActivityType.SEND
         for vertex in vertices:
             release_owner(id(vertex), None)
             if vertex.type is send:
@@ -714,9 +740,9 @@ class CorrelationEngine:
         if cag.sampled_out:
             for vertex in vertices:
                 key = vertex.context_key
-                if self._cmap_latest.get(key) is vertex:
-                    del self._cmap_latest[key]
-                    self._cmap_recency.pop(key, None)
+                if self.cmap.get(key) is vertex:
+                    del self.cmap[key]
+                    self.cmap_recency.pop(key, None)
                     self.stats.purged_cmap_entries += 1
 
 

@@ -72,13 +72,13 @@ def cag_signature(cag: CAG) -> Signature:
     every later CAG of that structure reads it.  A shape whose order a
     timestamp did decide -- two same-fingerprint vertices ready at once
     -- is marked on its plan and each of its CAGs is derived on its own,
-    as is a CAG that finds the shape table full or belongs to no key
-    space.  Either way the result is remembered on the CAG
-    (:class:`~repro.core.cag.AnalysisMemo`) and, in a key space,
-    interned there: every CAG of a pattern points at one shared tuple
-    (``keys.signatures``, a handful per service) instead of retaining
-    its own multi-kilobyte copy.  A cyclic CAG has no topological order:
-    :class:`~repro.core.cag.CAGError` propagates and nothing is cached.
+    as is a CAG that finds the shape table full.  Either way the result
+    is remembered on the CAG (:class:`~repro.core.cag.AnalysisMemo`) and
+    interned in its key space: every CAG of a pattern points at one
+    shared tuple (``keys.signatures``, a handful per service) instead of
+    retaining its own multi-kilobyte copy.  A cyclic CAG has no
+    topological order: :class:`~repro.core.cag.CAGError` propagates and
+    nothing is cached.
     """
     memo = cag.analysis
     signature = memo.signature
@@ -93,9 +93,7 @@ def cag_signature(cag: CAG) -> Signature:
             for index, position in enumerate(order):
                 rank[position] = index
             signature = _derive_signature(cag, vertices, order, rank)
-            keys = cag.keys
-            if keys is not None:
-                signature = keys.signatures.setdefault(signature, signature)
+            signature = cag.keys.signatures.setdefault(signature, signature)
             if plan is not None:
                 if _timestamp_decided(cag, order, rank):
                     plan.timestamp_decided = True
@@ -255,8 +253,8 @@ class PatternClassifier:
         CAGs that read their signature off a plan instead (every CAG of a
         cacheable shape but its first), ``timestamp_decided`` the CAGs of
         shapes whose order a timestamp decided and ``table_full`` the CAGs
-        that found no plan at all (a full shape table, or no key space)
-        -- those two kinds were derived one CAG at a time.
+        that found no plan at all (a full shape table) -- those two kinds
+        were derived one CAG at a time.
         """
         uses = dict(self._plan_uses)
         table_full = uses.pop(None, 0)

@@ -92,7 +92,6 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .activity import Activity, ActivityType
-from .index_maps import MessageMap
 from .interning import _TYPES, NO_REQUEST, ActivityTable, KeySpace
 from .kernel import DISCARD, EMPTY, RULE1, STALL, kernel_info
 
@@ -410,9 +409,9 @@ class Ranker:
         which grows by :meth:`ingest` and delivers only below the
         watermark until :meth:`seal`.
     mmap:
-        The engine's message map, consulted by Rule 1 and ``is_noise``
-        (through a direct reference to its pending dict: the probe is the
-        most frequent operation of the whole hot path).
+        The engine's ``mmap`` dict (connection id -> pending SENDs),
+        consulted by Rule 1 and ``is_noise``: the probe is the most
+        frequent operation of the whole hot path.
     window:
         Size of the sliding time window in seconds.  Any positive value is
         legal; larger windows buffer more activities (more memory, more
@@ -430,7 +429,7 @@ class Ranker:
     def __init__(
         self,
         trace: Optional[ActivityTable],
-        mmap: MessageMap,
+        mmap: Dict[MessageKey, Deque[Activity]],
         window: float = 0.010,
         skew_bound: float = 0.005,
     ) -> None:
@@ -444,12 +443,9 @@ class Ranker:
         # a delivered candidate.
         self._slack = window + 2.0 * skew_bound + 1e-9
         self._sealed = False
-        self._mmap = mmap
-        # Direct reference to the mmap's pending dict: Rule 1 and the
-        # noise test probe it once per RECEIVE head per selection round,
-        # so even the bound-method call is worth skipping.  Safe because
-        # MessageMap never rebinds ``_pending``.
-        self._mmap_pending = mmap._pending
+        # The engine's ``mmap`` itself: Rule 1 and the noise test probe it
+        # once per RECEIVE head per selection round.
+        self._mmap_pending = mmap
         # Delivery ceiling (local-timestamp watermark): the highest local
         # timestamp whose candidate-selection decisions can no longer be
         # changed by activities that have not been ingested yet.  Above

@@ -24,9 +24,7 @@ the key are that space's, and the plans go when the run's tables and
 CAGs do.  It is bounded too: generated meshes reach ~0.6 distinct shapes
 per request, and a table that grows with a long tail of one-off shapes
 is a leak.  Once :data:`MAX_SHAPES` plans exist, a CAG of an unseen
-shape gets no plan and both consumers derive it on its own -- as they do
-for a CAG that belongs to no key space (one built by hand from
-``Activity(...)`` objects).
+shape gets no plan and both consumers derive it on its own.
 """
 
 from __future__ import annotations
@@ -77,21 +75,18 @@ def vertex_codes(cag: CAG) -> Tuple[int, ...]:
 
 def plan_for(cag: CAG) -> Optional[ShapePlan]:
     """The plan shared by every CAG of ``cag``'s shape in its key space
-    (remembered on the CAG's analysis memo), or ``None`` when the CAG
-    belongs to no key space, or its shape is new and the table is full."""
+    (remembered on the CAG's analysis memo), or ``None`` when its shape
+    is new and the table is full."""
     memo = cag.analysis
     plan = memo.plan
     if plan is None:
-        keys = cag.keys
-        if keys is None:
-            return None
         context_parents, message_parents = cag.parent_columns
         key = (
             vertex_codes(cag),
             context_parents.tobytes(),
             message_parents.tobytes(),
         )
-        plans = keys.plans
+        plans = cag.keys.plans
         plan = plans.get(key)
         if plan is None:
             if len(plans) >= MAX_SHAPES:

@@ -28,11 +28,16 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..core.cag import CAG
+from ..core.activity import ActivityType
+from ..core.cag import CAG, CONTEXT_EDGE, MESSAGE_EDGE
 from ..core.correlator import CorrelationResult
 from ..core.patterns import PatternClassifier
 from .backends import BackendSpec, default_backends
 from .sources import Source, as_source
+
+
+#: ``ActivityType`` name by type value.
+_TYPE_NAMES = tuple(kind.name for kind in ActivityType)
 
 
 def _fingerprint(activity) -> Tuple:
@@ -51,6 +56,29 @@ def _fingerprint(activity) -> Tuple:
     )
 
 
+def _vertex_fingerprints(cag: CAG) -> List[Tuple]:
+    """:func:`_fingerprint` of every vertex, by position, read off the
+    CAG's columns and its key space: a finished CAG builds no vertex.
+    Its END's size is the kept object's, which grows when a response is
+    flushed in several writes after the CAG finished."""
+    contexts, connections = cag.keys.contexts, cag.keys.connections
+    kinds = cag.column("priority")
+    sizes = list(cag.column("size"))
+    end = cag.end_activity
+    if end is not None:
+        sizes[len(kinds) - 1 - kinds[::-1].index(ActivityType.END)] = end.size
+    return [
+        (_TYPE_NAMES[kind], round(timestamp, 9), contexts[ckey].as_tuple(), connections[mkey], size)
+        for kind, timestamp, ckey, mkey, size in zip(
+            kinds,
+            cag.column("timestamp"),
+            cag.column("context_key"),
+            cag.column("message_key"),
+            sizes,
+        )
+    ]
+
+
 def canonical_cags(cags: Iterable[CAG]) -> List[Tuple]:
     """Order-independent fingerprint: one (root, edge-multiset) per CAG.
 
@@ -60,11 +88,14 @@ def canonical_cags(cags: Iterable[CAG]) -> List[Tuple]:
     """
     shapes = []
     for cag in cags:
+        fingerprints = _vertex_fingerprints(cag)
         edges = sorted(
-            (edge.kind, _fingerprint(edge.parent), _fingerprint(edge.child))
-            for edge in cag.edges
+            (kind, fingerprints[parent], fingerprints[child])
+            for kind, column in zip((CONTEXT_EDGE, MESSAGE_EDGE), cag.parent_columns)
+            for child, parent in enumerate(column)
+            if parent >= 0
         )
-        shapes.append((_fingerprint(cag.root), tuple(edges)))
+        shapes.append((fingerprints[0], tuple(edges)))
     return sorted(shapes)
 
 

@@ -11,12 +11,14 @@ are sensitive to.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
+from repro.core.engine import CorrelationEngine
 from repro.core.interning import ActivityTable, KeySpace
 from repro.core.latency import segment_label
 from repro.core.log_format import format_record
@@ -298,7 +300,7 @@ def cyclic_cag() -> CAG:
         vertex(ActivityType.SEND, 1.1, "web", "httpd", 1),
         vertex(ActivityType.RECEIVE, 1.2, "app", "java", 2),
     )
-    cag = CAG(root=begin, keys=keys)
+    cag = CAG(begin, keys)
     cag.append(send, begin, CONTEXT_EDGE)
     cag.append(receive, send, MESSAGE_EDGE)
     cag.add_edge(receive, begin, CONTEXT_EDGE)
@@ -396,6 +398,21 @@ def in_space(keys: KeySpace, *objects: Activity) -> List[Activity]:
     the way a run's ranker delivers them (hand-built CAGs over them share
     ``keys``' shape plans)."""
     return list(packed(list(objects), keys))
+
+
+def keyed_engine(keys: KeySpace, sampler=None) -> CorrelationEngine:
+    """A ``CorrelationEngine`` over ``keys``, wired as a run wires one:
+    feed it activities keyed there (:func:`in_space`, or a ranker's rows
+    over ``keys``)."""
+    engine = CorrelationEngine(sampler)
+    engine.keys = keys
+    return engine
+
+
+def add_pending(mmap, send: Activity) -> None:
+    """Register ``send`` in an engine-style ``mmap`` dict, as the engine
+    does with a SEND it delivers."""
+    mmap.setdefault(send.message_key, deque()).append(send)
 
 
 def message_id(keys: KeySpace, activity: Activity) -> int:

@@ -5,19 +5,28 @@ import pickle
 
 import pytest
 
+from helpers import in_space
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, Edge, MESSAGE_EDGE
+from repro.core.interning import KeySpace
 from repro.pipeline import BackendSpec
+
+#: The key space every hand-built vertex of this module is keyed in.
+KEYS = KeySpace()
 
 
 def activity(activity_type, timestamp, host="web", program="httpd", pid=1, tid=1, rid=None):
-    return Activity(
-        type=activity_type,
-        timestamp=timestamp,
-        context=ContextId(host, program, pid, tid),
-        message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
-        request_id=rid,
+    (built,) = in_space(
+        KEYS,
+        Activity(
+            type=activity_type,
+            timestamp=timestamp,
+            context=ContextId(host, program, pid, tid),
+            message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
+            request_id=rid,
+        ),
     )
+    return built
 
 
 def simple_chain():
@@ -29,7 +38,7 @@ def simple_chain():
     reply_receive = activity(ActivityType.RECEIVE, 1.4)
     end = activity(ActivityType.END, 1.5)
 
-    cag = CAG(root=begin)
+    cag = CAG(begin, KEYS)
     cag.append(send, begin, CONTEXT_EDGE)
     cag.append(receive, send, MESSAGE_EDGE)
     cag.append(reply_send, receive, CONTEXT_EDGE)
@@ -42,19 +51,26 @@ def simple_chain():
 class TestConstruction:
     def test_root_is_first_vertex(self):
         begin = activity(ActivityType.BEGIN, 1.0)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         assert cag.root is begin
         assert len(cag) == 1
         assert begin in cag
 
     def test_root_must_be_activity(self):
         with pytest.raises(CAGError):
-            CAG(root="not an activity")
+            CAG("not an activity", KEYS)
+
+    def test_a_cag_without_a_key_space_is_refused(self):
+        begin = activity(ActivityType.BEGIN, 1.0)
+        with pytest.raises(CAGError, match="key space"):
+            CAG(begin, None)
+        with pytest.raises(TypeError):
+            CAG(begin)
 
     def test_append_adds_vertex_and_edge(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         send = activity(ActivityType.SEND, 1.1)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         assert cag.append(send, begin, CONTEXT_EDGE) is None
         assert len(cag) == 2
         (edge,) = cag.edges
@@ -63,14 +79,14 @@ class TestConstruction:
 
     def test_duplicate_vertex_rejected(self):
         begin = activity(ActivityType.BEGIN, 1.0)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         with pytest.raises(CAGError):
             cag.add_vertex(begin)
 
     def test_edge_requires_known_vertices(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         other = activity(ActivityType.SEND, 1.1)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         with pytest.raises(CAGError):
             cag.add_edge(begin, other, CONTEXT_EDGE)
         with pytest.raises(CAGError):
@@ -79,20 +95,20 @@ class TestConstruction:
     def test_unknown_edge_kind_rejected(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         send = activity(ActivityType.SEND, 1.1)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.add_vertex(send)
         with pytest.raises(CAGError):
             cag.add_edge(begin, send, "bogus")
 
     def test_self_edge_rejected(self):
         begin = activity(ActivityType.BEGIN, 1.0)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         with pytest.raises(CAGError):
             cag.add_edge(begin, begin, CONTEXT_EDGE)
 
     def test_cannot_add_after_finish(self):
         begin = activity(ActivityType.BEGIN, 1.0)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.finish()
         with pytest.raises(CAGError):
             cag.add_vertex(activity(ActivityType.SEND, 1.1))
@@ -111,7 +127,7 @@ class TestParentInvariants:
         begin = activity(ActivityType.BEGIN, 1.0)
         a = activity(ActivityType.SEND, 1.1)
         b = activity(ActivityType.SEND, 1.2)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.append(a, begin, CONTEXT_EDGE)
         cag.append(b, begin, CONTEXT_EDGE)
         with pytest.raises(CAGError):
@@ -122,7 +138,7 @@ class TestParentInvariants:
         send = activity(ActivityType.SEND, 1.1)
         other_send = activity(ActivityType.SEND, 1.15)
         receive = activity(ActivityType.RECEIVE, 1.2, host="app", program="java", pid=2, tid=2)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.append(send, begin, CONTEXT_EDGE)
         cag.append(other_send, send, CONTEXT_EDGE)
         cag.append(receive, send, MESSAGE_EDGE)
@@ -159,7 +175,7 @@ class TestQueries:
 
     def test_duration_none_without_end(self):
         begin = activity(ActivityType.BEGIN, 1.0)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         assert cag.duration() is None
         assert cag.end_timestamp is None
 
@@ -174,7 +190,7 @@ class TestQueries:
     def test_request_ids_collects_ground_truth_tags(self):
         begin = activity(ActivityType.BEGIN, 1.0, rid=9)
         send = activity(ActivityType.SEND, 1.1, rid=9)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.append(send, begin, CONTEXT_EDGE)
         assert cag.request_ids() == {9}
 
@@ -220,7 +236,7 @@ class TestOrderingAndPaths:
     def test_disconnected_vertex_marks_deformed(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         stray = activity(ActivityType.SEND, 1.2)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.add_vertex(stray)
         cag.finish()
         assert cag.is_deformed()
@@ -232,7 +248,7 @@ class TestOrderingAndPaths:
     def test_validate_rejects_context_edge_across_contexts(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         foreign = activity(ActivityType.SEND, 1.1, host="app", program="java", pid=2, tid=2)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.append(foreign, begin, CONTEXT_EDGE)
         with pytest.raises(CAGError):
             cag.validate()
@@ -240,7 +256,7 @@ class TestOrderingAndPaths:
     def test_validate_rejects_message_edge_from_receive(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         receive = activity(ActivityType.RECEIVE, 1.1, host="app", program="java", pid=2, tid=2)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.append(receive, begin, MESSAGE_EDGE)  # BEGIN is receive-like: invalid message parent
         with pytest.raises(CAGError):
             cag.validate()
@@ -303,16 +319,20 @@ class TestColumnarStorage:
         assert cag._index is None
         assert len(cag) == 6 and cag.primary_path() and not cag.is_deformed()
         assert cag._index is None  # positional reads never need it
-        assert vertices[3] in cag and activity(ActivityType.SEND, 9.9) not in cag
+        # packed: the members are the vertices it builds, equal to the
+        # objects it was grown from
+        built = cag.vertices
+        assert list(built) == vertices and built[3] is not vertices[3]
+        assert built[3] in cag and activity(ActivityType.SEND, 9.9) not in cag
         assert cag._index is not None
-        assert cag.context_parent(vertices[4]) is vertices[1]
+        assert cag.context_parent(built[4]) is built[1]
 
     def test_views_keep_insertion_order_across_a_splice(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         send = activity(ActivityType.SEND, 1.3)
         upstream = activity(ActivityType.SEND, 1.05, host="app", program="java", pid=2, tid=2)
         late = activity(ActivityType.RECEIVE, 1.1)
-        cag = CAG(root=begin)
+        cag = CAG(begin, KEYS)
         cag.append(send, begin, CONTEXT_EDGE)
         cag.append(upstream, begin, MESSAGE_EDGE)
         cag.append(late, upstream, MESSAGE_EDGE)

@@ -25,11 +25,12 @@ import pytest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG
 from repro.core.correlator import IncrementalEngine
-from repro.core.interning import ActivityTable
+from repro.core.interning import ActivityTable, KeySpace
 from repro.pipeline import BackendSpec, Pipeline, RunSource, StoreSink, result_digest
 from repro.store import TraceStore
 from repro.stream import load_checkpoint, save_checkpoint
-from repro.stream.checkpoint import MAGIC, VERSION
+from repro.stream.checkpoint import MAGIC, VERSION, config_fingerprint, resume_checkpoint
+from repro.stream.reader import arrival_chunks
 from repro.topology.library import run_scenario, scenario_names
 
 WINDOW = 0.010
@@ -445,7 +446,9 @@ class TestCheckpointFileContract:
             message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
         )
         version_6_state = {
-            key: value for key, value in CAG(root).__getstate__().items() if key != "keys"
+            key: value
+            for key, value in CAG(root, KeySpace()).__getstate__().items()
+            if key != "keys"
         }
 
         class Version6CAG:
@@ -500,7 +503,9 @@ class TestCheckpointFileContract:
             message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
         )
         version_7_state = {
-            key: value for key, value in CAG(root).__getstate__().items() if key != "rows"
+            key: value
+            for key, value in CAG(root, KeySpace()).__getstate__().items()
+            if key != "rows"
         }
         version_7_state["finished"] = True
 
@@ -533,6 +538,58 @@ class TestCheckpointFileContract:
 
         monkeypatch.setattr(checkpoint.pickle, "loads", watching_loads)
         with pytest.raises(ValueError, match="unsupported checkpoint version 7"):
+            load_checkpoint(str(path))
+        assert blob not in unpickled
+
+    def test_version_8_file_is_refused_before_its_index_map_objects_are_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        """Version 8 pickled the engine's ``mmap`` and ``cmap`` as objects
+        of wrapper classes in ``repro.core.index_maps``; a version-9
+        engine holds plain dicts, and that module is gone, so unpickling
+        such a blob fails inside ``pickle``.  The version check has to
+        refuse the file, naming its version, before the blob is touched
+        at all."""
+        import types
+
+        import repro.stream.checkpoint as checkpoint
+
+        assert VERSION > 8
+        module = types.ModuleType("repro.core.index_maps")
+
+        class MessageMap:
+            def __init__(self):
+                self._pending = {}
+
+        MessageMap.__module__, MessageMap.__qualname__ = module.__name__, "MessageMap"
+        module.MessageMap = MessageMap
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        blob = pickle.dumps({"mmap": MessageMap()})
+        monkeypatch.delitem(sys.modules, module.__name__)
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(blob)
+        path = tmp_path / "v8.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 8,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        unpickled = []
+        real_loads = pickle.loads
+
+        def watching_loads(data, *args, **kwargs):
+            unpickled.append(data)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint.pickle, "loads", watching_loads)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 8"):
             load_checkpoint(str(path))
         assert blob not in unpickled
 
@@ -612,6 +669,33 @@ class TestEngineStateSurvivesPickling:
             full, resumed = opened.run_digest("full"), opened.run_digest("resumed")
             assert opened.run_row("resumed")["requests"] == opened.run_row("full")["requests"]
         assert resumed == full
+
+    def test_a_resumed_ranker_reads_the_engines_own_mmap(self, tmp_path):
+        """The ranker probes the engine's ``mmap`` dict itself (Rule 1,
+        ``is_noise``); both pickle into one checkpoint, and a resumed run
+        must still share the one dict -- a copy would let the ranker read
+        stale pending SENDs -- and reach the uninterrupted digest."""
+        table = _scenario_table("cache_aside")
+        backend = BackendSpec.streaming(window=WINDOW)
+        uninterrupted = result_digest(backend.correlate(table))
+        ckpt = str(tmp_path / "shared.ckpt")
+        _run_until_checkpoint(
+            BackendSpec.streaming(
+                window=WINDOW, checkpoint_path=ckpt, checkpoint_every=len(table) // 2
+            ),
+            table,
+        )
+        engine, rest = resume_checkpoint(
+            ckpt, config_fingerprint(backend), arrival_chunks(table, backend.chunk_size)
+        )
+        assert 0 < engine.total_ingested < len(table)
+        assert type(engine.engine.mmap) is dict and type(engine.engine.cmap) is dict
+        assert engine.ranker._mmap_pending is engine.engine.mmap
+        for chunk in rest:
+            engine.ingest(chunk)
+            assert engine.ranker._mmap_pending is engine.engine.mmap
+        engine.flush()
+        assert result_digest(engine.result()) == uninterrupted
 
     def test_new_cags_after_resume_do_not_collide_with_revived_ids(self, tmp_path):
         """The engine's CAG id counter is module-global and restarts at

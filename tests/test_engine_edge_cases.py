@@ -8,11 +8,11 @@ bookkeeping across finished CAGs.
 
 import pytest
 
-from helpers import APP, SyntheticTrace
+from helpers import APP, SyntheticTrace, in_space, keyed_engine
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
+from repro.core.interning import KeySpace
 from repro.pipeline import BackendSpec
-from repro.core.engine import CorrelationEngine
 
 
 def correlate(trace, window=0.01):
@@ -82,16 +82,20 @@ class TestNoiseRobustness:
     def test_unmatched_send_like_noise_is_harmless(self):
         """A stray SEND with no context parent must not enter the mmap and
         must not capture later receives on the same connection key."""
-        engine = CorrelationEngine()
-        stray = Activity(
-            type=ActivityType.SEND,
-            timestamp=0.5,
-            context=ContextId("db", "mysqld", 9, 9),
-            message=MessageId("10.1.0.3", 3306, "10.9.0.7", 41000, 640),
+        keys = KeySpace()
+        engine = keyed_engine(keys)
+        (stray,) = in_space(
+            keys,
+            Activity(
+                type=ActivityType.SEND,
+                timestamp=0.5,
+                context=ContextId("db", "mysqld", 9, 9),
+                message=MessageId("10.1.0.3", 3306, "10.9.0.7", 41000, 640),
+            ),
         )
         engine.process(stray)
         assert engine.stats.unmatched_sends == 1
-        assert len(engine.mmap) == 0
+        assert engine.mmap == {}
 
 
 class TestStateHygiene:
@@ -129,20 +133,24 @@ class TestStateHygiene:
             assert len(cag.request_ids()) == 1
 
     def test_zero_byte_messages_do_not_wedge_the_engine(self):
-        engine = CorrelationEngine()
-        begin = Activity(
-            type=ActivityType.BEGIN,
-            timestamp=1.0,
-            context=ContextId("web", "httpd", 1, 1),
-            message=MessageId("9.9.9.9", 555, "10.1.0.1", 80, 0),
-            request_id=1,
-        )
-        send = Activity(
-            type=ActivityType.SEND,
-            timestamp=1.1,
-            context=ContextId("web", "httpd", 1, 1),
-            message=MessageId("10.1.0.1", 4000, "10.1.0.2", 8080, 0),
-            request_id=1,
+        keys = KeySpace()
+        engine = keyed_engine(keys)
+        begin, send = in_space(
+            keys,
+            Activity(
+                type=ActivityType.BEGIN,
+                timestamp=1.0,
+                context=ContextId("web", "httpd", 1, 1),
+                message=MessageId("9.9.9.9", 555, "10.1.0.1", 80, 0),
+                request_id=1,
+            ),
+            Activity(
+                type=ActivityType.SEND,
+                timestamp=1.1,
+                context=ContextId("web", "httpd", 1, 1),
+                message=MessageId("10.1.0.1", 4000, "10.1.0.2", 8080, 0),
+                request_id=1,
+            ),
         )
         engine.process(begin)
         engine.process(send)

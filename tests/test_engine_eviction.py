@@ -15,20 +15,27 @@ kernel-part merging in two subtle ways:
   PR; the streaming end-to-end version lives in ``tests/test_stream.py``).
 """
 
+from helpers import add_pending, in_space, keyed_engine
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import SampledOutCAG
-from repro.core.engine import CorrelationEngine
+from repro.core.interning import KeySpace
+
+#: The key space this module's activities are keyed in, and its engines'.
+KEYS = KeySpace()
 
 
 def mkey(connection):
-    """The mmap key of a hand-built activity on a raw connection 4-tuple
-    (it belongs to no key space: the 4-tuple itself)."""
-    return connection
+    """The ``mmap`` key of a connection 4-tuple."""
+    return KEYS.message_ids[connection]
 
 
 def ckey(ctx):
-    """The cmap key of a hand-built activity in a ContextId."""
-    return ctx.as_tuple()
+    """The ``cmap`` key of a ContextId."""
+    return KEYS.context_ids[ctx.as_tuple()]
+
+
+def new_engine(sampler=None):
+    return keyed_engine(KEYS, sampler)
 
 
 class _RejectAll:
@@ -46,13 +53,17 @@ CONN_KEY = ("10.1.0.1", 41000, "10.1.0.2", 8080)
 
 def act(activity_type, ts, ctx, msg_key, size, request_id=None):
     src_ip, src_port, dst_ip, dst_port = msg_key
-    return Activity(
-        type=activity_type,
-        timestamp=ts,
-        context=ctx,
-        message=MessageId(src_ip, src_port, dst_ip, dst_port, size),
-        request_id=request_id,
+    (activity,) = in_space(
+        KEYS,
+        Activity(
+            type=activity_type,
+            timestamp=ts,
+            context=ctx,
+            message=MessageId(src_ip, src_port, dst_ip, dst_port, size),
+            request_id=request_id,
+        ),
     )
+    return activity
 
 
 def open_request(engine, begin_ts=1.0, request_id=1):
@@ -66,7 +77,7 @@ class TestSegmentedEviction:
         """A SEND whose RECEIVE only partially arrived is evicted: no
         matching state may leak (no ghost completion), while the rest of
         the CAG's state survives."""
-        engine = CorrelationEngine()
+        engine = new_engine()
         open_request(engine)
         send = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
         engine.process(send)
@@ -92,8 +103,8 @@ class TestSegmentedEviction:
         assert engine.stats.evicted_mmap_entries == 1
         assert evicted >= 1
         assert engine._backlog_size == 0  # no matching state leaked
-        assert not engine.mmap.has_match(mkey(CONN_KEY))
-        assert engine.mmap.has_match(mkey(other_key))  # fresh entry untouched
+        assert mkey(CONN_KEY) not in engine.mmap
+        assert list(engine.mmap[mkey(other_key)]) == [late_send]  # fresh entry untouched
         assert len(engine.open_cags) == 1  # the CAG itself is still live
 
         # the rest of the segmented RECEIVE now finds nothing: counted as
@@ -113,7 +124,7 @@ class TestSegmentedEviction:
         """After a whole request is evicted, a new request reusing the same
         connection 4-tuple must match its own SEND -- and no ``_owner`` or
         receive-backlog entries of the ghost may survive."""
-        engine = CorrelationEngine()
+        engine = new_engine()
         open_request(engine, begin_ts=1.0, request_id=1)
         ghost_send = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
         engine.process(ghost_send)
@@ -134,13 +145,13 @@ class TestSegmentedEviction:
         assert engine.open_cags == []
         assert engine._owner == {}  # no stale ownership
         assert engine._backlog_size == 0  # no stale partial matches
-        assert len(engine.mmap) == 0
+        assert engine.mmap == {}
 
         # request 2 recycles the exact connection key
         open_request(engine, begin_ts=3.0, request_id=2)
         new_send = act(ActivityType.SEND, 3.1, WEB_CTX, CONN_KEY, 80, 2)
         engine.process(new_send)
-        assert engine.mmap.match(mkey(CONN_KEY)) is new_send  # never the ghost
+        assert list(engine.mmap[mkey(CONN_KEY)]) == [new_send]  # never the ghost
         receive = act(
             ActivityType.RECEIVE,
             3.15,
@@ -150,7 +161,7 @@ class TestSegmentedEviction:
             2,
         )
         engine.process(receive)
-        assert not engine.mmap.has_match(mkey(CONN_KEY))  # fully matched
+        assert mkey(CONN_KEY) not in engine.mmap  # fully matched
         (cag,) = engine.open_cags
         assert cag.request_ids() == {2}
         assert engine._backlog_size == 0
@@ -159,7 +170,7 @@ class TestSegmentedEviction:
         """A receive part whose bytes ran ahead of the sender's merged
         writes parks in the backlog; when its SEND never balances within
         the horizon, eviction must reclaim the parked part too."""
-        engine = CorrelationEngine()
+        engine = new_engine()
         open_request(engine)
         send = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
         engine.process(send)
@@ -192,15 +203,15 @@ class TestGhostSendDrop:
         eviction both take a CAG's SENDs out of the mmap, so the engine
         leaves no ghost on its own -- the test re-registers a finished
         request's SEND by hand."""
-        engine = CorrelationEngine()
+        engine = new_engine()
         open_request(engine, begin_ts=1.0, request_id=1)
         ghost = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
         engine.process(ghost)
         back_to_client = ("10.1.0.1", 80, "10.9.0.1", 51000)
         engine.process(act(ActivityType.END, 1.2, WEB_CTX, back_to_client, 200, 1))
         assert len(engine.finished_cags) == 1
-        assert not engine.mmap.has_match(mkey(CONN_KEY))
-        engine.mmap.insert(ghost)  # pending, and owned by no CAG
+        assert mkey(CONN_KEY) not in engine.mmap
+        add_pending(engine.mmap, ghost)  # pending, and owned by no CAG
 
         # request 2, on another web worker, sends on the same connection;
         # its RECEIVE meets the ghost at the head and goes to the backlog
@@ -218,7 +229,7 @@ class TestGhostSendDrop:
         # is matched to the live SEND, so it is not unmatched too
         assert engine.stats.unmatched_sends == 1
         assert engine.stats.unmatched_receives == 0
-        assert not engine.mmap.has_match(mkey(CONN_KEY))  # ghost gone, send matched
+        assert mkey(CONN_KEY) not in engine.mmap  # ghost gone, send matched
         assert engine._backlog_size == 0
         (cag,) = engine.open_cags
         assert receive in cag and [e.parent for e in cag.parents_of(receive)] == [send]
@@ -229,7 +240,7 @@ class TestMergeRecency:
         """Kernel parts of a request body merged into the BEGIN must count
         as activity: without the refresh, eviction right after the merge
         drops the live context and its CAG."""
-        engine = CorrelationEngine()
+        engine = new_engine()
         begin = open_request(engine, begin_ts=1.0)
         part = act(ActivityType.BEGIN, 1.9, WEB_CTX, CLIENT_KEY, 200, 1)
         engine.process(part)
@@ -238,16 +249,16 @@ class TestMergeRecency:
 
         (cag,) = engine.open_cags
         assert cag.newest_timestamp == 1.9
-        assert engine.cmap.recency(ckey(WEB_CTX)) == 1.9
+        assert engine.cmap_recency.get(ckey(WEB_CTX)) == 1.9
 
         # eviction between the parts' span must not touch the request
         engine.evict_stale(before=1.5)
         assert len(engine.open_cags) == 1
         assert engine.stats.evicted_open_cags == 0
-        assert engine.cmap.latest(ckey(WEB_CTX)) is begin
+        assert engine.cmap.get(ckey(WEB_CTX)) is begin
 
     def test_send_part_merge_refreshes_recency(self):
-        engine = CorrelationEngine()
+        engine = new_engine()
         open_request(engine, begin_ts=1.0)
         send = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
         engine.process(send)
@@ -256,7 +267,7 @@ class TestMergeRecency:
         assert engine.stats.merged_sends == 1
         (cag,) = engine.open_cags
         assert cag.newest_timestamp == 1.9
-        assert engine.cmap.recency(ckey(WEB_CTX)) == 1.9
+        assert engine.cmap_recency.get(ckey(WEB_CTX)) == 1.9
         engine.evict_stale(before=1.5)
         assert len(engine.open_cags) == 1
         # the pending SEND itself is evictable by its first-part timestamp
@@ -265,7 +276,7 @@ class TestMergeRecency:
         assert engine.stats.evicted_cmap_entries == 0
 
     def test_end_part_merge_refreshes_cmap_recency(self):
-        engine = CorrelationEngine()
+        engine = new_engine()
         begin = open_request(engine, begin_ts=1.0)
         end = act(ActivityType.END, 1.2, WEB_CTX, CLIENT_KEY, 2000, 1)
         engine.process(end)
@@ -274,7 +285,7 @@ class TestMergeRecency:
         part = act(ActivityType.END, 1.9, WEB_CTX, CLIENT_KEY, 500, 1)
         engine.process(part)
         assert end.size == 2500  # merged into the finished END
-        assert engine.cmap.recency(ckey(WEB_CTX)) == 1.9
+        assert engine.cmap_recency.get(ckey(WEB_CTX)) == 1.9
 
 
 class TestSampledOutPurge:
@@ -292,7 +303,7 @@ class TestSampledOutPurge:
     def test_multi_part_begin_merges_into_the_tombstone(self):
         """Late kernel parts of a sampled-out request body must merge into
         the tombstone root -- not open a second (now untracked) CAG."""
-        engine = CorrelationEngine(sampler=_RejectAll())
+        engine = new_engine(_RejectAll())
         begin = open_request(engine, begin_ts=1.0)
         assert engine.stats.sampled_out_roots == 1
         part = act(ActivityType.BEGIN, 1.9, WEB_CTX, CLIENT_KEY, 200, 1)
@@ -304,31 +315,31 @@ class TestSampledOutPurge:
         assert isinstance(tombstone, SampledOutCAG)
         # the merge refreshed the recency structures, exactly as for a
         # traced request (the PR 2 bug class)
-        assert engine.cmap.recency(ckey(WEB_CTX)) == 1.9
+        assert engine.cmap_recency.get(ckey(WEB_CTX)) == 1.9
         assert tombstone.newest_timestamp == 1.9
 
     def test_completion_purges_cmap_and_mmap(self):
-        engine = CorrelationEngine(sampler=_RejectAll())
+        engine = new_engine(_RejectAll())
         open_request(engine, begin_ts=1.0)
         send = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
         engine.process(send)
-        assert engine.mmap.has_match(mkey(CONN_KEY))  # pending, as in a full run
+        assert list(engine.mmap[mkey(CONN_KEY)]) == [send]  # pending, as in a full run
         end = act(ActivityType.END, 1.3, WEB_CTX, CLIENT_KEY, 2000, 1)
         finished = engine.process(end)
         assert finished is None  # tombstones are never emitted
         assert engine.stats.sampled_out_finished == 1
         assert engine.stats.finished_cags == 0
         assert engine.finished_cags == []
-        # ContextMap/MessageMap recency structures purged with the request
-        assert len(engine.cmap) == 0
-        assert engine.cmap.recency(ckey(WEB_CTX)) is None
-        assert len(engine.mmap) == 0
+        # cmap, its recency and the mmap purged with the request
+        assert engine.cmap == {}
+        assert engine.cmap_recency.get(ckey(WEB_CTX)) is None
+        assert engine.mmap == {}
         assert engine._owner == {}
         assert engine._backlog_size == 0
         assert engine.pending_state_size() == 0
 
     def test_eviction_drops_tombstones_without_retaining_them(self):
-        engine = CorrelationEngine(sampler=_RejectAll())
+        engine = new_engine(_RejectAll())
         open_request(engine, begin_ts=1.0)
         send = act(ActivityType.SEND, 1.1, WEB_CTX, CONN_KEY, 100, 1)
         engine.process(send)
@@ -353,8 +364,8 @@ class TestSampledOutPurge:
         assert engine._open == {}
         assert engine._owner == {}
         assert engine._backlog_size == 0
-        assert len(engine.mmap) == 0
-        assert len(engine.cmap) == 0
+        assert engine.mmap == {}
+        assert engine.cmap == {}
 
     def test_purge_spares_live_contexts_of_other_requests(self):
         """The cmap purge is identity-guarded: a context whose latest
@@ -371,16 +382,16 @@ class TestSampledOutPurge:
                 self.calls += 1
                 return self.calls > 1
 
-        engine = CorrelationEngine(sampler=RejectFirst())
+        engine = new_engine(RejectFirst())
         open_request(engine, begin_ts=1.0, request_id=1)  # sampled out
         end_one = act(ActivityType.END, 1.2, WEB_CTX, CLIENT_KEY, 500, 1)
         engine.process(end_one)
-        assert engine.cmap.recency(ckey(WEB_CTX)) is None  # purged
+        assert engine.cmap_recency.get(ckey(WEB_CTX)) is None  # purged
 
         begin_two = open_request(engine, begin_ts=2.0, request_id=2)  # traced
-        assert engine.cmap.latest(ckey(WEB_CTX)) is begin_two
+        assert engine.cmap.get(ckey(WEB_CTX)) is begin_two
         end_two = act(ActivityType.END, 2.2, WEB_CTX, CLIENT_KEY, 700, 2)
         cag = engine.process(end_two)
         assert cag is not None and cag.request_ids() == {2}
         # the traced request's completion does not purge its context
-        assert engine.cmap.latest(ckey(WEB_CTX)) is end_two
+        assert engine.cmap.get(ckey(WEB_CTX)) is end_two

@@ -16,6 +16,7 @@ import tracemalloc
 
 from helpers import write_node_logs
 from repro.core.activity import Activity
+from repro.core.interning import ActivityTable
 from repro.pipeline import (
     BackendSpec,
     LogSource,
@@ -23,6 +24,7 @@ from repro.pipeline import (
     RankedLatencyStage,
     StoreSink,
     SummaryJsonSink,
+    result_digest,
 )
 
 #: Most bytes one more vertex may add to a finished request at rest.  A
@@ -97,3 +99,20 @@ def test_the_batch_pipeline_keeps_rows_not_vertex_objects(tiny_run, tmp_path):
     per_vertex = (per_long - per_short) / (longest - shortest)
     assert 0 < per_vertex <= MAX_BYTES_PER_VERTEX, (per_vertex, per_short, per_long)
     assert keys is not None and len(memos) > 20
+
+
+def test_digesting_a_result_builds_no_vertex(tiny_run):
+    """``result_digest`` (and with it ``verify_equivalence`` and the fuzz
+    harness) fingerprints every vertex from the CAGs' columns and key
+    space: a run that digests its own result still holds each finished
+    request as its rows, its root and its END."""
+    table = ActivityTable.from_activities(tiny_run.activities())
+    gc.collect()
+    live_before = _live_activities()
+    result = BackendSpec.batch().correlate(table)
+    digest = result_digest(result)
+    assert digest == result_digest(result) and len(result.cags) > 20
+    incomplete = sum(len(cag) for cag in result.incomplete_cags)
+    gc.collect()
+    live = _live_activities() - live_before
+    assert live <= 2 * len(result.cags) + incomplete, (live, len(result.cags))

@@ -119,8 +119,8 @@ def _legacy_splice(self, cag, current, latest):
     interleaved at delivery time."""
     cag.add_edge(latest, current, CONTEXT_EDGE)
     key = current.context_key
-    self._cmap_latest[key] = current
-    self._cmap_recency[key] = current.timestamp
+    self.cmap[key] = current
+    self.cmap_recency[key] = current.timestamp
 
 
 def _legacy_tie_key(vertex):
@@ -137,7 +137,7 @@ def _legacy_release_vertices(self, cag):
     for vertex in cag.vertices:
         self._owner.pop(id(vertex), None)
         if vertex.type is ActivityType.SEND:
-            self.mmap.remove(vertex)
+            self._remove_send(vertex)
 
 
 #: Pre-fix per-node sort key: same-timestamp ties on one node break by

@@ -262,10 +262,9 @@ class TestEndToEndParity:
 class TestRankerPlumbing:
     def _ranker(self, mode, activities_by_node):
         from helpers import packed
-        from repro.core.index_maps import MessageMap
         from repro.core.ranker import Ranker
 
-        return Ranker(packed(activities_by_node), MessageMap(), window=0.010)
+        return Ranker(packed(activities_by_node), {}, window=0.010)
 
     def _drain(self, ranker):
         out = []
@@ -306,7 +305,6 @@ class TestRankerPlumbing:
         monkeypatch.setenv(kernel.ENV_VAR, mode)
         from helpers import SyntheticTrace
         from repro.core.activity import sort_key
-        from repro.core.index_maps import MessageMap
         from repro.core.ranker import Ranker
 
         script = SyntheticTrace()
@@ -317,7 +315,7 @@ class TestRankerPlumbing:
         cut = len(chunks) // 2
 
         def run(interrupt):
-            ranker = Ranker(None, MessageMap(), window=0.010, skew_bound=0.005)
+            ranker = Ranker(None, {}, window=0.010, skew_bound=0.005)
             out = []
             for index, chunk in enumerate(chunks):
                 if interrupt and index == cut:
@@ -342,13 +340,12 @@ class TestRankerPlumbing:
 
     def test_streaming_ingest_rebinds_the_selector(self, monkeypatch):
         monkeypatch.setenv(kernel.ENV_VAR, "python")
-        from repro.core.index_maps import MessageMap
         from repro.core.ranker import Ranker
         from helpers import SyntheticTrace
 
         script = SyntheticTrace()
         script.three_tier_request(1, 0.001)
-        ranker = Ranker(None, MessageMap(), window=0.010, skew_bound=0.005)
+        ranker = Ranker(None, {}, window=0.010, skew_bound=0.005)
         by_node = script.by_node()
         nodes = list(by_node)
         ranker.ingest(ActivityTable.from_activities(by_node[nodes[0]]))

@@ -26,7 +26,6 @@ import repro.core.correlator as correlator_module
 import repro.core.kernel as kernel
 from repro.core.activity import Activity
 from repro.core.correlator import IncrementalEngine
-from repro.core.index_maps import MessageMap
 from repro.core.interning import ActivityTable
 from repro.core.ranker import ActivitySource, Ranker
 from repro.pipeline import (
@@ -235,7 +234,7 @@ class TestOutOfOrderPackedRows:
 
     def test_a_rotation_moves_every_column_and_builds_nothing(self, log_sets):
         run, source, tables = self._packed_rows(log_sets)
-        ranker = Ranker(None, MessageMap(), window=1e9)
+        ranker = Ranker(None, {}, window=1e9)
         for table in tables:
             ranker.ingest(table)
         ranker.seal()
@@ -328,7 +327,7 @@ class TestIdentity:
 
     def test_a_row_looked_at_early_is_built_again_at_delivery(self, log_sets):
         run, paths = log_sets["cache_aside"]
-        ranker = Ranker(None, MessageMap(), window=0.01)
+        ranker = Ranker(None, {}, window=0.01)
         for block in log_source(run, paths).blocks():
             ranker.ingest(block)
         ranker.seal()

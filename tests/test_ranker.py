@@ -4,15 +4,16 @@ import pytest
 
 from helpers import (
     SyntheticTrace,
+    add_pending,
     assert_ranker_aligned,
     assert_ranker_drained,
+    keyed_engine,
     message_id,
     node_id,
     packed,
 )
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.engine import CorrelationEngine
-from repro.core.index_maps import MessageMap
 from repro.core.log_format import ActivityClassifier, FrontendSpec
 from repro.core.ranker import ActivitySource, Ranker
 from repro.pipeline import BackendSpec
@@ -100,16 +101,16 @@ class TestActivitySource:
 class TestRankerBasics:
     def test_rejects_non_positive_window(self):
         with pytest.raises(ValueError):
-            Ranker(packed({}), MessageMap(), window=0.0)
+            Ranker(packed({}), {}, window=0.0)
 
     def test_ingest_refuses_anything_but_a_table(self):
-        ranker = Ranker(None, MessageMap(), window=0.01)
+        ranker = Ranker(None, {}, window=0.01)
         with pytest.raises(TypeError, match="from_activities"):
             ranker.ingest([act(ActivityType.SEND, 1.0, "n")])
         assert ranker.ingest(packed([act(ActivityType.SEND, 1.0, "n")])) == 1
 
     def test_empty_sources_yield_no_candidates(self):
-        ranker = Ranker(packed({}), MessageMap(), window=0.01)
+        ranker = Ranker(packed({}), {}, window=0.01)
         assert ranker.rank() is None
         assert ranker.exhausted()
 
@@ -118,7 +119,7 @@ class TestRankerBasics:
             act(ActivityType.SEND, t, "n", src=("1.1.1.1", t_i))
             for t_i, t in enumerate((3.0, 1.0, 2.0))
         ]
-        ranker = Ranker(packed({"n": activities}), MessageMap(), window=0.01)
+        ranker = Ranker(packed({"n": activities}), {}, window=0.01)
         delivered = drain(ranker)
         assert [a.timestamp for a in delivered] == [1.0, 2.0, 3.0]
         assert ranker.stats.delivered == 3
@@ -127,7 +128,7 @@ class TestRankerBasics:
         activities = [
             act(ActivityType.SEND, t, "n", src=("1.1.1.1", int(t))) for t in (0.0, 10.0, 20.0)
         ]
-        ranker = Ranker(packed({"n": activities}), MessageMap(), window=0.001)
+        ranker = Ranker(packed({"n": activities}), {}, window=0.001)
         assert len(drain(ranker)) == 3
 
     def test_rule2_priority_send_before_receive_across_nodes(self):
@@ -143,23 +144,23 @@ class TestRankerBasics:
     def test_rule1_selects_receive_once_send_is_in_mmap(self):
         send = act(ActivityType.SEND, 1.0, "a")
         receive = act(ActivityType.RECEIVE, 1.1, "b")
-        mmap = MessageMap()
+        mmap = {}
         ranker = Ranker(packed({"a": [send], "b": [receive]}), mmap, window=1.0)
         delivered = ranker.rank()
         assert delivered == send
-        mmap.insert(delivered)  # the engine would do this
+        add_pending(mmap, delivered)  # the engine would do this
         assert ranker.rank() == receive
         assert ranker.stats.rule1_selections == 1
 
     def test_begin_has_highest_urgency(self):
         begin = act(ActivityType.BEGIN, 1.0, "a")
         send = act(ActivityType.SEND, 1.0, "b")
-        ranker = Ranker(packed({"a": [begin], "b": [send]}), MessageMap(), window=1.0)
+        ranker = Ranker(packed({"a": [begin], "b": [send]}), {}, window=1.0)
         assert ranker.rank() == begin
 
     def test_buffered_count_and_exhausted(self):
         activities = [act(ActivityType.SEND, 1.0, "n")]
-        ranker = Ranker(packed({"n": activities}), MessageMap(), window=1.0)
+        ranker = Ranker(packed({"n": activities}), {}, window=1.0)
         assert not ranker.exhausted()
         drain(ranker)
         assert ranker.exhausted()
@@ -170,7 +171,7 @@ class TestNoiseHandling:
     def test_receive_without_any_matching_send_is_discarded(self):
         noise = act(ActivityType.RECEIVE, 1.0, "db", src=("8.8.8.8", 77))
         legit = act(ActivityType.SEND, 1.1, "db", src=("2.2.2.2", 5))
-        ranker = Ranker(packed({"db": [noise, legit]}), MessageMap(), window=1.0)
+        ranker = Ranker(packed({"db": [noise, legit]}), {}, window=1.0)
         delivered = drain(ranker)
         assert noise not in delivered
         assert legit in delivered
@@ -179,7 +180,7 @@ class TestNoiseHandling:
     def test_receive_with_future_send_is_not_noise(self):
         send = act(ActivityType.SEND, 5.0, "a")
         receive = act(ActivityType.RECEIVE, 1.0, "b")  # appears early (skewed clock)
-        mmap = MessageMap()
+        mmap = {}
         ranker = Ranker(packed({"a": [send], "b": [receive]}), mmap, window=0.5)
         delivered = []
         while True:
@@ -187,21 +188,21 @@ class TestNoiseHandling:
             if candidate is None:
                 break
             if candidate.type is ActivityType.SEND:
-                mmap.insert(candidate)
+                add_pending(mmap, candidate)
             delivered.append(candidate)
         assert delivered == [send, receive]
         assert ranker.stats.noise_discarded == 0
 
     def test_begin_is_never_noise(self):
         begin = act(ActivityType.BEGIN, 1.0, "web")
-        ranker = Ranker(packed({"web": [begin]}), MessageMap(), window=1.0)
+        ranker = Ranker(packed({"web": [begin]}), {}, window=1.0)
         assert not ranker.is_noise(begin)
         assert drain(ranker) == [begin]
 
     def test_is_noise_consults_mmap(self):
-        mmap = MessageMap()
+        mmap = {}
         send = act(ActivityType.SEND, 0.5, "a")
-        mmap.insert(send)
+        add_pending(mmap, send)
         receive = act(ActivityType.RECEIVE, 1.0, "b")
         ranker = Ranker(packed({"b": [receive]}), mmap, window=1.0)
         assert not ranker.is_noise(receive)
@@ -237,7 +238,7 @@ class TestDisturbances:
                 break
             # emulate just the mmap effect of the engine so Rule 1 can fire
             if candidate.type is ActivityType.SEND:
-                engine.mmap.insert(candidate)
+                add_pending(engine.mmap, candidate)
             delivered.append(candidate)
         order = {a.seq: i for i, a in enumerate(delivered)}
         assert order[s_to_2.seq] < order[r_from_1.seq]
@@ -257,7 +258,7 @@ class TestDisturbances:
             if candidate is None:
                 break
             if candidate.type is ActivityType.SEND:
-                engine.mmap.insert(candidate)
+                add_pending(engine.mmap, candidate)
             delivered.append(candidate)
         assert delivered[0] == send
         assert delivered[1] == receive
@@ -268,8 +269,9 @@ class TestDisturbances:
         trace = SyntheticTrace(skews={"db": -0.5})
         trace.three_tier_request(request_id=1, start=1.0)
         trace.three_tier_request(request_id=2, start=1.05)
-        engine = CorrelationEngine()
-        ranker = Ranker(packed(trace.by_node()), engine.mmap, window=0.001)
+        table = packed(trace.by_node())
+        engine = keyed_engine(table.keys)
+        ranker = Ranker(table, engine.mmap, window=0.001)
         seen_positions = {}
         index = 0
         while True:
@@ -305,7 +307,7 @@ class TestIdentityDelivery:
         send_x = act(ActivityType.SEND, 3.0, "n")
         ranker = Ranker(
             packed({"m": [recv_m, far_m, farther_m], "n": [recv_n, send_x]}),
-            MessageMap(),
+            {},
             window=10.0,
         )
         ranker._refill()
@@ -332,7 +334,7 @@ class TestIdentityDelivery:
         blocker = act(ActivityType.RECEIVE, 1.0, "n", src=("9.9.9.9", 1))
         first = act(ActivityType.SEND, 1.1, "n", rid=1)
         twin = act(ActivityType.SEND, 1.1, "n", rid=2)
-        ranker = Ranker(packed({"n": [blocker, first, twin]}), MessageMap(), window=10.0)
+        ranker = Ranker(packed({"n": [blocker, first, twin]}), {}, window=10.0)
         ranker._refill()
         slot = ranker._slot_of[node_id(ranker.keys, blocker)]
         source = ranker._slot_sources[slot]
@@ -404,8 +406,8 @@ class TestStats:
         trace = SyntheticTrace()
         for i in range(5):
             trace.three_tier_request(request_id=i + 1, start=float(i) * 0.01)
-        small = Ranker(packed(trace.by_node()), MessageMap(), window=0.0005)
-        large = Ranker(packed(trace.by_node()), MessageMap(), window=10.0)
+        small = Ranker(packed(trace.by_node()), {}, window=0.0005)
+        large = Ranker(packed(trace.by_node()), {}, window=10.0)
         drain(small)
         drain(large)
         assert large.stats.max_buffered >= small.stats.max_buffered
@@ -468,8 +470,9 @@ class TestStatsIdentity:
         trace = SyntheticTrace(skews={"db": -0.5, "app": 0.2})
         for index in range(12):
             trace.three_tier_request(request_id=index + 1, start=1.0 + index * 0.013)
-        engine = CorrelationEngine()
-        ranker = Ranker(packed(trace.by_node()), engine.mmap, window=0.001)
+        table = packed(trace.by_node())
+        engine = keyed_engine(table.keys)
+        ranker = Ranker(table, engine.mmap, window=0.001)
         for candidate in iter(ranker.rank, None):
             engine.process(candidate)
             assert_ranker_aligned(ranker)
@@ -492,12 +495,12 @@ class TestStatsIdentity:
                 act(ActivityType.RECEIVE, ts, "node2", pid=21, src=a, dst=b),
                 act(ActivityType.SEND, ts + 0.0001, "node2", pid=22, src=b, dst=a),
             ]
-        mmap = MessageMap()
+        mmap = {}
         ranker = Ranker(packed(rows), mmap, window=1.0)
         delivered = []
         for candidate in iter(ranker.rank, None):
             if candidate.type is ActivityType.SEND:
-                mmap.insert(candidate)  # the engine would do this
+                add_pending(mmap, candidate)  # the engine would do this
             delivered.append(candidate)
             assert_ranker_aligned(ranker)
         assert_ranker_drained(ranker)

@@ -30,7 +30,6 @@ from helpers import (
 )
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId, sort_key
 from repro.core.engine import CorrelationEngine
-from repro.core.index_maps import MessageMap
 from repro.core.ranker import ActivitySource, Ranker
 
 
@@ -98,7 +97,7 @@ class TestLateArrival:
         assert_source_aligned(source)
 
     def test_extend_releases_delivered_rows_and_keeps_absolute_positions(self):
-        ranker = Ranker(None, MessageMap(), window=0.5, skew_bound=0.0)
+        ranker = Ranker(None, {}, window=0.5, skew_bound=0.0)
         rows = [row(float(i), port=10 + i % 2) for i in range(8)]
         ranker.ingest(packed(rows[:6]))
         ranker.seal()
@@ -167,6 +166,7 @@ class TestLateArrival:
             1 for a in arrival if a.send_like
         )
         ranker.seal()
+        engine.keys = ranker.keys
         while (candidate := ranker.rank()) is not None:
             engine.process(candidate)
             assert_ranker_aligned(ranker)
@@ -185,6 +185,7 @@ class TestIndexOnDemand:
         engine = CorrelationEngine()
         ranker = Ranker(None, engine.mmap, window=0.010, skew_bound=0.0)
         ranker.ingest(packed(arrival[: len(arrival) // 2]))
+        engine.keys = ranker.keys
         if build_first:
             for source in ranker._slot_sources:
                 source._positions()
@@ -214,7 +215,7 @@ class TestIndexOnDemand:
 
     def test_first_read_builds_it_from_the_head(self):
         rows = [row(float(i), port=10 + i % 2) for i in range(6)]
-        ranker = Ranker(None, MessageMap(), window=0.5, skew_bound=0.0)
+        ranker = Ranker(None, {}, window=0.5, skew_bound=0.0)
         ranker.ingest(packed(rows))
         ranker.seal()
         assert [ranker.rank() for _ in range(2)] == rows[:2]
@@ -300,6 +301,7 @@ class TestChunkedIngestProperty:
             by_node.setdefault(whole[index].node_key, []).append(whole[index])
         reference_engine = CorrelationEngine()
         reference = Ranker(packed(by_node), reference_engine.mmap, window=window)
+        reference_engine.keys = reference.keys
 
         engine = CorrelationEngine()
         ranker = Ranker(None, engine.mmap, window=window, skew_bound=abs(skew))
@@ -309,6 +311,7 @@ class TestChunkedIngestProperty:
             ranker.ingest(packed([chunked[i] for i in order[start : start + size]]))
             start, turn = start + size, turn + 1
         ranker.seal()
+        engine.keys = ranker.keys
 
         assert delivered(ranker, engine, chunked_base) == delivered(
             reference, reference_engine, whole_base

@@ -323,8 +323,8 @@ class TestEngineTombstones:
         # every piece of per-request state was purged at completion
         assert engine._owner == {}
         assert engine._backlog_size == 0
-        assert len(engine.mmap) == 0
-        assert len(engine.cmap) == 0  # context entries purged with the tombstone
+        assert engine.mmap == {}
+        assert engine.cmap == {}  # context entries purged with the tombstone
 
     def test_full_and_sampled_runs_agree_on_the_admitted_subset(self, tiny_run):
         spec = SamplingSpec.uniform(0.4)

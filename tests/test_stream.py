@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import SyntheticTrace
+from helpers import SyntheticTrace, add_pending, in_space, keyed_engine
 from repro.core.activity import ActivityType, sort_key
-from repro.core.engine import CorrelationEngine
-from repro.core.index_maps import ContextMap, MessageMap
+from repro.core.interning import KeySpace
 from repro.core.latency import average_breakdown
 from repro.core.log_format import LineAssembler, format_record
 from repro.pipeline import (  # first-class equivalence API
@@ -128,36 +127,42 @@ class TestStreamingEquivalence:
 class TestWatermarkEviction:
     def test_context_map_eviction(self, trace_builder):
         trace_builder.three_tier_request(request_id=1, start=0.1)
-        cmap = ContextMap()
-        for activity in trace_builder.activities:
-            cmap.update(activity)
-        before = len(cmap)
-        assert cmap.evict_older_than(0.05) == 0
-        evicted = cmap.evict_older_than(10.0)
-        assert evicted == before
-        assert len(cmap) == 0
+        keys = KeySpace()
+        engine = keyed_engine(keys)
+        for activity in in_space(keys, *trace_builder.activities):
+            engine.cmap[activity.context_key] = activity
+            engine.cmap_recency[activity.context_key] = activity.timestamp
+        before = len(engine.cmap)
+        assert engine.evict_stale(0.05) == 0
+        evicted = engine.evict_stale(10.0)
+        assert evicted == before == engine.stats.evicted_cmap_entries
+        assert engine.cmap == {} and engine.cmap_recency == {}
 
-    def test_message_map_eviction_returns_the_evicted_sends(self, trace_builder):
+    def test_message_map_eviction_drops_exactly_the_stale_sends(self, trace_builder):
         trace_builder.three_tier_request(request_id=1, start=0.1)
-        mmap = MessageMap()
+        keys = KeySpace()
+        engine = keyed_engine(keys)
         sends = [
             activity
-            for activity in trace_builder.activities
+            for activity in in_space(keys, *trace_builder.activities)
             if activity.type is ActivityType.SEND
         ]
         for send in sends:
-            mmap.insert(send)
+            add_pending(engine.mmap, send)
         old = [send for send in sends if send.timestamp < 0.105]
-        evicted = mmap.evict_older_than(0.105)
-        assert sorted(id(a) for a in evicted) == sorted(id(a) for a in old)
-        assert len(mmap) == len(sends) - len(old)
+        assert 0 < len(old) < len(sends)
+        evicted = engine.evict_stale(0.105)
+        assert evicted == len(old) == engine.stats.evicted_mmap_entries
+        kept = [send for queue in engine.mmap.values() for send in queue]
+        assert sorted(map(id, kept)) == sorted(id(a) for a in sends if a not in old)
 
     def test_engine_evicts_abandoned_open_cags(self, trace_builder):
         # A BEGIN whose request never progresses: stays open forever in
         # batch mode, evicted (and counted) once the watermark passes it.
         trace_builder.three_tier_request(request_id=1, start=5.0)
-        abandoned = trace_builder.activities[0]  # the BEGIN
-        engine = CorrelationEngine()
+        keys = KeySpace()
+        (abandoned,) = in_space(keys, trace_builder.activities[0])  # the BEGIN
+        engine = keyed_engine(keys)
         engine.process(abandoned)
         assert len(engine.open_cags) == 1
         engine.evict_stale(before=abandoned.timestamp + 1.0)
