@@ -35,7 +35,6 @@ from .core import (
     CorrelationEngine,
     CorrelationResult,
     Diagnosis,
-    Edge,
     FrontendSpec,
     GroundTruthRequest,
     LatencyBreakdown,
@@ -133,7 +132,6 @@ __all__ = [
     "Diagnosis",
     "DiagnosisStage",
     "DotSink",
-    "Edge",
     "EquivalenceReport",
     "FaultConfig",
     "FileTailSource",

@@ -13,7 +13,7 @@ backend (:class:`repro.pipeline.BackendSpec`) drives it, and its
 
 from .accuracy import AccuracyReport, GroundTruthRequest, PathJudgement, path_accuracy
 from .activity import Activity, ActivityType, ContextId, MessageId, RULE2_PRIORITY
-from .cag import CAG, CAGError, CONTEXT_EDGE, Edge, MESSAGE_EDGE
+from .cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from .correlator import CorrelationResult
 from .debugging import (
     Diagnosis,
@@ -31,7 +31,6 @@ from .latency import (
     average_duration,
     breakdown_for_cag,
     percentage_table,
-    segment_label,
 )
 from .log_format import (
     ActivityClassifier,
@@ -59,7 +58,6 @@ __all__ = [
     "CorrelationEngine",
     "CorrelationResult",
     "Diagnosis",
-    "Edge",
     "EngineStats",
     "FrontendSpec",
     "GroundTruthRequest",
@@ -97,5 +95,4 @@ __all__ = [
     "path_accuracy",
     "percentage_table",
     "profile_series",
-    "segment_label",
 ]

@@ -64,11 +64,9 @@ RULE2_PRIORITY: Tuple[ActivityType, ...] = (
     ActivityType.MAX,
 )
 
-#: ``Activity.priority`` / ``Activity.send_like`` by type value: a tuple
-#: index costs a fraction of ``int(type)`` plus two identity tests, and
-#: both constructors pay it once per activity.
+#: ``Activity.priority`` by type value: a tuple index costs a fraction of
+#: ``int(type)``, and both constructors pay it once per activity.
 _PRIORITY = tuple(int(kind) for kind in ActivityType)
-_SEND_LIKE = tuple(kind.is_send_like for kind in ActivityType)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -176,10 +174,10 @@ class Activity:
         against an oracle, exactly like the paper's modified RUBiS.
 
     The identity keys (``context_key``, ``message_key``, ``node_key``,
-    ``priority``, ``send_like``) are looked up on every ranker and engine
-    step, so they are stored as plain slot attributes instead of being
-    re-derived through properties -- together with ``__slots__`` this is
-    a large share of the correlation hot-path speedup.  An object built
+    ``priority``) are looked up on every ranker and engine step, so they
+    are stored as plain slot attributes instead of being re-derived
+    through properties -- together with ``__slots__`` this is a large
+    share of the correlation hot-path speedup.  An object built
     from a packed row (what the ranker delivers) holds the dense ints its
     table's :class:`~repro.core.interning.KeySpace` gives the underlying
     tuple / hostname identity; one built by this constructor belongs to
@@ -219,8 +217,6 @@ class Activity:
     node_key: object = field(init=False, repr=False, compare=False)
     #: Rule 2 priority (smaller is delivered earlier).
     priority: int = field(init=False, repr=False, compare=False)
-    #: Cached ``type.is_send_like`` (True for SEND and END).
-    send_like: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         context = self.context
@@ -231,7 +227,6 @@ class Activity:
         self.message_key = message.connection_key()
         self.node_key = context.hostname
         self.priority = _PRIORITY[self.type]
-        self.send_like = _SEND_LIKE[self.type]
 
     @classmethod
     def keyed(
@@ -273,7 +268,6 @@ class Activity:
         self.message_key = message_key
         self.node_key = node_key
         self.priority = _PRIORITY[type]
-        self.send_like = _SEND_LIKE[type]
         return self
 
     # -- identity helpers -------------------------------------------------

@@ -19,9 +19,9 @@ pattern classification and performance debugging all operate on CAGs.
 A finished CAG is kept for the rest of the run (the store, the report and
 the accuracy oracle all read it), so what it holds at rest is what the
 tracer's memory grows with.  A finished CAG keeps its vertices as packed
-columns (:class:`VertexRows`) plus two objects, the root and the END; the
-queries the analysis layer asks read those columns, and the queries that
-need every vertex as an object build them once, on first use.
+columns (:class:`VertexRows`) plus two objects, the root and the END, and
+every reader -- the analysis layer, the digest, the exporters -- reads
+those columns and the parent-position columns beside them.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ import heapq
 import itertools
 import struct
 from array import array
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .activity import Activity, ActivityType, ContextId, MessageId
+from .activity import Activity, ActivityType, ContextId
 from .interning import NO_REQUEST
 
 #: Edge kinds.
@@ -60,24 +59,6 @@ def ensure_cag_ids_above(value: int) -> None:
 
 class CAGError(RuntimeError):
     """Raised when an operation would violate the CAG invariants."""
-
-
-@dataclass(slots=True)
-class Edge:
-    """A directed edge of a CAG."""
-
-    parent: Activity
-    child: Activity
-    kind: str  # CONTEXT_EDGE or MESSAGE_EDGE
-
-    def latency(self) -> float:
-        """Observed latency across this edge (child local time minus
-        parent local time).  For message edges between different nodes
-        the value embeds the clock skew, exactly as the paper notes."""
-        return self.child.timestamp - self.parent.timestamp
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Edge({self.parent.type.name}->{self.child.type.name}, {self.kind})"
 
 
 class AnalysisMemo:
@@ -123,6 +104,8 @@ _ROW_LAYOUT = (
 )
 #: One vertex's values, in buffer order.
 _ROW_VALUES = attrgetter(*[attribute for _name, _code, attribute in _ROW_LAYOUT])
+#: Column name -> the reader of its value off an open CAG's ``Activity``.
+_ROW_READERS = {name: attrgetter(attribute) for name, _code, attribute in _ROW_LAYOUT}
 #: Per column: its ``struct`` code and the bytes one vertex takes in the
 #: columns before it.
 _ROW_OFFSETS: Dict[str, Tuple[str, int]] = {}
@@ -180,35 +163,6 @@ class VertexRows(bytes):
         count = len(self) // _ROW_BYTES
         return struct.unpack_from(f"={count}{code}", self, before * count)
 
-    def activities(self, keys) -> List[Activity]:
-        """A new ``Activity`` per row, equal to the vertex it was packed
-        from (same seq, same size at finish), in ``keys``' ids.  Rows of
-        one connection and logged size share one ``MessageId``, as the
-        rows of a trace do."""
-        contexts, node_of, connections = keys.contexts, keys.node_of, keys.connections
-        messages: Dict[Tuple[int, int], MessageId] = {}
-        built = []
-        for timestamp, request_id, seq, size, message_size, ckey, mkey, kind in zip(
-            *[self.column(name) for name, _code, _attribute in _ROW_LAYOUT]
-        ):
-            message = messages.get((mkey, message_size))
-            if message is None:
-                message = messages[mkey, message_size] = MessageId(*connections[mkey], message_size)
-            vertex = Activity.keyed(
-                _TYPES[kind],
-                timestamp,
-                contexts[ckey],
-                message,
-                None if request_id == NO_REQUEST else request_id,
-                ckey,
-                mkey,
-                node_of[ckey],
-                seq,
-            )
-            vertex.size = size
-            built.append(vertex)
-        return built
-
 
 class CAG:
     """The causal path of one individual request.
@@ -221,24 +175,24 @@ class CAG:
     edge: a vertex's position is its index in the insertion-ordered vertex
     list, and the Section 3.2 invariant (at most one context parent and
     one message parent per vertex) means two ``int`` columns hold every
-    edge.  :class:`Edge` objects are views built on demand by the query
-    methods.
+    edge (:attr:`parent_columns`); :meth:`edge_positions` lists them in
+    the order they were added.
 
     Every CAG belongs to a :class:`~repro.core.interning.KeySpace`
     (``keys``): its vertices' context and connection keys are that
     space's ids, and its shape plan and signature are shared there.
 
-    An open CAG holds its vertices as a list of ``Activity`` objects: the
-    engine grows them and finds them by identity.  :meth:`finish` packs
-    the CAG into :class:`VertexRows` and drops the list, keeping two
-    vertices as objects: the root (public as :attr:`root`) and the END,
-    the one vertex the engine still changes after finish (a response
-    flushed in several writes grows its byte count).  A finished CAG at
-    rest then owns its columns, two objects and its three position arrays
-    whatever the request's size.  ``len``, the timestamps, the request
-    ids, the contexts and :meth:`column` read the columns; :attr:`vertices`
-    and every query that hands out vertex or edge objects build the
-    vertices once, keep them, and hand out the same objects from then on.
+    An open CAG holds its vertices as a list of ``Activity`` objects
+    (:attr:`vertices`, ``in``): the engine's working set, which it grows
+    and finds by identity.  :meth:`finish` packs the CAG into
+    :class:`VertexRows` and drops the list, keeping two vertices as
+    objects: the root (public as :attr:`root`) and the END, the one
+    vertex the engine still changes after finish (a response flushed in
+    several writes grows its byte count).  A finished CAG at rest then
+    owns its columns, two objects and its three position arrays whatever
+    the request's size, and is read through :meth:`column`, the position
+    columns and the queries over them; it refuses :attr:`vertices` and
+    ``in``.
     """
 
     #: Real CAGs are never sampled out; the engine checks this flag to
@@ -255,23 +209,21 @@ class CAG:
         #: are ids of, where its shape plan and signature are shared
         self.keys = keys
         self.root: Activity = root
-        # The vertex objects: a list until the CAG is packed, then ``None``
-        # until something asks for them (a tuple from then on).
-        self._vertices: Optional[Sequence[Activity]] = [root]
+        # The vertex objects: a list until the CAG is packed, then ``None``.
+        self._vertices: Optional[List[Activity]] = [root]
         # The packed vertices and the kept END (see ``finish``).
         self._rows: Optional[VertexRows] = None
         self._end: Optional[Activity] = None
         # ``id(vertex) -> position``: construction-time state only.  It is
         # dropped at ``finish()`` (and never pickled) and rebuilt by
-        # ``_positions()`` if a finished or revived CAG is asked about a
-        # specific vertex again.
+        # ``_positions()`` when a revived open CAG grows again.
         self._index: Optional[Dict[int, int]] = {id(root): 0}
         # Position of each vertex's context / message parent, -1 for none.
         self._context_parent = array("i", (-1,))
         self._message_parent = array("i", (-1,))
         # Edges in insertion order, each ``child position << 1 | is
         # message`` (the parent is read off the matching column); what
-        # ``edges`` / ``parents_of`` / ``children_of`` order their views by.
+        # ``edge_positions`` lists them by.
         self._edge_log = array("i")
         # Derived analysis values (signature, breakdown, shape plan);
         # dropped at every structural mutation, never pickled.
@@ -288,7 +240,9 @@ class CAG:
     # -- construction ------------------------------------------------------
 
     def _positions(self) -> Dict[int, int]:
-        """The ``id(vertex) -> position`` index, rebuilt when absent."""
+        """The ``id(vertex) -> position`` index of an open CAG, rebuilt
+        when absent (a revived CAG); a packed CAG refuses, through
+        :attr:`vertices`."""
         index = self._index
         if index is None:
             index = self._index = {
@@ -319,7 +273,6 @@ class CAG:
         invariant (at most two parents, two only for RECEIVE with one
         context and one message parent) is enforced here so that a buggy
         engine fails loudly instead of producing malformed paths.
-        Nothing is returned: :class:`Edge` views come from the queries.
         """
         if kind not in (CONTEXT_EDGE, MESSAGE_EDGE):
             raise CAGError(f"unknown edge kind {kind!r}")
@@ -330,17 +283,20 @@ class CAG:
         position = index.get(id(child))
         if position is None:
             raise CAGError("edge child is not a vertex of this CAG")
-        if parent is child:
-            raise CAGError("self edges are not allowed")
+        self._link(parent_position, position, kind == MESSAGE_EDGE)
 
-        is_message = kind == MESSAGE_EDGE
+    def _link(self, parent_position: int, position: int, is_message: bool) -> None:
+        """Record the edge ``parent_position -> position`` after the
+        Section 3.2 parent checks."""
+        if parent_position == position:
+            raise CAGError("self edges are not allowed")
         column, other = self._context_parent, self._message_parent
         if is_message:
             column, other = other, column
         if column[position] >= 0 or other[position] >= 0:
             if column[position] >= 0 and other[position] >= 0:
                 raise CAGError("a vertex may have at most two parents")
-            if child.type is not ActivityType.RECEIVE:
+            if self._vertices[position].type is not ActivityType.RECEIVE:
                 raise CAGError("only RECEIVE vertices may have two parents")
             if column[position] >= 0:
                 raise CAGError(
@@ -395,38 +351,39 @@ class CAG:
         if activity.timestamp > self.newest_timestamp:
             self.newest_timestamp = activity.timestamp
 
-    def splice_context_vertex(
-        self, before: Activity, after: Activity, vertex: Activity
-    ) -> None:
-        """Rewire the context chain ``before -> after`` into
-        ``before -> vertex -> after``.
+    def splice_in_order(self, vertex: Activity, latest: Activity) -> None:
+        """Insert ``vertex`` into the context chain that ends at ``latest``.
 
-        ``vertex`` must already be a vertex of this CAG (typically added
-        with its message parent).  Used by the engine when a multi-part
-        RECEIVE completes its byte count only after a later same-context
-        activity was chained: inserting at the timestamp position keeps
-        the context chain independent of the delivery interleaving.
+        ``vertex`` must already be a vertex of this CAG without a context
+        parent (the engine adds it with its message parent).  Used by the
+        engine when a multi-part RECEIVE completes its byte count only
+        after a later same-context activity was chained: the walk goes
+        back up the context-parent column from ``latest`` to the first
+        activity not after ``vertex`` by (timestamp, seq), the per-node
+        sort order, and rewires ``before -> after`` into ``before ->
+        vertex -> after`` -- or, when every chained activity is later,
+        makes ``vertex`` the chain head in front of the last one walked.
+        Inserting at the timestamp position keeps the context chain
+        independent of the delivery interleaving.
         """
         index = self._positions()
         position = index.get(id(vertex))
-        if position is None:
-            raise CAGError("splice vertex is not a vertex of this CAG")
+        after = index.get(id(latest))
+        if position is None or after is None:
+            raise CAGError("splice vertices are not vertices of this CAG")
         context_parent = self._context_parent
         if context_parent[position] >= 0:
             raise CAGError("splice vertex already has a context parent")
-        after_position = index.get(id(after))
-        before_position = index.get(id(before))
-        if (
-            after_position is None
-            or before_position is None
-            or context_parent[after_position] != before_position
-        ):
-            raise CAGError("no context edge between the given vertices")
-        context_parent[after_position] = -1
-        self._edge_log.remove(after_position << 1)
-        self._analysis = None
-        self.add_edge(before, vertex, CONTEXT_EDGE)
-        self.add_edge(vertex, after, CONTEXT_EDGE)
+        vertices = self._vertices
+        order = (vertex.timestamp, vertex.seq)
+        before = context_parent[after]
+        while before >= 0 and (vertices[before].timestamp, vertices[before].seq) > order:
+            after, before = before, context_parent[before]
+        if before >= 0:
+            context_parent[after] = -1
+            self._edge_log.remove(after << 1)
+            self._link(before, position, False)
+        self._link(position, after, False)
 
     def finish(self) -> None:
         """Mark the CAG as complete (an END activity was correlated).
@@ -465,10 +422,9 @@ class CAG:
         the root and the END, beside its rows -- and the three position
         columns (a streaming checkpoint pickles the engine's open and
         finished CAGs, and a resume may unpickle them in a new process).
-        The ``id -> position`` index, a packed CAG's built vertices and
-        the analysis memo are not serialised -- vertex ids do not survive
-        a round trip, the built vertices are rebuilt from the rows, and
-        the memo is re-derived from the key space, which pickles with
+        The ``id -> position`` index and the analysis memo are not
+        serialised -- vertex ids do not survive a round trip, and the
+        memo is re-derived from the key space, which pickles with
         the CAG (and, through the pickle memo, stays one object with the
         engine's).  The kept END stays the object the engine's context
         map holds, so a trailing part merged after a resume reaches it."""
@@ -511,32 +467,19 @@ class CAG:
 
     @property
     def vertices(self) -> Sequence[Activity]:
-        """Every vertex, in insertion order.  A packed CAG builds them on
-        the first call and hands out the same objects from then on."""
+        """An open CAG's vertices, in insertion order: the engine's working
+        set.  A finished CAG keeps no vertex objects but its root and END
+        and refuses; read it through :meth:`column`."""
         vertices = self._vertices
         if vertices is None:
-            vertices = self._vertices = tuple(self._build())
-        return vertices if isinstance(vertices, tuple) else tuple(vertices)
+            raise CAGError("a finished CAG is read through its columns, not its vertices")
+        return tuple(vertices)
 
-    def _build(self) -> List[Activity]:
-        """A packed CAG's vertices as objects: new ones from the rows, the
-        kept root and END in their places."""
-        built = self._rows.activities(self.keys)
-        built[0] = self.root
-        end = self._end
-        if end is not None:
-            kinds = self._rows.column("priority")
-            built[len(kinds) - 1 - kinds[::-1].index(ActivityType.END)] = end
-        return built
-
-    def vertex_views(self) -> Sequence:
+    def vertex_views(self) -> List[VertexView]:
         """Each vertex's ``type``, ``context`` and ``timestamp``, by
-        position, for a caller that reads only those and lets go (a new
-        shape's derivations): the vertex objects when the CAG holds them,
-        otherwise a :class:`VertexView` per row, built for this call."""
-        vertices = self._vertices
-        if vertices is not None:
-            return vertices
+        position, read off the columns: a :class:`VertexView` per vertex,
+        built for this call, for a caller that reads only those (a new
+        shape's derivations, the exporters)."""
         contexts = self.keys.contexts
         return [
             VertexView(_TYPES[kind], contexts[context], timestamp)
@@ -548,37 +491,33 @@ class CAG:
     def column(self, name: str) -> Sequence:
         """Attribute ``name`` of every vertex, by position: ``timestamp``,
         ``priority`` (the type value), ``context_key``, ``message_key``,
-        ``request_id``, ``seq`` or ``size``.  A finished CAG's column is
-        read off its buffer (no vertex built; the END's ``size`` is its
-        size at finish, a missing request id is :data:`NO_REQUEST`), an
-        open CAG's off its objects (a missing request id is ``None``)."""
+        ``request_id``, ``seq``, ``size`` or ``message_size`` (the logged
+        byte count).  A finished CAG's column is read off its buffer (the
+        END's ``size`` is its size at finish, a missing request id is
+        :data:`NO_REQUEST`), an open CAG's off its objects (a missing
+        request id is ``None``)."""
         rows = self._rows
         if rows is not None:
             return rows.column(name)
-        return [getattr(vertex, name) for vertex in self._vertices]
-
-    def _edge(self, code: int) -> Edge:
-        """The :class:`Edge` view of one edge-log entry."""
-        position = code >> 1
-        if code & 1:
-            parent, kind = self._message_parent[position], MESSAGE_EDGE
-        else:
-            parent, kind = self._context_parent[position], CONTEXT_EDGE
-        vertices = self.vertices
-        return Edge(vertices[parent], vertices[position], kind)
-
-    @property
-    def edges(self) -> Sequence[Edge]:
-        """Every edge, in insertion order."""
-        self.vertices  # build a packed CAG's vertices once, not per edge
-        return tuple(map(self._edge, self._edge_log))
+        return list(map(_ROW_READERS[name], self._vertices))
 
     @property
     def parent_columns(self) -> Tuple[array, array]:
         """The ``(context parent, message parent)`` position columns: entry
-        ``i`` is the position in :attr:`vertices` of vertex ``i``'s parent
-        under that relation, ``-1`` for none.  Read-only for callers."""
+        ``i`` is the position of vertex ``i``'s parent under that
+        relation, ``-1`` for none.  Read-only for callers."""
         return self._context_parent, self._message_parent
+
+    def edge_positions(self) -> List[Tuple[int, int, str]]:
+        """Every edge as ``(parent position, child position, kind)``, in
+        the order the edges were added."""
+        context_parent, message_parent = self._context_parent, self._message_parent
+        return [
+            (message_parent[code >> 1], code >> 1, MESSAGE_EDGE)
+            if code & 1
+            else (context_parent[code >> 1], code >> 1, CONTEXT_EDGE)
+            for code in self._edge_log
+        ]
 
     @property
     def analysis(self) -> AnalysisMemo:
@@ -588,45 +527,6 @@ class CAG:
         if memo is None:
             memo = self._analysis = AnalysisMemo()
         return memo
-
-    def parents_of(self, activity: Activity) -> List[Edge]:
-        """The edges into ``activity``, in insertion order."""
-        position = self._positions().get(id(activity))
-        if position is None:
-            return []
-        codes = []
-        if self._context_parent[position] >= 0:
-            codes.append(position << 1)
-        if self._message_parent[position] >= 0:
-            codes.append(position << 1 | 1)
-        if len(codes) == 2:
-            codes.sort(key=self._edge_log.index)
-        return [self._edge(code) for code in codes]
-
-    def children_of(self, activity: Activity) -> List[Edge]:
-        """The edges out of ``activity``, in insertion order (derived by a
-        scan of the edge log; the correlation hot path never asks)."""
-        position = self._positions().get(id(activity))
-        if position is None:
-            return []
-        columns = self.parent_columns
-        return [
-            self._edge(code)
-            for code in self._edge_log
-            if columns[code & 1][code >> 1] == position
-        ]
-
-    def _parent(self, activity: Activity, column: Sequence[int]) -> Optional[Activity]:
-        position = self._positions().get(id(activity))
-        if position is None or column[position] < 0:
-            return None
-        return self.vertices[column[position]]
-
-    def context_parent(self, activity: Activity) -> Optional[Activity]:
-        return self._parent(activity, self._context_parent)
-
-    def message_parent(self, activity: Activity) -> Optional[Activity]:
-        return self._parent(activity, self._message_parent)
 
     @property
     def end_activity(self) -> Optional[Activity]:
@@ -682,8 +582,16 @@ class CAG:
 
     def topological_positions(self, tie_keys: Optional[Sequence] = None) -> List[int]:
         """Vertex positions in a topological order of the happened-before
-        DAG (see :meth:`topological_order`, which maps them to vertices);
-        ``tie_keys[i]`` is position ``i``'s tie key, if any."""
+        DAG.
+
+        ``tie_keys[i]`` orders position ``i`` among vertices that are
+        ready simultaneously (concurrent fan-out branches).  Without it
+        ties break by insertion order -- the order the engine discovered
+        the vertices in, which depends on the delivery interleaving; pass
+        keys (see :func:`repro.core.patterns.cag_signature`) when the
+        order must be a function of the graph alone.  The insertion index
+        stays as the final fallback so the order is always total.
+        """
         count = len(self)
         # Positional adjacency, local to this call: nothing derived stays
         # resident on the CAG once the order has been read off.
@@ -714,24 +622,17 @@ class CAG:
             raise CAGError("CAG contains a cycle")
         return result
 
-    def topological_order(self, tie_key=None) -> List[Activity]:
-        """Vertices in a topological order of the happened-before DAG.
-
-        ``tie_key`` orders vertices that are ready simultaneously
-        (concurrent fan-out branches).  The default breaks ties by
-        insertion order -- the order the engine discovered the vertices
-        in, which depends on the delivery interleaving; pass an explicit
-        key (see :func:`repro.core.patterns.cag_signature`) when the
-        order must be a function of the graph alone.  The insertion
-        index stays as the final fallback so the order is always total.
-        """
-        vertices = self.vertices
-        tie_keys = None if tie_key is None else [tie_key(vertex) for vertex in vertices]
-        return [vertices[i] for i in self.topological_positions(tie_keys)]
-
     def primary_positions(self) -> List[Tuple[int, int, str]]:
-        """:meth:`primary_path` as ``(child position, parent position,
-        kind)`` rows, without materialising :class:`Edge` views."""
+        """The causal chain used for latency accounting, as ``(child
+        position, parent position, kind)`` rows.
+
+        Starting from the root, each vertex is reached through exactly one
+        *primary* parent: the message parent when it exists (the causally
+        immediate predecessor across the network), otherwise the context
+        parent.  The rows cover every vertex but the root exactly once and
+        are what Section 3.2 uses to attribute latency to components and
+        to interactions.
+        """
         rows: List[Tuple[int, int, str]] = []
         context_parent = self._context_parent
         for position, parent in enumerate(self._message_parent):
@@ -744,22 +645,6 @@ class CAG:
             # else: disconnected vertex (should not happen with a correct
             # engine); skipped rather than crash analysis of a deformed CAG.
         return rows
-
-    def primary_path(self) -> List[Edge]:
-        """The causal chain used for latency accounting.
-
-        Starting from the root, each vertex is reached through exactly one
-        *primary* parent: the message parent when it exists (the causally
-        immediate predecessor across the network), otherwise the context
-        parent.  The resulting edge list covers every vertex exactly once
-        and is what Section 3.2 uses to attribute latency to components
-        and to interactions.
-        """
-        vertices = self.vertices
-        return [
-            Edge(vertices[parent], vertices[position], kind)
-            for position, parent, kind in self.primary_positions()
-        ]
 
     def is_deformed(self) -> bool:
         """A deformed CAG misses activities (e.g. the END), has
@@ -786,20 +671,22 @@ class CAG:
 
         The columns cannot represent a third parent or two parents under
         one relation, so what is left to check is what they can hold."""
-        vertices = self.vertices
-        for vertex, context, message in zip(
-            vertices, self._context_parent, self._message_parent
+        types = [_TYPES[kind] for kind in self.column("priority")]
+        contexts = self.column("context_key")
+        for position, (context, message) in enumerate(
+            zip(self._context_parent, self._message_parent)
         ):
+            kind = types[position]
             if context >= 0 and message >= 0:
-                if vertex.type is not ActivityType.RECEIVE:
+                if kind is not ActivityType.RECEIVE:
                     raise CAGError("non-RECEIVE vertex with two parents")
             if message >= 0:
-                if not vertices[message].type.is_send_like:
+                if not types[message].is_send_like:
                     raise CAGError("message edge parent must be send-like")
-                if not vertex.type.is_receive_like:
+                if not kind.is_receive_like:
                     raise CAGError("message edge child must be receive-like")
             if context >= 0:
-                if vertices[context].context_key != vertex.context_key:
+                if contexts[context] != contexts[position]:
                     raise CAGError("context edge across different contexts")
         # acyclicity (raises on cycle)
         self.topological_positions()
@@ -847,8 +734,9 @@ class SampledOutCAG:
         """Edges of sampled-out requests are dropped."""
         return None
 
-    def parents_of(self, activity: Activity) -> List[Edge]:
-        return []
+    def splice_in_order(self, vertex: Activity, latest: Activity) -> None:
+        """Sampled-out requests keep no context chain."""
+        return None
 
     def touch(self, timestamp: float) -> None:
         if timestamp > self.newest_timestamp:

@@ -228,12 +228,6 @@ class CorrelationEngine:
         return [cag for cag in self._open.values() if not cag.sampled_out]
 
     @property
-    def open_entry_count(self) -> int:
-        """Number of in-flight entries, tombstones included (the memory
-        figure the adaptive sampler steers against)."""
-        return len(self._open)
-
-    @property
     def open_tombstone_count(self) -> int:
         """Sampled-out tombstones still in flight (engine-sanity probe:
         after a drained batch run, roots == finished + this count)."""
@@ -573,7 +567,7 @@ class CorrelationEngine:
                     # identical however deliveries interleaved -- the
                     # property the sharded driver's batch-equivalence
                     # rests on.  The newer activity stays the cmap entry.
-                    self._splice_in_order(cag, current, parent_cntx)
+                    cag.splice_in_order(current, parent_cntx)
                     self.stats.spliced_receives += 1
                     return
                 cag.add_edge(parent_cntx, current, CONTEXT_EDGE)
@@ -584,31 +578,6 @@ class CorrelationEngine:
                 self.stats.thread_reuse_blocked += 1
         self.cmap[key] = current
         self.cmap_recency[key] = current.timestamp
-
-    def _splice_in_order(self, cag: CAG, current: Activity, latest: Activity) -> None:
-        """Insert ``current`` into the context chain before ``latest``.
-
-        Walk the chain backwards from ``latest`` to the first activity
-        not after ``current`` (by (timestamp, seq), the per-node sort
-        order) and rewire the chain around ``current``.
-        """
-        after = latest
-        while True:
-            edge = None
-            for candidate in cag.parents_of(after):
-                if candidate.kind == CONTEXT_EDGE:
-                    edge = candidate
-                    break
-            if edge is None:
-                # ``current`` precedes every chained activity: it becomes
-                # the new chain head in front of ``after``.
-                cag.add_edge(current, after, CONTEXT_EDGE)
-                return
-            before = edge.parent
-            if (before.timestamp, before.seq) <= (current.timestamp, current.seq):
-                cag.splice_context_vertex(before, after, current)
-                return
-            after = before
 
     # -- watermark eviction (streaming mode) --------------------------------------
 

@@ -19,7 +19,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from .cag import CAG, CONTEXT_EDGE
-from .latency import breakdown_for_cag, segment_label
+from .latency import _label, breakdown_for_cag
 from .tracer import TraceResult
 
 
@@ -34,23 +34,23 @@ def cag_to_dot(cag: CAG, title: Optional[str] = None) -> str:
     edges dashed (blue).  Vertex labels carry the activity type, the
     component and the local timestamp.
     """
-    order = {id(vertex): index for index, vertex in enumerate(cag.vertices)}
+    views = cag.vertex_views()
     lines = ["digraph cag {", "  rankdir=LR;", "  node [shape=box, fontsize=10];"]
     if title:
         lines.append(f'  label="{title}";')
-    for index, vertex in enumerate(cag.vertices):
+    for index, vertex in enumerate(views):
         label = (
             f"{vertex.type.name}\\n{vertex.context.hostname}/{vertex.context.program}"
             f"\\nt={vertex.timestamp:.6f}"
         )
         lines.append(f'  {_vertex_id(cag, index)} [label="{label}"];')
-    for edge in cag.edges:
-        style = "solid" if edge.kind == CONTEXT_EDGE else "dashed"
-        color = "red" if edge.kind == CONTEXT_EDGE else "blue"
+    for parent, child, kind in cag.edge_positions():
+        style = "solid" if kind == CONTEXT_EDGE else "dashed"
+        color = "red" if kind == CONTEXT_EDGE else "blue"
+        latency = views[child].timestamp - views[parent].timestamp
         lines.append(
-            f"  {_vertex_id(cag, order[id(edge.parent)])} -> "
-            f"{_vertex_id(cag, order[id(edge.child)])} "
-            f'[style={style}, color={color}, label="{edge.latency() * 1000:.2f}ms"];'
+            f"  {_vertex_id(cag, parent)} -> {_vertex_id(cag, child)} "
+            f'[style={style}, color={color}, label="{latency * 1000:.2f}ms"];'
         )
     lines.append("}")
     return "\n".join(lines)
@@ -58,30 +58,32 @@ def cag_to_dot(cag: CAG, title: Optional[str] = None) -> str:
 
 def cag_to_dict(cag: CAG) -> Dict[str, Any]:
     """A JSON-friendly representation of one CAG."""
-    order = {id(vertex): index for index, vertex in enumerate(cag.vertices)}
-    vertices: List[Dict[str, Any]] = []
-    for vertex in cag.vertices:
-        vertices.append(
-            {
-                "type": vertex.type.name,
-                "timestamp": vertex.timestamp,
-                "hostname": vertex.context.hostname,
-                "program": vertex.context.program,
-                "pid": vertex.context.pid,
-                "tid": vertex.context.tid,
-                "connection": list(vertex.message.connection_key()),
-                "bytes": vertex.message.size,
-            }
+    views = cag.vertex_views()
+    connections = cag.keys.connections
+    vertices: List[Dict[str, Any]] = [
+        {
+            "type": vertex.type.name,
+            "timestamp": vertex.timestamp,
+            "hostname": vertex.context.hostname,
+            "program": vertex.context.program,
+            "pid": vertex.context.pid,
+            "tid": vertex.context.tid,
+            "connection": list(connections[connection]),
+            "bytes": size,
+        }
+        for vertex, connection, size in zip(
+            views, cag.column("message_key"), cag.column("message_size")
         )
+    ]
     edges = [
         {
-            "parent": order[id(edge.parent)],
-            "child": order[id(edge.child)],
-            "kind": edge.kind,
-            "latency": edge.latency(),
-            "segment": segment_label(edge),
+            "parent": parent,
+            "child": child,
+            "kind": kind,
+            "latency": views[child].timestamp - views[parent].timestamp,
+            "segment": _label(views[parent], views[child]),
         }
-        for edge in cag.edges
+        for parent, child, kind in cag.edge_positions()
     ]
     breakdown = breakdown_for_cag(cag)
     return {

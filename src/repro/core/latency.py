@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .activity import Activity
-from .cag import CAG, Edge
+from .cag import CAG
 from .shapes import PathRow, plan_for
 
 
@@ -33,16 +33,12 @@ def component_label(program: str) -> str:
     return program
 
 
-def segment_label(edge: Edge) -> str:
-    """The segment name of one causal-path edge.
+def _label(parent: Activity, child: Activity) -> str:
+    """The segment name of one causal-path edge ``parent -> child``.
 
     * context edge inside program P  ->  ``P2P``      (component latency)
     * message edge from P to Q       ->  ``P2Q``      (interaction latency)
     """
-    return _label(edge.parent, edge.child)
-
-
-def _label(parent: Activity, child: Activity) -> str:
     parent_program = component_label(parent.context.program)
     child_program = component_label(child.context.program)
     return f"{parent_program}2{child_program}"

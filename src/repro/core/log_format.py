@@ -452,7 +452,9 @@ class ActivityClassifier:
                     ignored_program, context_key = entry
                     entry = channel_memo.get(channel)
                     if entry is None:
-                        entry = self._remember_channel(channel)
+                        # Unless the program is ignored, the line yields a
+                        # row if the channel is kept: intern on first sight.
+                        entry = self._remember_channel(channel, intern=not ignored_program)
                     (
                         ignored_channel,
                         src_ip,

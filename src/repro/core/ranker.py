@@ -752,10 +752,7 @@ class Ranker:
                 activity.message_key = key
                 activity.node_key = source._node_key
                 activity.priority = kind
-                if kind == 1 or kind == 2:
-                    activity.send_like = True
-                else:
-                    activity.send_like = False
+                if kind != 1 and kind != 2:
                     key = None
                 if key is not None:  # send-like: one undelivered send fewer
                     positions = source._send_positions

@@ -148,10 +148,6 @@ class TraceCollector:
         """Mapping hostname -> list of raw records (gathered log files)."""
         return {probe.node.hostname: list(probe.records) for probe in self._probes}
 
-    def lines_by_node(self) -> dict:
-        """Mapping hostname -> list of TCP_TRACE text lines."""
-        return {probe.node.hostname: probe.lines() for probe in self._probes}
-
     def all_records(self) -> List[RawRecord]:
         records: List[RawRecord] = []
         for probe in self._probes:

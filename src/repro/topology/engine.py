@@ -198,11 +198,6 @@ class WorkerTier(_TierBase):
     def max_threads(self) -> int:
         return self.spec.workers
 
-    @property
-    def thread_queue_length(self) -> int:
-        """Requests currently waiting for a pool thread (diagnostics)."""
-        return self.thread_pool.queue_length
-
     def _serve_connection(self, endpoint: Endpoint) -> Generator[Event, None, None]:
         """Handle the stream of requests on one persistent upstream connection.
 
@@ -372,10 +367,6 @@ class BackendTier(_TierBase):
         self.queries_served = 0
         self.noise_queries_served = 0
         self.env.process(self._accept_loop())
-
-    @property
-    def engine_slots(self) -> int:
-        return self.spec.workers
 
     def _serve_connection(self, endpoint: Endpoint) -> Generator[Event, None, None]:
         """Dedicated per-connection thread: handle queries sequentially."""

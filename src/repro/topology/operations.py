@@ -114,6 +114,3 @@ class RequestType:
     @property
     def query_count(self) -> int:
         return len(self.queries)
-
-    def total_db_engine_time(self) -> float:
-        return sum(q.engine_delay + q.db_cpu for q in self.queries)

@@ -208,12 +208,6 @@ class TopologySpec:
             ips.update(ip for _host, ip, _port in tier.replica_addresses())
         return frozenset(ips)
 
-    def delay_fault_tier(self) -> Optional[str]:
-        for tier in self.tiers:
-            if tier.delay_fault_target:
-                return tier.name
-        return None
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:

@@ -19,8 +19,7 @@ from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.engine import CorrelationEngine
-from repro.core.interning import ActivityTable, KeySpace
-from repro.core.latency import segment_label
+from repro.core.interning import NO_REQUEST, ActivityTable, KeySpace
 from repro.core.log_format import format_record
 from repro.topology import ScenarioConfig, WorkloadStages
 
@@ -308,31 +307,133 @@ def cyclic_cag() -> CAG:
     return cag
 
 
+# -- a CAG's vertices and edges as objects ----------------------------------------
+
+
+@dataclass
+class EdgeView:
+    """One edge of a :class:`CagView`."""
+
+    parent: Activity
+    child: Activity
+    kind: str
+
+    def latency(self) -> float:
+        return self.child.timestamp - self.parent.timestamp
+
+
+class CagView:
+    """One CAG's vertices and edges as objects, for the tests that walk
+    or compare them (the CAG itself is read through its columns).
+
+    An open CAG's vertices are its own; a finished CAG's are built from
+    its columns -- new objects equal to the vertices it packed (same seq,
+    same size at finish), with the root and END it kept in their places.
+    """
+
+    def __init__(self, cag: CAG) -> None:
+        self.cag = cag
+        self.vertices = vertices = built_vertices(cag) if cag.finished else cag.vertices
+        self._index = {id(vertex): position for position, vertex in enumerate(vertices)}
+        self.edges = [
+            EdgeView(vertices[parent], vertices[child], kind)
+            for parent, child, kind in cag.edge_positions()
+        ]
+
+    def parents_of(self, vertex: Activity) -> List[EdgeView]:
+        """The edges into ``vertex``, in insertion order."""
+        return [edge for edge in self.edges if edge.child is vertex]
+
+    def children_of(self, vertex: Activity) -> List[EdgeView]:
+        """The edges out of ``vertex``, in insertion order."""
+        return [edge for edge in self.edges if edge.parent is vertex]
+
+    def context_parent(self, vertex: Activity) -> Optional[Activity]:
+        return self._parent(vertex, 0)
+
+    def message_parent(self, vertex: Activity) -> Optional[Activity]:
+        return self._parent(vertex, 1)
+
+    def _parent(self, vertex: Activity, relation: int) -> Optional[Activity]:
+        parent = self.cag.parent_columns[relation][self._index[id(vertex)]]
+        return None if parent < 0 else self.vertices[parent]
+
+    def primary_path(self) -> List[EdgeView]:
+        vertices = self.vertices
+        return [
+            EdgeView(vertices[parent], vertices[child], kind)
+            for child, parent, kind in self.cag.primary_positions()
+        ]
+
+    def topological_order(self, tie_key=None) -> List[Activity]:
+        vertices = self.vertices
+        tie_keys = None if tie_key is None else [tie_key(vertex) for vertex in vertices]
+        return [vertices[i] for i in self.cag.topological_positions(tie_keys)]
+
+
+def built_vertices(cag: CAG) -> Tuple[Activity, ...]:
+    """A finished CAG's vertices as new objects built from its columns,
+    in its key space's ids, with its kept root and END in their places.
+    Rows of one connection and logged size share one ``MessageId``, as
+    the rows of a trace do."""
+    keys = cag.keys
+    messages = {}
+    built = []
+    names = "timestamp request_id seq size message_size context_key message_key priority"
+    for timestamp, request_id, seq, size, message_size, ckey, mkey, kind in zip(
+        *map(cag.column, names.split())
+    ):
+        message = messages.get((mkey, message_size))
+        if message is None:
+            message = messages[mkey, message_size] = MessageId(
+                *keys.connections[mkey], message_size
+            )
+        vertex = Activity.keyed(
+            ActivityType(kind),
+            timestamp,
+            keys.contexts[ckey],
+            message,
+            None if request_id == NO_REQUEST else request_id,
+            ckey,
+            mkey,
+            keys.node_of[ckey],
+            seq,
+        )
+        vertex.size = size
+        built.append(vertex)
+    built[0] = cag.root
+    end = cag.end_activity
+    if end is not None:
+        kinds = [vertex.type for vertex in built]
+        built[len(kinds) - 1 - kinds[::-1].index(ActivityType.END)] = end
+    return tuple(built)
+
+
 # -- reference derivations -------------------------------------------------------
 #
 # The per-CAG walks the analysis layer ran before it compiled shapes (and,
 # for the order, before the ready set became a heap), frozen here as what
 # the plan-derived values are compared against.  They read the CAG only
-# through its edge-view API, never through its columns.
+# through its object view (:class:`CagView`).
 
 
-def sort_based_topological_order(cag, tie_key=None):
-    """Kahn's algorithm with the whole ready list re-sorted (and re-keyed)
-    on every push -- what ``CAG.topological_order`` did before its ready
-    set became a heap."""
-    vertices = list(cag.vertices)
+def sort_based_topological_order(view, tie_key=None):
+    """Kahn's algorithm over a :class:`CagView` with the whole ready list
+    re-sorted (and re-keyed) on every push -- what the CAG's topological
+    order did before its ready set became a heap."""
+    vertices = list(view.vertices)
     order_index = {id(vertex): i for i, vertex in enumerate(vertices)}
     if tie_key is None:
         key = lambda v: order_index[id(v)]  # noqa: E731
     else:
         key = lambda v: (tie_key(v), order_index[id(v)])  # noqa: E731
-    indegree = {id(vertex): len(cag.parents_of(vertex)) for vertex in vertices}
+    indegree = {id(vertex): len(view.parents_of(vertex)) for vertex in vertices}
     ready = sorted((v for v in vertices if indegree[id(v)] == 0), key=key)
     result = []
     while ready:
         vertex = ready.pop(0)
         result.append(vertex)
-        for edge in cag.children_of(vertex):
+        for edge in view.children_of(vertex):
             indegree[id(edge.child)] -= 1
             if indegree[id(edge.child)] == 0:
                 ready.append(edge.child)
@@ -351,7 +452,8 @@ def reference_signature(cag):
         context = vertex.context
         return (vertex.type.name, context.hostname, context.program, vertex.timestamp)
 
-    order = sort_based_topological_order(cag, tie_key)
+    view = CagView(cag)
+    order = sort_based_topological_order(view, tie_key)
     position = {id(vertex): index for index, vertex in enumerate(order)}
     vertex_sigs = tuple(
         (vertex.type.name, vertex.context.hostname, vertex.context.program) for vertex in order
@@ -359,7 +461,7 @@ def reference_signature(cag):
     edge_sigs = tuple(
         sorted(
             (edge.kind, position[id(edge.parent)], position[id(edge.child)])
-            for edge in cag.edges
+            for edge in view.edges
         )
     )
     return (vertex_sigs, edge_sigs)
@@ -370,13 +472,18 @@ def reference_segments(cag):
     primary path (compare with ``list(d.items())``: label order and every
     float are part of the contract, the store digests hash both)."""
     segments = {}
-    for edge in cag.primary_path():
+    for edge in CagView(cag).primary_path():
         latency = edge.latency()
         if latency < 0:
             latency = 0.0
-        label = segment_label(edge)
+        label = edge_label(edge)
         segments[label] = segments.get(label, 0.0) + latency
     return segments
+
+
+def edge_label(edge: EdgeView) -> str:
+    """The segment label of one edge: ``P2Q`` from program P to Q."""
+    return f"{edge.parent.context.program}2{edge.child.context.program}"
 
 
 # -- ranker input ---------------------------------------------------------------
@@ -488,7 +595,7 @@ def assert_source_aligned(source) -> None:
         assert table._mkeys[index] == built.message_key
         assert table._seqs[index] == built.seq
         assert source.context_key(index) == built.context_key
-        assert source.send_key(index) == (built.message_key if built.send_like else None)
+        assert source.send_key(index) == (built.message_key if built.type.is_send_like else None)
         assert source._node_key == built.node_key
     unfetched = list(zip(ts_column[source.fence :], source._seqs[source.fence :]))
     assert unfetched == sorted(unfetched)

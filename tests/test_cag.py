@@ -5,9 +5,10 @@ import pickle
 
 import pytest
 
-from helpers import in_space
+from helpers import CagView, in_space
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
-from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, Edge, MESSAGE_EDGE
+from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
+from repro.core.export import cag_to_dict
 from repro.core.interning import KeySpace
 from repro.pipeline import BackendSpec
 
@@ -73,9 +74,8 @@ class TestConstruction:
         cag = CAG(begin, KEYS)
         assert cag.append(send, begin, CONTEXT_EDGE) is None
         assert len(cag) == 2
-        (edge,) = cag.edges
-        assert edge.parent is begin and edge.child is send
-        assert edge.kind == CONTEXT_EDGE
+        assert cag.vertices == (begin, send)
+        assert cag.edge_positions() == [(0, 1, CONTEXT_EDGE)]
 
     def test_duplicate_vertex_rejected(self):
         begin = activity(ActivityType.BEGIN, 1.0)
@@ -117,10 +117,9 @@ class TestConstruction:
 class TestParentInvariants:
     def test_receive_may_have_two_parents(self):
         cag, vertices = simple_chain()
-        reply_receive = vertices[4]
-        parents = cag.parents_of(reply_receive)
+        parents = [edge for edge in cag.edge_positions() if edge[1] == 4]
         assert len(parents) == 2
-        kinds = {edge.kind for edge in parents}
+        kinds = {kind for _parent, _child, kind in parents}
         assert kinds == {CONTEXT_EDGE, MESSAGE_EDGE}
 
     def test_non_receive_cannot_have_two_parents(self):
@@ -159,14 +158,15 @@ class TestQueries:
         for vertex in vertices:
             assert vertex in cag
 
-    def test_parent_accessors(self):
+    def test_parent_columns(self):
         cag, vertices = simple_chain()
-        receive = vertices[2]
-        assert cag.message_parent(receive) is vertices[1]
-        assert cag.context_parent(receive) is None
-        reply_receive = vertices[4]
-        assert cag.message_parent(reply_receive) is vertices[3]
-        assert cag.context_parent(reply_receive) is vertices[1]
+        context_parent, message_parent = cag.parent_columns
+        # receive: message parent the SEND, no context parent
+        assert message_parent[2] == 1 and context_parent[2] == -1
+        # reply receive: one parent per relation
+        assert message_parent[4] == 3 and context_parent[4] == 1
+        assert list(context_parent) == [-1, 0, -1, 2, 1, 4]
+        assert list(message_parent) == [-1, -1, 1, -1, 3, -1]
 
     def test_end_activity_and_duration(self):
         cag, vertices = simple_chain()
@@ -194,37 +194,47 @@ class TestQueries:
         cag.append(send, begin, CONTEXT_EDGE)
         assert cag.request_ids() == {9}
 
-    def test_children_accessor(self):
-        cag, vertices = simple_chain()
-        children = [edge.child for edge in cag.children_of(vertices[1])]
-        assert any(child is vertices[2] for child in children)
+    def test_edge_positions_in_insertion_order(self):
+        cag, _ = simple_chain()
+        assert cag.edge_positions() == [
+            (0, 1, CONTEXT_EDGE),
+            (1, 2, MESSAGE_EDGE),
+            (2, 3, CONTEXT_EDGE),
+            (3, 4, MESSAGE_EDGE),
+            (1, 4, CONTEXT_EDGE),
+            (4, 5, CONTEXT_EDGE),
+        ]
+        cag.finish()
+        children = [child for parent, child, _kind in cag.edge_positions() if parent == 1]
+        assert children == [2, 4]
 
 
 class TestOrderingAndPaths:
     def test_topological_order_respects_edges(self):
         cag, vertices = simple_chain()
-        order = cag.topological_order()
-        position = {id(v): i for i, v in enumerate(order)}
-        for edge in cag.edges:
-            assert position[id(edge.parent)] < position[id(edge.child)]
+        order = cag.topological_positions()
+        assert sorted(order) == list(range(len(vertices)))
+        position = {vertex: i for i, vertex in enumerate(order)}
+        for parent, child, _kind in cag.edge_positions():
+            assert position[parent] < position[child]
 
     def test_primary_path_covers_every_non_root_vertex(self):
         cag, vertices = simple_chain()
-        path = cag.primary_path()
+        path = cag.primary_positions()
         assert len(path) == len(vertices) - 1
-        children = [edge.child for edge in path]
-        assert children == vertices[1:]
+        children = [child for child, _parent, _kind in path]
+        assert children == list(range(1, len(vertices)))
 
     def test_primary_path_prefers_message_edges(self):
         cag, vertices = simple_chain()
-        path = cag.primary_path()
-        reply_edge = [edge for edge in path if edge.child is vertices[4]][0]
-        assert reply_edge.kind == MESSAGE_EDGE
+        (reply_edge,) = [row for row in cag.primary_positions() if row[0] == 4]
+        assert reply_edge == (4, 3, MESSAGE_EDGE)
 
     def test_edge_latency(self):
         cag, vertices = simple_chain()
-        edge = cag.primary_path()[0]
-        assert edge.latency() == pytest.approx(0.1)
+        edge = cag_to_dict(cag)["edges"][0]
+        assert (edge["parent"], edge["child"]) == (0, 1)
+        assert edge["latency"] == pytest.approx(0.1)
 
     def test_finished_flag_and_is_deformed(self):
         cag, _ = simple_chain()
@@ -292,8 +302,8 @@ class TestColumnarStorage:
         """The Fig. 11 guard, counted rather than timed: a finished CAG at
         rest is one buffer of packed vertex rows, the root, the END and
         three position columns whatever the request's size -- no vertex
-        list, no parents map, no ``Edge``.  Asking for edges builds the
-        vertices once; later calls hand out the same objects."""
+        list, no parents map, no edge object.  Reading its edges builds
+        nothing that stays, and its vertices are not handed out."""
         finished = BackendSpec.batch(window=0.010).correlate(tiny_run.activities()).cags
         small, large = min(finished, key=len), max(finished, key=len)
         assert len(small) < 24 <= len(large)
@@ -303,31 +313,32 @@ class TestColumnarStorage:
             held.append(len(owned))
             # the row buffer and the three position columns
             assert len(owned) <= 4, owned
-            assert not any(isinstance(item, (Edge, dict, tuple, list)) for item in owned)
+            assert not any(isinstance(item, (dict, tuple, list)) for item in owned)
             assert activities == [cag.root, cag.end_activity]
-            assert cag.finished and len(cag.edges) >= len(cag) - 1
-            vertices = cag.vertices
-            assert cag.vertices is vertices and len(vertices) == len(cag)
-            assert vertices[0] is cag.root and vertices[-1] is cag.end_activity
-            assert {id(edge.child) for edge in cag.edges} <= set(map(id, vertices))
+            edges = cag.edge_positions()
+            assert cag.finished and len(edges) >= len(cag) - 1
+            assert {child for _parent, child, _kind in edges} <= set(range(len(cag)))
+            assert owned_tracked_objects(cag) == (owned, activities)
+            with pytest.raises(CAGError):
+                cag.vertices
         assert held[0] == held[1]
 
-    def test_position_index_is_dropped_at_finish_and_rebuilt_on_demand(self):
+    def test_position_index_is_dropped_at_finish(self):
         cag, vertices = simple_chain()
         assert cag._index is not None
         cag.finish()
         assert cag._index is None
-        assert len(cag) == 6 and cag.primary_path() and not cag.is_deformed()
+        assert len(cag) == 6 and cag.primary_positions() and not cag.is_deformed()
+        cag.validate()
         assert cag._index is None  # positional reads never need it
-        # packed: the members are the vertices it builds, equal to the
-        # objects it was grown from
-        built = cag.vertices
-        assert list(built) == vertices and built[3] is not vertices[3]
-        assert built[3] in cag and activity(ActivityType.SEND, 9.9) not in cag
-        assert cag._index is not None
-        assert cag.context_parent(built[4]) is built[1]
+        # packed: the columns hold what the objects held
+        assert list(cag.column("seq")) == [vertex.seq for vertex in vertices]
+        assert list(cag.column("timestamp")) == [vertex.timestamp for vertex in vertices]
+        assert list(CagView(cag).vertices) == vertices
+        with pytest.raises(CAGError):
+            vertices[3] in cag
 
-    def test_views_keep_insertion_order_across_a_splice(self):
+    def test_edges_keep_insertion_order_across_a_splice(self):
         begin = activity(ActivityType.BEGIN, 1.0)
         send = activity(ActivityType.SEND, 1.3)
         upstream = activity(ActivityType.SEND, 1.05, host="app", program="java", pid=2, tid=2)
@@ -336,20 +347,39 @@ class TestColumnarStorage:
         cag.append(send, begin, CONTEXT_EDGE)
         cag.append(upstream, begin, MESSAGE_EDGE)
         cag.append(late, upstream, MESSAGE_EDGE)
-        cag.splice_context_vertex(begin, send, late)
-        assert [(e.parent, e.child, e.kind) for e in cag.edges] == [
-            (begin, upstream, MESSAGE_EDGE),
-            (upstream, late, MESSAGE_EDGE),
-            (begin, late, CONTEXT_EDGE),
-            (late, send, CONTEXT_EDGE),
+        cag.splice_in_order(late, send)
+        assert cag.edge_positions() == [
+            (0, 2, MESSAGE_EDGE),
+            (2, 3, MESSAGE_EDGE),
+            (0, 3, CONTEXT_EDGE),
+            (3, 1, CONTEXT_EDGE),
         ]
-        assert [e.kind for e in cag.parents_of(late)] == [MESSAGE_EDGE, CONTEXT_EDGE]
-        assert [e.child for e in cag.children_of(begin)] == [upstream, late]
-        assert cag.parents_of(activity(ActivityType.SEND, 9.9)) == []
+        assert [kind for _p, child, kind in cag.edge_positions() if child == 3] == [
+            MESSAGE_EDGE,
+            CONTEXT_EDGE,
+        ]
+        assert [child for parent, child, _k in cag.edge_positions() if parent == 0] == [2, 3]
         with pytest.raises(CAGError, match="already has a context parent"):
-            cag.splice_context_vertex(begin, send, late)
-        with pytest.raises(CAGError, match="no context edge"):
-            cag.splice_context_vertex(begin, send, upstream)
+            cag.splice_in_order(late, send)
+        with pytest.raises(CAGError, match="not vertices of this CAG"):
+            cag.splice_in_order(activity(ActivityType.RECEIVE, 1.2), send)
+
+    def test_a_splice_before_every_chained_activity_heads_the_chain(self):
+        begin = activity(ActivityType.BEGIN, 1.0)
+        send = activity(ActivityType.SEND, 1.1)
+        first = activity(ActivityType.RECEIVE, 1.4, host="app", program="java", pid=2, tid=2)
+        second = activity(ActivityType.SEND, 1.6, host="app", program="java", pid=2, tid=2)
+        late = activity(ActivityType.RECEIVE, 1.35, host="app", program="java", pid=2, tid=2)
+        cag = CAG(begin, KEYS)
+        cag.append(send, begin, CONTEXT_EDGE)
+        cag.append(first, send, MESSAGE_EDGE)
+        cag.append(second, first, CONTEXT_EDGE)
+        cag.append(late, send, MESSAGE_EDGE)
+        cag.splice_in_order(late, second)
+        # walked back past both chained activities: ``late`` heads the chain
+        assert cag.edge_positions()[-1] == (4, 2, CONTEXT_EDGE)
+        assert list(cag.parent_columns[0]) == [-1, 0, 4, 2, -1]
+        cag.validate()
 
     @pytest.mark.parametrize("finished", [False, True], ids=["open", "finished"])
     def test_pickled_state_is_positional_and_revives_whole(self, finished):
@@ -359,14 +389,18 @@ class TestColumnarStorage:
         state = cag.__getstate__()
         assert "root" not in state and "index" not in "".join(state)
         revived = pickle.loads(pickle.dumps(cag))
-        assert revived.root is revived.vertices[0] and revived.root == cag.root
+        assert revived.root == cag.root and revived.end_activity == cag.end_activity
         assert revived.cag_id == cag.cag_id and revived.finished is finished
-        assert [(e.parent, e.child, e.kind) for e in revived.edges] == [
-            (e.parent, e.child, e.kind) for e in cag.edges
-        ]
+        assert revived.edge_positions() == cag.edge_positions()
+        for name in ("timestamp", "seq", "size", "context_key", "message_key", "priority"):
+            assert revived.column(name) == cag.column(name)
         revived.validate()
-        if not finished:
+        if finished:
+            assert CagView(revived).vertices == CagView(cag).vertices
+        else:
+            assert revived.root is revived.vertices[0]
+            assert revived.vertices == tuple(vertices)
             # An open CAG revived from a checkpoint keeps growing.
             tail = activity(ActivityType.SEND, 1.6)
             revived.append(tail, revived.vertices[-1], CONTEXT_EDGE)
-            assert revived.context_parent(tail) == vertices[-1]
+            assert revived.parent_columns[0][-1] == len(vertices) - 1

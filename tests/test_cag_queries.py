@@ -11,10 +11,10 @@ digest per scenario (``tests/golden_cag_queries.json``).  The digest
 pins the answers, not the representation: a change to how a finished
 CAG holds its vertices must leave it byte-identical.
 
-The column-readable queries are asked first, before anything that needs
-vertex objects, so they are answered from whatever a finished CAG keeps
-at rest.  Regenerate with ``python -m tests.regen_goldens cag_queries``
-only for an intended output change.
+Every query reads the columns a finished CAG keeps at rest: the edges
+are fingerprinted from ``edge_positions()`` and the digest's per-vertex
+fingerprints, in edge order.  Regenerate with ``python -m
+tests.regen_goldens cag_queries`` only for an intended output change.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.core.export import cag_to_dict, cag_to_dot
 from repro.core.latency import breakdown_for_cag
 from repro.core.patterns import cag_signature
 from repro.pipeline import BackendSpec, RunSource
-from repro.pipeline.equivalence import _fingerprint
+from repro.pipeline.equivalence import _vertex_fingerprints
 from repro.topology import ScenarioConfig
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_cag_queries.json"
@@ -58,8 +58,18 @@ def cag_answers(cag) -> tuple:
         breakdown_for_cag(cag).as_dict(),
         json.dumps(export, sort_keys=True),
         cag_to_dot(cag),
-        [(edge.kind, _fingerprint(edge.parent), _fingerprint(edge.child)) for edge in cag.edges],
+        edge_fingerprints(cag),
     )
+
+
+def edge_fingerprints(cag) -> list:
+    """``(kind, parent fingerprint, child fingerprint)`` per edge, in the
+    order the edges were added."""
+    fingerprints = _vertex_fingerprints(cag)
+    return [
+        (kind, fingerprints[parent], fingerprints[child])
+        for parent, child, kind in cag.edge_positions()
+    ]
 
 
 def scenario_digest(config) -> dict:

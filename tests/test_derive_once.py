@@ -252,7 +252,7 @@ class TestMemoSafety:
         assert cag._analysis is None
         assert len(cag_signature(cag)[0]) == len(before[0]) + 1
 
-    def test_splice_context_vertex_invalidates(self):
+    def test_splice_in_order_invalidates(self):
         keys = KeySpace()
         begin, send, upstream, late = in_space(
             keys,
@@ -267,7 +267,7 @@ class TestMemoSafety:
         cag.append(late, upstream, MESSAGE_EDGE)
         before = cag_signature(cag)
         before_segments = breakdown_for_cag(cag).as_dict()
-        cag.splice_context_vertex(begin, send, late)
+        cag.splice_in_order(late, send)
         after = cag_signature(cag)
         context_edges = lambda sig: [e for e in sig[1] if e[0] == "context"]  # noqa: E731
         assert len(context_edges(before)) == 1

@@ -1,6 +1,6 @@
 """Unit tests for the correlation engine (Fig. 3 pseudo-code)."""
 
-from helpers import in_space, keyed_engine
+from helpers import CagView, in_space, keyed_engine
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.export import cag_to_dict
 from repro.core.interning import ActivityTable, KeySpace
@@ -118,10 +118,11 @@ class TestBeginEnd:
         assert cag.column("size")[-1] == 2000
         # ... and grown after that, on the kept object
         assert cag.end_activity.size == 2500
-        assert cag.vertices[-1] is cag.end_activity
-        assert _fingerprint(cag.vertices[-1]) == _fingerprint(expected.end_activity)
+        assert _fingerprint(cag.end_activity) == _fingerprint(expected.end_activity)
         # the digest's column fingerprints carry the grown END too
-        assert _vertex_fingerprints(cag) == list(map(_fingerprint, cag.vertices))
+        assert _vertex_fingerprints(cag)[-1] == _fingerprint(cag.end_activity)
+        assert _vertex_fingerprints(cag) == list(map(_fingerprint, CagView(cag).vertices))
+        assert _vertex_fingerprints(cag) == _vertex_fingerprints(expected)
         assert canonical_cags([cag]) == canonical_cags([expected])
         exported, reference_export = cag_to_dict(cag), cag_to_dict(expected)
         del exported["cag_id"], reference_export["cag_id"]
@@ -149,7 +150,7 @@ class TestSendHandling:
         engine.process(s)
         cag = engine.open_cags[0]
         assert s in cag
-        assert cag.context_parent(s) is b
+        assert CagView(cag).context_parent(s) is b
 
     def test_send_without_parent_is_ignored(self):
         engine = new_engine()
@@ -191,7 +192,7 @@ class TestReceiveHandling:
         for activity in (b, s, r):
             engine.process(activity)
         cag = engine.open_cags[0]
-        assert cag.message_parent(r) is s
+        assert CagView(cag).message_parent(r) is s
         assert s.message_key not in engine.mmap
 
     def test_unmatched_receive_is_counted_and_ignored(self):
@@ -236,7 +237,7 @@ class TestReceiveHandling:
         cag = engine.open_cags[0]
         receives_in_cag = [v for v in cag.vertices if v.type is ActivityType.RECEIVE]
         assert len(receives_in_cag) == 1
-        assert cag.message_parent(receives_in_cag[0]) is s1
+        assert CagView(cag).message_parent(receives_in_cag[0]) is s1
 
     def test_balance_reached_during_merge_still_adds_receive(self):
         """The byte balance can hit zero while a SEND part is merged."""
@@ -267,20 +268,24 @@ class TestReceiveHandling:
             engine.process(activity)
         cag = engine.open_cags[0]
         # message edge present, but no context edge back to request 1
-        assert cag.message_parent(r) is s
-        assert cag.context_parent(r) is None
+        view = CagView(cag)
+        assert view.message_parent(r) is s
+        assert view.context_parent(r) is None
         assert engine.stats.thread_reuse_blocked >= 1
 
     def test_receive_with_both_parents_in_same_cag_gets_both(self):
         engine = new_engine()
         activities = simple_request(engine)
         cag = engine.finished_cags[0]
-        # finished, so packed: its vertices are built, equal to those fed
-        vertices = cag.vertices
-        assert list(vertices) == activities
-        r2 = vertices[4]
-        assert cag.message_parent(r2) is vertices[3]
-        assert cag.context_parent(r2) is vertices[1]
+        # finished, so packed: its columns hold the vertices fed
+        assert list(cag.column("seq")) == [activity.seq for activity in activities]
+        context_parent, message_parent = cag.parent_columns
+        assert (message_parent[4], context_parent[4]) == (3, 1)
+        view = CagView(cag)
+        assert list(view.vertices) == activities
+        r2 = view.vertices[4]
+        assert view.message_parent(r2) is view.vertices[3]
+        assert view.context_parent(r2) is view.vertices[1]
 
 
 class TestLifecycleAndState:
@@ -334,7 +339,7 @@ class TestIndexMaps:
         # the head was matched and left; the second SEND is the head now
         assert len(engine.mmap[key]) == 1 and engine.mmap[key][0] is second
         (owner,) = [cag for cag in engine.open_cags if first in cag]
-        assert owner.message_parent(receive) is first
+        assert CagView(owner).message_parent(receive) is first
 
     def test_a_released_send_behind_the_head_leaves_the_queue(self):
         engine = new_engine()

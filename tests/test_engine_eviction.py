@@ -15,7 +15,7 @@ kernel-part merging in two subtle ways:
   PR; the streaming end-to-end version lives in ``tests/test_stream.py``).
 """
 
-from helpers import add_pending, in_space, keyed_engine
+from helpers import CagView, add_pending, in_space, keyed_engine
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import SampledOutCAG
 from repro.core.interning import KeySpace
@@ -232,7 +232,7 @@ class TestGhostSendDrop:
         assert mkey(CONN_KEY) not in engine.mmap  # ghost gone, send matched
         assert engine._backlog_size == 0
         (cag,) = engine.open_cags
-        assert receive in cag and [e.parent for e in cag.parents_of(receive)] == [send]
+        assert receive in cag and [e.parent for e in CagView(cag).parents_of(receive)] == [send]
 
 
 class TestMergeRecency:

@@ -28,7 +28,7 @@ class TestDotExport:
         dot = cag_to_dot(sample_cag, title="request 1")
         assert dot.startswith("digraph")
         assert dot.count("[label=") == len(sample_cag)
-        assert dot.count("->") == len(sample_cag.edges)
+        assert dot.count("->") == len(sample_cag.edge_positions())
         assert "request 1" in dot
 
     def test_dot_distinguishes_edge_kinds(self, sample_cag):
@@ -47,7 +47,7 @@ class TestJsonExport:
         data = cag_to_dict(sample_cag)
         assert data["finished"] is True
         assert len(data["vertices"]) == len(sample_cag)
-        assert len(data["edges"]) == len(sample_cag.edges)
+        assert len(data["edges"]) == len(sample_cag.edge_positions())
         assert data["duration"] == pytest.approx(sample_cag.duration())
         assert set(data["segment_percentages"]) == set(data["segments"])
 

@@ -14,11 +14,16 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import pytest
+
 from helpers import write_node_logs
 from repro.core.activity import Activity
+from repro.core.cag import CAGError
+from repro.core.export import cag_to_dict, cag_to_dot
 from repro.core.interning import ActivityTable
 from repro.pipeline import (
     BackendSpec,
+    CagJsonlSink,
     LogSource,
     Pipeline,
     RankedLatencyStage,
@@ -116,3 +121,41 @@ def test_digesting_a_result_builds_no_vertex(tiny_run):
     gc.collect()
     live = _live_activities() - live_before
     assert live <= 2 * len(result.cags) + incomplete, (live, len(result.cags))
+
+
+def test_exporting_builds_no_vertex(tiny_run, tmp_path):
+    """The exporters read every field off the columns, the key space and
+    ``edge_positions()``: a run that exports each finished request as
+    JSON and as DOT, and writes them all through the JSONL sink, still
+    holds each as its rows, its root and its END."""
+    table = ActivityTable.from_activities(tiny_run.activities())
+    gc.collect()
+    live_before = _live_activities()
+    session = Pipeline(
+        table, BackendSpec.batch(), sinks=[CagJsonlSink(tmp_path / "cags.jsonl")]
+    ).run()
+    finished = session.cags
+    assert len(finished) > 20
+    for cag in finished:
+        edges = cag_to_dict(cag)["edges"]
+        assert edges and cag_to_dot(cag).count("->") == len(edges) >= len(cag) - 1
+    lines = (tmp_path / "cags.jsonl").read_text("utf-8").splitlines()
+    assert len(lines) == len(finished)
+    incomplete = sum(len(cag) for cag in session.trace.incomplete_cags)
+    gc.collect()
+    live = _live_activities() - live_before
+    assert live <= 2 * len(finished) + incomplete, (live, len(finished))
+
+
+def test_a_finished_cag_refuses_its_vertices_and_membership(tiny_run):
+    """A packed CAG keeps no vertex list to hand out or search: ``vertices``
+    and ``in`` are the open CAG's working set only."""
+    result = BackendSpec.batch().correlate(tiny_run.activities())
+    cag = result.cags[0]
+    assert cag.finished
+    with pytest.raises(CAGError):
+        cag.vertices
+    with pytest.raises(CAGError):
+        cag.root in cag
+    for open_cag in result.incomplete_cags:
+        assert open_cag.root in open_cag and open_cag.vertices[0] is open_cag.root

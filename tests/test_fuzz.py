@@ -24,7 +24,7 @@ import pytest
 from repro.core import patterns as patterns_mod
 from repro.core.accuracy import path_accuracy
 from repro.core.activity import ActivityType
-from repro.core.cag import CONTEXT_EDGE
+from repro.core.cag import CAG, CONTEXT_EDGE
 from repro.core.engine import CorrelationEngine
 from repro.core.interning import ActivityTable
 from repro.fuzz import report_payload, run_case, run_fuzz, shrink
@@ -111,16 +111,12 @@ def _violated(case):
     return sorted({violation.invariant for violation in case.violations})
 
 
-def _legacy_splice(self, cag, current, latest):
-    """Pre-splice behaviour (before the topology-subsystem PR): a
+def _legacy_splice(self, vertex, latest):
+    """Pre-splice chaining (before the topology-subsystem PR): a
     late-balancing multi-part RECEIVE is chained *after* the newer
-    same-context activity -- delivery order -- and takes over the
-    context-map entry, so the chain depends on how message parts
-    interleaved at delivery time."""
-    cag.add_edge(latest, current, CONTEXT_EDGE)
-    key = current.context_key
-    self.cmap[key] = current
-    self.cmap_recency[key] = current.timestamp
+    same-context activity -- delivery order -- so the chain depends on
+    how message parts interleaved at delivery time."""
+    self.add_edge(latest, vertex, CONTEXT_EDGE)
 
 
 def _legacy_tie_key(vertex):
@@ -204,7 +200,7 @@ class TestPinnedHistoricalBugs:
             assert case.ok, f"seed {seed}: {[str(v) for v in case.violations]}"
 
     def test_fanout_splice_revert_breaks_equivalence(self, monkeypatch):
-        monkeypatch.setattr(CorrelationEngine, "_splice_in_order", _legacy_splice)
+        monkeypatch.setattr(CAG, "splice_in_order", _legacy_splice)
         case = run_case(SPLICE_SEED)
         assert "full_equivalence" in _violated(case)
 

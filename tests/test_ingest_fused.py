@@ -348,7 +348,7 @@ class TestMemoTables:
             ActivityType.BEGIN,
         ]
         assert [a.priority for a in activities] == [1, 0, 3, 2, 0]
-        assert [a.send_like for a in activities] == [True, False, False, True, False]
+        assert [a.type.is_send_like for a in activities] == [True, False, False, True, False]
 
     def test_a_port_spelled_differently_is_the_same_connection(self):
         plain, odd = "10.9.0.1:41000-10.0.0.1:80", "10.9.0.1:+41000-10.0.0.1:080"
@@ -499,6 +499,28 @@ class TestMemoTables:
         classifier.classify_lines([line("SEND", channel, program="sshd", size=5)])
         assert list(entry[8]) == ["100"]
 
+    def test_a_new_connection_is_split_and_classified_once(self, monkeypatch):
+        """A kept line's connection is interned at first sight: N distinct
+        connections cost N channel splits (and type classifications), not
+        a split with the key left unset and a second one to intern it."""
+        calls = []
+        split = log_format._split_channel
+
+        def counting_split(channel):
+            calls.append(channel)
+            return split(channel)
+
+        monkeypatch.setattr(log_format, "_split_channel", counting_split)
+        channels = [f"10.0.0.1:{5000 + i}-10.0.0.2:8080" for i in range(20)]
+        classifier = make_classifier()
+        table = classifier.pack_lines(
+            [line("SEND", channel, ts=i) for i, channel in enumerate(channels)]
+        )
+        assert len(table) == len(channels)
+        assert calls == channels
+        # the ids are given in log order, as when interning waited for a row
+        assert list(table._mkeys) == list(range(len(channels)))
+
     def test_a_full_size_table_builds_per_line_and_stays_full(self, monkeypatch):
         monkeypatch.setattr(log_format, "_SIZES_PER_CONNECTION", 2)
         channel = "10.0.0.1:5000-10.0.0.2:8080"
@@ -636,12 +658,18 @@ class TestWholeTraces:
         result = BackendSpec.batch().correlate(activities)
         assert len(result.cags) == rubis_run.completed_requests
         assert [activity.size for activity in activities] == logged
-        vertices = [v for cag in result.cags for v in cag.vertices]
-        merged = [v for v in vertices if v.size != v.message.size]
+        rows = [
+            row
+            for cag in result.cags
+            for row in zip(
+                cag.column("message_key"), cag.column("message_size"), cag.column("size")
+            )
+        ]
+        merged = [row for row in rows if row[2] != row[1]]
         assert merged, "the engine balances SENDs to 0 and merges parts"
         sharing = {}
-        for vertex in vertices:
-            sharing.setdefault(id(vertex.message), []).append(vertex.size)
+        for connection, logged, size in rows:
+            sharing.setdefault((connection, logged), []).append(size)
         assert any(len(set(sizes)) > 1 for sizes in sharing.values())
 
     def test_conservation_holds_on_a_mutated_log(self, rubis_run, tmp_path):

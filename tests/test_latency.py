@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import SyntheticTrace, packed, reference_segments
+from helpers import CagView, SyntheticTrace, edge_label, packed, reference_segments
 from repro.pipeline import BackendSpec
 from repro.core.interning import KeySpace
 from repro.core.latency import (
@@ -11,7 +11,6 @@ from repro.core.latency import (
     average_duration,
     breakdown_for_cag,
     percentage_table,
-    segment_label,
 )
 
 
@@ -60,7 +59,8 @@ class TestLatencyBreakdown:
 
 class TestSegmentLabels:
     def test_labels_use_program_names(self, one_cag):
-        labels = {segment_label(edge) for edge in one_cag.primary_path()}
+        labels = set(breakdown_for_cag(one_cag).segments)
+        assert labels == {edge_label(edge) for edge in CagView(one_cag).primary_path()}
         assert "httpd2httpd" in labels
         assert "httpd2java" in labels
         assert "java2mysqld" in labels
@@ -102,7 +102,7 @@ class TestSegmentLabels:
         assert len(keys.plans) == 1
         assert plain.analysis.plan is skewed.analysis.plan
         assert [label for _child, _parent, label in plain.analysis.plan.path] == [
-            segment_label(edge) for edge in skewed.primary_path()
+            edge_label(edge) for edge in CagView(skewed).primary_path()
         ]
         assert breakdown_for_cag(skewed).segments["java2httpd"] == 0.0
         assert breakdown_for_cag(plain).segments["java2httpd"] > 0.0

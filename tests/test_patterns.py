@@ -183,7 +183,7 @@ def spliced_chain(keys):
     cag.append(send, begin, CONTEXT_EDGE)
     cag.append(upstream, begin, MESSAGE_EDGE)
     cag.append(late, upstream, MESSAGE_EDGE)
-    cag.splice_context_vertex(begin, send, late)
+    cag.splice_in_order(late, send)
     return cag
 
 

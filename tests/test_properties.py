@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CagView,
     SyntheticTrace,
     in_space,
     reference_segments,
@@ -245,14 +246,15 @@ class TestTopologicalOrderProperties:
     @settings(max_examples=150, **COMMON)
     def test_heap_ready_set_equals_the_sort_based_order(self, cag):
         cag.validate()
+        view = CagView(cag)
         for tie_key in (None, _signature_tie_key):
-            expected = sort_based_topological_order(cag, tie_key)
-            actual = cag.topological_order(tie_key=tie_key)
+            expected = sort_based_topological_order(view, tie_key)
+            actual = view.topological_order(tie_key=tie_key)
             assert [id(v) for v in actual] == [id(v) for v in expected]
             position = {id(v): i for i, v in enumerate(actual)}
             assert all(
                 position[id(edge.parent)] < position[id(edge.child)]
-                for edge in cag.edges
+                for edge in view.edges
             )
 
 
@@ -267,13 +269,11 @@ def retimed_twin(cag, stamps):
             for v, stamp in zip(originals, stamps)
         ),
     )
-    position = {id(vertex): index for index, vertex in enumerate(originals)}
     twin = CAG(root=clones[0], keys=cag.keys)
     for clone in clones[1:]:
         twin.add_vertex(clone)
-    for edge in cag.edges:
-        parent, child = clones[position[id(edge.parent)]], clones[position[id(edge.child)]]
-        twin.add_edge(parent, child, edge.kind)
+    for parent, child, kind in cag.edge_positions():
+        twin.add_edge(clones[parent], clones[child], kind)
     return twin
 
 

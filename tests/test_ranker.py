@@ -396,8 +396,8 @@ class TestSameTimestampTies:
         assert result.incomplete_cags == []
         assert len(result.cags) == 2
         for cag, rid in zip(result.cags, (9, 12)):
-            assert {vertex.request_id for vertex in cag.vertices} == {rid}
-            assert len(cag.vertices) == 6
+            assert set(cag.column("request_id")) == {rid}
+            assert len(cag) == 6
             cag.validate()
 
 

@@ -163,7 +163,7 @@ class TestLateArrival:
             ranker.ingest(packed(arrival[start : start + 9][::-1]))
             assert_ranker_aligned(ranker)
         assert sum(ranker._undelivered_sends.values()) == sum(
-            1 for a in arrival if a.send_like
+            1 for a in arrival if a.type.is_send_like
         )
         ranker.seal()
         engine.keys = ranker.keys
