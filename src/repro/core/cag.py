@@ -70,7 +70,8 @@ class AnalysisMemo:
     classifier, ranked report, summary, store, export -- shares a single
     derivation.  ``signature`` is the *interned* pattern signature: one
     tuple per pattern in the CAG's key space, so a CAG retains a pointer,
-    not its own multi-kilobyte copy.
+    not its own multi-kilobyte copy.  Likewise the segment labels live
+    once on the shape plan and a CAG keeps only its per-label sums.
     """
 
     __slots__ = ("signature", "segments", "plan")
@@ -78,8 +79,9 @@ class AnalysisMemo:
     def __init__(self) -> None:
         #: ``repro.core.patterns.Signature``, interned
         self.signature: Optional[tuple] = None
-        #: per-segment latency of the primary path, label -> seconds
-        self.segments: Optional[Dict[str, float]] = None
+        #: per-segment latency of the primary path, seconds by index in
+        #: the plan's ``labels``: an ``array('d')``, set only beside a plan
+        self.segments: Optional[array] = None
         #: ``repro.core.shapes.ShapePlan`` shared by every CAG of this
         #: labelled structure; ``None`` until looked up, and for a CAG
         #: that met a full shape table
@@ -113,6 +115,18 @@ _ROW_BYTES = 0
 for _name, _code, _attribute in _ROW_LAYOUT:
     _ROW_OFFSETS[_name] = (_code, _ROW_BYTES)
     _ROW_BYTES += struct.calcsize("=" + _code)
+
+
+def position_typecode(count: int) -> str:
+    """The narrowest ``array`` typecode that holds every position-column
+    entry of a ``count``-vertex CAG: ``-1`` up to the edge log's largest
+    code, ``2 * count + 1``."""
+    bound = 2 * count + 1
+    if bound <= 0x7F:
+        return "b"
+    if bound <= 0x7FFF:
+        return "h"
+    return "i"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -189,8 +203,10 @@ class CAG:
     objects: the root (public as :attr:`root`) and the END, the one
     vertex the engine still changes after finish (a response flushed in
     several writes grows its byte count).  A finished CAG at rest then
-    owns its columns, two objects and its three position arrays whatever
-    the request's size, and is read through :meth:`column`, the position
+    owns its columns, two objects and its three position arrays -- exact
+    size, at the narrowest typecode its length allows
+    (:func:`position_typecode`) -- whatever the request's size, and is
+    read through :meth:`column`, the position
     columns and the queries over them; it refuses :attr:`vertices` and
     ``in``.
     """
@@ -402,6 +418,16 @@ class CAG:
         self._end = vertices[-1] if vertices[-1].type is ActivityType.END else self.end_activity
         self._rows = VertexRows.pack(vertices)
         self._vertices = None
+        self._narrow_positions()
+
+    def _narrow_positions(self) -> None:
+        """Re-hold the three position columns at the narrowest typecode
+        their length allows, exact size: what a finished CAG keeps."""
+        code = position_typecode(len(self))
+        if self._context_parent.typecode != code:
+            self._context_parent = array(code, self._context_parent)
+            self._message_parent = array(code, self._message_parent)
+            self._edge_log = array(code, self._edge_log)
 
     def touch(self, timestamp: float) -> None:
         """Record recent activity that did not add a vertex.
@@ -456,6 +482,9 @@ class CAG:
         self._analysis = None
         self.finished = state["finished"]
         self.newest_timestamp = state["newest_timestamp"]
+        if rows is not None:
+            # a packed CAG from a checkpoint that kept ``'i'`` columns
+            self._narrow_positions()
 
     # -- queries -----------------------------------------------------------
 
@@ -507,6 +536,16 @@ class CAG:
         ``i`` is the position of vertex ``i``'s parent under that
         relation, ``-1`` for none.  Read-only for callers."""
         return self._context_parent, self._message_parent
+
+    def parent_bytes(self) -> Tuple[bytes, bytes]:
+        """The two parent columns as bytes at :func:`position_typecode`
+        width: the same for an open CAG and its packed self, whatever
+        typecode each holds them at."""
+        code = position_typecode(len(self))
+        return tuple(
+            column.tobytes() if column.typecode == code else array(code, column).tobytes()
+            for column in self.parent_columns
+        )
 
     def edge_positions(self) -> List[Tuple[int, int, str]]:
         """Every edge as ``(parent position, child position, kind)``, in

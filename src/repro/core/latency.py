@@ -15,6 +15,8 @@ accepts.
 
 from __future__ import annotations
 
+import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -104,47 +106,75 @@ def breakdown_for_cag(cag: CAG) -> LatencyBreakdown:
     The walk happens once per CAG structure (see :class:`~repro.core.cag.
     AnalysisMemo`); each call returns its own :class:`LatencyBreakdown`.
     """
-    return LatencyBreakdown(dict(_segments_for_cag(cag)))
+    labels, sums = _segments_for_cag(cag)
+    return LatencyBreakdown(dict(zip(labels, sums)))
 
 
-def _segments_for_cag(cag: CAG) -> Dict[str, float]:
-    """The memoised label -> seconds map behind :func:`breakdown_for_cag`
-    (shared, so read-only for callers).
+def segments_json(cag: CAG) -> str:
+    """``json.dumps(breakdown_for_cag(cag).as_dict(), sort_keys=True)``,
+    written in one pass from the shape's sorted label keys and the CAG's
+    sums: the ``segments`` text the trace store keeps per request.  A
+    sum is a finite float (the log parser refuses any other timestamp),
+    which JSON writes as ``repr`` does."""
+    labels, sums = _segments_for_cag(cag)
+    plan = cag.analysis.plan
+    keys = plan.json_keys if plan is not None else None
+    if keys is None:
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        keys = tuple((slot, json.dumps(labels[slot]) + ": ") for slot in order)
+        if plan is not None:
+            plan.json_keys = keys
+    return "{" + ", ".join([key + repr(sums[slot]) for slot, key in keys]) + "}"
+
+
+def _segments_for_cag(cag: CAG) -> Tuple[Tuple[str, ...], Sequence[float]]:
+    """The segment labels of ``cag``'s primary path in first-seen order,
+    and the seconds summed under each: the memoised pair behind
+    :func:`breakdown_for_cag` (shared, so read-only for callers).
 
     Which edges form the primary path, and what each is labelled, is the
     same for every CAG of one shape, so it is read from the shape's plan
-    (:mod:`repro.core.shapes`) and only the timestamps are this CAG's."""
+    (:mod:`repro.core.shapes`), which keeps the labels once; a CAG keeps
+    only its sums, as an ``array('d')`` on its memo.  A CAG whose shape
+    met a full plan table derives both and keeps neither."""
     memo = cag.analysis
-    segments = memo.segments
-    if segments is None:
-        plan = plan_for(cag)
-        path = plan.path if plan is not None else None
-        if path is None:
-            path = _path_rows(cag)
-            if plan is not None:
-                plan.path = path
-        timestamps = cag.column("timestamp")
-        segments = {}
-        for child, parent, label in path:
-            latency = timestamps[child] - timestamps[parent]
-            if latency < 0:
-                # A negative value can only come from clock skew on a
-                # message edge; clamp at zero so a skewed pair cannot
-                # produce negative percentages (the paper accepts this
-                # imprecision).
-                latency = 0.0
-            segments[label] = segments.get(label, 0.0) + latency
-        memo.segments = segments
-    return segments
+    sums = memo.segments
+    if sums is not None:
+        return memo.plan.labels, sums
+    plan = plan_for(cag)
+    if plan is not None and plan.path is not None:
+        path, labels = plan.path, plan.labels
+    else:
+        path, labels = _path_rows(cag)
+        if plan is not None:
+            plan.path, plan.labels = path, labels
+    timestamps = cag.column("timestamp")
+    totals = [0.0] * len(labels)
+    for child, parent, slot in path:
+        latency = timestamps[child] - timestamps[parent]
+        if latency < 0:
+            # A negative value can only come from clock skew on a
+            # message edge; clamp at zero so a skewed pair cannot
+            # produce negative percentages (the paper accepts this
+            # imprecision).
+            latency = 0.0
+        totals[slot] += latency
+    if plan is None:
+        return labels, totals
+    sums = memo.segments = array("d", totals)
+    return labels, sums
 
 
-def _path_rows(cag: CAG) -> Tuple[PathRow, ...]:
-    """The primary path as positions plus each step's segment label."""
+def _path_rows(cag: CAG) -> Tuple[Tuple[PathRow, ...], Tuple[str, ...]]:
+    """The primary path as positions plus each step's index in the
+    path's segment labels, and those labels in first-seen order."""
     vertices = cag.vertex_views()
-    return tuple(
-        (child, parent, _label(vertices[parent], vertices[child]))
+    slots: Dict[str, int] = {}
+    path = tuple(
+        (child, parent, slots.setdefault(_label(vertices[parent], vertices[child]), len(slots)))
         for child, parent, _kind in cag.primary_positions()
     )
+    return path, tuple(slots)
 
 
 def average_breakdown(cags: Sequence[CAG]) -> LatencyBreakdown:
@@ -157,7 +187,7 @@ def average_breakdown(cags: Sequence[CAG]) -> LatencyBreakdown:
     if not cags:
         return aggregate
     for cag in cags:
-        for label, value in _segments_for_cag(cag).items():
+        for label, value in zip(*_segments_for_cag(cag)):
             aggregate.add(label, value)
     return aggregate.scaled(1.0 / len(cags))
 

@@ -262,6 +262,12 @@ _IGNORED_CHANNEL = (True, "", 0, "", 0, -1, ActivityType.SEND, ActivityType.RECE
 #: retained entries, is this many.
 _SIZES_PER_CONNECTION = 64
 
+#: Distinct channel tokens the channel memo's current generation holds
+#: before the end of a :meth:`ActivityClassifier.pack_lines` call ages it:
+#: it becomes the old generation and the one before goes.  A token met
+#: again while its entry is in either generation is not derived again.
+_CHANNELS_PER_GENERATION = 2048
+
 
 @dataclass
 class ActivityClassifier:
@@ -298,6 +304,10 @@ class ActivityClassifier:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _channel_memo: Dict[str, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # The channel memo's previous generation (see _CHANNELS_PER_GENERATION).
+    _old_channel_memo: Dict[str, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -388,13 +398,22 @@ class ActivityClassifier:
         Dropped traffic costs a dict slot per distinct token, so that
         noise stays on the fast path -- one shared entry when the token
         itself is what the filter matched -- and a line rejected for its
-        timestamp, direction or size costs nothing.  There is no
-        eviction.  The rule sets (``frontends``, ``ignore_*``) must not
-        change once lines have been classified.
+        timestamp, direction or size costs nothing.  Contexts are never
+        evicted.  Channels are, in two generations, since every client
+        connection is a new token: a miss looks in the old generation and
+        promotes the entry it finds, and once a call leaves more than
+        :data:`_CHANNELS_PER_GENERATION` entries in the current one, it
+        becomes the old one and the old one goes.  A connection met
+        again within a generation keeps its entry, its ids and its
+        shared :class:`MessageId` objects; one met again after two
+        rotations is derived again, to the same ids.  The rule sets
+        (``frontends``, ``ignore_*``) must not change once lines have
+        been classified.
         """
         table = ActivityTable(self.keys)
         context_memo = self._context_memo
         channel_memo = self._channel_memo
+        old_channel_memo = self._old_channel_memo
         sizes_limit = _SIZES_PER_CONNECTION
         filtered = 0
         put_type = table._types.append
@@ -452,9 +471,16 @@ class ActivityClassifier:
                     ignored_program, context_key = entry
                     entry = channel_memo.get(channel)
                     if entry is None:
-                        # Unless the program is ignored, the line yields a
-                        # row if the channel is kept: intern on first sight.
-                        entry = self._remember_channel(channel, intern=not ignored_program)
+                        entry = old_channel_memo.pop(channel, None)
+                        if entry is not None:
+                            channel_memo[channel] = entry
+                        else:
+                            # Unless the program is ignored, the line yields
+                            # a row if the channel is kept: intern on first
+                            # sight.
+                            entry = self._remember_channel(
+                                channel, intern=not ignored_program
+                            )
                     (
                         ignored_channel,
                         src_ip,
@@ -499,6 +525,9 @@ class ActivityClassifier:
         finally:
             self.filtered_count += filtered
             settle()
+            if len(channel_memo) > _CHANNELS_PER_GENERATION:
+                self._old_channel_memo = channel_memo
+                self._channel_memo = {}
         return table
 
     # -- internals ---------------------------------------------------------

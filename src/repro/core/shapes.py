@@ -10,6 +10,9 @@ keyed by the labelled structure exactly as the engine built it:
     (per-vertex ``component id << 3 | type`` in insertion order,
      context-parent column, message-parent column)
 
+(the two columns as bytes at the CAG's narrowest position width, so an
+open CAG and its packed self, which holds them narrower, share a plan).
+
 Everything in the key is structure or identity; timestamps are not.  The
 primary path and its labels are a function of the key alone, so
 :mod:`repro.core.latency` always reads them from the plan.  The canonical
@@ -38,15 +41,16 @@ from .cag import CAG
 #: ~200).
 MAX_SHAPES = 4096
 
-#: One primary-path step: (child position, parent position, segment label).
-PathRow = Tuple[int, int, str]
+#: One primary-path step: (child position, parent position, index of its
+#: segment label in :attr:`ShapePlan.labels`).
+PathRow = Tuple[int, int, int]
 
 
 class ShapePlan:
     """What one labelled CAG structure compiles to; each half is filled by
     the module that owns the derivation, the first time it is asked."""
 
-    __slots__ = ("signature", "timestamp_decided", "path")
+    __slots__ = ("signature", "timestamp_decided", "path", "labels", "json_keys")
 
     def __init__(self) -> None:
         #: interned ``repro.core.patterns.Signature`` shared by every CAG
@@ -58,6 +62,12 @@ class ShapePlan:
         self.timestamp_decided: bool = False
         #: the primary path, in vertex order
         self.path: Optional[Tuple[PathRow, ...]] = None
+        #: the path's distinct segment labels, in first-seen order: what
+        #: each CAG's per-label latency sums are indexed by
+        self.labels: Optional[Tuple[str, ...]] = None
+        #: ``(label index, '"label": ')`` in sorted label order: the keys
+        #: of the stored ``segments`` JSON text
+        self.json_keys: Optional[Tuple[Tuple[int, str], ...]] = None
 
 
 def vertex_codes(cag: CAG) -> Tuple[int, ...]:
@@ -80,12 +90,7 @@ def plan_for(cag: CAG) -> Optional[ShapePlan]:
     memo = cag.analysis
     plan = memo.plan
     if plan is None:
-        context_parents, message_parents = cag.parent_columns
-        key = (
-            vertex_codes(cag),
-            context_parents.tobytes(),
-            message_parents.tobytes(),
-        )
+        key = (vertex_codes(cag), *cag.parent_bytes())
         plans = cag.keys.plans
         plan = plans.get(key)
         if plan is None:

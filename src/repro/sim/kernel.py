@@ -209,10 +209,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def utilisation(self, elapsed: Optional[float] = None) -> float:
         """Mean fraction of capacity busy since construction."""
         self._account()

@@ -54,7 +54,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cag import CAG
-from ..core.latency import breakdown_for_cag
+from ..core.latency import segments_json
 from ..core.patterns import Signature, cag_signature
 
 #: Version of the on-disk layout; bump on any incompatible change.
@@ -324,7 +324,6 @@ class TraceStore:
         if not cag.finished:
             return False
         signature = cag_signature(cag)
-        breakdown = breakdown_for_cag(cag)
         duration = cag.duration()
         begin_ts = cag.begin_timestamp
         end_ts = None if duration is None else begin_ts + duration
@@ -341,7 +340,7 @@ class TraceStore:
                 end_ts,
                 duration,
                 json.dumps(list(root.context.as_tuple())),
-                json.dumps(breakdown.as_dict(), sort_keys=True),
+                segments_json(cag),
             ),
         )
         return cursor.rowcount > 0

@@ -27,7 +27,7 @@ import pytest
 
 from helpers import TINY_STAGES, tiny_config
 from repro.core.export import cag_to_dict, cag_to_dot
-from repro.core.latency import breakdown_for_cag
+from repro.core.latency import breakdown_for_cag, segments_json
 from repro.core.patterns import cag_signature
 from repro.pipeline import BackendSpec, RunSource
 from repro.pipeline.equivalence import _vertex_fingerprints
@@ -85,6 +85,18 @@ def scenario_digest(config) -> dict:
 def test_finished_cag_queries_match_golden(name):
     golden = json.loads(GOLDEN_PATH.read_text("utf-8"))
     assert scenario_digest(SCENARIOS[name]) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_segments_text_is_the_sorted_json_of_the_breakdown(name):
+    """The store's ``segments`` text, written in one pass from the shape's
+    sorted labels and the CAG's sums, is what ``json.dumps`` writes for
+    the breakdown, byte for byte, for every finished CAG."""
+    cags = BackendSpec.batch().correlate(RunSource(config=SCENARIOS[name]).activities()).cags
+    assert cags
+    for cag in cags:
+        expected = json.dumps(breakdown_for_cag(cag).as_dict(), sort_keys=True)
+        assert segments_json(cag) == expected
 
 
 def _regenerate_golden() -> None:

@@ -12,31 +12,47 @@ objects, and that a vertex costs rows' worth of bytes.
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
+from array import array
 
 import pytest
 
-from helpers import write_node_logs
-from repro.core.activity import Activity
-from repro.core.cag import CAGError
+from helpers import TINY_STAGES, in_space, write_node_logs
+from repro.core import shapes
+from repro.core.activity import Activity, ActivityType, ContextId, MessageId
+from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
 from repro.core.export import cag_to_dict, cag_to_dot
-from repro.core.interning import ActivityTable
+from repro.core.interning import ActivityTable, KeySpace
+from repro.core.latency import breakdown_for_cag, segments_json
+from repro.core.patterns import cag_signature
+from repro.core.shapes import plan_for
 from repro.pipeline import (
     BackendSpec,
     CagJsonlSink,
     LogSource,
     Pipeline,
     RankedLatencyStage,
+    RunSource,
     StoreSink,
     SummaryJsonSink,
     result_digest,
 )
+from repro.topology import ScenarioConfig
 
 #: Most bytes one more vertex may add to a finished request at rest.  A
-#: row is 49 bytes and its position columns about 13 more, on every
-#: supported Python; a vertex kept as an ``Activity`` (slots object plus
+#: row is 49 bytes and its position columns, narrowed at finish, about 3
+#: more (53 in all on CPython 3.11; 62 with ``'i'`` columns); a vertex kept as an ``Activity`` (slots object plus
 #: its boxed timestamp, seq and request id) reads about 240.
 MAX_BYTES_PER_VERTEX = 100
+
+#: Most bytes a finished request of the TINY ``fanout_aggregator`` run (18
+#: vertices on average) keeps in its analysis memo and its three position
+#: columns once its signature and segments are derived.  Per-label sums
+#: in an ``array('d')`` beside the shape's labels, and exact-size columns
+#: at the narrowest typecode, read 554 on CPython 3.11; a ``label ->
+#: float`` dict and growable ``'i'`` columns read 1 379.
+MAX_MEMO_AND_COLUMN_BYTES = 700
 
 
 def _live_activities() -> int:
@@ -159,3 +175,124 @@ def test_a_finished_cag_refuses_its_vertices_and_membership(tiny_run):
         cag.root in cag
     for open_cag in result.incomplete_cags:
         assert open_cag.root in open_cag and open_cag.vertices[0] is open_cag.root
+
+
+@pytest.fixture(scope="module")
+def fanout_table():
+    config = ScenarioConfig("fanout_aggregator", stages=TINY_STAGES, seed=11)
+    return RunSource(config=config).activities()
+
+
+def _derive(cags) -> None:
+    """What the ranked report and the store ask of every request."""
+    for cag in cags:
+        cag_signature(cag)
+        breakdown_for_cag(cag)
+
+
+def test_a_finished_cags_memo_holds_no_dict(fanout_table):
+    """The segment labels live once on the shape plan; a finished CAG's
+    memo keeps its per-label sums as an ``array('d')``."""
+    cags = BackendSpec.batch().correlate(fanout_table).cags
+    assert len(cags) > 20
+    _derive(cags)
+    for cag in cags:
+        memo = cag.analysis
+        held = [getattr(memo, slot) for slot in type(memo).__slots__]
+        assert not any(isinstance(value, dict) for value in held)
+        assert isinstance(memo.segments, array) and memo.segments.typecode == "d"
+        assert memo.plan is not None
+        assert len(memo.segments) == len(memo.plan.labels)
+
+
+def test_memo_and_position_columns_stay_within_their_bytes(fanout_table):
+    """tracemalloc bytes a finished request keeps in its memo and position
+    columns: what dropping them from every CAG of the run frees."""
+    tracemalloc.start()
+    try:
+        cags = BackendSpec.batch().correlate(fanout_table).cags
+        _derive(cags)
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        for cag in cags:
+            cag._analysis = None
+            cag._context_parent = cag._message_parent = cag._edge_log = None
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_cag = (before - after) / len(cags)
+    assert 0 < per_cag <= MAX_MEMO_AND_COLUMN_BYTES, per_cag
+
+
+def _vertex(activity_type, timestamp, host="web", program="httpd", keys=None):
+    (built,) = in_space(
+        keys,
+        Activity(
+            type=activity_type,
+            timestamp=timestamp,
+            context=ContextId(host, program, 1, 1),
+            message=MessageId("10.0.0.9", 999, "10.0.0.1", 80, 100),
+        ),
+    )
+    return built
+
+
+def _chain(keys: KeySpace) -> CAG:
+    """BEGIN -> SEND -> RECEIVE -> SEND -> RECEIVE -> END over two
+    components, built by hand in ``keys``."""
+    begin = _vertex(ActivityType.BEGIN, 1.0, keys=keys)
+    send = _vertex(ActivityType.SEND, 1.1, keys=keys)
+    receive = _vertex(ActivityType.RECEIVE, 1.2, "app", "java", keys)
+    reply = _vertex(ActivityType.SEND, 1.3, "app", "java", keys)
+    back = _vertex(ActivityType.RECEIVE, 1.4, keys=keys)
+    end = _vertex(ActivityType.END, 1.5, keys=keys)
+    cag = CAG(begin, keys)
+    cag.append(send, begin, CONTEXT_EDGE)
+    cag.append(receive, send, MESSAGE_EDGE)
+    cag.append(reply, receive, CONTEXT_EDGE)
+    cag.append(back, reply, MESSAGE_EDGE)
+    cag.add_edge(send, back, CONTEXT_EDGE)
+    cag.append(end, back, CONTEXT_EDGE)
+    return cag
+
+
+def test_an_open_cag_and_its_finished_self_share_a_plan():
+    """A finished CAG holds its position columns narrower than an open
+    one does; the shape key reads them at one width, so both -- and a
+    finished CAG resumed with ``'i'`` columns, as an older checkpoint
+    holds them -- get the same plan."""
+    keys = KeySpace()
+    open_cag, finished = _chain(keys), _chain(keys)
+    finished.finish()
+    assert {column.typecode for column in open_cag.parent_columns} == {"i"}
+    assert {column.typecode for column in finished.parent_columns} == {"b"}
+    assert finished.edge_positions() == open_cag.edge_positions()
+    plan = plan_for(open_cag)
+    assert plan is not None and plan_for(finished) is plan
+
+    state = finished.__getstate__()
+    for name in ("context_parent", "message_parent", "edge_log"):
+        state[name] = array("i", state[name])
+    resumed = CAG.__new__(CAG)
+    resumed.__setstate__(state)
+    assert {column.typecode for column in resumed.parent_columns} == {"b"}
+    assert resumed.edge_positions() == finished.edge_positions()
+    assert plan_for(resumed) is plan and len(keys.plans) == 1
+
+
+def test_a_cag_without_a_plan_keeps_no_segments(monkeypatch):
+    """When the shape table is full a CAG's segments are derived on each
+    ask and kept nowhere, and read the same."""
+    keys = KeySpace()
+    planned, unplanned = _chain(keys), _chain(KeySpace())
+    planned.finish()
+    unplanned.finish()
+    assert plan_for(planned) is not None
+    monkeypatch.setattr(shapes, "MAX_SHAPES", 0)
+    assert plan_for(unplanned) is None
+    assert breakdown_for_cag(unplanned).as_dict() == breakdown_for_cag(planned).as_dict()
+    assert segments_json(unplanned) == json.dumps(
+        breakdown_for_cag(planned).as_dict(), sort_keys=True
+    )
+    assert unplanned.analysis.segments is None and unplanned.analysis.plan is None

@@ -605,6 +605,79 @@ class TestMemoTables:
             load_activities([good, "torn li"], make_classifier())
 
 
+class TestChannelMemoGenerations:
+    """The channel memo ages in two generations: 3x the bound of one-off
+    connections pass through it, 4 a ``pack_lines`` call, beside three
+    connections that recur in every call."""
+
+    BOUND = 8
+    RECURRING = [f"10.0.0.2:{6000 + i}-10.0.0.3:3306" for i in range(3)]
+    ONE_OFF = [f"10.0.0.1:{5000 + i}-10.0.0.2:8080" for i in range(3 * BOUND)]
+    #: distinct channels one call brings
+    BLOCK = 4 + len(RECURRING)
+
+    def calls(self):
+        calls, ts = [], 0.0
+        for start in range(0, len(self.ONE_OFF), 4):
+            lines = []
+            for channel in self.ONE_OFF[start : start + 4] + self.RECURRING:
+                for size in (100, 7, 100):
+                    lines.append(line("SEND", channel, ts=ts, size=size))
+                    ts += 1.0
+            calls.append(lines)
+        return calls
+
+    def run(self, monkeypatch, bound):
+        """The tables of every call, the memo's size after each, and every
+        channel token derived, in order."""
+        monkeypatch.setattr(log_format, "_CHANNELS_PER_GENERATION", bound)
+        derived = []
+        split = log_format._split_channel
+
+        def counting_split(channel):
+            derived.append(channel)
+            return split(channel)
+
+        monkeypatch.setattr(log_format, "_split_channel", counting_split)
+        classifier = make_classifier()
+        tables, held = [], []
+        for lines in self.calls():
+            tables.append(classifier.pack_lines(lines))
+            held.append(len(classifier._channel_memo) + len(classifier._old_channel_memo))
+        return tables, held, derived
+
+    def test_the_memo_holds_two_generations_at_most(self, monkeypatch):
+        _tables, held, _derived = self.run(monkeypatch, self.BOUND)
+        assert max(held) <= 2 * self.BOUND + self.BLOCK
+        assert held[-1] < len(self.ONE_OFF) + len(self.RECURRING)  # some went
+
+    def test_recurring_tokens_are_derived_once(self, monkeypatch):
+        _tables, _held, derived = self.run(monkeypatch, self.BOUND)
+        assert sorted(derived) == sorted(self.ONE_OFF + self.RECURRING)
+
+    def test_rows_and_shared_message_ids_match_an_unbounded_memo(self, monkeypatch):
+        tables, _held, _derived = self.run(monkeypatch, self.BOUND)
+        unbounded, held, _derived = self.run(monkeypatch, 10**9)
+        assert held[-1] == len(self.ONE_OFF) + len(self.RECURRING)  # nothing went
+        columns = ("_types", "_timestamps", "_ckeys", "_mkeys", "_request_ids", "_messages")
+        for table, expected in zip(tables, unbounded):
+            for name in columns:
+                assert list(getattr(table, name)) == list(getattr(expected, name)), name
+
+        def sharing(tables):
+            # each row's message as the first row holding that very object
+            first = {}
+            return [
+                first.setdefault(id(message), index)
+                for index, message in enumerate(
+                    message for table in tables for message in table._messages
+                )
+            ]
+
+        assert sharing(tables) == sharing(unbounded)
+        assert len(set(sharing(tables))) < sum(map(len, tables))  # shared at all
+
+
 # -- whole traces ----------------------------------------------------------------
 
 STAGES = WorkloadStages(up_ramp=0.5, runtime=4.0, down_ramp=0.5)

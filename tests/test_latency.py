@@ -101,7 +101,8 @@ class TestSegmentLabels:
             )
         assert len(keys.plans) == 1
         assert plain.analysis.plan is skewed.analysis.plan
-        assert [label for _child, _parent, label in plain.analysis.plan.path] == [
+        plan = plain.analysis.plan
+        assert [plan.labels[slot] for _child, _parent, slot in plan.path] == [
             edge_label(edge) for edge in CagView(skewed).primary_path()
         ]
         assert breakdown_for_cag(skewed).segments["java2httpd"] == 0.0

@@ -186,7 +186,7 @@ class TestResource:
         with pytest.raises(SimulationError):
             resource.release(grants[0])
 
-    def test_queue_length_and_in_use(self):
+    def test_in_use(self):
         env = Environment()
         resource = Resource(env, 1)
 
@@ -203,7 +203,6 @@ class TestResource:
         env.process(waiter())
         env.run(until=1.0)
         assert resource.in_use == 1
-        assert resource.queue_length == 1
 
     def test_utilisation_accounting(self):
         env = Environment()
