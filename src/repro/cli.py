@@ -144,7 +144,6 @@ from .experiments import (
 from .pipeline import (
     AccuracyStage,
     BackendSpec,
-    DriveTimings,
     LogSource,
     PatternStage,
     Pipeline,
@@ -837,18 +836,8 @@ def _command_stream(args: argparse.Namespace) -> int:
     # chunk-boundary commits, so a long run persists as it goes (and
     # composes with --checkpoint: ingest is idempotent, so re-emitted
     # CAGs after --resume are no-ops).
-    timings = DriveTimings()
-    trace = backend.run(
-        source,
-        on_cag=store_sink.on_cag if store_sink is not None else None,
-        timings=timings,
-    )
-    session = TraceSession(
-        source=source, backend=backend, trace=trace, timings=timings
-    )
-    if store_sink is not None:
-        session.artifacts[store_sink.name] = store_sink.write(session)
-    result = trace.correlation
+    session = Pipeline(source, backend, sinks=[store_sink] if store_sink is not None else ()).run()
+    result = session.trace.correlation
 
     if args.json:
         extra = {}
@@ -865,7 +854,7 @@ def _command_stream(args: argparse.Namespace) -> int:
     )
     peak_pending = result.peak_state_entries + result.peak_buffered_activities
     print("\n== incremental correlation ==")
-    print(f"wall-clock ingestion    : {timings.wall_clock_s:.3f} s")
+    print(f"wall-clock ingestion    : {session.timings.wall_clock_s:.3f} s")
     print(f"activities ingested     : {result.total_activities}")
     print(f"finished paths (CAGs)   : {len(result.cags)}")
     print(f"incomplete paths        : {len(result.incomplete_cags)}")

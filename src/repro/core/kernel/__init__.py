@@ -13,15 +13,14 @@ it in two interchangeable forms behind a single factory:
   Proven byte-identical to the reference on the golden matrices and the
   fuzz harness (``tests/test_kernel.py``).
 
-Selection is driven by ``REPRO_KERNEL``:
+Both read the same plain lists, so the ranker keeps one column layout
+whichever is active.  Selection is driven by ``REPRO_KERNEL``:
 
 * ``auto`` (default) -- use the native kernel when its extension is
   already built, or when a toolchain is present and a quiet build
   succeeds; otherwise fall back to the reference kernel silently.
+  ``python -m repro.core.kernel._native.build`` builds it loudly.
 * ``python`` -- always the reference kernel.
-* ``native`` -- require the compiled kernel; raise
-  :class:`KernelUnavailableError` with the build error when it cannot
-  be produced (never a silent fallback).
 
 The resolved choice is cached per requested mode; :func:`kernel_info`
 exposes name + reason for provenance stamping (the store's ``runs``
@@ -31,8 +30,7 @@ row and ``BackendSpec.describe`` report it).
 from __future__ import annotations
 
 import os
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from . import reference
@@ -46,29 +44,13 @@ __all__ = [
     "BLOCKED",
     "STALL",
     "KernelInfo",
-    "KernelUnavailableError",
     "kernel_info",
     "kernel_provenance",
-    "selector_factory",
 ]
 
 #: Environment variable controlling kernel selection.
 ENV_VAR = "REPRO_KERNEL"
-_MODES = ("auto", "python", "native")
-
-
-class KernelUnavailableError(RuntimeError):
-    """``REPRO_KERNEL=native`` was requested but no extension can be built."""
-
-
-def _float_buffer(values=()):
-    """Column container for the compiled backend: C-contiguous doubles."""
-    return array("d", values)
-
-
-def _int_buffer(values=()):
-    """Column container for the compiled backend: C-contiguous int64s."""
-    return array("q", values)
+_MODES = ("auto", "python")
 
 
 @dataclass(frozen=True)
@@ -79,15 +61,6 @@ class KernelInfo:
     requested: str  #: the REPRO_KERNEL mode that produced this choice
     reason: str  #: human-readable selection rationale
     make_selector: Callable  #: the backend's selector factory
-    #: Column container factories (called with an optional initial
-    #: iterable).  The compiled backend takes zero-copy buffer views, so
-    #: it needs ``array``-typed columns; the reference kernel is faster
-    #: on plain lists (an ``array('d')`` read boxes a fresh float object
-    #: on every access, a list read returns the existing one) -- so each
-    #: backend declares the storage it wants and the ranker allocates
-    #: accordingly.  ``head_keys`` is always a plain list in both.
-    float_column: Callable = field(default=list)
-    int_column: Callable = field(default=list)
 
     def provenance(self) -> Dict[str, str]:
         """The provenance columns stamped into BENCH rows and describe()."""
@@ -112,27 +85,10 @@ def _resolve(requested: str) -> KernelInfo:
 
     from . import _native
 
-    if requested == "native":
-        try:
-            module = _native.load(allow_build=True, retry_failed=True)
-        except _native.KernelBuildError as error:
-            raise KernelUnavailableError(
-                "REPRO_KERNEL=native requires the compiled kernel, which is "
-                f"unavailable: {error}"
-            ) from error
-        return KernelInfo(
-            name="native",
-            requested=requested,
-            reason="REPRO_KERNEL=native: compiled kernel required and built",
-            make_selector=module.make_selector,
-            float_column=_float_buffer,
-            int_column=_int_buffer,
-        )
-
     # auto: prefer a built (or quietly buildable) extension, fall back
     # silently -- the documented no-toolchain behaviour.
     try:
-        module = _native.load(allow_build=True, retry_failed=False)
+        module = _native.load(retry_failed=False)
     except _native.KernelBuildError as error:
         return KernelInfo(
             name="python",
@@ -145,8 +101,6 @@ def _resolve(requested: str) -> KernelInfo:
         requested=requested,
         reason="auto selected the compiled kernel (extension available)",
         make_selector=module.make_selector,
-        float_column=_float_buffer,
-        int_column=_int_buffer,
     )
 
 
@@ -172,12 +126,6 @@ def kernel_info(requested: Optional[str] = None) -> KernelInfo:
 def kernel_provenance(requested: Optional[str] = None) -> Dict[str, str]:
     """Provenance columns of the kernel the current environment selects."""
     return kernel_info(requested).provenance()
-
-
-def selector_factory(requested: Optional[str] = None) -> Callable:
-    """The active backend's ``make_selector`` (see reference.py for the
-    binding contract)."""
-    return kernel_info(requested).make_selector
 
 
 def _reset_cache() -> None:

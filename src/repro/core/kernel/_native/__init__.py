@@ -23,21 +23,16 @@ from .build import (  # noqa: F401  (re-exported for the kernel package)
 _MODULE_NAME = __name__ + "._kernel"
 
 
-def load(allow_build: bool = True, retry_failed: bool = True) -> ModuleType:
+def load(retry_failed: bool = True) -> ModuleType:
     """Import the compiled kernel, building it first when needed.
 
     Raises :class:`KernelBuildError` when the extension is absent and
-    cannot (or may not) be built.
+    cannot be built.
     """
     cached = sys.modules.get(_MODULE_NAME)
     if cached is not None:
         return cached
     if not is_built():
-        if not allow_build:
-            raise KernelBuildError(
-                "the native kernel extension has not been built; run "
-                "`python -m repro.core.kernel._native.build`"
-            )
         build(retry_failed=retry_failed)
     spec = importlib.util.spec_from_file_location(_MODULE_NAME, EXTENSION_PATH)
     if spec is None or spec.loader is None:

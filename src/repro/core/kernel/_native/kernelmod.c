@@ -1,6 +1,6 @@
 /* Compiled rank-kernel: the candidate-selection sweep of
- * repro.core.kernel.reference, re-implemented over the same memory
- * layout (the ranker's parallel head columns) in C.
+ * repro.core.kernel.reference, re-implemented in C over the same plain
+ * lists (the ranker's parallel head columns).
  *
  * The contract is strict byte-identity with the reference kernel: the
  * packed decision codes, the scan order, every tie-break and every
@@ -9,11 +9,12 @@
  * tests/test_kernel.py re-runs them under this backend and asserts the
  * digests match.
  *
- * A Selector object is bound once per ranker (and re-bound when a
- * streaming ingest grows the columns): it holds buffer views into the
- * array.array columns plus references to the two dicts, so a call is
- * two flat C loops over machine ints with at most one dict probe per
- * RECEIVE head per loop.
+ * A Selector object is bound once per ranker: it holds references to
+ * the head-column lists and the two dicts, so a streaming ingest that
+ * appends a slot needs no re-binding.  Each call reads the slot count
+ * from head_ts, refuses lists shorter than it, and bounds-checks every
+ * read besides: a dict probe or a truth test may run Python code, so
+ * nothing else keeps a list from shrinking under the sweep.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -30,33 +31,71 @@
 
 typedef struct {
     PyObject_HEAD
-    Py_ssize_t n;      /* slot count, fixed at binding time           */
-    Py_buffer ts;      /* array('d'): head timestamps, +inf = empty   */
-    Py_buffer pri;     /* array('q'): head priorities (type values)   */
-    Py_buffer seq;     /* array('q'): head sequence numbers           */
-    Py_buffer blocked; /* array('q'): scratch, blocked slot list      */
-    Py_buffer discard; /* array('q'): scratch, noise slot list        */
-    PyObject *keys;    /* list: boxed message key per RECEIVE head    */
-    PyObject *mmap;    /* dict: message key -> pending-SEND deque     */
+    PyObject *args;    /* the make_selector arguments, held: the fields
+                        * below are borrowed from this tuple           */
+    PyObject *ts;      /* list: head timestamps (floats), +inf = empty */
+    PyObject *pri;     /* list: head priorities (type values)          */
+    PyObject *seq;     /* list: head sequence numbers                  */
+    PyObject *keys;    /* list: message key per RECEIVE head           */
+    PyObject *mmap;    /* dict: message key -> pending-SEND deque      */
     PyObject *undelivered; /* Counter: message key -> SENDs buffered
-                            * or awaiting fetch, on any node          */
-    int bound;         /* buffers acquired (guards dealloc)           */
+                            * or awaiting fetch, on any node           */
+    PyObject *blocked; /* list: scratch, blocked slot list             */
+    PyObject *discard; /* list: scratch, noise slot list               */
 } Selector;
+
+static const char SLOT_COUNT[] = "head columns disagree on the slot count";
 
 static void
 Selector_dealloc(Selector *self)
 {
-    if (self->bound) {
-        PyBuffer_Release(&self->ts);
-        PyBuffer_Release(&self->pri);
-        PyBuffer_Release(&self->seq);
-        PyBuffer_Release(&self->blocked);
-        PyBuffer_Release(&self->discard);
-    }
-    Py_XDECREF(self->keys);
-    Py_XDECREF(self->mmap);
-    Py_XDECREF(self->undelivered);
+    Py_XDECREF(self->args);
     Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Item `slot` of `list`, or NULL with a ValueError when the list is
+ * too short.  Every read goes through here: a dict probe or a number
+ * conversion may run Python code that shrinks a list under the sweep. */
+static PyObject *
+item(PyObject *list, Py_ssize_t slot)
+{
+    if (slot < PyList_GET_SIZE(list))
+        return PyList_GET_ITEM(list, slot);
+    PyErr_SetString(PyExc_ValueError, SLOT_COUNT);
+    return NULL;
+}
+
+static int
+item_double(PyObject *list, Py_ssize_t slot, double *out)
+{
+    PyObject *value = item(list, slot);
+    if (value == NULL)
+        return -1;
+    if (PyFloat_CheckExact(value)) {
+        *out = PyFloat_AS_DOUBLE(value);
+        return 0;
+    }
+    *out = PyFloat_AsDouble(value);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int
+item_long(PyObject *list, Py_ssize_t slot, long long *out)
+{
+    PyObject *value = item(list, slot);
+    if (value == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(value);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int
+store_slot(PyObject *list, long long position, Py_ssize_t slot)
+{
+    PyObject *value = PyLong_FromSsize_t(slot);
+    if (value == NULL)
+        return -1;
+    return PyList_SetItem(list, (Py_ssize_t)position, value);
 }
 
 static PyObject *
@@ -69,14 +108,15 @@ Selector_call(Selector *self, PyObject *args, PyObject *kwargs)
     }
     if (!PyArg_ParseTuple(args, "d", &ceiling))
         return NULL;
-    const Py_ssize_t n = self->n;
-
-    const double *ts = (const double *)self->ts.buf;
-    const long long *pri = (const long long *)self->pri.buf;
-    const long long *seq = (const long long *)self->seq.buf;
-    long long *blocked = (long long *)self->blocked.buf;
-    long long *discard = (long long *)self->discard.buf;
-    PyObject *keys = self->keys;
+    /* The slot count is head_ts's; every other list must cover it. */
+    const Py_ssize_t n = PyList_GET_SIZE(self->ts);
+    if (PyList_GET_SIZE(self->pri) < n || PyList_GET_SIZE(self->seq) < n
+        || PyList_GET_SIZE(self->keys) < n
+        || PyList_GET_SIZE(self->blocked) < n
+        || PyList_GET_SIZE(self->discard) < n) {
+        PyErr_SetString(PyExc_ValueError, SLOT_COUNT);
+        return NULL;
+    }
 
     /* Sweep 1: emptiness, earliest head, Rule 1 (earliest RECEIVE head
      * whose matching SEND is pending in the mmap; strict < tie-break =
@@ -86,15 +126,22 @@ Selector_call(Selector *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t cand_slot = -1;
     double cand_ts = INFINITY;
     for (Py_ssize_t slot = 0; slot < n; slot++) {
-        double t = ts[slot];
+        double t;
+        long long p;
+        if (item_double(self->ts, slot, &t) < 0)
+            return NULL;
         if (t == INFINITY)
             continue;
         empty = 0;
         if (t < earliest)
             earliest = t;
-        if (pri[slot] == 3) {
-            PyObject *pending = PyDict_GetItemWithError(
-                self->mmap, PyList_GET_ITEM(keys, slot));
+        if (item_long(self->pri, slot, &p) < 0)
+            return NULL;
+        if (p == 3) {
+            PyObject *key = item(self->keys, slot);
+            if (key == NULL)
+                return NULL;
+            PyObject *pending = PyDict_GetItemWithError(self->mmap, key);
             if (pending != NULL) {
                 int truth = PyObject_IsTrue(pending);
                 if (truth < 0)
@@ -127,13 +174,19 @@ Selector_call(Selector *self, PyObject *args, PyObject *kwargs)
     long long best_pri = 0, best_seq = 0;
     double best_ts = 0.0;
     for (Py_ssize_t slot = 0; slot < n; slot++) {
-        double t = ts[slot];
+        double t;
+        long long p, s;
+        if (item_double(self->ts, slot, &t) < 0)
+            return NULL;
         if (t == INFINITY)
             continue;
-        long long p = pri[slot];
+        if (item_long(self->pri, slot, &p) < 0)
+            return NULL;
         if (p == 3) {
-            PyObject *key = PyList_GET_ITEM(keys, slot);
             int has = 0;
+            PyObject *key = item(self->keys, slot);
+            if (key == NULL)
+                return NULL;
             PyObject *count = PyDict_GetItemWithError(self->undelivered, key);
             if (count != NULL) {
                 long long value = PyLong_AsLongLong(count);
@@ -144,24 +197,28 @@ Selector_call(Selector *self, PyObject *args, PyObject *kwargs)
             else if (PyErr_Occurred())
                 return NULL;
             if (has) {
-                if (t <= ceiling)
-                    blocked[n_blocked++] = (long long)slot;
+                if (t <= ceiling
+                    && store_slot(self->blocked, n_blocked++, slot) < 0)
+                    return NULL;
                 continue;
             }
             if (t <= ceiling) {
-                discard[n_discard++] = (long long)slot;
+                if (store_slot(self->discard, n_discard++, slot) < 0)
+                    return NULL;
                 continue;
             }
             /* above the ceiling: noise verdict not final, stays
              * eligible (and stalls below, never delivers) */
         }
+        if (item_long(self->seq, slot, &s) < 0)
+            return NULL;
         if (best_slot < 0 || p < best_pri
             || (p == best_pri
-                && (t < best_ts || (t == best_ts && seq[slot] < best_seq)))) {
+                && (t < best_ts || (t == best_ts && s < best_seq)))) {
             best_slot = slot;
             best_pri = p;
             best_ts = t;
-            best_seq = seq[slot];
+            best_seq = s;
         }
     }
     if (n_discard)
@@ -184,107 +241,35 @@ static PyTypeObject SelectorType = {
     .tp_doc = "Bound candidate-selection sweep over the ranker's head columns.",
 };
 
-static int
-acquire_column(PyObject *obj, Py_buffer *view, const char *expect_format,
-               const char *name)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
-        return -1;
-    if (view->format == NULL || strcmp(view->format, expect_format) != 0
-        || view->ndim != 1) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s must be a one-dimensional array('%s')", name,
-                     expect_format);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return 0;
-}
-
 static PyObject *
 make_selector(PyObject *module, PyObject *args)
 {
-    /* Positional signature is identical to reference.make_selector. */
-    PyObject *ts, *pri, *seq, *keys, *mmap, *undelivered;
-    PyObject *blocked, *discard;
-    if (!PyArg_ParseTuple(args, "OOOOOOOO", &ts, &pri, &seq, &keys, &mmap,
-                          &undelivered, &blocked, &discard))
-        return NULL;
-    if (!PyList_Check(keys)) {
-        PyErr_SetString(PyExc_TypeError, "head_keys must be a list");
-        return NULL;
-    }
-    /* undelivered is a collections.Counter: a dict subclass whose
+    /* Positional signature is identical to reference.make_selector.
+     * undelivered is a collections.Counter: a dict subclass whose
      * entries live in the plain dict storage, so raw dict probes see
      * them. */
-    if (!PyDict_Check(mmap) || !PyDict_Check(undelivered)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "mmap_pending and undelivered must be dicts");
-        return NULL;
-    }
-
     Selector *self = PyObject_New(Selector, &SelectorType);
     if (self == NULL)
         return NULL;
-    self->bound = 0;
-    self->keys = NULL;
-    self->mmap = NULL;
-    self->undelivered = NULL;
-    memset(&self->ts, 0, sizeof(Py_buffer));
-    memset(&self->pri, 0, sizeof(Py_buffer));
-    memset(&self->seq, 0, sizeof(Py_buffer));
-    memset(&self->blocked, 0, sizeof(Py_buffer));
-    memset(&self->discard, 0, sizeof(Py_buffer));
-
-    if (acquire_column(ts, &self->ts, "d", "head_ts") < 0)
-        goto fail_ts;
-    if (acquire_column(pri, &self->pri, "q", "head_pri") < 0)
-        goto fail_pri;
-    if (acquire_column(seq, &self->seq, "q", "head_seq") < 0)
-        goto fail_seq;
-    if (acquire_column(blocked, &self->blocked, "q", "blocked_out") < 0)
-        goto fail_blocked;
-    if (acquire_column(discard, &self->discard, "q", "discard_out") < 0)
-        goto fail_discard;
-    self->bound = 1;
-    self->n = self->ts.len / (Py_ssize_t)sizeof(double);
-    if (PyList_GET_SIZE(keys) < self->n
-        || self->pri.len / (Py_ssize_t)sizeof(long long) < self->n
-        || self->seq.len / (Py_ssize_t)sizeof(long long) < self->n
-        || self->blocked.len / (Py_ssize_t)sizeof(long long) < self->n
-        || self->discard.len / (Py_ssize_t)sizeof(long long) < self->n) {
-        PyErr_SetString(PyExc_ValueError,
-                        "head columns disagree on the slot count");
+    self->args = NULL;
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!", &PyList_Type, &self->ts,
+                          &PyList_Type, &self->pri, &PyList_Type, &self->seq,
+                          &PyList_Type, &self->keys, &PyDict_Type, &self->mmap,
+                          &PyDict_Type, &self->undelivered, &PyList_Type,
+                          &self->blocked, &PyList_Type, &self->discard)) {
         Py_DECREF(self);
         return NULL;
     }
-
-    Py_INCREF(keys);
-    self->keys = keys;
-    Py_INCREF(mmap);
-    self->mmap = mmap;
-    Py_INCREF(undelivered);
-    self->undelivered = undelivered;
+    Py_INCREF(args);
+    self->args = args;
     return (PyObject *)self;
-
-fail_discard:
-    PyBuffer_Release(&self->blocked);
-fail_blocked:
-    PyBuffer_Release(&self->seq);
-fail_seq:
-    PyBuffer_Release(&self->pri);
-fail_pri:
-    PyBuffer_Release(&self->ts);
-fail_ts:
-    Py_TYPE(self)->tp_free((PyObject *)self);
-    return NULL;
 }
 
 static PyMethodDef kernel_methods[] = {
     {"make_selector", make_selector, METH_VARARGS,
      "make_selector(head_ts, head_pri, head_seq, head_keys, mmap_pending,\n"
      "              undelivered, blocked_out, discard_out)\n"
-     "Bind a compiled selector over the ranker's head columns."},
+     "Bind a compiled selector over the ranker's head-column lists."},
     {NULL, NULL, 0, NULL},
 };
 

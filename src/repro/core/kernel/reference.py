@@ -1,36 +1,40 @@
-"""Reference rank-kernel: the array-driven candidate-selection sweep.
+"""Reference rank-kernel: the candidate-selection sweep over the head columns.
 
 This module is the *semantic definition* of the kernel seam.  The golden
 digest matrices are generated with this implementation; the compiled
 backend (:mod:`repro.core.kernel._native`) re-implements exactly the same
-decision function over exactly the same memory layout and is required to
-be byte-identical to it (``tests/test_kernel.py`` proves it on the full
+decision function over exactly the same lists and is required to be
+byte-identical to it (``tests/test_kernel.py`` proves it on the full
 golden matrix and a fuzz smoke).
 
 Layout
 ------
 The ranker maintains one *slot* per node, in queue-registration order
 (which is also the sweep's scan order -- tie-breaks depend on it).  Per
-slot it keeps four parallel head columns, refreshed incrementally
-whenever a queue head changes (deliver, refill into an empty queue,
-noise discard, head-swap promotion, streaming ingest of a new node):
+slot it keeps four parallel head columns, all plain lists, refreshed
+incrementally whenever a queue head changes (deliver, refill into an
+empty queue, noise discard, head-swap promotion, streaming ingest of a
+new node):
 
-* ``head_ts``   -- ``array('d')``: head local timestamp, ``+inf`` when
-  the slot's queue is empty (the empty marker; the other columns are
-  stale and must not be read then),
-* ``head_pri``  -- ``array('q')``: head candidate priority, which for
-  activities *is* the :class:`~repro.core.activity.ActivityType` value
-  (``RECEIVE == 3`` identifies receive heads),
-* ``head_seq``  -- ``array('q')``: head global sequence number (the
-  Rule-2 tie-break),
-* ``head_keys`` -- plain list: the head's interned message key (a dense
-  int) when the head is a RECEIVE, ``None`` otherwise.  Kept as boxed
-  ints so both kernels probe the index dicts without re-boxing.
+* ``head_ts``   -- head local timestamp, ``+inf`` when the slot's queue
+  is empty (the empty marker; the other columns are stale and must not
+  be read then),
+* ``head_pri``  -- head candidate priority, which for activities *is*
+  the :class:`~repro.core.activity.ActivityType` value (``RECEIVE == 3``
+  identifies receive heads),
+* ``head_seq``  -- head global sequence number (the Rule-2 tie-break),
+* ``head_keys`` -- the head's interned message key (a dense int) when
+  the head is a RECEIVE, ``None`` otherwise.
+
+Lists, not ``array`` columns: a list read hands back the object already
+stored, an ``array`` read boxes a new one, and a list grows in place
+under a bound selector -- so a selector is bound once per ranker and
+a new slot needs no re-binding.
 
 The decision function never mutates ranker state; it returns a packed
 ``code | (value << 3)`` int and writes slot lists for the two multi-slot
 verdicts into the caller-provided ``blocked_out`` / ``discard_out``
-scratch arrays.  The Python side performs the actual state changes
+scratch lists.  The Python side performs the actual state changes
 (deliver, discard, blockage resolution, refill), so determinism-critical
 bookkeeping has exactly one implementation.
 """
@@ -68,16 +72,16 @@ def make_selector(
 
     The returned callable ``select(ceiling) -> int`` runs the fused
     two-sweep candidate selection of ``Ranker.rank()`` over every slot.
-    The slot count is fixed at binding time: growing the columns (a
-    streaming ingest registering a new node) reallocates them, which
-    forces a re-bind anyway -- so the per-call argument list is just the
-    delivery ceiling.  This is the hottest call in the tracer.
+    It reads the slot count from ``head_ts`` on each call, so the columns
+    may grow (a streaming ingest registering a new node) under the one
+    binding, and the per-call argument list is just the delivery
+    ceiling.  This is the hottest call in the tracer.
     """
-    n = len(head_ts)
     mmap_get = mmap_pending.get
     undelivered_get = undelivered.get
 
     def select(ceiling):
+        n = len(head_ts)
         # Sweep 1 -- emptiness, the earliest head (for the streaming
         # ceiling check) and Rule 1: the earliest head RECEIVE whose
         # matching SEND sits in the engine's mmap.  Ties break to the

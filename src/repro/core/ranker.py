@@ -91,7 +91,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .activity import Activity, ActivityType
+from .activity import Activity
 from .interning import _TYPES, NO_REQUEST, ActivityTable, KeySpace
 from .kernel import DISCARD, EMPTY, RULE1, STALL, kernel_info
 
@@ -466,22 +466,18 @@ class Ranker:
         # columns are refreshed incrementally wherever a queue head can
         # change: deliver, fetch into an empty queue, noise discard,
         # head-swap promotion.
-        self._kernel = kernel_info()
         self._slot_of: Dict[int, int] = {}
         self._slot_nodes: List[int] = []
         # Per-slot source references: saves the node-keyed dict lookup on
         # every delivery.
         self._slot_sources: List[ActivitySource] = []
-        # Container types come from the backend: the compiled kernel
-        # needs buffer-capable ``array`` columns, the reference kernel
-        # is faster on plain lists (see KernelInfo.float_column).
-        self._head_ts = self._kernel.float_column()
-        self._head_pri = self._kernel.int_column()
-        self._head_seq = self._kernel.int_column()
+        self._head_ts: List[float] = []
+        self._head_pri: List[int] = []
+        self._head_seq: List[int] = []
         self._head_keys: List[Optional[int]] = []
-        self._blocked_out = self._kernel.int_column()
-        self._discard_out = self._kernel.int_column()
-        self._select = None
+        self._blocked_out: List[int] = []
+        self._discard_out: List[int] = []
+        self._bind_kernel()
         # The window low edge as the last refill derived it, and whether
         # another refill is due.  After a refill nothing unfetched lies
         # within ``_low + window``, and that stays true until the low
@@ -590,14 +586,7 @@ class Ranker:
     # -- kernel head-state plumbing -----------------------------------------
 
     def _register_slot(self, node: int, source: ActivitySource) -> None:
-        """Grow the head columns by one slot (registration order).
-
-        Growing reallocates the column arrays, so any bound selector is
-        dropped first -- the native backend exports buffer views into
-        them, and an exporting array refuses to resize.  ``rank()``
-        re-binds lazily on its next call.
-        """
-        self._select = None
+        """Grow the head columns by one slot (registration order)."""
         self._slot_of[node] = len(self._slot_nodes)
         self._slot_nodes.append(node)
         self._slot_sources.append(source)
@@ -608,9 +597,11 @@ class Ranker:
         self._blocked_out.append(0)
         self._discard_out.append(0)
 
-    def _rebind_kernel(self):
-        """Bind the active kernel's selector over the current columns."""
-        select = self._kernel.make_selector(
+    def _bind_kernel(self) -> None:
+        """Bind the active kernel's selector over the head columns, once
+        per ranker: the columns are lists that grow in place, and every
+        selector reads their length on each call."""
+        self._select = kernel_info().make_selector(
             self._head_ts,
             self._head_pri,
             self._head_seq,
@@ -620,8 +611,6 @@ class Ranker:
             self._blocked_out,
             self._discard_out,
         )
-        self._select = select
-        return select
 
     def _refresh_slot(self, slot: int, source: ActivitySource) -> None:
         """Re-derive one slot's head columns after its queue head moved."""
@@ -635,32 +624,17 @@ class Ranker:
         else:
             self._head_ts[slot] = _INF
 
-    @property
-    def kernel_name(self) -> str:
-        """Which kernel backend this ranker's sweeps run on."""
-        return self._kernel.name
-
     def __getstate__(self):
         """Drop the bound selector: closures and the native Selector do
         not pickle (checkpoint/resume pickles an open ranker whole);
         the kernel is re-resolved in the restoring process' environment."""
         state = self.__dict__.copy()
         state["_select"] = None
-        state["_kernel"] = None
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._kernel = kernel_info()
-        # The restoring process may resolve a different backend than the
-        # checkpointing one (e.g. a checkpoint taken with the compiled
-        # kernel restored where no toolchain exists); re-home the head
-        # columns in the container type the active backend requires.
-        self._head_ts = self._kernel.float_column(self._head_ts)
-        self._head_pri = self._kernel.int_column(self._head_pri)
-        self._head_seq = self._kernel.int_column(self._head_seq)
-        self._blocked_out = self._kernel.int_column(self._blocked_out)
-        self._discard_out = self._kernel.int_column(self._discard_out)
+        self._bind_kernel()
 
     # -- public API ---------------------------------------------------------
 
@@ -711,8 +685,6 @@ class Ranker:
         # loops over the head columns, no attribute chasing.  This loop
         # does the state changes the verdict asks for.
         select = self._select
-        if select is None:
-            select = self._rebind_kernel()
         while True:
             if self._refill_due:
                 self._refill()
@@ -957,26 +929,6 @@ class Ranker:
         self._buffered_total -= 1
         self.stats.delivered += 1
         return activity
-
-    # -- noise handling -----------------------------------------------------------
-
-    def is_noise(self, activity: Activity) -> bool:
-        """The ``is_noise`` predicate of Fig. 5.
-
-        A RECEIVE is noise when no matching SEND exists either in the
-        engine's mmap or anywhere in the ranker buffer.  BEGIN activities
-        are never noise: their senders (external clients) are outside the
-        traced perimeter by definition.
-        """
-        if activity.type is not ActivityType.RECEIVE:
-            return False
-        key = activity.message_key
-        if self._mmap_pending.get(key):
-            return False
-        # Buffered in a queue or still outside the window on its own
-        # node: the registry covers every source either way, so a small
-        # window does not misclassify legitimate traffic as noise.
-        return self._undelivered_sends.get(key, 0) <= 0
 
     # -- concurrency disturbance -----------------------------------------------------
 

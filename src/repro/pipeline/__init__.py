@@ -56,7 +56,6 @@ from .stages import (
     ProfileStage,
     RankedLatencyStage,
     SamplingAccuracyStage,
-    default_stages,
 )
 
 __all__ = [
@@ -90,7 +89,6 @@ __all__ = [
     "as_source",
     "canonical_cags",
     "default_backends",
-    "default_stages",
     "ranked_latency_report",
     "result_digest",
     "verify_equivalence",

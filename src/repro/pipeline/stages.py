@@ -204,8 +204,3 @@ class SamplingAccuracyStage(AnalysisStage):
         reference_backend = session.backend.with_overrides(sampling=None)
         full = reference_backend.run(session.source).correlation
         return compare_sampled_reports(full.cags, session.trace.cags)
-
-
-#: The default stage set: pattern mining plus the ranked latency report.
-def default_stages() -> List[AnalysisStage]:
-    return [PatternStage(), RankedLatencyStage(), BreakdownStage()]

@@ -27,7 +27,6 @@ from .store import (
     cag_root_key,
     default_run_id,
     git_describe,
-    record_trace,
     signature_hash,
     signature_label,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "mix_drift",
     "pattern_mix",
     "percentile",
-    "record_trace",
     "run_summary",
     "signature_hash",
     "signature_label",

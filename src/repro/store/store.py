@@ -51,7 +51,7 @@ import os
 import sqlite3
 import subprocess
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.cag import CAG
 from ..core.latency import segments_json
@@ -521,41 +521,3 @@ class TraceStore:
             for row in rows
         ]
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
-
-
-def record_trace(
-    store,
-    trace,
-    *,
-    run_id: Optional[str] = None,
-    scenario: Optional[str] = None,
-    source: Optional[str] = None,
-    backend=None,
-) -> str:
-    """One-shot ingest of a completed trace; returns the run id used.
-
-    ``store`` is a path or an open :class:`TraceStore`; ``backend`` may
-    be a :class:`~repro.pipeline.BackendSpec` (its ``describe()`` string
-    and knobs land in the run metadata).
-    """
-    own = not isinstance(store, TraceStore)
-    target = TraceStore(store) if own else store
-    try:
-        used_run_id = run_id or default_run_id()
-        run_key = target.begin_run(used_run_id, scenario=scenario)
-        target.ingest_cags(run_key, trace.cags)
-        sampling = getattr(backend, "sampling", None)
-        target.finalize_run(
-            run_key,
-            scenario=scenario,
-            source=source,
-            backend=backend.describe() if backend is not None else None,
-            sampling=sampling.describe() if sampling is not None else None,
-            window_s=trace.correlation.window,
-            incomplete=len(trace.incomplete_cags),
-            correlation_time_s=trace.correlation_time,
-        )
-        return used_run_id
-    finally:
-        if own:
-            target.close()

@@ -24,7 +24,6 @@ from .generator import (
     WORKLOAD_SHAPES,
     GeneratorLimits,
     entity_exclusive_step,
-    generate_many,
     generate_scenario,
     scenario_shape,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "WorkloadStages",
     "dump_scenario",
     "entity_exclusive_step",
-    "generate_many",
     "generate_scenario",
     "get_scenario",
     "load_scenario",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .library import Scenario
 from .operations import QuerySpec, RequestType
@@ -353,10 +353,3 @@ def scenario_shape(scenario: Scenario) -> Dict[str, object]:
         "replicated": any(tier.replicas > 1 for tier in scenario.topology.tiers),
         "request_types": len(scenario.mix),
     }
-
-
-def generate_many(
-    seeds: Sequence[int], limits: GeneratorLimits = DEFAULT_LIMITS
-) -> List[Scenario]:
-    """Generate one scenario per seed (convenience for tests/figures)."""
-    return [generate_scenario(seed, limits) for seed in seeds]

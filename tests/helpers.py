@@ -15,6 +15,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import pytest
+
+from repro.core import kernel
 from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
 from repro.core.cag import CAG, CAGError, CONTEXT_EDGE, MESSAGE_EDGE
@@ -648,3 +651,12 @@ def assert_ranker_drained(ranker) -> None:
     for source in ranker._slot_sources:
         assert source.head == source.fence == len(source._table)
         assert not source._send_positions
+
+
+def use_kernel(monkeypatch, name: str) -> None:
+    """Run the rest of a test under rank kernel ``name``: ``python`` pins
+    the reference; ``native`` sets ``auto`` and skips unless ``auto``
+    resolves the compiled kernel."""
+    if name == "native" and kernel.kernel_info("auto").name != "native":
+        pytest.skip("no C toolchain: compiled kernel unavailable")
+    monkeypatch.setenv(kernel.ENV_VAR, "auto" if name == "native" else name)

@@ -6,16 +6,18 @@ from which every golden digest is generated) and an optional compiled
 CPython extension.  These tests pin three things:
 
 * **selection policy** -- ``REPRO_KERNEL=python`` pins the reference,
-  ``native`` is required-or-error (never a silent fallback), ``auto``
-  prefers the extension and falls back silently without a toolchain;
-* **parity** -- the compiled kernel returns bit-identical decisions to
-  the reference on a randomized battery of head-column states, and
-  end-to-end correlation digests agree under both backends (the full
-  golden matrices run under both kernels on the two CI legs);
-* **plumbing** -- the ranker re-binds its selector when streaming
-  ingest grows the head columns, and pickling (checkpoint/resume) drops
-  the bound selector and re-resolves the kernel in the restoring
-  process.
+  ``auto`` prefers the extension and falls back silently without a
+  toolchain, and nothing else is a mode;
+* **parity** -- over the very same lists, the compiled kernel returns
+  bit-identical decisions to the reference on a randomized battery of
+  head-column states, and end-to-end correlation digests agree under
+  both backends (the full golden matrices run under both kernels on the
+  two CI legs);
+* **binding** -- a ranker binds its selector once: streaming ingest
+  grows the head lists under it, each call reads their length and the
+  compiled kernel refuses (never reads past) a list shorter than
+  ``head_ts``; pickling (checkpoint/resume) drops the bound selector and
+  binds a new one in the restoring process.
 """
 
 import math
@@ -24,7 +26,7 @@ import random
 
 import pytest
 
-from helpers import tiny_config
+from helpers import tiny_config, use_kernel
 import repro.core.kernel as kernel
 from repro.core.interning import ActivityTable
 from repro.core.kernel import (
@@ -34,7 +36,6 @@ from repro.core.kernel import (
     RULE1,
     RULE2,
     STALL,
-    KernelUnavailableError,
     kernel_info,
     kernel_provenance,
     reference,
@@ -44,7 +45,7 @@ from repro.core.kernel import _native
 
 def native_module_or_none():
     try:
-        return _native.load(allow_build=True, retry_failed=True)
+        return _native.load(retry_failed=True)
     except _native.KernelBuildError:
         return None
 
@@ -68,23 +69,20 @@ class TestSelectionPolicy:
         info = kernel_info("python")
         assert info.name == "python"
         assert info.make_selector is reference.make_selector
-        assert info.float_column is list and info.int_column is list
 
     def test_unknown_mode_raises(self, fresh_cache):
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
             kernel_info("typo")
 
+    def test_native_is_not_a_mode(self, fresh_cache):
+        # ``auto`` picks the compiled kernel whenever it is built, so no
+        # mode demands it
+        with pytest.raises(ValueError, match="REPRO_KERNEL"):
+            kernel_info("native")
+
     def test_env_var_drives_the_default(self, fresh_cache, monkeypatch):
         monkeypatch.setenv(kernel.ENV_VAR, "python")
         assert kernel_info().requested == "python"
-
-    def test_native_unavailable_is_a_clear_error(self, fresh_cache, monkeypatch):
-        def refuse(**kwargs):
-            raise _native.KernelBuildError("no C compiler found (test)")
-
-        monkeypatch.setattr(_native, "load", refuse)
-        with pytest.raises(KernelUnavailableError, match="REPRO_KERNEL=native"):
-            kernel_info("native")
 
     def test_auto_falls_back_silently_without_a_toolchain(
         self, fresh_cache, monkeypatch
@@ -123,12 +121,7 @@ class TestDecisionParity:
     def _random_state(self, rng, n):
         """A random-but-plausible head-column state plus the two dicts
         (pending sends, undelivered-send registry)."""
-        from array import array
-
-        head_ts = array("d")
-        head_pri = array("q")
-        head_seq = array("q")
-        head_keys = []
+        head_ts, head_pri, head_seq, head_keys = [], [], [], []
         mmap_pending = {}
         undelivered = {}
         for slot in range(n):
@@ -159,66 +152,89 @@ class TestDecisionParity:
         return head_ts, head_pri, head_seq, head_keys, mmap_pending, undelivered
 
     def test_randomized_battery_matches_the_reference(self):
-        from array import array
-
+        """Both kernels bound over the very same lists, scratch included."""
         rng = random.Random(20260807)
         for case in range(400):
             n = rng.randrange(1, 7)
             columns = self._random_state(rng, n)
+            blocked, discard = [0] * n, [0] * n
+            ref = reference.make_selector(*columns, blocked, discard)
+            nat = NATIVE.make_selector(*columns, blocked, discard)
             ceiling = rng.choice([math.inf, 0.75, 1.25, 2.5])
-            ref_blocked, ref_discard = [0] * n, [0] * n
-            nat_blocked, nat_discard = array("q", [0] * n), array("q", [0] * n)
-            ref = reference.make_selector(*columns, ref_blocked, ref_discard)
-            nat = NATIVE.make_selector(*columns, nat_blocked, nat_discard)
             ref_decision = ref(ceiling)
+            ref_blocked, ref_discard = blocked[:], discard[:]
+            blocked[:], discard[:] = [-1] * n, [-1] * n
             nat_decision = nat(ceiling)
             assert ref_decision == nat_decision, (case, ceiling, columns)
             code, value = ref_decision & 7, ref_decision >> 3
-            if code in (BLOCKED, DISCARD):
-                assert list(nat_blocked[:value] if code == BLOCKED else nat_discard[:value]) == (
-                    ref_blocked[:value] if code == BLOCKED else ref_discard[:value]
-                ), (case, ceiling, columns)
+            if code == BLOCKED:
+                assert blocked[:value] == ref_blocked[:value], (case, ceiling, columns)
+            if code == DISCARD:
+                assert discard[:value] == ref_discard[:value], (case, ceiling, columns)
 
-    def test_mismatched_column_lengths_are_rejected(self):
-        from array import array
+    @staticmethod
+    def _columns():
+        """Two RECEIVE heads: slot 0 waits on an undelivered SEND, slot 1
+        is noise."""
+        from collections import Counter
 
+        return [1.0, 2.0], [3, 3], [0, 1], [7, 8], {}, Counter({7: 1}), [0, 0], [0, 0]
+
+    @pytest.mark.parametrize(
+        "short", ["head_pri", "head_seq", "head_keys", "blocked_out", "discard_out"]
+    )
+    def test_a_list_shorter_than_head_ts_is_refused_at_call_time(self, short):
+        """One binding, lists growing under it: a call finds the slot count
+        in ``head_ts`` and refuses any other list that does not cover it,
+        instead of reading past its end."""
+        columns = self._columns()
+        select = NATIVE.make_selector(*columns)
+        assert select(math.inf) == DISCARD | 1 << 3
+        names = ["head_ts", "head_pri", "head_seq", "head_keys"]
+        lists = dict(zip(names, columns))
+        lists.update(blocked_out=columns[6], discard_out=columns[7])
+        for name, column in lists.items():  # every list but ``short`` grows
+            if name != short:
+                column.append(column[-1])
         with pytest.raises(ValueError, match="slot count"):
-            NATIVE.make_selector(
-                array("d", [1.0, 2.0]),
-                array("q", [0]),  # shorter than head_ts
-                array("q", [0, 0]),
-                [None, None],
-                {},
-                {},
-                array("q", [0, 0]),
-                array("q", [0, 0]),
-            )
+            select(math.inf)
+        lists[short].append(lists[short][-1])
+        assert select(math.inf) == DISCARD | 2 << 3  # the new slot is noise too
+        assert lists["discard_out"][:2] == [1, 2]
+
+    def test_a_list_shrunk_mid_sweep_is_refused(self):
+        """A dict probe may run Python code; a list it shrinks is caught
+        before the next read, never read past."""
+        head_ts, head_pri, head_seq, head_keys = [1.0, 2.0], [3, 3], [0, 1], [7, 8]
+
+        class Shrinking:
+            def __bool__(self):
+                del head_pri[:], head_keys[:]
+                return False
+
+        select = NATIVE.make_selector(
+            head_ts, head_pri, head_seq, head_keys, {7: Shrinking()}, {}, [0, 0], [0, 0]
+        )
+        with pytest.raises(ValueError, match="slot count"):
+            select(math.inf)
 
     def test_both_factories_take_the_one_registry_signature(self):
         """Eight positional arguments on both sides -- no separate
         buffered-send index -- and a Counter for the registry."""
-        from array import array
-        from collections import Counter
-
-        def columns(n=2):
-            return (
-                array("d", [1.0, 2.0]),
-                array("q", [3, 3]),
-                array("q", [0, 1]),
-                [7, 8],
-                {},
-                Counter({7: 1}),
-                array("q", [0] * n),
-                array("q", [0] * n),
-            )
-
         for factory in (reference.make_selector, NATIVE.make_selector):
-            # slot 0 waits on an undelivered SEND, slot 1 is noise
-            assert factory(*columns())(math.inf) == DISCARD | 1 << 3
+            assert factory(*self._columns())(math.inf) == DISCARD | 1 << 3
             with pytest.raises(TypeError):
-                factory(*columns(), {})
+                factory(*self._columns(), {})
             with pytest.raises(TypeError):
-                factory(*columns()[:-1])
+                factory(*self._columns()[:-1])
+
+    def test_the_compiled_kernel_takes_lists_only(self):
+        from array import array
+
+        columns = list(self._columns())
+        columns[0] = array("d", columns[0])
+        with pytest.raises(TypeError):
+            NATIVE.make_selector(*columns)
 
 
 class TestEndToEndParity:
@@ -242,25 +258,23 @@ class TestEndToEndParity:
     ):
         # correlation mutates activities in place (byte balances), so
         # each backend run classifies its own fresh activity objects
-        monkeypatch.setenv(kernel.ENV_VAR, "python")
+        use_kernel(monkeypatch, "python")
         python_digest = self._digest(tiny_deployment.activities())
-        monkeypatch.setenv(kernel.ENV_VAR, "native")
+        use_kernel(monkeypatch, "native")
         native_digest = self._digest(tiny_deployment.activities())
         assert python_digest == native_digest
 
     @pytest.mark.parametrize("mode", ["python", "native"])
     def test_fuzz_smoke_is_green(self, mode, monkeypatch):
-        if mode == "native" and NATIVE is None:
-            pytest.skip("no C toolchain: compiled kernel unavailable")
+        use_kernel(monkeypatch, mode)
         from repro.fuzz.harness import run_fuzz
 
-        monkeypatch.setenv(kernel.ENV_VAR, mode)
         report = run_fuzz(seeds=5)
         assert report.failures == []
 
 
 class TestRankerPlumbing:
-    def _ranker(self, mode, activities_by_node):
+    def _ranker(self, activities_by_node):
         from helpers import packed
         from repro.core.ranker import Ranker
 
@@ -272,14 +286,23 @@ class TestRankerPlumbing:
             candidate = ranker.rank()
             if candidate is None:
                 break
-            out.append((candidate.node_key, candidate.seq))
+            out.append(self._row(candidate))
         return out
+
+    @staticmethod
+    def _bound_kernel(ranker):
+        """Which backend made the ranker's selector: the reference binds a
+        closure, the compiled kernel a ``Selector``."""
+        return "native" if type(ranker._select).__name__ == "Selector" else "python"
+
+    @staticmethod
+    def _row(activity):
+        """What a delivery is, whatever ``seq`` a packing drew for it."""
+        return activity.node_key, activity.timestamp, activity.type
 
     @pytest.mark.parametrize("mode", ["python", "native"])
     def test_pickle_roundtrip_preserves_the_stream(self, mode, monkeypatch):
-        if mode == "native" and NATIVE is None:
-            pytest.skip("no C toolchain: compiled kernel unavailable")
-        monkeypatch.setenv(kernel.ENV_VAR, mode)
+        use_kernel(monkeypatch, mode)
         from helpers import SyntheticTrace
 
         script = SyntheticTrace()
@@ -287,22 +310,21 @@ class TestRankerPlumbing:
         script.three_tier_request(2, 0.050)
         by_node = script.by_node()
 
-        uninterrupted = self._drain(self._ranker(mode, by_node))
-        ranker = self._ranker(mode, by_node)
+        uninterrupted = self._drain(self._ranker(by_node))
+        ranker = self._ranker(by_node)
         prefix = [ranker.rank() for _ in range(3)]
         restored = pickle.loads(pickle.dumps(ranker))
-        assert restored.kernel_name == kernel_info().name
-        resumed = [(p.node_key, p.seq) for p in prefix] + self._drain(restored)
+        assert self._bound_kernel(restored) == kernel_info().name
+        resumed = [self._row(p) for p in prefix] + self._drain(restored)
         assert resumed == uninterrupted
 
     @pytest.mark.parametrize("mode", ["python", "native"])
     def test_pickle_roundtrip_of_an_open_ranker_mid_stream(self, mode, monkeypatch):
-        """An *unsealed* ranker pickled between two chunks: head columns
-        re-homed, selector re-bound, and the rest of the stream -- later
-        chunks, seal, tail -- continues exactly as if never interrupted."""
-        if mode == "native" and NATIVE is None:
-            pytest.skip("no C toolchain: compiled kernel unavailable")
-        monkeypatch.setenv(kernel.ENV_VAR, mode)
+        """An *unsealed* ranker pickled between two chunks: a selector
+        bound over the restored lists, and the rest of the stream --
+        later chunks, seal, tail -- continues exactly as if never
+        interrupted."""
+        use_kernel(monkeypatch, mode)
         from helpers import SyntheticTrace
         from repro.core.activity import sort_key
         from repro.core.ranker import Ranker
@@ -319,11 +341,11 @@ class TestRankerPlumbing:
             out = []
             for index, chunk in enumerate(chunks):
                 if interrupt and index == cut:
-                    assert not ranker.sealed and ranker._select is not None
+                    assert not ranker.sealed
+                    bound = ranker._select
                     ranker = pickle.loads(pickle.dumps(ranker))
-                    assert ranker.kernel_name == kernel_info().name
-                    assert type(ranker._head_ts) is type(kernel_info().float_column())
-                    assert ranker._select is None  # re-bound lazily by rank()
+                    assert self._bound_kernel(ranker) == kernel_info().name
+                    assert ranker._select is not None and ranker._select is not bound
                 ranker.ingest(ActivityTable.from_activities(chunk))
                 out += self._drain(ranker)
             ranker.seal()
@@ -338,25 +360,37 @@ class TestRankerPlumbing:
         assert resumed == straight
         assert resumed_stats == straight_stats
 
-    def test_streaming_ingest_rebinds_the_selector(self, monkeypatch):
-        monkeypatch.setenv(kernel.ENV_VAR, "python")
-        from repro.core.ranker import Ranker
+    def _grow_node_by_node(self):
+        """An open ranker fed one node at a time (each ingest registers a
+        new slot), drained after every ingest and after the seal: the
+        delivered stream, the stats, and whether every step ran on the
+        selector bound at construction."""
         from helpers import SyntheticTrace
+        from repro.core.ranker import Ranker
 
         script = SyntheticTrace()
         script.three_tier_request(1, 0.001)
-        ranker = Ranker(None, {}, window=0.010, skew_bound=0.005)
+        script.three_tier_request(2, 0.040)
         by_node = script.by_node()
-        nodes = list(by_node)
-        ranker.ingest(ActivityTable.from_activities(by_node[nodes[0]]))
-        ranker.rank()  # binds a selector over the current slot count
+        ranker = Ranker(None, {}, window=0.010, skew_bound=0.005)
         bound = ranker._select
-        assert bound is not None
-        for node in nodes[1:]:
+        same = [bound is not None]
+        out = []
+        for node in by_node:
             ranker.ingest(ActivityTable.from_activities(by_node[node]))
-        # growing the head columns must invalidate the bound selector
-        assert ranker._select is None
+            out += self._drain(ranker)
+            same.append(ranker._select is bound)
         ranker.seal()
-        while ranker.rank() is not None:
-            pass
-        assert ranker.exhausted()
+        out += self._drain(ranker)
+        assert ranker.exhausted() and len(ranker._head_ts) == len(by_node)
+        return out, ranker.stats, all(same)
+
+    @pytest.mark.parametrize("mode", ["python", "native"])
+    def test_streaming_ingest_keeps_the_one_selector(self, mode, monkeypatch):
+        use_kernel(monkeypatch, "python")
+        reference_out, reference_stats, _ = self._grow_node_by_node()
+        use_kernel(monkeypatch, mode)
+        out, stats, one_selector = self._grow_node_by_node()
+        assert one_selector
+        assert out == reference_out
+        assert stats == reference_stats

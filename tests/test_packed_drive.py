@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.correlator as correlator_module
-import repro.core.kernel as kernel
 from repro.core.activity import Activity
 from repro.core.correlator import IncrementalEngine
 from repro.core.interning import ActivityTable
@@ -46,6 +45,7 @@ from helpers import (
     assert_ranker_drained,
     assert_results_equal,
     assert_source_aligned,
+    use_kernel,
     write_node_logs,
 )
 
@@ -114,9 +114,7 @@ class TestPackedRunEqualsObjectFedRun:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
     def test_field_for_field(self, log_sets, name, mode, chunk_bytes, monkeypatch):
-        if mode == "native" and kernel.kernel_info("auto").name != "native":
-            pytest.skip("no C toolchain: compiled kernel unavailable")
-        monkeypatch.setenv(kernel.ENV_VAR, mode)
+        use_kernel(monkeypatch, mode)
         run, paths = log_sets[name]
         source = log_source(run, paths, chunk_bytes=chunk_bytes)
         fed = BackendSpec.batch().correlate(source.activities())

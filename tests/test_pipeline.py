@@ -29,11 +29,9 @@ import pytest
 
 import repro
 import repro.pipeline.backends as backends_module
-from helpers import SyntheticTrace, assert_results_equal, write_node_logs
+from helpers import SyntheticTrace, assert_results_equal, use_kernel, write_node_logs
 from repro.core.activity import Activity, ActivityType
 from repro.core.correlator import PEAK_SAMPLE_EVERY, IncrementalEngine
-from repro.core.kernel import ENV_VAR as KERNEL_ENV_VAR
-from repro.core.kernel import KernelUnavailableError, kernel_info
 from repro.core.log_format import format_record
 from repro.pipeline import (
     AccuracyStage,
@@ -136,12 +134,7 @@ class TestBatchHandsCagsOutMidDrain:
     def test_hook_or_not_sliced_or_not_the_result_is_the_same(
         self, matrix_sources, loaded_run, name, mode, monkeypatch
     ):
-        if mode == "native":
-            try:
-                kernel_info("native")
-            except KernelUnavailableError:
-                pytest.skip("no C toolchain: compiled kernel unavailable")
-        monkeypatch.setenv(KERNEL_ENV_VAR, mode)
+        use_kernel(monkeypatch, mode)
         if name == "rubis_golden_loaded":
             source = RunSource.from_run(loaded_run)
         else:

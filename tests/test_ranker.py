@@ -1,5 +1,7 @@
 """Unit tests for the ranker: candidate selection, noise, disturbances."""
 
+from collections import deque
+
 import pytest
 
 from helpers import (
@@ -196,16 +198,18 @@ class TestNoiseHandling:
     def test_begin_is_never_noise(self):
         begin = act(ActivityType.BEGIN, 1.0, "web")
         ranker = Ranker(packed({"web": [begin]}), {}, window=1.0)
-        assert not ranker.is_noise(begin)
         assert drain(ranker) == [begin]
+        assert ranker.stats.noise_discarded == 0
 
     def test_is_noise_consults_mmap(self):
-        mmap = {}
         send = act(ActivityType.SEND, 0.5, "a")
-        add_pending(mmap, send)
         receive = act(ActivityType.RECEIVE, 1.0, "b")
-        ranker = Ranker(packed({"b": [receive]}), mmap, window=1.0)
-        assert not ranker.is_noise(receive)
+        table = packed({"b": [receive]})
+        mmap = {message_id(table.keys, receive): deque([send])}
+        ranker = Ranker(table, mmap, window=1.0)
+        assert drain(ranker) == [receive]
+        assert ranker.stats.noise_discarded == 0
+        assert ranker.stats.rule1_selections == 1
 
 
 class TestDisturbances:

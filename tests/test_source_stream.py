@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernel as kernel
 from repro.cli import main
 from repro.core.activity import sort_key
 from repro.core.correlator import IncrementalEngine
@@ -36,7 +35,7 @@ from repro.stream import FileTailSource
 from repro.topology.library import ScenarioConfig, run_scenario, scenario_names
 from repro.topology.workload import WorkloadStages
 
-from helpers import lines_conserved, write_node_logs
+from helpers import lines_conserved, use_kernel, write_node_logs
 
 STAGES = WorkloadStages(up_ramp=0.5, runtime=4.0, down_ramp=0.5)
 WHOLE_FILE = 1 << 30
@@ -158,9 +157,7 @@ class TestChunkFedEqualsListFed:
     @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_stats_and_digest_match(self, log_sets, scenario, coarse, mode, monkeypatch):
-        if mode == "native" and kernel.kernel_info("auto").name != "native":
-            pytest.skip("no C toolchain: compiled kernel unavailable")
-        monkeypatch.setenv(kernel.ENV_VAR, mode)
+        use_kernel(monkeypatch, mode)
         run, paths, _reference = log_sets[scenario, coarse]
         # Small read blocks: the files' blocks are classified interleaved,
         # so creation order is nothing like arrival order.

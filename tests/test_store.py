@@ -19,8 +19,10 @@ import subprocess
 import pytest
 
 import repro.store.store as store_module
+from helpers import cyclic_cag
 from repro.core.patterns import PatternClassifier, cag_signature
-from repro.pipeline import BackendSpec, Pipeline, RunSource, StoreSink
+from repro.core.tracer import TraceResult
+from repro.pipeline import BackendSpec, Pipeline, RunSource, StoreSink, TraceSession
 from repro.store import (
     SCHEMA_VERSION,
     TraceStore,
@@ -31,7 +33,6 @@ from repro.store import (
     mix_drift,
     pattern_mix,
     percentile,
-    record_trace,
     run_summary,
     signature_hash,
     signature_label,
@@ -63,16 +64,9 @@ def library_store(store_sources, tmp_path_factory):
     path = tmp_path_factory.mktemp("store") / "library.sqlite"
     traces = {}
     for name, source in store_sources.items():
-        trace = BackendSpec.batch().trace(source.activities())
-        traces[name] = trace
-        record_trace(
-            path,
-            trace,
-            run_id=f"run-{name}",
-            scenario=name,
-            source=source.describe(),
-            backend=BackendSpec.batch(),
-        )
+        session = Pipeline(source=source, backend=BackendSpec.batch()).run()
+        traces[name] = session.trace
+        StoreSink(path, run_id=f"run-{name}", scenario=name).write(session)
     return path, traces
 
 
@@ -140,8 +134,8 @@ class TestIncrementalEqualsBatch:
         path = tmp_path / "s.sqlite"
         source = store_sources["rubis"]
 
-        batch_trace = BackendSpec.batch().trace(source.activities())
-        record_trace(path, batch_trace, run_id="batch", scenario="rubis")
+        batch = Pipeline(source=source, backend=BackendSpec.batch()).run()
+        StoreSink(path, run_id="batch", scenario="rubis").write(batch)
 
         sink = StoreSink(path, run_id="stream", scenario="rubis", commit_every=4)
         pipeline = Pipeline(
@@ -162,8 +156,8 @@ class TestIncrementalEqualsBatch:
         """A resumed streaming run re-emits CAGs that finished after the
         last checkpoint; re-ingesting them must not duplicate rows."""
         path = tmp_path / "s.sqlite"
-        trace = BackendSpec.batch().trace(store_sources["rubis"].activities())
-        cags = trace.cags
+        session = Pipeline(source=store_sources["rubis"], backend=BackendSpec.batch()).run()
+        cags = session.cags
         with TraceStore(path) as store:
             key = store.begin_run("r", scenario="rubis")
             store.ingest_cags(key, cags[: len(cags) // 2])
@@ -174,7 +168,7 @@ class TestIncrementalEqualsBatch:
             key = store.begin_run("r", scenario="rubis")
             store.ingest_cags(key, cags[len(cags) // 3 :])
             store.finalize_run(key, scenario="rubis")
-        record_trace(path, trace, run_id="oneshot", scenario="rubis")
+        StoreSink(path, run_id="oneshot", scenario="rubis").write(session)
         with TraceStore.open(path) as store:
             assert store.run_row("r")["requests"] == len(cags)
             assert store.run_digest("r") == store.run_digest("oneshot")
@@ -213,7 +207,9 @@ class TestSinkSweepAndPatternCache:
         session = Pipeline(source=source, backend=BackendSpec.batch()).run()
         StoreSink(path, run_id="swept", scenario="rubis").write(session)
         assert ingests == session.cags
-        record_trace(path, session.trace, run_id="oneshot", scenario="rubis")
+        del ingests[:]
+        StoreSink(path, run_id="oneshot", scenario="rubis").write(session)
+        assert ingests == session.cags
         with TraceStore.open(path) as store:
             assert store.run_row("swept")["requests"] == len(session.cags)
             assert store.run_digest("swept") == store.run_digest("oneshot")
@@ -271,8 +267,8 @@ class TestSinkSweepAndPatternCache:
         assert len(ingests) == len(session.cags)
         assert set(map(id, ingests)) == set(map(id, session.cags))
 
-        batch = BackendSpec.batch().trace(source.activities())
-        record_trace(path, batch, run_id="oneshot", scenario="rubis")
+        batch = Pipeline(source=source, backend=BackendSpec.batch()).run()
+        StoreSink(path, run_id="oneshot", scenario="rubis").write(batch)
         with TraceStore.open(path) as store:
             assert store.run_row("r")["finalized"] == 1
             assert store.run_row("r")["requests"] == len(batch.cags)
@@ -317,6 +313,27 @@ class TestSinkSweepAndPatternCache:
         ).fetchone()
         distinct = {cag_signature(cag) for cag in trace.cags + other.cags}
         assert rows[0] == rows[1] == len(distinct)
+
+    def test_a_deformed_cag_is_counted_incomplete_and_the_run_finalized(
+        self, tmp_path, store_sources
+    ):
+        """A finished CAG that is not a DAG has no signature to store it
+        under: the one write path counts it in the run row's
+        ``incomplete`` and still finalizes the run."""
+        path = tmp_path / "s.sqlite"
+        source = store_sources["cache_aside"]
+        result = BackendSpec.batch().correlate(source.activities())
+        stored = len(result.cags)
+        result.cags.insert(1, cyclic_cag())
+        session = TraceSession(
+            source=source, backend=BackendSpec.batch(), trace=TraceResult(correlation=result)
+        )
+        StoreSink(path, run_id="deformed", scenario="cache_aside").write(session)
+        with TraceStore.open(path) as store:
+            row = store.run_row("deformed")
+            assert row["finalized"] == 1
+            assert row["requests"] == stored
+            assert row["incomplete"] == len(result.incomplete_cags) + 1
 
 
 class TestQueries:
@@ -491,10 +508,8 @@ class TestStoreFiles:
 
     def test_finalized_run_id_cannot_be_reused(self, tmp_path, store_sources):
         path = tmp_path / "s.sqlite"
-        trace = BackendSpec.batch().trace(
-            store_sources["cache_aside"].activities()
-        )
-        record_trace(path, trace, run_id="day1", scenario="cache_aside")
+        session = Pipeline(source=store_sources["cache_aside"], backend=BackendSpec.batch()).run()
+        StoreSink(path, run_id="day1", scenario="cache_aside").write(session)
         with TraceStore(path) as store:
             with pytest.raises(ValueError, match="already exists \\(finalized\\)"):
                 store.begin_run("day1")
