@@ -88,7 +88,7 @@ def _resolve(requested: str) -> KernelInfo:
     # auto: prefer a built (or quietly buildable) extension, fall back
     # silently -- the documented no-toolchain behaviour.
     try:
-        module = _native.load(retry_failed=False)
+        module = _native.load()
     except _native.KernelBuildError as error:
         return KernelInfo(
             name="python",

@@ -13,7 +13,7 @@ with a final output digest-identical to the uninterrupted run:
 :func:`resume_checkpoint` revives the engine and skips the prefix of the
 (deterministic) arrival order it has already seen.
 
-Checkpoint file format (version 9): a single pickled dict with
+Checkpoint file format (version 10): a single pickled dict with
 
 ``magic`` / ``version``
     Sanity markers; mismatches fail fast with a clear error instead of
@@ -29,14 +29,17 @@ Checkpoint file format (version 9): a single pickled dict with
     tables and CAGs carry no key space, version 7 pickled every finished
     CAG as a list of vertex objects rather than packed vertex rows plus
     its root and END, version 8 pickled the engine's index maps as
-    wrapper objects rather than plain dicts) is refused with the same
-    :class:`ValueError` rather than an import error, a ``KeyError`` or an
-    ``AttributeError`` (version 5: the table has no object slot any more;
+    wrapper objects rather than plain dicts, version 9 may hold the
+    ranker's head columns as ``array('d')``/``array('q')`` rather than
+    lists) is refused with the same :class:`ValueError` rather than an
+    import error, a ``KeyError``, an ``AttributeError`` or a
+    ``TypeError`` (version 3: the ranker binds its selector over dicts
+    it never had; version 5: the table has no object slot any more;
     version 6: its tables and CAGs lack the key space; version 7: its
-    CAGs lack the rows entry; version 8: the wrappers' module is gone)
-    from inside ``pickle`` or at first use -- or, for versions 3 and 4, a
-    ranker that revives without complaint and fails at its first
-    ``rank()``.
+    CAGs lack the rows entry; version 8: the wrappers' module is gone;
+    version 9: the compiled kernel binds lists only) from inside
+    ``pickle`` or at first use -- or, for version 4, a source that
+    revives without complaint and fails at its first use.
 ``ingested_count``
     How many activities the engine had ingested when the snapshot was
     taken.  On resume the driver skips exactly this prefix of the
@@ -70,7 +73,7 @@ from typing import Any, Dict, Iterable, Iterator, Tuple
 from ..core.interning import ActivityTable
 
 MAGIC = "precisetracer-stream-checkpoint"
-VERSION = 9
+VERSION = 10
 
 #: The streaming knobs a checkpoint records; a resume must match each one.
 FINGERPRINT_KEYS = ("window", "horizon", "skew_bound", "chunk_size", "sampling")

@@ -593,6 +593,67 @@ class TestCheckpointFileContract:
             load_checkpoint(str(path))
         assert blob not in unpickled
 
+    def test_version_9_file_is_refused_before_its_array_columns_are_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        """Version 9 pickled the ranker's head columns in the container
+        the active kernel wanted: ``array('d')``/``array('q')`` under the
+        compiled kernel.  A version-10 ranker binds its selector as it is
+        revived, and the compiled kernel takes lists only, so such a blob
+        fails with a ``TypeError`` inside ``pickle`` wherever the
+        compiled kernel is active.  The version check has to refuse the
+        file, naming its version, before the blob is touched at all."""
+        from array import array
+
+        import repro.core.kernel as kernel
+        import repro.stream.checkpoint as checkpoint
+        from repro.core.ranker import Ranker
+
+        assert VERSION > 9
+        version_9_state = Ranker(None, {}, window=WINDOW).__getstate__()
+        for name, typecode in (
+            ("_head_ts", "d"),
+            ("_head_pri", "q"),
+            ("_head_seq", "q"),
+            ("_blocked_out", "q"),
+            ("_discard_out", "q"),
+        ):
+            version_9_state[name] = array(typecode, version_9_state[name])
+
+        class Version9Ranker:
+            def __reduce__(self):
+                return (object.__new__, (Ranker,), version_9_state)
+
+        blob = pickle.dumps(Version9Ranker())
+        if kernel.kernel_info("auto").name == "native":
+            monkeypatch.setenv(kernel.ENV_VAR, "auto")
+            with pytest.raises(TypeError):
+                pickle.loads(blob)
+        path = tmp_path / "v9.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": MAGIC,
+                    "version": 9,
+                    "ingested_count": 0,
+                    "config": {"window": WINDOW},
+                    "engine_blob": blob,
+                    "engine_sha256": hashlib.sha256(blob).hexdigest(),
+                }
+            )
+        )
+        unpickled = []
+        real_loads = pickle.loads
+
+        def watching_loads(data, *args, **kwargs):
+            unpickled.append(data)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint.pickle, "loads", watching_loads)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 9"):
+            load_checkpoint(str(path))
+        assert blob not in unpickled
+
     def test_corrupted_engine_blob_is_rejected(self, tmp_path):
         table = _scenario_table("cache_aside")
         ckpt = tmp_path / "corrupt.ckpt"

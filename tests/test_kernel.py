@@ -45,7 +45,8 @@ from repro.core.kernel import _native
 
 def native_module_or_none():
     try:
-        return _native.load(retry_failed=True)
+        _native.build()  # a no-op once built; retries a failed build
+        return _native.load()
     except _native.KernelBuildError:
         return None
 
@@ -286,7 +287,7 @@ class TestRankerPlumbing:
             candidate = ranker.rank()
             if candidate is None:
                 break
-            out.append(self._row(candidate))
+            out.append((candidate.node_key, candidate.seq))
         return out
 
     @staticmethod
@@ -294,11 +295,6 @@ class TestRankerPlumbing:
         """Which backend made the ranker's selector: the reference binds a
         closure, the compiled kernel a ``Selector``."""
         return "native" if type(ranker._select).__name__ == "Selector" else "python"
-
-    @staticmethod
-    def _row(activity):
-        """What a delivery is, whatever ``seq`` a packing drew for it."""
-        return activity.node_key, activity.timestamp, activity.type
 
     @pytest.mark.parametrize("mode", ["python", "native"])
     def test_pickle_roundtrip_preserves_the_stream(self, mode, monkeypatch):
@@ -315,7 +311,7 @@ class TestRankerPlumbing:
         prefix = [ranker.rank() for _ in range(3)]
         restored = pickle.loads(pickle.dumps(ranker))
         assert self._bound_kernel(restored) == kernel_info().name
-        resumed = [self._row(p) for p in prefix] + self._drain(restored)
+        resumed = [(p.node_key, p.seq) for p in prefix] + self._drain(restored)
         assert resumed == uninterrupted
 
     @pytest.mark.parametrize("mode", ["python", "native"])
@@ -360,18 +356,13 @@ class TestRankerPlumbing:
         assert resumed == straight
         assert resumed_stats == straight_stats
 
-    def _grow_node_by_node(self):
-        """An open ranker fed one node at a time (each ingest registers a
-        new slot), drained after every ingest and after the seal: the
-        delivered stream, the stats, and whether every step ran on the
-        selector bound at construction."""
-        from helpers import SyntheticTrace
+    def _grow_node_by_node(self, by_node):
+        """An open ranker fed ``by_node`` one node at a time (each ingest
+        registers a new slot), drained after every ingest and after the
+        seal: the delivered stream, the stats, and whether every step ran
+        on the selector bound at construction."""
         from repro.core.ranker import Ranker
 
-        script = SyntheticTrace()
-        script.three_tier_request(1, 0.001)
-        script.three_tier_request(2, 0.040)
-        by_node = script.by_node()
         ranker = Ranker(None, {}, window=0.010, skew_bound=0.005)
         bound = ranker._select
         same = [bound is not None]
@@ -387,10 +378,16 @@ class TestRankerPlumbing:
 
     @pytest.mark.parametrize("mode", ["python", "native"])
     def test_streaming_ingest_keeps_the_one_selector(self, mode, monkeypatch):
+        from helpers import SyntheticTrace
+
+        script = SyntheticTrace()
+        script.three_tier_request(1, 0.001)
+        script.three_tier_request(2, 0.040)
+        by_node = script.by_node()
         use_kernel(monkeypatch, "python")
-        reference_out, reference_stats, _ = self._grow_node_by_node()
+        reference_out, reference_stats, _ = self._grow_node_by_node(by_node)
         use_kernel(monkeypatch, mode)
-        out, stats, one_selector = self._grow_node_by_node()
+        out, stats, one_selector = self._grow_node_by_node(by_node)
         assert one_selector
         assert out == reference_out
         assert stats == reference_stats
